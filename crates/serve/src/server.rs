@@ -33,9 +33,13 @@
 //! Mutations — [`QueryServer::register_class`],
 //! [`QueryServer::update_class`], [`QueryServer::remove_class`],
 //! [`QueryServer::swap_model`], [`QueryServer::set_threshold`] /
-//! [`QueryServer::clear_threshold`] — validate their inputs first, then build the
+//! [`QueryServer::clear_threshold`], [`QueryServer::observe`] /
+//! [`QueryServer::flush`] — validate their inputs first, then build the
 //! next snapshot on the caller's thread and publish it with one `Arc`
-//! store. The sharded memory's copy-on-write shards make the incremental
+//! store. The next snapshot comes from one state transition that
+//! [`QueryServer::recover`] also folds over the write-ahead log, so a
+//! recovered server cannot diverge from the live one. The sharded
+//! memory's copy-on-write shards make the incremental
 //! paths cheap: registering a class clones `Arc` handles for every shard
 //! except the one the class routes to, which alone is repacked — and a
 //! request that fails validation (wrong width, unknown label) returns its
@@ -61,7 +65,7 @@ use hdc::{BipolarHypervector, ClassAccumulator};
 use hdc_zsc::{Checkpoint, CheckpointDelta, FrozenModel, StreamCheckpoint};
 use metrics::{DriftReport, StreamDriftConfig, StreamDriftDetector};
 use std::collections::{BTreeSet, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -102,6 +106,10 @@ pub struct ServerConfig {
     /// counters — and the write-ahead log — still advance per observe, so
     /// nothing acknowledged is ever lost. [`QueryServer::flush`] publishes a
     /// partial batch on demand. Must be at least 1.
+    ///
+    /// A durable server must be recovered ([`QueryServer::recover`]) with
+    /// the same value it ran with: the log records each observe but not the
+    /// automatic boundaries, which replay re-derives from this cadence.
     pub publish_every: u32,
 }
 
@@ -318,6 +326,69 @@ struct DurableState {
     schema: AttributeSchema,
     compact_every: u64,
     since_compact: u64,
+}
+
+impl DurableState {
+    /// Initialises `durability.dir` for a fresh server serving `snapshot`.
+    /// Base first, then the (empty) log: a crash in between leaves a
+    /// directory `recover` rejects loudly (no log) rather than one that
+    /// silently replays nothing against a stale base.
+    fn create(
+        snapshot: &ModelSnapshot,
+        schema: &AttributeSchema,
+        durability: DurabilityConfig,
+    ) -> Result<Self, ServeError> {
+        std::fs::create_dir_all(&durability.dir).map_err(|e| ServeError::Wal(WalError::Io(e)))?;
+        save_base(&durability.dir, snapshot, schema, 0, None)?;
+        Ok(Self {
+            wal: WriteAheadLog::create(wal::wal_path(&durability.dir), durability.sync)?,
+            dir: durability.dir,
+            schema: schema.clone(),
+            compact_every: durability.compact_every,
+            since_compact: 0,
+        })
+    }
+
+    /// Writes `snapshot` as the new checkpoint-delta base, then rotates the
+    /// log — in that order, so a crash between the two leaves a base whose
+    /// `next_record_seq` simply skips the old log's already-folded records.
+    ///
+    /// `stream` captures the continual-learning counters and batching
+    /// position at the same instant, so a base written mid-batch still
+    /// recovers counter-exactly.
+    fn compact(
+        &mut self,
+        snapshot: &ModelSnapshot,
+        stream: Option<StreamCheckpoint>,
+    ) -> Result<(), ServeError> {
+        let next_seq = self.wal.next_seq();
+        save_base(&self.dir, snapshot, &self.schema, next_seq, stream)?;
+        self.wal.rotate()?;
+        self.since_compact = 0;
+        Ok(())
+    }
+}
+
+/// Saves `snapshot` (plus the stream state) as the checkpoint-delta base
+/// under `dir`; replay resumes at `next_record_seq`.
+fn save_base(
+    dir: &Path,
+    snapshot: &ModelSnapshot,
+    schema: &AttributeSchema,
+    next_record_seq: u64,
+    stream: Option<StreamCheckpoint>,
+) -> Result<(), ServeError> {
+    CheckpointDelta {
+        snapshot_version: snapshot.version,
+        next_record_seq,
+        base: Checkpoint::capture(&snapshot.model, schema),
+        memory: snapshot.memory.clone(),
+        routed: snapshot.routed.clone(),
+        threshold: snapshot.threshold,
+        stream,
+    }
+    .save_json(wal::base_path(dir))?;
+    Ok(())
 }
 
 /// The continual-learning half of the control plane: exact per-class
@@ -559,7 +630,6 @@ struct QueueState {
 /// attribute-encoder forward and zero weight copies.
 #[derive(Debug)]
 struct ControlPlane {
-    attribute_dim: usize,
     /// `Some` for servers started with [`QueryServer::start_durable`] or
     /// [`QueryServer::recover`]: every mutation is WAL-appended (and
     /// fsynced per the policy) *before* its snapshot is published.
@@ -631,22 +701,35 @@ impl QueryServer {
         class_attributes: &Matrix,
         config: ServerConfig,
     ) -> Result<Self, ServeError> {
-        Self::start_with_threshold(model.into(), labels, class_attributes, config, None)
+        Self::start_fresh(model.into(), labels, class_attributes, config, None, None)
     }
 
-    /// The shared non-durable construction body: [`QueryServer::start`]
-    /// seeds no threshold, [`QueryServer::from_checkpoint`] seeds the
-    /// checkpoint's calibrated one.
-    fn start_with_threshold(
+    /// The one construction path of a fresh server: validates the class
+    /// set and configuration, encodes the class memory (and routed index),
+    /// and — for a durable server — initialises the WAL directory before
+    /// serving. [`QueryServer::start`] seeds no threshold,
+    /// [`QueryServer::from_checkpoint`] seeds the checkpoint's calibrated
+    /// one, [`QueryServer::start_durable`] passes its schema and durability
+    /// settings.
+    fn start_fresh(
         model: FrozenModel,
         labels: Vec<String>,
         class_attributes: &Matrix,
         config: ServerConfig,
         threshold: Option<f32>,
+        durability: Option<(&AttributeSchema, DurabilityConfig)>,
     ) -> Result<Self, ServeError> {
         validate_class_set(&labels, class_attributes)?;
         validate_config(&config)?;
-        let attribute_dim = class_attributes.cols();
+        if let Some((schema, _)) = &durability {
+            if model.attribute_encoder().num_attributes() != schema.num_attributes() {
+                return Err(ServeError::InvalidConfig(format!(
+                    "model encodes {} attributes, the serving schema declares {}",
+                    model.attribute_encoder().num_attributes(),
+                    schema.num_attributes()
+                )));
+            }
+        }
         let memory = model
             .sharded_class_memory(labels, class_attributes, config.shards)
             .with_threads(config.threads);
@@ -654,42 +737,27 @@ impl QueryServer {
             .routed
             .map(|rc| routed_from_sharded(&memory, rc, config.threads));
         let stream = StreamControl::fresh(memory.dim(), config.publish_every);
-        Ok(Self::start_with_parts(
+        let snapshot = ModelSnapshot {
+            version: 0,
             model,
             memory,
             routed,
             threshold,
-            attribute_dim,
-            config,
-            0,
-            None,
-            stream,
-        ))
+        };
+        let durable = durability
+            .map(|(schema, durability)| DurableState::create(&snapshot, schema, durability))
+            .transpose()?;
+        Ok(Self::start_with_parts(snapshot, config, durable, stream))
     }
 
-    /// The one spawn point every constructor funnels through: wraps the
-    /// already-validated parts into the initial snapshot and starts the
-    /// dispatcher thread.
-    #[allow(clippy::too_many_arguments)]
+    /// The one spawn point every constructor funnels through: publishes the
+    /// already-validated initial snapshot and starts the dispatcher thread.
     fn start_with_parts(
-        model: FrozenModel,
-        memory: ShardedClassMemory,
-        routed: Option<RoutedClassMemory>,
-        threshold: Option<f32>,
-        attribute_dim: usize,
+        snapshot: ModelSnapshot,
         config: ServerConfig,
-        version: u64,
         durable: Option<DurableState>,
         stream: StreamControl,
     ) -> Self {
-        let feature_dim = model.image_encoder().feature_dim();
-        let snapshot = Arc::new(ModelSnapshot {
-            version,
-            model,
-            memory,
-            routed,
-            threshold,
-        });
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 pending: VecDeque::new(),
@@ -697,8 +765,8 @@ impl QueryServer {
             }),
             arrivals: Condvar::new(),
             stats: Mutex::new(ServerStats::default()),
-            snapshot: Mutex::new(snapshot),
-            feature_dim,
+            feature_dim: snapshot.model.image_encoder().feature_dim(),
+            snapshot: Mutex::new(Arc::new(snapshot)),
         });
         let dispatcher = {
             let shared = Arc::clone(&shared);
@@ -706,11 +774,7 @@ impl QueryServer {
         };
         Self {
             shared,
-            control: Mutex::new(ControlPlane {
-                attribute_dim,
-                durable,
-                stream,
-            }),
+            control: Mutex::new(ControlPlane { durable, stream }),
             dispatcher: Mutex::new(Some(dispatcher)),
         }
     }
@@ -743,57 +807,14 @@ impl QueryServer {
         config: ServerConfig,
         durability: DurabilityConfig,
     ) -> Result<Self, ServeError> {
-        let model: FrozenModel = model.into();
-        validate_class_set(&labels, class_attributes)?;
-        validate_config(&config)?;
-        if model.attribute_encoder().num_attributes() != schema.num_attributes() {
-            return Err(ServeError::InvalidConfig(format!(
-                "model encodes {} attributes, the serving schema declares {}",
-                model.attribute_encoder().num_attributes(),
-                schema.num_attributes()
-            )));
-        }
-        let attribute_dim = class_attributes.cols();
-        std::fs::create_dir_all(&durability.dir).map_err(|e| ServeError::Wal(WalError::Io(e)))?;
-        let memory = model
-            .sharded_class_memory(labels, class_attributes, config.shards)
-            .with_threads(config.threads);
-        let routed = config
-            .routed
-            .map(|rc| routed_from_sharded(&memory, rc, config.threads));
-        // Base first, then the (empty) log: a crash in between leaves a
-        // directory `recover` rejects loudly (no log) rather than one that
-        // silently replays nothing against a stale base.
-        CheckpointDelta {
-            snapshot_version: 0,
-            next_record_seq: 0,
-            base: Checkpoint::capture(&model, schema),
-            memory: memory.clone(),
-            routed: routed.clone(),
-            threshold: None,
-            stream: None,
-        }
-        .save_json(wal::base_path(&durability.dir))?;
-        let log = WriteAheadLog::create(wal::wal_path(&durability.dir), durability.sync)?;
-        let durable = DurableState {
-            wal: log,
-            dir: durability.dir,
-            schema: schema.clone(),
-            compact_every: durability.compact_every,
-            since_compact: 0,
-        };
-        let stream = StreamControl::fresh(memory.dim(), config.publish_every);
-        Ok(Self::start_with_parts(
-            model,
-            memory,
-            routed,
-            None,
-            attribute_dim,
+        Self::start_fresh(
+            model.into(),
+            labels,
+            class_attributes,
             config,
-            0,
-            Some(durable),
-            stream,
-        ))
+            None,
+            Some((schema, durability)),
+        )
     }
 
     /// Rebuilds a durable server from its WAL directory after a crash (or a
@@ -803,10 +824,16 @@ impl QueryServer {
     /// a torn final record if one is found, and resumes serving — and
     /// logging — exactly where the pre-crash server left off.
     ///
-    /// The rebuilt class memory is **bit-identical** to the last
-    /// acknowledged pre-crash snapshot: register/update records replay the
-    /// packed prototype words the original server encoded, so no model
+    /// Replay is the live mutation path's own state transition folded over
+    /// the log, so the rebuilt class memory is **bit-identical** to the last
+    /// acknowledged pre-crash snapshot: register/update/observe records
+    /// replay the packed words the original server encoded, so no model
     /// arithmetic is ever re-run.
+    ///
+    /// Pass the pre-crash server's [`ServerConfig::publish_every`]: the log
+    /// records every observe but not the automatic publication boundaries,
+    /// which replay re-derives from this cadence. A different value
+    /// recovers a different version and class memory.
     ///
     /// # Errors
     ///
@@ -833,20 +860,23 @@ impl QueryServer {
             threshold,
             stream,
         } = delta;
-        let mut threshold = threshold;
-        let mut model = base.into_frozen(schema)?;
-        let mut memory = memory.with_threads(config.threads);
-        // Resume the base's routed index only when it was built under
-        // exactly the requested routed configuration: replaying the same
-        // records into the same structure reproduces the pre-crash index
-        // bit-for-bit. Otherwise (config changed, routing newly requested,
-        // or a pre-routed base) a fresh deterministic build runs after
-        // replay.
-        let mut routed = match (config.routed, routed) {
-            (Some(rc), Some(saved)) if saved.config() == rc => {
-                Some(saved.with_threads(config.threads))
-            }
-            _ => None,
+        let mut current = ModelSnapshot {
+            version: snapshot_version,
+            model: base.into_frozen(schema)?,
+            memory: memory.with_threads(config.threads),
+            // Resume the base's routed index only when it was built under
+            // exactly the requested routed configuration: replaying the same
+            // records into the same structure reproduces the pre-crash index
+            // bit-for-bit. Otherwise (config changed, routing newly
+            // requested, or a pre-routed base) a fresh deterministic build
+            // runs after replay.
+            routed: match (config.routed, routed) {
+                (Some(rc), Some(saved)) if saved.config() == rc => {
+                    Some(saved.with_threads(config.threads))
+                }
+                _ => None,
+            },
+            threshold,
         };
         // Stream state resumes from the base (mid-batch compaction persists
         // the exact counters and batching position); the drift detector is
@@ -861,152 +891,37 @@ impl QueryServer {
                 observes: 0,
                 drift: StreamDriftDetector::new(StreamDriftConfig::default()),
             },
-            None => StreamControl::fresh(memory.dim(), config.publish_every),
+            None => StreamControl::fresh(current.memory.dim(), config.publish_every),
         };
-        // Version accounting replays the pre-crash server's *publication*
-        // boundaries, not its record count: every classic mutation record
-        // published exactly one snapshot, observes publish only when the
-        // `publish_every` cadence fires, and flush records mark the explicit
-        // boundaries — so the recovered version matches the last version the
-        // pre-crash server acknowledged.
-        let mut version = snapshot_version;
         let mut replayed_records = 0u64;
-        for entry in &replay.entries {
+        for entry in replay.entries {
             // Records the base already folds in (a crash can interleave a
             // fresh base with the not-yet-rotated log; their seqs overlap).
             if entry.seq < next_record_seq {
                 continue;
             }
-            match &entry.op {
-                WalOp::Register { label, words } | WalOp::Update { label, words } => {
-                    if words.len() != memory.words_per_row() {
-                        return Err(ServeError::Wal(WalError::Corrupt {
-                            offset: entry.end_offset,
-                            reason: format!(
-                                "record {} carries {} prototype words, the memory packs {}",
-                                entry.seq,
-                                words.len(),
-                                memory.words_per_row()
-                            ),
-                        }));
-                    }
-                    memory.add_class_packed(label.clone(), words);
-                    if let Some(routed) = routed.as_mut() {
-                        routed.add_class_packed(label.clone(), words);
-                    }
-                    // The live path resets a re-pointed class's stream
-                    // counters (the old counters described the replaced
-                    // prototype); a register is a no-op here.
-                    stream.accumulators.remove(label);
-                    stream.pending.remove(label);
-                    version += 1;
-                }
-                WalOp::Remove { label } => {
-                    memory.remove_class(label);
-                    if let Some(routed) = routed.as_mut() {
-                        routed.remove_class(label);
-                    }
-                    stream.accumulators.remove(label);
-                    stream.pending.remove(label);
-                    stream.drift.remove(label);
-                    version += 1;
-                }
-                WalOp::Swap {
-                    checkpoint_json,
-                    memory: swapped,
-                } => {
-                    let checkpoint = Checkpoint::from_json_str(checkpoint_json)?;
-                    checkpoint.validate_schema(schema)?;
-                    model = checkpoint.into_frozen(schema)?;
-                    memory = swapped.clone().with_threads(config.threads);
-                    // The live server rebuilds the routed index from the
-                    // swapped memory through the same pure function, so the
-                    // replayed index matches it exactly.
-                    routed = routed
-                        .as_ref()
-                        .map(|r| routed_from_sharded(&memory, r.config(), config.threads));
-                    // A swap replaces the whole class set; stream state
-                    // describing the old one is meaningless, exactly like
-                    // the live path.
-                    stream = StreamControl::fresh(memory.dim(), config.publish_every);
-                    version += 1;
-                }
-                WalOp::SetThreshold { bits } => {
-                    let replayed = bits.map(f32::from_bits);
-                    if replayed.is_some_and(|t| !t.is_finite()) {
-                        return Err(ServeError::Wal(WalError::Corrupt {
-                            offset: entry.end_offset,
-                            reason: format!(
-                                "record {} carries a non-finite rejection threshold",
-                                entry.seq
-                            ),
-                        }));
-                    }
-                    threshold = replayed;
-                    version += 1;
-                }
-                WalOp::Observe { label, words } => {
-                    if words.len() != memory.words_per_row() {
-                        return Err(ServeError::Wal(WalError::Corrupt {
-                            offset: entry.end_offset,
-                            reason: format!(
-                                "record {} carries {} example words, the memory packs {}",
-                                entry.seq,
-                                words.len(),
-                                memory.words_per_row()
-                            ),
-                        }));
-                    }
-                    let Some(current) = memory.class_words(label).map(<[u64]>::to_vec) else {
-                        return Err(ServeError::Wal(WalError::Corrupt {
-                            offset: entry.end_offset,
-                            reason: format!(
-                                "record {} observes unregistered class `{label}`",
-                                entry.seq
-                            ),
-                        }));
-                    };
-                    fold_observation(
-                        &mut stream.accumulators,
-                        label,
-                        words,
-                        &current,
-                        memory.dim(),
-                    );
-                    stream.pending.insert(label.clone());
-                    stream.since_publish += 1;
-                    stream.observes += 1;
-                    if stream.since_publish >= u64::from(stream.publish_every) {
-                        let rows = resign_pending(&stream.accumulators, &stream.pending);
-                        apply_stream_publish(&mut memory, &mut routed, &mut stream.drift, &rows);
-                        stream.pending.clear();
-                        stream.since_publish = 0;
-                        version += 1;
-                    }
-                }
-                WalOp::Flush => {
-                    if !stream.pending.is_empty() {
-                        let rows = resign_pending(&stream.accumulators, &stream.pending);
-                        apply_stream_publish(&mut memory, &mut routed, &mut stream.drift, &rows);
-                        stream.pending.clear();
-                        stream.since_publish = 0;
-                        version += 1;
-                    }
-                }
+            let mutation = Mutation::from_record(entry.op, schema)?;
+            check(&current, &mutation).map_err(|rejected| {
+                ServeError::Wal(WalError::Corrupt {
+                    offset: entry.end_offset,
+                    reason: format!("record {} {rejected}", entry.seq),
+                })
+            })?;
+            if let Some(next) = apply(&current, &mut stream, mutation) {
+                current = next;
             }
             replayed_records += 1;
         }
-        if memory.is_empty() {
+        if current.memory.is_empty() {
             return Err(ServeError::InvalidConfig(
                 "recovered state has no registered classes".to_string(),
             ));
         }
-        if let (Some(rc), None) = (config.routed, routed.as_ref()) {
-            routed = Some(routed_from_sharded(&memory, rc, config.threads));
+        if let (Some(rc), None) = (config.routed, current.routed.as_ref()) {
+            current.routed = Some(routed_from_sharded(&current.memory, rc, config.threads));
         }
-        let attribute_dim = model.attribute_encoder().num_attributes();
         let report = RecoveryReport {
-            snapshot_version: version,
+            snapshot_version: current.version,
             replayed_records,
             torn_tail: replay.torn_tail.is_some(),
         };
@@ -1018,17 +933,7 @@ impl QueryServer {
             since_compact: replayed_records,
         };
         Ok((
-            Self::start_with_parts(
-                model,
-                memory,
-                routed,
-                threshold,
-                attribute_dim,
-                config,
-                version,
-                Some(durable),
-                stream,
-            ),
+            Self::start_with_parts(current, config, Some(durable), stream),
             report,
         ))
     }
@@ -1059,7 +964,7 @@ impl QueryServer {
     ) -> Result<Self, ServeError> {
         let threshold = checkpoint.calibration.as_ref().map(|c| c.threshold);
         let model = checkpoint.into_frozen(schema)?;
-        Self::start_with_threshold(model, labels, class_attributes, config, threshold)
+        Self::start_fresh(model, labels, class_attributes, config, threshold, None)
     }
 
     /// Width of the backbone feature rows the server expects.
@@ -1072,10 +977,7 @@ impl QueryServer {
     /// [`QueryServer::update_class`]). Tracks the serving model across
     /// [`QueryServer::swap_model`].
     pub fn attribute_dim(&self) -> usize {
-        self.control
-            .lock()
-            .expect("control mutex poisoned")
-            .attribute_dim
+        self.snapshot().model.attribute_encoder().num_attributes()
     }
 
     /// Batching and hot-swap counters observed so far.
@@ -1114,7 +1016,9 @@ impl QueryServer {
     /// Returns [`ServeError::DuplicateLabel`] when `label` is already
     /// registered, [`ServeError::AttributeWidth`] for a mis-sized attribute
     /// row, and [`ServeError::Wal`] when a durable server cannot log the
-    /// mutation (nothing is published then).
+    /// mutation (nothing is published then). A failed automatic compaction
+    /// after the mutation is logged and published is not an error; see
+    /// [`DurabilityConfig::compact_every`].
     pub fn register_class(
         &self,
         label: impl Into<String>,
@@ -1138,7 +1042,9 @@ impl QueryServer {
     ///
     /// Returns [`ServeError::UnknownClass`] when `label` is not registered,
     /// [`ServeError::AttributeWidth`] for a mis-sized row, and
-    /// [`ServeError::Wal`] when a durable server cannot log the mutation.
+    /// [`ServeError::Wal`] when a durable server cannot log the mutation. A
+    /// failed automatic compaction is not an error, as for
+    /// [`QueryServer::register_class`].
     pub fn update_class(
         &self,
         label: &str,
@@ -1160,9 +1066,7 @@ impl QueryServer {
     /// the signature is encoded and before any snapshot state is cloned, so
     /// a rejected request costs nothing but the check. Encoding runs through
     /// the serving snapshot's shared [`FrozenModel`] — one attribute-encoder
-    /// forward, zero weight copies. On a durable server the record is
-    /// appended (and synced per policy) *before* the snapshot is published:
-    /// an append failure rejects the mutation with nothing changed.
+    /// forward, zero weight copies.
     fn register_locked(
         &self,
         control: &mut ControlPlane,
@@ -1170,49 +1074,22 @@ impl QueryServer {
         attributes: &[f32],
         is_update: bool,
     ) -> Result<Arc<ModelSnapshot>, ServeError> {
-        if attributes.len() != control.attribute_dim {
+        let snapshot = self.snapshot();
+        let model = &snapshot.model;
+        let expected = model.attribute_encoder().num_attributes();
+        if attributes.len() != expected {
             return Err(ServeError::AttributeWidth {
-                expected: control.attribute_dim,
+                expected,
                 found: attributes.len(),
             });
         }
-        let signature = self.snapshot().model.packed_class_signature(attributes);
-        if let Some(durable) = control.durable.as_mut() {
-            let op = if is_update {
-                WalOp::Update {
-                    label: label.clone(),
-                    words: signature.clone(),
-                }
-            } else {
-                WalOp::Register {
-                    label: label.clone(),
-                    words: signature.clone(),
-                }
-            };
-            durable.wal.append(&op)?;
-        }
-        // A re-pointed class's stream counters described the prototype that
-        // is being replaced; drop them so the next observe re-seeds from the
-        // new row. A fresh register has no counters — this is a no-op.
-        control.stream.accumulators.remove(&label);
-        control.stream.pending.remove(&label);
-        let published = self.publish(|snapshot| {
-            let mut memory = snapshot.memory.clone();
-            memory.add_class_packed(label.clone(), &signature);
-            let routed = snapshot.routed.clone().map(|mut routed| {
-                routed.add_class_packed(label, &signature);
-                routed
-            });
-            ModelSnapshot {
-                version: snapshot.version + 1,
-                model: snapshot.model.clone(),
-                memory,
-                routed,
-                threshold: snapshot.threshold,
-            }
-        });
-        self.maybe_compact(control, &published)?;
-        Ok(published)
+        let words = model.packed_class_signature(attributes);
+        let mutation = if is_update {
+            Mutation::Update { label, words }
+        } else {
+            Mutation::Register { label, words }
+        };
+        self.commit_publishing(control, mutation)
     }
 
     /// Unregisters a class, atomically publishing a snapshot without it;
@@ -1223,46 +1100,26 @@ impl QueryServer {
     /// Returns [`ServeError::UnknownClass`] when `label` is not registered,
     /// [`ServeError::InvalidConfig`] when removing it would leave the
     /// server with no classes at all, and [`ServeError::Wal`] when a
-    /// durable server cannot log the removal (nothing is published then).
+    /// durable server cannot log the removal (nothing is published then). A
+    /// failed automatic compaction is not an error, as for
+    /// [`QueryServer::register_class`].
     pub fn remove_class(&self, label: &str) -> Result<Arc<ModelSnapshot>, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
-        {
-            let current = self.snapshot();
-            if !current.memory.contains(label) {
-                return Err(ServeError::UnknownClass(label.to_string()));
-            }
-            if current.memory.len() == 1 {
-                return Err(ServeError::InvalidConfig(
-                    "cannot remove the last registered class".to_string(),
-                ));
-            }
+        let current = self.snapshot();
+        if !current.memory.contains(label) {
+            return Err(ServeError::UnknownClass(label.to_string()));
         }
-        if let Some(durable) = control.durable.as_mut() {
-            durable.wal.append(&WalOp::Remove {
+        if current.memory.len() == 1 {
+            return Err(ServeError::InvalidConfig(
+                "cannot remove the last registered class".to_string(),
+            ));
+        }
+        self.commit_publishing(
+            &mut control,
+            Mutation::Remove {
                 label: label.to_string(),
-            })?;
-        }
-        // Every stream trace of the class goes with it.
-        control.stream.accumulators.remove(label);
-        control.stream.pending.remove(label);
-        control.stream.drift.remove(label);
-        let published = self.publish(|snapshot| {
-            let mut memory = snapshot.memory.clone();
-            memory.remove_class(label);
-            let routed = snapshot.routed.clone().map(|mut routed| {
-                routed.remove_class(label);
-                routed
-            });
-            ModelSnapshot {
-                version: snapshot.version + 1,
-                model: snapshot.model.clone(),
-                memory,
-                routed,
-                threshold: snapshot.threshold,
-            }
-        });
-        self.maybe_compact(&mut control, &published)?;
-        Ok(published)
+            },
+        )
     }
 
     /// Replaces the entire serving state — model and class set — with one
@@ -1281,7 +1138,8 @@ impl QueryServer {
     /// server additionally rejects models whose attribute space no longer
     /// matches the schema pinned at startup, and reports
     /// [`ServeError::Wal`] when the swap cannot be logged (nothing is
-    /// published then).
+    /// published then). A failed automatic compaction is not an error, as
+    /// for [`QueryServer::register_class`].
     pub fn swap_model(
         &self,
         model: impl Into<FrozenModel>,
@@ -1289,18 +1147,7 @@ impl QueryServer {
         class_attributes: &Matrix,
     ) -> Result<Arc<ModelSnapshot>, ServeError> {
         let model: FrozenModel = model.into();
-        if labels.len() != class_attributes.rows() {
-            return Err(ServeError::InvalidConfig(format!(
-                "{} labels for {} class-attribute rows",
-                labels.len(),
-                class_attributes.rows()
-            )));
-        }
-        if class_attributes.rows() == 0 {
-            return Err(ServeError::InvalidConfig(
-                "cannot serve an empty class set".to_string(),
-            ));
-        }
+        validate_class_set(&labels, class_attributes)?;
         if model.image_encoder().feature_dim() != self.shared.feature_dim {
             return Err(ServeError::InvalidConfig(format!(
                 "swapped model expects feature width {}, the server serves {}",
@@ -1328,41 +1175,9 @@ impl QueryServer {
                 )));
             }
         }
-        let (shards, threads, routed_config) = {
-            let current = self.snapshot();
-            (
-                current.memory.num_shards(),
-                current.memory.threads(),
-                current.routed.as_ref().map(|r| r.config()),
-            )
-        };
-        let memory = model
-            .sharded_class_memory(labels, class_attributes, shards)
-            .with_threads(threads);
-        let routed = routed_config.map(|rc| routed_from_sharded(&memory, rc, threads));
-        if let Some(durable) = control.durable.as_mut() {
-            durable.wal.append(&WalOp::Swap {
-                checkpoint_json: Checkpoint::capture(&model, &durable.schema).to_json(),
-                memory: memory.clone(),
-            })?;
-        }
-        control.attribute_dim = class_attributes.cols();
-        // A swap replaces the whole class set: stream counters, pending
-        // publications, and drift history all described the old one.
-        // Recovery replays swap records with the same reset.
-        control.stream = StreamControl::fresh(memory.dim(), control.stream.publish_every);
-        // The threshold survives the swap: it is serve-time control state
-        // (set/cleared through its own verb), not a property of the model
-        // being rolled out. Recovery replays swap records the same way.
-        let published = self.publish(move |snapshot| ModelSnapshot {
-            version: snapshot.version + 1,
-            model,
-            memory,
-            routed,
-            threshold: snapshot.threshold,
-        });
-        self.maybe_compact(&mut control, &published)?;
-        Ok(published)
+        let shards = self.snapshot().memory.num_shards();
+        let memory = model.sharded_class_memory(labels, class_attributes, shards);
+        self.commit_publishing(&mut control, Mutation::Swap { model, memory })
     }
 
     /// Sets the open-set rejection threshold, atomically publishing a
@@ -1381,14 +1196,11 @@ impl QueryServer {
     ///
     /// Returns [`ServeError::InvalidConfig`] for a non-finite threshold and
     /// [`ServeError::Wal`] when a durable server cannot log the change
-    /// (nothing is published then).
+    /// (nothing is published then). A failed automatic compaction is not an
+    /// error, as for [`QueryServer::register_class`].
     pub fn set_threshold(&self, threshold: f32) -> Result<Arc<ModelSnapshot>, ServeError> {
-        if !threshold.is_finite() {
-            return Err(ServeError::InvalidConfig(format!(
-                "rejection threshold must be finite, got {threshold}"
-            )));
-        }
-        self.store_threshold(Some(threshold))
+        let mut control = self.control.lock().expect("control mutex poisoned");
+        self.commit_publishing(&mut control, Mutation::SetThreshold(Some(threshold)))
     }
 
     /// Clears the open-set rejection threshold, atomically publishing a
@@ -1398,29 +1210,11 @@ impl QueryServer {
     /// # Errors
     ///
     /// Returns [`ServeError::Wal`] when a durable server cannot log the
-    /// change (nothing is published then).
+    /// change (nothing is published then). A failed automatic compaction is
+    /// not an error, as for [`QueryServer::register_class`].
     pub fn clear_threshold(&self) -> Result<Arc<ModelSnapshot>, ServeError> {
-        self.store_threshold(None)
-    }
-
-    /// The shared set/clear body: WAL-append first (durable servers), then
-    /// one atomic publish, under the control mutex like every mutation.
-    fn store_threshold(&self, threshold: Option<f32>) -> Result<Arc<ModelSnapshot>, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
-        if let Some(durable) = control.durable.as_mut() {
-            durable.wal.append(&WalOp::SetThreshold {
-                bits: threshold.map(f32::to_bits),
-            })?;
-        }
-        let published = self.publish(|snapshot| ModelSnapshot {
-            version: snapshot.version + 1,
-            model: snapshot.model.clone(),
-            memory: snapshot.memory.clone(),
-            routed: snapshot.routed.clone(),
-            threshold,
-        });
-        self.maybe_compact(&mut control, &published)?;
-        Ok(published)
+        self.commit_publishing(&mut control, Mutation::SetThreshold(None))
     }
 
     /// Folds one **streamed labeled example** into `label`'s exact
@@ -1450,7 +1244,8 @@ impl QueryServer {
     /// [`ServeError::UnknownClass`] when `label` is not registered (streams
     /// refine existing classes; register first), and [`ServeError::Wal`]
     /// when a durable server cannot log the observation (nothing is folded
-    /// then).
+    /// then). A failed automatic compaction is not an error, as for
+    /// [`QueryServer::register_class`].
     pub fn observe(
         &self,
         label: &str,
@@ -1463,41 +1258,17 @@ impl QueryServer {
             });
         }
         let mut control = self.control.lock().expect("control mutex poisoned");
-        let snapshot = self.snapshot();
-        let Some(current) = snapshot.memory.class_words(label).map(<[u64]>::to_vec) else {
-            return Err(ServeError::UnknownClass(label.to_string()));
-        };
         // Encode through the serving snapshot's shared model — the same
         // embed-then-sign path queries take, zero weight copies.
-        let embedding = snapshot
+        let embedding = self
+            .snapshot()
             .model
             .embed_images(&Matrix::from_rows(&[features.to_vec()]));
-        let words = engine::pack_float_signs(embedding.row(0));
-        if let Some(durable) = control.durable.as_mut() {
-            durable.wal.append(&WalOp::Observe {
-                label: label.to_string(),
-                words: words.clone(),
-            })?;
-        }
-        let stream = &mut control.stream;
-        fold_observation(
-            &mut stream.accumulators,
-            label,
-            &words,
-            &current,
-            snapshot.memory.dim(),
-        );
-        stream.pending.insert(label.to_string());
-        stream.since_publish += 1;
-        stream.observes += 1;
-        if stream.since_publish >= u64::from(stream.publish_every) {
-            return self.publish_pending_locked(&mut control).map(Some);
-        }
-        // No publication, but the WAL grew by one record: keep the
-        // compaction cadence honest. A base written mid-batch carries the
-        // exact counters and batching position, so this is safe.
-        self.maybe_compact(&mut control, &snapshot)?;
-        Ok(None)
+        let mutation = Mutation::Observe {
+            label: label.to_string(),
+            words: engine::pack_float_signs(embedding.row(0)),
+        };
+        self.commit(&mut control, mutation)
     }
 
     /// Publishes every pending streamed-class update right now, without
@@ -1513,45 +1284,14 @@ impl QueryServer {
     /// # Errors
     ///
     /// Returns [`ServeError::Wal`] when a durable server cannot log the
-    /// boundary (nothing is published then).
+    /// boundary (nothing is published then). A failed automatic compaction
+    /// is not an error, as for [`QueryServer::register_class`].
     pub fn flush(&self) -> Result<Arc<ModelSnapshot>, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
         if control.stream.pending.is_empty() {
             return Ok(self.snapshot());
         }
-        if let Some(durable) = control.durable.as_mut() {
-            durable.wal.append(&WalOp::Flush)?;
-        }
-        self.publish_pending_locked(&mut control)
-    }
-
-    /// One publication boundary: re-sign every pending class, score its
-    /// displacement through the drift detector, publish one snapshot, and
-    /// reset the batching position. The caller must hold the control mutex
-    /// and have logged whatever record marks this boundary.
-    fn publish_pending_locked(
-        &self,
-        control: &mut ControlPlane,
-    ) -> Result<Arc<ModelSnapshot>, ServeError> {
-        let stream = &mut control.stream;
-        let rows = resign_pending(&stream.accumulators, &stream.pending);
-        let drift = &mut stream.drift;
-        let published = self.publish(|snapshot| {
-            let mut memory = snapshot.memory.clone();
-            let mut routed = snapshot.routed.clone();
-            apply_stream_publish(&mut memory, &mut routed, drift, &rows);
-            ModelSnapshot {
-                version: snapshot.version + 1,
-                model: snapshot.model.clone(),
-                memory,
-                routed,
-                threshold: snapshot.threshold,
-            }
-        });
-        control.stream.pending.clear();
-        control.stream.since_publish = 0;
-        self.maybe_compact(control, &published)?;
-        Ok(published)
+        self.commit_publishing(&mut control, Mutation::Flush)
     }
 
     /// Streaming continual-learning counters: lifetime observes, the
@@ -1606,85 +1346,77 @@ impl QueryServer {
     /// remain fully replayable in that case.
     pub fn compact(&self) -> Result<bool, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
-        let ControlPlane {
-            durable, stream, ..
-        } = &mut *control;
+        let ControlPlane { durable, stream } = &mut *control;
         let Some(durable) = durable.as_mut() else {
             return Ok(false);
         };
-        let snapshot = self.snapshot();
-        Self::compact_locked(durable, &snapshot, stream.checkpoint())?;
+        durable.compact(&self.snapshot(), stream.checkpoint())?;
         Ok(true)
     }
 
-    /// Counts one logged mutation towards the compaction policy and folds
-    /// the log when it is due. Called with the control mutex held, right
-    /// after `published` was stored.
-    fn maybe_compact(
+    /// The tail of every live mutation, once its verb-specific checks and
+    /// encoding are done: the shared [`check`], the WAL append (durable
+    /// servers), the shared [`apply`] transition, the store, and the
+    /// compaction policy. The caller must hold the control mutex, so
+    /// versions are strictly ordered and the log is ordered like the
+    /// publications. A rejected check or a failed append returns its error
+    /// with nothing logged, folded or published.
+    ///
+    /// Returns the published snapshot, or `None` when `mutation` did not
+    /// land on a publication boundary.
+    fn commit(
         &self,
         control: &mut ControlPlane,
-        published: &ModelSnapshot,
-    ) -> Result<(), ServeError> {
-        let ControlPlane {
-            durable, stream, ..
-        } = control;
-        let Some(durable) = durable.as_mut() else {
-            return Ok(());
-        };
-        durable.since_compact += 1;
-        if durable.compact_every == 0 || durable.since_compact < durable.compact_every {
-            return Ok(());
+        mutation: Mutation,
+    ) -> Result<Option<Arc<ModelSnapshot>>, ServeError> {
+        let current = self.snapshot();
+        check(&current, &mutation).map_err(Rejected::into_serve_error)?;
+        if let Some(durable) = control.durable.as_mut() {
+            durable.wal.append(&mutation.record(&durable.schema))?;
         }
-        Self::compact_locked(durable, published, stream.checkpoint())
+        let published = apply(&current, &mut control.stream, mutation).map(|next| self.store(next));
+        let ControlPlane { durable, stream } = control;
+        if let Some(durable) = durable.as_mut() {
+            durable.since_compact += 1;
+            if durable.compact_every != 0 && durable.since_compact >= durable.compact_every {
+                // The mutation is logged and published, so a failed fold
+                // is not its failure. `since_compact` stays due: the next
+                // mutation retries, and `records_since_compaction` keeps
+                // growing as the signal.
+                let served = published.as_deref().unwrap_or(&current);
+                let _ = durable.compact(served, stream.checkpoint());
+            }
+        }
+        Ok(published)
     }
 
-    /// Writes `snapshot` as the new checkpoint-delta base, then rotates the
-    /// log — in that order, so a crash between the two leaves a base whose
-    /// `next_record_seq` simply skips the old log's already-folded records.
-    ///
-    /// `stream` captures the continual-learning counters and batching
-    /// position at the same instant, so a base written mid-batch still
-    /// recovers counter-exactly.
-    fn compact_locked(
-        durable: &mut DurableState,
-        snapshot: &ModelSnapshot,
-        stream: Option<StreamCheckpoint>,
-    ) -> Result<(), ServeError> {
-        CheckpointDelta {
-            snapshot_version: snapshot.version,
-            next_record_seq: durable.wal.next_seq(),
-            base: Checkpoint::capture(&snapshot.model, &durable.schema),
-            memory: snapshot.memory.clone(),
-            routed: snapshot.routed.clone(),
-            threshold: snapshot.threshold,
-            stream,
-        }
-        .save_json(wal::base_path(&durable.dir))?;
-        durable.wal.rotate()?;
-        durable.since_compact = 0;
-        Ok(())
+    /// [`QueryServer::commit`] for a mutation that always publishes (every
+    /// kind but an observe; a flush once something is pending).
+    fn commit_publishing(
+        &self,
+        control: &mut ControlPlane,
+        mutation: Mutation,
+    ) -> Result<Arc<ModelSnapshot>, ServeError> {
+        Ok(self
+            .commit(control, mutation)?
+            .expect("only an observe can fall between publication boundaries"))
     }
 
-    /// Builds the next snapshot from the current one and stores it; the
-    /// caller must hold the control mutex so versions are strictly ordered.
-    fn publish<F>(&self, next: F) -> Arc<ModelSnapshot>
-    where
-        F: FnOnce(&ModelSnapshot) -> ModelSnapshot,
-    {
-        let mut slot = self
+    /// Stores `next` as the serving snapshot; the caller must hold the
+    /// control mutex.
+    fn store(&self, next: ModelSnapshot) -> Arc<ModelSnapshot> {
+        let next = Arc::new(next);
+        *self
             .shared
             .snapshot
             .lock()
-            .expect("snapshot mutex poisoned");
-        let swapped = Arc::new(next(&slot));
-        *slot = Arc::clone(&swapped);
-        drop(slot);
+            .expect("snapshot mutex poisoned") = Arc::clone(&next);
         self.shared
             .stats
             .lock()
             .expect("stats mutex poisoned")
             .swaps += 1;
-        swapped
+        next
     }
 
     /// Submits one backbone-feature row and blocks until its top-k labels
@@ -1820,13 +1552,254 @@ impl Drop for QueryServer {
     }
 }
 
+/// One mutation of the serving state, as the shared transition consumes
+/// it: the [`WalOp`] record kinds, except that a swap carries the decoded
+/// model rather than its checkpoint JSON — the live path already holds the
+/// model, and replay decodes it once ([`Mutation::from_record`]).
+#[derive(Debug)]
+enum Mutation {
+    Register {
+        label: String,
+        words: Vec<u64>,
+    },
+    Update {
+        label: String,
+        words: Vec<u64>,
+    },
+    Remove {
+        label: String,
+    },
+    Swap {
+        model: FrozenModel,
+        memory: ShardedClassMemory,
+    },
+    SetThreshold(Option<f32>),
+    Observe {
+        label: String,
+        words: Vec<u64>,
+    },
+    Flush,
+}
+
+impl Mutation {
+    /// The WAL record logging this mutation; a swap captures its model
+    /// against the durable `schema`.
+    fn record(&self, schema: &AttributeSchema) -> WalOp {
+        match self {
+            Mutation::Register { label, words } => WalOp::Register {
+                label: label.clone(),
+                words: words.clone(),
+            },
+            Mutation::Update { label, words } => WalOp::Update {
+                label: label.clone(),
+                words: words.clone(),
+            },
+            Mutation::Remove { label } => WalOp::Remove {
+                label: label.clone(),
+            },
+            Mutation::Swap { model, memory } => WalOp::Swap {
+                checkpoint_json: Checkpoint::capture(model, schema).to_json(),
+                memory: memory.clone(),
+            },
+            Mutation::SetThreshold(threshold) => WalOp::SetThreshold {
+                bits: threshold.map(f32::to_bits),
+            },
+            Mutation::Observe { label, words } => WalOp::Observe {
+                label: label.clone(),
+                words: words.clone(),
+            },
+            Mutation::Flush => WalOp::Flush,
+        }
+    }
+
+    /// The mutation a replayed record logs; decodes a swap's checkpoint
+    /// against `schema`.
+    fn from_record(op: WalOp, schema: &AttributeSchema) -> Result<Self, ServeError> {
+        Ok(match op {
+            WalOp::Register { label, words } => Mutation::Register { label, words },
+            WalOp::Update { label, words } => Mutation::Update { label, words },
+            WalOp::Remove { label } => Mutation::Remove { label },
+            WalOp::Swap {
+                checkpoint_json,
+                memory,
+            } => {
+                let checkpoint = Checkpoint::from_json_str(&checkpoint_json)?;
+                checkpoint.validate_schema(schema)?;
+                Mutation::Swap {
+                    model: checkpoint.into_frozen(schema)?,
+                    memory,
+                }
+            }
+            WalOp::SetThreshold { bits } => Mutation::SetThreshold(bits.map(f32::from_bits)),
+            WalOp::Observe { label, words } => Mutation::Observe { label, words },
+            WalOp::Flush => Mutation::Flush,
+        })
+    }
+}
+
+/// Why [`check`] refused a mutation. The live path maps it to a typed
+/// [`ServeError`] before logging anything; replay reports it as
+/// [`WalError::Corrupt`] at the offending record.
+#[derive(Debug)]
+enum Rejected {
+    /// Packed words of the wrong width for the serving memory.
+    WordWidth {
+        found: usize,
+        expected: usize,
+    },
+    NonFiniteThreshold(f32),
+    UnregisteredClass(String),
+}
+
+impl std::fmt::Display for Rejected {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Rejected::WordWidth { found, expected } => write!(
+                f,
+                "carries {found} packed words, the memory packs {expected}"
+            ),
+            Rejected::NonFiniteThreshold(threshold) => {
+                write!(f, "carries a non-finite rejection threshold ({threshold})")
+            }
+            Rejected::UnregisteredClass(label) => {
+                write!(f, "observes unregistered class `{label}`")
+            }
+        }
+    }
+}
+
+impl Rejected {
+    fn into_serve_error(self) -> ServeError {
+        match self {
+            Rejected::UnregisteredClass(label) => ServeError::UnknownClass(label),
+            Rejected::NonFiniteThreshold(threshold) => ServeError::InvalidConfig(format!(
+                "rejection threshold must be finite, got {threshold}"
+            )),
+            Rejected::WordWidth { .. } => ServeError::InvalidConfig(format!("mutation {self}")),
+        }
+    }
+}
+
+/// The checks [`apply`] relies on, shared by the live path and replay.
+fn check(current: &ModelSnapshot, mutation: &Mutation) -> Result<(), Rejected> {
+    match mutation {
+        Mutation::Register { words, .. }
+        | Mutation::Update { words, .. }
+        | Mutation::Observe { words, .. }
+            if words.len() != current.memory.words_per_row() =>
+        {
+            Err(Rejected::WordWidth {
+                found: words.len(),
+                expected: current.memory.words_per_row(),
+            })
+        }
+        Mutation::Observe { label, .. } if !current.memory.contains(label) => {
+            Err(Rejected::UnregisteredClass(label.clone()))
+        }
+        Mutation::SetThreshold(Some(threshold)) if !threshold.is_finite() => {
+            Err(Rejected::NonFiniteThreshold(*threshold))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// **The** state transition of the mutation plane: the effect of one
+/// [`check`]ed mutation on the serving snapshot and the stream state. The
+/// live verbs call it right after their WAL append, and
+/// [`QueryServer::recover`] folds it over the log, so a recovered server
+/// matches the live one by construction.
+///
+/// Returns the next snapshot (one version up) when the mutation lands on a
+/// publication boundary — every kind but an observe short of the
+/// `publish_every` cadence, or a flush with nothing pending — and `None`
+/// otherwise, having cloned nothing.
+fn apply(
+    current: &ModelSnapshot,
+    stream: &mut StreamControl,
+    mutation: Mutation,
+) -> Option<ModelSnapshot> {
+    let mut next = match mutation {
+        Mutation::Register { label, words } | Mutation::Update { label, words } => {
+            // A re-pointed class's stream counters described the prototype
+            // being replaced; drop them so the next observe re-seeds from
+            // the new row. A fresh register has no counters — a no-op.
+            stream.accumulators.remove(&label);
+            stream.pending.remove(&label);
+            let mut next = current.clone();
+            if let Some(routed) = next.routed.as_mut() {
+                routed.add_class_packed(label.clone(), &words);
+            }
+            next.memory.add_class_packed(label, &words);
+            next
+        }
+        Mutation::Remove { label } => {
+            // Every stream trace of the class goes with it.
+            stream.accumulators.remove(&label);
+            stream.pending.remove(&label);
+            stream.drift.remove(&label);
+            let mut next = current.clone();
+            next.memory.remove_class(&label);
+            if let Some(routed) = next.routed.as_mut() {
+                routed.remove_class(&label);
+            }
+            next
+        }
+        Mutation::Swap { model, memory } => {
+            // A swap replaces the whole class set: stream counters, pending
+            // publications, and drift history all described the old one.
+            let threads = current.memory.threads();
+            let memory = memory.with_threads(threads);
+            *stream = StreamControl::fresh(memory.dim(), stream.publish_every);
+            ModelSnapshot {
+                version: current.version,
+                routed: current
+                    .routed
+                    .as_ref()
+                    .map(|r| routed_from_sharded(&memory, r.config(), threads)),
+                model,
+                memory,
+                // The threshold survives the swap: it is serve-time control
+                // state (set/cleared through its own verb), not a property
+                // of the model being rolled out.
+                threshold: current.threshold,
+            }
+        }
+        Mutation::SetThreshold(threshold) => ModelSnapshot {
+            threshold,
+            ..current.clone()
+        },
+        Mutation::Observe { label, words } => {
+            let class_words = current
+                .memory
+                .class_words(&label)
+                .expect("check rejects observes of unregistered classes");
+            fold_observation(
+                &mut stream.accumulators,
+                &label,
+                &words,
+                class_words,
+                current.memory.dim(),
+            );
+            stream.pending.insert(label);
+            stream.since_publish += 1;
+            stream.observes += 1;
+            if stream.since_publish < u64::from(stream.publish_every) {
+                return None;
+            }
+            publish_pending(current, stream)
+        }
+        Mutation::Flush if stream.pending.is_empty() => return None,
+        Mutation::Flush => publish_pending(current, stream),
+    };
+    next.version += 1;
+    Some(next)
+}
+
 /// The canonical routed-index build for a freshly (re)built sharded memory:
 /// feed the memory's classes in its own deterministic label order, then run
 /// one seeded clustering over the final set. A pure function of the
-/// memory's contents and `config`, shared by the constructors,
-/// [`QueryServer::swap_model`], *and* WAL replay of swap records — which is
-/// what makes a recovered routed index bit-identical to the one the
-/// pre-crash server published.
+/// memory's contents and `config`, shared by the constructors, the swap
+/// transition, and recovery under a changed routed configuration.
 fn routed_from_sharded(
     memory: &ShardedClassMemory,
     config: RoutedConfig,
@@ -1866,9 +1839,6 @@ fn unpack_words(words: &[u64], dim: usize) -> Vec<i8> {
 /// stream refines the existing class instead of restarting it from scratch;
 /// replay reproduces the seeding deterministically because the replayed
 /// memory holds the same prototype at the same record position.
-///
-/// Shared verbatim by the live observe path and WAL replay — which is what
-/// makes recovered counters bit-identical.
 fn fold_observation(
     accumulators: &mut ClassAccumulator,
     label: &str,
@@ -1888,24 +1858,6 @@ fn fold_observation(
         .expect("observe width was validated against the serving memory");
 }
 
-/// Re-signs every pending class from its exact counters into packed
-/// prototype rows, in sorted label order — the deterministic payload of one
-/// publication boundary.
-fn resign_pending(
-    accumulators: &ClassAccumulator,
-    pending: &BTreeSet<String>,
-) -> Vec<(String, Vec<u64>)> {
-    pending
-        .iter()
-        .map(|label| {
-            let prototype = accumulators
-                .prototype(label)
-                .expect("pending labels always have an accumulator");
-            (label.clone(), engine::pack_signs(prototype.as_slice()))
-        })
-        .collect()
-}
-
 /// Normalized Hamming displacement between two packed rows of the same
 /// dimensionality: differing sign positions over `dim`, in `[0, 1]`. Tail
 /// bits beyond `dim` are zero under the packing contract, so a plain XOR
@@ -1916,41 +1868,40 @@ fn normalized_displacement(old: &[u64], new: &[u64], dim: usize) -> f64 {
     f64::from(differing) / dim as f64
 }
 
-/// Applies one publication boundary to a memory (and routed index): per
-/// pending class, scores the prototype displacement through the drift
-/// detector, then writes the re-signed row. A Page–Hinkley alarm on any
-/// class triggers one deterministic recluster of the routed index — the
-/// serving response to detected concept drift. Returns whether any class
-/// alarmed.
-///
-/// Shared verbatim by the live publish path and WAL replay.
-fn apply_stream_publish(
-    memory: &mut ShardedClassMemory,
-    routed: &mut Option<RoutedClassMemory>,
-    drift: &mut StreamDriftDetector,
-    rows: &[(String, Vec<u64>)],
-) -> bool {
-    let dim = memory.dim();
+/// One publication boundary: re-signs every pending class from its exact
+/// counters, in sorted label order, scores each prototype's displacement
+/// through the drift detector, and writes the rows into a copy of
+/// `current`. A Page–Hinkley alarm on any class triggers one deterministic
+/// recluster of the routed index — the serving response to detected
+/// concept drift. Resets the batching position.
+fn publish_pending(current: &ModelSnapshot, stream: &mut StreamControl) -> ModelSnapshot {
+    let mut next = current.clone();
+    let dim = next.memory.dim();
     let mut alarmed = false;
-    for (label, words) in rows {
-        let displacement = memory
-            .class_words(label)
-            .map(|old| normalized_displacement(old, words, dim))
+    for label in std::mem::take(&mut stream.pending) {
+        let prototype = stream
+            .accumulators
+            .prototype(&label)
+            .expect("pending labels always have an accumulator");
+        let words = engine::pack_signs(prototype.as_slice());
+        let displacement = next
+            .memory
+            .class_words(&label)
+            .map(|old| normalized_displacement(old, &words, dim))
             .unwrap_or(1.0);
-        if drift.record(label, displacement) {
-            alarmed = true;
+        alarmed |= stream.drift.record(&label, displacement);
+        if let Some(routed) = next.routed.as_mut() {
+            routed.add_class_packed(label.clone(), &words);
         }
-        memory.add_class_packed(label.clone(), words);
-        if let Some(routed) = routed.as_mut() {
-            routed.add_class_packed(label.clone(), words);
-        }
+        next.memory.add_class_packed(label, &words);
     }
     if alarmed {
-        if let Some(routed) = routed.as_mut() {
+        if let Some(routed) = next.routed.as_mut() {
             routed.recluster();
         }
     }
-    alarmed
+    stream.since_publish = 0;
+    next
 }
 
 /// The label/matrix agreement checks shared by every constructor.

@@ -2,13 +2,14 @@
 //! the serving layer's crash-safety contract.
 //!
 //! Every mutation accepted by a durable
-//! [`QueryServer`](crate::QueryServer) — register / update / remove /
-//! swap — is appended here **before** the new snapshot is published, so the
-//! log plus the latest [`CheckpointDelta`](hdc_zsc::CheckpointDelta)
-//! compaction base always reconstruct the exact pre-crash
-//! [`ShardedClassMemory`]: recovery loads the
-//! base, replays the WAL suffix (`seq >= next_record_seq`), and serves
-//! bit-identical results.
+//! [`QueryServer`](crate::QueryServer) is appended here **before** its
+//! effect is published — one record per [`WalOp`] kind: register, update,
+//! remove, swap, set (or clear) threshold, observe, and flush. The log plus
+//! the latest [`CheckpointDelta`](hdc_zsc::CheckpointDelta) compaction
+//! base always reconstruct the exact pre-crash serving state: recovery
+//! loads the base and folds the live path's own state transition over the
+//! WAL suffix (`seq >= next_record_seq`), so it serves bit-identical
+//! results.
 //!
 //! # On-disk format
 //!

@@ -15,7 +15,8 @@ use dataset::AttributeSchema;
 use hdc_zsc::{ModelConfig, ZscModel};
 use proptest::prelude::*;
 use serve::{
-    wal, DurabilityConfig, ModelSnapshot, QueryServer, ServeError, ServerConfig, SyncPolicy,
+    wal, DurabilityConfig, ModelSnapshot, QueryServer, ServeError, ServerConfig, StreamStats,
+    SyncPolicy,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -99,6 +100,16 @@ fn assert_snapshots_match(recovered: &ModelSnapshot, expected: &ModelSnapshot, c
         recovered.memory(),
         expected.memory(),
         "{context}: class memory diverged"
+    );
+    assert_eq!(
+        recovered.routed(),
+        expected.routed(),
+        "{context}: routed index diverged"
+    );
+    assert_eq!(
+        recovered.threshold().map(f32::to_bits),
+        expected.threshold().map(f32::to_bits),
+        "{context}: threshold diverged"
     );
     for (p, row) in probe_rows().iter().enumerate() {
         let got: Vec<(String, u32)> = recovered
@@ -392,6 +403,181 @@ fn explicit_compaction_folds_the_log() {
     assert!(!non_durable.compact().expect("no-op"));
 }
 
+/// A failed automatic compaction is not the mutation's failure: the
+/// mutation is already logged and published. With `base.json` blocked by a
+/// non-empty directory, mutations still return `Ok`, the compaction stays
+/// due (every later mutation retries it), an explicit `compact` reports
+/// the error, and once the blocker is gone `compact` succeeds and recovery
+/// matches the live snapshot.
+#[test]
+fn failed_automatic_compaction_does_not_fail_the_mutation() {
+    let dir = temp_dir("compact-fail");
+    let a = alpha();
+    let server = QueryServer::start_durable(
+        model(13),
+        vec!["x".to_string(), "y".to_string()],
+        &Matrix::ones(2, a),
+        &schema(),
+        config(),
+        DurabilityConfig {
+            dir: dir.clone(),
+            sync: SyncPolicy::Always,
+            compact_every: 1,
+        },
+    )
+    .expect("durable server starts");
+    let base = wal::base_path(&dir);
+    std::fs::remove_file(&base).expect("remove base");
+    std::fs::create_dir(&base).expect("block base");
+    std::fs::write(base.join("blocker"), b"x").expect("fill blocker");
+
+    let published = server
+        .register_class("c", &vec![0.25; a])
+        .expect("a logged, published register is Ok");
+    assert!(published.memory().contains("c"));
+    server.set_threshold(0.125).expect("sets threshold");
+    let stats = |server: &QueryServer| server.durability_stats().expect("durable");
+    assert_eq!(
+        stats(&server).records_since_compaction,
+        2,
+        "the compaction stays due"
+    );
+    assert!(
+        matches!(server.compact(), Err(ServeError::Checkpoint(_))),
+        "explicit compaction reports the failure"
+    );
+
+    std::fs::remove_dir_all(&base).expect("unblock base");
+    assert!(server.compact().expect("compacts"));
+    assert_eq!(stats(&server).records_since_compaction, 0);
+    let expected = server.snapshot();
+    drop(server);
+    let (recovered, report) =
+        QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()))
+            .expect("recovers");
+    assert_eq!(report.replayed_records, 0);
+    assert_snapshots_match(&recovered.snapshot(), &expected, "post-retry recovery");
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A crash between compaction's two steps — the fresh base written, the
+/// log not yet rotated — leaves a base whose `next_record_seq` is past
+/// every record of the old log. Recovery skips them all (the base already
+/// folds them in) and keeps logging after them.
+#[test]
+fn crash_between_base_write_and_log_rotation_skips_folded_records() {
+    let dir = temp_dir("mid-compaction");
+    let a = alpha();
+    let mut lcg = Lcg(31);
+    let labels: Vec<String> = (0..3).map(|c| format!("class{c}")).collect();
+    let class_attributes = Matrix::from_rows(&(0..3).map(|_| lcg.attr_row(a)).collect::<Vec<_>>());
+    let server = QueryServer::start_durable(
+        model(17),
+        labels,
+        &class_attributes,
+        &schema(),
+        config(),
+        DurabilityConfig {
+            dir: dir.clone(),
+            sync: SyncPolicy::Always,
+            compact_every: 0,
+        },
+    )
+    .expect("durable server starts");
+    server
+        .register_class("hot", &lcg.attr_row(a))
+        .expect("registers");
+    server
+        .update_class("class1", &lcg.attr_row(a))
+        .expect("updates");
+    server
+        .observe("class2", &feature_row(&mut lcg))
+        .expect("observes");
+    server.set_threshold(-0.25).expect("sets threshold");
+    server.remove_class("class0").expect("removes");
+
+    let log_path = wal::wal_path(&dir);
+    let unrotated = std::fs::read(&log_path).expect("read log");
+    assert!(server.compact().expect("compacts"));
+    std::fs::write(&log_path, unrotated).expect("restore the unrotated log");
+    let expected = server.snapshot();
+    drop(server);
+
+    let (recovered, report) =
+        QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()))
+            .expect("recovers");
+    assert_eq!(
+        report.replayed_records, 0,
+        "the base already folds in every record of the old log"
+    );
+    assert_snapshots_match(&recovered.snapshot(), &expected, "mid-compaction recovery");
+    recovered
+        .register_class("after", &lcg.attr_row(a))
+        .expect("registers after recovery");
+    let expected = recovered.snapshot();
+    drop(recovered);
+
+    let (again, report) =
+        QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()))
+            .expect("recovers again");
+    assert_eq!(report.replayed_records, 1);
+    assert_snapshots_match(&again.snapshot(), &expected, "second recovery");
+    drop(again);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Replay runs the same checks as the live verbs: a logged record the live
+/// path would have rejected — prototype words of the wrong width, a
+/// non-finite threshold, an observe of an unregistered class — fails
+/// recovery as a corrupt log instead of being applied.
+#[test]
+fn replay_rejects_records_the_live_path_would_reject() {
+    let a = alpha();
+    for forged in 0..3 {
+        let dir = temp_dir(&format!("forged-{forged}"));
+        let server = QueryServer::start_durable(
+            model(19),
+            vec!["x".to_string(), "y".to_string()],
+            &Matrix::ones(2, a),
+            &schema(),
+            config(),
+            DurabilityConfig::new(dir.clone()),
+        )
+        .expect("durable server starts");
+        let words = server.snapshot().memory().words_per_row();
+        drop(server);
+        let op = match forged {
+            0 => wal::WalOp::Register {
+                label: "wide".to_string(),
+                words: vec![0; words + 1],
+            },
+            1 => wal::WalOp::SetThreshold {
+                bits: Some(f32::NAN.to_bits()),
+            },
+            _ => wal::WalOp::Observe {
+                label: "ghost".to_string(),
+                words: vec![0; words],
+            },
+        };
+        let (mut log, _) =
+            wal::WriteAheadLog::open(wal::wal_path(&dir), SyncPolicy::Always).expect("opens");
+        log.append(&op).expect("appends");
+        drop(log);
+        let recovered =
+            QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()));
+        assert!(
+            matches!(
+                recovered,
+                Err(ServeError::Wal(wal::WalError::Corrupt { .. }))
+            ),
+            "{op:?}: expected a corrupt-log error, got {:?}",
+            recovered.err()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 fn feature_row(lcg: &mut Lcg) -> Vec<f32> {
     (0..FEATURE_DIM).map(|_| lcg.unit_f32() - 0.5).collect()
 }
@@ -520,66 +706,65 @@ fn kill_and_recover_resumes_the_exact_stream_position() {
     );
 }
 
-/// One step of the property test's mutation script. Returns the published
-/// snapshot; the script is a pure function of the LCG state, so the same
+/// One step of the property test's mutation script, covering every WAL
+/// record kind. The script is a pure function of the LCG state, so the same
 /// seed always produces the same server history.
 fn apply_scripted_op(
     server: &QueryServer,
     lcg: &mut Lcg,
     live: &mut Vec<String>,
     fresh: &mut usize,
-) -> Arc<ModelSnapshot> {
+) {
     let a = alpha();
-    let kind = lcg.next() % 10;
-    match kind {
-        // Streamed observes ride the same WAL as classic mutations; the
-        // script's `publish_every: 1` makes each one publish immediately.
-        8 | 9 => {
-            let target = live[(lcg.next() as usize) % live.len()].clone();
-            server
-                .observe(&target, &feature_row(lcg))
-                .expect("scripted observe")
-                .expect("publish_every=1 publishes every observe")
-        }
-        // Otherwise, classic mutations; registers dominate so the set grows.
-        0..=3 => {
-            let label = format!("dyn{}", *fresh);
-            *fresh += 1;
-            let snapshot = server
-                .register_class(label.clone(), &lcg.attr_row(a))
-                .expect("scripted register");
-            live.push(label);
-            snapshot
-        }
+    let mut register = |lcg: &mut Lcg, live: &mut Vec<String>| {
+        let label = format!("dyn{}", *fresh);
+        *fresh += 1;
+        server
+            .register_class(label.clone(), &lcg.attr_row(a))
+            .expect("scripted register");
+        live.push(label);
+    };
+    match lcg.next() % 13 {
+        // Registers dominate so the set grows.
+        0..=3 => register(lcg, live),
         4 | 5 => {
             let target = live[(lcg.next() as usize) % live.len()].clone();
             server
                 .update_class(&target, &lcg.attr_row(a))
-                .expect("scripted update")
+                .expect("scripted update");
         }
-        6 => {
-            if live.len() > 1 {
-                let victim = live.remove((lcg.next() as usize) % live.len());
-                server.remove_class(&victim).expect("scripted remove")
-            } else {
-                let label = format!("dyn{}", *fresh);
-                *fresh += 1;
-                let snapshot = server
-                    .register_class(label.clone(), &lcg.attr_row(a))
-                    .expect("scripted register (remove fallback)");
-                live.push(label);
-                snapshot
-            }
+        6 if live.len() > 1 => {
+            let victim = live.remove((lcg.next() as usize) % live.len());
+            server.remove_class(&victim).expect("scripted remove");
         }
-        _ => {
+        6 => register(lcg, live),
+        7 => {
             let labels: Vec<String> = (0..3).map(|c| format!("sw{}-{c}", *fresh)).collect();
             *fresh += 1;
             let attrs = Matrix::from_rows(&(0..3).map(|_| lcg.attr_row(a)).collect::<Vec<_>>());
-            let snapshot = server
+            server
                 .swap_model(model(lcg.next()), labels.clone(), &attrs)
                 .expect("scripted swap");
             *live = labels;
-            snapshot
+        }
+        // Streamed observes publish on the `publish_every` cadence.
+        8 | 9 => {
+            let target = live[(lcg.next() as usize) % live.len()].clone();
+            server
+                .observe(&target, &feature_row(lcg))
+                .expect("scripted observe");
+        }
+        10 => {
+            server
+                .set_threshold(lcg.unit_f32() - 0.5)
+                .expect("scripted set_threshold");
+        }
+        11 => {
+            server.clear_threshold().expect("scripted clear_threshold");
+        }
+        // Logs a record only when observes are pending.
+        _ => {
+            server.flush().expect("scripted flush");
         }
     }
 }
@@ -595,9 +780,21 @@ proptest! {
         seed in 0u64..100_000,
         op_count in 1usize..14,
         cut_sel in 0usize..1_000,
+        publish_every in 1u32..4,
+        routed in any::<bool>(),
     ) {
         let dir = temp_dir(&format!("prop-{seed}-{op_count}-{cut_sel}"));
         let a = alpha();
+        let config = ServerConfig {
+            publish_every,
+            // Partial probing, so answers depend on the routed structure.
+            routed: routed.then_some(engine::RoutedConfig {
+                clusters: 2,
+                nprobe: 1,
+                ..engine::RoutedConfig::default()
+            }),
+            ..config()
+        };
         let mut lcg = Lcg(seed ^ 0x9e3779b97f4a7c15);
         let mut live: Vec<String> = (0..3).map(|c| format!("class{c}")).collect();
         let class_attributes = Matrix::from_rows(
@@ -608,7 +805,7 @@ proptest! {
             live.clone(),
             &class_attributes,
             &schema(),
-            config(),
+            config,
             DurabilityConfig {
                 dir: dir.clone(),
                 sync: SyncPolicy::Always,
@@ -619,20 +816,28 @@ proptest! {
         )
         .expect("durable server starts");
 
-        // The reference timeline: the snapshot the server itself served
-        // after 0, 1, …, op_count mutations.
-        let mut timeline: Vec<Arc<ModelSnapshot>> = vec![server.snapshot()];
+        // The reference timeline: the snapshot the server itself served,
+        // and its stream counters, after 0, 1, … logged records.
+        let mut timeline: Vec<(Arc<ModelSnapshot>, StreamStats)> =
+            vec![(server.snapshot(), server.stream_stats())];
         let mut fresh = 0usize;
         for _ in 0..op_count {
-            timeline.push(apply_scripted_op(&server, &mut lcg, &mut live, &mut fresh));
+            apply_scripted_op(&server, &mut lcg, &mut live, &mut fresh);
+            // A flush with nothing pending logs nothing; every other op logs
+            // exactly one record.
+            let logged = server.durability_stats().expect("durable").next_record_seq;
+            if logged == timeline.len() as u64 {
+                timeline.push((server.snapshot(), server.stream_stats()));
+            }
         }
         drop(server); // the crash
 
         // Cut the log at an arbitrary record boundary.
         let log_path = wal::wal_path(&dir);
         let full = wal::replay(&log_path).expect("full log replays");
-        prop_assert_eq!(full.entries.len(), op_count);
-        let cut = cut_sel % (op_count + 1);
+        let records = timeline.len() - 1;
+        prop_assert_eq!(full.entries.len(), records);
+        let cut = cut_sel % (records + 1);
         let offset = if cut == 0 {
             20 // the 20-byte file header: magic + format + first_seq
         } else {
@@ -641,7 +846,7 @@ proptest! {
         let bytes = std::fs::read(&log_path).expect("read log");
         let mut kept = bytes[..offset as usize].to_vec();
         // In a third of the cases, the crash also tore the next append.
-        let torn = cut_sel % 3 == 0 && cut < op_count;
+        let torn = cut_sel % 3 == 0 && cut < records;
         if torn {
             let tail_end = (offset as usize + 5).min(bytes.len());
             kept.extend_from_slice(&bytes[offset as usize..tail_end]);
@@ -649,15 +854,16 @@ proptest! {
         std::fs::write(&log_path, &kept).expect("write cut log");
 
         let (recovered, report) =
-            QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()))
+            QueryServer::recover(&schema(), config, DurabilityConfig::new(dir.clone()))
                 .expect("recovers");
         prop_assert_eq!(report.replayed_records, cut as u64);
         prop_assert_eq!(report.torn_tail, torn);
-        assert_snapshots_match(
-            &recovered.snapshot(),
-            &timeline[cut],
-            &format!("seed {seed}, {op_count} ops, cut {cut}"),
+        let context = format!(
+            "seed {seed}, {op_count} ops, cut {cut}, publish_every {publish_every}, routed {routed}"
         );
+        let (expected, expected_stream) = &timeline[cut];
+        assert_snapshots_match(&recovered.snapshot(), expected, &context);
+        prop_assert_eq!(recovered.stream_stats(), *expected_stream, "{}", context);
         drop(recovered);
         std::fs::remove_dir_all(&dir).ok();
     }
