@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks of the batched inference engine: scalar
-//! one-query-at-a-time cosine scans versus the packed popcount batch path,
+//! one-query-at-a-time cosine scans versus the packed popcount batch path of
+//! a one-shard [`ShardedClassMemory`] (the scorer the serving layer runs),
 //! across hypervector dimensionalities — the speedup trajectory the CI
 //! perf-smoke job guards.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use engine::{BatchScorer, PackedClassMemory, PackedQueryBatch};
+use engine::{PackedClassMemory, PackedQueryBatch, Scorer, ShardedClassMemory};
 use hdc::BipolarHypervector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,13 +71,13 @@ fn bench_engine_batch(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("scalar_nearest", dim), &dim, |bench, _| {
             bench.iter(|| black_box(scalar_nearest_batch(&p)))
         });
-        let scorer_1t = BatchScorer::new(&p.memory).with_threads(1);
+        let scorer_1t = ShardedClassMemory::from_packed(&p.memory, 1).with_threads(1);
         group.bench_with_input(
             BenchmarkId::new("packed_nearest_1t", dim),
             &dim,
             |bench, _| bench.iter(|| black_box(scorer_1t.nearest_batch(&p.batch))),
         );
-        let scorer = BatchScorer::new(&p.memory);
+        let scorer = ShardedClassMemory::from_packed(&p.memory, 1);
         group.bench_with_input(
             BenchmarkId::new("packed_nearest_auto", dim),
             &dim,

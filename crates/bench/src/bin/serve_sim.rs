@@ -6,9 +6,10 @@
 //!
 //! * `scalar` — the pre-engine reference: one query at a time, a scalar
 //!   `i8` cosine scan over every bipolar prototype;
-//! * `batched_1t` — the engine's packed popcount path on a single thread
-//!   (this is what the CI `perf-smoke` floor is asserted against, so the
-//!   gate does not depend on runner core counts);
+//! * `batched_1t` — the engine's packed popcount path through a one-shard
+//!   [`engine::ShardedClassMemory`], the scorer the serving layer runs, on a
+//!   single thread (this is what the CI `perf-smoke` floor is asserted
+//!   against, so the gate does not depend on runner core counts);
 //! * `batched` — the same path fanned out over `--threads` threads;
 //! * `sharded` (with `--shards N`) — the same workload through an
 //!   [`engine::ShardedClassMemory`] of `N` shards, the online/mutable
@@ -34,6 +35,9 @@
 //! `--quick` selects a small but representative workload (dim 8192,
 //! 200 classes) for CI; `--min-speedup X` exits non-zero if the
 //! single-thread batched throughput is below `X ×` the scalar throughput.
+//! Flags the chosen tier does not read (`--min-speedup`, `--shards`,
+//! `--snapshot-churn`, `--mutations` under `--index routed`; the routed
+//! flags below otherwise) are rejected rather than ignored.
 //! The CI perf-smoke job additionally runs a 2 000-class shape with
 //! `--shards 8 --snapshot-churn` to track sharded-memory throughput with
 //! and without concurrent registrations in the `serve-sim-perf` artifact.
@@ -43,7 +47,8 @@
 //! `--index routed` switches to the **large-label-space** tier: a seeded
 //! clustered workload from [`dataset::workload`] (the same generator the
 //! engine's routed-index tests pin their recall numbers on) is scored
-//! through both the exhaustive engine path and an
+//! through both the exhaustive engine path (a one-shard
+//! [`engine::ShardedClassMemory`]) and an
 //! [`engine::RoutedClassMemory`] probing `--nprobe` of `--clusters`
 //! clusters (defaults: `⌈√classes⌉` clusters, `⌈√clusters⌉` probes). The
 //! report adds the sub-linearity numbers: mean candidate fraction,
@@ -58,10 +63,10 @@
 
 use dataset::workload::{SyntheticWorkload, WorkloadConfig};
 use engine::{
-    BatchScorer, PackedClassMemory, PackedQueryBatch, RoutedClassMemory, RoutedConfig,
-    ShardedClassMemory,
+    PackedClassMemory, PackedQueryBatch, RoutedClassMemory, RoutedConfig, ShardedClassMemory,
 };
 use hdc::BipolarHypervector;
+use metrics::LatencySummary;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -123,6 +128,7 @@ impl Default for Config {
 fn parse_args() -> Config {
     let mut config = Config::default();
     let mut args = std::env::args().skip(1);
+    let mut given = Vec::new();
     while let Some(arg) = args.next() {
         let mut value = |name: &str| -> String {
             args.next()
@@ -173,58 +179,44 @@ fn parse_args() -> Config {
             }
             other => panic!("unknown argument {other}"),
         }
+        given.push(arg);
     }
     assert!(config.dim > 0 && config.classes > 0 && config.batch > 0 && config.batches > 0);
-    assert!(
-        !config.snapshot_churn || config.shards > 0,
-        "--snapshot-churn requires --shards N"
-    );
     assert!(
         matches!(config.index.as_str(), "exhaustive" | "routed"),
         "--index must be `exhaustive` or `routed`"
     );
+    let unread: &[&str] = if config.index == "routed" {
+        &[
+            "--min-speedup",
+            "--shards",
+            "--snapshot-churn",
+            "--mutations",
+        ]
+    } else {
+        &["--max-candidate-fraction", "--clusters", "--nprobe"]
+    };
+    for flag in unread {
+        assert!(
+            !given.iter().any(|arg| arg == flag),
+            "{flag} is not read by the {} tier",
+            config.index
+        );
+    }
+    assert!(
+        !config.snapshot_churn || config.shards > 0,
+        "--snapshot-churn requires --shards N"
+    );
     config
 }
 
-/// Latency percentiles (µs) plus throughput for one measured path.
-#[derive(Debug, Clone)]
-struct PathStats {
-    queries: usize,
-    elapsed_s: f64,
-    qps: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-}
-
-impl PathStats {
-    /// `latencies_us` holds one latency per *unit of work* (a query for the
-    /// scalar path, a batch for the batched paths); `queries` is the total
-    /// query count either way.
-    fn from_latencies(queries: usize, mut latencies_us: Vec<f64>) -> Self {
-        let elapsed_s = latencies_us.iter().sum::<f64>() / 1e6;
-        latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        // Ceiling nearest-rank percentiles; the shared helper replaces an
-        // earlier `round(p·(n−1))` formula that understated small-sample
-        // tails.
-        let pct = |p: f64| -> f64 { metrics::nearest_rank(&latencies_us, p) };
-        Self {
-            queries,
-            elapsed_s,
-            qps: queries as f64 / elapsed_s.max(1e-12),
-            p50_us: pct(0.50),
-            p95_us: pct(0.95),
-            p99_us: pct(0.99),
-        }
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"queries\": {}, \"elapsed_s\": {:.6}, \"qps\": {:.1}, \
-             \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}",
-            self.queries, self.elapsed_s, self.qps, self.p50_us, self.p95_us, self.p99_us
-        )
-    }
+/// Summarises a serial timing loop: `latencies_us` holds one latency per
+/// *unit of work* (a query for the scalar path, a batch for the batched
+/// paths), `queries` is the total query count either way, and throughput is
+/// measured over the latency sum.
+fn summarize(queries: usize, latencies_us: Vec<f64>) -> LatencySummary {
+    let elapsed_s = latencies_us.iter().sum::<f64>() / 1e6;
+    LatencySummary::new(queries, latencies_us, elapsed_s)
 }
 
 /// The large-label-space tier: clustered workload, exhaustive vs routed,
@@ -291,9 +283,10 @@ fn run_routed_tier(config: &Config) {
         .collect();
     let total_queries = workload.queries.len();
 
-    // Exhaustive baseline: the engine's batched popcount sweep, full matrix.
-    let scorer = BatchScorer::new(&memory).with_threads(config.threads);
-    let mut exhaustive_top: Vec<Vec<(usize, f32)>> = Vec::with_capacity(total_queries);
+    // Exhaustive baseline: the serving scorer's batched popcount sweep over
+    // every class.
+    let scorer = ShardedClassMemory::from_packed(&memory, 1).with_threads(config.threads);
+    let mut exhaustive_top: Vec<Vec<(&str, f32)>> = Vec::with_capacity(total_queries);
     let mut exhaustive_latencies = Vec::with_capacity(packed_batches.len());
     for batch in &packed_batches {
         let start = Instant::now();
@@ -301,7 +294,7 @@ fn run_routed_tier(config: &Config) {
         exhaustive_latencies.push(start.elapsed().as_secs_f64() * 1e6);
         exhaustive_top.extend(top);
     }
-    let exhaustive = PathStats::from_latencies(total_queries, exhaustive_latencies);
+    let exhaustive = summarize(total_queries, exhaustive_latencies);
 
     // Routed path: probe, shortlist, exact re-rank.
     let mut routed_top: Vec<Vec<(String, f32)>> = Vec::with_capacity(total_queries);
@@ -315,7 +308,7 @@ fn run_routed_tier(config: &Config) {
                 .map(|t| t.into_iter().map(|(l, s)| (l.to_string(), s)).collect()),
         );
     }
-    let routed_stats = PathStats::from_latencies(total_queries, routed_latencies);
+    let routed_stats = summarize(total_queries, routed_latencies);
 
     // Sub-linearity + recall accounting (outside the timed loops).
     let mut candidate_total = 0usize;
@@ -328,7 +321,7 @@ fn run_routed_tier(config: &Config) {
     let mut overlap_at_10 = 0usize;
     let mut overlap_denominator = 0usize;
     for (ex, ro) in exhaustive_top.iter().zip(&routed_top) {
-        let ex_labels: Vec<&str> = ex.iter().map(|&(c, _)| memory.label(c)).collect();
+        let ex_labels: Vec<&str> = ex.iter().map(|&(l, _)| l).collect();
         if let (Some(first_ex), Some((first_ro, _))) = (ex_labels.first(), ro.first()) {
             if first_ex == first_ro {
                 hits_at_1 += 1;
@@ -355,10 +348,10 @@ fn run_routed_tier(config: &Config) {
     let mut distractor_overlap_denominator = 0usize;
     for signs in &workload.distractor_queries {
         let query = engine::pack_signs(signs);
-        let ex_labels: Vec<&str> = memory
+        let ex_labels: Vec<&str> = scorer
             .top_k(&query, 10)
             .into_iter()
-            .map(|(c, _)| memory.label(c))
+            .map(|(l, _)| l)
             .collect();
         let ro = routed.top_k(&query, 10);
         if let (Some(first_ex), Some((first_ro, _))) = (ex_labels.first(), ro.first()) {
@@ -474,11 +467,11 @@ fn main() {
         scalar_latencies.push(start.elapsed().as_secs_f64() * 1e6);
         scalar_best.push(best);
     }
-    let scalar = PathStats::from_latencies(queries.len(), scalar_latencies);
+    let scalar = summarize(queries.len(), scalar_latencies);
 
-    // --- batched engine paths ---------------------------------------------
-    let run_batched = |threads: usize| -> (Vec<f32>, PathStats) {
-        let scorer = BatchScorer::new(&memory).with_threads(threads);
+    // --- batched engine paths: the serving scorer, one shard --------------
+    let run_batched = |threads: usize| -> (Vec<f32>, LatencySummary) {
+        let scorer = ShardedClassMemory::from_packed(&memory, 1).with_threads(threads);
         let mut best = Vec::with_capacity(queries.len());
         let mut latencies = Vec::with_capacity(packed_batches.len());
         for batch in &packed_batches {
@@ -487,7 +480,7 @@ fn main() {
             latencies.push(start.elapsed().as_secs_f64() * 1e6);
             best.extend(nearest.into_iter().map(|(_, sim)| sim));
         }
-        (best, PathStats::from_latencies(queries.len(), latencies))
+        (best, summarize(queries.len(), latencies))
     };
     let (batched_1t_best, batched_1t) = run_batched(1);
     let (_, batched) = run_batched(config.threads.max(1));
@@ -526,7 +519,7 @@ fn main() {
             "serve_sim: sharded({}) best-similarities are bit-identical to scalar",
             config.shards
         );
-        PathStats::from_latencies(queries.len(), latencies)
+        summarize(queries.len(), latencies)
     });
 
     // --- snapshot-churn path: queries under concurrent registrations -------

@@ -1,13 +1,12 @@
-//! Batched scoring: packed query batches fanned out over a [`minipool::Pool`].
+//! Packed query batches: the batch input of every packed
+//! [`Scorer`](crate::Scorer) backend.
 
-use crate::packed::{
-    mask_tail_word, pack_float_signs, pack_signs_into, words_per_row, PackedClassMemory, QUERY_TILE,
-};
-use minipool::Pool;
+use crate::packed::{mask_tail_word, pack_float_signs, pack_signs_into, words_per_row};
 use tensor::Matrix;
 
 /// A batch of packed query hypervectors stored contiguously, one word row
-/// per query (same layout and sign convention as [`PackedClassMemory`]).
+/// per query (same layout and sign convention as
+/// [`PackedClassMemory`](crate::PackedClassMemory)).
 ///
 /// # Example
 ///
@@ -137,258 +136,10 @@ impl PackedQueryBatch {
     }
 }
 
-/// Scores packed query batches against a [`PackedClassMemory`], chunking the
-/// batch across a [`Pool`] of scoped threads.
-///
-/// Chunk boundaries depend only on the batch size and thread count, and each
-/// query's scores are computed independently with the same integer popcount
-/// kernel, so results are **bit-identical for every thread count** —
-/// including the single-query scalar-free path.
-///
-/// # Example
-///
-/// ```
-/// use engine::{BatchScorer, PackedClassMemory, PackedQueryBatch};
-///
-/// let mut memory = PackedClassMemory::new(4);
-/// memory.insert_signs("a", &[1, 1, 1, 1]);
-/// memory.insert_signs("b", &[-1, -1, -1, -1]);
-/// let mut batch = PackedQueryBatch::new(4);
-/// batch.push_signs(&[1, 1, 1, -1]);
-/// let scorer = BatchScorer::new(&memory).with_threads(2);
-/// let logits = scorer.score_batch(&batch);
-/// assert_eq!(logits.shape(), (1, 2));
-/// assert_eq!(logits.get(0, 0), 0.5);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct BatchScorer<'m> {
-    memory: &'m PackedClassMemory,
-    pool: Pool,
-}
-
-impl<'m> BatchScorer<'m> {
-    /// Creates a scorer over `memory` sized to the machine's hardware
-    /// threads.
-    pub fn new(memory: &'m PackedClassMemory) -> Self {
-        Self {
-            memory,
-            pool: Pool::auto(),
-        }
-    }
-
-    /// Uses exactly `threads` threads (clamped to at least 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = Pool::new(threads);
-        self
-    }
-
-    /// Uses the given pool.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Pool) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// The backing class memory.
-    pub fn memory(&self) -> &PackedClassMemory {
-        self.memory
-    }
-
-    /// Number of threads a batch is chunked across.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// One-vs-all similarity logits for every query: a
-    /// `batch.len() × memory.len()` matrix in `[-1, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch.dim() != memory.dim()`.
-    pub fn score_batch(&self, batch: &PackedQueryBatch) -> Matrix {
-        self.check_dims(batch);
-        let classes = self.memory.len();
-        if batch.is_empty() {
-            return Matrix::zeros(0, classes);
-        }
-        let blocks = self.pool.map_chunks(batch.len(), |range| {
-            let mut out = vec![0.0f32; range.len() * classes];
-            self.memory
-                .scores_block_into(batch.rows(range.clone()), range.len(), &mut out);
-            out
-        });
-        let mut data = Vec::with_capacity(batch.len() * classes);
-        for block in blocks {
-            data.extend_from_slice(&block);
-        }
-        Matrix::from_vec(batch.len(), classes, data)
-    }
-
-    /// The nearest class of every query, as `(row index, similarity)` pairs;
-    /// ties resolve to the lexicographically smallest label, exactly like
-    /// [`PackedClassMemory::nearest`].
-    ///
-    /// Each chunk runs the same cache-tiled block kernel as
-    /// [`BatchScorer::score_batch`] and takes the argmax per row, so class
-    /// rows are streamed once per query tile instead of once per query.
-    /// Similarity is a monotone bijection of the integer Hamming distance
-    /// (see [`crate::similarity_from_hamming`]), so the float argmax with
-    /// label tie-break selects exactly the row the integer path would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the memory is empty or `batch.dim() != memory.dim()`.
-    pub fn nearest_batch(&self, batch: &PackedQueryBatch) -> Vec<(usize, f32)> {
-        assert!(
-            !self.memory.is_empty(),
-            "nearest_batch requires a non-empty class memory"
-        );
-        self.check_dims(batch);
-        let classes = self.memory.len();
-        let blocks = self.pool.map_chunks(batch.len(), |range| {
-            let mut results = Vec::with_capacity(range.len());
-            let mut scores = vec![0.0f32; QUERY_TILE * classes];
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + QUERY_TILE).min(range.end);
-                let rows = end - start;
-                let block = &mut scores[..rows * classes];
-                self.memory
-                    .scores_block_into(batch.rows(start..end), rows, block);
-                for row in block.chunks_exact(classes) {
-                    let mut best = 0usize;
-                    for (c, &sim) in row.iter().enumerate().skip(1) {
-                        if sim > row[best]
-                            || (sim == row[best] && self.memory.label(c) < self.memory.label(best))
-                        {
-                            best = c;
-                        }
-                    }
-                    results.push((best, row[best]));
-                }
-                start = end;
-            }
-            results
-        });
-        blocks.into_iter().flatten().collect()
-    }
-
-    /// The `k` most similar classes of every query, most similar first, with
-    /// the same deterministic tie ordering — and truncation contract
-    /// (`min(k, classes)` entries per query, `k == 0` empty) — as
-    /// [`PackedClassMemory::top_k`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch.dim() != memory.dim()`.
-    pub fn topk_batch(&self, batch: &PackedQueryBatch, k: usize) -> Vec<Vec<(usize, f32)>> {
-        self.check_dims(batch);
-        let blocks = self.pool.map_chunks(batch.len(), |range| {
-            range
-                .map(|q| self.memory.top_k(batch.row(q), k))
-                .collect::<Vec<_>>()
-        });
-        blocks.into_iter().flatten().collect()
-    }
-
-    fn check_dims(&self, batch: &PackedQueryBatch) {
-        assert_eq!(
-            batch.dim(),
-            self.memory.dim(),
-            "query batch dimensionality must match the class memory"
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packed::pack_signs;
-
-    fn lcg_signs(state: &mut u64, dim: usize) -> Vec<i8> {
-        (0..dim)
-            .map(|_| {
-                *state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if *state >> 63 == 0 {
-                    1
-                } else {
-                    -1
-                }
-            })
-            .collect()
-    }
-
-    fn fixture(
-        dim: usize,
-        classes: usize,
-        queries: usize,
-    ) -> (PackedClassMemory, PackedQueryBatch) {
-        let mut state = 7u64;
-        let mut memory = PackedClassMemory::new(dim);
-        for c in 0..classes {
-            memory.insert_signs(format!("class{c:03}"), &lcg_signs(&mut state, dim));
-        }
-        let mut batch = PackedQueryBatch::new(dim);
-        for _ in 0..queries {
-            batch.push_signs(&lcg_signs(&mut state, dim));
-        }
-        (memory, batch)
-    }
-
-    #[test]
-    fn score_batch_matches_per_query_scores() {
-        let (memory, batch) = fixture(200, 13, 9);
-        let logits = BatchScorer::new(&memory)
-            .with_threads(3)
-            .score_batch(&batch);
-        assert_eq!(logits.shape(), (9, 13));
-        for q in 0..batch.len() {
-            assert_eq!(logits.row(q), &memory.scores(batch.row(q))[..]);
-        }
-    }
-
-    #[test]
-    fn thread_count_invariance() {
-        let (memory, batch) = fixture(321, 21, 17);
-        let reference = BatchScorer::new(&memory)
-            .with_threads(1)
-            .score_batch(&batch);
-        for threads in [2usize, 4, 9] {
-            let logits = BatchScorer::new(&memory)
-                .with_threads(threads)
-                .score_batch(&batch);
-            assert_eq!(logits.as_slice(), reference.as_slice(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn nearest_and_topk_agree_with_memory() {
-        let (memory, batch) = fixture(96, 11, 8);
-        let scorer = BatchScorer::new(&memory).with_threads(2);
-        let nearest = scorer.nearest_batch(&batch);
-        let topk = scorer.topk_batch(&batch, 3);
-        assert_eq!(nearest.len(), 8);
-        for q in 0..batch.len() {
-            assert_eq!(nearest[q], memory.nearest(batch.row(q)).expect("non-empty"));
-            assert_eq!(topk[q], memory.top_k(batch.row(q), 3));
-            assert_eq!(nearest[q], topk[q][0]);
-        }
-    }
-
-    #[test]
-    fn empty_batch_scores_to_zero_rows() {
-        let (memory, _) = fixture(64, 4, 0);
-        let batch = PackedQueryBatch::new(64);
-        let scorer = BatchScorer::new(&memory);
-        // The documented batch.len() × memory.len() shape holds even for an
-        // empty batch.
-        assert_eq!(scorer.score_batch(&batch).shape(), (0, 4));
-        assert!(scorer.nearest_batch(&batch).is_empty());
-        assert!(scorer.topk_batch(&batch, 2).is_empty());
-    }
+    use crate::packed::{pack_signs, PackedClassMemory};
 
     #[test]
     fn push_packed_masks_smuggled_tail_bits() {
@@ -397,8 +148,7 @@ mod tests {
         let mut batch = PackedQueryBatch::new(3);
         batch.push_packed(&[u64::MAX]);
         assert_eq!(batch.row(0), &[0b111u64][..]);
-        let logits = BatchScorer::new(&memory).score_batch(&batch);
-        assert_eq!(logits.get(0, 0), 1.0);
+        assert_eq!(memory.scores(batch.row(0)), vec![1.0]);
     }
 
     #[test]

@@ -14,24 +14,22 @@
 //!   with copy-on-write `Arc` sharing: incremental `add_class` /
 //!   `update_class` / `remove_class` repack only the touched shard, and the
 //!   cross-shard top-k merge (on integer Hamming distances plus label
-//!   tie-breaks) is bit-identical to the monolithic scorer.
-//!   `hdc::ItemMemory` is built on one and delegates `nearest`/`top_k` to
-//!   it; the `serve` crate hot-swaps snapshots of one under live traffic.
+//!   tie-breaks) is bit-identical to the monolithic scorer. Its batched
+//!   `nearest_batch` / `topk_batch` chunk a [`PackedQueryBatch`] across a
+//!   vendored work-stealing-free scoped-thread pool ([`minipool::Pool`]);
+//!   the `serve` crate hot-swaps snapshots of one under live traffic.
 //! * [`RoutedClassMemory`] — a two-level coarse-to-fine index: seeded
 //!   k-means centroids route each query to its `nprobe` nearest clusters
 //!   (each a per-cluster packed shard), and the candidates are exactly
 //!   re-ranked on `(hamming, label)` — sub-linear candidate generation with
 //!   bit-identical results under full probing.
-//! * [`PackedQueryBatch`] + [`BatchScorer`] — batched `score_batch` /
-//!   `nearest_batch` / `topk_batch`, chunked across a vendored
-//!   work-stealing-free scoped-thread pool ([`minipool::Pool`]).
 //! * [`dense`] — row-parallel float scoring (cosine logits, bilinear
 //!   compatibility) used by the `hdc_zsc` model's inference path and the
 //!   `baselines` predictors, plus [`DenseClassMemory`], the float-backed
 //!   class memory.
-//! * [`Scorer`] — the one trait unifying all three class-memory backends
-//!   (dense, packed, sharded): `score_batch` / `nearest` / `top_k` with a
-//!   pinned similarity-descending, label-ascending tie-break and the
+//! * [`Scorer`] — the one trait unifying all four class-memory backends
+//!   (dense, packed, sharded, routed): `score_batch` / `nearest` / `top_k`
+//!   with a pinned similarity-descending, label-ascending tie-break and the
 //!   `min(k, stored)` truncation contract.
 //!
 //! # Exactness contract
@@ -47,20 +45,19 @@
 //! # Example
 //!
 //! ```
-//! use engine::{BatchScorer, PackedClassMemory, PackedQueryBatch};
+//! use engine::{PackedQueryBatch, ShardedClassMemory};
 //!
-//! let mut memory = PackedClassMemory::new(6);
-//! memory.insert_signs("left", &[-1, -1, -1, 1, 1, 1]);
-//! memory.insert_signs("right", &[1, 1, 1, -1, -1, -1]);
+//! let mut memory = ShardedClassMemory::new(6, 2).with_threads(2);
+//! memory.add_class("left", &[-1, -1, -1, 1, 1, 1]);
+//! memory.add_class("right", &[1, 1, 1, -1, -1, -1]);
 //!
 //! let mut batch = PackedQueryBatch::new(6);
 //! batch.push_signs(&[-1, -1, -1, 1, 1, -1]);
 //! batch.push_signs(&[1, 1, 1, 1, -1, -1]);
 //!
-//! let scorer = BatchScorer::new(&memory).with_threads(2);
-//! let nearest = scorer.nearest_batch(&batch);
-//! assert_eq!(memory.label(nearest[0].0), "left");
-//! assert_eq!(memory.label(nearest[1].0), "right");
+//! let nearest = memory.nearest_batch(&batch);
+//! assert_eq!(nearest[0].0, "left");
+//! assert_eq!(nearest[1].0, "right");
 //! ```
 
 #![deny(missing_docs)]
@@ -73,7 +70,7 @@ pub mod packed;
 pub mod scorer;
 pub mod sharded;
 
-pub use batch::{BatchScorer, PackedQueryBatch};
+pub use batch::PackedQueryBatch;
 pub use dense::{DenseClassMemory, DenseMetric};
 pub use index::{RoutedClassMemory, RoutedConfig};
 pub use minipool::Pool;

@@ -100,7 +100,7 @@ pub fn similarity_from_hamming(dim: usize, hamming: u64) -> f32 {
 
 /// Queries are processed in tiles of this many rows so each streamed class
 /// row is reused from L1 across the whole tile.
-pub(crate) const QUERY_TILE: usize = 8;
+const QUERY_TILE: usize = 8;
 
 /// Word-strip width (2 KiB) of the innermost sweep; keeps one class strip
 /// plus a full query tile strip resident in L1 for very large `dim`.
@@ -109,8 +109,9 @@ const WORD_STRIP: usize = 256;
 /// A labelled associative class memory stored as one contiguous packed word
 /// matrix, scored one-vs-all with a blocked popcount sweep.
 ///
-/// This is the single hot path behind `hdc::ItemMemory` lookups, the
-/// [`BatchScorer`](crate::BatchScorer) and the serving benchmark.
+/// This is the single popcount kernel behind every packed lookup: each
+/// shard of a [`ShardedClassMemory`](crate::ShardedClassMemory) and each
+/// cluster of a [`RoutedClassMemory`](crate::RoutedClassMemory) is one.
 ///
 /// # Example
 ///

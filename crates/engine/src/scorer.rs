@@ -1,14 +1,15 @@
 //! The unified scoring interface over every class-memory backend.
 //!
-//! PR 2–4 grew three bit-identical scoring backends — the row-parallel
-//! float path ([`DenseClassMemory`](crate::DenseClassMemory)), the packed
-//! popcount matrix ([`PackedClassMemory`](crate::PackedClassMemory)) and the
+//! The engine has four scoring backends — the row-parallel float path
+//! ([`DenseClassMemory`](crate::DenseClassMemory)), the packed popcount
+//! matrix ([`PackedClassMemory`](crate::PackedClassMemory)), the
 //! copy-on-write sharded memory
-//! ([`ShardedClassMemory`](crate::ShardedClassMemory)) — each with its own
-//! ad-hoc call surface. [`Scorer`] is the one trait they all implement, so
-//! call sites (`hdc::ItemMemory`, the DAP/ESZSL baselines, the serving
-//! layer, and generic parity tests) can be written once against the
-//! contract instead of three times against the backends.
+//! ([`ShardedClassMemory`](crate::ShardedClassMemory)) and the two-level
+//! routed index ([`RoutedClassMemory`](crate::RoutedClassMemory), which
+//! meets the contract below under exhaustive probing). [`Scorer`] is the one
+//! trait they all implement, so call sites (the DAP/ESZSL baselines, the
+//! serving layer, and generic parity tests) are written once against the
+//! contract instead of once per backend.
 //!
 //! # Contract
 //!
@@ -66,7 +67,7 @@ pub trait Scorer: Send + Sync {
     /// One-vs-all similarity matrix of the whole batch: row `q` holds query
     /// `q`'s similarity against every stored class, in the backend's stored
     /// order (insertion order for the dense and packed backends, shard-major
-    /// order for the sharded one).
+    /// order for the sharded one, cluster-major order for the routed one).
     fn score_batch(&self, batch: &Self::Batch) -> Matrix;
 
     /// The most similar stored class as `(label, similarity)`, or `None`

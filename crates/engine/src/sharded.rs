@@ -763,10 +763,15 @@ mod tests {
             assert_eq!(nearest[q], memory.nearest(&packed).expect("non-empty"));
             assert_eq!(topk[q], memory.top_k(&packed, 4));
         }
-        // Empty batch short-circuits.
+        // Empty batch short-circuits, keeping the documented
+        // `batch.len() × classes` score shape.
         let empty = PackedQueryBatch::new(dim);
         assert!(memory.nearest_batch(&empty).is_empty());
         assert!(memory.topk_batch(&empty, 3).is_empty());
+        assert_eq!(
+            crate::Scorer::score_batch(&memory, &empty).shape(),
+            (0, memory.len())
+        );
     }
 
     #[test]

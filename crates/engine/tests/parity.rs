@@ -1,10 +1,11 @@
 //! Property tests pinning the engine's exactness contract: packed batched
 //! results are bit-identical to a scalar `i8` reference across random
-//! dimensions (including non-multiples of 64), class counts, batch sizes and
-//! thread counts.
+//! dimensions (including non-multiples of 64), class counts, batch sizes,
+//! shard counts and thread counts.
 
 use engine::{
-    pack_signs, similarity_from_hamming, BatchScorer, PackedClassMemory, PackedQueryBatch, Pool,
+    pack_signs, similarity_from_hamming, PackedClassMemory, PackedQueryBatch, Pool, Scorer,
+    ShardedClassMemory,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -109,26 +110,55 @@ fn build_problem(dim: usize, classes: usize, queries: usize, seed: u64) -> Probl
     (labels, protos, query_rows, memory, batch)
 }
 
+/// Thread counts the batched lookups are checked at: serial, small, more
+/// threads than most batches have queries, and a prime that leaves ragged
+/// chunks.
+const THREADS: [usize; 5] = [1, 2, 3, 8, 19];
+
+/// The problem's classes redistributed over `shards` shards, scored with
+/// `threads` threads — the scorer the serving layer runs.
+fn sharded(memory: &PackedClassMemory, shards: usize, threads: usize) -> ShardedClassMemory {
+    ShardedClassMemory::from_packed(memory, shards).with_threads(threads)
+}
+
 proptest! {
     #[test]
     fn packed_scores_bit_identical_to_scalar(
         dim in 1usize..300,
         classes in 1usize..24,
         queries in 1usize..12,
+        shards in 1usize..5,
+        thread_index in 0usize..THREADS.len(),
         seed in 0u64..1_000_000,
     ) {
-        let (_labels, protos, query_rows, memory, batch) =
+        let (labels, protos, query_rows, memory, batch) =
             build_problem(dim, classes, queries, seed);
-        let logits = BatchScorer::new(&memory).with_threads(3).score_batch(&batch);
-        prop_assert_eq!(logits.shape(), (queries, classes));
+        let threads = THREADS[thread_index];
+        // The monolithic memory reports insertion order; the sharded one
+        // reports shard-major order, mapped back to class indices here.
+        let monolithic = memory.score_batch(&batch);
+        let sharded = sharded(&memory, shards, threads);
+        let sharded_logits = sharded.score_batch(&batch);
+        let columns: Vec<usize> = sharded
+            .labels()
+            .map(|l| labels.iter().position(|x| x == l).expect("stored label"))
+            .collect();
+        prop_assert_eq!(monolithic.shape(), (queries, classes));
+        prop_assert_eq!(sharded_logits.shape(), (queries, classes));
         for (qi, query) in query_rows.iter().enumerate() {
-            for (ci, proto) in protos.iter().enumerate() {
-                let scalar = scalar_cosine(query, proto);
-                let packed = logits.get(qi, ci);
+            for (col, &ci) in columns.iter().enumerate() {
+                let scalar = scalar_cosine(query, &protos[ci]);
+                let packed = monolithic.get(qi, ci);
+                let shard = sharded_logits.get(qi, col);
                 prop_assert_eq!(
                     scalar.to_bits(), packed.to_bits(),
                     "dim={} q={} c={}: scalar {} vs packed {}",
                     dim, qi, ci, scalar, packed
+                );
+                prop_assert_eq!(
+                    scalar.to_bits(), shard.to_bits(),
+                    "dim={} shards={} threads={} q={} c={}: scalar {} vs sharded {}",
+                    dim, shards, threads, qi, ci, scalar, shard
                 );
             }
         }
@@ -140,21 +170,23 @@ proptest! {
         classes in 1usize..24,
         queries in 1usize..10,
         k in 1usize..30,
+        shards in 1usize..5,
+        thread_index in 0usize..THREADS.len(),
         seed in 0u64..1_000_000,
     ) {
         let (labels, protos, query_rows, memory, batch) =
             build_problem(dim, classes, queries, seed);
-        let scorer = BatchScorer::new(&memory).with_threads(2);
+        let scorer = sharded(&memory, shards, THREADS[thread_index]);
         let nearest = scorer.nearest_batch(&batch);
         let topk = scorer.topk_batch(&batch, k);
         for (qi, query) in query_rows.iter().enumerate() {
             let expected = scalar_nearest(query, &labels, &protos).expect("non-empty");
-            prop_assert_eq!(nearest[qi].0, expected.0, "dim={} q={}", dim, qi);
+            prop_assert_eq!(nearest[qi].0, labels[expected.0].as_str(), "dim={} q={}", dim, qi);
             prop_assert_eq!(nearest[qi].1.to_bits(), expected.1.to_bits());
             let expected_topk = scalar_top_k(query, &labels, &protos, k);
             prop_assert_eq!(topk[qi].len(), expected_topk.len());
             for (got, want) in topk[qi].iter().zip(&expected_topk) {
-                prop_assert_eq!(got.0, want.0, "dim={} q={}", dim, qi);
+                prop_assert_eq!(got.0, labels[want.0].as_str(), "dim={} q={}", dim, qi);
                 prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
             }
         }
@@ -165,20 +197,24 @@ proptest! {
         dim in 1usize..400,
         classes in 1usize..20,
         queries in 1usize..40,
+        shards in 1usize..5,
         seed in 0u64..1_000_000,
     ) {
         let (_labels, _protos, _query_rows, memory, batch) =
             build_problem(dim, classes, queries, seed);
-        let reference = BatchScorer::new(&memory).with_threads(1).score_batch(&batch);
-        for threads in [2usize, 3, 8, 19] {
-            let logits = BatchScorer::new(&memory).with_threads(threads).score_batch(&batch);
+        let reference = sharded(&memory, shards, THREADS[0]);
+        let reference_logits = reference.score_batch(&batch);
+        let reference_nearest = reference.nearest_batch(&batch);
+        for threads in THREADS[1..].iter().copied() {
+            let scorer = sharded(&memory, shards, threads);
             prop_assert_eq!(
-                logits.as_slice(), reference.as_slice(),
-                "threads={} dim={}", threads, dim
+                scorer.score_batch(&batch).as_slice(), reference_logits.as_slice(),
+                "threads={} shards={} dim={}", threads, shards, dim
             );
-            let nearest_1 = BatchScorer::new(&memory).with_threads(1).nearest_batch(&batch);
-            let nearest_n = BatchScorer::new(&memory).with_threads(threads).nearest_batch(&batch);
-            prop_assert_eq!(nearest_1, nearest_n, "threads={}", threads);
+            prop_assert_eq!(
+                scorer.nearest_batch(&batch), reference_nearest,
+                "threads={} shards={}", threads, shards
+            );
         }
     }
 

@@ -6,8 +6,9 @@
 //! an attribute dictionary of `α = 312` codevectors materialised on the fly by
 //! *binding* the appropriate group and value hypervectors. This crate provides
 //! all the HDC machinery that encoder needs, plus the usual HDC toolkit
-//! (bundling, permutation, item memories, similarity search) so the library is
-//! useful beyond the single paper experiment.
+//! (bundling, permutation, similarity) so the library is useful beyond the
+//! single paper experiment. Nearest-class lookup over packed class
+//! hypervectors lives in the `engine` crate.
 //!
 //! Two concrete hypervector representations are provided:
 //!
@@ -48,7 +49,6 @@ pub mod bipolar;
 pub mod bundler;
 pub mod codebook;
 pub mod encoding;
-pub mod item_memory;
 pub mod similarity;
 
 pub use accumulator::ClassAccumulator;
@@ -57,7 +57,6 @@ pub use bipolar::BipolarHypervector;
 pub use bundler::Bundler;
 pub use codebook::{Codebook, CodebookMemory};
 pub use encoding::LevelEncoder;
-pub use item_memory::ItemMemory;
 pub use similarity::{cosine, hamming_distance, normalized_hamming_similarity};
 
 use serde::{Deserialize, Serialize};
@@ -113,7 +112,7 @@ pub enum HdcError {
         /// Dimensionality of the right operand.
         right: usize,
     },
-    /// An index into a codebook or item memory was out of range.
+    /// An index into a codebook was out of range.
     IndexOutOfRange {
         /// The offending index.
         index: usize,

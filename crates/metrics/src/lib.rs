@@ -48,7 +48,7 @@ pub use average_precision::{average_precision, mean_average_precision};
 pub use confusion::ConfusionMatrix;
 pub use gzsl::{harmonic_mean, partitioned_top1_accuracy, PartitionedAccuracy};
 pub use open_set::{auroc, rejection_report, RejectionReport};
-pub use percentile::nearest_rank;
+pub use percentile::{nearest_rank, LatencySummary};
 pub use stream::{
     ClassDrift, DriftReport, Ewma, PageHinkley, StreamDriftConfig, StreamDriftDetector,
 };

@@ -4,7 +4,8 @@
 //! percentile of `n` sorted samples is the sample at 1-based rank
 //! `⌈p · n⌉`. An earlier `serve_sim` revision used `round(p · (n − 1))`,
 //! which for small sample counts rounds *down* past the true rank and
-//! understates tail percentiles such as p99.
+//! understates tail percentiles such as p99. [`LatencySummary`] is the
+//! per-path throughput and percentile record both harnesses report.
 
 /// The `p`-th percentile (`0 ≤ p ≤ 1`) of an ascending-sorted sample set,
 /// using the ceiling nearest-rank definition `⌈p · n⌉`.
@@ -44,6 +45,67 @@ pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
     // the subtraction below can never index before the slice.
     let rank = (p * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// Throughput plus ceiling nearest-rank latency percentiles for one
+/// measured path.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LatencySummary {
+    /// Queries answered.
+    pub queries: usize,
+    /// Window the throughput is measured over, in seconds.
+    pub elapsed_s: f64,
+    /// `queries / elapsed_s`.
+    pub qps: f64,
+    /// Median latency, µs.
+    pub p50_us: f64,
+    /// 95th-percentile latency, µs.
+    pub p95_us: f64,
+    /// 99th-percentile latency, µs.
+    pub p99_us: f64,
+}
+
+impl LatencySummary {
+    /// Summarises `queries` answered over `elapsed_s` seconds.
+    /// `latencies_us` holds one sample per timed unit of work (a query or a
+    /// whole batch), in any order; an empty sample set yields zero
+    /// percentiles. The caller chooses the window: the latency sum for
+    /// serial timing loops, the wall clock for concurrent callers.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use metrics::percentile::LatencySummary;
+    ///
+    /// let stats = LatencySummary::new(4, vec![30.0, 10.0, 20.0, 40.0], 0.5);
+    /// assert_eq!(
+    ///     stats.to_json(),
+    ///     "{\"queries\": 4, \"elapsed_s\": 0.500000, \"qps\": 8.0, \
+    ///      \"p50_us\": 20.0, \"p95_us\": 40.0, \"p99_us\": 40.0}"
+    /// );
+    /// assert_eq!(LatencySummary::new(0, Vec::new(), 1.0).p99_us, 0.0);
+    /// ```
+    pub fn new(queries: usize, mut latencies_us: Vec<f64>, elapsed_s: f64) -> Self {
+        latencies_us.sort_by(f64::total_cmp);
+        Self {
+            queries,
+            elapsed_s,
+            qps: queries as f64 / elapsed_s.max(1e-12),
+            p50_us: nearest_rank(&latencies_us, 0.50),
+            p95_us: nearest_rank(&latencies_us, 0.95),
+            p99_us: nearest_rank(&latencies_us, 0.99),
+        }
+    }
+
+    /// The summary as one JSON object: `elapsed_s` to six decimals, the
+    /// rates and latencies to one.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"queries\": {}, \"elapsed_s\": {:.6}, \"qps\": {:.1}, \
+             \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}",
+            self.queries, self.elapsed_s, self.qps, self.p50_us, self.p95_us, self.p99_us
+        )
+    }
 }
 
 #[cfg(test)]

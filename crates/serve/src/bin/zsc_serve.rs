@@ -20,8 +20,8 @@
 //! the loaded model — phase 4 against the initial class set, phase 6 against
 //! the full post-registration set — they must be bit-identical. The output
 //! is a single JSON object on stdout with the same per-path stats shape as
-//! `serve_sim` (queries / elapsed_s / qps / p50_us / p95_us / p99_us, via
-//! the shared ceiling nearest-rank percentile helper).
+//! `serve_sim` (queries / elapsed_s / qps / p50_us / p95_us / p99_us: both
+//! report [`metrics::LatencySummary`]).
 //!
 //! **Durability drill:** with `--wal-dir PATH` the server runs durable —
 //! every live registration is write-ahead-logged before it is published.
@@ -81,6 +81,7 @@ use engine::ShardedClassMemory;
 use hdc_zsc::{
     evaluate_gzsl, Checkpoint, ModelConfig, Pipeline, SimilarityCalibrator, TrainConfig, ZscModel,
 };
+use metrics::LatencySummary;
 use serde::{Serialize, Value};
 use serve::net::{wire, ClientConfig, NetClient, NetConfig, NetServer};
 use serve::{DurabilityConfig, QueryServer, ScoredLabel, ServerConfig};
@@ -242,51 +243,13 @@ fn parse_args() -> Config {
     config
 }
 
-/// Per-path stats in the same shape as `serve_sim`'s output, with the shared
-/// ceiling nearest-rank percentile helper.
-#[derive(Debug, Clone)]
-struct PathStats {
-    queries: usize,
-    elapsed_s: f64,
-    qps: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-}
-
-impl PathStats {
-    /// `latencies_us` holds one latency per query; `elapsed_s` is the
-    /// wall-clock window the queries were answered in (callers run
-    /// concurrently, so it is not the latency sum).
-    fn new(mut latencies_us: Vec<f64>, elapsed_s: f64) -> Self {
-        let queries = latencies_us.len();
-        latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        Self {
-            queries,
-            elapsed_s,
-            qps: queries as f64 / elapsed_s.max(1e-12),
-            p50_us: metrics::nearest_rank(&latencies_us, 0.50),
-            p95_us: metrics::nearest_rank(&latencies_us, 0.95),
-            p99_us: metrics::nearest_rank(&latencies_us, 0.99),
-        }
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"queries\": {}, \"elapsed_s\": {:.6}, \"qps\": {:.1}, \
-             \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}",
-            self.queries, self.elapsed_s, self.qps, self.p50_us, self.p95_us, self.p99_us
-        )
-    }
-}
-
 /// Drives one multi-caller traffic phase through the server and returns
 /// `(stats, served top-1 per query index)`.
 fn run_traffic(
     server: &QueryServer,
     queries: &[Vec<f32>],
     callers: usize,
-) -> (PathStats, Vec<ScoredLabel>) {
+) -> (LatencySummary, Vec<ScoredLabel>) {
     let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(queries.len()));
     let served: Mutex<Vec<(usize, ScoredLabel)>> = Mutex::new(Vec::with_capacity(queries.len()));
     let start = Instant::now();
@@ -325,12 +288,15 @@ fn run_traffic(
             });
         }
     });
+    // Callers run concurrently, so throughput is over the wall-clock window,
+    // not the latency sum.
     let elapsed_s = start.elapsed().as_secs_f64();
     let mut served_top = served.into_inner().expect("served mutex");
     served_top.sort_by_key(|(index, _)| *index);
     assert_eq!(served_top.len(), queries.len());
+    let latencies = latencies.into_inner().expect("latency mutex");
     (
-        PathStats::new(latencies.into_inner().expect("latency mutex"), elapsed_s),
+        LatencySummary::new(latencies.len(), latencies, elapsed_s),
         served_top.into_iter().map(|(_, top)| top).collect(),
     )
 }
@@ -343,7 +309,7 @@ fn cross_check(
     reference_memory: &ShardedClassMemory,
     queries: &[Vec<f32>],
     served: &[ScoredLabel],
-) -> PathStats {
+) -> LatencySummary {
     let mut direct_latencies = Vec::with_capacity(queries.len());
     let direct_start = Instant::now();
     for (q, (features, (label, sim))) in queries.iter().zip(served).enumerate() {
@@ -363,7 +329,7 @@ fn cross_check(
     }
     let direct_s = direct_start.elapsed().as_secs_f64();
     eprintln!("zsc_serve: {phase} top-1 results are bit-identical to direct in-process scoring");
-    PathStats::new(direct_latencies, direct_s)
+    LatencySummary::new(direct_latencies.len(), direct_latencies, direct_s)
 }
 
 /// Where the kill/recover drill records its expected answers, inside the
@@ -608,18 +574,7 @@ fn net_sweep(
         let elapsed_s = step_start.elapsed().as_secs_f64();
         let sent = clients * per_client;
         let lats = latencies.into_inner().expect("latency mutex");
-        let stats = if lats.is_empty() {
-            PathStats {
-                queries: 0,
-                elapsed_s,
-                qps: 0.0,
-                p50_us: 0.0,
-                p95_us: 0.0,
-                p99_us: 0.0,
-            }
-        } else {
-            PathStats::new(lats, elapsed_s)
-        };
+        let stats = LatencySummary::new(lats.len(), lats, elapsed_s);
         eprintln!(
             "zsc_serve: net step target {target} q/s \u{2192} sent {sent}, answered {answered}, \
              shed {shed}, goodput {:.0} q/s (p50 {:.0}\u{b5}s, p99 {:.0}\u{b5}s)",

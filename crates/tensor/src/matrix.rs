@@ -683,9 +683,9 @@ impl Matrix {
     /// **Truncation contract:** `k` is clamped to the column count — asking
     /// for more entries than a row has returns each row's full descending
     /// ordering (`min(k, cols)` indices, never an error and never padding),
-    /// and `k == 0` returns empty rows. The engine's `top_k` family and
-    /// `hdc::ItemMemory::top_k` follow the same rule, so `k ≥ classes` is a
-    /// safe way to ask for "everything, ranked" anywhere in the workspace.
+    /// and `k == 0` returns empty rows. The engine's `top_k` family follows
+    /// the same rule, so `k ≥ classes` is a safe way to ask for "everything,
+    /// ranked" anywhere in the workspace.
     ///
     /// Runs in `O(C + k log k)` per row via `select_nth_unstable_by` plus a
     /// sort of the `k`-prefix, instead of fully sorting every row

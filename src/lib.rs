@@ -4,11 +4,11 @@
 //! cross-crate integration tests (`tests/`); it re-exports the workspace
 //! crates so examples can refer to everything through one dependency.
 //!
-//! * [`engine`] — batched inference engine (packed + sharded class
-//!   memories, batch scorer, row-parallel dense scoring);
+//! * [`engine`] — batched inference engine (packed, sharded and routed
+//!   class memories, row-parallel dense scoring);
 //! * [`serve`] — online serving (hot-swappable snapshot `QueryServer`);
 //! * [`hdc`] — hyperdimensional-computing substrate (hypervectors, binding,
-//!   bundling, codebooks, item memories);
+//!   bundling, codebooks);
 //! * [`tensor`] / [`nn`] — dense linear algebra and the trainable-layer
 //!   substrate (losses, AdamW, cosine kernel);
 //! * [`dataset`] — the synthetic CUB-200-2011 stand-in (schema, class
