@@ -31,24 +31,6 @@
 //! invocation with `--wal-dir PATH --recover` then rebuilds the server from
 //! the log alone and asserts every probe answers bit-identically.
 //!
-//! **Network load generator:** `--net` switches to an alternative mode that
-//! binds the TCP front-end ([`serve::net::NetServer`]) over a freshly
-//! trained model and drives it with an open-loop load generator, sweeping
-//! the `--net-qps` target levels. Each step reports offered load vs goodput
-//! plus p50/p95/p99 latency; load-shed requests are the typed `overloaded`
-//! rejections of the wire protocol and are dropped, not retried, so goodput
-//! under overload is visible. Every answered query is cross-checked
-//! bit-identically against `ModelSnapshot::solo_topk`. See
-//! `docs/operations.md` for how to read the report.
-//!
-//! `--net-addr host:port` points the same load generator at an
-//! **already-running** front-end instead of standing one up: no model is
-//! trained, the query pool is synthesized in the feature width the remote
-//! `welcome` frame declares, and — with no local model to score against —
-//! the bit-identity cross-check is *skipped and reported as skipped* in
-//! both the log and the JSON (`"bit_identity": "skipped"`). No mutation
-//! drill runs against a remote server.
-//!
 //! **Calibration drill:** `--calibrate` switches to a generalized
 //! zero-shot + open-set mode over the attribute-level
 //! [`dataset::GzslWorkload`] generator (see `docs/evaluation.md`). It
@@ -68,14 +50,11 @@
 //!           [--queries N] [--callers N] [--max-batch N] [--max-wait-us N]
 //!           [--threads N] [--top-k K] [--shards N] [--register N]
 //!           [--seed N] [--checkpoint PATH] [--wal-dir PATH] [--recover]
-//!           [--kill-after-register] [--net] [--net-addr HOST:PORT]
-//!           [--net-qps A,B,..] [--net-clients N] [--net-requests N]
-//!           [--net-admission N] [--calibrate] [--quick] [--json]
+//!           [--kill-after-register] [--calibrate] [--quick] [--json]
 //! ```
 
 use dataset::{
     AttributeSchema, CubLikeDataset, DatasetConfig, GzslWorkload, GzslWorkloadConfig, SplitKind,
-    StreamWorkload, StreamWorkloadConfig,
 };
 use engine::ShardedClassMemory;
 use hdc_zsc::{
@@ -83,10 +62,9 @@ use hdc_zsc::{
 };
 use metrics::LatencySummary;
 use serde::{Serialize, Value};
-use serve::net::{wire, ClientConfig, NetClient, NetConfig, NetServer};
 use serve::{DurabilityConfig, QueryServer, ScoredLabel, ServerConfig};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Instant;
 use tensor::Matrix;
 
 /// Workload configuration parsed from the command line.
@@ -109,14 +87,7 @@ struct Config {
     wal_dir: Option<std::path::PathBuf>,
     recover: bool,
     kill_after_register: bool,
-    net: bool,
-    net_addr: Option<String>,
-    net_qps: Vec<u64>,
-    net_clients: usize,
-    net_requests: usize,
-    net_admission: usize,
     calibrate: bool,
-    stream: bool,
     json: bool,
 }
 
@@ -140,14 +111,7 @@ impl Default for Config {
             wal_dir: None,
             recover: false,
             kill_after_register: false,
-            net: false,
-            net_addr: None,
-            net_qps: vec![2_000, 8_000, 32_000],
-            net_clients: 8,
-            net_requests: 2_000,
-            net_admission: 64,
             calibrate: false,
-            stream: false,
             json: false,
         }
     }
@@ -183,32 +147,7 @@ fn parse_args() -> Config {
             "--wal-dir" => config.wal_dir = Some(value("--wal-dir").into()),
             "--recover" => config.recover = true,
             "--kill-after-register" => config.kill_after_register = true,
-            "--net" => config.net = true,
-            "--net-addr" => {
-                config.net_addr = Some(value("--net-addr"));
-                config.net = true;
-            }
-            "--net-qps" => {
-                config.net_qps = value("--net-qps")
-                    .split(',')
-                    .map(|level| level.trim().parse().expect("--net-qps"))
-                    .collect();
-                assert!(
-                    !config.net_qps.is_empty(),
-                    "--net-qps needs at least one level"
-                );
-            }
-            "--net-clients" => {
-                config.net_clients = value("--net-clients").parse().expect("--net-clients");
-            }
-            "--net-requests" => {
-                config.net_requests = value("--net-requests").parse().expect("--net-requests");
-            }
-            "--net-admission" => {
-                config.net_admission = value("--net-admission").parse().expect("--net-admission");
-            }
             "--calibrate" => config.calibrate = true,
-            "--stream" => config.stream = true,
             "--quick" => {
                 // Small CI smoke: train → save → load → serve → register →
                 // re-serve in a few seconds.
@@ -219,9 +158,6 @@ fn parse_args() -> Config {
                 config.queries = 256;
                 config.callers = 2;
                 config.register = 2;
-                config.net_qps = vec![1_000, 4_000];
-                config.net_clients = 4;
-                config.net_requests = 160;
             }
             "--json" => config.json = true,
             "--help" | "-h" => {
@@ -229,10 +165,8 @@ fn parse_args() -> Config {
                     "usage: zsc_serve [--classes N] [--images N] [--feature-dim N] [--epochs N] \
                      [--queries N] [--callers N] [--max-batch N] [--max-wait-us N] [--threads N] \
                      [--top-k K] [--shards N] [--register N] [--seed N] [--checkpoint PATH] \
-                     [--wal-dir PATH] [--recover] [--kill-after-register] \
-                     [--net] [--net-addr HOST:PORT] [--net-qps A,B,..] [--net-clients N] \
-                     [--net-requests N] [--net-admission N] [--calibrate] [--stream] [--quick] \
-                     [--json]"
+                     [--wal-dir PATH] [--recover] [--kill-after-register] [--calibrate] \
+                     [--quick] [--json]"
                 );
                 std::process::exit(0);
             }
@@ -241,6 +175,21 @@ fn parse_args() -> Config {
     }
     assert!(config.classes > 1 && config.images > 0 && config.queries > 0 && config.callers > 0);
     config
+}
+
+/// The serving configuration every mode runs: the command-line batching,
+/// threading and sharding knobs, exhaustive (unrouted) scoring, and a
+/// publication per mutation.
+fn server_config(config: &Config) -> ServerConfig {
+    ServerConfig {
+        max_batch: config.max_batch,
+        max_wait_us: config.max_wait_us,
+        threads: config.threads,
+        top_k: config.top_k,
+        shards: config.shards,
+        routed: None,
+        publish_every: 1,
+    }
 }
 
 /// Drives one multi-caller traffic phase through the server and returns
@@ -407,14 +356,10 @@ fn run_recovery(config: &Config) {
     let recover_start = Instant::now();
     let (server, report) = QueryServer::recover(
         &schema,
+        // The probe file's `top_k`, so probes compare whole answers.
         ServerConfig {
-            max_batch: config.max_batch,
-            max_wait_us: config.max_wait_us,
-            threads: config.threads,
             top_k,
-            shards: config.shards,
-            routed: None,
-            publish_every: 1,
+            ..server_config(config)
         },
         DurabilityConfig::new(wal_dir),
     )
@@ -482,348 +427,6 @@ fn run_recovery(config: &Config) {
     }
 }
 
-/// Reference answers for the sweep's bit-identity cross-check: per pool
-/// row, the `(label, raw f32 bits)` pairs solo scoring produced.
-type ExpectedBits = [Vec<(String, u32)>];
-
-/// The shared open-loop qps sweep behind both `--net` modes. Each step
-/// schedules sends at the target rate (open loop: a sender that falls
-/// behind fires its backlog immediately rather than stretching the
-/// schedule) and load-shed requests are dropped, not retried. When
-/// `expected` carries the reference answers of a local model, every
-/// answered query is cross-checked bit-identically; when it is `None`
-/// (remote server, `--net-addr`) answers are checked for shape only and
-/// the caller reports the cross-check as skipped.
-fn net_sweep(
-    addr: std::net::SocketAddr,
-    pool: &[Vec<f32>],
-    expected: Option<(u64, &ExpectedBits)>,
-    config: &Config,
-) -> Vec<String> {
-    let clients = config.net_clients.max(1);
-    let per_client = (config.net_requests / clients).max(1);
-    let mut steps = Vec::new();
-    for &target in &config.net_qps {
-        let interval = Duration::from_secs_f64(clients as f64 / target.max(1) as f64);
-        let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(clients * per_client));
-        let step_start = Instant::now();
-        let (answered, shed) = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for c in 0..clients {
-                let latencies = &latencies;
-                handles.push(scope.spawn(move || {
-                    let mut client = NetClient::connect(addr, ClientConfig::default())
-                        .expect("load generator connects");
-                    let (mut answered, mut shed) = (0usize, 0usize);
-                    let start = Instant::now();
-                    for i in 0..per_client {
-                        // Open-loop schedule: request i of this sender is
-                        // due at i * interval; a late sender fires
-                        // immediately instead of stretching the schedule.
-                        let due = interval.mul_f64(i as f64);
-                        let now = start.elapsed();
-                        if due > now {
-                            std::thread::sleep(due - now);
-                        }
-                        let pick = (c * per_client + i) % pool.len();
-                        let submit = Instant::now();
-                        match client.query(&pool[pick], None) {
-                            Ok((version, served)) => {
-                                if let Some((sweep_version, want_all)) = expected {
-                                    assert_eq!(
-                                        version, sweep_version,
-                                        "no mutations during the sweep"
-                                    );
-                                    let want = &want_all[pick];
-                                    assert_eq!(served.len(), want.len());
-                                    for ((sl, ss), (el, eb)) in served.iter().zip(want) {
-                                        assert_eq!(
-                                            sl, el,
-                                            "served label diverged from solo scoring"
-                                        );
-                                        assert_eq!(
-                                            ss.to_bits(),
-                                            *eb,
-                                            "served similarity diverged from solo scoring"
-                                        );
-                                    }
-                                } else {
-                                    assert!(
-                                        !served.is_empty(),
-                                        "remote server answered an empty top-k"
-                                    );
-                                }
-                                latencies
-                                    .lock()
-                                    .expect("latency mutex")
-                                    .push(submit.elapsed().as_secs_f64() * 1e6);
-                                answered += 1;
-                            }
-                            Err(e) if e.is_rejection(wire::code::OVERLOADED) => shed += 1,
-                            Err(e) => panic!("load generator hit an unexpected failure: {e}"),
-                        }
-                    }
-                    (answered, shed)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sender thread"))
-                .fold((0usize, 0usize), |(a, s), (da, ds)| (a + da, s + ds))
-        });
-        let elapsed_s = step_start.elapsed().as_secs_f64();
-        let sent = clients * per_client;
-        let lats = latencies.into_inner().expect("latency mutex");
-        let stats = LatencySummary::new(lats.len(), lats, elapsed_s);
-        eprintln!(
-            "zsc_serve: net step target {target} q/s \u{2192} sent {sent}, answered {answered}, \
-             shed {shed}, goodput {:.0} q/s (p50 {:.0}\u{b5}s, p99 {:.0}\u{b5}s)",
-            stats.qps, stats.p50_us, stats.p99_us
-        );
-        steps.push(format!(
-            "{{\"target_qps\": {target}, \"sent\": {sent}, \"answered\": {answered}, \
-             \"shed\": {shed}, \"goodput_qps\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \
-             \"p99_us\": {:.1}, \"elapsed_s\": {:.6}}}",
-            stats.qps, stats.p50_us, stats.p95_us, stats.p99_us, stats.elapsed_s
-        ));
-    }
-    steps
-}
-
-/// `--net --net-addr host:port`: drive the same open-loop load generator
-/// against an **already-running** front-end. No model is trained and no
-/// local server is stood up: the query pool is synthesized in the
-/// feature width the remote `welcome` frame declares. Without a local
-/// model there is no reference scorer, so the bit-identity cross-check
-/// is skipped and *reported* as skipped; the sweep still pins liveness,
-/// typed load-shedding, and latency. The mutation drill does not run —
-/// the remote model is not ours to mutate.
-fn run_net_remote(config: &Config, addr_spec: &str) {
-    use std::net::ToSocketAddrs;
-    let addr = addr_spec
-        .to_socket_addrs()
-        .unwrap_or_else(|e| panic!("--net-addr {addr_spec}: {e}"))
-        .next()
-        .unwrap_or_else(|| panic!("--net-addr {addr_spec} resolved to no address"));
-    let mut probe = NetClient::connect(addr, ClientConfig::default())
-        .expect("remote front-end accepts the handshake");
-    let welcome = probe.welcome();
-    eprintln!(
-        "zsc_serve: remote front-end at {addr}: protocol v{}, feature_dim {}, \
-         {} classes at snapshot v{}",
-        welcome.protocol, welcome.feature_dim, welcome.classes, welcome.snapshot_version
-    );
-
-    let pool = synthetic_pool(64, welcome.feature_dim as usize, config.seed);
-    let steps = net_sweep(addr, &pool, None, config);
-    eprintln!(
-        "zsc_serve: bit-identity cross-check SKIPPED \u{2014} remote server at {addr_spec}, \
-         no local model to score against"
-    );
-
-    let stats = probe
-        .stats()
-        .expect("remote front-end answers a stats request");
-    let clients = config.net_clients.max(1);
-    let per_client = (config.net_requests / clients).max(1);
-    let json = format!(
-        "{{\n  \"config\": {{\"net_addr\": \"{addr_spec}\", \"seed\": {}, \
-         \"net_clients\": {clients}, \"net_requests_per_client\": {per_client}}},\n  \
-         \"bit_identity\": \"skipped\",\n  \
-         \"remote\": {{\"protocol\": {}, \"feature_dim\": {}, \"classes\": {}, \
-         \"snapshot_version\": {}, \"queries\": {}, \"batches\": {}, \
-         \"net_requests\": {}}},\n  \
-         \"net_sweep\": [{}]\n}}",
-        config.seed,
-        welcome.protocol,
-        welcome.feature_dim,
-        stats.classes,
-        stats.snapshot_version,
-        stats.queries,
-        stats.batches,
-        stats.net_requests,
-        steps.join(", "),
-    );
-    if config.json {
-        println!("{json}");
-    } else {
-        eprintln!("{json}");
-    }
-}
-
-/// Seeded synthetic feature rows for driving a remote server we know
-/// only the feature width of: splitmix64 mapped into [0, 1).
-fn synthetic_pool(rows: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z >> 40) as f32 / (1u64 << 24) as f32
-    };
-    (0..rows)
-        .map(|_| (0..dim).map(|_| next()).collect())
-        .collect()
-}
-
-/// `--net`: stand the TCP front-end up over a freshly trained model and
-/// drive it with an open-loop network load generator, sweeping target
-/// qps levels.
-///
-/// Each sweep step schedules sends at the target rate (open loop: the
-/// schedule does not slow down because responses are slow — a sender
-/// that falls behind fires its backlog immediately). Load-shed requests
-/// (typed `overloaded` rejections) are **dropped, not retried**, so the
-/// report separates *offered* load from *goodput*. Every answered query
-/// is cross-checked bit-identically against
-/// [`serve::ModelSnapshot::solo_topk`]; a drained or corrupted answer
-/// aborts the run. After the sweep a short mutation drill registers,
-/// queries, and removes a class over the wire.
-fn run_net_mode(config: &Config) {
-    // --- train + serve ------------------------------------------------------
-    let mut dataset_config = DatasetConfig::tiny(config.seed);
-    dataset_config.num_classes = config.classes;
-    dataset_config.images_per_class = config.images;
-    dataset_config.feature_dim = config.feature_dim;
-    let data = CubLikeDataset::generate(&dataset_config);
-    let pipeline = Pipeline::new(
-        ModelConfig::tiny(),
-        TrainConfig::fast().with_epochs(config.epochs),
-    );
-    let train_start = Instant::now();
-    let (outcome, model) = pipeline.run_returning_model(&data, SplitKind::Zs, config.seed);
-    let train_s = train_start.elapsed().as_secs_f64();
-    eprintln!("zsc_serve: trained in {train_s:.2}s, eval {}", outcome.zsc);
-
-    let schema = data.schema();
-    let split = data.split(SplitKind::Zs);
-    let eval_classes = split.eval_classes();
-    let eval_class_attr = data.class_attribute_matrix(eval_classes);
-    let labels: Vec<String> = eval_classes
-        .iter()
-        .map(|c| format!("class{c:03}"))
-        .collect();
-    let server = Arc::new(
-        QueryServer::start(
-            model,
-            labels,
-            &eval_class_attr,
-            ServerConfig {
-                max_batch: config.max_batch,
-                max_wait_us: config.max_wait_us,
-                threads: config.threads,
-                top_k: config.top_k,
-                shards: config.shards,
-                routed: None,
-                publish_every: 1,
-            },
-        )
-        .expect("server starts"),
-    );
-    let net = NetServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&server),
-        schema,
-        NetConfig {
-            admission_capacity: config.net_admission,
-            max_connections: config.net_clients + 4,
-            ..NetConfig::default()
-        },
-    )
-    .expect("front-end binds");
-    let addr = net.local_addr();
-    eprintln!(
-        "zsc_serve: front-end listening on {addr} (admission capacity {})",
-        config.net_admission
-    );
-
-    // The reference answers: version 0 serves the whole sweep (no
-    // mutations run until the drill afterwards), so the expected bits
-    // per pool row are fixed up front.
-    let (eval_x, _) = data.features_and_labels(eval_classes);
-    let pool: Vec<Vec<f32>> = (0..eval_x.rows().min(64))
-        .map(|q| eval_x.row(q).to_vec())
-        .collect();
-    let snapshot = server.snapshot();
-    let sweep_version = snapshot.version();
-    let expected: Vec<Vec<(String, u32)>> = pool
-        .iter()
-        .map(|q| {
-            snapshot
-                .solo_topk(q, config.top_k)
-                .into_iter()
-                .map(|(label, sim)| (label, sim.to_bits()))
-                .collect()
-        })
-        .collect();
-
-    // --- open-loop qps sweep ------------------------------------------------
-    let clients = config.net_clients.max(1);
-    let per_client = (config.net_requests / clients).max(1);
-    let expected_bits: Vec<Vec<(String, u32)>> = expected;
-    let steps = net_sweep(addr, &pool, Some((sweep_version, &expected_bits)), config);
-    eprintln!("zsc_serve: all answered sweep queries were bit-identical to solo scoring");
-
-    // --- mutation drill over the wire --------------------------------------
-    let mut admin = NetClient::connect(addr, ClientConfig::default()).expect("admin connects");
-    let drill_attributes = eval_class_attr.row(0).to_vec();
-    let registered_version = admin
-        .register_class("net_drill", &drill_attributes)
-        .expect("register over the wire");
-    let (served_version, served) = admin
-        .query(&pool[0], None)
-        .expect("query after registration");
-    assert_eq!(served_version, registered_version);
-    assert!(!served.is_empty());
-    let removed_version = admin
-        .remove_class("net_drill")
-        .expect("remove over the wire");
-    assert_eq!(removed_version, registered_version + 1);
-    eprintln!(
-        "zsc_serve: wire mutation drill registered and removed a class \
-         (v{sweep_version} → v{removed_version})"
-    );
-
-    let front_end = net.stats();
-    net.shutdown();
-    let json = format!(
-        "{{\n  \"config\": {{\"classes\": {}, \"images\": {}, \"feature_dim\": {}, \
-         \"epochs\": {}, \"top_k\": {}, \"shards\": {}, \"seed\": {}, \"net_clients\": {clients}, \
-         \"net_requests_per_client\": {per_client}, \"net_admission\": {}}},\n  \
-         \"train\": {{\"elapsed_s\": {train_s:.3}, \"zs_top1\": {:.4}}},\n  \
-         \"bit_identity\": \"checked\",\n  \
-         \"net_sweep\": [{}],\n  \
-         \"front_end\": {{\"connections\": {}, \"refused_connections\": {}, \"requests\": {}, \
-         \"admitted\": {}, \"overloaded\": {}, \"quota_rejections\": {}, \
-         \"draining_rejections\": {}}}\n}}",
-        config.classes,
-        config.images,
-        config.feature_dim,
-        config.epochs,
-        config.top_k,
-        config.shards,
-        config.seed,
-        config.net_admission,
-        outcome.zsc.top1,
-        steps.join(", "),
-        front_end.connections,
-        front_end.refused_connections,
-        front_end.requests,
-        front_end.admitted,
-        front_end.overloaded,
-        front_end.quota_rejections,
-        front_end.draining_rejections,
-    );
-    if config.json {
-        println!("{json}");
-    } else {
-        eprintln!("{json}");
-    }
-}
-
-/// Renders an `Option<f32>` metric as a JSON number or `null`.
 fn json_opt(value: Option<f32>) -> String {
     value.map_or_else(|| "null".to_string(), |v| format!("{v:.6}"))
 }
@@ -896,15 +499,7 @@ fn run_calibrate(config: &Config) {
         model,
         workload.labels.clone(),
         &class_attr,
-        ServerConfig {
-            max_batch: config.max_batch,
-            max_wait_us: config.max_wait_us,
-            threads: config.threads,
-            top_k: config.top_k,
-            shards: config.shards,
-            routed: None,
-            publish_every: 1,
-        },
+        server_config(config),
     )
     .expect("server starts");
     let rows: Vec<Vec<f32>> = (0..query_embeddings.rows())
@@ -1023,272 +618,6 @@ fn run_calibrate(config: &Config) {
     }
 }
 
-/// `--stream`: the streaming continual-learning drill. Trains a tiny
-/// model, serves it durably behind the TCP front-end, and streams a
-/// seeded concept-drift workload ([`StreamWorkload`]) through the wire
-/// `observe` verb in **lockstep** with a non-durable in-process twin
-/// folding the exact same examples — every wire-reported version must
-/// match the twin's, and after the explicit `flush` the two class
-/// memories must be bit-identical. The server is then killed (dropped), a
-/// torn partial record is appended to the WAL tail, and
-/// [`QueryServer::recover`] must rebuild the exact serving state —
-/// counters, batching position, and served bits — after which the
-/// resumed stream and the twin still publish identical snapshots.
-fn run_stream(config: &Config) {
-    const PUBLISH_EVERY: u32 = 4;
-    eprintln!(
-        "zsc_serve: streaming drill — classes={} images={} feature_dim={} epochs={} \
-         publish_every={PUBLISH_EVERY}",
-        config.classes, config.images, config.feature_dim, config.epochs
-    );
-
-    // --- train ------------------------------------------------------------
-    let mut dataset_config = DatasetConfig::tiny(config.seed);
-    dataset_config.num_classes = config.classes;
-    dataset_config.images_per_class = config.images;
-    dataset_config.feature_dim = config.feature_dim;
-    let data = CubLikeDataset::generate(&dataset_config);
-    let pipeline = Pipeline::new(
-        ModelConfig::tiny(),
-        TrainConfig::fast().with_epochs(config.epochs),
-    );
-    let train_start = Instant::now();
-    let (outcome, model) = pipeline.run_returning_model(&data, SplitKind::Zs, config.seed);
-    let train_s = train_start.elapsed().as_secs_f64();
-    eprintln!("zsc_serve: trained in {train_s:.2}s, eval {}", outcome.zsc);
-
-    let schema = data.schema();
-    let split = data.split(SplitKind::Zs);
-    let eval_classes = split.eval_classes();
-    let class_attr = data.class_attribute_matrix(eval_classes);
-    let labels: Vec<String> = eval_classes
-        .iter()
-        .map(|c| format!("class{c:03}"))
-        .collect();
-    let frozen = model.freeze();
-
-    let server_config = ServerConfig {
-        max_batch: config.max_batch,
-        max_wait_us: config.max_wait_us,
-        threads: config.threads,
-        top_k: config.top_k,
-        shards: config.shards,
-        routed: None,
-        publish_every: PUBLISH_EVERY,
-    };
-    let wal_dir = config
-        .wal_dir
-        .clone()
-        .unwrap_or_else(|| std::env::temp_dir().join(format!("zsc-stream-{}", std::process::id())));
-    std::fs::remove_dir_all(&wal_dir).ok();
-    let server = Arc::new(
-        QueryServer::start_durable(
-            frozen.clone(),
-            labels.clone(),
-            &class_attr,
-            schema,
-            server_config,
-            DurabilityConfig {
-                dir: wal_dir.clone(),
-                sync: serve::SyncPolicy::Always,
-                // Low enough that the stream below crosses a compaction
-                // mid-batch: the counters then ride the checkpoint delta,
-                // not WAL replay.
-                compact_every: 32,
-            },
-        )
-        .expect("durable server starts"),
-    );
-    // The uninterrupted in-process twin: same frozen model, same classes,
-    // no WAL, no network — the reference the streamed server must match
-    // bit-for-bit at every publication.
-    let twin = QueryServer::start(frozen, labels.clone(), &class_attr, server_config)
-        .expect("twin starts");
-    let net = NetServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&server),
-        schema,
-        NetConfig::default(),
-    )
-    .expect("front-end binds");
-    let mut client =
-        NetClient::connect(net.local_addr(), ClientConfig::default()).expect("client connects");
-
-    // --- stream over the socket, lockstep with the twin ---------------------
-    let workload = StreamWorkload::generate(&StreamWorkloadConfig {
-        classes: labels.len(),
-        feature_dim: config.feature_dim,
-        steps: 11,
-        examples_per_step: 7,
-        drift: 0.12,
-        noise: 0.05,
-        seed: config.seed,
-    });
-    let observe_lockstep = |client: &mut NetClient, example: &dataset::StreamExample| -> u64 {
-        let label = &labels[example.class];
-        let version = client
-            .observe(label, &example.features)
-            .expect("observe over the wire");
-        twin.observe(label, &example.features)
-            .expect("twin observe");
-        assert_eq!(
-            version,
-            twin.snapshot().version(),
-            "wire and twin versions diverged at a publication boundary"
-        );
-        version
-    };
-    let phase_one = 70usize;
-    for example in &workload.examples[..phase_one] {
-        observe_lockstep(&mut client, example);
-    }
-    // Explicit boundary: the partial batch (70 % 4 = 2 observes) publishes.
-    let flushed_version = client.flush().expect("flush over the wire");
-    twin.flush().expect("twin flush");
-    assert_eq!(flushed_version, twin.snapshot().version());
-    assert_eq!(
-        server.snapshot().memory(),
-        twin.snapshot().memory(),
-        "streamed memory diverged from the in-process twin after flush"
-    );
-    eprintln!(
-        "zsc_serve: {phase_one} observes + flush published v{flushed_version}, \
-         memory bit-identical to the twin"
-    );
-
-    // Served answers through the socket are bit-identical to solo scoring
-    // on the twin's snapshot (same memory, same model).
-    let twin_snapshot = twin.snapshot();
-    for example in workload.examples.iter().step_by(17) {
-        let (version, served) = client.query(&example.features, None).expect("query served");
-        assert_eq!(version, flushed_version);
-        let expected = twin_snapshot.solo_topk(&example.features, config.top_k);
-        assert_eq!(served.len(), expected.len());
-        for ((sl, ss), (el, es)) in served.iter().zip(&expected) {
-            assert_eq!(sl, el, "served label diverged from solo scoring");
-            assert_eq!(ss.to_bits(), es.to_bits(), "served bits diverged");
-        }
-    }
-
-    // A few more observes leave the server mid-batch, then the kill.
-    for example in &workload.examples[phase_one..] {
-        observe_lockstep(&mut client, example);
-    }
-    let wire_stats = client.stats().expect("stats over the wire");
-    assert_eq!(wire_stats.observes, workload.examples.len() as u64);
-    assert!(wire_stats.wal_bytes > 0, "durable server reports WAL bytes");
-    let expected = server.snapshot();
-    let expected_stream = server.stream_stats();
-    eprintln!(
-        "zsc_serve: killed mid-batch at v{} ({} pending, {} since publish, wal {} bytes, \
-         {} records since compaction, {} drift alarms)",
-        expected.version(),
-        expected_stream.pending_classes,
-        expected_stream.since_publish,
-        wire_stats.wal_bytes,
-        wire_stats.records_since_compaction,
-        wire_stats.drift_alarms,
-    );
-    drop(client);
-    net.shutdown();
-    drop(net);
-    drop(server); // the kill: only the WAL directory survives
-
-    // --- torn tail + recovery ----------------------------------------------
-    {
-        use std::io::Write;
-        let mut log = std::fs::OpenOptions::new()
-            .append(true)
-            .open(serve::wal::wal_path(&wal_dir))
-            .expect("open log");
-        log.write_all(&[0x13, 0x37, 0xAB])
-            .expect("append torn tail");
-    }
-    let (recovered, report) = QueryServer::recover(
-        schema,
-        server_config,
-        DurabilityConfig::new(wal_dir.clone()),
-    )
-    .expect("recovers");
-    assert!(report.torn_tail, "the torn partial record must be detected");
-    assert_eq!(report.snapshot_version, expected.version());
-    assert_eq!(
-        recovered.snapshot().memory(),
-        expected.memory(),
-        "recovered memory diverged from the pre-kill snapshot"
-    );
-    let recovered_stream = recovered.stream_stats();
-    assert_eq!(
-        recovered_stream.since_publish,
-        expected_stream.since_publish
-    );
-    assert_eq!(
-        recovered_stream.pending_classes,
-        expected_stream.pending_classes
-    );
-    eprintln!(
-        "zsc_serve: recovered past the torn tail to v{} ({} records replayed), \
-         batching position intact",
-        report.snapshot_version, report.replayed_records
-    );
-
-    // --- resume the stream on the recovered server ---------------------------
-    // One more observe lands the interrupted batch's boundary on both
-    // servers; the published memories must still agree bit-for-bit.
-    let resume = &workload.examples[0];
-    let resumed_published = recovered
-        .observe(&labels[resume.class], &resume.features)
-        .expect("recovered server observes")
-        .expect("boundary publishes");
-    twin.observe(&labels[resume.class], &resume.features)
-        .expect("twin observes");
-    assert_eq!(resumed_published.version(), twin.snapshot().version());
-    assert_eq!(
-        resumed_published.memory(),
-        twin.snapshot().memory(),
-        "post-recovery publication diverged from the uninterrupted twin"
-    );
-    let durability = recovered
-        .durability_stats()
-        .expect("recovered server is durable");
-    let drift = recovered.drift_report();
-
-    let json = format!(
-        "{{\n  \"config\": {{\"classes\": {}, \"images\": {}, \"feature_dim\": {}, \
-         \"epochs\": {}, \"seed\": {}, \"publish_every\": {PUBLISH_EVERY}}},\n  \
-         \"train\": {{\"elapsed_s\": {:.3}, \"zs_top1\": {:.4}}},\n  \
-         \"stream\": {{\"observes\": {}, \"streamed_classes\": {}, \"publishes\": {}, \
-         \"drift_alarms\": {}, \"final_version\": {}}},\n  \
-         \"durability\": {{\"wal_bytes\": {}, \"records_since_compaction\": {}}},\n  \
-         \"recovery\": {{\"torn_tail\": {}, \"replayed_records\": {}, \
-         \"snapshot_version\": {}}},\n  \
-         \"checks\": {{\"lockstep_versions\": true, \"bit_identical_to_twin\": true, \
-         \"resumed_after_recovery\": true}}\n}}",
-        config.classes,
-        config.images,
-        config.feature_dim,
-        config.epochs,
-        config.seed,
-        train_s,
-        outcome.zsc.top1,
-        workload.examples.len() + 1,
-        drift.classes.len(),
-        drift.publishes,
-        drift.alarms,
-        resumed_published.version(),
-        durability.wal_bytes,
-        durability.records_since_compaction,
-        report.torn_tail,
-        report.replayed_records,
-        report.snapshot_version,
-    );
-    if config.json {
-        println!("{json}");
-    } else {
-        eprintln!("{json}");
-    }
-}
-
 fn main() {
     let config = parse_args();
     if config.recover {
@@ -1297,17 +626,6 @@ fn main() {
     }
     if config.calibrate {
         run_calibrate(&config);
-        return;
-    }
-    if config.stream {
-        run_stream(&config);
-        return;
-    }
-    if config.net {
-        match &config.net_addr {
-            Some(addr) => run_net_remote(&config, addr),
-            None => run_net_mode(&config),
-        }
         return;
     }
     eprintln!(
@@ -1377,15 +695,7 @@ fn main() {
         reference_model.sharded_class_memory(initial_labels.clone(), &initial_attr, config.shards);
     let reference_full =
         reference_model.sharded_class_memory(labels.clone(), &eval_class_attr, config.shards);
-    let server_config = ServerConfig {
-        max_batch: config.max_batch,
-        max_wait_us: config.max_wait_us,
-        threads: config.threads,
-        top_k: config.top_k,
-        shards: config.shards,
-        routed: None,
-        publish_every: 1,
-    };
+    let server_config = server_config(&config);
     let server = match &config.wal_dir {
         // Durable serving: class mutations are write-ahead-logged under
         // `--wal-dir` before they are published (see `serve::wal`).

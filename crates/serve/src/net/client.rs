@@ -2,8 +2,8 @@
 //! protocol — one connection, one request in flight at a time.
 //!
 //! This is the reference implementation of the client side of
-//! `docs/wire-protocol.md`: `zsc_serve --net`'s load generator drives it,
-//! and the network test suites use it to pin server behaviour. Typed
+//! `docs/wire-protocol.md`: the end-to-end benchmark (`servebench`) drives
+//! it, and the network test suites use it to pin server behaviour. Typed
 //! rejections come back as [`NetError::Rejected`] carrying the wire code,
 //! so a caller can distinguish *load-shed, retry later*
 //! ([`code::OVERLOADED`](super::wire::code::OVERLOADED)) from *give up*

@@ -12,8 +12,8 @@
 //! - [`NetServer`] — accept loop + thread-per-connection handlers, bounded
 //!   admission with typed `overloaded` load-shedding, per-connection
 //!   request quotas, socket timeouts, and graceful drain;
-//! - [`NetClient`] — a small blocking client, used by `zsc_serve --net`'s
-//!   load generator and the test suites.
+//! - [`NetClient`] — a small blocking client, used by the end-to-end
+//!   benchmark (`servebench`) and the test suites.
 //!
 //! The contract that matters carries over the socket unchanged: every
 //! served query is **bit-identical** to

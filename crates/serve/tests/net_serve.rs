@@ -10,7 +10,7 @@ use dataset::AttributeSchema;
 use hdc_zsc::{Checkpoint, ModelConfig, ZscModel};
 use serve::net::wire::{self, Request, Response};
 use serve::net::{frame, ClientConfig, NetClient, NetConfig, NetError, NetServer};
-use serve::{QueryServer, ServerConfig};
+use serve::{DurabilityConfig, QueryServer, ServerConfig};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -325,24 +325,40 @@ fn shutdown_drains_and_rejects_late_requests() {
     .is_err());
 }
 
-/// Streamed observes and flushes work over the wire: versions advance only
-/// at publication boundaries, unknown classes are typed rejections, the
-/// stats document carries the streaming counters, and queries after the
-/// stream reflect the published prototypes bit-identically.
+/// Streamed observes and flushes work over the wire, on a plain and on a
+/// durable server: versions advance only at publication boundaries,
+/// unknown classes are typed rejections, the stats document carries the
+/// streaming and WAL counters, and queries after the stream reflect the
+/// published prototypes bit-identically.
 #[test]
 fn streamed_observes_over_the_wire() {
+    let wal_dir = std::env::temp_dir().join(format!("zsc-net-stream-{}", std::process::id()));
+    std::fs::remove_dir_all(&wal_dir).ok();
+    for durable in [false, true] {
+        streamed_observes_over_the_wire_on(durable.then_some(wal_dir.as_path()));
+    }
+    std::fs::remove_dir_all(&wal_dir).ok();
+}
+
+fn streamed_observes_over_the_wire_on(wal_dir: Option<&std::path::Path>) {
     let (model, labels, class_attributes, schema) = fixture();
+    let config = ServerConfig {
+        top_k: 4,
+        publish_every: 3,
+        ..ServerConfig::default()
+    };
     let server = Arc::new(
-        QueryServer::start(
-            model,
-            labels,
-            &class_attributes,
-            ServerConfig {
-                top_k: 4,
-                publish_every: 3,
-                ..ServerConfig::default()
-            },
-        )
+        match wal_dir {
+            None => QueryServer::start(model, labels, &class_attributes, config),
+            Some(dir) => QueryServer::start_durable(
+                model,
+                labels,
+                &class_attributes,
+                &schema,
+                config,
+                DurabilityConfig::new(dir),
+            ),
+        }
         .expect("server starts"),
     );
     let net = NetServer::bind(
@@ -376,8 +392,11 @@ fn streamed_observes_over_the_wire() {
     assert_eq!(stats.observes, 4);
     assert_eq!((stats.pending_classes, stats.since_publish), (0, 0));
     assert_eq!(stats.snapshot_version, 2);
-    // Non-durable server: the WAL counters read zero.
-    assert_eq!((stats.wal_bytes, stats.records_since_compaction), (0, 0));
+    if wal_dir.is_some() {
+        assert!(stats.wal_bytes > 0, "the durable server logged the stream");
+    } else {
+        assert_eq!((stats.wal_bytes, stats.records_since_compaction), (0, 0));
+    }
 
     let snapshot = server.snapshot();
     for q in random_rows(8, 59) {
