@@ -4,12 +4,13 @@
 //! Every message travels as one frame:
 //!
 //! ```text
-//! │ len u32 LE │ crc32 u32 LE │ payload (len bytes of compact JSON) │
+//! │ len u32 LE │ crc32 u32 LE │ payload (len bytes) │
 //! ```
 //!
 //! The CRC is the same IEEE CRC-32 guarding WAL records
 //! ([`crate::wal::crc32`]), computed over the payload bytes. Payloads are
-//! UTF-8 JSON documents described in `docs/wire-protocol.md`; a frame whose
+//! UTF-8 JSON documents, except the binary `query` request, as described in
+//! `docs/wire-protocol.md`; this layer never looks inside them. A frame whose
 //! declared length exceeds [`MAX_FRAME_LEN`] or whose checksum does not
 //! match is a protocol violation, not a transport hiccup — the peer is
 //! expected to close the connection.
@@ -258,17 +259,17 @@ mod tests {
     }
 
     /// Pins the byte-level frame example in `docs/wire-protocol.md`: the
-    /// 29-byte hello payload frames to these exact 37 bytes.
+    /// 29-byte protocol-2 hello payload frames to these exact 37 bytes.
     #[test]
     fn documented_hello_frame_is_byte_exact() {
-        let bytes = encode(b"{\"type\":\"hello\",\"protocol\":1}");
+        let bytes = encode(b"{\"type\":\"hello\",\"protocol\":2}");
         assert_eq!(&bytes[..4], &[0x1d, 0x00, 0x00, 0x00], "len 29 LE");
         assert_eq!(
             &bytes[4..8],
-            &0xa3d3_c2f4_u32.to_le_bytes(),
+            &0x88fe_9137_u32.to_le_bytes(),
             "IEEE CRC-32 of the payload"
         );
-        assert_eq!(&bytes[8..], b"{\"type\":\"hello\",\"protocol\":1}");
+        assert_eq!(&bytes[8..], b"{\"type\":\"hello\",\"protocol\":2}");
     }
 
     #[test]

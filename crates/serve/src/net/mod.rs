@@ -7,8 +7,9 @@
 //!
 //! - [`frame`] — length-prefixed, CRC-checked message framing (the WAL's
 //!   record-frame shape lifted onto a socket);
-//! - [`wire`] — the versioned handshake, every request/response type, and
-//!   the typed error codes;
+//! - [`wire`] — the versioned handshake, every request/response type (all
+//!   compact JSON except the binary `query`, whose feature row travels as
+//!   raw little-endian `f32` bytes), and the typed error codes;
 //! - [`NetServer`] — accept loop + thread-per-connection handlers, bounded
 //!   admission with typed `overloaded` load-shedding, per-connection
 //!   request quotas, socket timeouts, and graceful drain;
@@ -18,11 +19,11 @@
 //! The contract that matters carries over the socket unchanged: every
 //! served query is **bit-identical** to
 //! [`ModelSnapshot::solo_topk`](crate::ModelSnapshot::solo_topk) against
-//! the snapshot version named in the response — similarities travel as raw
-//! `f32` bit patterns, so nothing is lost to float formatting. The
-//! normative protocol specification lives in `docs/wire-protocol.md`; the
-//! operator's view (tuning admission, reading rejections) in
-//! `docs/operations.md`.
+//! the snapshot version named in the response — feature rows and
+//! similarities both travel as raw `f32` bit patterns, so nothing is lost
+//! to float formatting. The normative protocol specification lives in
+//! `docs/wire-protocol.md`; the operator's view (tuning admission, reading
+//! rejections) in `docs/operations.md`.
 
 pub mod client;
 pub mod frame;

@@ -1,7 +1,10 @@
 //! The request/response vocabulary carried inside [`frame`](super::frame)
 //! payloads, plus the handshake version and the typed error codes.
 //!
-//! Every payload is a compact JSON object with a `"type"` discriminator.
+//! Every payload is a compact JSON object with a `"type"` discriminator,
+//! except a `query` request: its feature row travels as raw little-endian
+//! `f32` bytes behind a one-byte tag ([`Request::encode`] documents the
+//! layout), so the hot path pays no decimal float formatting or parsing.
 //! The normative byte-level specification lives in `docs/wire-protocol.md`;
 //! this module is its executable form — the `encode`/`decode` pairs here
 //! are what both the server and the bundled client actually speak, and the
@@ -20,7 +23,15 @@ use serde::{Serialize, Value};
 /// different version is rejected with an `unsupported_protocol` error
 /// naming this value; `docs/wire-protocol.md` states the compatibility
 /// rule for bumping it.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
+
+/// First byte of a binary `query` payload. A JSON payload always starts
+/// with `{` (`0x7B`), so one byte tells the two apart.
+const QUERY_TAG: u8 = 0x01;
+
+/// Bytes of a binary `query` payload before its feature row: the tag, the
+/// `has_k` flag and the little-endian `u64` `k`.
+const QUERY_HEADER_LEN: usize = 1 + 1 + 8;
 
 /// Typed error codes a [`Response::Error`] can carry; one string per
 /// rejection the protocol distinguishes. Kept as constants so the server,
@@ -52,7 +63,8 @@ pub mod code {
     /// speak; the message carries the supported version.
     pub const UNSUPPORTED_PROTOCOL: &str = "unsupported_protocol";
     /// The frame payload was not a well-formed request (bad JSON, unknown
-    /// `type`, missing fields, or a request sent before `hello`).
+    /// `type`, missing fields, a malformed or non-finite binary query, or a
+    /// request sent before `hello`).
     pub const BAD_REQUEST: &str = "bad_request";
 }
 
@@ -145,7 +157,8 @@ pub enum Request {
         /// The protocol version the client speaks.
         protocol: u32,
     },
-    /// Score one feature row; answered with [`Response::TopK`].
+    /// Score one feature row; answered with [`Response::TopK`]. The one
+    /// binary request: [`Request::encode`] documents its layout.
     Query {
         /// Backbone feature row.
         features: Vec<f32>,
@@ -287,23 +300,25 @@ fn message_type(value: &Value) -> Result<String, String> {
 }
 
 impl Request {
-    /// Renders the request as its JSON value.
-    pub fn to_value(&self) -> Value {
-        match self {
+    /// Encodes the request as a frame payload.
+    ///
+    /// A [`Request::Query`] is binary — all integers little-endian:
+    ///
+    /// | offset | size | field |
+    /// |---|---|---|
+    /// | 0 | 1 | tag `0x01` |
+    /// | 1 | 1 | `has_k`: `0` = the server's configured top-k, `1` = narrow to `k` |
+    /// | 2 | 8 | `k` as a `u64`, `0` when `has_k = 0` |
+    /// | 10 | 4·n | the row: `f32::to_bits` of each feature |
+    ///
+    /// Every other request is a compact-JSON object.
+    pub fn encode(&self) -> Vec<u8> {
+        let value = match self {
+            Request::Query { features, k } => return encode_query(features, *k),
             Request::Hello { protocol } => obj(vec![
                 ("type", "hello".to_value()),
                 ("protocol", protocol.to_value()),
             ]),
-            Request::Query { features, k } => {
-                let mut entries = vec![
-                    ("type", "query".to_value()),
-                    ("features", features.to_value()),
-                ];
-                if let Some(k) = k {
-                    entries.push(("k", k.to_value()));
-                }
-                obj(entries)
-            }
             Request::RegisterClass { label, attributes } => obj(vec![
                 ("type", "register_class".to_value()),
                 ("label", label.to_value()),
@@ -339,30 +354,41 @@ impl Request {
             ]),
             Request::Flush => obj(vec![("type", "flush".to_value())]),
             Request::Stats => obj(vec![("type", "stats".to_value())]),
-        }
+        };
+        serde_json::to_string(&value)
+            .expect("value rendering is infallible")
+            .into_bytes()
     }
 
-    /// Parses a request out of its JSON value.
+    /// Decodes a frame payload into a request: a binary query when the
+    /// first byte is the query tag, a JSON request otherwise.
     ///
     /// # Errors
     ///
-    /// A human-readable reason when the value is not a well-formed request
-    /// — the server wraps it in a [`code::BAD_REQUEST`] response.
-    pub fn from_value(value: &Value) -> Result<Self, String> {
+    /// A human-readable reason when the payload is not a well-formed
+    /// request — the server wraps it in a [`code::BAD_REQUEST`] response.
+    /// A binary query is rejected when its length is not `10 + 4n`, its
+    /// `has_k` byte is not 0 or 1, its `k` bytes are nonzero under
+    /// `has_k = 0`, or a feature is NaN or infinite. A JSON `query` is
+    /// rejected too: protocol 2 carries queries only in binary.
+    pub fn decode(payload: &[u8]) -> Result<Self, String> {
+        if payload.first() == Some(&QUERY_TAG) {
+            return decode_query(payload);
+        }
+        Self::from_value(&parse_json(payload)?)
+    }
+
+    /// Parses a JSON request out of its value.
+    fn from_value(value: &Value) -> Result<Self, String> {
         let kind = message_type(value)?;
         match kind.as_str() {
             "hello" => Ok(Request::Hello {
                 protocol: field(value, "protocol")?,
             }),
-            "query" => Ok(Request::Query {
-                features: field(value, "features")?,
-                k: match value.get("k") {
-                    None | Some(Value::Null) => None,
-                    Some(k) => {
-                        Some(serde_json::from_value(k).map_err(|e| format!("field `k`: {e}"))?)
-                    }
-                },
-            }),
+            "query" => Err(format!(
+                "protocol {PROTOCOL_VERSION} carries `query` as a binary payload \
+                 (tag 0x{QUERY_TAG:02x}), not JSON"
+            )),
             "register_class" => Ok(Request::RegisterClass {
                 label: field(value, "label")?,
                 attributes: field(value, "attributes")?,
@@ -397,31 +423,64 @@ impl Request {
             other => Err(format!("unknown request type `{other}`")),
         }
     }
+}
 
-    /// Encodes the request as a compact-JSON frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_string(&self.to_value())
-            .expect("value rendering is infallible")
-            .into_bytes()
+/// Writes the binary `query` payload [`Request::encode`] documents.
+fn encode_query(features: &[f32], k: Option<u64>) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(QUERY_HEADER_LEN + 4 * features.len());
+    payload.push(QUERY_TAG);
+    payload.push(u8::from(k.is_some()));
+    payload.extend_from_slice(&k.unwrap_or(0).to_le_bytes());
+    for feature in features {
+        payload.extend_from_slice(&feature.to_le_bytes());
     }
+    payload
+}
 
-    /// Decodes a frame payload into a request.
-    ///
-    /// # Errors
-    ///
-    /// See [`Request::from_value`]; also rejects non-UTF-8 and non-JSON
-    /// payloads.
-    pub fn decode(payload: &[u8]) -> Result<Self, String> {
-        let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-        let value =
-            serde_json::parse_value(text).map_err(|e| format!("payload is not JSON: {e}"))?;
-        Self::from_value(&value)
+/// Reads a binary `query` payload, rejecting every malformed layout and
+/// every non-finite feature (see [`Request::decode`]).
+fn decode_query(payload: &[u8]) -> Result<Request, String> {
+    let Some((header, row)) = payload.split_at_checked(QUERY_HEADER_LEN) else {
+        return Err(format!(
+            "binary query of {} bytes is shorter than its {QUERY_HEADER_LEN}-byte header",
+            payload.len()
+        ));
+    };
+    if !row.len().is_multiple_of(4) {
+        return Err(format!(
+            "binary query of {} bytes is not {QUERY_HEADER_LEN} + 4n",
+            payload.len()
+        ));
     }
+    let k = u64::from_le_bytes(header[2..].try_into().expect("8 bytes"));
+    let k = match (header[1], k) {
+        (0, 0) => None,
+        (0, _) => return Err("binary query has `k` bytes under has_k = 0".to_string()),
+        (1, k) => Some(k),
+        (flag, _) => return Err(format!("binary query has_k byte is {flag}, not 0 or 1")),
+    };
+    let features: Vec<f32> = row
+        .chunks_exact(4)
+        .map(|bytes| f32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+        .collect();
+    if let Some(index) = features.iter().position(|f| !f.is_finite()) {
+        return Err(format!(
+            "binary query feature {index} is {}, not finite",
+            features[index]
+        ));
+    }
+    Ok(Request::Query { features, k })
+}
+
+/// Parses a JSON payload into its value.
+fn parse_json(payload: &[u8]) -> Result<Value, String> {
+    let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
+    serde_json::parse_value(text).map_err(|e| format!("payload is not JSON: {e}"))
 }
 
 impl Response {
     /// Renders the response as its JSON value.
-    pub fn to_value(&self) -> Value {
+    fn to_value(&self) -> Value {
         match self {
             Response::Welcome {
                 protocol,
@@ -489,12 +548,7 @@ impl Response {
     }
 
     /// Parses a response out of its JSON value.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable reason when the value is not a well-formed
-    /// response.
-    pub fn from_value(value: &Value) -> Result<Self, String> {
+    fn from_value(value: &Value) -> Result<Self, String> {
         let kind = message_type(value)?;
         match kind.as_str() {
             "welcome" => Ok(Response::Welcome {
@@ -561,13 +615,10 @@ impl Response {
     ///
     /// # Errors
     ///
-    /// See [`Response::from_value`]; also rejects non-UTF-8 and non-JSON
-    /// payloads.
+    /// A human-readable reason when the payload is not UTF-8 JSON or not a
+    /// well-formed response.
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
-        let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-        let value =
-            serde_json::parse_value(text).map_err(|e| format!("payload is not JSON: {e}"))?;
-        Self::from_value(&value)
+        Self::from_value(&parse_json(payload)?)
     }
 
     /// Builds the typed rejection for a [`ServeError`], preserving its
@@ -702,37 +753,144 @@ mod tests {
         });
     }
 
-    /// Query features round-trip bit-exactly, including negative zero —
-    /// the wire must not perturb what the engine scores.
+    /// Query features round-trip bit-exactly — negative zero, subnormals
+    /// and the extremes of the finite range included — and so does every
+    /// `k`: the wire must not perturb what the engine scores.
     #[test]
     fn features_round_trip_bit_exactly() {
-        let features = vec![0.1f32, -0.0, f32::MIN_POSITIVE, 1.0e-30, -123.456];
-        let encoded = Request::Query {
-            features: features.clone(),
-            k: None,
-        }
-        .encode();
-        let Request::Query { features: back, .. } =
-            Request::decode(&encoded).expect("query decodes")
-        else {
-            panic!("decoded to a different request type");
-        };
-        for (a, b) in features.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let features = vec![
+            0.1f32,
+            -0.0,
+            f32::MIN_POSITIVE,
+            1.0e-30,
+            -123.456,
+            f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            f32::MAX,
+            f32::MIN,
+        ];
+        for k in [None, Some(0), Some(3), Some(u64::MAX)] {
+            let encoded = Request::Query {
+                features: features.clone(),
+                k,
+            }
+            .encode();
+            assert_eq!(encoded.len(), QUERY_HEADER_LEN + 4 * features.len());
+            let Request::Query {
+                features: back,
+                k: back_k,
+            } = Request::decode(&encoded).expect("query decodes")
+            else {
+                panic!("decoded to a different request type");
+            };
+            assert_eq!(back_k, k);
+            assert_eq!(back.len(), features.len());
+            for (a, b) in features.iter().zip(&back) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 
     #[test]
     fn malformed_payloads_are_typed_errors() {
+        assert!(Request::decode(b"").is_err());
         assert!(Request::decode(b"\xff\xfe").is_err());
         assert!(Request::decode(b"[1,2,3]").is_err());
         assert!(Request::decode(b"{\"type\":\"warp\"}").is_err());
         assert!(Request::decode(b"{\"type\":\"query\"}").is_err());
+        // Protocol 2 takes queries only in binary.
+        assert!(Request::decode(b"{\"type\":\"query\",\"features\":[0.5,-1.0],\"k\":2}").is_err());
         assert!(Response::decode(b"{\"type\":\"topk\",\"version\":1}").is_err());
         assert!(Response::decode(
             b"{\"type\":\"topk\",\"version\":1,\"results\":[],\"verdict\":\"maybe\"}"
         )
         .is_err());
+
+        let valid = Request::Query {
+            features: vec![0.5, -1.0],
+            k: Some(2),
+        }
+        .encode();
+        // A length that is not 10 + 4n: a short header, a torn feature.
+        assert!(Request::decode(&valid[..QUERY_HEADER_LEN - 1]).is_err());
+        assert!(Request::decode(&valid[..valid.len() - 1]).is_err());
+        let mut padded = valid.clone();
+        padded.push(0);
+        assert!(Request::decode(&padded).is_err());
+        // A `has_k` other than 0/1.
+        let mut flag = valid.clone();
+        flag[1] = 2;
+        assert!(Request::decode(&flag).is_err());
+        // Nonzero `k` bytes under `has_k = 0`, in the low and the high byte.
+        for byte in [2, QUERY_HEADER_LEN - 1] {
+            let mut stray = valid.clone();
+            stray[1] = 0;
+            stray[2..QUERY_HEADER_LEN].fill(0);
+            stray[byte] = 1;
+            assert!(Request::decode(&stray).is_err(), "stray k byte {byte}");
+        }
+        // Any non-finite feature, in either position.
+        for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for position in 0..2 {
+                let mut row = vec![0.5f32, -1.0];
+                row[position] = bad;
+                let encoded = Request::Query {
+                    features: row,
+                    k: None,
+                }
+                .encode();
+                assert!(
+                    Request::decode(&encoded).is_err(),
+                    "{bad} at feature {position}"
+                );
+            }
+        }
+        // A header-only query is well-formed; the server's width check
+        // answers it with `feature_width`.
+        assert_eq!(
+            Request::decode(&valid[..QUERY_HEADER_LEN]).expect("empty row decodes"),
+            Request::Query {
+                features: vec![],
+                k: Some(2),
+            }
+        );
+    }
+
+    /// Pins the byte-level binary query example in
+    /// `docs/wire-protocol.md`: `[0.5, -1.0]` with `k = 2` frames to these
+    /// exact 26 bytes. The hello payload of that document (its framing is
+    /// pinned in `net/frame.rs`) is what this build's client sends.
+    #[test]
+    fn documented_query_frame_is_byte_exact() {
+        assert_eq!(
+            Request::Hello {
+                protocol: PROTOCOL_VERSION
+            }
+            .encode(),
+            b"{\"type\":\"hello\",\"protocol\":2}"
+        );
+        let mut query = Vec::new();
+        crate::net::frame::write_frame(
+            &mut query,
+            &Request::Query {
+                features: vec![0.5, -1.0],
+                k: Some(2),
+            }
+            .encode(),
+        )
+        .expect("vec write");
+        assert_eq!(
+            query,
+            [
+                0x12, 0x00, 0x00, 0x00, // len 18 LE
+                0x8d, 0x8e, 0x63, 0xcb, // CRC-32 0xcb638e8d LE
+                0x01, // tag
+                0x01, // has_k
+                0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // k = 2
+                0x00, 0x00, 0x00, 0x3f, // 0.5
+                0x00, 0x00, 0x80, 0xbf, // -1.0
+            ]
+        );
     }
 
     /// The `verdict` field is additive: a verdict-free response carries no

@@ -195,53 +195,128 @@ fn swap_model_over_the_wire_replaces_serving_state() {
     net.shutdown();
 }
 
-/// Handshake rules, pinned over a raw socket: a version mismatch is a
-/// typed `unsupported_protocol` rejection naming the supported version,
-/// and a non-hello opener is `bad_request`.
+/// Opens a raw socket to `net`, bypassing [`NetClient`].
+fn raw_socket(net: &NetServer) -> TcpStream {
+    let socket = TcpStream::connect(net.local_addr()).expect("connects");
+    socket
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("read timeout");
+    socket
+}
+
+/// Writes `payload` as one frame and decodes the one response frame.
+fn exchange(socket: &mut TcpStream, payload: &[u8]) -> Response {
+    frame::write_frame(socket, payload).expect("writes");
+    let payload = loop {
+        match frame::read_frame(socket, Duration::from_secs(5)).expect("reads") {
+            frame::ReadOutcome::Frame(payload) => break payload,
+            frame::ReadOutcome::Idle => {}
+            frame::ReadOutcome::Closed => panic!("closed before answering"),
+        }
+    };
+    Response::decode(&payload).expect("decodes")
+}
+
+/// Handshake rules, pinned over a raw socket: a version mismatch — an
+/// unknown version or the retired protocol 1 — is a typed
+/// `unsupported_protocol` rejection naming the supported version, and a
+/// non-hello opener is `bad_request`.
 #[test]
 fn handshake_version_mismatch_is_rejected() {
     let (_server, net, _schema) = start_stack(NetConfig::default());
-    let budget = Duration::from_secs(5);
-
-    let mut socket = TcpStream::connect(net.local_addr()).expect("connects");
-    socket
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .expect("read timeout");
-    frame::write_frame(&mut socket, &Request::Hello { protocol: 99 }.encode()).expect("writes");
-    let payload = loop {
-        match frame::read_frame(&mut socket, budget).expect("reads") {
-            frame::ReadOutcome::Frame(payload) => break payload,
-            frame::ReadOutcome::Idle => {}
-            frame::ReadOutcome::Closed => panic!("closed before answering"),
+    for protocol in [99, 1] {
+        let mut socket = raw_socket(&net);
+        match exchange(&mut socket, &Request::Hello { protocol }.encode()) {
+            Response::Error { code, message } => {
+                assert_eq!(code, wire::code::UNSUPPORTED_PROTOCOL);
+                let numbers: Vec<u32> = message
+                    .split(|c: char| !c.is_ascii_digit())
+                    .filter_map(|token| token.parse().ok())
+                    .collect();
+                assert!(
+                    numbers.contains(&wire::PROTOCOL_VERSION),
+                    "names the supported version: {message}"
+                );
+            }
+            other => panic!("expected an error, got {other:?}"),
         }
-    };
-    match Response::decode(&payload).expect("decodes") {
-        Response::Error { code, message } => {
-            assert_eq!(code, wire::code::UNSUPPORTED_PROTOCOL);
-            assert!(
-                message.contains('1'),
-                "names the supported version: {message}"
-            );
-        }
-        other => panic!("expected an error, got {other:?}"),
     }
 
-    let mut socket = TcpStream::connect(net.local_addr()).expect("connects");
-    socket
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .expect("read timeout");
-    frame::write_frame(&mut socket, &Request::Stats.encode()).expect("writes");
-    let payload = loop {
-        match frame::read_frame(&mut socket, budget).expect("reads") {
-            frame::ReadOutcome::Frame(payload) => break payload,
-            frame::ReadOutcome::Idle => {}
-            frame::ReadOutcome::Closed => panic!("closed before answering"),
-        }
-    };
-    match Response::decode(&payload).expect("decodes") {
+    let mut socket = raw_socket(&net);
+    match exchange(&mut socket, &Request::Stats.encode()) {
         Response::Error { code, .. } => assert_eq!(code, wire::code::BAD_REQUEST),
         other => panic!("expected an error, got {other:?}"),
     }
+    net.shutdown();
+}
+
+/// Malformed queries over a raw socket: a binary row carrying a NaN and a
+/// JSON `query` are `bad_request`, a wrong-width row is `feature_width`,
+/// and the connection stays open through all three — the next valid
+/// query is answered bit-identically to solo scoring.
+#[test]
+fn malformed_queries_are_typed_and_keep_the_connection() {
+    let (server, net, _schema) = start_stack(NetConfig::default());
+    let mut socket = raw_socket(&net);
+    let hello = Request::Hello {
+        protocol: wire::PROTOCOL_VERSION,
+    };
+    assert!(matches!(
+        exchange(&mut socket, &hello.encode()),
+        Response::Welcome { .. }
+    ));
+    let q = random_rows(1, 53).remove(0);
+    let expected = server.snapshot().solo_topk(&q, 4);
+    let assert_served = |response: Response| match response {
+        Response::TopK {
+            version, results, ..
+        } => {
+            assert_eq!(version, 0);
+            assert_eq!(results.len(), expected.len());
+            for (served, (label, sim)) in results.iter().zip(&expected) {
+                assert_eq!(&served.label, label);
+                assert_eq!(served.sim_bits, sim.to_bits());
+            }
+        }
+        other => panic!("expected topk, got {other:?}"),
+    };
+    let assert_rejected = |response: Response, expected_code: &str| match response {
+        Response::Error { code, .. } => assert_eq!(code, expected_code),
+        other => panic!("expected `{expected_code}`, got {other:?}"),
+    };
+
+    let mut poisoned = q.clone();
+    poisoned[3] = f32::NAN;
+    let poisoned = Request::Query {
+        features: poisoned,
+        k: None,
+    };
+    assert_rejected(
+        exchange(&mut socket, &poisoned.encode()),
+        wire::code::BAD_REQUEST,
+    );
+    let query = Request::Query {
+        features: q.clone(),
+        k: None,
+    };
+    assert_served(exchange(&mut socket, &query.encode()));
+
+    let narrow = Request::Query {
+        features: q[..FEATURE_DIM - 1].to_vec(),
+        k: None,
+    };
+    assert_rejected(
+        exchange(&mut socket, &narrow.encode()),
+        wire::code::FEATURE_WIDTH,
+    );
+    assert_rejected(
+        exchange(
+            &mut socket,
+            b"{\"type\":\"query\",\"features\":[0.5],\"k\":1}",
+        ),
+        wire::code::BAD_REQUEST,
+    );
+    assert_served(exchange(&mut socket, &query.encode()));
     net.shutdown();
 }
 
