@@ -38,14 +38,19 @@
 //! mutation history against the same seed therefore rebuilds the *same*
 //! structure — the property the serve layer's WAL crash recovery relies on
 //! — and a serde round trip preserves the exact cluster assignment.
+//!
+//! # Storage
+//!
+//! The clusters, their copy-on-write sharing and the `(hamming, label)`
+//! merge live in the crate's shared partitioned store (`parts.rs`), which
+//! [`ShardedClassMemory`](crate::ShardedClassMemory) uses too; what is the
+//! routed memory's own is the centroids, the k-means build, drift and
+//! probing.
 
 use crate::batch::PackedQueryBatch;
-use crate::packed::{
-    mask_tail_word, pack_signs, similarity_from_hamming, words_per_row, PackedClassMemory,
-};
-use minipool::Pool;
+use crate::packed::{hamming, mask_tail_word, pack_signs, words_per_row, PackedClassMemory};
+use crate::parts::Parts;
 use serde::{de, DeError, Deserialize, Serialize, Value};
-use std::sync::Arc;
 use tensor::Matrix;
 
 /// Tuning knobs of a [`RoutedClassMemory`]; every field participates in the
@@ -94,21 +99,11 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hamming distance between two packed rows of equal width.
-#[inline]
-fn hamming(a: &[u64], b: &[u64]) -> u64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| u64::from((x ^ y).count_ones()))
-        .sum()
-}
-
 /// A coarse-to-fine routed class memory; see the module docs for the
 /// design, exactness, and determinism contracts.
 ///
-/// Like [`ShardedClassMemory`](crate::ShardedClassMemory), per-cluster
-/// shards sit behind [`Arc`]s with copy-on-write semantics: cloning the
-/// memory shares every shard, and a mutation deep-copies exactly the
+/// Like [`ShardedClassMemory`](crate::ShardedClassMemory), cloning the
+/// memory shares every cluster, and a mutation deep-copies exactly the
 /// touched cluster(s).
 ///
 /// # Example
@@ -123,30 +118,19 @@ fn hamming(a: &[u64], b: &[u64]) -> u64 {
 /// // Default config probes everything: bit-identical to the exhaustive scan.
 /// assert_eq!(memory.nearest(&query), Some(("up", 0.5)));
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Equality is structural — configuration, centroids, per-cluster contents
+/// and drift; the pool width does not participate.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutedClassMemory {
-    dim: usize,
     config: RoutedConfig,
-    /// Packed centroid rows, `clusters.len() × words_per_row` words; tail
-    /// bits are kept clear so centroid scoring is a plain popcount.
+    /// Packed centroid rows, one per cluster, `words_per_row` words each;
+    /// tail bits are kept clear so centroid scoring is a plain popcount.
     centroids: Vec<u64>,
-    clusters: Vec<Arc<PackedClassMemory>>,
+    /// One part per cluster.
+    clusters: Parts,
     /// Mutations since the clustering was last built; drives re-clustering.
     drift: usize,
-    pool: Pool,
-}
-
-/// Equality is structural — configuration, centroids, per-cluster contents,
-/// and drift. The scoring pool width is a performance knob (results are
-/// bit-identical for every width) and does not participate.
-impl PartialEq for RoutedClassMemory {
-    fn eq(&self, other: &Self) -> bool {
-        self.dim == other.dim
-            && self.config == other.config
-            && self.centroids == other.centroids
-            && self.clusters == other.clusters
-            && self.drift == other.drift
-    }
 }
 
 impl RoutedClassMemory {
@@ -162,12 +146,10 @@ impl RoutedClassMemory {
     pub fn new(dim: usize, config: RoutedConfig) -> Self {
         assert!(dim > 0, "dimensionality must be positive");
         Self {
-            dim,
             config,
             centroids: vec![0u64; words_per_row(dim)],
-            clusters: vec![Arc::new(PackedClassMemory::new(dim))],
+            clusters: Parts::new(dim, 1),
             drift: 0,
-            pool: Pool::auto(),
         }
     }
 
@@ -210,27 +192,27 @@ impl RoutedClassMemory {
         routed
     }
 
-    /// Caps lookup and clustering fan-out at `threads` threads (clamped to
-    /// at least 1). Results are bit-identical for every setting.
+    /// Caps batch-lookup and clustering fan-out at `threads` threads
+    /// (clamped to at least 1). Results are bit-identical for every setting.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = Pool::new(threads);
+        self.clusters.set_threads(threads);
         self
     }
 
-    /// Number of threads lookups and clustering fan out over.
+    /// Number of threads batch lookups and clustering fan out over.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.clusters.pool().threads()
     }
 
     /// Dimensionality of the stored prototypes.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.clusters.dim()
     }
 
     /// Packed words per prototype row.
     pub fn words_per_row(&self) -> usize {
-        words_per_row(self.dim)
+        words_per_row(self.dim())
     }
 
     /// The configuration the index was built with (`nprobe` reflects
@@ -259,11 +241,11 @@ impl RoutedClassMemory {
 
     /// Number of coarse clusters (including any currently empty ones).
     pub fn num_clusters(&self) -> usize {
-        self.clusters.len()
+        self.clusters.count()
     }
 
     /// Number of clusters currently holding at least one class.
-    pub fn live_clusters(&self) -> usize {
+    fn live_clusters(&self) -> usize {
         self.clusters.iter().filter(|c| !c.is_empty()).count()
     }
 
@@ -273,69 +255,40 @@ impl RoutedClassMemory {
     ///
     /// Panics if `index >= self.num_clusters()`.
     pub fn cluster(&self, index: usize) -> &PackedClassMemory {
-        &self.clusters[index]
+        self.clusters.part(index)
     }
 
     /// The packed centroid row of cluster `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.num_clusters()`.
-    pub fn centroid_words(&self, index: usize) -> &[u64] {
-        assert!(index < self.clusters.len(), "cluster index out of range");
+    fn centroid_words(&self, index: usize) -> &[u64] {
         let wpr = self.words_per_row();
         &self.centroids[index * wpr..(index + 1) * wpr]
     }
 
-    /// Mutations applied since the clustering was last built.
-    pub fn drift(&self) -> usize {
-        self.drift
-    }
-
     /// Total number of stored classes across all clusters.
     pub fn len(&self) -> usize {
-        self.clusters.iter().map(|c| c.len()).sum()
+        self.clusters.len()
     }
 
     /// Returns `true` if no classes are stored.
     pub fn is_empty(&self) -> bool {
-        self.clusters.iter().all(|c| c.is_empty())
-    }
-
-    /// Total packed footprint in bytes (centroids plus member rows).
-    pub fn memory_bytes(&self) -> usize {
-        self.centroids.len() * std::mem::size_of::<u64>()
-            + self
-                .clusters
-                .iter()
-                .map(|c| c.memory_bytes())
-                .sum::<usize>()
+        self.clusters.is_empty()
     }
 
     /// The stored labels in cluster-major order (cluster 0's rows, then
     /// cluster 1's, …). Deterministic for a given mutation history, but
     /// labels — not positions — are class identity.
     pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.clusters.iter().flat_map(|c| c.labels())
-    }
-
-    /// The `(cluster, row)` holding `label`, if stored.
-    pub fn locate(&self, label: &str) -> Option<(usize, usize)> {
-        self.clusters
-            .iter()
-            .enumerate()
-            .find_map(|(c, cluster)| cluster.position(label).map(|row| (c, row)))
+        self.clusters.labels()
     }
 
     /// Returns `true` if a class is stored under `label`.
     pub fn contains(&self, label: &str) -> bool {
-        self.locate(label).is_some()
+        self.clusters.contains(label)
     }
 
     /// The packed words of the class stored under `label`, if any.
     pub fn class_words(&self, label: &str) -> Option<&[u64]> {
-        self.locate(label)
-            .map(|(c, row)| self.clusters[c].row_words(row))
+        self.clusters.class_words(label)
     }
 
     // -----------------------------------------------------------------
@@ -359,7 +312,7 @@ impl RoutedClassMemory {
     pub fn add_class(&mut self, label: impl Into<String>, signs: &[i8]) -> (usize, bool) {
         assert_eq!(
             signs.len(),
-            self.dim,
+            self.dim(),
             "prototype dimensionality must match the memory"
         );
         self.add_class_packed(label, &pack_signs(signs))
@@ -380,21 +333,18 @@ impl RoutedClassMemory {
         );
         let label = label.into();
         let mut clean = words.to_vec();
-        mask_tail_word(self.dim, &mut clean);
-        let replaced = if let Some((old, _)) = self.locate(&label) {
-            Arc::make_mut(&mut self.clusters[old]).remove(&label);
-            true
-        } else {
-            false
-        };
+        mask_tail_word(self.dim(), &mut clean);
+        let replaced = self.clusters.remove(&label);
         let destination = self.route(&clean);
-        Arc::make_mut(&mut self.clusters[destination]).insert_packed(label.clone(), &clean);
+        self.clusters
+            .part_mut(destination)
+            .insert_packed(label.clone(), &clean);
         self.drift += 1;
         self.maybe_recluster();
         // A drift reset means re-clustering fired and may have moved the
         // row; report the cluster it actually lives in now.
         let destination = if self.drift == 0 {
-            self.locate(&label).map_or(destination, |(c, _)| c)
+            self.clusters.locate(&label).map_or(destination, |(c, _)| c)
         } else {
             destination
         };
@@ -419,15 +369,12 @@ impl RoutedClassMemory {
     /// Removes the class stored under `label`, repacking only its cluster.
     /// Returns `false` if the label is not stored.
     pub fn remove_class(&mut self, label: &str) -> bool {
-        match self.locate(label) {
-            Some((c, _)) => {
-                Arc::make_mut(&mut self.clusters[c]).remove(label);
-                self.drift += 1;
-                self.maybe_recluster();
-                true
-            }
-            None => false,
+        if !self.clusters.remove(label) {
+            return false;
         }
+        self.drift += 1;
+        self.maybe_recluster();
+        true
     }
 
     /// Deterministically re-clusters the current contents with the stored
@@ -448,17 +395,9 @@ impl RoutedClassMemory {
     /// Nearest-centroid routing for one clean (tail-masked) row; ties go to
     /// the smallest cluster index.
     fn route(&self, words: &[u64]) -> usize {
-        let wpr = self.words_per_row();
-        let mut best = 0usize;
-        let mut best_h = u64::MAX;
-        for c in 0..self.clusters.len() {
-            let h = hamming(&self.centroids[c * wpr..(c + 1) * wpr], words);
-            if h < best_h {
-                best = c;
-                best_h = h;
-            }
-        }
-        best
+        (0..self.num_clusters())
+            .min_by_key(|&c| hamming(self.centroid_words(c), words))
+            .expect("at least one cluster")
     }
 
     /// Fires the deterministic re-clustering once drift reaches the
@@ -477,11 +416,12 @@ impl RoutedClassMemory {
     /// Rebuilds centroids and per-cluster shards from scratch over
     /// `rows` (label, clean packed words), in order; resets drift.
     fn rebuild_from(&mut self, rows: Vec<(String, Vec<u64>)>) {
+        let dim = self.dim();
         let wpr = self.words_per_row();
         let n = rows.len();
         if n == 0 {
             self.centroids = vec![0u64; wpr];
-            self.clusters = vec![Arc::new(PackedClassMemory::new(self.dim))];
+            self.clusters.replace(vec![PackedClassMemory::new(dim)]);
             self.drift = 0;
             return;
         }
@@ -541,7 +481,8 @@ impl RoutedClassMemory {
         // stop on a fixed point. The final assignment is always consistent
         // with the stored centroids.
         let assign_pass = |centroids: &[u64]| -> Vec<u32> {
-            self.pool
+            self.clusters
+                .pool()
                 .map_chunks(n, |range| {
                     range
                         .map(|i| {
@@ -572,14 +513,15 @@ impl RoutedClassMemory {
                 m
             };
             let updated: Vec<Vec<u64>> = self
-                .pool
+                .clusters
+                .pool()
                 .map_chunks(k, |range| {
                     range
                         .map(|c| {
                             if members[c].is_empty() {
                                 return centroids[c * wpr..(c + 1) * wpr].to_vec();
                             }
-                            let mut counts = vec![0u32; self.dim];
+                            let mut counts = vec![0u32; dim];
                             for &i in &members[c] {
                                 for (w, &word) in row(i).iter().enumerate() {
                                     let mut bits = word;
@@ -617,12 +559,12 @@ impl RoutedClassMemory {
 
         // Materialise the per-cluster shards in original row order.
         let mut clusters: Vec<PackedClassMemory> =
-            (0..k).map(|_| PackedClassMemory::new(self.dim)).collect();
+            (0..k).map(|_| PackedClassMemory::new(dim)).collect();
         for (i, (label, row_words)) in rows.into_iter().enumerate() {
             clusters[assign[i] as usize].insert_packed(label, &row_words);
         }
         self.centroids = centroids;
-        self.clusters = clusters.into_iter().map(Arc::new).collect();
+        self.clusters.replace(clusters);
         self.drift = 0;
     }
 
@@ -638,15 +580,14 @@ impl RoutedClassMemory {
     /// # Panics
     ///
     /// Panics if `query.len() != self.words_per_row()`.
-    pub fn probe_clusters(&self, query: &[u64]) -> Vec<usize> {
+    fn probe_clusters(&self, query: &[u64]) -> Vec<usize> {
         assert_eq!(query.len(), self.words_per_row(), "query width");
-        let wpr = self.words_per_row();
         let mut ranked: Vec<(u64, usize)> = self
             .clusters
             .iter()
             .enumerate()
             .filter(|(_, cluster)| !cluster.is_empty())
-            .map(|(c, _)| (hamming(&self.centroids[c * wpr..(c + 1) * wpr], query), c))
+            .map(|(c, _)| (hamming(self.centroid_words(c), query), c))
             .collect();
         ranked.sort_unstable();
         if self.config.nprobe > 0 {
@@ -664,7 +605,7 @@ impl RoutedClassMemory {
     pub fn candidate_classes(&self, query: &[u64]) -> usize {
         self.probe_clusters(query)
             .into_iter()
-            .map(|c| self.clusters[c].len())
+            .map(|c| self.cluster(c).len())
             .sum()
     }
 
@@ -678,24 +619,7 @@ impl RoutedClassMemory {
     ///
     /// Panics if `query.len() != self.words_per_row()`.
     pub fn nearest(&self, query: &[u64]) -> Option<(&str, f32)> {
-        let probed = self.probe_clusters(query);
-        probed
-            .into_iter()
-            .filter_map(|c| {
-                self.clusters[c]
-                    .nearest_hamming(query)
-                    .map(|(row, h)| (c, row, h))
-            })
-            .min_by(|&(ca, ra, ha), &(cb, rb, hb)| {
-                ha.cmp(&hb)
-                    .then_with(|| self.clusters[ca].label(ra).cmp(self.clusters[cb].label(rb)))
-            })
-            .map(|(c, row, h)| {
-                (
-                    self.clusters[c].label(row),
-                    similarity_from_hamming(self.dim, h),
-                )
-            })
+        self.clusters.nearest(query, self.probe_clusters(query))
     }
 
     /// The `k` most similar classes among the probed clusters, most similar
@@ -708,30 +632,7 @@ impl RoutedClassMemory {
     ///
     /// Panics if `query.len() != self.words_per_row()`.
     pub fn top_k(&self, query: &[u64], k: usize) -> Vec<(&str, f32)> {
-        let probed = self.probe_clusters(query);
-        let mut merged: Vec<(usize, usize, u64)> = probed
-            .into_iter()
-            .flat_map(|c| {
-                self.clusters[c]
-                    .top_k_hamming(query, k)
-                    .into_iter()
-                    .map(move |(row, h)| (c, row, h))
-            })
-            .collect();
-        merged.sort_by(|&(ca, ra, ha), &(cb, rb, hb)| {
-            ha.cmp(&hb)
-                .then_with(|| self.clusters[ca].label(ra).cmp(self.clusters[cb].label(rb)))
-        });
-        merged.truncate(k);
-        merged
-            .into_iter()
-            .map(|(c, row, h)| {
-                (
-                    self.clusters[c].label(row),
-                    similarity_from_hamming(self.dim, h),
-                )
-            })
-            .collect()
+        self.clusters.top_k(query, k, self.probe_clusters(query))
     }
 
     /// The nearest class of every query in the batch, parallelised across
@@ -742,24 +643,8 @@ impl RoutedClassMemory {
     /// Panics if `batch.dim() != self.dim()` or the memory is empty while
     /// the batch is not.
     pub fn nearest_batch(&self, batch: &PackedQueryBatch) -> Vec<(&str, f32)> {
-        assert_eq!(
-            batch.dim(),
-            self.dim,
-            "query batch dimensionality must match the class memory"
-        );
-        assert!(
-            batch.is_empty() || !self.is_empty(),
-            "nearest_batch requires a non-empty class memory"
-        );
-        self.pool
-            .map_chunks(batch.len(), |range| {
-                range
-                    .map(|q| self.nearest(batch.row(q)).expect("non-empty memory"))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+        self.clusters
+            .nearest_batch(batch, |query| self.probe_clusters(query))
     }
 
     /// The top-k classes of every query in the batch, parallelised across
@@ -770,20 +655,8 @@ impl RoutedClassMemory {
     ///
     /// Panics if `batch.dim() != self.dim()`.
     pub fn topk_batch(&self, batch: &PackedQueryBatch, k: usize) -> Vec<Vec<(&str, f32)>> {
-        assert_eq!(
-            batch.dim(),
-            self.dim,
-            "query batch dimensionality must match the class memory"
-        );
-        self.pool
-            .map_chunks(batch.len(), |range| {
-                range
-                    .map(|q| self.top_k(batch.row(q), k))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+        self.clusters
+            .topk_batch(batch, k, |query| self.probe_clusters(query))
     }
 }
 
@@ -795,7 +668,7 @@ impl RoutedClassMemory {
 impl Serialize for RoutedClassMemory {
     fn to_value(&self) -> Value {
         Value::Object(vec![
-            ("dim".to_string(), self.dim.to_value()),
+            ("dim".to_string(), self.dim().to_value()),
             (
                 "clusters_config".to_string(),
                 self.config.clusters.to_value(),
@@ -812,24 +685,19 @@ impl Serialize for RoutedClassMemory {
             ),
             ("drift".to_string(), self.drift.to_value()),
             ("centroids".to_string(), self.centroids.to_value()),
-            (
-                "clusters".to_string(),
-                Value::Array(self.clusters.iter().map(|c| c.to_value()).collect()),
-            ),
+            ("clusters".to_string(), self.clusters.to_value()),
         ])
     }
 }
 
-/// Hand-written so cross-cluster invariants — a non-empty cluster list,
-/// centroid rows matching the cluster count with clean tail bits, every
-/// cluster at the declared dimensionality, no label stored twice — are
-/// enforced with typed errors. Per-cluster word-matrix shape is validated
-/// by [`PackedClassMemory`]'s own deserializer; the scoring pool is rebuilt
-/// auto-sized.
+/// Hand-written so the cluster list gets the shared part checks (a
+/// positive `dim`, at least one cluster, every cluster at `dim`, no label
+/// stored twice) and the centroids are checked against it: one clean
+/// (tail-masked) row per cluster. The scoring pool is rebuilt auto-sized.
 impl Deserialize for RoutedClassMemory {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         let entries = de::expect_object(value, "RoutedClassMemory")?;
-        let dim: usize = de::field(entries, "dim", "RoutedClassMemory")?;
+        let clusters = Parts::from_entries(entries, "clusters", "RoutedClassMemory")?;
         let config = RoutedConfig {
             clusters: de::field(entries, "clusters_config", "RoutedClassMemory")?,
             nprobe: de::field(entries, "nprobe", "RoutedClassMemory")?,
@@ -839,20 +707,14 @@ impl Deserialize for RoutedClassMemory {
         };
         let drift: usize = de::field(entries, "drift", "RoutedClassMemory")?;
         let centroids: Vec<u64> = de::field(entries, "centroids", "RoutedClassMemory")?;
-        let clusters: Vec<PackedClassMemory> = de::field(entries, "clusters", "RoutedClassMemory")?;
         let type_err = |msg: String| DeError::new(msg).in_field("RoutedClassMemory");
-        if dim == 0 {
-            return Err(type_err("dimensionality must be positive".into()));
-        }
-        if clusters.is_empty() {
-            return Err(type_err("at least one cluster is required".into()));
-        }
+        let dim = clusters.dim();
         let wpr = words_per_row(dim);
-        if centroids.len() != clusters.len() * wpr {
+        if centroids.len() != clusters.count() * wpr {
             return Err(type_err(format!(
                 "{} centroid words do not match {} clusters of {wpr} words",
                 centroids.len(),
-                clusters.len()
+                clusters.count()
             )));
         }
         let rem = dim % 64;
@@ -865,29 +727,11 @@ impl Deserialize for RoutedClassMemory {
                 }
             }
         }
-        for (c, cluster) in clusters.iter().enumerate() {
-            if cluster.dim() != dim {
-                return Err(type_err(format!(
-                    "cluster {c} has dimensionality {} but the memory declares {dim}",
-                    cluster.dim()
-                )));
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        for cluster in &clusters {
-            for label in cluster.labels() {
-                if !seen.insert(label) {
-                    return Err(type_err(format!("label `{label}` stored in two clusters")));
-                }
-            }
-        }
         Ok(Self {
-            dim,
             config,
             centroids,
-            clusters: clusters.into_iter().map(Arc::new).collect(),
+            clusters,
             drift,
-            pool: Pool::auto(),
         })
     }
 }
@@ -905,7 +749,7 @@ impl crate::Scorer for RoutedClassMemory {
     type Batch = PackedQueryBatch;
 
     fn dim(&self) -> usize {
-        self.dim
+        self.dim()
     }
 
     fn num_classes(&self) -> usize {
@@ -913,29 +757,7 @@ impl crate::Scorer for RoutedClassMemory {
     }
 
     fn score_batch(&self, batch: &PackedQueryBatch) -> Matrix {
-        assert_eq!(
-            batch.dim(),
-            self.dim,
-            "query batch dimensionality must match the class memory"
-        );
-        let classes = self.len();
-        if batch.is_empty() {
-            return Matrix::zeros(0, classes);
-        }
-        let blocks = self.pool.map_chunks(batch.len(), |range| {
-            let mut out = Vec::with_capacity(range.len() * classes);
-            for q in range {
-                for cluster in &self.clusters {
-                    out.extend_from_slice(&cluster.scores(batch.row(q)));
-                }
-            }
-            out
-        });
-        let mut data = Vec::with_capacity(batch.len() * classes);
-        for block in blocks {
-            data.extend_from_slice(&block);
-        }
-        Matrix::from_vec(batch.len(), classes, data)
+        self.clusters.score_batch(batch)
     }
 
     fn nearest(&self, query: &[u64]) -> Option<(&str, f32)> {
@@ -958,21 +780,7 @@ impl crate::Scorer for RoutedClassMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lcg_signs(state: &mut u64, dim: usize) -> Vec<i8> {
-        (0..dim)
-            .map(|_| {
-                *state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if *state >> 63 == 0 {
-                    1
-                } else {
-                    -1
-                }
-            })
-            .collect()
-    }
+    use crate::parts::lcg_signs;
 
     fn fixture(
         dim: usize,
@@ -1074,18 +882,15 @@ mod tests {
             ..RoutedConfig::default()
         };
         let (mut routed, _, protos) = fixture(dim, 10, config);
-        assert_eq!(routed.drift(), 0);
+        assert_eq!(routed.drift, 0);
         let twin = routed.clone();
         let (cluster_a, replaced) = routed.add_class("newcomer", &protos[0]);
         assert!(!replaced);
-        assert_eq!(routed.drift(), 1);
+        assert_eq!(routed.drift, 1);
         // COW: only the destination cluster was deep-copied.
-        let mut shared = 0;
-        for c in 0..routed.num_clusters() {
-            if Arc::ptr_eq(&routed.clusters[c], &twin.clusters[c]) {
-                shared += 1;
-            }
-        }
+        let shared = (0..routed.num_clusters())
+            .filter(|&c| std::ptr::eq(routed.cluster(c), twin.cluster(c)))
+            .count();
         assert_eq!(shared, routed.num_clusters() - 1);
         // The clone routes identically.
         let mut twin = twin;
@@ -1123,7 +928,7 @@ mod tests {
             mono.insert_signs(format!("class{c:03}"), &row);
         }
         assert!(
-            routed.drift() < 12,
+            routed.drift < 12,
             "drift must reset when re-clustering fires"
         );
         let query = pack_signs(&lcg_signs(&mut state, dim));
@@ -1182,7 +987,7 @@ mod tests {
         assert!(memory.probe_clusters(&query).is_empty());
         assert_eq!(memory.candidate_classes(&query), 0);
         assert_eq!(memory.live_clusters(), 0);
-        assert!(memory.locate("nothing").is_none());
+        assert!(memory.clusters.locate("nothing").is_none());
         assert!(memory.class_words("nothing").is_none());
     }
 
@@ -1228,7 +1033,7 @@ mod tests {
         let json = serde_json::to_string_pretty(&memory).expect("serializes");
         let mut imported: RoutedClassMemory = serde_json::from_str(&json).expect("imports");
         assert_eq!(imported, memory);
-        assert_eq!(imported.drift(), memory.drift());
+        assert_eq!(imported.drift, memory.drift);
         let query = pack_signs(&protos[2]);
         assert_eq!(imported.top_k(&query, 9), memory.top_k(&query, 9));
         let (cluster_a, _) = memory.add_class("next", &protos[0]);
@@ -1250,40 +1055,24 @@ mod tests {
                            \"centroids\": [], \"clusters\": []}";
         assert!(serde_json::from_str::<RoutedClassMemory>(no_clusters).is_err());
 
-        // Duplicate a cluster wholesale: same labels in two clusters, and
-        // (to hit the duplicate check, not the count check) duplicate the
-        // centroid words too.
-        let value = serde::Serialize::to_value(&memory);
-        let dup = match value {
-            Value::Object(mut entries) => {
-                let mut extra_centroid: Option<Value> = None;
-                for (key, v) in &mut entries {
-                    if key == "clusters" {
-                        if let Value::Array(clusters) = v {
-                            let first = clusters[0].clone();
-                            clusters.push(first);
-                        }
-                    }
-                    if key == "centroids" {
-                        if let Value::Array(words) = v {
-                            let wpr = memory.words_per_row();
-                            let mut more = words.clone();
-                            more.extend(words[..wpr].to_vec());
-                            extra_centroid = Some(Value::Array(more));
-                        }
-                    }
-                }
-                for (key, v) in &mut entries {
-                    if key == "centroids" {
-                        *v = extra_centroid.clone().expect("centroids present");
-                    }
-                }
-                Value::Object(entries)
-            }
-            _ => unreachable!("memories serialize as objects"),
-        };
-        let err = <RoutedClassMemory as serde::Deserialize>::from_value(&dup);
-        assert!(err.is_err(), "duplicate labels across clusters must fail");
+        // The same label in two clusters (cluster 0 duplicated wholesale,
+        // with a centroid row each so the count check passes), and twice
+        // inside one cluster.
+        let cluster0 = serde_json::to_string(memory.cluster(0)).expect("serializes");
+        let twice =
+            "{\"dim\": 64, \"words_per_row\": 1, \"labels\": [\"a\", \"a\"], \"words\": [1, 2]}";
+        for (centroids, clusters) in [
+            ("0, 0", format!("{cluster0}, {cluster0}")),
+            ("0", twice.to_string()),
+        ] {
+            let doc = format!(
+                "{{\"dim\": 64, \"clusters_config\": 0, \"nprobe\": 0, \"seed\": 1, \
+                 \"kmeans_iters\": 4, \"recluster_percent\": 50, \"drift\": 0, \
+                 \"centroids\": [{centroids}], \"clusters\": [{clusters}]}}"
+            );
+            let err = serde_json::from_str::<RoutedClassMemory>(&doc).expect_err("duplicate");
+            assert!(err.to_string().contains("stored"), "{err}");
+        }
 
         // Centroid smuggling tail bits past dim.
         let ragged = fixture(70, 4, RoutedConfig::default()).0;

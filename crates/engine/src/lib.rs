@@ -22,7 +22,9 @@
 //!   k-means centroids route each query to its `nprobe` nearest clusters
 //!   (each a per-cluster packed shard), and the candidates are exactly
 //!   re-ranked on `(hamming, label)` — sub-linear candidate generation with
-//!   bit-identical results under full probing.
+//!   bit-identical results under full probing. It shares one copy-on-write
+//!   partitioned store (storage, merge, batch fan-out) with
+//!   [`ShardedClassMemory`]; each keeps only its own placement rule.
 //! * [`dense`] — row-parallel float scoring (cosine logits, bilinear
 //!   compatibility) used by the `hdc_zsc` model's inference path and the
 //!   `baselines` predictors, plus [`DenseClassMemory`], the float-backed
@@ -67,6 +69,7 @@ pub mod batch;
 pub mod dense;
 pub mod index;
 pub mod packed;
+mod parts;
 pub mod scorer;
 pub mod sharded;
 

@@ -98,6 +98,15 @@ pub fn similarity_from_hamming(dim: usize, hamming: u64) -> f32 {
     (dim as i64 - 2 * hamming as i64) as f32 / dim as f32
 }
 
+/// Hamming distance between two packed rows of equal width.
+#[inline]
+pub(crate) fn hamming(a: &[u64], b: &[u64]) -> u64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| u64::from((x ^ y).count_ones()))
+        .sum()
+}
+
 /// Queries are processed in tiles of this many rows so each streamed class
 /// row is reused from L1 across the whole tile.
 const QUERY_TILE: usize = 8;
@@ -332,11 +341,7 @@ impl PackedClassMemory {
     /// Hamming distance between a packed query row and stored row `index`.
     #[inline]
     fn row_hamming(&self, index: usize, query: &[u64]) -> u64 {
-        self.row_words(index)
-            .iter()
-            .zip(query)
-            .map(|(a, b)| u64::from((a ^ b).count_ones()))
-            .sum()
+        hamming(self.row_words(index), query)
     }
 
     /// One-vs-all similarities of a packed query against every stored
@@ -434,10 +439,10 @@ impl PackedClassMemory {
 
     /// Integer-exact variant of [`PackedClassMemory::nearest`]: the winning
     /// row together with its raw Hamming distance. Downstream mergers (the
-    /// sharded memory) compare candidates on this integer — never on the
-    /// derived `f32` similarity — so cross-shard ordering is exactly the
-    /// monolithic `(hamming, label)` order even when distinct Hamming
-    /// distances would round to the same `f32`.
+    /// sharded and routed memories) compare candidates on this integer —
+    /// never on the derived `f32` similarity — so cross-part ordering is
+    /// exactly the monolithic `(hamming, label)` order even when distinct
+    /// Hamming distances would round to the same `f32`.
     ///
     /// # Panics
     ///
@@ -481,8 +486,8 @@ impl PackedClassMemory {
 
     /// Integer-exact variant of [`PackedClassMemory::top_k`]: `(row index,
     /// Hamming distance)` candidates ordered by `(hamming, label)` ascending,
-    /// truncated to `min(k, self.len())` entries. This is the primitive a
-    /// sharded memory merges across shards.
+    /// truncated to `min(k, self.len())` entries. This is the primitive the
+    /// sharded and routed memories merge across their parts.
     ///
     /// # Panics
     ///

@@ -7,9 +7,11 @@
 //! ([`ShardedClassMemory`](crate::ShardedClassMemory)) and the two-level
 //! routed index ([`RoutedClassMemory`](crate::RoutedClassMemory), which
 //! meets the contract below under exhaustive probing). [`Scorer`] is the one
-//! trait they all implement, so call sites (the DAP/ESZSL baselines, the
-//! serving layer, and generic parity tests) are written once against the
-//! contract instead of once per backend.
+//! trait they all implement, so generic call sites (the DAP/ESZSL baselines
+//! and the contract and parity tests) are written once against it instead of
+//! once per backend. The serving layer does not go through the trait: it
+//! calls the sharded and routed memories' inherent `top_k` / `topk_batch`,
+//! which the trait methods delegate to.
 //!
 //! # Contract
 //!

@@ -1,6 +1,6 @@
 //! Sharded class memory: class prototypes split across N
-//! [`PackedClassMemory`] shards, scored in parallel and merged with a
-//! deterministic top-k that is **bit-identical** to the monolithic scorer.
+//! [`PackedClassMemory`] shards, with a deterministic top-k that is
+//! **bit-identical** to the monolithic scorer.
 //!
 //! # Why shard?
 //!
@@ -9,35 +9,27 @@
 //! class registration while serving would either mutate the matrix under
 //! readers or rebuild the world. Sharding fixes both:
 //!
-//! * **Scale** — each shard is its own contiguous word matrix, scored
-//!   independently (in parallel across a [`minipool::Pool`] for single-query
-//!   lookups, across queries for batches), so the class axis scales past what
-//!   one cache-friendly sweep handles well.
+//! * **Scale** — each shard is its own contiguous word matrix, so the class
+//!   axis grows without one ever-larger sweep buffer. Batches fan out
+//!   across queries over a [`minipool::Pool`].
 //! * **Online mutation** — [`ShardedClassMemory::add_class`] /
 //!   [`ShardedClassMemory::update_class`] / [`ShardedClassMemory::remove_class`]
-//!   repack only the touched shard. Shards sit behind [`Arc`]s with
-//!   copy-on-write semantics ([`Arc::make_mut`]), so a clone of the whole
-//!   memory shares every shard and a subsequent mutation deep-copies exactly
-//!   one — the property the serving layer's atomic snapshot hot-swap relies
-//!   on.
+//!   repack only the touched shard, and a clone of the whole memory shares
+//!   every shard until one is mutated — the property the serving layer's
+//!   atomic snapshot hot-swap relies on.
 //!
-//! # Exactness
-//!
-//! Per-shard candidates carry their raw integer Hamming distances
-//! ([`PackedClassMemory::top_k_hamming`]), and the cross-shard merge orders
-//! them by `(hamming, label)` — exactly the monolithic comparator. Distinct
-//! Hamming distances that would round to the same `f32` similarity therefore
-//! still merge in the monolithic order, and the returned similarities are the
-//! same `similarity_from_hamming` bits the monolith produces. The
-//! `sharded_parity` property tests pin label-and-bit equality against a
-//! monolithic memory for shard counts {1, 2, 3, 7}, ragged dims,
+//! The shards, their copy-on-write sharing and the `(hamming, label)` merge
+//! live in the crate's shared partitioned store (`parts.rs`), which
+//! [`RoutedClassMemory`](crate::RoutedClassMemory) uses too; what is the
+//! sharded memory's own is placement: a new label goes to the least-loaded
+//! shard. The `sharded_parity` property tests pin label-and-bit equality
+//! against a monolithic memory for shard counts {1, 2, 3, 7}, ragged dims,
 //! `k ≥ num_classes`, and arbitrary add/update/remove interleavings.
 
 use crate::batch::PackedQueryBatch;
-use crate::packed::{pack_signs, similarity_from_hamming, words_per_row, PackedClassMemory};
-use minipool::Pool;
+use crate::packed::{pack_signs, words_per_row, PackedClassMemory};
+use crate::parts::Parts;
 use serde::{de, DeError, Deserialize, Serialize, Value};
-use std::sync::Arc;
 use tensor::Matrix;
 
 /// A labelled class memory split across `N` packed shards; see the module
@@ -62,20 +54,12 @@ use tensor::Matrix;
 /// // k past the class count truncates to everything stored.
 /// assert_eq!(memory.top_k(&query, 99).len(), 3);
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Equality is structural — dimensionality plus per-shard contents; the
+/// pool width does not participate.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardedClassMemory {
-    dim: usize,
-    shards: Vec<Arc<PackedClassMemory>>,
-    pool: Pool,
-}
-
-/// Equality is structural — dimensionality plus per-shard contents. The
-/// scoring pool width is a performance knob (results are bit-identical for
-/// every width) and does not participate.
-impl PartialEq for ShardedClassMemory {
-    fn eq(&self, other: &Self) -> bool {
-        self.dim == other.dim && self.shards == other.shards
-    }
+    parts: Parts,
 }
 
 impl ShardedClassMemory {
@@ -89,11 +73,7 @@ impl ShardedClassMemory {
         assert!(dim > 0, "dimensionality must be positive");
         assert!(num_shards > 0, "at least one shard is required");
         Self {
-            dim,
-            shards: (0..num_shards)
-                .map(|_| Arc::new(PackedClassMemory::new(dim)))
-                .collect(),
-            pool: Pool::auto(),
+            parts: Parts::new(dim, num_shards),
         }
     }
 
@@ -137,33 +117,32 @@ impl ShardedClassMemory {
         sharded
     }
 
-    /// Caps single-query shard fan-out and batch query fan-out at `threads`
-    /// threads (clamped to at least 1). Results are bit-identical for every
-    /// setting.
+    /// Caps batch fan-out across queries at `threads` threads (clamped to
+    /// at least 1). Results are bit-identical for every setting.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = Pool::new(threads);
+        self.parts.set_threads(threads);
         self
     }
 
-    /// Number of threads lookups fan out over.
+    /// Number of threads batches fan out over.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.parts.pool().threads()
     }
 
     /// Dimensionality of the stored prototypes.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.parts.dim()
     }
 
     /// Packed words per prototype row.
     pub fn words_per_row(&self) -> usize {
-        words_per_row(self.dim)
+        words_per_row(self.dim())
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.parts.count()
     }
 
     /// The shard at `index`.
@@ -172,22 +151,17 @@ impl ShardedClassMemory {
     ///
     /// Panics if `index >= self.num_shards()`.
     pub fn shard(&self, index: usize) -> &PackedClassMemory {
-        &self.shards[index]
+        self.parts.part(index)
     }
 
     /// Total number of stored classes across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.parts.len()
     }
 
     /// Returns `true` if no classes are stored.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// Total packed footprint in bytes across all shards.
-    pub fn memory_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.memory_bytes()).sum()
+        self.parts.is_empty()
     }
 
     /// The stored labels in shard-major order (shard 0's rows, then shard
@@ -195,38 +169,25 @@ impl ShardedClassMemory {
     /// — unlike the monolithic memory — not globally insertion-ordered;
     /// treat labels, not positions, as class identity.
     pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.shards.iter().flat_map(|s| s.labels())
-    }
-
-    /// The `(shard, row)` holding `label`, if stored.
-    pub fn locate(&self, label: &str) -> Option<(usize, usize)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .find_map(|(s, shard)| shard.position(label).map(|row| (s, row)))
+        self.parts.labels()
     }
 
     /// Returns `true` if a class is stored under `label`.
     pub fn contains(&self, label: &str) -> bool {
-        self.locate(label).is_some()
+        self.parts.contains(label)
     }
 
     /// The packed words of the class stored under `label`, if any.
     pub fn class_words(&self, label: &str) -> Option<&[u64]> {
-        self.locate(label)
-            .map(|(s, row)| self.shards[s].row_words(row))
+        self.parts.class_words(label)
     }
 
     /// Least-loaded shard, ties to the smallest index — the deterministic
     /// routing rule for brand-new labels.
     fn shard_for_new_class(&self) -> usize {
-        let mut best = 0;
-        for (s, shard) in self.shards.iter().enumerate().skip(1) {
-            if shard.len() < self.shards[best].len() {
-                best = s;
-            }
-        }
-        best
+        (0..self.num_shards())
+            .min_by_key(|&s| self.shard(s).len())
+            .expect("at least one shard")
     }
 
     /// Inserts or replaces the class stored under `label` from ±1 signs.
@@ -244,7 +205,7 @@ impl ShardedClassMemory {
     pub fn add_class(&mut self, label: impl Into<String>, signs: &[i8]) -> (usize, bool) {
         assert_eq!(
             signs.len(),
-            self.dim,
+            self.dim(),
             "prototype dimensionality must match the memory"
         );
         self.add_class_packed(label, &pack_signs(signs))
@@ -259,11 +220,11 @@ impl ShardedClassMemory {
     /// Panics if `words.len() != self.words_per_row()`.
     pub fn add_class_packed(&mut self, label: impl Into<String>, words: &[u64]) -> (usize, bool) {
         let label = label.into();
-        let shard = match self.locate(&label) {
+        let shard = match self.parts.locate(&label) {
             Some((s, _)) => s,
             None => self.shard_for_new_class(),
         };
-        let (_, replaced) = Arc::make_mut(&mut self.shards[shard]).insert_packed(label, words);
+        let (_, replaced) = self.parts.part_mut(shard).insert_packed(label, words);
         (shard, replaced)
     }
 
@@ -286,38 +247,13 @@ impl ShardedClassMemory {
     /// (the shard's word matrix is spliced, every other shard is untouched
     /// and stays `Arc`-shared). Returns `false` if the label is not stored.
     pub fn remove_class(&mut self, label: &str) -> bool {
-        match self.locate(label) {
-            Some((s, _)) => {
-                Arc::make_mut(&mut self.shards[s]).remove(label);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Total packed words a full sweep reads; the fan-out heuristic's input.
-    fn total_words(&self) -> usize {
-        self.len() * self.words_per_row()
-    }
-
-    /// Whether a *single-query* lookup should fan the shards out across the
-    /// pool. `minipool` spawns fresh scoped threads per call (no persistent
-    /// workers), so the fan-out only pays once the sweep itself is
-    /// substantial — below the threshold a serial shard loop is strictly
-    /// faster. Results are bit-identical either way; this is purely a
-    /// latency knob.
-    fn single_query_fanout(&self) -> bool {
-        /// ~1 MiB of packed prototype words — several hundred µs of sweep,
-        /// comfortably above scoped-thread spawn cost.
-        const FANOUT_WORDS: usize = 128 * 1024;
-        self.shards.len() > 1 && self.pool.threads() > 1 && self.total_words() >= FANOUT_WORDS
+        self.parts.remove(label)
     }
 
     /// The most similar stored class to a packed query, as
-    /// `(label, similarity)`, with shards scored in parallel across the pool
-    /// (for sweeps large enough to amortise the fan-out; serially otherwise)
-    /// and the winners merged on `(hamming, label)` — bit-identical to
-    /// [`PackedClassMemory::nearest`] over the same class set.
+    /// `(label, similarity)`, merged across shards on `(hamming, label)` —
+    /// bit-identical to [`PackedClassMemory::nearest`] over the same class
+    /// set.
     ///
     /// Returns `None` if the memory is empty.
     ///
@@ -325,80 +261,18 @@ impl ShardedClassMemory {
     ///
     /// Panics if `query.len() != self.words_per_row()`.
     pub fn nearest(&self, query: &[u64]) -> Option<(&str, f32)> {
-        assert_eq!(query.len(), self.words_per_row(), "query width");
-        if !self.single_query_fanout() {
-            return self.nearest_serial(query);
-        }
-        let per_shard: Vec<Option<(usize, usize, u64)>> = self
-            .pool
-            .map_chunks(self.shards.len(), |range| {
-                range
-                    .map(|s| {
-                        self.shards[s]
-                            .nearest_hamming(query)
-                            .map(|(row, hamming)| (s, row, hamming))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        self.merge_nearest(per_shard.into_iter().flatten())
-    }
-
-    /// Serial (no-spawn) shard sweep behind [`ShardedClassMemory::nearest`];
-    /// also what each batch worker runs per query.
-    fn nearest_serial(&self, query: &[u64]) -> Option<(&str, f32)> {
-        let winners = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter_map(|(s, shard)| {
-                shard
-                    .nearest_hamming(query)
-                    .map(|(row, hamming)| (s, row, hamming))
-            })
-            .collect::<Vec<_>>();
-        self.merge_nearest(winners.into_iter())
+        self.parts.nearest(query, 0..self.num_shards())
     }
 
     /// The `k` most similar stored classes, most similar first, with the
     /// monolithic `(hamming, label)` ordering and truncation contract:
-    /// `min(k, self.len())` entries, `k == 0` empty. Shards are scored in
-    /// parallel across the pool for sweeps large enough to amortise the
-    /// fan-out (serially otherwise), each contributing at most `k`
-    /// candidates to the merge.
+    /// `min(k, self.len())` entries, `k == 0` empty.
     ///
     /// # Panics
     ///
     /// Panics if `query.len() != self.words_per_row()`.
     pub fn top_k(&self, query: &[u64], k: usize) -> Vec<(&str, f32)> {
-        assert_eq!(query.len(), self.words_per_row(), "query width");
-        if !self.single_query_fanout() {
-            return self.top_k_serial(query, k);
-        }
-        let per_shard: Vec<Vec<(usize, u64)>> = self
-            .pool
-            .map_chunks(self.shards.len(), |range| {
-                range
-                    .map(|s| self.shards[s].top_k_hamming(query, k))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        self.merge_top_k(&per_shard, k)
-    }
-
-    /// Serial (no-spawn) shard sweep behind [`ShardedClassMemory::top_k`];
-    /// also what each batch worker runs per query.
-    fn top_k_serial(&self, query: &[u64], k: usize) -> Vec<(&str, f32)> {
-        let per_shard: Vec<Vec<(usize, u64)>> = self
-            .shards
-            .iter()
-            .map(|shard| shard.top_k_hamming(query, k))
-            .collect();
-        self.merge_top_k(&per_shard, k)
+        self.parts.top_k(query, k, 0..self.num_shards())
     }
 
     /// The nearest class of every query in the batch, parallelised across
@@ -409,24 +283,7 @@ impl ShardedClassMemory {
     /// Panics if `batch.dim() != self.dim()` or the memory is empty while the
     /// batch is not.
     pub fn nearest_batch(&self, batch: &PackedQueryBatch) -> Vec<(&str, f32)> {
-        assert_eq!(
-            batch.dim(),
-            self.dim,
-            "query batch dimensionality must match the class memory"
-        );
-        assert!(
-            batch.is_empty() || !self.is_empty(),
-            "nearest_batch requires a non-empty class memory"
-        );
-        self.pool
-            .map_chunks(batch.len(), |range| {
-                range
-                    .map(|q| self.nearest_serial(batch.row(q)).expect("non-empty memory"))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+        self.parts.nearest_batch(batch, |_| 0..self.num_shards())
     }
 
     /// The top-k classes of every query in the batch, parallelised across
@@ -437,63 +294,7 @@ impl ShardedClassMemory {
     ///
     /// Panics if `batch.dim() != self.dim()`.
     pub fn topk_batch(&self, batch: &PackedQueryBatch, k: usize) -> Vec<Vec<(&str, f32)>> {
-        assert_eq!(
-            batch.dim(),
-            self.dim,
-            "query batch dimensionality must match the class memory"
-        );
-        self.pool
-            .map_chunks(batch.len(), |range| {
-                range
-                    .map(|q| self.top_k_serial(batch.row(q), k))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Merges per-shard `(shard, row, hamming)` winners on `(hamming,
-    /// label)` — the monolithic comparator.
-    fn merge_nearest<I>(&self, winners: I) -> Option<(&str, f32)>
-    where
-        I: Iterator<Item = (usize, usize, u64)>,
-    {
-        winners
-            .min_by(|&(sa, ra, ha), &(sb, rb, hb)| {
-                ha.cmp(&hb)
-                    .then_with(|| self.shards[sa].label(ra).cmp(self.shards[sb].label(rb)))
-            })
-            .map(|(s, row, hamming)| {
-                (
-                    self.shards[s].label(row),
-                    similarity_from_hamming(self.dim, hamming),
-                )
-            })
-    }
-
-    /// Merges per-shard candidate lists (`per_shard[s]` is shard `s`'s
-    /// `(row, hamming)` top-k) into the global top-k on `(hamming, label)`.
-    fn merge_top_k(&self, per_shard: &[Vec<(usize, u64)>], k: usize) -> Vec<(&str, f32)> {
-        let mut merged: Vec<(usize, usize, u64)> = per_shard
-            .iter()
-            .enumerate()
-            .flat_map(|(s, rows)| rows.iter().map(move |&(row, hamming)| (s, row, hamming)))
-            .collect();
-        merged.sort_by(|&(sa, ra, ha), &(sb, rb, hb)| {
-            ha.cmp(&hb)
-                .then_with(|| self.shards[sa].label(ra).cmp(self.shards[sb].label(rb)))
-        });
-        merged.truncate(k);
-        merged
-            .into_iter()
-            .map(|(s, row, hamming)| {
-                (
-                    self.shards[s].label(row),
-                    similarity_from_hamming(self.dim, hamming),
-                )
-            })
-            .collect()
+        self.parts.topk_batch(batch, k, |_| 0..self.num_shards())
     }
 }
 
@@ -506,60 +307,28 @@ impl ShardedClassMemory {
 impl Serialize for ShardedClassMemory {
     fn to_value(&self) -> Value {
         Value::Object(vec![
-            ("dim".to_string(), self.dim.to_value()),
-            (
-                "shards".to_string(),
-                Value::Array(self.shards.iter().map(|s| s.to_value()).collect()),
-            ),
+            ("dim".to_string(), self.dim().to_value()),
+            ("shards".to_string(), self.parts.to_value()),
         ])
     }
 }
 
-/// Hand-written (instead of derived) so cross-shard invariants — a
-/// non-empty shard list, every shard at the declared dimensionality, no
-/// label stored twice — are enforced with typed errors. Per-shard word
-/// matrix shape and tail-bit cleanliness are validated by
-/// [`PackedClassMemory`]'s own deserializer. The scoring pool is rebuilt
-/// auto-sized (it is a performance knob, not state).
+/// Hand-written (instead of derived) so the shard list is checked with
+/// typed errors: a positive `dim`, at least one shard, every shard at `dim`,
+/// no label stored twice. The scoring pool is rebuilt auto-sized (it is a
+/// performance knob, not state).
 impl Deserialize for ShardedClassMemory {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         let entries = de::expect_object(value, "ShardedClassMemory")?;
-        let dim: usize = de::field(entries, "dim", "ShardedClassMemory")?;
-        let shards: Vec<PackedClassMemory> = de::field(entries, "shards", "ShardedClassMemory")?;
-        let type_err = |msg: String| DeError::new(msg).in_field("ShardedClassMemory");
-        if dim == 0 {
-            return Err(type_err("dimensionality must be positive".into()));
-        }
-        if shards.is_empty() {
-            return Err(type_err("at least one shard is required".into()));
-        }
-        for (s, shard) in shards.iter().enumerate() {
-            if shard.dim() != dim {
-                return Err(type_err(format!(
-                    "shard {s} has dimensionality {} but the memory declares {dim}",
-                    shard.dim()
-                )));
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        for shard in &shards {
-            for label in shard.labels() {
-                if !seen.insert(label) {
-                    return Err(type_err(format!("label `{label}` stored in two shards")));
-                }
-            }
-        }
         Ok(Self {
-            dim,
-            shards: shards.into_iter().map(Arc::new).collect(),
-            pool: Pool::auto(),
+            parts: Parts::from_entries(entries, "shards", "ShardedClassMemory")?,
         })
     }
 }
 
 /// The sharded backend of the unified [`Scorer`](crate::Scorer) contract.
-/// Lookups delegate to the inherent methods (parallel shard fan-out, merged
-/// on `(hamming, label)` — bit-identical to the monolithic scorer);
+/// Lookups delegate to the inherent methods (merged on `(hamming, label)` —
+/// bit-identical to the monolithic scorer);
 /// [`Scorer::score_batch`](crate::Scorer::score_batch) reports similarities
 /// in **shard-major** stored order (the order of
 /// [`ShardedClassMemory::labels`]), stitched from the per-shard popcount
@@ -569,37 +338,15 @@ impl crate::Scorer for ShardedClassMemory {
     type Batch = PackedQueryBatch;
 
     fn dim(&self) -> usize {
-        self.dim
+        self.dim()
     }
 
     fn num_classes(&self) -> usize {
         self.len()
     }
 
-    fn score_batch(&self, batch: &PackedQueryBatch) -> tensor::Matrix {
-        assert_eq!(
-            batch.dim(),
-            self.dim,
-            "query batch dimensionality must match the class memory"
-        );
-        let classes = self.len();
-        if batch.is_empty() {
-            return tensor::Matrix::zeros(0, classes);
-        }
-        let blocks = self.pool.map_chunks(batch.len(), |range| {
-            let mut out = Vec::with_capacity(range.len() * classes);
-            for q in range {
-                for shard in &self.shards {
-                    out.extend_from_slice(&shard.scores(batch.row(q)));
-                }
-            }
-            out
-        });
-        let mut data = Vec::with_capacity(batch.len() * classes);
-        for block in blocks {
-            data.extend_from_slice(&block);
-        }
-        tensor::Matrix::from_vec(batch.len(), classes, data)
+    fn score_batch(&self, batch: &PackedQueryBatch) -> Matrix {
+        self.parts.score_batch(batch)
     }
 
     fn nearest(&self, query: &[u64]) -> Option<(&str, f32)> {
@@ -622,21 +369,7 @@ impl crate::Scorer for ShardedClassMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lcg_signs(state: &mut u64, dim: usize) -> Vec<i8> {
-        (0..dim)
-            .map(|_| {
-                *state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if *state >> 63 == 0 {
-                    1
-                } else {
-                    -1
-                }
-            })
-            .collect()
-    }
+    use crate::parts::lcg_signs;
 
     fn fixture(dim: usize, classes: usize, shards: usize) -> (ShardedClassMemory, Vec<Vec<i8>>) {
         let mut state = 99u64;
@@ -669,14 +402,14 @@ mod tests {
         let snapshot = memory.clone();
         // All shards start shared with the snapshot clone.
         for s in 0..3 {
-            assert!(Arc::ptr_eq(&memory.shards[s], &snapshot.shards[s]));
+            assert!(std::ptr::eq(memory.shard(s), snapshot.shard(s)));
         }
         let (touched, replaced) = memory.add_class("newcomer", &protos[0]);
         assert!(!replaced);
         // Exactly the touched shard was deep-copied; the others stay shared.
         for s in 0..3 {
             assert_eq!(
-                Arc::ptr_eq(&memory.shards[s], &snapshot.shards[s]),
+                std::ptr::eq(memory.shard(s), snapshot.shard(s)),
                 s != touched,
                 "shard {s}"
             );
@@ -697,10 +430,10 @@ mod tests {
         let (mut memory, protos) = fixture(64, 4, 2);
         assert!(!memory.update_class("ghost", &protos[0]));
         assert!(!memory.contains("ghost"));
-        let before = memory.locate("class001").expect("stored");
+        let before = memory.parts.locate("class001").expect("stored");
         assert!(memory.update_class("class001", &protos[3]));
         // Update stays in the same shard and row.
-        assert_eq!(memory.locate("class001"), Some(before));
+        assert_eq!(memory.parts.locate("class001"), Some(before));
         assert_eq!(
             memory.class_words("class001").expect("stored"),
             &pack_signs(&protos[3])[..]
@@ -788,53 +521,8 @@ mod tests {
         assert_eq!(from_matrix, from_packed);
         assert_eq!(from_matrix.len(), 3);
         assert_eq!(from_matrix.dim(), 3);
-        assert!(from_matrix.memory_bytes() > 0);
         let query = pack_signs(&[1, -1, 1]);
         assert_eq!(from_matrix.top_k(&query, 3), from_packed.top_k(&query, 3));
-    }
-
-    /// Single-query lookups above the fan-out threshold take the
-    /// minipool-parallel branch; results must stay bit-identical to the
-    /// monolithic memory (and to the serial branch used by small memories).
-    #[test]
-    fn parallel_fanout_branch_matches_monolithic() {
-        let dim = 65_536usize; // 1024 words per row
-        let classes = 128usize; // 131072 total words ≥ the fan-out threshold
-        let mut state = 0xfeed_beefu64;
-        let mut next_word = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state
-        };
-        let wpr = words_per_row(dim);
-        let mut mono = PackedClassMemory::new(dim);
-        let mut memory = ShardedClassMemory::new(dim, 4).with_threads(3);
-        for c in 0..classes {
-            let row: Vec<u64> = (0..wpr).map(|_| next_word()).collect();
-            mono.insert_packed(format!("class{c:03}"), &row);
-            memory.add_class_packed(format!("class{c:03}"), &row);
-        }
-        assert!(
-            memory.single_query_fanout(),
-            "fixture must cross the threshold"
-        );
-        let query: Vec<u64> = (0..wpr).map(|_| next_word()).collect();
-        let (label, sim) = memory.nearest(&query).expect("non-empty");
-        let (mono_index, mono_sim) = mono.nearest(&query).expect("non-empty");
-        assert_eq!(label, mono.label(mono_index));
-        assert_eq!(sim.to_bits(), mono_sim.to_bits());
-        let sharded: Vec<(&str, u32)> = memory
-            .top_k(&query, 9)
-            .into_iter()
-            .map(|(l, s)| (l, s.to_bits()))
-            .collect();
-        let monolithic: Vec<(&str, u32)> = mono
-            .top_k(&query, 9)
-            .into_iter()
-            .map(|(i, s)| (mono.label(i), s.to_bits()))
-            .collect();
-        assert_eq!(sharded, monolithic);
     }
 
     #[test]
@@ -845,7 +533,7 @@ mod tests {
         assert!(memory.top_k(&query, 3).is_empty());
         assert!(memory.is_empty());
         assert_eq!(memory.num_shards(), 4);
-        assert!(memory.locate("nothing").is_none());
+        assert!(memory.parts.locate("nothing").is_none());
         assert!(memory.class_words("nothing").is_none());
     }
 
@@ -908,23 +596,15 @@ mod tests {
         let zero = "{\"dim\": 0, \"shards\": []}";
         assert!(serde_json::from_str::<ShardedClassMemory>(zero).is_err());
 
-        // The same label in two shards: duplicate shard 0 wholesale.
-        let value = serde::Serialize::to_value(&memory);
-        let dup = match value {
-            Value::Object(mut entries) => {
-                for (key, v) in &mut entries {
-                    if key == "shards" {
-                        if let Value::Array(shards) = v {
-                            let first = shards[0].clone();
-                            shards.push(first);
-                        }
-                    }
-                }
-                Value::Object(entries)
-            }
-            _ => unreachable!("memories serialize as objects"),
-        };
-        let err = <ShardedClassMemory as serde::Deserialize>::from_value(&dup);
-        assert!(err.is_err(), "duplicate labels across shards must fail");
+        // The same label in two shards (shard 0 duplicated wholesale), and
+        // twice inside one shard.
+        let shard0 = serde_json::to_string(memory.shard(0)).expect("serializes");
+        let twice =
+            "{\"dim\": 64, \"words_per_row\": 1, \"labels\": [\"a\", \"a\"], \"words\": [1, 2]}";
+        for shards in [format!("{shard0}, {shard0}"), twice.to_string()] {
+            let doc = format!("{{\"dim\": 64, \"shards\": [{shards}]}}");
+            let err = serde_json::from_str::<ShardedClassMemory>(&doc).expect_err("duplicate");
+            assert!(err.to_string().contains("stored"), "{err}");
+        }
     }
 }
