@@ -1,6 +1,7 @@
 //! Criterion benchmarks of the model's forward paths: attribute-dictionary
-//! construction, class encoding `A × B`, and inference-time class-logit
-//! computation (the operations that run on-device at deployment).
+//! construction, class encoding `A × B`, the image embed the server runs per
+//! query batch, and inference-time class-logit computation (the operations
+//! that run on-device at deployment).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dataset::AttributeSchema;
@@ -39,6 +40,26 @@ fn bench_class_encoding(c: &mut Criterion) {
     group.finish();
 }
 
+/// `embed_images` at the paper shape (2048-d features to d = 1536): batch 1
+/// is the served case, since the server's batches average one query; batch 16
+/// is a coalesced one.
+fn bench_embed(c: &mut Criterion) {
+    let schema = AttributeSchema::cub200();
+    let mut rng = StdRng::seed_from_u64(4);
+    let model = ZscModel::new(&ModelConfig::paper_default(), &schema, 2048);
+    let mut group = c.benchmark_group("embed_images");
+    group.sample_size(10);
+    for &batch in &[1usize, 16] {
+        let features = Matrix::random_uniform(batch, 2048, 1.0, &mut rng);
+        group.bench_with_input(
+            BenchmarkId::new("paper_shape", format!("b{batch}_f2048_d1536")),
+            &batch,
+            |b, _| b.iter(|| black_box(model.embed_images(&features))),
+        );
+    }
+    group.finish();
+}
+
 fn bench_inference(c: &mut Criterion) {
     let schema = AttributeSchema::cub200();
     let mut rng = StdRng::seed_from_u64(3);
@@ -70,6 +91,7 @@ criterion_group!(
     benches,
     bench_dictionary_construction,
     bench_class_encoding,
+    bench_embed,
     bench_inference
 );
 criterion_main!(benches);

@@ -207,9 +207,14 @@ impl Layer for Linear {
             self.in_features(),
             input.cols()
         );
-        input
-            .matmul(&self.weight.values)
-            .add_row_broadcast(self.bias.values.row(0))
+        let mut out = input.matmul(&self.weight.values);
+        let bias = self.bias.values.row(0);
+        for r in 0..out.rows() {
+            for (v, b) in out.row_mut(r).iter_mut().zip(bias) {
+                *v += b;
+            }
+        }
+        out
     }
 
     fn forward_train(&mut self, input: &Matrix) -> Matrix {

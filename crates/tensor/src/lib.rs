@@ -6,7 +6,7 @@
 //! provides the minimal — but complete and well-tested — matrix/vector
 //! toolkit those components need:
 //!
-//! * [`Matrix`]: a row-major dense matrix with blocked matrix products
+//! * [`Matrix`]: a row-major dense matrix with streaming matrix products
 //!   (`A·B`, `Aᵀ·B`, `A·Bᵀ`), elementwise arithmetic, broadcasting of row
 //!   vectors, reductions, and norms.
 //! * [`Vector`]: a thin convenience wrapper over `Vec<f32>` with dot

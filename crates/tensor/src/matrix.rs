@@ -1,4 +1,4 @@
-//! Row-major dense `f32` matrix with blocked products and broadcasting.
+//! Row-major dense `f32` matrix with streaming products and broadcasting.
 
 use crate::{ShapeError, Vector};
 use rand::distributions::Distribution;
@@ -41,9 +41,6 @@ impl Deserialize for Matrix {
             .map_err(|e| DeError::new(e.to_string()).in_field("Matrix"))
     }
 }
-
-/// Block edge used by the cache-blocked matrix products.
-const BLOCK: usize = 64;
 
 impl Matrix {
     /// Creates a matrix of the given shape filled with zeros.
@@ -99,17 +96,9 @@ impl Matrix {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != rows * cols`.
+    /// Panics if `data.len() != rows * cols` or `rows * cols` overflows.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "buffer length {} does not match shape {}x{}",
-            data.len(),
-            rows,
-            cols
-        );
-        Self { rows, cols, data }
+        Self::try_from_vec(rows, cols, data).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Creates a matrix from a flat row-major buffer, returning an error on
@@ -117,9 +106,10 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if `data.len() != rows * cols`.
+    /// Returns [`ShapeError`] if `data.len() != rows * cols` or `rows * cols`
+    /// overflows `usize`.
     pub fn try_from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self, ShapeError> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(ShapeError::new(format!(
                 "buffer length {} does not match shape {rows}x{cols}",
                 data.len()
@@ -350,7 +340,10 @@ impl Matrix {
 
     /// Computes the matrix product `self · other`.
     ///
-    /// Uses a cache-blocked i-k-j loop ordering.
+    /// Streams `other` once per row of `self` in i-k-j order, four rows of
+    /// `other` per pass over the output row. Every output entry is the
+    /// sequential k-order sum `((0 + a₀b₀) + a₁b₁) + …` that skips terms
+    /// whose `self` entry is exactly zero, so the fusion never changes a bit.
     ///
     /// # Panics
     ///
@@ -365,9 +358,6 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`ShapeError`] if the inner dimensions differ.
-    // Index loops, not iterators: the cache-blocked kernel reads `a_row`
-    // at an offset while writing `out_row`, which iterator zips can't express.
-    #[allow(clippy::needless_range_loop)]
     pub fn try_matmul(&self, other: &Matrix) -> Result<Matrix, ShapeError> {
         if self.cols != other.rows {
             return Err(ShapeError::new(format!(
@@ -375,29 +365,41 @@ impl Matrix {
                 self.rows, self.cols, other.rows, other.cols
             )));
         }
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        for ib in (0..m).step_by(BLOCK) {
-            let i_end = (ib + BLOCK).min(m);
-            for kb in (0..k).step_by(BLOCK) {
-                let k_end = (kb + BLOCK).min(k);
-                for jb in (0..n).step_by(BLOCK) {
-                    let j_end = (jb + BLOCK).min(n);
-                    for i in ib..i_end {
-                        let a_row = &self.data[i * k..(i + 1) * k];
-                        let out_row = &mut out.data[i * n..(i + 1) * n];
-                        for kk in kb..k_end {
-                            let a = a_row[kk];
-                            if a == 0.0 {
-                                continue;
-                            }
-                            let b_row = &other.data[kk * n..(kk + 1) * n];
-                            for j in jb..j_end {
-                                out_row[j] += a * b_row[j];
-                            }
-                        }
+        let (k, n) = (self.cols, other.cols);
+        let mut out = Matrix::zeros(self.rows, n);
+        if k == 0 || n == 0 {
+            return Ok(out);
+        }
+        for (a_row, out_row) in self.data.chunks_exact(k).zip(out.data.chunks_exact_mut(n)) {
+            let a_quads = a_row.chunks_exact(4);
+            let b_quads = other.data.chunks_exact(4 * n);
+            let (a_tail, b_tail) = (a_quads.remainder(), b_quads.remainder());
+            for (a, b) in a_quads.zip(b_quads) {
+                // A zero in the group falls back to per-row adds, which skip it.
+                if a.contains(&0.0) {
+                    for (&a, b_row) in a.iter().zip(b.chunks_exact(n)) {
+                        add_scaled_row(out_row, a, b_row);
                     }
+                    continue;
                 }
+                let (a0, a1, a2, a3) = (a[0], a[1], a[2], a[3]);
+                let (b0, rest) = b.split_at(n);
+                let (b1, rest) = rest.split_at(n);
+                let (b2, b3) = rest.split_at(n);
+                for ((((o, &x0), &x1), &x2), &x3) in
+                    out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
+                {
+                    // One add per term, in k order: no reassociation, no FMA.
+                    let mut acc = *o;
+                    acc += a0 * x0;
+                    acc += a1 * x1;
+                    acc += a2 * x2;
+                    acc += a3 * x3;
+                    *o = acc;
+                }
+            }
+            for (&a, b_row) in a_tail.iter().zip(b_tail.chunks_exact(n)) {
+                add_scaled_row(out_row, a, b_row);
             }
         }
         Ok(out)
@@ -735,6 +737,17 @@ impl Matrix {
     }
 }
 
+/// `out_row += a · b_row`, skipping the row when `a` is exactly zero: one
+/// k-step of [`Matrix::matmul`].
+fn add_scaled_row(out_row: &mut [f32], a: f32, b_row: &[f32]) {
+    if a == 0.0 {
+        return;
+    }
+    for (o, &b) in out_row.iter_mut().zip(b_row) {
+        *o += a * b;
+    }
+}
+
 impl std::fmt::Display for Matrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
@@ -755,6 +768,7 @@ impl std::fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -819,24 +833,96 @@ mod tests {
         assert!(fast.max_abs_diff(&slow) < 1e-4);
     }
 
+    /// The reference every product is pinned against: each entry is the
+    /// sequential k-order sum from `+0.0`, skipping exact zeros in `a`.
+    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0f32;
+                for k in 0..a.cols() {
+                    let x = a.get(i, k);
+                    if x != 0.0 {
+                        acc += x * b.get(k, j);
+                    }
+                }
+                out.set(i, j, acc);
+            }
+        }
+        out
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Fills a `rows × cols` matrix from `rng`: about a quarter of the entries
+    /// are drawn from `specials`, the rest uniformly from `[-2, 2)`.
+    fn with_specials(rows: usize, cols: usize, specials: &[f32], rng: &mut StdRng) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| {
+                let pick = rng.gen_range(0..specials.len() * 4);
+                specials
+                    .get(pick)
+                    .copied()
+                    .unwrap_or_else(|| rng.gen_range(-2.0f32..2.0))
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    const A_SPECIALS: [f32; 2] = [0.0, -0.0];
+    const B_SPECIALS: [f32; 4] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY];
+
+    proptest! {
+        #[test]
+        fn matmul_matches_naive_bits(
+            m in 0usize..=70,
+            k in 0usize..=70,
+            n in 0usize..=70,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = with_specials(m, k, &A_SPECIALS, &mut rng);
+            let b = with_specials(k, n, &B_SPECIALS, &mut rng);
+            prop_assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b)));
+        }
+    }
+
+    /// Empty dimensions and every `k % 4` tail, with the same specials as the
+    /// property above.
     #[test]
-    fn blocked_matmul_matches_naive_on_larger_sizes() {
+    fn matmul_matches_naive_bits_on_edge_shapes() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for m in [0, 1, 3] {
+            for k in [0, 1, 2, 3, 4, 5, 7, 8, 9] {
+                for n in [0, 1, 5] {
+                    let a = with_specials(m, k, &A_SPECIALS, &mut rng);
+                    let b = with_specials(k, n, &B_SPECIALS, &mut rng);
+                    let product = a.matmul(&b);
+                    assert_eq!(product.shape(), (m, n));
+                    assert_eq!(bits(&product), bits(&naive_matmul(&a, &b)), "{m}x{k}x{n}");
+                }
+            }
+        }
+    }
+
+    /// The served embed shape: one 2048-d feature row through the 2048×1536
+    /// projection.
+    #[test]
+    fn matmul_matches_naive_bits_at_paper_shape() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let a = with_specials(1, 2048, &A_SPECIALS, &mut rng);
+        let b = Matrix::random_uniform(2048, 1536, 0.05, &mut rng);
+        assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b)));
+    }
+
+    #[test]
+    fn matmul_matches_naive_bits_on_larger_sizes() {
         let mut rng = StdRng::seed_from_u64(4);
         let a = Matrix::random_uniform(70, 130, 1.0, &mut rng);
         let b = Matrix::random_uniform(130, 65, 1.0, &mut rng);
-        let fast = a.matmul(&b);
-        // Naive reference.
-        let mut naive = Matrix::zeros(70, 65);
-        for i in 0..70 {
-            for j in 0..65 {
-                let mut acc = 0.0;
-                for k in 0..130 {
-                    acc += a.get(i, k) * b.get(k, j);
-                }
-                naive.set(i, j, acc);
-            }
-        }
-        assert!(fast.max_abs_diff(&naive) < 1e-3);
+        assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b)));
     }
 
     #[test]
@@ -963,5 +1049,17 @@ mod tests {
     fn try_from_vec_checks_length() {
         assert!(Matrix::try_from_vec(2, 2, vec![0.0; 3]).is_err());
         assert!(Matrix::try_from_vec(2, 2, vec![0.0; 4]).is_ok());
+        // The product wraps to exactly 0 unless it is checked.
+        assert!(Matrix::try_from_vec(usize::MAX / 2 + 1, 2, Vec::new()).is_err());
+    }
+
+    /// `rows * cols` would wrap to 0 and accept the empty buffer: the shape
+    /// must be rejected with a typed error in every build profile, not
+    /// accepted (release) or panic (debug).
+    #[test]
+    fn deserialize_rejects_overflowing_shape() {
+        let doc = r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#;
+        let err = serde_json::from_str::<Matrix>(doc).expect_err("overflowing shape");
+        assert!(err.to_string().contains("4294967296x4294967296"), "{err}");
     }
 }
