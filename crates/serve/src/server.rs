@@ -5,12 +5,13 @@
 //! Concurrent callers submit single backbone-feature rows (or small batches)
 //! through [`QueryServer::query`] / [`QueryServer::query_batch`]. A
 //! dedicated dispatcher thread coalesces whatever is queued — up to
-//! [`ServerConfig::max_batch`] requests, waiting at most
-//! [`ServerConfig::max_wait_us`] after the first arrival — embeds the batch
-//! through the model's image encoder, sign-binarizes the embeddings, and
-//! scores them against a sharded packed class memory
-//! ([`engine::ShardedClassMemory`]). Each caller receives its own top-k
-//! labels.
+//! [`ServerConfig::max_batch`] requests within a window of
+//! [`ServerConfig::max_wait_us`] after the first arrival — and spends that
+//! window computing: it embeds the rows it holds through the model's image
+//! encoder and sign-binarizes them, then embeds each top-up of rows that
+//! arrive before the window closes. The whole batch is then scored against
+//! a sharded packed class memory ([`engine::ShardedClassMemory`]), and
+//! each caller receives its own top-k labels.
 //!
 //! # Snapshots and hot swap
 //!
@@ -19,7 +20,8 @@
 //! never mutate while serving) plus the sharded class memory. The
 //! dispatcher picks up the current snapshot once per coalesced batch, so
 //! every batch is scored against exactly one snapshot and a swap never
-//! tears a batch.
+//! tears a batch. Rows that arrive after a swap inside an open window are
+//! not topped up into it: they open the next batch, on the new snapshot.
 //!
 //! **Zero model copies on the query path.** Since the model's entire
 //! inference surface takes `&self`, neither the dispatcher, nor
@@ -76,8 +78,10 @@ use tensor::Matrix;
 pub struct ServerConfig {
     /// Largest batch the dispatcher hands to the engine at once.
     pub max_batch: usize,
-    /// How long (µs) the dispatcher waits after the first queued request for
-    /// more requests to coalesce before dispatching a partial batch.
+    /// How long (µs) after the first queued request the dispatcher keeps a
+    /// partial batch open for more requests to coalesce. The window is spent
+    /// embedding the rows that have arrived, not sleeping: when embedding
+    /// outlasts it, a lone request pays the embed and no wait.
     pub max_wait_us: u64,
     /// Thread count of the engine pool the batch is scored across.
     pub threads: usize,
@@ -1946,7 +1950,7 @@ fn validate_config(config: &ServerConfig) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// The dispatcher: collect → pick up snapshot → embed → pack → score →
+/// The dispatcher: collect (embedding while the window is open) → score →
 /// respond, forever.
 ///
 /// Embedding runs through the snapshot's shared [`FrozenModel`] (`&self`
@@ -1954,29 +1958,23 @@ fn validate_config(config: &ServerConfig) -> Result<(), ServeError> {
 /// of its own and a swap costs it exactly one `Arc` load — never a weight
 /// copy.
 fn dispatch_loop(shared: &Shared, config: ServerConfig) {
-    while let Some(mut batch) = collect_batch(shared, config.max_batch, config.max_wait_us) {
-        let snapshot = Arc::clone(&shared.snapshot.lock().expect("snapshot mutex poisoned"));
-        let rows: Vec<Vec<f32>> = batch
-            .iter_mut()
-            .map(|r| std::mem::take(&mut r.features))
-            .collect();
-        let features = Matrix::from_rows(&rows);
-        // Inference-mode embedding (no caches), then sign-binarization into
-        // the engine's packed query layout — the same path
-        // `ZscModel::sharded_class_memory` uses for the class side.
-        let embeddings = snapshot.model.embed_images(&features);
-        let queries = PackedQueryBatch::from_sign_matrix(&embeddings);
+    while let Some(Batch {
+        snapshot,
+        requests,
+        queries,
+    }) = collect_batch(shared, config.max_batch, config.max_wait_us)
+    {
         let topk = match &snapshot.routed {
             Some(routed) => routed.topk_batch(&queries, config.top_k),
             None => snapshot.memory.topk_batch(&queries, config.top_k),
         };
         {
             let mut stats = shared.stats.lock().expect("stats mutex poisoned");
-            stats.queries += batch.len() as u64;
+            stats.queries += requests.len() as u64;
             stats.batches += 1;
-            stats.max_batch_observed = stats.max_batch_observed.max(batch.len());
+            stats.max_batch_observed = stats.max_batch_observed.max(requests.len());
         }
-        for (request, result) in batch.into_iter().zip(topk) {
+        for (request, result) in requests.into_iter().zip(topk) {
             let labelled: Vec<ScoredLabel> = result
                 .into_iter()
                 .map(|(label, sim)| (label.to_string(), sim))
@@ -1992,35 +1990,86 @@ fn dispatch_loop(shared: &Shared, config: ServerConfig) {
     }
 }
 
-/// Blocks until at least one request is queued, then keeps collecting until
-/// the batch is full, the coalescing window expires, or shutdown is
-/// requested. Returns `None` once the server is shut down *and* drained.
-fn collect_batch(shared: &Shared, max_batch: usize, max_wait_us: u64) -> Option<Vec<Request>> {
+/// One coalesced batch, embedded and packed, ready to score: row `i` of
+/// `queries` is the sign-binarized embedding of `requests[i]`, computed
+/// through `snapshot`'s model.
+struct Batch {
+    snapshot: Arc<ModelSnapshot>,
+    requests: Vec<Request>,
+    queries: PackedQueryBatch,
+}
+
+/// Blocks until at least one request is queued, takes up to `max_batch`
+/// requests and opens a batch on the snapshot current *after* taking them,
+/// then spends the coalescing window embedding: each pass embeds the rows
+/// taken since the last one, then waits — at most until `max_wait_us` after
+/// the batch opened — for more rows, for shutdown, or for the batch to
+/// fill. Returns `None` once the server is shut down *and* drained.
+///
+/// Rows seen under a snapshot other than the batch's stay queued and open
+/// the next batch, so a batch never mixes snapshots and a query submitted
+/// after a mutation returned is never served by an older version. Splitting
+/// the embed into top-ups changes no bit: every embedding row depends on
+/// its own input row alone, and packing is per row.
+fn collect_batch(shared: &Shared, max_batch: usize, max_wait_us: u64) -> Option<Batch> {
     let mut queue = shared.queue.lock().expect("queue mutex poisoned");
-    loop {
-        if !queue.pending.is_empty() {
-            break;
-        }
+    while queue.pending.is_empty() {
         if queue.shutdown {
             return None;
         }
         queue = shared.arrivals.wait(queue).expect("queue mutex poisoned");
     }
-    let deadline = Instant::now() + Duration::from_micros(max_wait_us);
-    while queue.pending.len() < max_batch && !queue.shutdown {
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let (guard, timeout) = shared
-            .arrivals
-            .wait_timeout(queue, deadline - now)
-            .expect("queue mutex poisoned");
-        queue = guard;
-        if timeout.timed_out() {
-            break;
-        }
-    }
     let take = queue.pending.len().min(max_batch);
-    Some(queue.pending.drain(..take).collect())
+    let mut requests: Vec<Request> = queue.pending.drain(..take).collect();
+    drop(queue);
+    let snapshot = Arc::clone(&shared.snapshot.lock().expect("snapshot mutex poisoned"));
+    let deadline = Instant::now() + Duration::from_micros(max_wait_us);
+    let mut queries = PackedQueryBatch::new(snapshot.model.embedding_dim());
+    loop {
+        // Inference-mode embedding (no caches) of the rows not yet
+        // embedded, then sign-binarization into the engine's packed query
+        // layout — the same path `ZscModel::sharded_class_memory` uses for
+        // the class side.
+        let rows: Vec<Vec<f32>> = requests[queries.len()..]
+            .iter_mut()
+            .map(|r| std::mem::take(&mut r.features))
+            .collect();
+        let embeddings = snapshot.model.embed_images(&Matrix::from_rows(&rows));
+        for r in 0..embeddings.rows() {
+            queries.push_packed(&engine::pack_float_signs(embeddings.row(r)));
+        }
+        if requests.len() == max_batch {
+            break;
+        }
+        let mut queue = shared.queue.lock().expect("queue mutex poisoned");
+        while queue.pending.is_empty() && !queue.shutdown {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            queue = shared
+                .arrivals
+                .wait_timeout(queue, deadline - now)
+                .expect("queue mutex poisoned")
+                .0;
+        }
+        if queue.pending.is_empty() || Instant::now() >= deadline {
+            break;
+        }
+        // Read under the queue lock, after seeing the rows: any mutation
+        // that returned before one of them was enqueued is visible here.
+        if !Arc::ptr_eq(
+            &shared.snapshot.lock().expect("snapshot mutex poisoned"),
+            &snapshot,
+        ) {
+            break;
+        }
+        let take = queue.pending.len().min(max_batch - requests.len());
+        requests.extend(queue.pending.drain(..take));
+    }
+    Some(Batch {
+        snapshot,
+        requests,
+        queries,
+    })
 }

@@ -87,3 +87,47 @@ fn stop_under_load_answers_or_cleanly_rejects_every_query() {
     ));
     server.stop();
 }
+
+#[test]
+fn stop_during_an_open_window_does_not_wait_it_out() {
+    let schema = AttributeSchema::cub200();
+    let model = ZscModel::new(&ModelConfig::tiny().with_seed(41), &schema, FEATURE_DIM);
+    let class_attributes = Matrix::ones(4, 312);
+    let labels: Vec<String> = (0..4).map(|c| format!("class{c}")).collect();
+    let server = QueryServer::start(
+        model,
+        labels,
+        &class_attributes,
+        ServerConfig {
+            max_batch: 8,
+            // Five seconds: a dispatcher that sat the window out would
+            // blow the bound below by a wide margin.
+            max_wait_us: 5_000_000,
+            threads: 1,
+            top_k: 2,
+            shards: 1,
+            routed: None,
+            publish_every: 1,
+        },
+    )
+    .expect("server starts");
+
+    std::thread::scope(|scope| {
+        let queued = scope.spawn(|| server.query(&[0.3; FEATURE_DIM]));
+        // The query is queued and its window open long before the stop.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let start = std::time::Instant::now();
+        server.stop();
+        let took = start.elapsed();
+        assert!(
+            took < std::time::Duration::from_millis(2_500),
+            "stop waited out the coalescing window ({took:?})"
+        );
+        let top = queued
+            .join()
+            .expect("query thread")
+            .expect("the queued query is answered, not dropped");
+        assert_eq!(top.len(), 2);
+    });
+    assert_eq!(server.stats().queries, 1);
+}
