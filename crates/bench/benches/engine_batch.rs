@@ -32,11 +32,11 @@ fn problem(dim: usize) -> Problem {
         .collect();
     let mut memory = PackedClassMemory::new(dim);
     for (c, proto) in prototypes.iter().enumerate() {
-        memory.insert_packed(format!("class{c:03}"), proto.to_binary().words());
+        memory.insert_signs(format!("class{c:03}"), proto.as_slice());
     }
     let mut batch = PackedQueryBatch::with_capacity(dim, BATCH);
     for q in &queries {
-        batch.push_packed(q.to_binary().words());
+        batch.push_signs(q.as_slice());
     }
     Problem {
         prototypes,

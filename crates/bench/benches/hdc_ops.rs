@@ -1,9 +1,10 @@
-//! Criterion micro-benchmarks of the HDC substrate: binding, bundling and
-//! similarity across hypervector dimensionalities (the operations the paper
-//! proposes to offload to non-von-Neumann accelerators).
+//! Criterion micro-benchmarks of the HDC substrate: bipolar binding, bundling
+//! and similarity across hypervector dimensionalities (the operations the
+//! paper proposes to offload to non-von-Neumann accelerators). The packed
+//! 1-bit kernels are benchmarked by `engine_batch`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdc::{bundler::bundle_bipolar, BinaryHypervector, BipolarHypervector};
+use hdc::{bundler::bundle_bipolar, BipolarHypervector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -22,11 +23,6 @@ fn bench_binding(c: &mut Criterion) {
             &dim,
             |bench, _| bench.iter(|| black_box(a.bind(&b))),
         );
-        let ab = a.to_binary();
-        let bb = b.to_binary();
-        group.bench_with_input(BenchmarkId::new("binary_xor", dim), &dim, |bench, _| {
-            bench.iter(|| black_box(ab.bind(&bb)))
-        });
     }
     group.finish();
 }
@@ -40,11 +36,6 @@ fn bench_similarity(c: &mut Criterion) {
         let b = BipolarHypervector::random(dim, &mut rng);
         group.bench_with_input(BenchmarkId::new("bipolar_cosine", dim), &dim, |bench, _| {
             bench.iter(|| black_box(a.cosine(&b)))
-        });
-        let ab = a.to_binary();
-        let bb = b.to_binary();
-        group.bench_with_input(BenchmarkId::new("binary_hamming", dim), &dim, |bench, _| {
-            bench.iter(|| black_box(ab.hamming(&bb)))
         });
     }
     group.finish();
@@ -65,22 +56,5 @@ fn bench_bundling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_binary_noise(c: &mut Criterion) {
-    let mut group = c.benchmark_group("robustness");
-    group.sample_size(20);
-    let mut rng = StdRng::seed_from_u64(4);
-    let hv = BinaryHypervector::random(2048, &mut rng);
-    group.bench_function("flip_noise_10pct_2048", |bench| {
-        bench.iter(|| black_box(hv.flip_noise(0.1, &mut rng)))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_binding,
-    bench_similarity,
-    bench_bundling,
-    bench_binary_noise
-);
+criterion_group!(benches, bench_binding, bench_similarity, bench_bundling);
 criterion_main!(benches);

@@ -434,7 +434,7 @@ fn main() {
         .collect();
     let mut memory = PackedClassMemory::new(config.dim);
     for (c, proto) in prototypes.iter().enumerate() {
-        memory.insert_packed(format!("class{c:04}"), proto.to_binary().words());
+        memory.insert_signs(format!("class{c:04}"), proto.as_slice());
     }
 
     // Query stream: noisy prototype copies, the realistic cleanup workload.
@@ -446,7 +446,7 @@ fn main() {
         .map(|chunk| {
             let mut batch = PackedQueryBatch::with_capacity(config.dim, chunk.len());
             for q in chunk {
-                batch.push_packed(q.to_binary().words());
+                batch.push_signs(q.as_slice());
             }
             batch
         })
@@ -573,19 +573,16 @@ fn main() {
                 let mut next = (**slot.lock().expect("slot")).clone();
                 match m % 4 {
                     0 | 1 => {
-                        next.add_class_packed(format!("churn{m:05}"), proto.to_binary().words());
+                        next.add_class(format!("churn{m:05}"), proto.as_slice());
                     }
                     2 => {
                         let label = format!("class{:04}", m % config.classes);
-                        next.add_class_packed(label, proto.to_binary().words());
+                        next.add_class(label, proto.as_slice());
                     }
                     _ => {
                         let target = format!("churn{:05}", m.saturating_sub(3));
                         if !next.remove_class(&target) {
-                            next.add_class_packed(
-                                format!("churn{m:05}-b"),
-                                proto.to_binary().words(),
-                            );
+                            next.add_class(format!("churn{m:05}-b"), proto.as_slice());
                         }
                     }
                 }

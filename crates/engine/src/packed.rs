@@ -6,9 +6,9 @@
 //! Row `r` of the memory occupies `words[r*wpr .. (r+1)*wpr]` where
 //! `wpr = dim.div_ceil(64)`; bit `i` of a row lives at word `i / 64`, bit
 //! position `i % 64`, and unused tail bits are kept at zero. A set bit
-//! encodes a bipolar `-1`, a clear bit a `+1` — the same isomorphism the
-//! `hdc` crate uses between its binary and bipolar hypervectors, so packing
-//! is lossless for ±1 data.
+//! encodes a bipolar `-1`, a clear bit a `+1`, so packing is lossless for
+//! ±1 data. This is the workspace's only bit-packed hypervector form; `hdc`
+//! keeps the bipolar `i8` one.
 //!
 //! # Exactness
 //!
@@ -62,8 +62,8 @@ pub fn pack_signs(signs: &[i8]) -> Vec<u64> {
 }
 
 /// Packs the *signs* of a float row (`x < 0` → set bit) into a fresh word
-/// row, matching `BipolarHypervector::from_sign_of` followed by the
-/// binary conversion (ties at exactly zero resolve to `+1`, i.e. clear).
+/// row, matching `BipolarHypervector::from_sign_of` followed by
+/// [`pack_signs`] (ties at exactly zero resolve to `+1`, i.e. clear).
 ///
 /// # Panics
 ///

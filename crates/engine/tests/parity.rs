@@ -286,4 +286,23 @@ proptest! {
         prop_assert_eq!(sim.to_bits(), 1.0f32.to_bits());
         prop_assert_eq!(similarity_from_hamming(dim, 0).to_bits(), 1.0f32.to_bits());
     }
+
+    #[test]
+    fn xor_of_packed_rows_equals_packed_hadamard_product(
+        dim in 1usize..600,
+        seed in 0u64..1_000_000,
+    ) {
+        // Binding commutes with packing: XOR on words is the Hadamard
+        // product on signs, and the tail bits past `dim` stay clear.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = random_signs(dim, &mut rng);
+        let b = random_signs(dim, &mut rng);
+        let hadamard: Vec<i8> = a.iter().zip(&b).map(|(x, y)| x * y).collect();
+        let xor: Vec<u64> = pack_signs(&a)
+            .iter()
+            .zip(pack_signs(&b))
+            .map(|(x, y)| x ^ y)
+            .collect();
+        prop_assert_eq!(xor, pack_signs(&hadamard));
+    }
 }

@@ -5,10 +5,9 @@
 //! stack of bipolar hypervectors converted to a [`tensor::Matrix`] row per
 //! attribute.
 
-use crate::{BinaryHypervector, HdcError};
+use crate::HdcError;
 use rand::Rng;
 use serde::{de, DeError, Deserialize, Serialize, Value};
-use tensor::Matrix;
 
 /// A dense bipolar hypervector with entries in `{-1, +1}` stored as `i8`.
 ///
@@ -194,57 +193,9 @@ impl BipolarHypervector {
         self.dot(other) as f32 / self.dim() as f32
     }
 
-    /// Cyclic permutation (rotation) by `shift` positions.
-    pub fn permute(&self, shift: usize) -> BipolarHypervector {
-        let d = self.dim();
-        let shift = shift % d;
-        let mut values = vec![0i8; d];
-        for (i, &v) in self.values.iter().enumerate() {
-            values[(i + shift) % d] = v;
-        }
-        BipolarHypervector { values }
-    }
-
-    /// Elementwise negation (the additive inverse under bundling).
-    pub fn negate(&self) -> BipolarHypervector {
-        BipolarHypervector {
-            values: self.values.iter().map(|v| -v).collect(),
-        }
-    }
-
-    /// Converts to the equivalent packed binary hypervector (`+1 → 0`,
-    /// `-1 → 1`).
-    pub fn to_binary(&self) -> BinaryHypervector {
-        BinaryHypervector::from_bits(&self.values.iter().map(|&v| v == -1).collect::<Vec<bool>>())
-    }
-
     /// Converts to a row of `f32` values (for use in dense matrices).
     pub fn to_f32(&self) -> Vec<f32> {
         self.values.iter().map(|&v| v as f32).collect()
-    }
-
-    /// Stacks a slice of hypervectors into a dense `n × d` matrix of ±1
-    /// floats — the representation of the attribute dictionary `B` used by
-    /// the similarity kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hvs` is empty or the dimensionalities differ.
-    pub fn stack_to_matrix(hvs: &[BipolarHypervector]) -> Matrix {
-        assert!(!hvs.is_empty(), "cannot stack zero hypervectors");
-        let dim = hvs[0].dim();
-        let rows: Vec<Vec<f32>> = hvs
-            .iter()
-            .map(|hv| {
-                assert_eq!(
-                    hv.dim(),
-                    dim,
-                    "stacked hypervectors must share dimensionality"
-                );
-                hv.to_f32()
-            })
-            .collect();
-        Matrix::from_rows(&rows)
     }
 
     /// Flips each entry independently with probability `p` (noise injection).
@@ -354,54 +305,6 @@ mod tests {
     fn from_sign_of_floats() {
         let hv = BipolarHypervector::from_sign_of(&[0.5, -0.2, 0.0]);
         assert_eq!(hv.as_slice(), &[1, -1, 1]);
-    }
-
-    #[test]
-    fn negate_inverts_cosine() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let a = BipolarHypervector::random(1024, &mut rng);
-        assert!((a.cosine(&a.negate()) + 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn permute_preserves_distances() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let a = BipolarHypervector::random(2048, &mut rng);
-        let b = BipolarHypervector::random(2048, &mut rng);
-        assert!((a.permute(5).cosine(&b.permute(5)) - a.cosine(&b)).abs() < 1e-6);
-        assert_eq!(a.permute(0), a);
-        assert_eq!(a.permute(2048), a);
-        assert!(a.permute(1).cosine(&a).abs() < 0.1);
-    }
-
-    #[test]
-    fn binary_roundtrip_preserves_everything() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let a = BipolarHypervector::random(777, &mut rng);
-        let roundtrip = a.to_binary().to_bipolar();
-        assert_eq!(a, roundtrip);
-    }
-
-    #[test]
-    fn binding_commutes_with_binary_conversion() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let a = BipolarHypervector::random(512, &mut rng);
-        let b = BipolarHypervector::random(512, &mut rng);
-        // XOR of binary == Hadamard of bipolar.
-        let via_binary = a.to_binary().bind(&b.to_binary()).to_bipolar();
-        assert_eq!(via_binary, a.bind(&b));
-    }
-
-    #[test]
-    fn stack_to_matrix_shape_and_values() {
-        let hvs = vec![
-            BipolarHypervector::from_signs(&[1, -1]),
-            BipolarHypervector::from_signs(&[-1, 1]),
-        ];
-        let m = BipolarHypervector::stack_to_matrix(&hvs);
-        assert_eq!(m.shape(), (2, 2));
-        assert_eq!(m.row(0), &[1.0, -1.0]);
-        assert_eq!(m.row(1), &[-1.0, 1.0]);
     }
 
     #[test]

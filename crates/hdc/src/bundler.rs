@@ -7,7 +7,7 @@
 //! broken by a deterministic tie-breaking hypervector so the operation stays
 //! reproducible across runs.
 
-use crate::{BinaryHypervector, BipolarHypervector, HdcError};
+use crate::{BipolarHypervector, HdcError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -258,19 +258,6 @@ pub fn bundle_bipolar(hvs: &[BipolarHypervector]) -> Result<BipolarHypervector, 
     bundler.try_finish()
 }
 
-/// Bundles a slice of binary hypervectors with the bitwise-majority rule
-/// (ties broken deterministically), by converting through the bipolar
-/// representation.
-///
-/// # Errors
-///
-/// Returns [`HdcError::EmptyInput`] for an empty slice and
-/// [`HdcError::DimensionMismatch`] if the dimensionalities differ.
-pub fn bundle_binary(hvs: &[BinaryHypervector]) -> Result<BinaryHypervector, HdcError> {
-    let bipolar: Vec<BipolarHypervector> = hvs.iter().map(|hv| hv.to_bipolar()).collect();
-    Ok(bundle_bipolar(&bipolar)?.to_binary())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,18 +324,6 @@ mod tests {
         let wrong = BipolarHypervector::ones(32);
         assert!(bundler.try_add(&wrong).is_err());
         assert!(bundler.try_add_weighted(&wrong, 2).is_err());
-    }
-
-    #[test]
-    fn binary_bundling_matches_bipolar_bundling() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let bipolar: Vec<_> = (0..5)
-            .map(|_| BipolarHypervector::random(512, &mut rng))
-            .collect();
-        let binary: Vec<_> = bipolar.iter().map(|hv| hv.to_binary()).collect();
-        let via_binary = bundle_binary(&binary).expect("non-empty");
-        let via_bipolar = bundle_bipolar(&bipolar).expect("non-empty").to_binary();
-        assert_eq!(via_binary, via_bipolar);
     }
 
     #[test]
@@ -424,7 +399,7 @@ mod tests {
     #[test]
     fn custom_tie_break_seed_changes_tie_resolution_only() {
         let a = BipolarHypervector::from_signs(&[1, -1, 1, -1]);
-        let b = a.negate();
+        let b = BipolarHypervector::from_signs(&[-1, 1, -1, 1]);
         // All positions tie.
         let mut b1 = Bundler::with_tie_break_seed(4, 1);
         b1.add(&a);

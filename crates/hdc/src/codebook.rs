@@ -8,7 +8,6 @@
 use crate::{BipolarHypervector, HdcConfig, HdcError};
 use rand::Rng;
 use serde::{de, DeError, Deserialize, Serialize, Value};
-use tensor::Matrix;
 
 /// An ordered collection of atomic bipolar hypervectors indexed by symbol id.
 ///
@@ -146,17 +145,6 @@ impl Codebook {
         let a = self.try_get(left)?;
         let b = other.try_get(right)?;
         a.try_bind(b)
-    }
-
-    /// Stacks the codebook into a dense `len × dim` ±1 matrix.
-    pub fn to_matrix(&self) -> Matrix {
-        BipolarHypervector::stack_to_matrix(&self.entries)
-    }
-
-    /// Memory footprint in bytes assuming a 1-bit-per-component packed
-    /// storage (the deployment format the paper's 17 KB figure refers to).
-    pub fn packed_memory_bytes(&self) -> usize {
-        self.entries.len() * self.dim.div_ceil(8)
     }
 
     /// Mean absolute pairwise cosine similarity between distinct entries — a
@@ -321,14 +309,6 @@ mod tests {
             BipolarHypervector::ones(16),
             BipolarHypervector::ones(32),
         ]);
-    }
-
-    #[test]
-    fn to_matrix_shape() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let cb = Codebook::random(4, &HdcConfig::new(256), &mut rng);
-        let m = cb.to_matrix();
-        assert_eq!(m.shape(), (4, 256));
     }
 
     #[test]

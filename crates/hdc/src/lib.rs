@@ -1,29 +1,21 @@
 //! Hyperdimensional computing (HDC) substrate for the HDC-ZSC reproduction.
 //!
-//! The paper's attribute encoder is built entirely from *stationary* binary /
-//! bipolar hypervectors: an attribute-**group** codebook (`G = 28` atomic
+//! The paper's attribute encoder is built entirely from *stationary* bipolar
+//! hypervectors: an attribute-**group** codebook (`G = 28` atomic
 //! hypervectors for CUB-200), an attribute-**value** codebook (`V = 61`), and
 //! an attribute dictionary of `α = 312` codevectors materialised on the fly by
-//! *binding* the appropriate group and value hypervectors. This crate provides
-//! all the HDC machinery that encoder needs, plus the usual HDC toolkit
-//! (bundling, permutation, similarity) so the library is useful beyond the
-//! single paper experiment. Nearest-class lookup over packed class
-//! hypervectors lives in the `engine` crate.
+//! *binding* the appropriate group and value hypervectors. This crate holds
+//! the bipolar algebra that encoder and the streaming class memories run:
+//! codebooks, binding, bundling, the exact [`ClassAccumulator`] and cosine
+//! similarity.
 //!
-//! Two concrete hypervector representations are provided:
-//!
-//! * [`BinaryHypervector`] — bit-packed (`u64` words) dense binary vectors;
-//!   binding is XOR, bundling is majority vote, similarity is (normalised)
-//!   Hamming distance. This is the "edge device" representation the paper's
-//!   outlook section targets.
-//! * [`BipolarHypervector`] — `{-1, +1}` vectors stored as `i8`; binding is
-//!   the Hadamard (elementwise) product, bundling is the sign of the sum,
-//!   similarity is the cosine. This is the representation used during
-//!   training because it interoperates directly with floating-point matrices.
-//!
-//! The two representations are isomorphic (`+1 ↔ 0`, `-1 ↔ 1`) and the crate
-//! provides loss-free conversions plus property tests asserting that binding
-//! and similarity commute with the conversion.
+//! [`BipolarHypervector`] stores `{-1, +1}` entries as `i8`; binding is the
+//! Hadamard (elementwise) product, bundling is the sign of the sum,
+//! similarity is the cosine. It interoperates directly with floating-point
+//! matrices during training. The bit-packed 1-bit form that is served and
+//! checkpointed (`+1 ↔ 0`, `-1 ↔ 1`, XOR binding, Hamming similarity) lives
+//! in the `engine` crate's `packed` module, together with nearest-class
+//! lookup over packed class hypervectors.
 //!
 //! # Example
 //!
@@ -44,20 +36,15 @@
 #![warn(clippy::all)]
 
 pub mod accumulator;
-pub mod binary;
 pub mod bipolar;
 pub mod bundler;
 pub mod codebook;
-pub mod encoding;
 pub mod similarity;
 
 pub use accumulator::ClassAccumulator;
-pub use binary::BinaryHypervector;
 pub use bipolar::BipolarHypervector;
 pub use bundler::Bundler;
 pub use codebook::{Codebook, CodebookMemory};
-pub use encoding::LevelEncoder;
-pub use similarity::{cosine, hamming_distance, normalized_hamming_similarity};
 
 use serde::{Deserialize, Serialize};
 

@@ -1,39 +1,6 @@
-//! Similarity measures between hypervectors and between float embeddings and
-//! hypervector dictionaries.
+//! Similarity between float embeddings and hypervector dictionaries.
 
-use crate::{BinaryHypervector, BipolarHypervector};
 use tensor::Matrix;
-
-/// Hamming distance between two binary hypervectors.
-///
-/// Convenience free function mirroring
-/// [`BinaryHypervector::hamming`].
-///
-/// # Panics
-///
-/// Panics if the dimensionalities differ.
-pub fn hamming_distance(a: &BinaryHypervector, b: &BinaryHypervector) -> usize {
-    a.hamming(b)
-}
-
-/// Normalised Hamming similarity in `[-1, 1]` between two binary
-/// hypervectors; equals the cosine of the corresponding bipolar vectors.
-///
-/// # Panics
-///
-/// Panics if the dimensionalities differ.
-pub fn normalized_hamming_similarity(a: &BinaryHypervector, b: &BinaryHypervector) -> f32 {
-    a.similarity(b)
-}
-
-/// Cosine similarity between two bipolar hypervectors.
-///
-/// # Panics
-///
-/// Panics if the dimensionalities differ.
-pub fn cosine(a: &BipolarHypervector, b: &BipolarHypervector) -> f32 {
-    a.cosine(b)
-}
 
 /// Cosine similarity between a dense `f32` embedding and every row of a ±1
 /// dictionary matrix, returning one similarity per row.
@@ -69,25 +36,6 @@ pub fn cosine_to_dictionary(embedding: &[f32], dictionary: &Matrix) -> Vec<f32> 
         .collect()
 }
 
-/// Finds the index of the most similar row of `dictionary` to `embedding`
-/// under cosine similarity, together with that similarity.
-///
-/// Returns `None` for an empty dictionary.
-///
-/// # Panics
-///
-/// Panics if `embedding.len() != dictionary.cols()`.
-pub fn nearest_row(embedding: &[f32], dictionary: &Matrix) -> Option<(usize, f32)> {
-    if dictionary.rows() == 0 {
-        return None;
-    }
-    let sims = cosine_to_dictionary(embedding, dictionary);
-    sims.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map(|(i, &s)| (i, s))
-}
-
 /// Expected absolute cosine similarity between two independent random
 /// d-dimensional bipolar hypervectors (≈ `sqrt(2/(π d))`), useful for
 /// calibrating quasi-orthogonality thresholds in tests and benches.
@@ -98,19 +46,22 @@ pub fn expected_random_cosine(dim: usize) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BipolarHypervector;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn free_functions_match_methods() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = BipolarHypervector::random(1024, &mut rng);
-        let b = BipolarHypervector::random(1024, &mut rng);
-        assert_eq!(cosine(&a, &b), a.cosine(&b));
-        let ab = a.to_binary();
-        let bb = b.to_binary();
-        assert_eq!(hamming_distance(&ab, &bb), ab.hamming(&bb));
-        assert_eq!(normalized_hamming_similarity(&ab, &bb), ab.similarity(&bb));
+    fn stack(hvs: &[BipolarHypervector]) -> Matrix {
+        Matrix::from_rows(
+            &hvs.iter()
+                .map(BipolarHypervector::to_f32)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    fn argmax(sims: &[f32]) -> usize {
+        (0..sims.len())
+            .max_by(|&a, &b| sims[a].total_cmp(&sims[b]))
+            .expect("non-empty")
     }
 
     #[test]
@@ -119,7 +70,7 @@ mod tests {
         let hvs: Vec<_> = (0..10)
             .map(|_| BipolarHypervector::random(2048, &mut rng))
             .collect();
-        let dict = BipolarHypervector::stack_to_matrix(&hvs);
+        let dict = stack(&hvs);
         let query = hvs[3].to_f32();
         let sims = cosine_to_dictionary(&query, &dict);
         assert_eq!(sims.len(), 10);
@@ -129,9 +80,7 @@ mod tests {
                 assert!(s.abs() < 0.1);
             }
         }
-        let (best, best_sim) = nearest_row(&query, &dict).expect("non-empty dict");
-        assert_eq!(best, 3);
-        assert!((best_sim - 1.0).abs() < 1e-5);
+        assert_eq!(argmax(&sims), 3);
     }
 
     #[test]
@@ -140,15 +89,14 @@ mod tests {
         let hvs: Vec<_> = (0..20)
             .map(|_| BipolarHypervector::random(4096, &mut rng))
             .collect();
-        let dict = BipolarHypervector::stack_to_matrix(&hvs);
+        let dict = stack(&hvs);
         // Noisy float version of entry 7.
         let query: Vec<f32> = hvs[7]
             .to_f32()
             .iter()
             .map(|v| v + 0.3 * (rng.gen::<f32>() - 0.5))
             .collect();
-        let (best, _) = nearest_row(&query, &dict).expect("non-empty dict");
-        assert_eq!(best, 7);
+        assert_eq!(argmax(&cosine_to_dictionary(&query, &dict)), 7);
     }
 
     #[test]
@@ -156,12 +104,6 @@ mod tests {
         let dict = Matrix::from_rows(&[vec![1.0, -1.0]]);
         let sims = cosine_to_dictionary(&[0.0, 0.0], &dict);
         assert_eq!(sims, vec![0.0]);
-    }
-
-    #[test]
-    fn nearest_row_empty_dictionary() {
-        let dict = Matrix::zeros(0, 4);
-        assert!(nearest_row(&[1.0, 0.0, 0.0, 0.0], &dict).is_none());
     }
 
     #[test]
@@ -186,6 +128,4 @@ mod tests {
         let expected = expected_random_cosine(d);
         assert!((empirical - expected).abs() < expected * 0.3);
     }
-
-    use rand::Rng;
 }
