@@ -16,31 +16,24 @@
 //!   memory the serving layer hot-swaps. Its best similarities are
 //!   cross-checked bit-identical against the scalar scan, pinning the
 //!   sharded merge's exactness at benchmark scale.
-//! * `snapshot_churn` (with `--snapshot-churn`, requires `--shards`) —
-//!   reader threads keep scoring batches against an atomically swapped
-//!   `Arc<ShardedClassMemory>` snapshot while a mutator thread publishes
-//!   continuous class registrations/updates/removals (copy-on-write, one
-//!   repacked shard per mutation) — the serving layer's hot-swap pattern,
-//!   measured as query throughput *under churn* plus mutation throughput.
 //!
 //! Output is a single JSON object on stdout (diagnostics go to stderr), so
 //! CI can archive it as an artifact and enforce `--min-speedup`.
 //!
 //! ```text
 //! serve_sim [--dim N] [--classes N] [--batch N] [--batches N]
-//!           [--threads N] [--shards N] [--snapshot-churn] [--mutations N]
-//!           [--seed N] [--noise P] [--quick] [--json] [--min-speedup X]
+//!           [--threads N] [--shards N] [--seed N] [--noise P] [--quick]
+//!           [--json] [--min-speedup X]
 //! ```
 //!
 //! `--quick` selects a small but representative workload (dim 8192,
 //! 200 classes) for CI; `--min-speedup X` exits non-zero if the
 //! single-thread batched throughput is below `X ×` the scalar throughput.
-//! Flags the chosen tier does not read (`--min-speedup`, `--shards`,
-//! `--snapshot-churn`, `--mutations` under `--index routed`; the routed
-//! flags below otherwise) are rejected rather than ignored.
-//! The CI perf-smoke job additionally runs a 2 000-class shape with
-//! `--shards 8 --snapshot-churn` to track sharded-memory throughput with
-//! and without concurrent registrations in the `serve-sim-perf` artifact.
+//! Flags the chosen tier does not read (`--min-speedup` and `--shards`
+//! under `--index routed`; the routed flags below otherwise) are rejected
+//! rather than ignored. The CI perf-smoke job additionally runs a
+//! 2 000-class shape with `--shards 8` to track sharded-memory throughput
+//! in the `serve-sim-perf` artifact.
 //!
 //! # Routed tier (`--index routed`)
 //!
@@ -81,11 +74,6 @@ struct Config {
     threads: usize,
     /// `0` skips the sharded path.
     shards: usize,
-    /// Measure query throughput while class registrations run concurrently
-    /// (requires `--shards`).
-    snapshot_churn: bool,
-    /// Mutations the churn mutator publishes before the phase ends.
-    mutations: usize,
     seed: u64,
     noise: f64,
     json: bool,
@@ -111,8 +99,6 @@ impl Default for Config {
             batches: 48,
             threads: engine::Pool::auto().threads(),
             shards: 0,
-            snapshot_churn: false,
-            mutations: 200,
             seed: 42,
             noise: 0.2,
             json: false,
@@ -141,8 +127,6 @@ fn parse_args() -> Config {
             "--batches" => config.batches = value("--batches").parse().expect("--batches"),
             "--threads" => config.threads = value("--threads").parse().expect("--threads"),
             "--shards" => config.shards = value("--shards").parse().expect("--shards"),
-            "--snapshot-churn" => config.snapshot_churn = true,
-            "--mutations" => config.mutations = value("--mutations").parse().expect("--mutations"),
             "--seed" => config.seed = value("--seed").parse().expect("--seed"),
             "--noise" => config.noise = value("--noise").parse().expect("--noise"),
             "--quick" => {
@@ -170,7 +154,7 @@ fn parse_args() -> Config {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: serve_sim [--dim N] [--classes N] [--batch N] [--batches N] \
-                     [--threads N] [--shards N] [--snapshot-churn] [--mutations N] [--seed N] \
+                     [--threads N] [--shards N] [--seed N] \
                      [--noise P] [--quick] [--json] [--min-speedup X] \
                      [--index exhaustive|routed] [--clusters K] [--nprobe P] \
                      [--max-candidate-fraction X]"
@@ -187,12 +171,7 @@ fn parse_args() -> Config {
         "--index must be `exhaustive` or `routed`"
     );
     let unread: &[&str] = if config.index == "routed" {
-        &[
-            "--min-speedup",
-            "--shards",
-            "--snapshot-churn",
-            "--mutations",
-        ]
+        &["--min-speedup", "--shards"]
     } else {
         &["--max-candidate-fraction", "--clusters", "--nprobe"]
     };
@@ -203,10 +182,6 @@ fn parse_args() -> Config {
             config.index
         );
     }
-    assert!(
-        !config.snapshot_churn || config.shards > 0,
-        "--snapshot-churn requires --shards N"
-    );
     config
 }
 
@@ -522,103 +497,6 @@ fn main() {
         summarize(queries.len(), latencies)
     });
 
-    // --- snapshot-churn path: queries under concurrent registrations -------
-    let churn_section = (config.snapshot_churn && config.shards > 0).then(|| {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use std::sync::{Arc, Mutex};
-
-        let base =
-            ShardedClassMemory::from_packed(&memory, config.shards).with_threads(config.threads);
-        // The serving pattern: an atomically swapped snapshot slot. Readers
-        // clone the Arc per batch (exactly what the QueryServer dispatcher
-        // does per coalesced batch); the mutator publishes copy-on-write
-        // snapshots that repack one shard each.
-        let slot = Mutex::new(Arc::new(base.clone()));
-        let stop = AtomicBool::new(false);
-        let queries_answered = AtomicUsize::new(0);
-        let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::new());
-        let readers = config.threads.saturating_sub(1).clamp(1, 4);
-        let mut mutation_protos = Vec::with_capacity(config.mutations);
-        for _ in 0..config.mutations {
-            mutation_protos.push(BipolarHypervector::random(config.dim, &mut rng));
-        }
-
-        let churn_start = Instant::now();
-        let mutation_s = std::thread::scope(|scope| {
-            for _ in 0..readers {
-                let (slot, stop, queries_answered, latencies) =
-                    (&slot, &stop, &queries_answered, &latencies);
-                let packed_batches = &packed_batches;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    'outer: loop {
-                        for batch in packed_batches {
-                            if stop.load(Ordering::Relaxed) {
-                                break 'outer;
-                            }
-                            let snapshot = Arc::clone(&slot.lock().expect("slot"));
-                            let start = Instant::now();
-                            let nearest = snapshot.nearest_batch(batch);
-                            local.push(start.elapsed().as_secs_f64() * 1e6);
-                            queries_answered.fetch_add(nearest.len(), Ordering::Relaxed);
-                        }
-                    }
-                    latencies.lock().expect("latencies").extend(local);
-                });
-            }
-            // Mutator: one registration/update/removal per iteration, each
-            // publishing a fresh snapshot.
-            let mutation_start = Instant::now();
-            for (m, proto) in mutation_protos.iter().enumerate() {
-                let mut next = (**slot.lock().expect("slot")).clone();
-                match m % 4 {
-                    0 | 1 => {
-                        next.add_class(format!("churn{m:05}"), proto.as_slice());
-                    }
-                    2 => {
-                        let label = format!("class{:04}", m % config.classes);
-                        next.add_class(label, proto.as_slice());
-                    }
-                    _ => {
-                        let target = format!("churn{:05}", m.saturating_sub(3));
-                        if !next.remove_class(&target) {
-                            next.add_class(format!("churn{m:05}-b"), proto.as_slice());
-                        }
-                    }
-                }
-                *slot.lock().expect("slot") = Arc::new(next);
-            }
-            let mutation_s = mutation_start.elapsed().as_secs_f64();
-            stop.store(true, Ordering::Relaxed);
-            mutation_s
-        });
-        let elapsed_s = churn_start.elapsed().as_secs_f64();
-        let answered = queries_answered.load(Ordering::Relaxed);
-        let mut lats = latencies.into_inner().expect("latencies");
-        lats.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let final_len = slot.lock().expect("slot").len();
-        eprintln!(
-            "serve_sim: snapshot churn served {answered} queries across {readers} readers \
-             while publishing {} mutations in {elapsed_s:.3}s ({} classes live at the end)",
-            config.mutations, final_len
-        );
-        // Mutation throughput is measured over the mutator's own window
-        // (`mutation_s`), not the whole phase: `elapsed_s` also includes the
-        // readers finishing their in-flight batches after `stop` is set,
-        // which would understate it.
-        format!(
-            "{{\"readers\": {readers}, \"queries\": {answered}, \"elapsed_s\": {elapsed_s:.6}, \
-             \"qps\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"mutations\": {}, \
-             \"mutation_window_s\": {mutation_s:.6}, \"mutations_per_s\": {:.1}, \
-             \"final_classes\": {final_len}}}",
-            answered as f64 / elapsed_s.max(1e-12),
-            metrics::nearest_rank(&lats, 0.50),
-            metrics::nearest_rank(&lats, 0.99),
-            config.mutations,
-            config.mutations as f64 / mutation_s.max(1e-12),
-        )
-    });
-
     let speedup_1t = batched_1t.qps / scalar.qps.max(1e-12);
     let speedup = batched.qps / scalar.qps.max(1e-12);
     let sharded_json = sharded_section.as_ref().map_or(String::new(), |stats| {
@@ -628,14 +506,11 @@ fn main() {
             stats.qps / scalar.qps.max(1e-12)
         )
     });
-    let churn_json = churn_section.as_ref().map_or(String::new(), |json| {
-        format!(",\n  \"snapshot_churn\": {json}")
-    });
 
     let json = format!(
         "{{\n  \"config\": {{\"dim\": {}, \"classes\": {}, \"batch\": {}, \"batches\": {}, \
          \"threads\": {}, \"shards\": {}, \"seed\": {}, \"noise\": {}}},\n  \"scalar\": {},\n  \
-         \"batched_1t\": {},\n  \"batched\": {}{}{},\n  \"speedup_1t\": {:.2},\n  \
+         \"batched_1t\": {},\n  \"batched\": {}{},\n  \"speedup_1t\": {:.2},\n  \
          \"speedup\": {:.2}\n}}",
         config.dim,
         config.classes,
@@ -649,7 +524,6 @@ fn main() {
         batched_1t.to_json(),
         batched.to_json(),
         sharded_json,
-        churn_json,
         speedup_1t,
         speedup
     );

@@ -33,8 +33,6 @@ fn flags_the_tier_does_not_read_are_rejected() {
         (&[], &["--nprobe", "2"]),
         (ROUTED, &["--min-speedup", "3.0"]),
         (ROUTED, &["--shards", "2"]),
-        (ROUTED, &["--snapshot-churn"]),
-        (ROUTED, &["--mutations", "10"]),
     ];
     for (tier, flag) in cases {
         let args = [*tier, *flag].concat();

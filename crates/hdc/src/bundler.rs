@@ -59,14 +59,6 @@ impl Bundler {
         }
     }
 
-    /// Creates a bundler whose tie-breaking hypervector is derived from the
-    /// provided seed (useful to make ensembles of bundles decorrelated).
-    pub fn with_tie_break_seed(dim: usize, seed: u64) -> Self {
-        let mut b = Self::new(dim);
-        b.tie_break_seed = seed;
-        b
-    }
-
     /// Number of hypervectors accumulated so far.
     pub fn len(&self) -> usize {
         self.n
@@ -142,8 +134,7 @@ impl Bundler {
     ///
     /// # Panics
     ///
-    /// Panics if no hypervectors have been added; use [`Bundler::try_finish`]
-    /// for a checked variant.
+    /// Panics if no hypervectors have been added.
     pub fn finish(&self) -> BipolarHypervector {
         self.try_finish().expect("cannot bundle zero hypervectors")
     }
@@ -153,7 +144,7 @@ impl Bundler {
     /// # Errors
     ///
     /// Returns [`HdcError::EmptyInput`] if no hypervectors have been added.
-    pub fn try_finish(&self) -> Result<BipolarHypervector, HdcError> {
+    pub(crate) fn try_finish(&self) -> Result<BipolarHypervector, HdcError> {
         if self.n == 0 {
             return Err(HdcError::EmptyInput);
         }
@@ -192,8 +183,7 @@ impl Bundler {
     ///
     /// # Panics
     ///
-    /// Panics if the dimensionalities differ; use [`Bundler::try_merge`] for
-    /// a checked variant.
+    /// Panics if the dimensionalities differ.
     pub fn merge(&mut self, other: &Bundler) {
         self.try_merge(other)
             .expect("bundler dimensionality mismatch");
@@ -204,7 +194,7 @@ impl Bundler {
     /// # Errors
     ///
     /// Returns [`HdcError::DimensionMismatch`] if the dimensionality differs.
-    pub fn try_merge(&mut self, other: &Bundler) -> Result<(), HdcError> {
+    pub(crate) fn try_merge(&mut self, other: &Bundler) -> Result<(), HdcError> {
         if other.dim != self.dim {
             return Err(HdcError::DimensionMismatch {
                 left: self.dim,
@@ -377,7 +367,7 @@ mod tests {
     #[test]
     fn from_parts_round_trips_exactly() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut bundler = Bundler::with_tie_break_seed(128, 99);
+        let mut bundler = Bundler::new(128);
         for _ in 0..5 {
             bundler.add(&BipolarHypervector::random(128, &mut rng));
         }
@@ -394,21 +384,5 @@ mod tests {
             Bundler::from_parts(Vec::new(), 0, 0),
             Err(HdcError::EmptyInput)
         ));
-    }
-
-    #[test]
-    fn custom_tie_break_seed_changes_tie_resolution_only() {
-        let a = BipolarHypervector::from_signs(&[1, -1, 1, -1]);
-        let b = BipolarHypervector::from_signs(&[-1, 1, -1, 1]);
-        // All positions tie.
-        let mut b1 = Bundler::with_tie_break_seed(4, 1);
-        b1.add(&a);
-        b1.add(&b);
-        let mut b2 = Bundler::with_tie_break_seed(4, 2);
-        b2.add(&a);
-        b2.add(&b);
-        // Both resolve every tie, so the outputs are valid bipolar vectors.
-        assert_eq!(b1.finish().dim(), 4);
-        assert_eq!(b2.finish().dim(), 4);
     }
 }

@@ -104,8 +104,7 @@ impl Codebook {
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range; use [`Codebook::try_get`] for a
-    /// checked variant.
+    /// Panics if `index` is out of range.
     pub fn get(&self, index: usize) -> &BipolarHypervector {
         &self.entries[index]
     }
@@ -115,7 +114,7 @@ impl Codebook {
     /// # Errors
     ///
     /// Returns [`HdcError::IndexOutOfRange`] if `index >= self.len()`.
-    pub fn try_get(&self, index: usize) -> Result<&BipolarHypervector, HdcError> {
+    pub(crate) fn try_get(&self, index: usize) -> Result<&BipolarHypervector, HdcError> {
         self.entries.get(index).ok_or(HdcError::IndexOutOfRange {
             index,
             len: self.entries.len(),

@@ -323,85 +323,6 @@ impl Layer for Activation {
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&ParamTensor)) {}
 }
 
-/// A sequential container applying its child layers in order.
-pub struct Sequential {
-    layers: Vec<Box<dyn Layer + Send>>,
-}
-
-impl Sequential {
-    /// Creates an empty container.
-    pub fn new() -> Self {
-        Self { layers: Vec::new() }
-    }
-
-    /// Appends a layer, returning `self` for chaining.
-    #[must_use]
-    pub fn push(mut self, layer: impl Layer + Send + 'static) -> Self {
-        self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Number of child layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Returns `true` if the container holds no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-}
-
-impl Default for Sequential {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for Sequential {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Sequential({} layers)", self.layers.len())
-    }
-}
-
-impl Layer for Sequential {
-    fn infer(&self, input: &Matrix) -> Matrix {
-        let mut current = input.clone();
-        for layer in &self.layers {
-            current = layer.infer(&current);
-        }
-        current
-    }
-
-    fn forward_train(&mut self, input: &Matrix) -> Matrix {
-        let mut current = input.clone();
-        for layer in &mut self.layers {
-            current = layer.forward_train(&current);
-        }
-        current
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut grad = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
-        grad
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut ParamTensor)) {
-        for layer in &mut self.layers {
-            layer.visit_params(f);
-        }
-    }
-
-    fn visit_params_ref(&self, f: &mut dyn FnMut(&ParamTensor)) {
-        for layer in &self.layers {
-            layer.visit_params_ref(f);
-        }
-    }
-}
-
 /// A multi-layer perceptron: a chain of [`Linear`] layers with a shared
 /// hidden activation, terminated by a linear output layer.
 ///
@@ -704,29 +625,9 @@ mod tests {
     }
 
     #[test]
-    fn sequential_composes_layers() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut model = Sequential::new()
-            .push(Linear::new(8, 16, Init::KaimingUniform, &mut rng))
-            .push(Activation::new(ActivationKind::Relu))
-            .push(Linear::new(16, 4, Init::XavierUniform, &mut rng));
-        assert_eq!(model.len(), 3);
-        assert!(!model.is_empty());
-        let x = Matrix::random_uniform(2, 8, 1.0, &mut rng);
-        let y = model.forward(&x, true);
-        assert_eq!(y.shape(), (2, 4));
-        let gx = model.backward(&Matrix::ones(2, 4));
-        assert_eq!(gx.shape(), (2, 8));
-        assert_eq!(model.num_params(), 8 * 16 + 16 + 16 * 4 + 4);
-    }
-
-    #[test]
     fn sequential_gradient_matches_finite_differences() {
         let mut rng = StdRng::seed_from_u64(6);
-        let mut model = Sequential::new()
-            .push(Linear::new(5, 7, Init::KaimingUniform, &mut rng))
-            .push(Activation::new(ActivationKind::Tanh))
-            .push(Linear::new(7, 3, Init::XavierUniform, &mut rng));
+        let mut model = Mlp::new(&[5, 7, 3], ActivationKind::Tanh, &mut rng);
         let x = Matrix::random_uniform(2, 5, 1.0, &mut rng);
         check_input_gradient(&mut model, &x, 1e-2);
     }

@@ -8,7 +8,7 @@
 //! with deterministic parameter visitation so optimizers can keep per-slot
 //! state:
 //!
-//! * [`Linear`], [`Activation`], [`Sequential`] and [`Mlp`] layers
+//! * [`Linear`], [`Activation`] and [`Mlp`] layers
 //!   implementing the [`Layer`] trait.
 //! * Loss functions used by the paper: [`loss::cross_entropy`] (phase III)
 //!   and [`loss::weighted_bce_with_logits`] (phase II, with per-attribute
@@ -46,7 +46,7 @@ pub mod param;
 pub mod scheduler;
 
 pub use cosine::{CosineSimilarity, TemperatureScale};
-pub use layer::{Activation, ActivationKind, Layer, Linear, Mlp, Sequential};
+pub use layer::{Activation, ActivationKind, Layer, Linear, Mlp};
 pub use loss::LossOutput;
 pub use optim::{Adam, AdamW, Optimizer, Sgd};
 pub use param::ParamTensor;

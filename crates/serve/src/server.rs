@@ -278,7 +278,9 @@ impl From<WalError> for ServeError {
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Directory holding the write-ahead log (`wal.log`) and the
-    /// checkpoint-delta compaction base (`base.json`). Created if missing.
+    /// checkpoint-delta compaction base (`base.json`). Created if missing;
+    /// [`QueryServer::start_durable`] refuses a directory that already
+    /// holds either file.
     pub dir: PathBuf,
     /// When appended records are fsynced; [`SyncPolicy::Always`] by
     /// default.
@@ -334,7 +336,9 @@ struct DurableState {
 
 impl DurableState {
     /// Initialises `durability.dir` for a fresh server serving `snapshot`.
-    /// Base first, then the (empty) log: a crash in between leaves a
+    /// A directory that already holds a log or a base is refused before
+    /// anything is written: overwriting it would destroy a recoverable
+    /// state. Base first, then the (empty) log: a crash in between leaves a
     /// directory `recover` rejects loudly (no log) rather than one that
     /// silently replays nothing against a stale base.
     fn create(
@@ -342,6 +346,13 @@ impl DurableState {
         schema: &AttributeSchema,
         durability: DurabilityConfig,
     ) -> Result<Self, ServeError> {
+        if wal::wal_path(&durability.dir).exists() || wal::base_path(&durability.dir).exists() {
+            return Err(ServeError::InvalidConfig(format!(
+                "{} already holds a durable server state; recover it with \
+                 QueryServer::recover or remove it",
+                durability.dir.display()
+            )));
+        }
         std::fs::create_dir_all(&durability.dir).map_err(|e| ServeError::Wal(WalError::Io(e)))?;
         save_base(&durability.dir, snapshot, schema, 0, None)?;
         Ok(Self {
@@ -800,7 +811,9 @@ impl QueryServer {
     ///
     /// Everything [`QueryServer::start`] reports, plus
     /// [`ServeError::InvalidConfig`] when the model's attribute encoder does
-    /// not match `schema`, and [`ServeError::Wal`] /
+    /// not match `schema` or when [`DurabilityConfig::dir`] already holds a
+    /// `wal.log` or `base.json` (a state to [`QueryServer::recover`], never
+    /// to overwrite), and [`ServeError::Wal`] /
     /// [`ServeError::Checkpoint`] when the WAL directory cannot be
     /// initialised.
     pub fn start_durable(

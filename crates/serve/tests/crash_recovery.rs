@@ -128,9 +128,10 @@ fn assert_snapshots_match(recovered: &ModelSnapshot, expected: &ModelSnapshot, c
 
 /// The deterministic acceptance drill: a durable server lives through
 /// registrations, updates, removals, a model swap, and an automatic
-/// compaction; killed (dropped) and recovered, it serves **bit-identical**
-/// results at the same snapshot version — and a torn partial record
-/// appended by a simulated mid-append crash is detected and ignored.
+/// compaction; killed (forgotten, so no destructor runs) and recovered, it
+/// serves **bit-identical** results at the same snapshot version — and a
+/// torn partial record appended by a simulated mid-append crash is
+/// detected and ignored.
 #[test]
 fn kill_and_recover_restores_the_exact_serving_state() {
     let dir = temp_dir("lifecycle");
@@ -176,7 +177,9 @@ fn kill_and_recover_restores_the_exact_serving_state() {
 
     let expected = server.snapshot();
     assert_eq!(expected.version(), 6);
-    drop(server); // the "kill": nothing is written beyond what each mutation already synced
+    // The "kill": no `Drop` runs, so there is no final WAL sync and no
+    // dispatcher join; only what each mutation already synced survives.
+    std::mem::forget(server);
 
     // Recover and verify bit-identity, then keep living: the recovered
     // server accepts further mutations and queries.
@@ -190,6 +193,24 @@ fn kill_and_recover_restores_the_exact_serving_state() {
     );
     assert!(!report.torn_tail);
     assert_snapshots_match(&recovered.snapshot(), &expected, "clean recovery");
+    // The served path, not just the snapshot, answers with the pre-kill bits.
+    for (p, row) in probe_rows().iter().enumerate() {
+        let (version, served) = recovered
+            .query_traced(row)
+            .expect("recovered server serves");
+        let served: Vec<(String, u32)> =
+            served.into_iter().map(|(l, s)| (l, s.to_bits())).collect();
+        let want: Vec<(String, u32)> = expected
+            .solo_topk(row, config().top_k)
+            .into_iter()
+            .map(|(l, s)| (l, s.to_bits()))
+            .collect();
+        assert_eq!(version, 6, "probe {p}: served by the recovered version");
+        assert_eq!(
+            served, want,
+            "probe {p}: served answer diverged from the pre-kill snapshot"
+        );
+    }
     recovered
         .register_class("post-crash", &lcg.attr_row(a))
         .expect("recovered server accepts mutations");
@@ -357,6 +378,49 @@ fn duplicate_register_is_a_typed_error_and_publishes_nothing() {
             .version(),
         1
     );
+}
+
+/// Starting a fresh durable server on a directory that already holds a
+/// durable state is refused before anything is written, so the state it
+/// would have overwritten still recovers.
+#[test]
+fn start_durable_refuses_a_directory_holding_a_durable_state() {
+    let dir = temp_dir("refuse");
+    let a = alpha();
+    let start = || {
+        QueryServer::start_durable(
+            model(6),
+            vec!["a".to_string(), "b".to_string()],
+            &Matrix::ones(2, a),
+            &schema(),
+            config(),
+            DurabilityConfig::new(dir.clone()),
+        )
+    };
+    let server = start().expect("durable server starts");
+    let acked = server
+        .register_class("acked", &vec![0.5; a])
+        .expect("registers")
+        .version();
+    drop(server);
+
+    match start() {
+        Err(ServeError::InvalidConfig(msg)) => {
+            assert!(msg.contains(&dir.display().to_string()), "{msg}");
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+    let (recovered, report) =
+        QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()))
+            .expect("the refused directory still recovers");
+    assert_eq!(report.snapshot_version, acked);
+    assert!(recovered.snapshot().memory().contains("acked"));
+    let (version, _) = recovered
+        .query_traced(&probe_rows()[0])
+        .expect("recovered server serves");
+    assert_eq!(version, acked);
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `compact` is explicit on durable servers and a typed no-op elsewhere.

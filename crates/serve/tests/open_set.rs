@@ -167,9 +167,11 @@ fn verdicts_are_bit_consistent_with_solo_recomputation() {
     let snapshot = server.snapshot();
     let mut known = 0usize;
     let mut unknown = 0usize;
+    let mut top1s = Vec::with_capacity(queries.len());
     for q in &queries {
         let (version, served, verdict) = server.query_with_verdict(q).expect("query served");
         assert_eq!(version, snapshot.version());
+        top1s.push(served[0].1);
         let solo = snapshot.solo_topk(q, ServerConfig::default().top_k);
         let served_bits: Vec<(&str, u32)> = served
             .iter()
@@ -192,6 +194,13 @@ fn verdicts_are_bit_consistent_with_solo_recomputation() {
     }
     assert!(known > 0, "median threshold must leave known queries");
     assert!(unknown > 0, "median threshold must reject some queries");
+    // The metrics layer's reject rule (strictly below the threshold) and the
+    // served verdicts agree; the median query sits exactly on the threshold.
+    let report = metrics::rejection_report(&top1s, &vec![true; top1s.len()], threshold);
+    assert_eq!(
+        report.rejected, unknown,
+        "the metrics-layer reject rule and the served verdicts must agree"
+    );
 }
 
 /// Mid-traffic atomicity, version-traced over the wire: while reader
