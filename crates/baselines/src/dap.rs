@@ -7,7 +7,7 @@
 //! experiments: HDC-ZSC and ESZSL should both beat it because they optimise
 //! the class decision end to end.
 
-use engine::{DenseClassMemory, DenseMetric, Pool, Scorer};
+use engine::Pool;
 use serde::{Deserialize, Serialize};
 use tensor::{ridge_solve, Matrix};
 
@@ -61,31 +61,20 @@ impl DirectAttributePrediction {
         engine::dense::linear_scores(features, &self.weights, &Pool::auto())
     }
 
-    /// The fitted model's serving artifact: a cosine-metric
-    /// [`DenseClassMemory`] over the class signature rows, implementing the
-    /// engine's unified [`Scorer`] trait (`score_batch` / `nearest` /
-    /// `top_k` with the pinned tie-break and truncation contract). Classes
-    /// are labelled by zero-padded row index, so label tie-breaks coincide
-    /// with row order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `signatures` has zero columns.
-    pub fn class_memory(&self, signatures: &Matrix) -> DenseClassMemory {
-        DenseClassMemory::indexed(signatures.clone(), DenseMetric::Cosine)
-    }
-
     /// Class scores: cosine similarity between predicted attribute vectors
-    /// and the class signatures (`N×C`), scored through the engine's
-    /// unified [`Scorer`] over a cosine [`DenseClassMemory`] (bit-identical
-    /// to `tensor::ops::cosine_similarity_matrix`).
+    /// and the class signatures (`N×C`), computed through the engine's
+    /// row-parallel dense path (bit-identical to
+    /// `tensor::ops::cosine_similarity_matrix`).
     ///
     /// # Panics
     ///
     /// Panics if the widths disagree.
     pub fn class_scores(&self, features: &Matrix, signatures: &Matrix) -> Matrix {
-        self.class_memory(signatures)
-            .score_batch(&self.predict_attributes(features))
+        engine::dense::cosine_scores(
+            &self.predict_attributes(features),
+            signatures,
+            &Pool::auto(),
+        )
     }
 
     /// Predicts the class (row of `signatures`) of every feature row.
@@ -193,20 +182,11 @@ mod tests {
         let _ = DirectAttributePrediction::fit(&Matrix::zeros(0, 4), &Matrix::zeros(0, 4), 1.0);
     }
 
-    /// The Scorer-trait artifact agrees with the argmax predictor: the
-    /// nearest class of each projected query is exactly `predict`'s pick.
     #[test]
-    fn class_memory_scorer_agrees_with_predict() {
-        let (train_x, train_t, test_x, _, test_sigs) = toy_problem(3);
+    #[should_panic(expected = "cosine scoring requires equal embedding dims")]
+    fn predict_rejects_wrong_signature_width() {
+        let (train_x, train_t, test_x, _, _) = toy_problem(3);
         let dap = DirectAttributePrediction::fit(&train_x, &train_t, 0.1);
-        let memory = dap.class_memory(&test_sigs);
-        assert_eq!(memory.num_classes(), test_sigs.rows());
-        let predicted = dap.predict(&test_x, &test_sigs);
-        let attributes = dap.predict_attributes(&test_x);
-        let nearest = memory.nearest_batch(&attributes);
-        for (q, &index) in predicted.iter().enumerate() {
-            let expected: Vec<&str> = memory.labels().collect();
-            assert_eq!(nearest[q].0, expected[index], "query {q}");
-        }
+        let _ = dap.predict(&test_x, &Matrix::ones(4, 5));
     }
 }

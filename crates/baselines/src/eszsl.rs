@@ -15,7 +15,6 @@
 //! time an image is assigned to the unseen class whose signature maximises
 //! `xᵀ V s`.
 
-use engine::{DenseClassMemory, DenseMetric, Scorer};
 use serde::{Deserialize, Serialize};
 use tensor::{ridge_solve, Matrix};
 
@@ -118,55 +117,31 @@ impl Eszsl {
         self.compatibility.len()
     }
 
-    /// Projects feature rows into attribute space: `X·V` (`N×α`) — the
-    /// query side of the bilinear compatibility, computed through the
-    /// engine's row-parallel dense path (bit-identical to the serial
-    /// matmul).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the feature width disagrees with the fitted model.
-    pub fn project_features(&self, features: &Matrix) -> Matrix {
-        assert_eq!(
-            features.cols(),
-            self.compatibility.rows(),
-            "feature dimensionality changed between fit and predict"
-        );
-        engine::dense::linear_scores(features, &self.compatibility, &engine::Pool::auto())
-    }
-
-    /// The fitted model's serving artifact: a dot-metric
-    /// [`DenseClassMemory`] over the class signature rows, implementing the
-    /// engine's unified [`Scorer`] trait. Score a projected query
-    /// ([`Eszsl::project_features`]) against it to evaluate the bilinear
-    /// rule `x·V·sᵀ`. Classes are labelled by zero-padded row index, so
-    /// label tie-breaks coincide with row order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the signature width disagrees with the fitted model.
-    pub fn class_memory(&self, signatures: &Matrix) -> DenseClassMemory {
-        assert_eq!(
-            signatures.cols(),
-            self.compatibility.cols(),
-            "signature dimensionality changed between fit and predict"
-        );
-        DenseClassMemory::indexed(signatures.clone(), DenseMetric::Dot)
-    }
-
     /// Compatibility scores of each feature row against each signature row
-    /// (`N×C`): the projected queries scored through the engine's unified
-    /// [`Scorer`] over a dot-metric [`DenseClassMemory`] — bit-identical to
-    /// the serial `X·V·Sᵀ` (each row's products and sums run in the same
-    /// order as the one-shot bilinear kernel).
+    /// (`N×C`): the bilinear rule `X·V·Sᵀ`, computed through the engine's
+    /// row-parallel dense path (bit-identical to the serial product).
     ///
     /// # Panics
     ///
     /// Panics if the feature or signature width disagrees with the fitted
     /// model.
     pub fn scores(&self, features: &Matrix, signatures: &Matrix) -> Matrix {
-        self.class_memory(signatures)
-            .score_batch(&self.project_features(features))
+        assert_eq!(
+            features.cols(),
+            self.compatibility.rows(),
+            "feature dimensionality changed between fit and predict"
+        );
+        assert_eq!(
+            signatures.cols(),
+            self.compatibility.cols(),
+            "signature dimensionality changed between fit and predict"
+        );
+        engine::dense::bilinear_scores(
+            features,
+            &self.compatibility,
+            signatures,
+            &engine::Pool::auto(),
+        )
     }
 
     /// Predicts the class (row of `signatures`) of every feature row.
@@ -307,28 +282,6 @@ mod tests {
         );
     }
 
-    /// The Scorer-trait artifact evaluates the bilinear rule exactly: the
-    /// projected query scored against the dot-metric memory reproduces
-    /// `scores` bit for bit and `predict`'s argmax.
-    #[test]
-    fn class_memory_scorer_agrees_with_bilinear_scores() {
-        let (train_x, train_y, train_s, test_x, _test_y, test_s) =
-            synthetic_problem(11, 8, 4, 5, 24, 16, 0.2);
-        let model = Eszsl::fit(&train_x, &train_y, &train_s, &EszslConfig::default());
-        let reference = model.scores(&test_x, &test_s);
-        let projected = model.project_features(&test_x);
-        let memory = model.class_memory(&test_s);
-        assert_eq!(
-            memory.score_batch(&projected).as_slice(),
-            reference.as_slice()
-        );
-        let labels: Vec<&str> = memory.labels().collect();
-        let nearest = memory.nearest_batch(&projected);
-        for (q, &index) in model.predict(&test_x, &test_s).iter().enumerate() {
-            assert_eq!(nearest[q].0, labels[index], "query {q}");
-        }
-    }
-
     #[test]
     #[should_panic(expected = "feature dimensionality changed")]
     fn predict_rejects_wrong_feature_width() {
@@ -339,5 +292,17 @@ mod tests {
             &EszslConfig::default(),
         );
         let _ = model.predict(&Matrix::identity(4), &Matrix::identity(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "signature dimensionality changed")]
+    fn predict_rejects_wrong_signature_width() {
+        let model = Eszsl::fit(
+            &Matrix::identity(3),
+            &[0, 1, 2],
+            &Matrix::identity(3),
+            &EszslConfig::default(),
+        );
+        let _ = model.predict(&Matrix::identity(3), &Matrix::identity(4));
     }
 }

@@ -5,7 +5,7 @@
 //! perf-smoke job guards.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use engine::{PackedClassMemory, PackedQueryBatch, Scorer, ShardedClassMemory};
+use engine::{PackedClassMemory, PackedQueryBatch, ShardedClassMemory};
 use hdc::BipolarHypervector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -82,11 +82,6 @@ fn bench_engine_batch(c: &mut Criterion) {
             BenchmarkId::new("packed_nearest_auto", dim),
             &dim,
             |bench, _| bench.iter(|| black_box(scorer.nearest_batch(&p.batch))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("packed_score_batch", dim),
-            &dim,
-            |bench, _| bench.iter(|| black_box(scorer.score_batch(&p.batch))),
         );
     }
     group.finish();

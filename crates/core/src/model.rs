@@ -5,7 +5,7 @@ use crate::attribute_encoder::{AttributeEncoder, AttributeEncoderKind, HdcAttrib
 use crate::config::ModelConfig;
 use crate::image_encoder::ImageEncoder;
 use dataset::AttributeSchema;
-use engine::{PackedClassMemory, Pool, RoutedClassMemory, RoutedConfig, ShardedClassMemory};
+use engine::{Pool, RoutedClassMemory, RoutedConfig, ShardedClassMemory};
 use nn::{CosineSimilarity, ParamTensor, TemperatureScale};
 use serde::{de, DeError, Deserialize, Serialize, Value};
 use tensor::Matrix;
@@ -258,33 +258,12 @@ impl ZscModel {
     }
 
     /// Packs the sign-binarized class signatures `sign(ϕ(A))` into an
-    /// [`engine::PackedClassMemory`], one row per class-attribute row, so
-    /// trained models can serve nearest-class queries through the engine's
-    /// popcount path. The conversion is lossless with respect to the
-    /// binarized signatures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the label count differs from `class_attributes.rows()`.
-    pub fn packed_class_memory<L, S>(
-        &self,
-        labels: L,
-        class_attributes: &Matrix,
-    ) -> PackedClassMemory
-    where
-        L: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let class_embeddings = self.attribute_encoder.infer_classes(class_attributes);
-        PackedClassMemory::from_sign_matrix(labels, &class_embeddings)
-    }
-
-    /// Sharded variant of [`ZscModel::packed_class_memory`]: the same
-    /// sign-binarized class signatures split across `shards`
-    /// [`engine::ShardedClassMemory`] shards, so the serving layer can
-    /// register, update, and remove classes incrementally (repacking only
-    /// the touched shard) while lookups stay bit-identical to the monolithic
-    /// memory for every shard count.
+    /// [`engine::ShardedClassMemory`] of `shards` shards, one row per
+    /// class-attribute row, so trained models serve nearest-class queries
+    /// through the engine's popcount path. The serving layer registers,
+    /// updates and removes classes incrementally (repacking only the touched
+    /// shard) while lookups stay bit-identical to one monolithic
+    /// [`engine::PackedClassMemory`] for every shard count.
     ///
     /// # Panics
     ///
@@ -304,7 +283,7 @@ impl ZscModel {
         ShardedClassMemory::from_sign_matrix(labels, &class_embeddings, shards)
     }
 
-    /// Routed variant of [`ZscModel::packed_class_memory`]: the same
+    /// Routed variant of [`ZscModel::sharded_class_memory`]: the same
     /// sign-binarized class signatures clustered into a coarse-to-fine
     /// [`engine::RoutedClassMemory`] under `config`, so serving layers with
     /// very large class sets can shortlist a few clusters per query instead
@@ -649,15 +628,15 @@ mod tests {
         let model = tiny_model();
         let class_attributes = Matrix::random_uniform(7, 312, 0.5, &mut rng).map(f32::abs);
         let labels: Vec<String> = (0..7).map(|c| format!("bird{c}")).collect();
-        let memory = model.packed_class_memory(labels.clone(), &class_attributes);
+        let memory = model.sharded_class_memory(labels.clone(), &class_attributes, 1);
         assert_eq!(memory.len(), 7);
         assert_eq!(memory.dim(), model.embedding_dim());
         // Each class's own binarized signature must resolve to that class.
         let class_embeddings = model.attribute_encoder().infer_classes(&class_attributes);
         for (c, label) in labels.iter().enumerate() {
             let query = engine::pack_float_signs(class_embeddings.row(c));
-            let (index, _sim) = memory.nearest(&query).expect("non-empty");
-            assert_eq!(memory.label(index), label);
+            let (nearest, _sim) = memory.nearest(&query).expect("non-empty");
+            assert_eq!(nearest, label);
         }
     }
 
@@ -670,7 +649,10 @@ mod tests {
         let model = tiny_model();
         let class_attributes = Matrix::random_uniform(9, 312, 0.5, &mut rng).map(f32::abs);
         let labels: Vec<String> = (0..9).map(|c| format!("bird{c}")).collect();
-        let mono = model.packed_class_memory(labels.clone(), &class_attributes);
+        let mono = engine::PackedClassMemory::from_sign_matrix(
+            labels.clone(),
+            &model.attribute_encoder().infer_classes(&class_attributes),
+        );
         for shards in [1usize, 2, 3, 7] {
             let sharded = model.sharded_class_memory(labels.clone(), &class_attributes, shards);
             assert_eq!(sharded.len(), mono.len());
@@ -696,7 +678,10 @@ mod tests {
         let model = tiny_model();
         let class_attributes = Matrix::random_uniform(9, 312, 0.5, &mut rng).map(f32::abs);
         let labels: Vec<String> = (0..9).map(|c| format!("bird{c}")).collect();
-        let mono = model.packed_class_memory(labels.clone(), &class_attributes);
+        let mono = engine::PackedClassMemory::from_sign_matrix(
+            labels.clone(),
+            &model.attribute_encoder().infer_classes(&class_attributes),
+        );
         for clusters in [1usize, 3] {
             let routed = model.routed_class_memory(
                 labels.clone(),

@@ -1,5 +1,5 @@
-//! Packed query batches: the batch input of every packed
-//! [`Scorer`](crate::Scorer) backend.
+//! Packed query batches: the batch input of the sharded and routed
+//! memories' batched lookups.
 
 use crate::packed::{mask_tail_word, pack_float_signs, pack_signs_into, words_per_row};
 use tensor::Matrix;
@@ -129,11 +129,6 @@ impl PackedQueryBatch {
         assert!(index < self.len(), "query index out of range");
         &self.words[index * self.words_per_row..(index + 1) * self.words_per_row]
     }
-
-    /// The packed words of a contiguous query range.
-    pub(crate) fn rows(&self, range: std::ops::Range<usize>) -> &[u64] {
-        &self.words[range.start * self.words_per_row..range.end * self.words_per_row]
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +143,7 @@ mod tests {
         let mut batch = PackedQueryBatch::new(3);
         batch.push_packed(&[u64::MAX]);
         assert_eq!(batch.row(0), &[0b111u64][..]);
-        assert_eq!(memory.scores(batch.row(0)), vec![1.0]);
+        assert_eq!(memory.nearest(batch.row(0)), Some((0, 1.0)));
     }
 
     #[test]

@@ -736,47 +736,6 @@ impl Deserialize for RoutedClassMemory {
     }
 }
 
-/// The routed backend of the unified [`Scorer`](crate::Scorer) contract.
-/// Lookups delegate to the inherent probed methods; with exhaustive probing
-/// (the default) the full contract holds bit-identically to the packed
-/// backend, with partial probing `top_k` truncates to `min(k, candidates)`
-/// (see the module docs). [`Scorer::score_batch`](crate::Scorer::score_batch)
-/// is a full similarity matrix and therefore always exhaustive, reported in
-/// **cluster-major** stored order (the order of
-/// [`RoutedClassMemory::labels`]).
-impl crate::Scorer for RoutedClassMemory {
-    type Query = [u64];
-    type Batch = PackedQueryBatch;
-
-    fn dim(&self) -> usize {
-        self.dim()
-    }
-
-    fn num_classes(&self) -> usize {
-        self.len()
-    }
-
-    fn score_batch(&self, batch: &PackedQueryBatch) -> Matrix {
-        self.clusters.score_batch(batch)
-    }
-
-    fn nearest(&self, query: &[u64]) -> Option<(&str, f32)> {
-        RoutedClassMemory::nearest(self, query)
-    }
-
-    fn top_k(&self, query: &[u64], k: usize) -> Vec<(&str, f32)> {
-        RoutedClassMemory::top_k(self, query, k)
-    }
-
-    fn nearest_batch(&self, batch: &PackedQueryBatch) -> Vec<(&str, f32)> {
-        RoutedClassMemory::nearest_batch(self, batch)
-    }
-
-    fn topk_batch(&self, batch: &PackedQueryBatch, k: usize) -> Vec<Vec<(&str, f32)>> {
-        RoutedClassMemory::topk_batch(self, batch, k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

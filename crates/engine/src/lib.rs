@@ -8,8 +8,8 @@
 //! workspace:
 //!
 //! * [`PackedClassMemory`] — every class/prototype hypervector packed into
-//!   one contiguous `u64` word-matrix; one-vs-all Hamming similarity is a
-//!   word-tiled, blocked popcount sweep.
+//!   one contiguous `u64` word-matrix; one-vs-all lookup is a per-row
+//!   Hamming (XOR-popcount) scan returning row indices.
 //! * [`ShardedClassMemory`] — class prototypes split across N packed shards
 //!   with copy-on-write `Arc` sharing: incremental `add_class` /
 //!   `update_class` / `remove_class` repack only the touched shard, and the
@@ -27,12 +27,17 @@
 //!   [`ShardedClassMemory`]; each keeps only its own placement rule.
 //! * [`dense`] — row-parallel float scoring (cosine logits, bilinear
 //!   compatibility) used by the `hdc_zsc` model's inference path and the
-//!   `baselines` predictors, plus [`DenseClassMemory`], the float-backed
-//!   class memory.
-//! * [`Scorer`] — the one trait unifying all four class-memory backends
-//!   (dense, packed, sharded, routed): `score_batch` / `nearest` / `top_k`
-//!   with a pinned similarity-descending, label-ascending tie-break and the
-//!   `min(k, stored)` truncation contract.
+//!   `baselines` predictors.
+//!
+//! # Lookup contract
+//!
+//! The sharded and routed memories return `(label, similarity)` pairs from
+//! `nearest` / `top_k` / `nearest_batch` / `topk_batch`, ordered by
+//! similarity descending with equal similarities ordered by label
+//! ascending. `top_k` returns `min(k, stored)` entries (`min(k, candidates)`
+//! under partial routed probing): `k == 0` is empty, and `k` past the stored
+//! count returns every class, never padding. Batched lookups return exactly
+//! the per-query results. `tests/scorer_contract.rs` pins all of this.
 //!
 //! # Exactness contract
 //!
@@ -70,16 +75,13 @@ pub mod dense;
 pub mod index;
 pub mod packed;
 mod parts;
-pub mod scorer;
 pub mod sharded;
 
 pub use batch::PackedQueryBatch;
-pub use dense::{DenseClassMemory, DenseMetric};
 pub use index::{RoutedClassMemory, RoutedConfig};
 pub use minipool::Pool;
 pub use packed::{
     mask_tail_word, pack_float_signs, pack_signs, pack_signs_into, similarity_from_hamming,
     words_per_row, PackedClassMemory,
 };
-pub use scorer::Scorer;
 pub use sharded::ShardedClassMemory;

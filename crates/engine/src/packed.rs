@@ -1,5 +1,5 @@
 //! Packed class memory: all prototype hypervectors in one contiguous `u64`
-//! word-matrix, scored with a word-tiled popcount sweep.
+//! word-matrix, scored with a per-row Hamming (XOR-popcount) scan.
 //!
 //! # Layout and sign convention
 //!
@@ -107,16 +107,8 @@ pub(crate) fn hamming(a: &[u64], b: &[u64]) -> u64 {
         .sum()
 }
 
-/// Queries are processed in tiles of this many rows so each streamed class
-/// row is reused from L1 across the whole tile.
-const QUERY_TILE: usize = 8;
-
-/// Word-strip width (2 KiB) of the innermost sweep; keeps one class strip
-/// plus a full query tile strip resident in L1 for very large `dim`.
-const WORD_STRIP: usize = 256;
-
 /// A labelled associative class memory stored as one contiguous packed word
-/// matrix, scored one-vs-all with a blocked popcount sweep.
+/// matrix, scored one-vs-all with a per-row Hamming scan.
 ///
 /// This is the single popcount kernel behind every packed lookup: each
 /// shard of a [`ShardedClassMemory`](crate::ShardedClassMemory) and each
@@ -344,69 +336,6 @@ impl PackedClassMemory {
         hamming(self.row_words(index), query)
     }
 
-    /// One-vs-all similarities of a packed query against every stored
-    /// prototype, in insertion order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query.len() != self.words_per_row()`.
-    pub fn scores(&self, query: &[u64]) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.len()];
-        self.scores_block_into(query, 1, &mut out);
-        out
-    }
-
-    /// Scores `n_queries` packed query rows (concatenated in `queries`)
-    /// against every stored prototype, writing a row-major
-    /// `n_queries × len` block into `out`.
-    ///
-    /// The sweep is tiled twice for cache locality: queries in tiles of
-    /// `QUERY_TILE` rows so each class row streams from memory once per
-    /// tile, and words in strips of 2 KiB so a strip of every tile row stays
-    /// in L1 even at very large `dim`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer lengths disagree with `n_queries` and the memory
-    /// shape.
-    pub fn scores_block_into(&self, queries: &[u64], n_queries: usize, out: &mut [f32]) {
-        let wpr = self.words_per_row;
-        let classes = self.len();
-        assert_eq!(queries.len(), n_queries * wpr, "query buffer length");
-        assert_eq!(out.len(), n_queries * classes, "output buffer length");
-        if wpr == 0 {
-            // Default-constructed (zero-dimensional) memory: nothing stored,
-            // nothing to score, and `chunks(0)` below would panic.
-            return;
-        }
-        for (tile_index, tile) in queries.chunks(QUERY_TILE * wpr).enumerate() {
-            let tile_rows = tile.len() / wpr;
-            let out_base = tile_index * QUERY_TILE;
-            for class in 0..classes {
-                let class_row = self.row_words(class);
-                let mut acc = [0u64; QUERY_TILE];
-                let mut strip_start = 0;
-                while strip_start < wpr {
-                    let strip_end = (strip_start + WORD_STRIP).min(wpr);
-                    let class_strip = &class_row[strip_start..strip_end];
-                    for (q, acc_q) in acc.iter_mut().enumerate().take(tile_rows) {
-                        let query_strip = &tile[q * wpr + strip_start..q * wpr + strip_end];
-                        let mut hamming = 0u64;
-                        for (a, b) in class_strip.iter().zip(query_strip) {
-                            hamming += u64::from((a ^ b).count_ones());
-                        }
-                        *acc_q += hamming;
-                    }
-                    strip_start = strip_end;
-                }
-                for (q, &hamming) in acc.iter().enumerate().take(tile_rows) {
-                    out[(out_base + q) * classes + class] =
-                        similarity_from_hamming(self.dim, hamming);
-                }
-            }
-        }
-    }
-
     /// Removes the prototype stored under `label`, splicing its word row out
     /// of the packed matrix and shifting later rows down. Returns the removed
     /// row index, or `None` if the label is not stored.
@@ -506,68 +435,6 @@ impl PackedClassMemory {
     }
 }
 
-/// The packed backend of the unified [`Scorer`](crate::Scorer) contract:
-/// queries are packed word rows, batches are [`PackedQueryBatch`](crate::PackedQueryBatch)es, and the
-/// trait lookups return `(label, similarity)` by resolving the inherent
-/// index-based lookups through [`PackedClassMemory::label`]. Ordering,
-/// truncation and tie-break follow the inherent methods exactly.
-impl crate::Scorer for PackedClassMemory {
-    type Query = [u64];
-    type Batch = crate::PackedQueryBatch;
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn num_classes(&self) -> usize {
-        self.len()
-    }
-
-    fn score_batch(&self, batch: &Self::Batch) -> Matrix {
-        assert_eq!(
-            batch.dim(),
-            self.dim,
-            "query batch dimensionality must match the class memory"
-        );
-        let classes = self.len();
-        if batch.is_empty() {
-            return Matrix::zeros(0, classes);
-        }
-        let mut out = vec![0.0f32; batch.len() * classes];
-        self.scores_block_into(batch.rows(0..batch.len()), batch.len(), &mut out);
-        Matrix::from_vec(batch.len(), classes, out)
-    }
-
-    fn nearest(&self, query: &Self::Query) -> Option<(&str, f32)> {
-        PackedClassMemory::nearest(self, query).map(|(index, sim)| (self.label(index), sim))
-    }
-
-    fn top_k(&self, query: &Self::Query, k: usize) -> Vec<(&str, f32)> {
-        PackedClassMemory::top_k(self, query, k)
-            .into_iter()
-            .map(|(index, sim)| (self.label(index), sim))
-            .collect()
-    }
-
-    fn nearest_batch(&self, batch: &Self::Batch) -> Vec<(&str, f32)> {
-        assert!(
-            batch.is_empty() || !self.is_empty(),
-            "nearest_batch requires a non-empty class memory"
-        );
-        (0..batch.len())
-            .map(|q| {
-                crate::Scorer::nearest(self, batch.row(q)).expect("non-empty memory checked above")
-            })
-            .collect()
-    }
-
-    fn topk_batch(&self, batch: &Self::Batch, k: usize) -> Vec<Vec<(&str, f32)>> {
-        (0..batch.len())
-            .map(|q| crate::Scorer::top_k(self, batch.row(q), k))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,8 +511,7 @@ mod tests {
         let mut mem = PackedClassMemory::new(3);
         mem.insert_packed("dirty", &[u64::MAX]);
         assert_eq!(mem.row_words(0), &[0b111u64][..]);
-        let sims = mem.scores(&[0u64]);
-        assert_eq!(sims, vec![-1.0]);
+        assert_eq!(mem.top_k(&[0u64], 1), vec![(0, -1.0)]);
         // A properly packed all-negative query matches the masked row
         // exactly (query-side masking is the packing helpers' job; see
         // `mask_tail_word` and `PackedQueryBatch::push_packed`).
@@ -669,7 +535,6 @@ mod tests {
         assert!(mem.is_empty());
         assert!(mem.nearest(&[]).is_none());
         assert!(mem.top_k(&[], 3).is_empty());
-        assert!(mem.scores(&[]).is_empty());
     }
 
     #[test]
@@ -739,37 +604,5 @@ mod tests {
         assert_eq!(mem.dim(), 3);
         assert_eq!(mem.row_words(0), &pack_signs(&[1, -1, 1])[..]);
         assert_eq!(mem.row_words(1), &pack_signs(&[-1, 1, -1])[..]);
-    }
-
-    #[test]
-    fn block_scores_match_single_query_scores() {
-        let dim = 130; // ragged: 3 words, 6 tail bits
-        let mut mem = PackedClassMemory::new(dim);
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next_sign = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            if state >> 63 == 0 {
-                1i8
-            } else {
-                -1i8
-            }
-        };
-        for c in 0..17 {
-            let row: Vec<i8> = (0..dim).map(|_| next_sign()).collect();
-            mem.insert_signs(format!("c{c:02}"), &row);
-        }
-        let queries: Vec<Vec<i8>> = (0..11)
-            .map(|_| (0..dim).map(|_| next_sign()).collect())
-            .collect();
-        let mut packed = Vec::new();
-        for q in &queries {
-            packed.extend_from_slice(&pack_signs(q));
-        }
-        let mut block = vec![0.0f32; queries.len() * mem.len()];
-        mem.scores_block_into(&packed, queries.len(), &mut block);
-        for (qi, q) in queries.iter().enumerate() {
-            let single = mem.scores(&pack_signs(q));
-            assert_eq!(&block[qi * mem.len()..(qi + 1) * mem.len()], &single[..]);
-        }
     }
 }

@@ -6,8 +6,8 @@
 //! batches fan out over. Which part a class lives in is the owner's policy
 //! (least-loaded placement for the sharded memory, nearest centroid for the
 //! routed one); everything else — storage queries, lookups, the merge, the
-//! batch fan-out, the one-vs-all score matrix and the part-list checks of
-//! the on-disk form — is implemented here once.
+//! batch fan-out and the part-list checks of the on-disk form — is
+//! implemented here once.
 //!
 //! # Copy-on-write
 //!
@@ -45,7 +45,6 @@ use serde::{de, DeError, Serialize, Value};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
-use tensor::Matrix;
 
 /// A candidate row during a merge: `(part, row, hamming)`.
 type Hit = (usize, usize, u64);
@@ -285,24 +284,6 @@ impl Parts {
         P: IntoIterator<Item = usize>,
     {
         self.map_queries(batch, |query| self.top_k(query, k, probe(query)))
-    }
-
-    /// The full `batch.len() × len()` similarity matrix, classes in
-    /// part-major order; always exhaustive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch.dim()` differs from the store's.
-    pub(crate) fn score_batch(&self, batch: &PackedQueryBatch) -> Matrix {
-        let classes = self.len();
-        let rows = self.map_queries(batch, |query| {
-            let mut row = Vec::with_capacity(classes);
-            for part in &self.parts {
-                row.extend_from_slice(&part.scores(query));
-            }
-            row
-        });
-        Matrix::from_vec(batch.len(), classes, rows.concat())
     }
 
     /// Decodes `dim` and the part list under `key` from an owner's object

@@ -326,46 +326,6 @@ impl Deserialize for ShardedClassMemory {
     }
 }
 
-/// The sharded backend of the unified [`Scorer`](crate::Scorer) contract.
-/// Lookups delegate to the inherent methods (merged on `(hamming, label)` —
-/// bit-identical to the monolithic scorer);
-/// [`Scorer::score_batch`](crate::Scorer::score_batch) reports similarities
-/// in **shard-major** stored order (the order of
-/// [`ShardedClassMemory::labels`]), stitched from the per-shard popcount
-/// sweeps and parallelised across queries.
-impl crate::Scorer for ShardedClassMemory {
-    type Query = [u64];
-    type Batch = PackedQueryBatch;
-
-    fn dim(&self) -> usize {
-        self.dim()
-    }
-
-    fn num_classes(&self) -> usize {
-        self.len()
-    }
-
-    fn score_batch(&self, batch: &PackedQueryBatch) -> Matrix {
-        self.parts.score_batch(batch)
-    }
-
-    fn nearest(&self, query: &[u64]) -> Option<(&str, f32)> {
-        ShardedClassMemory::nearest(self, query)
-    }
-
-    fn top_k(&self, query: &[u64], k: usize) -> Vec<(&str, f32)> {
-        ShardedClassMemory::top_k(self, query, k)
-    }
-
-    fn nearest_batch(&self, batch: &PackedQueryBatch) -> Vec<(&str, f32)> {
-        ShardedClassMemory::nearest_batch(self, batch)
-    }
-
-    fn topk_batch(&self, batch: &PackedQueryBatch, k: usize) -> Vec<Vec<(&str, f32)>> {
-        ShardedClassMemory::topk_batch(self, batch, k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,15 +456,10 @@ mod tests {
             assert_eq!(nearest[q], memory.nearest(&packed).expect("non-empty"));
             assert_eq!(topk[q], memory.top_k(&packed, 4));
         }
-        // Empty batch short-circuits, keeping the documented
-        // `batch.len() × classes` score shape.
+        // Empty batch short-circuits.
         let empty = PackedQueryBatch::new(dim);
         assert!(memory.nearest_batch(&empty).is_empty());
         assert!(memory.topk_batch(&empty, 3).is_empty());
-        assert_eq!(
-            crate::Scorer::score_batch(&memory, &empty).shape(),
-            (0, memory.len())
-        );
     }
 
     #[test]

@@ -1,37 +1,35 @@
-//! Generic property tests for the unified [`Scorer`] trait: one checker,
-//! run against all four backends (dense, packed, sharded, routed) built
-//! from the *same* labelled ±1 prototype set.
+//! Property tests for the lookup contract of the label-returning class
+//! memories: one checker, run against the sharded and routed memories built
+//! from the *same* labelled ±1 prototype set, with a monolithic
+//! [`PackedClassMemory`] as the reference.
 //!
-//! Pinned per backend:
+//! Pinned per memory:
 //!
-//! * the truncation contract — `top_k` returns `min(k, num_classes)`
-//!   entries, `k == 0` is empty, oversized `k` returns every class;
+//! * the truncation contract — `top_k` returns `min(k, len)` entries,
+//!   `k == 0` is empty, oversized `k` returns every class;
 //! * the tie-break — similarity descending, equal similarities ordered by
 //!   label ascending;
-//! * batch consistency — `nearest_batch` / `topk_batch` / `score_batch`
-//!   agree with their per-query counterparts bit for bit;
+//! * batch consistency — `nearest_batch` / `topk_batch` agree with their
+//!   per-query counterparts bit for bit;
 //! * `nearest` ≡ `top_k(1)`.
 //!
-//! Pinned across backends:
+//! Pinned across memories:
 //!
 //! * packed ↔ sharded results are **bit-identical** (labels and similarity
 //!   bits) for every shard count — the monolithic-merge contract;
 //! * packed ↔ routed (full probing) results are **bit-identical** for
-//!   every cluster count — the coarse-to-fine exact-re-rank contract;
-//! * the dense backend's cosine scores are bit-identical to the serial
-//!   `tensor::ops::cosine_similarity_matrix` reference.
+//!   every cluster count — the coarse-to-fine exact-re-rank contract.
 //!
 //! Prototypes are drawn from a small pool of patterns so exact ties are
 //! frequent rather than accidental.
 
 use engine::{
-    pack_signs, DenseClassMemory, PackedClassMemory, PackedQueryBatch, RoutedClassMemory,
-    RoutedConfig, Scorer, ShardedClassMemory,
+    pack_signs, PackedClassMemory, PackedQueryBatch, RoutedClassMemory, RoutedConfig,
+    ShardedClassMemory,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tensor::Matrix;
 
 fn random_signs(dim: usize, rng: &mut StdRng) -> Vec<i8> {
     (0..dim)
@@ -39,94 +37,91 @@ fn random_signs(dim: usize, rng: &mut StdRng) -> Vec<i8> {
         .collect()
 }
 
-/// Asserts the full per-backend `Scorer` contract over a batch and its
-/// individual queries.
-fn check_contract<S: Scorer>(
-    scorer: &S,
-    batch: &S::Batch,
-    queries: &[&S::Query],
-    batch_len: usize,
-    ctx: &str,
-) {
-    let classes = scorer.num_classes();
-    assert_eq!(scorer.is_empty(), classes == 0, "{ctx}: is_empty");
+/// Asserts the lookup contract of one sharded or routed memory over a batch
+/// and its individual queries. A macro rather than a function: the two
+/// memories share the lookup methods by name, not through a trait.
+macro_rules! check_contract {
+    ($memory:expr, $batch:expr, $queries:expr, $ctx:expr) => {{
+        let memory = $memory;
+        let batch: &PackedQueryBatch = $batch;
+        let queries: &[&[u64]] = $queries;
+        let ctx: &str = $ctx;
+        let classes = memory.len();
+        assert_eq!(memory.is_empty(), classes == 0, "{ctx}: is_empty");
 
-    // score_batch shape.
-    let scores = scorer.score_batch(batch);
-    assert_eq!(scores.shape(), (batch_len, classes), "{ctx}: score shape");
-
-    for (q, query) in queries.iter().enumerate() {
-        for k in [0usize, 1, 2, classes, classes + 3, classes * 2 + 1] {
-            let top = scorer.top_k(query, k);
-            assert_eq!(top.len(), k.min(classes), "{ctx}: q{q} k{k} truncation");
-            // Ordering: similarity descending; exact ties label-ascending.
-            for pair in top.windows(2) {
-                let ((la, sa), (lb, sb)) = (&pair[0], &pair[1]);
-                assert!(
-                    sa > sb || (sa == sb && la < lb),
-                    "{ctx}: q{q} k{k} ordering violated: ({la}, {sa}) before ({lb}, {sb})"
-                );
-            }
-        }
-        // nearest ≡ top_k(1).
-        let nearest = scorer.nearest(query);
-        let top1 = scorer.top_k(query, 1).into_iter().next();
-        match (nearest, top1) {
-            (None, None) => assert_eq!(classes, 0, "{ctx}: q{q} empty only when no classes"),
-            (Some((nl, ns)), Some((tl, ts))) => {
-                assert_eq!(
-                    (nl, ns.to_bits()),
-                    (tl, ts.to_bits()),
-                    "{ctx}: q{q} nearest"
-                );
-            }
-            (a, b) => panic!("{ctx}: q{q} nearest {a:?} disagrees with top_k(1) {b:?}"),
-        }
-        // Oversized k covers every stored class exactly once.
-        let mut all: Vec<&str> = scorer
-            .top_k(query, classes + 1)
-            .into_iter()
-            .map(|(l, _)| l)
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(
-            all.len(),
-            classes,
-            "{ctx}: q{q} full top-k covers all classes"
-        );
-    }
-
-    // Batch lookups agree with per-query lookups bit for bit.
-    if classes > 0 {
-        let nearest_batch = scorer.nearest_batch(batch);
-        assert_eq!(nearest_batch.len(), batch_len, "{ctx}: nearest_batch len");
         for (q, query) in queries.iter().enumerate() {
-            let (bl, bs) = &nearest_batch[q];
-            let (sl, ss) = scorer.nearest(query).expect("non-empty");
+            for k in [0usize, 1, 2, classes, classes + 3, classes * 2 + 1] {
+                let top = memory.top_k(query, k);
+                assert_eq!(top.len(), k.min(classes), "{ctx}: q{q} k{k} truncation");
+                // Ordering: similarity descending; exact ties label-ascending.
+                for pair in top.windows(2) {
+                    let ((la, sa), (lb, sb)) = (&pair[0], &pair[1]);
+                    assert!(
+                        sa > sb || (sa == sb && la < lb),
+                        "{ctx}: q{q} k{k} ordering violated: ({la}, {sa}) before ({lb}, {sb})"
+                    );
+                }
+            }
+            // nearest ≡ top_k(1).
+            let nearest = memory.nearest(query);
+            let top1 = memory.top_k(query, 1).into_iter().next();
+            match (nearest, top1) {
+                (None, None) => assert_eq!(classes, 0, "{ctx}: q{q} empty only when no classes"),
+                (Some((nl, ns)), Some((tl, ts))) => {
+                    assert_eq!(
+                        (nl, ns.to_bits()),
+                        (tl, ts.to_bits()),
+                        "{ctx}: q{q} nearest"
+                    );
+                }
+                (a, b) => panic!("{ctx}: q{q} nearest {a:?} disagrees with top_k(1) {b:?}"),
+            }
+            // Oversized k covers every stored class exactly once.
+            let mut all: Vec<&str> = memory
+                .top_k(query, classes + 1)
+                .into_iter()
+                .map(|(l, _)| l)
+                .collect();
+            all.sort_unstable();
+            all.dedup();
             assert_eq!(
-                (*bl, bs.to_bits()),
-                (sl, ss.to_bits()),
-                "{ctx}: q{q} batch nearest"
+                all.len(),
+                classes,
+                "{ctx}: q{q} full top-k covers all classes"
             );
         }
-    }
-    for k in [0usize, 1, 3, classes + 2] {
-        let topk_batch = scorer.topk_batch(batch, k);
-        assert_eq!(topk_batch.len(), batch_len, "{ctx}: topk_batch len");
-        for (q, query) in queries.iter().enumerate() {
-            let solo: Vec<(&str, u32)> = scorer
-                .top_k(query, k)
-                .into_iter()
-                .map(|(l, s)| (l, s.to_bits()))
-                .collect();
-            let batched: Vec<(&str, u32)> = topk_batch[q]
-                .iter()
-                .map(|(l, s)| (*l, s.to_bits()))
-                .collect();
-            assert_eq!(batched, solo, "{ctx}: q{q} k{k} batch top-k");
+
+        // Batch lookups agree with per-query lookups bit for bit.
+        if classes > 0 {
+            let nearest_batch = memory.nearest_batch(batch);
+            assert_eq!(nearest_batch.len(), batch.len(), "{ctx}: nearest_batch len");
+            for (q, query) in queries.iter().enumerate() {
+                let (bl, bs) = &nearest_batch[q];
+                let (sl, ss) = memory.nearest(query).expect("non-empty");
+                assert_eq!(
+                    (*bl, bs.to_bits()),
+                    (sl, ss.to_bits()),
+                    "{ctx}: q{q} batch nearest"
+                );
+            }
         }
-    }
+        for k in [0usize, 1, 3, classes + 2] {
+            let topk_batch = memory.topk_batch(batch, k);
+            assert_eq!(topk_batch.len(), batch.len(), "{ctx}: topk_batch len");
+            for (q, query) in queries.iter().enumerate() {
+                let solo: Vec<(&str, u32)> = memory
+                    .top_k(query, k)
+                    .into_iter()
+                    .map(|(l, s)| (l, s.to_bits()))
+                    .collect();
+                let batched: Vec<(&str, u32)> = topk_batch[q]
+                    .iter()
+                    .map(|(l, s)| (*l, s.to_bits()))
+                    .collect();
+                assert_eq!(batched, solo, "{ctx}: q{q} k{k} batch top-k");
+            }
+        }
+    }};
 }
 
 /// One generated problem: labelled ±1 prototypes (drawn from a small pattern
@@ -155,8 +150,8 @@ fn build_problem(dim: usize, classes: usize, queries: usize, pool: usize, seed: 
 }
 
 proptest! {
-    /// The full contract holds for every backend, and packed ↔ sharded are
-    /// bit-identical while dense matches the serial cosine reference.
+    /// The lookup contract holds for the sharded and routed memories, and
+    /// both are bit-identical to the monolithic packed memory.
     #[test]
     fn all_backends_satisfy_the_scorer_contract(
         dim in 1usize..180,
@@ -169,7 +164,7 @@ proptest! {
     ) {
         let problem = build_problem(dim, classes, queries, pool, seed);
 
-        // Packed backend.
+        // The monolithic reference.
         let mut packed = PackedClassMemory::new(dim);
         for (label, proto) in problem.labels.iter().zip(&problem.protos) {
             packed.insert_signs(label.clone(), proto);
@@ -180,17 +175,16 @@ proptest! {
         }
         let packed_queries: Vec<Vec<u64>> = problem.queries.iter().map(|q| pack_signs(q)).collect();
         let packed_refs: Vec<&[u64]> = packed_queries.iter().map(Vec::as_slice).collect();
-        check_contract(&packed, &packed_batch, &packed_refs, problem.queries.len(), "packed");
 
-        // Sharded backend over the same class set.
+        // Sharded memory over the same class set.
         let mut sharded = ShardedClassMemory::new(dim, shards);
         for (label, proto) in problem.labels.iter().zip(&problem.protos) {
             sharded.add_class(label.clone(), proto);
         }
         let sharded = sharded.with_threads(threads);
-        check_contract(&sharded, &packed_batch, &packed_refs, problem.queries.len(), "sharded");
+        check_contract!(&sharded, &packed_batch, &packed_refs, "sharded");
 
-        // Routed backend over the same class set, fully probing (the mode
+        // Routed memory over the same class set, fully probing (the mode
         // whose contract is bit-identical to the exhaustive scan). Reuse
         // the shard count draw as the cluster count.
         let mut routed = RoutedClassMemory::new(
@@ -201,40 +195,23 @@ proptest! {
             routed.add_class(label.clone(), proto);
         }
         let routed = routed.with_threads(threads);
-        check_contract(&routed, &packed_batch, &packed_refs, problem.queries.len(), "routed");
+        check_contract!(&routed, &packed_batch, &packed_refs, "routed");
 
-        // Dense backend over the same class set, as floats.
-        let float_rows: Vec<Vec<f32>> = problem
-            .protos
-            .iter()
-            .map(|p| p.iter().map(|&v| f32::from(v)).collect())
-            .collect();
-        let dense = DenseClassMemory::cosine(
-            problem.labels.clone(),
-            Matrix::from_rows(&float_rows),
-        )
-        .with_threads(threads);
-        let float_queries: Vec<Vec<f32>> = problem
-            .queries
-            .iter()
-            .map(|q| q.iter().map(|&v| f32::from(v)).collect())
-            .collect();
-        let dense_batch = Matrix::from_rows(&float_queries);
-        let dense_refs: Vec<&[f32]> = float_queries.iter().map(Vec::as_slice).collect();
-        check_contract(&dense, &dense_batch, &dense_refs, problem.queries.len(), "dense");
-
-        // Cross-backend bit-parity: packed ↔ sharded ↔ routed.
+        // Cross-memory bit-parity: packed ↔ sharded ↔ routed.
         for (q, query) in packed_refs.iter().enumerate() {
             for k in [1usize, classes, classes + 4] {
-                let p: Vec<(&str, u32)> = Scorer::top_k(&packed, query, k)
+                let p: Vec<(&str, u32)> = packed
+                    .top_k(query, k)
+                    .into_iter()
+                    .map(|(i, s)| (packed.label(i), s.to_bits()))
+                    .collect();
+                let s: Vec<(&str, u32)> = sharded
+                    .top_k(query, k)
                     .into_iter()
                     .map(|(l, s)| (l, s.to_bits()))
                     .collect();
-                let s: Vec<(&str, u32)> = Scorer::top_k(&sharded, query, k)
-                    .into_iter()
-                    .map(|(l, s)| (l, s.to_bits()))
-                    .collect();
-                let r: Vec<(&str, u32)> = Scorer::top_k(&routed, query, k)
+                let r: Vec<(&str, u32)> = routed
+                    .top_k(query, k)
                     .into_iter()
                     .map(|(l, s)| (l, s.to_bits()))
                     .collect();
@@ -242,55 +219,24 @@ proptest! {
                 prop_assert_eq!(p, r, "packed vs routed q{} k{}", q, k);
             }
         }
-
-        // Dense exactness: bit-identical to the serial cosine reference.
-        let reference = tensor::ops::cosine_similarity_matrix(
-            &dense_batch,
-            &Matrix::from_rows(&float_rows),
-        );
-        prop_assert_eq!(
-            dense.score_batch(&dense_batch).as_slice(),
-            reference.as_slice()
-        );
-
-        // Sharded score_batch columns follow the shard-major labels() order
-        // and carry the same bits as the packed per-class scores.
-        let sharded_scores = sharded.score_batch(&packed_batch);
-        let sharded_labels: Vec<&str> = sharded.labels().collect();
-        for (q, query) in packed_refs.iter().enumerate() {
-            let per_class = packed.scores(query);
-            for (column, label) in sharded_labels.iter().enumerate() {
-                let packed_index = packed.position(label).expect("same class set");
-                prop_assert_eq!(
-                    sharded_scores.get(q, column).to_bits(),
-                    per_class[packed_index].to_bits(),
-                    "q{} label {}", q, label
-                );
-            }
-        }
     }
 
-    /// Empty memories are well-behaved through the trait: no classes, empty
-    /// top-k, `None` nearest.
+    /// Empty memories are well-behaved: no classes, empty top-k, `None`
+    /// nearest.
     #[test]
     fn empty_memories_are_consistent(dim in 1usize..100) {
         let packed = PackedClassMemory::new(dim);
         let sharded = ShardedClassMemory::new(dim, 2);
         let routed = RoutedClassMemory::new(dim, RoutedConfig::default());
-        let dense = DenseClassMemory::cosine(Vec::<String>::new(), Matrix::zeros(0, dim));
-        let packed_query = vec![0u64; engine::words_per_row(dim)];
-        let dense_query = vec![0.0f32; dim];
-        prop_assert!(Scorer::is_empty(&packed));
-        prop_assert!(Scorer::is_empty(&sharded));
-        prop_assert!(Scorer::is_empty(&routed));
-        prop_assert!(Scorer::is_empty(&dense));
-        prop_assert!(Scorer::nearest(&packed, &packed_query).is_none());
-        prop_assert!(Scorer::nearest(&sharded, &packed_query).is_none());
-        prop_assert!(Scorer::nearest(&routed, &packed_query).is_none());
-        prop_assert!(Scorer::nearest(&dense, &dense_query).is_none());
-        prop_assert!(Scorer::top_k(&packed, &packed_query, 3).is_empty());
-        prop_assert!(Scorer::top_k(&sharded, &packed_query, 3).is_empty());
-        prop_assert!(Scorer::top_k(&routed, &packed_query, 3).is_empty());
-        prop_assert!(Scorer::top_k(&dense, &dense_query, 3).is_empty());
+        let query = vec![0u64; engine::words_per_row(dim)];
+        prop_assert!(packed.is_empty());
+        prop_assert!(sharded.is_empty());
+        prop_assert!(routed.is_empty());
+        prop_assert!(packed.nearest(&query).is_none());
+        prop_assert!(sharded.nearest(&query).is_none());
+        prop_assert!(routed.nearest(&query).is_none());
+        prop_assert!(packed.top_k(&query, 3).is_empty());
+        prop_assert!(sharded.top_k(&query, 3).is_empty());
+        prop_assert!(routed.top_k(&query, 3).is_empty());
     }
 }

@@ -16,9 +16,8 @@
 //! * A differentiable batched [`cosine`] similarity with gradients for both
 //!   operands, plus temperature scaling (the `1/K` factor of the paper's
 //!   Eq. 1).
-//! * Optimizers ([`Sgd`], [`Adam`], [`AdamW`]) and learning-rate schedules
-//!   ([`CosineAnnealingLr`], [`StepLr`], [`ConstantLr`]) mirroring the
-//!   paper's AdamW + cosine-annealing setup.
+//! * The paper's optimizer and learning-rate schedule: [`AdamW`] with
+//!   [`CosineAnnealingLr`].
 //!
 //! # Example
 //!
@@ -48,9 +47,9 @@ pub mod scheduler;
 pub use cosine::{CosineSimilarity, TemperatureScale};
 pub use layer::{Activation, ActivationKind, Layer, Linear, Mlp};
 pub use loss::LossOutput;
-pub use optim::{Adam, AdamW, Optimizer, Sgd};
+pub use optim::{AdamW, Optimizer};
 pub use param::ParamTensor;
-pub use scheduler::{ConstantLr, CosineAnnealingLr, LrSchedule, StepLr};
+pub use scheduler::{CosineAnnealingLr, LrSchedule};
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,9 @@
-//! First-order optimizers: SGD (with momentum), Adam, and AdamW.
+//! The first-order optimizer the paper trains with: AdamW.
 //!
 //! The paper optimises with **AdamW at default settings** plus a cosine
-//! annealing learning-rate schedule; SGD and Adam are provided for the
-//! ablation benches and as baselines.
+//! annealing learning-rate schedule.
 //!
-//! Optimizers attach per-parameter state (momentum / moment buffers) to the
+//! Optimizers attach per-parameter state (moment buffers) to the
 //! deterministic visitation order of [`crate::Layer::visit_params`], so the
 //! same optimizer instance must always be used with the same model.
 
@@ -27,74 +26,7 @@ pub trait Optimizer {
     fn name(&self) -> &'static str;
 }
 
-/// Convenience wrapper: runs one optimizer step over a [`crate::Layer`].
-pub fn step_layer(optimizer: &mut dyn Optimizer, lr: f32, layer: &mut dyn crate::Layer) {
-    optimizer.step(lr, &mut |f| layer.visit_params(f));
-}
-
-/// Stochastic gradient descent with optional momentum and decoupled weight
-/// decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Creates plain SGD (no momentum, no weight decay).
-    pub fn new() -> Self {
-        Self::with_config(0.0, 0.0)
-    }
-
-    /// Creates SGD with the given momentum coefficient and (decoupled)
-    /// weight decay.
-    pub fn with_config(momentum: f32, weight_decay: f32) -> Self {
-        Self {
-            momentum,
-            weight_decay,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Default for Sgd {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, lr: f32, visit: &mut ParamVisitor<'_>) {
-        let momentum = self.momentum;
-        let weight_decay = self.weight_decay;
-        let velocity = &mut self.velocity;
-        let mut slot = 0usize;
-        visit(&mut |p: &mut ParamTensor| {
-            if velocity.len() <= slot {
-                velocity.push(Matrix::zeros(p.values.rows(), p.values.cols()));
-            }
-            let v = &mut velocity[slot];
-            debug_assert_eq!(v.shape(), p.values.shape(), "optimizer slot shape changed");
-            for ((vel, &g), w) in v
-                .as_mut_slice()
-                .iter_mut()
-                .zip(p.grad.as_slice())
-                .zip(p.values.as_mut_slice())
-            {
-                *vel = momentum * *vel + g;
-                *w -= lr * (*vel + weight_decay * *w);
-            }
-            slot += 1;
-        });
-    }
-
-    fn name(&self) -> &'static str {
-        "sgd"
-    }
-}
-
-/// Shared implementation of Adam-style updates.
+/// Adam moment state and the AdamW update.
 #[derive(Debug, Clone)]
 struct AdamState {
     beta1: f32,
@@ -117,15 +49,9 @@ impl AdamState {
         }
     }
 
-    /// One Adam update; `decoupled_decay` selects AdamW (decay applied to the
-    /// weights directly) versus classic Adam (decay folded into the gradient).
-    fn step(
-        &mut self,
-        lr: f32,
-        weight_decay: f32,
-        decoupled_decay: bool,
-        visit: &mut ParamVisitor<'_>,
-    ) {
+    /// One AdamW update: the decay is applied to the weights directly,
+    /// decoupled from the gradient moments.
+    fn step(&mut self, lr: f32, weight_decay: f32, visit: &mut ParamVisitor<'_>) {
         self.t += 1;
         let t = self.t as f32;
         let bias1 = 1.0 - self.beta1.powf(t);
@@ -141,70 +67,23 @@ impl AdamState {
             let m = &mut m_bufs[slot];
             let v = &mut v_bufs[slot];
             debug_assert_eq!(m.shape(), p.values.shape(), "optimizer slot shape changed");
-            for (((mi, vi), &gi), w) in m
+            for (((mi, vi), &g), w) in m
                 .as_mut_slice()
                 .iter_mut()
                 .zip(v.as_mut_slice().iter_mut())
                 .zip(p.grad.as_slice())
                 .zip(p.values.as_mut_slice())
             {
-                let g = if decoupled_decay {
-                    gi
-                } else {
-                    gi + weight_decay * *w
-                };
                 *mi = beta1 * *mi + (1.0 - beta1) * g;
                 *vi = beta2 * *vi + (1.0 - beta2) * g * g;
                 let m_hat = *mi / bias1;
                 let v_hat = *vi / bias2;
                 let mut update = lr * m_hat / (v_hat.sqrt() + eps);
-                if decoupled_decay {
-                    update += lr * weight_decay * *w;
-                }
+                update += lr * weight_decay * *w;
                 *w -= update;
             }
             slot += 1;
         });
-    }
-}
-
-/// Classic Adam (Kingma & Ba) with L2 regularisation folded into the
-/// gradient.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    state: AdamState,
-    weight_decay: f32,
-}
-
-impl Adam {
-    /// Creates Adam with the PyTorch default hyper-parameters
-    /// (`β₁ = 0.9`, `β₂ = 0.999`, `ε = 1e-8`) and no weight decay.
-    pub fn new() -> Self {
-        Self::with_config(0.9, 0.999, 1e-8, 0.0)
-    }
-
-    /// Creates Adam with explicit hyper-parameters.
-    pub fn with_config(beta1: f32, beta2: f32, eps: f32, weight_decay: f32) -> Self {
-        Self {
-            state: AdamState::new(beta1, beta2, eps),
-            weight_decay,
-        }
-    }
-}
-
-impl Default for Adam {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, lr: f32, visit: &mut ParamVisitor<'_>) {
-        self.state.step(lr, self.weight_decay, false, visit);
-    }
-
-    fn name(&self) -> &'static str {
-        "adam"
     }
 }
 
@@ -251,7 +130,7 @@ impl Default for AdamW {
 
 impl Optimizer for AdamW {
     fn step(&mut self, lr: f32, visit: &mut ParamVisitor<'_>) {
-        self.state.step(lr, self.weight_decay, true, visit);
+        self.state.step(lr, self.weight_decay, visit);
     }
 
     fn name(&self) -> &'static str {
@@ -289,46 +168,20 @@ mod tests {
         param
     }
 
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new();
-        minimise_quadratic(&mut opt, 0.1, 200);
-        assert_eq!(opt.name(), "sgd");
-    }
-
-    #[test]
-    fn sgd_momentum_converges_faster_than_plain() {
-        let target = Matrix::from_rows(&[vec![1.0]]);
-        let run = |mut opt: Sgd| -> f32 {
-            let mut p = ParamTensor::new(Matrix::zeros(1, 1));
-            for _ in 0..20 {
-                p.zero_grad();
-                let grad = p.values.sub(&target);
-                p.accumulate_grad(&grad);
-                opt.step(0.05, &mut |f| f(&mut p));
-            }
-            p.values.sub(&target).frobenius_norm()
-        };
-        let plain = run(Sgd::new());
-        let momentum = run(Sgd::with_config(0.9, 0.0));
-        assert!(momentum < plain, "momentum {momentum} vs plain {plain}");
-    }
-
+    /// AdamW without weight decay is classic Adam; both settings converge.
     #[test]
     fn adam_and_adamw_converge_on_quadratic() {
-        let mut adam = Adam::new();
+        let mut adam = AdamW::with_weight_decay(0.0);
         minimise_quadratic(&mut adam, 0.1, 300);
-        assert_eq!(adam.name(), "adam");
-        let mut adamw = AdamW::with_weight_decay(0.0);
+        let mut adamw = AdamW::new();
         minimise_quadratic(&mut adamw, 0.1, 300);
         assert_eq!(adamw.name(), "adamw");
     }
 
     #[test]
     fn adamw_weight_decay_shrinks_weights() {
-        // With zero gradient, AdamW's decoupled decay should shrink weights
-        // toward zero while classic Adam (decay in gradient) also shrinks but
-        // through the moment estimates.
+        // With zero gradient, AdamW's decoupled decay alone shrinks weights
+        // toward zero.
         let mut p = ParamTensor::new(Matrix::filled(1, 4, 5.0));
         let mut opt = AdamW::with_weight_decay(0.1);
         assert_eq!(opt.weight_decay(), 0.1);
@@ -356,7 +209,7 @@ mod tests {
             let loss = 0.5 * diff.frobenius_norm().powi(2) / 64.0;
             let grad = diff.scale(1.0 / 64.0);
             let _ = model.backward(&grad);
-            step_layer(&mut opt, 0.05, &mut model);
+            opt.step(0.05, &mut |f| model.visit_params(f));
             last_loss = loss;
         }
         assert!(last_loss < 1e-3, "regression did not converge: {last_loss}");
@@ -367,11 +220,11 @@ mod tests {
     fn optimizer_state_grows_one_slot_per_param() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut model = Linear::new(4, 4, Init::KaimingUniform, &mut rng);
-        let mut opt = Adam::new();
+        let mut opt = AdamW::new();
         let x = Matrix::ones(1, 4);
         let out = model.forward(&x, true);
         let _ = model.backward(&out);
-        step_layer(&mut opt, 0.001, &mut model);
+        opt.step(0.001, &mut |f| model.visit_params(f));
         assert_eq!(opt.state.m.len(), 2); // weight + bias
         assert_eq!(opt.state.v.len(), 2);
     }

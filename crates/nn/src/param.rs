@@ -69,36 +69,10 @@ impl ParamTensor {
         self.grad.add_scaled_inplace(delta, 1.0);
     }
 
-    /// L2 norm of the gradient (used for gradient clipping).
+    /// L2 norm of the gradient.
     pub fn grad_norm(&self) -> f32 {
         self.grad.frobenius_norm()
     }
-
-    /// Scales the gradient in place (used for gradient clipping).
-    pub fn scale_grad(&mut self, factor: f32) {
-        self.grad.map_inplace(|g| g * factor);
-    }
-}
-
-/// Clips the global gradient norm of a set of parameters to `max_norm`,
-/// returning the pre-clip global norm.
-///
-/// This mirrors `torch.nn.utils.clip_grad_norm_`: if the joint norm of all
-/// gradients exceeds `max_norm`, every gradient is scaled by
-/// `max_norm / norm`.
-pub fn clip_grad_norm(params: &mut [&mut ParamTensor], max_norm: f32) -> f32 {
-    let total: f32 = params
-        .iter()
-        .map(|p| p.grad_norm().powi(2))
-        .sum::<f32>()
-        .sqrt();
-    if total > max_norm && total > 0.0 {
-        let factor = max_norm / total;
-        for p in params.iter_mut() {
-            p.scale_grad(factor);
-        }
-    }
-    total
 }
 
 #[cfg(test)]
@@ -123,26 +97,5 @@ mod tests {
         assert_eq!(p.grad_norm(), 4.0);
         p.zero_grad();
         assert_eq!(p.grad.sum(), 0.0);
-    }
-
-    #[test]
-    fn clip_grad_norm_scales_when_needed() {
-        let mut a = ParamTensor::new(Matrix::zeros(1, 1));
-        a.grad.set(0, 0, 3.0);
-        let mut b = ParamTensor::new(Matrix::zeros(1, 1));
-        b.grad.set(0, 0, 4.0);
-        let pre = clip_grad_norm(&mut [&mut a, &mut b], 1.0);
-        assert!((pre - 5.0).abs() < 1e-6);
-        let post = (a.grad.get(0, 0).powi(2) + b.grad.get(0, 0).powi(2)).sqrt();
-        assert!((post - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn clip_grad_norm_noop_when_below_threshold() {
-        let mut a = ParamTensor::new(Matrix::zeros(1, 1));
-        a.grad.set(0, 0, 0.5);
-        let pre = clip_grad_norm(&mut [&mut a], 10.0);
-        assert!((pre - 0.5).abs() < 1e-6);
-        assert_eq!(a.grad.get(0, 0), 0.5);
     }
 }

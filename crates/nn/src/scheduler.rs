@@ -1,8 +1,7 @@
 //! Learning-rate schedules.
 //!
 //! The paper optimises with AdamW plus a **cosine annealing** schedule
-//! (Loshchilov & Hutter, SGDR); a step decay and a constant schedule are
-//! provided for the ablation benches.
+//! (Loshchilov & Hutter, SGDR).
 
 /// A learning-rate schedule: maps an epoch index to the learning rate to use
 /// for that epoch.
@@ -12,30 +11,6 @@ pub trait LrSchedule {
 
     /// Human-readable schedule name (for experiment logs).
     fn name(&self) -> &'static str;
-}
-
-/// A constant learning rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstantLr {
-    /// The learning rate returned for every epoch.
-    pub lr: f32,
-}
-
-impl ConstantLr {
-    /// Creates a constant schedule.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-}
-
-impl LrSchedule for ConstantLr {
-    fn lr_at(&self, _epoch: usize, _total_epochs: usize) -> f32 {
-        self.lr
-    }
-
-    fn name(&self) -> &'static str {
-        "constant"
-    }
 }
 
 /// Cosine annealing from `base_lr` down to `min_lr` over the full training
@@ -70,55 +45,9 @@ impl LrSchedule for CosineAnnealingLr {
     }
 }
 
-/// Step decay: the learning rate is multiplied by `gamma` every `step_size`
-/// epochs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepLr {
-    /// Initial learning rate.
-    pub base_lr: f32,
-    /// Number of epochs between decays.
-    pub step_size: usize,
-    /// Multiplicative decay factor.
-    pub gamma: f32,
-}
-
-impl StepLr {
-    /// Creates a step-decay schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step_size == 0`.
-    pub fn new(base_lr: f32, step_size: usize, gamma: f32) -> Self {
-        assert!(step_size > 0, "step size must be positive");
-        Self {
-            base_lr,
-            step_size,
-            gamma,
-        }
-    }
-}
-
-impl LrSchedule for StepLr {
-    fn lr_at(&self, epoch: usize, _total_epochs: usize) -> f32 {
-        self.base_lr * self.gamma.powi((epoch / self.step_size) as i32)
-    }
-
-    fn name(&self) -> &'static str {
-        "step"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constant_is_constant() {
-        let s = ConstantLr::new(0.01);
-        assert_eq!(s.lr_at(0, 10), 0.01);
-        assert_eq!(s.lr_at(9, 10), 0.01);
-        assert_eq!(s.name(), "constant");
-    }
 
     #[test]
     fn cosine_starts_high_and_ends_low() {
@@ -143,21 +72,5 @@ mod tests {
         let s = CosineAnnealingLr::new(0.1, 0.0);
         assert_eq!(s.lr_at(0, 1), 0.1);
         assert_eq!(s.lr_at(0, 0), 0.1);
-    }
-
-    #[test]
-    fn step_decays_by_gamma() {
-        let s = StepLr::new(1.0, 3, 0.1);
-        assert_eq!(s.lr_at(0, 100), 1.0);
-        assert_eq!(s.lr_at(2, 100), 1.0);
-        assert!((s.lr_at(3, 100) - 0.1).abs() < 1e-6);
-        assert!((s.lr_at(6, 100) - 0.01).abs() < 1e-7);
-        assert_eq!(s.name(), "step");
-    }
-
-    #[test]
-    #[should_panic(expected = "step size must be positive")]
-    fn step_rejects_zero_step() {
-        let _ = StepLr::new(1.0, 0, 0.5);
     }
 }

@@ -297,9 +297,10 @@ fn scenario_routed_memory_ops() {
         // The bit-identity contract, asserted before it is pinned: full
         // probing must agree exactly with the monolithic scan.
         let reference = scored(
-            &engine::Scorer::top_k(exhaustive, &probe, 3)
+            &exhaustive
+                .top_k(&probe, 3)
                 .into_iter()
-                .map(|(label, sim)| (label.to_string(), sim))
+                .map(|(index, sim)| (exhaustive.label(index).to_string(), sim))
                 .collect::<Vec<_>>(),
         );
         assert_eq!(full_top, reference, "full probing diverged at `{stage}`");
