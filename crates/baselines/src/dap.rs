@@ -57,7 +57,7 @@ impl DirectAttributePrediction {
     /// # Panics
     ///
     /// Panics if the feature width disagrees with the fitted model.
-    pub fn predict_attributes(&self, features: &Matrix) -> Matrix {
+    fn predict_attributes(&self, features: &Matrix) -> Matrix {
         engine::dense::linear_scores(features, &self.weights, &Pool::auto())
     }
 

@@ -24,11 +24,6 @@ impl RandomBaseline {
         Self { num_classes, seed }
     }
 
-    /// Expected top-1 accuracy (`1/C`).
-    pub fn expected_accuracy(&self) -> f32 {
-        1.0 / self.num_classes as f32
-    }
-
     /// Draws one prediction per sample.
     pub fn predict(&self, num_samples: usize) -> Vec<usize> {
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -80,11 +75,6 @@ impl MajorityClassBaseline {
         Self { majority }
     }
 
-    /// The class this baseline always predicts.
-    pub fn majority_class(&self) -> usize {
-        self.majority
-    }
-
     /// Accuracy on a labelled evaluation set.
     pub fn accuracy(&self, labels: &[usize]) -> f32 {
         if labels.is_empty() {
@@ -101,7 +91,6 @@ mod tests {
     #[test]
     fn random_baseline_accuracy_is_near_chance() {
         let baseline = RandomBaseline::new(10, 3);
-        assert!((baseline.expected_accuracy() - 0.1).abs() < 1e-6);
         let labels: Vec<usize> = (0..5000).map(|i| i % 10).collect();
         let acc = baseline.accuracy(&labels);
         assert!((acc - 0.1).abs() < 0.02, "accuracy {acc}");
@@ -119,7 +108,7 @@ mod tests {
     #[test]
     fn majority_baseline_picks_most_frequent() {
         let baseline = MajorityClassBaseline::fit(&[2, 2, 1, 2, 0]);
-        assert_eq!(baseline.majority_class(), 2);
+        assert_eq!(baseline.accuracy(&[2]), 1.0);
         assert!((baseline.accuracy(&[2, 2, 0, 1]) - 0.5).abs() < 1e-6);
         assert_eq!(baseline.accuracy(&[]), 0.0);
     }

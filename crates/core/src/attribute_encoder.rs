@@ -404,11 +404,6 @@ impl AttributeEncoder {
         }
     }
 
-    /// Whether gradients flow into the encoder (true only for the MLP).
-    pub fn is_trainable(&self) -> bool {
-        matches!(self, AttributeEncoder::Mlp(_))
-    }
-
     /// Back-propagates the gradient with respect to the class embeddings; a
     /// no-op for the stationary HDC encoder.
     pub fn backward(&mut self, grad_embeddings: &Matrix) {
@@ -553,8 +548,6 @@ mod tests {
             AttributeEncoder::build(AttributeEncoderKind::TrainableMlp, &s, 64, 32, 1);
         assert_eq!(hdc_enc.kind(), AttributeEncoderKind::Hdc);
         assert_eq!(mlp_enc.kind(), AttributeEncoderKind::TrainableMlp);
-        assert!(!hdc_enc.is_trainable());
-        assert!(mlp_enc.is_trainable());
         assert_eq!(hdc_enc.dim(), 64);
         assert_eq!(mlp_enc.dim(), 64);
         assert_eq!(hdc_enc.num_trainable_params(), 0);

@@ -24,9 +24,16 @@
 //! compaction base of the serving layer's write-ahead log) — cannot be
 //! confused for one another: loading a delta through the model loader (or
 //! vice versa) fails with [`CheckpointError::WrongKind`] instead of a
-//! confusing payload error. Version-1 documents (no `kind` field) are still
-//! accepted by [`Checkpoint::from_json_str`]; saving always writes the
-//! current layout.
+//! confusing payload error.
+//!
+//! Only version 2 loads: version 1 (no `kind` field), which no build has
+//! written since the delta envelope was introduced, fails with
+//! [`CheckpointError::UnsupportedVersion`]. A delta must carry
+//! its `routed`, `threshold` and `stream` keys — the writer always emits
+//! them, as `null` when empty — so a missing one is
+//! [`CheckpointError::Malformed`]. A model checkpoint's `calibration` key
+//! stays optional: an uncalibrated checkpoint is written without it. Every
+//! document the current writer produces loads.
 //!
 //! All saves are atomic: the document is written to a sibling `.tmp` file,
 //! fsynced, and `rename`d over the destination, so a crash mid-save can
@@ -60,11 +67,8 @@ use std::path::Path;
 /// Version of the on-disk checkpoint layout produced by this crate.
 ///
 /// Version 2 added the `kind` discriminator and the [`CheckpointDelta`]
-/// envelope; version-1 model checkpoints are still readable.
+/// envelope; it is the only version this build reads.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
-
-/// The oldest layout version [`Checkpoint::from_json_str`] still reads.
-pub const CHECKPOINT_LEGACY_FORMAT_VERSION: u32 = 1;
 
 /// `kind` discriminator of a plain model checkpoint.
 const KIND_MODEL: &str = "model";
@@ -200,8 +204,8 @@ impl From<std::io::Error> for CheckpointError {
 /// A versioned, self-describing envelope around a trained [`ZscModel`].
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Layout version; always [`CHECKPOINT_FORMAT_VERSION`] when written by
-    /// this build.
+    /// Layout version; always [`CHECKPOINT_FORMAT_VERSION`], the only
+    /// version this build reads and writes.
     pub format_version: u32,
     /// The configuration the model was constructed from.
     pub model_config: ModelConfig,
@@ -211,10 +215,8 @@ pub struct Checkpoint {
     pub schema: SchemaFingerprint,
     /// A fitted serve-time rejection threshold, if the model has been
     /// calibrated ([`SimilarityCalibrator`](crate::SimilarityCalibrator)).
-    /// An *additive* field of the version-2 layout: documents written before
-    /// calibration existed carry no `calibration` key and load as `None`,
-    /// and an uncalibrated checkpoint writes no key, so its bytes are
-    /// unchanged.
+    /// An uncalibrated checkpoint writes no `calibration` key and loads as
+    /// `None`.
     pub calibration: Option<SimilarityCalibration>,
     /// The model weights.
     pub model: ZscModel,
@@ -225,7 +227,10 @@ pub struct Checkpoint {
 impl Serialize for Checkpoint {
     fn to_value(&self) -> Value {
         let mut entries = vec![
-            ("format_version".to_string(), self.format_version.to_value()),
+            (
+                "format_version".to_string(),
+                CHECKPOINT_FORMAT_VERSION.to_value(),
+            ),
             ("model_config".to_string(), self.model_config.to_value()),
             ("feature_dim".to_string(), self.feature_dim.to_value()),
             ("schema".to_string(), self.schema.to_value()),
@@ -241,9 +246,8 @@ impl Serialize for Checkpoint {
 impl Deserialize for Checkpoint {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         let entries = de::expect_object(value, "Checkpoint")?;
-        // Checkpoints written before calibration existed carry no
-        // `calibration` key; treat a missing key exactly like an explicit
-        // null.
+        // Uncalibrated checkpoints carry no `calibration` key; treat a
+        // missing key exactly like an explicit null.
         let calibration = match value.get("calibration") {
             None => None,
             Some(v) => Option::<SimilarityCalibration>::from_value(v)
@@ -280,19 +284,13 @@ impl Checkpoint {
         self
     }
 
-    /// Renders the checkpoint as pretty-printed JSON, always in the current
-    /// layout (version [`CHECKPOINT_FORMAT_VERSION`], kind `"model"`) even
-    /// if the checkpoint was loaded from a legacy document.
+    /// Renders the checkpoint as pretty-printed JSON in the current layout
+    /// (version [`CHECKPOINT_FORMAT_VERSION`], kind `"model"`).
     pub fn to_json(&self) -> String {
         let mut entries = match Serialize::to_value(self) {
             Value::Object(entries) => entries,
             _ => unreachable!("checkpoints serialize as objects"),
         };
-        for (key, value) in &mut entries {
-            if key == "format_version" {
-                *value = CHECKPOINT_FORMAT_VERSION.to_value();
-            }
-        }
         entries.insert(1, ("kind".to_string(), KIND_MODEL.to_string().to_value()));
         serde_json::to_string_pretty(&Value::Object(entries))
             .expect("checkpoint serialization is infallible")
@@ -314,10 +312,9 @@ impl Checkpoint {
     /// Parses a checkpoint from a JSON string.
     ///
     /// The format version is checked *before* the model payload is decoded,
-    /// so documents written by a future layout fail with
-    /// [`CheckpointError::UnsupportedVersion`] rather than a decoding error.
-    /// Both the current layout (version 2, `kind: "model"`) and the legacy
-    /// version-1 layout (no `kind` field) are accepted.
+    /// so documents of any other layout version (the retired version 1
+    /// included) fail with [`CheckpointError::UnsupportedVersion`] rather
+    /// than a decoding error. The document must be `kind: "model"`.
     ///
     /// # Errors
     ///
@@ -329,12 +326,7 @@ impl Checkpoint {
     pub fn from_json_str(json: &str) -> Result<Self, CheckpointError> {
         let value =
             serde_json::parse_value(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        let found = envelope_version(&value)?;
-        // Version 1 predates the `kind` discriminator; every v1 document is
-        // a model checkpoint by construction.
-        if found > CHECKPOINT_LEGACY_FORMAT_VERSION {
-            expect_kind(&value, KIND_MODEL)?;
-        }
+        expect_envelope(&value, KIND_MODEL)?;
         let checkpoint: Checkpoint = serde_json::from_value(&value)
             .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
         checkpoint.validate_internal()?;
@@ -448,25 +440,20 @@ impl Checkpoint {
     }
 }
 
-/// Reads and validates the `format_version` of an envelope document,
-/// accepting the current and the legacy layout.
-fn envelope_version(value: &Value) -> Result<u32, CheckpointError> {
+/// Checks an envelope document's `format_version` (which must be
+/// [`CHECKPOINT_FORMAT_VERSION`]) and then its `kind` discriminator.
+fn expect_envelope(value: &Value, expected: &'static str) -> Result<(), CheckpointError> {
     let version_value = value
         .get("format_version")
         .ok_or_else(|| CheckpointError::Malformed("missing `format_version`".to_string()))?;
     let found = serde_json::from_value::<u32>(version_value)
         .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-    if found != CHECKPOINT_FORMAT_VERSION && found != CHECKPOINT_LEGACY_FORMAT_VERSION {
+    if found != CHECKPOINT_FORMAT_VERSION {
         return Err(CheckpointError::UnsupportedVersion {
             found,
             supported: CHECKPOINT_FORMAT_VERSION,
         });
     }
-    Ok(found)
-}
-
-/// Checks the `kind` discriminator of a current-layout envelope document.
-fn expect_kind(value: &Value, expected: &'static str) -> Result<(), CheckpointError> {
     let kind_value = value
         .get("kind")
         .ok_or_else(|| CheckpointError::Malformed("missing `kind`".to_string()))?;
@@ -557,21 +544,17 @@ pub struct CheckpointDelta {
     /// running in routed mode. Routing structure evolves *incrementally*
     /// under class mutations, so it cannot be re-derived from `memory`
     /// alone — the delta captures it exactly (cluster assignment, centroids,
-    /// drift counter) so recovery resumes the identical index. Absent for
-    /// non-routed servers and in deltas written before routed serving
-    /// existed; both load as `None`.
+    /// drift counter) so recovery resumes the identical index. `None` for
+    /// non-routed servers; otherwise it holds exactly `memory`'s labels.
     pub routed: Option<RoutedClassMemory>,
     /// The serve-time rejection threshold active at capture time, set and
     /// cleared over the wire mid-traffic (so it can differ from the base
-    /// checkpoint's fitted calibration). Additive like `routed`: deltas
-    /// written before open-set serving existed carry no `threshold` key and
-    /// load as `None`.
+    /// checkpoint's fitted calibration); `None` when no threshold is set.
     pub threshold: Option<f32>,
     /// Continual-learning stream state at capture time: exact per-class
-    /// prototype counters plus the publication batching position. Additive
-    /// like `routed`: deltas written before streaming existed (or by
-    /// servers that never observed an example) carry no `stream` key and
-    /// load as `None`.
+    /// prototype counters plus the publication batching position, over
+    /// labels `memory` holds; `None` for servers that never observed an
+    /// example.
     pub stream: Option<StreamCheckpoint>,
 }
 
@@ -604,27 +587,23 @@ impl CheckpointDelta {
 
     /// Parses a delta from a JSON string, validating the envelope (version
     /// checked before the payload, kind must be `"serve-delta"`), the model
-    /// payload, the memory's structural invariants, and that the memory's
-    /// prototype dimensionality matches the model's embedding width.
+    /// payload, the memory's structural invariants, that the memory's
+    /// prototype dimensionality matches the model's embedding width, and
+    /// that the routed index and the stream counters name only classes the
+    /// memory holds.
     ///
     /// # Errors
     ///
     /// Everything [`Checkpoint::from_json_str`] reports, plus
-    /// [`CheckpointError::DimensionMismatch`] when the memory does not fit
-    /// the model.
+    /// [`CheckpointError::DimensionMismatch`] when the memory, routed index
+    /// or stream counters do not fit the model, and
+    /// [`CheckpointError::Malformed`] when a `routed`, `threshold` or
+    /// `stream` key is missing or the routed index or stream counters
+    /// disagree with the memory's classes.
     pub fn from_json_str(json: &str) -> Result<Self, CheckpointError> {
         let value =
             serde_json::parse_value(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        let found = envelope_version(&value)?;
-        if found == CHECKPOINT_LEGACY_FORMAT_VERSION {
-            // Version 1 predates deltas entirely; a v1 document can only be
-            // a model checkpoint.
-            return Err(CheckpointError::WrongKind {
-                found: KIND_MODEL.to_string(),
-                expected: KIND_DELTA,
-            });
-        }
-        expect_kind(&value, KIND_DELTA)?;
+        expect_envelope(&value, KIND_DELTA)?;
         let field = |name: &'static str| {
             value
                 .get(name)
@@ -639,13 +618,8 @@ impl CheckpointDelta {
         base.validate_internal()?;
         let memory = serde_json::from_value::<ShardedClassMemory>(field("memory")?)
             .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        // Deltas written before routed serving carry no `routed` key; treat
-        // a missing key exactly like an explicit null.
-        let routed = match value.get("routed") {
-            None => None,
-            Some(v) => serde_json::from_value::<Option<RoutedClassMemory>>(v)
-                .map_err(|e| CheckpointError::Malformed(e.to_string()))?,
-        };
+        let routed = serde_json::from_value::<Option<RoutedClassMemory>>(field("routed")?)
+            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
         if let Some(routed) = &routed {
             if routed.dim() != memory.dim() {
                 return Err(CheckpointError::DimensionMismatch {
@@ -654,14 +628,16 @@ impl CheckpointDelta {
                     found: routed.dim(),
                 });
             }
+            // The dispatcher scores through `routed` when it is present, so
+            // it must serve exactly the classes `memory` holds.
+            if routed.len() != memory.len() || !routed.labels().all(|l| memory.contains(l)) {
+                return Err(CheckpointError::Malformed(
+                    "routed index labels differ from the memory's".to_string(),
+                ));
+            }
         }
-        // Like `routed`, `threshold` is additive: deltas from before open-set
-        // serving carry no key, which loads the same as an explicit null.
-        let threshold = match value.get("threshold") {
-            None => None,
-            Some(v) => serde_json::from_value::<Option<f32>>(v)
-                .map_err(|e| CheckpointError::Malformed(e.to_string()))?,
-        };
+        let threshold = serde_json::from_value::<Option<f32>>(field("threshold")?)
+            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
         if let Some(threshold) = threshold {
             if !threshold.is_finite() {
                 return Err(CheckpointError::Malformed(
@@ -669,12 +645,8 @@ impl CheckpointDelta {
                 ));
             }
         }
-        // `stream` is additive the same way: older deltas carry no key.
-        let stream = match value.get("stream") {
-            None => None,
-            Some(v) => serde_json::from_value::<Option<StreamCheckpoint>>(v)
-                .map_err(|e| CheckpointError::Malformed(e.to_string()))?,
-        };
+        let stream = serde_json::from_value::<Option<StreamCheckpoint>>(field("stream")?)
+            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
         if let Some(stream) = &stream {
             if stream.accumulators.dim() != memory.dim() {
                 return Err(CheckpointError::DimensionMismatch {
@@ -682,6 +654,16 @@ impl CheckpointDelta {
                     expected: memory.dim(),
                     found: stream.accumulators.dim(),
                 });
+            }
+            // Removing a class drops its counters, and publishing a pending
+            // counter re-adds its class, so a counter for a class `memory`
+            // does not hold would resurrect it.
+            for label in stream.accumulators.labels() {
+                if !memory.contains(label) {
+                    return Err(CheckpointError::Malformed(format!(
+                        "stream accumulator `{label}` names no registered class"
+                    )));
+                }
             }
             for label in &stream.pending {
                 if !stream.accumulators.contains(label) {
@@ -795,10 +777,10 @@ mod tests {
         }
     }
 
-    /// A legacy version-1 document — no `kind` field, `format_version: 1` —
-    /// must still load; v1 checkpoints predate the kind discriminator.
+    /// The retired version-1 layout — no `kind` field, `format_version: 1` —
+    /// fails typed through both loaders.
     #[test]
-    fn legacy_version_1_documents_still_load() {
+    fn version_1_documents_are_rejected() {
         let s = schema();
         let model = fixture_model(AttributeEncoderKind::Hdc);
         let v2 = Checkpoint::capture(&model, &s).to_json();
@@ -810,16 +792,26 @@ mod tests {
             .filter(|line| *line != "  \"kind\": \"model\",")
             .collect::<Vec<_>>()
             .join("\n");
-        let restored = Checkpoint::from_json_str(&v1).expect("legacy layout loads");
-        assert_eq!(restored.format_version, 1);
-        // Re-saving a legacy checkpoint writes the current layout.
-        assert!(restored.to_json().contains("\"format_version\": 2"));
-        assert!(restored.to_json().contains("\"kind\": \"model\""));
+        for result in [
+            Checkpoint::from_json_str(&v1).map(|_| ()),
+            CheckpointDelta::from_json_str(&v1).map(|_| ()),
+        ] {
+            assert!(
+                matches!(
+                    result,
+                    Err(CheckpointError::UnsupportedVersion {
+                        found: 1,
+                        supported: CHECKPOINT_FORMAT_VERSION,
+                    })
+                ),
+                "{result:?}"
+            );
+        }
     }
 
-    /// The additive `calibration` field: present it round-trips bit-exactly,
-    /// absent (every pre-existing checkpoint) it loads as `None`, and an
-    /// uncalibrated checkpoint writes no key at all.
+    /// The optional `calibration` field: present it round-trips bit-exactly,
+    /// and an uncalibrated checkpoint writes no key at all and loads as
+    /// `None`.
     #[test]
     fn calibration_is_additive_and_round_trips_bit_exactly() {
         let s = schema();
@@ -908,8 +900,9 @@ mod tests {
     }
 
     /// Delta round trip: memory (shard assignment included) and sequence
-    /// bookkeeping survive bit-exactly, and the two envelope kinds cannot be
-    /// confused for each other.
+    /// bookkeeping survive bit-exactly, the `routed`, `threshold` and
+    /// `stream` keys are required (as `null` when empty), and the two
+    /// envelope kinds cannot be confused for each other.
     #[test]
     fn delta_round_trips_and_kinds_do_not_cross() {
         let s = schema();
@@ -918,9 +911,9 @@ mod tests {
         let class_attributes = Matrix::random_uniform(5, 312, 0.5, &mut rng).map(f32::abs);
         let labels: Vec<String> = (0..5).map(|c| format!("class{c}")).collect();
         let memory = model.sharded_class_memory(labels.clone(), &class_attributes, 3);
-        let routed = model.routed_class_memory(
+        let routed = RoutedClassMemory::from_sign_matrix(
             labels,
-            &class_attributes,
+            &model.attribute_encoder().infer_classes(&class_attributes),
             engine::RoutedConfig {
                 clusters: 2,
                 ..engine::RoutedConfig::default()
@@ -950,34 +943,40 @@ mod tests {
         assert_eq!(restored.snapshot_version, 41);
         assert_eq!(restored.next_record_seq, 17);
         assert_eq!(restored.memory, memory);
-        // The serve threshold round-trips bit-exactly, and a delta written
-        // before the field existed still loads.
+        // The serve threshold round-trips bit-exactly, the routed index
+        // exactly — structure, drift and all — and the stream counters
+        // exactly (counts, observation tallies, batching position).
         assert_eq!(
             restored.threshold.map(f32::to_bits),
             Some(0.314f32.to_bits())
         );
-        let legacy_threshold = json.replace("  \"threshold\":", "  \"legacy_threshold\":");
-        assert_ne!(legacy_threshold, json);
-        let restored =
-            CheckpointDelta::from_json_str(&legacy_threshold).expect("legacy delta loads");
-        assert!(restored.threshold.is_none());
-        // The routed index survives exactly — structure, drift and all —
-        // and a delta written without one (or before the field existed)
-        // still loads.
         assert_eq!(restored.routed.as_ref(), Some(&routed));
-        let legacy = json.replace("  \"routed\":", "  \"ignored\":");
-        assert_ne!(legacy, json);
-        let restored = CheckpointDelta::from_json_str(&legacy).expect("legacy delta loads");
-        assert!(restored.routed.is_none());
-        // Stream counters survive exactly (counts, observation tallies,
-        // batching position), and pre-streaming deltas load as `None`.
         assert_eq!(restored.stream.as_ref(), Some(&stream));
-        let legacy_stream = json.replace("  \"stream\":", "  \"pre_stream\":");
-        assert_ne!(legacy_stream, json);
-        let restored = CheckpointDelta::from_json_str(&legacy_stream).expect("legacy delta loads");
-        assert!(restored.stream.is_none());
-        let restored = CheckpointDelta::from_json_str(&json).expect("delta round trip");
         restored.base.validate_schema(&s).expect("schema preserved");
+        // Empty optional state is written as explicit nulls and loads back
+        // as `None`; a missing key is malformed.
+        let empty = CheckpointDelta {
+            routed: None,
+            threshold: None,
+            stream: None,
+            ..delta
+        }
+        .to_json();
+        let restored = CheckpointDelta::from_json_str(&empty).expect("null keys load");
+        assert!(restored.routed.is_none());
+        assert!(restored.threshold.is_none());
+        assert!(restored.stream.is_none());
+        for key in ["routed", "threshold", "stream"] {
+            let missing = empty.replace(&format!("  \"{key}\":"), "  \"renamed\":");
+            assert_ne!(missing, empty);
+            assert!(
+                matches!(
+                    CheckpointDelta::from_json_str(&missing),
+                    Err(CheckpointError::Malformed(reason)) if reason.contains(key)
+                ),
+                "missing `{key}`"
+            );
+        }
         // A delta is not a model checkpoint, and vice versa.
         assert!(matches!(
             Checkpoint::from_json_str(&json),
@@ -988,17 +987,13 @@ mod tests {
             CheckpointDelta::from_json_str(&model_json),
             Err(CheckpointError::WrongKind { .. })
         ));
-        // A v1 document can only ever be a model checkpoint.
-        let v1 = model_json.replace("\"format_version\": 2", "\"format_version\": 1");
-        assert!(matches!(
-            CheckpointDelta::from_json_str(&v1),
-            Err(CheckpointError::WrongKind { .. })
-        ));
     }
 
-    /// Stream state is cross-validated against the memory it rides with: a
-    /// counter set of the wrong dimensionality, or a pending label with no
-    /// accumulator, is rejected instead of resurrected.
+    /// Stream state and the routed index are cross-validated against the
+    /// memory they ride with: a counter set of the wrong dimensionality, a
+    /// counter for a class the memory does not hold, a pending label with no
+    /// accumulator, or a routed index over other labels is rejected instead
+    /// of resurrected or served.
     #[test]
     fn delta_rejects_inconsistent_stream_state() {
         let s = schema();
@@ -1007,15 +1002,16 @@ mod tests {
         let class_attributes = Matrix::random_uniform(3, 312, 0.5, &mut rng).map(f32::abs);
         let labels: Vec<String> = (0..3).map(|c| format!("class{c}")).collect();
         let memory = model.sharded_class_memory(labels, &class_attributes, 2);
-        let delta = |stream| CheckpointDelta {
+        let delta_with = |routed, stream| CheckpointDelta {
             snapshot_version: 0,
             next_record_seq: 0,
             base: Checkpoint::capture(&model, &s),
             memory: memory.clone(),
-            routed: None,
+            routed,
             threshold: None,
-            stream: Some(stream),
+            stream,
         };
+        let delta = |stream| delta_with(None, Some(stream));
         // Wrong dimensionality.
         let mut narrow = hdc::ClassAccumulator::new(memory.dim() / 2);
         narrow
@@ -1047,6 +1043,37 @@ mod tests {
         assert!(matches!(
             CheckpointDelta::from_json_str(&json),
             Err(CheckpointError::Malformed(reason)) if reason.contains("ghost")
+        ));
+        // Counters for a class the memory does not hold: publishing them
+        // would resurrect the class.
+        let mut ghost = hdc::ClassAccumulator::new(memory.dim());
+        ghost
+            .observe(
+                "ghost",
+                &hdc::BipolarHypervector::random(memory.dim(), &mut rng),
+            )
+            .expect("observe fits");
+        let json = delta(StreamCheckpoint {
+            accumulators: ghost,
+            pending: vec!["ghost".to_string()],
+            since_publish: 1,
+        })
+        .to_json();
+        assert!(matches!(
+            CheckpointDelta::from_json_str(&json),
+            Err(CheckpointError::Malformed(reason)) if reason.contains("ghost")
+        ));
+        // A routed index over a different label set of the same size.
+        let other_labels = ["class0", "class1", "ghost"];
+        let routed = RoutedClassMemory::from_sign_matrix(
+            other_labels,
+            &model.attribute_encoder().infer_classes(&class_attributes),
+            engine::RoutedConfig::default(),
+        );
+        let json = delta_with(Some(routed), None).to_json();
+        assert!(matches!(
+            CheckpointDelta::from_json_str(&json),
+            Err(CheckpointError::Malformed(reason)) if reason.contains("routed")
         ));
     }
 

@@ -57,15 +57,6 @@ impl ModelConfig {
         }
     }
 
-    /// The paper's *Trainable-MLP* variant: same image encoder, 2-layer MLP
-    /// attribute encoder.
-    pub fn trainable_mlp() -> Self {
-        Self {
-            attribute_encoder: AttributeEncoderKind::TrainableMlp,
-            ..Self::paper_default()
-        }
-    }
-
     /// A small configuration for tests (64-dimensional embeddings).
     pub fn tiny() -> Self {
         Self {

@@ -6,7 +6,7 @@
 use crate::model::ZscModel;
 use dataset::AttributeSchema;
 use metrics::wmap::{evaluate_groups, mean_over_groups};
-use metrics::{partitioned_top1_accuracy, topk_accuracy, ConfusionMatrix, GroupMetrics};
+use metrics::{partitioned_top1_accuracy, topk_accuracy, GroupMetrics};
 use serde::{Deserialize, Serialize};
 use tensor::Matrix;
 
@@ -234,25 +234,6 @@ pub fn evaluate_zsc(
     }
 }
 
-/// Evaluates zero-shot classification and additionally returns the confusion
-/// matrix over the evaluation classes.
-///
-/// # Panics
-///
-/// Panics if `labels.len() != features.rows()` or a label is out of range.
-pub fn evaluate_zsc_with_confusion(
-    model: &ZscModel,
-    features: &Matrix,
-    labels: &[usize],
-    class_attributes: &Matrix,
-) -> (ZscReport, ConfusionMatrix) {
-    let report = evaluate_zsc(model, features, labels, class_attributes);
-    let predictions = model.predict(features, class_attributes);
-    let mut confusion = ConfusionMatrix::new(class_attributes.rows());
-    confusion.record_batch(labels, &predictions);
-    (report, confusion)
-}
-
 /// Evaluates attribute extraction: predicts attribute scores for every
 /// feature row and computes WMAP and top-1 accuracy per attribute group.
 ///
@@ -309,18 +290,6 @@ mod tests {
         assert!(report.top5 >= report.top1);
         assert!((0.0..=1.0).contains(&report.top1));
         assert!(report.to_string().contains("top-1"));
-    }
-
-    #[test]
-    fn confusion_matrix_totals_match_sample_count() {
-        let (data, _schema, model) = fixture();
-        let split = data.split(SplitKind::Zs);
-        let (features, labels) = data.features_and_labels(split.eval_classes());
-        let local = CubLikeDataset::to_local_labels(&labels, split.eval_classes());
-        let attrs = data.class_attribute_matrix(split.eval_classes());
-        let (report, confusion) = evaluate_zsc_with_confusion(&model, &features, &local, &attrs);
-        assert_eq!(confusion.total() as usize, report.num_samples);
-        assert!((confusion.accuracy() - report.top1).abs() < 1e-5);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `&self` (the forward passes cache nothing), so the frozen view exposes
 //! the whole inference surface — [`ZscModel::embed_images`],
 //! [`ZscModel::attribute_logits`], [`ZscModel::class_logits`],
-//! [`ZscModel::predict`], the packed/sharded class-memory exports and
+//! [`ZscModel::predict`], [`ZscModel::sharded_class_memory`] and
 //! [`ZscModel::packed_class_signature`] — through [`Deref`] without a single
 //! deep copy.
 //!
@@ -14,10 +14,9 @@
 //! `QueryServer` dispatcher, `ModelSnapshot::solo_topk` and the class
 //! registration control plane all operate on one shared `FrozenModel`
 //! (cloning an `Arc`, never a weight matrix). Training, by contrast, keeps
-//! the `&mut ZscModel` handle — to retrain a frozen model, [`thaw`] a
-//! mutable copy, train it, and freeze the result into the next snapshot.
-//!
-//! [`thaw`]: FrozenModel::thaw
+//! the `&mut ZscModel` handle — to retrain a frozen model, clone the model
+//! behind the handle (`(*frozen).clone()`), train the copy, and freeze the
+//! result into the next snapshot.
 
 use crate::model::ZscModel;
 use std::ops::Deref;
@@ -57,16 +56,6 @@ impl FrozenModel {
         }
     }
 
-    /// Wraps an existing `Arc` without cloning the model.
-    pub fn from_arc(inner: Arc<ZscModel>) -> Self {
-        Self { inner }
-    }
-
-    /// The shared `Arc` itself, for callers that manage their own handles.
-    pub fn as_arc(&self) -> &Arc<ZscModel> {
-        &self.inner
-    }
-
     /// Returns `true` if both handles point at the *same* model allocation —
     /// the pointer-identity probe the serve tests use to pin the zero-copy
     /// contract.
@@ -77,13 +66,6 @@ impl FrozenModel {
     /// Number of live handles on the underlying model (`Arc::strong_count`).
     pub fn strong_count(&self) -> usize {
         Arc::strong_count(&self.inner)
-    }
-
-    /// Clones the underlying weights back into a mutable [`ZscModel`] — the
-    /// only way back to the training surface, and the only deep copy in the
-    /// frozen model's lifecycle.
-    pub fn thaw(&self) -> ZscModel {
-        (*self.inner).clone()
     }
 }
 
@@ -98,12 +80,6 @@ impl Deref for FrozenModel {
 impl From<ZscModel> for FrozenModel {
     fn from(model: ZscModel) -> Self {
         Self::new(model)
-    }
-}
-
-impl From<Arc<ZscModel>> for FrozenModel {
-    fn from(inner: Arc<ZscModel>) -> Self {
-        Self::from_arc(inner)
     }
 }
 
@@ -149,7 +125,7 @@ mod tests {
         let features = Matrix::random_uniform(3, 40, 1.0, &mut rng);
         let class_attributes = Matrix::random_uniform(5, 312, 0.5, &mut rng).map(f32::abs);
         let frozen = frozen();
-        let mutable = frozen.thaw();
+        let mutable: ZscModel = (*frozen).clone();
         assert_eq!(
             frozen.class_logits(&features, &class_attributes).as_slice(),
             mutable

@@ -94,7 +94,7 @@ pub use attribute_encoder::{
 };
 pub use checkpoint::{
     Checkpoint, CheckpointDelta, CheckpointError, SchemaFingerprint, StreamCheckpoint,
-    CHECKPOINT_FORMAT_VERSION, CHECKPOINT_LEGACY_FORMAT_VERSION,
+    CHECKPOINT_FORMAT_VERSION,
 };
 pub use config::{ModelConfig, TrainConfig};
 pub use eval::{

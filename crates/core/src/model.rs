@@ -5,7 +5,7 @@ use crate::attribute_encoder::{AttributeEncoder, AttributeEncoderKind, HdcAttrib
 use crate::config::ModelConfig;
 use crate::image_encoder::ImageEncoder;
 use dataset::AttributeSchema;
-use engine::{Pool, RoutedClassMemory, RoutedConfig, ShardedClassMemory};
+use engine::{Pool, ShardedClassMemory};
 use nn::{CosineSimilarity, ParamTensor, TemperatureScale};
 use serde::{de, DeError, Deserialize, Serialize, Value};
 use tensor::Matrix;
@@ -129,11 +129,6 @@ impl ZscModel {
     /// The attribute encoder `ϕ(·)`.
     pub fn attribute_encoder(&self) -> &AttributeEncoder {
         &self.attribute_encoder
-    }
-
-    /// Mutable access to the attribute encoder (used by the trainers).
-    pub fn attribute_encoder_mut(&mut self) -> &mut AttributeEncoder {
-        &mut self.attribute_encoder
     }
 
     /// The attribute-encoder variant in use.
@@ -283,31 +278,6 @@ impl ZscModel {
         ShardedClassMemory::from_sign_matrix(labels, &class_embeddings, shards)
     }
 
-    /// Routed variant of [`ZscModel::sharded_class_memory`]: the same
-    /// sign-binarized class signatures clustered into a coarse-to-fine
-    /// [`engine::RoutedClassMemory`] under `config`, so serving layers with
-    /// very large class sets can shortlist a few clusters per query instead
-    /// of sweeping every class. With the config's default full probing,
-    /// lookups are bit-identical to the monolithic memory; dialling `nprobe`
-    /// down trades recall for sub-linear candidate work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the label count differs from `class_attributes.rows()`.
-    pub fn routed_class_memory<L, S>(
-        &self,
-        labels: L,
-        class_attributes: &Matrix,
-        config: RoutedConfig,
-    ) -> RoutedClassMemory
-    where
-        L: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let class_embeddings = self.attribute_encoder.infer_classes(class_attributes);
-        RoutedClassMemory::from_sign_matrix(labels, &class_embeddings, config)
-    }
-
     /// Encodes one class-attribute row into its sign-binarized packed class
     /// signature — the row [`ZscModel::sharded_class_memory`] would store for
     /// it. This is the single-class primitive behind serve-time
@@ -383,11 +353,6 @@ impl ZscModel {
         let mut n = 0;
         self.visit_params_ref(&mut |p| n += p.len());
         n
-    }
-
-    /// Exposes mutable access to the image encoder for the trainers.
-    pub fn image_encoder_mut(&mut self) -> &mut ImageEncoder {
-        &mut self.image_encoder
     }
 
     /// Consumes the model into an immutable, cheaply clonable
@@ -665,45 +630,6 @@ mod tests {
                 );
                 let signature = model.packed_class_signature(class_attributes.row(c));
                 assert_eq!(signature, mono.row_words(c), "label={label}");
-            }
-        }
-    }
-
-    /// The routed export must hold exactly the monolithic memory's class
-    /// signatures and, probing exhaustively, return the same nearest class
-    /// for every signature query — for several cluster counts.
-    #[test]
-    fn routed_class_memory_matches_monolithic_export() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let model = tiny_model();
-        let class_attributes = Matrix::random_uniform(9, 312, 0.5, &mut rng).map(f32::abs);
-        let labels: Vec<String> = (0..9).map(|c| format!("bird{c}")).collect();
-        let mono = engine::PackedClassMemory::from_sign_matrix(
-            labels.clone(),
-            &model.attribute_encoder().infer_classes(&class_attributes),
-        );
-        for clusters in [1usize, 3] {
-            let routed = model.routed_class_memory(
-                labels.clone(),
-                &class_attributes,
-                engine::RoutedConfig {
-                    clusters,
-                    ..engine::RoutedConfig::default()
-                },
-            );
-            assert_eq!(routed.len(), mono.len());
-            assert_eq!(routed.num_clusters(), clusters);
-            assert!(routed.probes_exhaustively());
-            for (c, label) in labels.iter().enumerate() {
-                assert_eq!(
-                    routed.class_words(label).expect("stored"),
-                    mono.row_words(c),
-                    "clusters={clusters} label={label}"
-                );
-                let query = mono.row_words(c).to_vec();
-                let (nearest, _sim) = routed.nearest(&query).expect("non-empty");
-                let (mono_index, _sim) = mono.nearest(&query).expect("non-empty");
-                assert_eq!(nearest, mono.label(mono_index), "clusters={clusters}");
             }
         }
     }

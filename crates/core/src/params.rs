@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// Parameters of the ImageNet classification head (`2048 × 1000 + 1000`)
 /// that is discarded after phase I and therefore excluded from the model
 /// size, as in the paper's 26.6 M figure.
-pub const IMAGENET_HEAD_PARAMS: usize = 2048 * 1000 + 1000;
+const IMAGENET_HEAD_PARAMS: usize = 2048 * 1000 + 1000;
 
 /// Returns the backbone trunk size: the full architecture minus the ImageNet
 /// classification head.

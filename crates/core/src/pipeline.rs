@@ -10,7 +10,6 @@ use crate::params::ParameterBreakdown;
 use crate::train::{AttributeExtractionTrainer, TrainingHistory, ZscTrainer};
 use dataset::{CubLikeDataset, SplitKind};
 use serde::{Deserialize, Serialize};
-use tensor::Matrix;
 
 /// Everything a single training/evaluation run produces.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -177,28 +176,6 @@ impl Pipeline {
         };
         (outcome, model)
     }
-
-    /// Runs the pipeline over several seeds, returning one outcome per seed
-    /// (the five-trial µ ± σ protocol of §IV-A).
-    pub fn run_seeds(
-        &self,
-        data: &CubLikeDataset,
-        split_kind: SplitKind,
-        seeds: &[u64],
-    ) -> Vec<PipelineOutcome> {
-        seeds
-            .iter()
-            .map(|&s| self.run(data, split_kind, s))
-            .collect()
-    }
-
-    /// Convenience: mean top-1 accuracy over a set of outcomes.
-    pub fn mean_top1(outcomes: &[PipelineOutcome]) -> f32 {
-        if outcomes.is_empty() {
-            return 0.0;
-        }
-        outcomes.iter().map(|o| o.zsc.top1).sum::<f32>() / outcomes.len() as f32
-    }
 }
 
 /// The deterministic 75/25 instance split used by the `NoZs` protocol,
@@ -240,25 +217,6 @@ pub fn stratified_nozs_split(data: &CubLikeDataset, classes: &[usize]) -> (Vec<u
         *pos += 1;
     }
     (train, eval)
-}
-
-/// Splits a feature/label set into the matrices needed to call the trainers
-/// directly (exposed for the benches and examples that bypass [`Pipeline`]).
-pub fn localise_labels(labels: &[usize], classes: &[usize]) -> (Vec<usize>, usize) {
-    (
-        CubLikeDataset::to_local_labels(labels, classes),
-        classes.len(),
-    )
-}
-
-/// Convenience for harnesses: stack outcomes' top-1 accuracies as a vector.
-pub fn top1_samples(outcomes: &[PipelineOutcome]) -> Vec<f32> {
-    outcomes.iter().map(|o| o.zsc.top1 * 100.0).collect()
-}
-
-/// Re-export of the class-attribute selection used by examples.
-pub fn class_attribute_matrix(data: &CubLikeDataset, classes: &[usize]) -> Matrix {
-    data.class_attribute_matrix(classes)
 }
 
 #[cfg(test)]
@@ -381,29 +339,5 @@ mod tests {
         let outcome = pipeline.run(&data, SplitKind::Zs, 0);
         assert_eq!(outcome.phase2_history.epochs(), 0);
         assert!(outcome.phase3_history.epochs() > 0);
-    }
-
-    #[test]
-    fn run_seeds_produces_one_outcome_per_seed() {
-        let data = CubLikeDataset::generate(&DatasetConfig::tiny(24));
-        let pipeline = Pipeline::new(ModelConfig::tiny(), TrainConfig::fast().with_epochs(2));
-        let outcomes = pipeline.run_seeds(&data, SplitKind::Zs, &[0, 1, 2]);
-        assert_eq!(outcomes.len(), 3);
-        let mean = Pipeline::mean_top1(&outcomes);
-        assert!(mean > 0.0);
-        assert_eq!(top1_samples(&outcomes).len(), 3);
-        assert_eq!(Pipeline::mean_top1(&[]), 0.0);
-    }
-
-    #[test]
-    fn helper_functions() {
-        let data = CubLikeDataset::generate(&DatasetConfig::tiny(25));
-        let split = data.split(SplitKind::Zs);
-        let (_, labels) = data.features_and_labels(split.eval_classes());
-        let (local, count) = localise_labels(&labels, split.eval_classes());
-        assert_eq!(count, split.eval_classes().len());
-        assert!(local.iter().all(|&l| l < count));
-        let attr = class_attribute_matrix(&data, split.eval_classes());
-        assert_eq!(attr.rows(), count);
     }
 }

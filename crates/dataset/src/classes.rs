@@ -37,11 +37,11 @@ pub struct ClassAttributes {
 
 impl ClassAttributes {
     /// Strength assigned to a class's dominant value within a group.
-    pub const DOMINANT_STRENGTH: f32 = 0.9;
+    const DOMINANT_STRENGTH: f32 = 0.9;
     /// Strength assigned to the optional secondary value.
-    pub const SECONDARY_STRENGTH: f32 = 0.35;
+    const SECONDARY_STRENGTH: f32 = 0.35;
     /// Upper bound of the residual (background) strengths.
-    pub const RESIDUAL_MAX: f32 = 0.08;
+    const RESIDUAL_MAX: f32 = 0.08;
 
     /// Generates `num_classes` mutually independent class descriptions over
     /// the given schema, deterministically from `seed`.

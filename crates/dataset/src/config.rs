@@ -112,13 +112,6 @@ impl DatasetConfig {
         self
     }
 
-    /// Returns a copy with a different backbone-noise multiplier.
-    #[must_use]
-    pub fn with_feature_noise_scale(mut self, scale: f32) -> Self {
-        self.feature_noise_scale = scale;
-        self
-    }
-
     /// Returns a copy with a different backbone architecture (used by the
     /// Table II ablation).
     #[must_use]
@@ -158,13 +151,11 @@ mod tests {
         let cfg = DatasetConfig::tiny(1)
             .with_backbone(BackboneKind::ResNet101)
             .with_seed(9)
-            .with_families(25, 4)
-            .with_feature_noise_scale(2.5);
+            .with_families(25, 4);
         assert_eq!(cfg.backbone, BackboneKind::ResNet101);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.num_families, 25);
         assert_eq!(cfg.family_distinct_groups, 4);
-        assert_eq!(cfg.feature_noise_scale, 2.5);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct Instance {
 
 impl Instance {
     /// Dense binary attribute vector of length `alpha`.
-    pub fn attribute_vector(&self, alpha: usize) -> Vec<f32> {
+    fn attribute_vector(&self, alpha: usize) -> Vec<f32> {
         let mut v = vec![0.0f32; alpha];
         for &a in &self.active_attributes {
             v[a] = 1.0;

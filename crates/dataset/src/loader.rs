@@ -60,11 +60,6 @@ impl BatchIterator {
             cursor: 0,
         }
     }
-
-    /// Number of batches this iterator will yield.
-    pub fn num_batches(&self) -> usize {
-        self.order.len().div_ceil(self.batch_size)
-    }
 }
 
 impl Iterator for BatchIterator {
@@ -117,13 +112,11 @@ mod tests {
     fn sequential_preserves_order() {
         let batches: Vec<Vec<usize>> = BatchIterator::sequential(6, 4).collect();
         assert_eq!(batches, vec![vec![0, 1, 2, 3], vec![4, 5]]);
-        assert_eq!(BatchIterator::sequential(6, 4).num_batches(), 2);
     }
 
     #[test]
     fn empty_input_yields_no_batches() {
         assert_eq!(BatchIterator::new(0, 4, 0, 1).count(), 0);
-        assert_eq!(BatchIterator::new(0, 4, 0, 1).num_batches(), 0);
     }
 
     #[test]

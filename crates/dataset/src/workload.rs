@@ -82,7 +82,7 @@ impl Default for WorkloadConfig {
 
 impl WorkloadConfig {
     /// The effective latent cluster count (`⌈√classes⌉` when automatic).
-    pub fn effective_clusters(&self) -> usize {
+    fn effective_clusters(&self) -> usize {
         match self.clusters {
             0 => (self.classes as f64).sqrt().ceil() as usize,
             c => c,
@@ -468,11 +468,6 @@ impl StreamWorkload {
             examples,
         }
     }
-
-    /// The examples of one time step, in emission order.
-    pub fn step_examples(&self, step: usize) -> impl Iterator<Item = &StreamExample> {
-        self.examples.iter().filter(move |e| e.step == step)
-    }
 }
 
 #[cfg(test)]
@@ -693,7 +688,12 @@ mod tests {
         assert!(w.examples.iter().all(|e| e.class < 3));
         // Round-robin assignment touches every class every step.
         for step in 0..4 {
-            let classes: Vec<usize> = w.step_examples(step).map(|e| e.class).collect();
+            let classes: Vec<usize> = w
+                .examples
+                .iter()
+                .filter(|e| e.step == step)
+                .map(|e| e.class)
+                .collect();
             assert_eq!(classes.len(), 6);
             for c in 0..3 {
                 assert!(classes.contains(&c));

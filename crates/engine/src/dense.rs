@@ -14,7 +14,7 @@ use tensor::Matrix;
 
 /// Minimum row norm treated as non-zero, matching both
 /// `nn::CosineSimilarity` and `tensor::ops::cosine_similarity_matrix`.
-pub const COSINE_EPS: f32 = 1e-12;
+const COSINE_EPS: f32 = 1e-12;
 
 /// Applies `f` to contiguous row chunks of `a` and vertically stitches the
 /// results in chunk order.
@@ -25,7 +25,7 @@ pub const COSINE_EPS: f32 = 1e-12;
 /// # Panics
 ///
 /// Panics if `f` returns chunks of differing widths.
-pub fn rowwise_map<F>(a: &Matrix, pool: &Pool, f: F) -> Matrix
+fn rowwise_map<F>(a: &Matrix, pool: &Pool, f: F) -> Matrix
 where
     F: Fn(&Matrix) -> Matrix + Sync,
 {

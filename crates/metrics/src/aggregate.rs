@@ -36,40 +36,9 @@ impl SeedAggregate {
         self.samples.entry(metric.into()).or_default().push(value);
     }
 
-    /// Number of observations recorded for `metric` (0 if unknown).
-    pub fn count(&self, metric: &str) -> usize {
-        self.samples.get(metric).map_or(0, Vec::len)
-    }
-
-    /// All raw observations for `metric`, in recording order.
-    pub fn samples(&self, metric: &str) -> Option<&[f32]> {
-        self.samples.get(metric).map(Vec::as_slice)
-    }
-
     /// Summary (`µ ± σ`, min, max) of the named metric, if recorded.
     pub fn summary(&self, metric: &str) -> Option<Summary> {
         self.samples.get(metric).map(|s| Summary::from_samples(s))
-    }
-
-    /// Iterates over `(metric, summary)` pairs in name order.
-    pub fn summaries(&self) -> impl Iterator<Item = (&str, Summary)> {
-        self.samples
-            .iter()
-            .map(|(k, v)| (k.as_str(), Summary::from_samples(v)))
-    }
-
-    /// Names of all recorded metrics, sorted.
-    pub fn metrics(&self) -> impl Iterator<Item = &str> {
-        self.samples.keys().map(String::as_str)
-    }
-
-    /// Formats every metric as a `name: µ ± σ` table (one line per metric),
-    /// matching the reporting style of the paper.
-    pub fn to_report(&self) -> String {
-        self.summaries()
-            .map(|(name, s)| format!("{name}: {s}"))
-            .collect::<Vec<_>>()
-            .join("\n")
     }
 }
 
@@ -80,10 +49,7 @@ mod tests {
     #[test]
     fn empty_aggregate() {
         let agg = SeedAggregate::new();
-        assert_eq!(agg.count("missing"), 0);
         assert!(agg.summary("missing").is_none());
-        assert!(agg.samples("missing").is_none());
-        assert_eq!(agg.to_report(), "");
     }
 
     #[test]
@@ -93,31 +59,9 @@ mod tests {
             agg.record("top1", v);
         }
         agg.record("top5", 88.0);
-        assert_eq!(agg.count("top1"), 5);
         let s = agg.summary("top1").expect("recorded");
         assert!((s.mean() - 64.0).abs() < 1e-5);
         assert_eq!(s.count(), 5);
-        assert_eq!(agg.metrics().count(), 2);
-        assert_eq!(agg.samples("top5"), Some(&[88.0][..]));
-    }
-
-    #[test]
-    fn report_contains_all_metrics() {
-        let mut agg = SeedAggregate::new();
-        agg.record("accuracy", 0.5);
-        agg.record("wmap", 0.4);
-        let report = agg.to_report();
-        assert!(report.contains("accuracy"));
-        assert!(report.contains("wmap"));
-        assert_eq!(report.lines().count(), 2);
-    }
-
-    #[test]
-    fn metric_order_is_deterministic() {
-        let mut agg = SeedAggregate::new();
-        agg.record("zeta", 1.0);
-        agg.record("alpha", 2.0);
-        let names: Vec<&str> = agg.metrics().collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
+        assert_eq!(agg.summary("top5").expect("recorded").count(), 1);
     }
 }

@@ -236,7 +236,7 @@ impl Layer for Linear {
         // dW = Xᵀ · dY, db = Σ_batch dY, dX = dY · Wᵀ
         let grad_w = input.matmul_tn(grad_output);
         self.weight.accumulate_grad(&grad_w);
-        let grad_b = Matrix::from_vec(1, grad_output.cols(), grad_output.sum_rows().into_vec());
+        let grad_b = Matrix::from_vec(1, grad_output.cols(), grad_output.sum_rows());
         self.bias.accumulate_grad(&grad_b);
         grad_output.matmul_nt(&self.weight.values)
     }
@@ -398,11 +398,6 @@ impl Mlp {
     /// The shared hidden activation kind.
     pub fn activation(&self) -> ActivationKind {
         self.activation
-    }
-
-    /// The linear layers in forward order (used by checkpointing).
-    pub fn linear_layers(&self) -> &[Linear] {
-        &self.layers
     }
 }
 

@@ -133,16 +133,6 @@ pub fn weighted_bce_with_logits(
     }
 }
 
-/// Unweighted binary cross entropy with logits (all positive weights = 1).
-///
-/// # Panics
-///
-/// Panics if the shapes disagree.
-pub fn bce_with_logits(logits: &Matrix, targets: &Matrix) -> LossOutput {
-    let weights = vec![1.0f32; logits.cols()];
-    weighted_bce_with_logits(logits, targets, &weights)
-}
-
 /// Computes per-attribute positive weights `(#negatives / #positives)` from a
 /// matrix of (possibly soft) attribute targets, clamping the ratio into
 /// `[1, max_weight]`.
@@ -243,7 +233,7 @@ mod tests {
     fn bce_perfect_prediction_is_small() {
         let logits = Matrix::from_rows(&[vec![12.0, -12.0]]);
         let targets = Matrix::from_rows(&[vec![1.0, 0.0]]);
-        let out = bce_with_logits(&logits, &targets);
+        let out = weighted_bce_with_logits(&logits, &targets, &[1.0, 1.0]);
         assert!(out.loss < 1e-4);
     }
 
@@ -251,7 +241,7 @@ mod tests {
     fn weighted_bce_upweights_positives() {
         let logits = Matrix::from_rows(&[vec![0.0, 0.0]]);
         let targets = Matrix::from_rows(&[vec![1.0, 0.0]]);
-        let unweighted = bce_with_logits(&logits, &targets);
+        let unweighted = weighted_bce_with_logits(&logits, &targets, &[1.0, 1.0]);
         let weighted = weighted_bce_with_logits(&logits, &targets, &[4.0, 4.0]);
         // Positive column contributes 4× more loss under the weighting.
         assert!(weighted.loss > unweighted.loss);

@@ -99,21 +99,16 @@ impl AdamW {
     /// Creates AdamW with the PyTorch default hyper-parameters
     /// (`β₁ = 0.9`, `β₂ = 0.999`, `ε = 1e-8`, `weight_decay = 0.01`).
     pub fn new() -> Self {
-        Self::with_config(0.9, 0.999, 1e-8, 0.01)
-    }
-
-    /// Creates AdamW with explicit hyper-parameters.
-    pub fn with_config(beta1: f32, beta2: f32, eps: f32, weight_decay: f32) -> Self {
-        Self {
-            state: AdamState::new(beta1, beta2, eps),
-            weight_decay,
-        }
+        Self::with_weight_decay(0.01)
     }
 
     /// Creates AdamW with the default moments but a custom weight decay —
     /// the knob swept in Fig. 5 of the paper.
     pub fn with_weight_decay(weight_decay: f32) -> Self {
-        Self::with_config(0.9, 0.999, 1e-8, weight_decay)
+        Self {
+            state: AdamState::new(0.9, 0.999, 1e-8),
+            weight_decay,
+        }
     }
 
     /// The configured (decoupled) weight decay.

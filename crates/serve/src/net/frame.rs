@@ -30,12 +30,13 @@ use crate::wal::crc32;
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
 
-/// Frame-header length on the wire: payload length + payload CRC.
+/// Frame-header length, on the wire and in the WAL: payload length +
+/// payload CRC.
 pub const FRAME_HEADER_LEN: usize = 4 + 4;
 
-/// Sanity cap on a single frame payload (64 MiB, matching the WAL's record
-/// cap). A length prefix past this is treated as a protocol violation
-/// rather than attempted as an allocation.
+/// Sanity cap on a single frame payload (64 MiB), on the wire and in the
+/// WAL. A length prefix past this is treated as a protocol violation (or,
+/// in the WAL, as corruption) rather than attempted as an allocation.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// Why a frame could not be read or written.
@@ -97,17 +98,14 @@ pub enum ReadOutcome {
     Idle,
 }
 
-/// Encodes `payload` as one frame and writes it (flushed) to `w`.
+/// Encodes `payload` as one frame — the one encoder behind [`write_frame`]
+/// and the WAL's record appends.
 ///
 /// # Panics
 ///
-/// Debug-asserts `payload.len() <= MAX_FRAME_LEN`; both sides of this
-/// protocol build payloads far below the cap.
-///
-/// # Errors
-///
-/// Any [`io::Error`] from the underlying writer.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+/// Debug-asserts `payload.len() <= MAX_FRAME_LEN`; every caller builds
+/// payloads far below the cap.
+pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
     debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
     frame.extend_from_slice(
@@ -117,7 +115,16 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     );
     frame.extend_from_slice(&crc32(payload).to_le_bytes());
     frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+    frame
+}
+
+/// Encodes `payload` as one frame and writes it (flushed) to `w`.
+///
+/// # Errors
+///
+/// Any [`io::Error`] from the underlying writer.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&encode_frame(payload))?;
     w.flush()
 }
 

@@ -31,7 +31,7 @@
 use super::frame::{read_frame, write_frame, FrameError, ReadOutcome};
 use super::wire::{self, Request, Response, WireScore, WireStats, PROTOCOL_VERSION};
 use super::NetError;
-use crate::server::{QueryServer, ServeError};
+use crate::server::{QueryServer, ServeError, Verdict};
 use dataset::AttributeSchema;
 use hdc_zsc::Checkpoint;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -521,13 +521,18 @@ fn respond(shared: &NetShared, request: Request) -> Response {
             let result = shared.server.query_with_verdict(&features);
             drop(permit);
             match result {
-                Ok((version, mut results, verdict)) => {
+                Ok((version, mut results, mut verdict)) => {
                     // `k` narrows within the server's configured top-k; a
                     // prefix of the full response is still bit-identical
                     // to the (truncated) solo reference — and the verdict
-                    // only depends on the top-1, which truncation keeps.
+                    // only depends on the top-1, which truncation keeps
+                    // unless `k = 0` empties the response, which is
+                    // `unknown` under a threshold (`ModelSnapshot::verdict`).
                     if let Some(k) = k {
                         results.truncate(usize::try_from(k).unwrap_or(usize::MAX));
+                        if results.is_empty() {
+                            verdict = verdict.map(|_| Verdict::Unknown);
+                        }
                     }
                     Response::TopK {
                         version,

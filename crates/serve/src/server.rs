@@ -699,8 +699,8 @@ impl QueryServer {
     /// one label per row of `class_attributes`.
     ///
     /// Accepts anything convertible into a [`FrozenModel`]: a `ZscModel` by
-    /// value (frozen here — the server takes ownership, no copy), an
-    /// already-frozen handle, or a shared `Arc<ZscModel>`. The
+    /// value (frozen here — the server takes ownership, no copy) or an
+    /// already-frozen handle. The
     /// class-attribute matrix is encoded once into sign-binarized class
     /// signatures split across [`ServerConfig::shards`] shards; queries then
     /// run entirely through the popcount path against that one shared

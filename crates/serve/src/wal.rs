@@ -49,6 +49,7 @@
 //! for mutation throughput; a torn tail in that window is still detected
 //! and cleanly ignored on recovery.
 
+use crate::net::frame::{encode_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use engine::ShardedClassMemory;
 use serde::{Serialize, Value};
 use std::fs::{File, OpenOptions};
@@ -59,24 +60,17 @@ use std::path::{Path, PathBuf};
 const WAL_MAGIC: &[u8; 8] = b"ZSCWAL1\n";
 
 /// Version of the on-disk WAL layout written by this build.
-pub const WAL_FORMAT_VERSION: u32 = 1;
+const WAL_FORMAT_VERSION: u32 = 1;
 
 /// File-header length: magic + format version + first sequence number.
 const HEADER_LEN: u64 = 8 + 4 + 8;
 
-/// Frame-header length: payload length + payload CRC.
-const FRAME_HEADER_LEN: u64 = 4 + 4;
-
-/// Sanity cap on a single record payload (64 MiB). A length prefix past
-/// this is treated as corruption rather than attempted as an allocation.
-const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
-
 /// File name of the log inside a WAL directory.
-pub const WAL_FILE_NAME: &str = "wal.log";
+const WAL_FILE_NAME: &str = "wal.log";
 
 /// File name of the checkpoint-delta compaction base inside a WAL
 /// directory.
-pub const BASE_FILE_NAME: &str = "base.json";
+const BASE_FILE_NAME: &str = "base.json";
 
 // ---------------------------------------------------------------------------
 // CRC-32
@@ -456,7 +450,7 @@ pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, WalError> {
         let remaining = bytes.len() - offset;
         // A frame that does not fit in the remaining bytes can only be the
         // torn final append — everything before it already verified.
-        if remaining < FRAME_HEADER_LEN as usize {
+        if remaining < FRAME_HEADER_LEN {
             torn_tail = Some(format!(
                 "{remaining} trailing bytes are shorter than a frame header"
             ));
@@ -464,13 +458,13 @@ pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, WalError> {
         }
         let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes"));
         let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_LEN {
+        if len > MAX_FRAME_LEN {
             return Err(WalError::Corrupt {
                 offset: offset as u64,
                 reason: format!("frame declares an absurd payload of {len} bytes"),
             });
         }
-        let body_start = offset + FRAME_HEADER_LEN as usize;
+        let body_start = offset + FRAME_HEADER_LEN;
         let body_end = body_start + len as usize;
         if body_end > bytes.len() {
             torn_tail = Some(format!(
@@ -562,7 +556,7 @@ impl WriteAheadLog {
     /// # Errors
     ///
     /// [`WalError::Io`] if the file cannot be created, synced, or renamed.
-    pub fn create_with_first_seq(
+    fn create_with_first_seq(
         path: impl AsRef<Path>,
         policy: SyncPolicy,
         first_seq: u64,
@@ -645,13 +639,7 @@ impl WriteAheadLog {
         let seq = self.next_seq;
         let payload =
             serde_json::to_string(&op.to_value(seq)).expect("record serialization is infallible");
-        let payload = payload.as_bytes();
-        debug_assert!(payload.len() <= MAX_RECORD_LEN as usize);
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN as usize + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
+        self.file.write_all(&encode_frame(payload.as_bytes()))?;
         self.next_seq += 1;
         match self.policy {
             SyncPolicy::Always => self.sync()?,
@@ -910,12 +898,12 @@ mod tests {
             flipped
         };
         // Flip inside the last record's payload.
-        let last_payload = clean.entries[1].end_offset as usize + FRAME_HEADER_LEN as usize + 2;
+        let last_payload = clean.entries[1].end_offset as usize + FRAME_HEADER_LEN + 2;
         let tail = replay(flip_at(last_payload)).expect("tail flip replays");
         assert_eq!(tail.entries.len(), 2);
         assert!(tail.torn_tail.is_some());
         // Flip inside the first record's payload.
-        let first_payload = HEADER_LEN as usize + FRAME_HEADER_LEN as usize + 2;
+        let first_payload = HEADER_LEN as usize + FRAME_HEADER_LEN + 2;
         match replay(flip_at(first_payload)) {
             Err(WalError::Corrupt { offset, .. }) => {
                 assert_eq!(offset, HEADER_LEN, "damage is located at the first frame")

@@ -103,6 +103,17 @@ fn wire_threshold_lifecycle_drives_verdicts() {
     assert_eq!(verdict, Some(Verdict::Known));
     assert_eq!(tied[0].1.to_bits(), top1.to_bits());
 
+    // `k = 0` empties the response, and an empty response is `unknown`
+    // under a threshold — as `ModelSnapshot::verdict` rules on the solo
+    // reference.
+    let (_, empty, verdict) = client
+        .query_with_verdict(q, Some(0))
+        .expect("empty query served");
+    assert!(empty.is_empty());
+    assert_eq!(verdict, Some(Verdict::Unknown));
+    let snapshot = server.snapshot();
+    assert_eq!(snapshot.verdict(&snapshot.solo_topk(q, 0)), verdict);
+
     // One ulp above: the same query now falls strictly below.
     let set_version = client
         .set_threshold(Some(next_above(top1)))

@@ -7,10 +7,8 @@
 //! toolkit those components need:
 //!
 //! * [`Matrix`]: a row-major dense matrix with streaming matrix products
-//!   (`A·B`, `Aᵀ·B`, `A·Bᵀ`), elementwise arithmetic, broadcasting of row
-//!   vectors, reductions, and norms.
-//! * [`Vector`]: a thin convenience wrapper over `Vec<f32>` with dot
-//!   products, norms and elementwise helpers.
+//!   (`A·B`, `Aᵀ·B`, `A·Bᵀ`), a matrix–vector product, elementwise
+//!   arithmetic, reductions, and norms.
 //! * [`solve`]: Cholesky factorisation and ridge-regularised linear solves,
 //!   used by the ESZSL baseline (`(XᵀX + γI)⁻¹ …`).
 //! * [`stats`]: summary statistics (mean/std/min/max) used by the experiment
@@ -34,12 +32,10 @@ pub mod matrix;
 pub mod ops;
 pub mod solve;
 pub mod stats;
-pub mod vector;
 
 pub use matrix::Matrix;
 pub use solve::{cholesky_solve, ridge_solve, CholeskyError};
 pub use stats::Summary;
-pub use vector::Vector;
 
 /// Error type for shape mismatches in matrix/vector operations.
 ///

@@ -1,6 +1,6 @@
 //! Row-major dense `f32` matrix with streaming products and broadcasting.
 
-use crate::{ShapeError, Vector};
+use crate::ShapeError;
 use rand::distributions::Distribution;
 use rand::Rng;
 use serde::{de, DeError, Deserialize, Serialize, Value};
@@ -261,16 +261,6 @@ impl Matrix {
         &mut self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Copies column `col` into a new [`Vector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col >= self.cols()`.
-    pub fn col(&self, col: usize) -> Vector {
-        assert!(col < self.cols, "column index out of bounds");
-        Vector::from_vec((0..self.rows).map(|r| self.get(r, col)).collect())
-    }
-
     /// Returns the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
@@ -279,16 +269,6 @@ impl Matrix {
     /// Returns the underlying row-major buffer mutably.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns its row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
-    /// Returns an owned copy of the rows as `Vec<Vec<f32>>`.
-    pub fn to_rows(&self) -> Vec<Vec<f32>> {
-        (0..self.rows).map(|r| self.row(r).to_vec()).collect()
     }
 
     /// Builds a matrix by stacking the given matrices vertically.
@@ -468,13 +448,13 @@ impl Matrix {
         out
     }
 
-    /// Multiplies the matrix by a column vector, returning a [`Vector`] of
+    /// Multiplies the matrix by a column vector, returning a vector of
     /// length `self.rows()`.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != v.len()`.
-    pub fn matvec(&self, v: &Vector) -> Vector {
+    pub fn matvec(&self, v: &[f32]) -> Vec<f32> {
         assert_eq!(
             self.cols,
             v.len(),
@@ -487,12 +467,12 @@ impl Matrix {
         for (r, out_v) in out.iter_mut().enumerate() {
             let row = self.row(r);
             let mut acc = 0.0f32;
-            for (a, b) in row.iter().zip(v.as_slice()) {
+            for (a, b) in row.iter().zip(v) {
                 acc += a * b;
             }
             *out_v = acc;
         }
-        Vector::from_vec(out)
+        out
     }
 
     /// Sum of all entries.
@@ -512,15 +492,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Returns per-row L2 norms.
-    pub fn row_norms(&self) -> Vector {
-        Vector::from_vec(
-            (0..self.rows)
-                .map(|r| self.row(r).iter().map(|x| x * x).sum::<f32>().sqrt())
-                .collect(),
-        )
     }
 
     /// Returns a copy whose rows are L2-normalised (rows with a norm below
@@ -623,38 +594,16 @@ impl Matrix {
         self.map(|x| x * alpha)
     }
 
-    /// Adds the row vector `row` to every row of the matrix (broadcasting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != self.cols()`.
-    pub fn add_row_broadcast(&self, row: &[f32]) -> Matrix {
-        assert_eq!(row.len(), self.cols, "broadcast row length mismatch");
-        let mut out = self.clone();
-        for r in 0..self.rows {
-            for (v, b) in out.row_mut(r).iter_mut().zip(row) {
-                *v += b;
-            }
-        }
-        out
-    }
-
     /// Sums the matrix over its rows, producing a row vector of length
     /// `self.cols()`.
-    pub fn sum_rows(&self) -> Vector {
+    pub fn sum_rows(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.cols];
         for r in 0..self.rows {
             for (o, v) in out.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
         }
-        Vector::from_vec(out)
-    }
-
-    /// Sums the matrix over its columns, producing a column vector of length
-    /// `self.rows()`.
-    pub fn sum_cols(&self) -> Vector {
-        Vector::from_vec((0..self.rows).map(|r| self.row(r).iter().sum()).collect())
+        out
     }
 
     /// Returns the index of the maximum entry in each row.
@@ -929,12 +878,13 @@ mod tests {
     fn matvec_matches_matmul() {
         let mut rng = StdRng::seed_from_u64(5);
         let a = Matrix::random_uniform(5, 8, 1.0, &mut rng);
-        let v = Vector::from_vec((0..8).map(|i| i as f32).collect());
+        let v: Vec<f32> = (0..8).map(|i| i as f32).collect();
         let via_matvec = a.matvec(&v);
-        let vm = Matrix::from_vec(8, 1, v.as_slice().to_vec());
+        let vm = Matrix::from_vec(8, 1, v);
         let via_matmul = a.matmul(&vm);
-        for i in 0..5 {
-            assert!(approx_eq(via_matvec.get(i), via_matmul.get(i, 0), 1e-4));
+        assert_eq!(via_matvec.len(), 5);
+        for (i, &x) in via_matvec.iter().enumerate() {
+            assert!(approx_eq(x, via_matmul.get(i, 0), 1e-4));
         }
     }
 
@@ -949,7 +899,7 @@ mod tests {
     fn row_and_col_access() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         assert_eq!(a.row(1), &[3.0, 4.0]);
-        assert_eq!(a.col(1).as_slice(), &[2.0, 4.0, 6.0]);
+        assert_eq!(a.get(2, 1), 6.0);
     }
 
     #[test]
@@ -972,7 +922,8 @@ mod tests {
     fn normalize_rows_unit_norm() {
         let a = Matrix::from_rows(&[vec![3.0, 4.0], vec![0.0, 0.0]]);
         let n = a.normalize_rows(1e-8);
-        assert!(approx_eq(n.row_norms().get(0), 1.0, 1e-6));
+        let norm = n.row(0).iter().map(|x| x * x).sum::<f32>().sqrt();
+        assert!(approx_eq(norm, 1.0, 1e-6));
         // Zero row untouched.
         assert_eq!(n.row(1), &[0.0, 0.0]);
     }
@@ -1001,10 +952,7 @@ mod tests {
     #[test]
     fn broadcasting_and_reductions() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = a.add_row_broadcast(&[10.0, 20.0]);
-        assert_eq!(b.row(0), &[11.0, 22.0]);
-        assert_eq!(a.sum_rows().as_slice(), &[4.0, 6.0]);
-        assert_eq!(a.sum_cols().as_slice(), &[3.0, 7.0]);
+        assert_eq!(a.sum_rows(), vec![4.0, 6.0]);
         assert!(approx_eq(a.mean(), 2.5, 1e-6));
     }
 

@@ -49,16 +49,6 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
-/// Row-wise softmax of a matrix (each row sums to 1).
-pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    for r in 0..logits.rows() {
-        let row = softmax(logits.row(r));
-        out.row_mut(r).copy_from_slice(&row);
-    }
-    out
-}
-
 /// Cosine-similarity matrix between the rows of `a` (`B×d`) and the rows of
 /// `b` (`C×d`), producing a `B×C` matrix of values in `[-1, 1]`.
 ///
@@ -80,32 +70,6 @@ pub fn cosine_similarity_matrix(a: &Matrix, b: &Matrix) -> Matrix {
     let an = a.normalize_rows(1e-12);
     let bn = b.normalize_rows(1e-12);
     an.matmul_nt(&bn)
-}
-
-/// Clamps every entry of `x` into `[lo, hi]`.
-pub fn clamp_slice(x: &mut [f32], lo: f32, hi: f32) {
-    for v in x {
-        *v = v.clamp(lo, hi);
-    }
-}
-
-/// Mean of a slice (0 for empty input).
-pub fn mean(xs: &[f32]) -> f32 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f32>() / xs.len() as f32
-    }
-}
-
-/// Population standard deviation of a slice (0 for fewer than two samples).
-pub fn std_dev(xs: &[f32]) -> f32 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / xs.len() as f32;
-    var.sqrt()
 }
 
 #[cfg(test)]
@@ -168,30 +132,5 @@ mod tests {
         let s = cosine_similarity_matrix(&a, &b);
         assert!(s.get(0, 0).abs() < 1e-6);
         assert!((s.get(0, 1) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn softmax_rows_normalises_each_row() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![0.0, 0.0]]);
-        let p = softmax_rows(&m);
-        for r in 0..2 {
-            let sum: f32 = p.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn mean_and_std() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(std_dev(&[5.0]), 0.0);
-        assert!((std_dev(&[1.0, 3.0]) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clamp_slice_limits() {
-        let mut xs = [-2.0, 0.5, 3.0];
-        clamp_slice(&mut xs, -1.0, 1.0);
-        assert_eq!(xs, [-1.0, 0.5, 1.0]);
     }
 }
