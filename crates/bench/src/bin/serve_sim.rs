@@ -242,7 +242,7 @@ fn run_routed_tier(config: &Config) {
     eprintln!(
         "serve_sim[routed]: clustered {} classes into {} clusters in {build_s:.2}s",
         memory.len(),
-        routed.num_clusters()
+        routed.as_sharded().num_shards()
     );
 
     let packed_batches: Vec<PackedQueryBatch> = workload

@@ -545,7 +545,8 @@ pub struct CheckpointDelta {
     /// under class mutations, so it cannot be re-derived from `memory`
     /// alone — the delta captures it exactly (cluster assignment, centroids,
     /// drift counter) so recovery resumes the identical index. `None` for
-    /// non-routed servers; otherwise it holds exactly `memory`'s labels.
+    /// non-routed servers; otherwise it holds exactly `memory`'s classes,
+    /// word for word (a routed server writes its clusters as `memory`).
     pub routed: Option<RoutedClassMemory>,
     /// The serve-time rejection threshold active at capture time, set and
     /// cleared over the wire mid-traffic (so it can differ from the base
@@ -588,9 +589,10 @@ impl CheckpointDelta {
     /// Parses a delta from a JSON string, validating the envelope (version
     /// checked before the payload, kind must be `"serve-delta"`), the model
     /// payload, the memory's structural invariants, that the memory's
-    /// prototype dimensionality matches the model's embedding width, and
-    /// that the routed index and the stream counters name only classes the
-    /// memory holds.
+    /// prototype dimensionality matches the model's embedding width, that
+    /// the routed index holds exactly the memory's classes with the same
+    /// words, and that the stream counters name only classes the memory
+    /// holds.
     ///
     /// # Errors
     ///
@@ -598,8 +600,9 @@ impl CheckpointDelta {
     /// [`CheckpointError::DimensionMismatch`] when the memory, routed index
     /// or stream counters do not fit the model, and
     /// [`CheckpointError::Malformed`] when a `routed`, `threshold` or
-    /// `stream` key is missing or the routed index or stream counters
-    /// disagree with the memory's classes.
+    /// `stream` key is missing, the routed index disagrees with the
+    /// memory's classes or words, or the stream counters name a class the
+    /// memory does not hold.
     pub fn from_json_str(json: &str) -> Result<Self, CheckpointError> {
         let value =
             serde_json::parse_value(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
@@ -620,7 +623,7 @@ impl CheckpointDelta {
             .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
         let routed = serde_json::from_value::<Option<RoutedClassMemory>>(field("routed")?)
             .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        if let Some(routed) = &routed {
+        if let Some(routed) = routed.as_ref().map(RoutedClassMemory::as_sharded) {
             if routed.dim() != memory.dim() {
                 return Err(CheckpointError::DimensionMismatch {
                     what: "routed index dimensionality",
@@ -628,11 +631,16 @@ impl CheckpointDelta {
                     found: routed.dim(),
                 });
             }
-            // The dispatcher scores through `routed` when it is present, so
-            // it must serve exactly the classes `memory` holds.
-            if routed.len() != memory.len() || !routed.labels().all(|l| memory.contains(l)) {
+            // A routed server scores through `routed` when it is present,
+            // while registration and the stream seed read `memory`, so both
+            // must hold the same classes with the same words.
+            if routed.len() != memory.len()
+                || !routed
+                    .labels()
+                    .all(|l| memory.class_words(l) == routed.class_words(l))
+            {
                 return Err(CheckpointError::Malformed(
-                    "routed index labels differ from the memory's".to_string(),
+                    "routed index labels or words differ from the memory's".to_string(),
                 ));
             }
         }
@@ -992,8 +1000,8 @@ mod tests {
     /// Stream state and the routed index are cross-validated against the
     /// memory they ride with: a counter set of the wrong dimensionality, a
     /// counter for a class the memory does not hold, a pending label with no
-    /// accumulator, or a routed index over other labels is rejected instead
-    /// of resurrected or served.
+    /// accumulator, or a routed index over other labels or other words is
+    /// rejected instead of resurrected or served.
     #[test]
     fn delta_rejects_inconsistent_stream_state() {
         let s = schema();
@@ -1070,6 +1078,28 @@ mod tests {
             &model.attribute_encoder().infer_classes(&class_attributes),
             engine::RoutedConfig::default(),
         );
+        let json = delta_with(Some(routed), None).to_json();
+        assert!(matches!(
+            CheckpointDelta::from_json_str(&json),
+            Err(CheckpointError::Malformed(reason)) if reason.contains("routed")
+        ));
+        // The same labels, but one class's words differ from the memory's:
+        // the server would score other bits than registration and the
+        // stream seed read.
+        let mut routed = RoutedClassMemory::from_sign_matrix(
+            ["class0", "class1", "class2"],
+            &model.attribute_encoder().infer_classes(&class_attributes),
+            engine::RoutedConfig::default(),
+        );
+        let same = delta_with(Some(routed.clone()), None).to_json();
+        assert!(CheckpointDelta::from_json_str(&same).is_ok());
+        let flipped: Vec<u64> = routed
+            .class_words("class1")
+            .expect("stored")
+            .iter()
+            .map(|word| !word)
+            .collect();
+        routed.add_class_packed("class1", &flipped);
         let json = delta_with(Some(routed), None).to_json();
         assert!(matches!(
             CheckpointDelta::from_json_str(&json),

@@ -41,15 +41,17 @@
 //!
 //! # Storage
 //!
-//! The clusters, their copy-on-write sharing and the `(hamming, label)`
-//! merge live in the crate's shared partitioned store (`parts.rs`), which
-//! [`ShardedClassMemory`](crate::ShardedClassMemory) uses too; what is the
-//! routed memory's own is the centroids, the k-means build, drift and
-//! probing.
+//! The clusters are a [`ShardedClassMemory`], one shard per cluster, and
+//! [`RoutedClassMemory::as_sharded`] hands them out as such: every storage
+//! query (labels, membership, words, dimensionality, cluster sizes) is
+//! answered there, as are the copy-on-write sharing and the
+//! `(hamming, label)` merge, so each class is stored once. What is the
+//! routed memory's own is the centroids, placement by nearest centroid,
+//! the k-means build, drift and probing.
 
 use crate::batch::PackedQueryBatch;
 use crate::packed::{hamming, mask_tail_word, pack_signs, words_per_row, PackedClassMemory};
-use crate::parts::Parts;
+use crate::sharded::ShardedClassMemory;
 use serde::{de, DeError, Deserialize, Serialize, Value};
 use tensor::Matrix;
 
@@ -102,7 +104,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// A coarse-to-fine routed class memory; see the module docs for the
 /// design, exactness, and determinism contracts.
 ///
-/// Like [`ShardedClassMemory`](crate::ShardedClassMemory), cloning the
+/// Like [`ShardedClassMemory`], cloning the
 /// memory shares every cluster, and a mutation deep-copies exactly the
 /// touched cluster(s).
 ///
@@ -127,8 +129,8 @@ pub struct RoutedClassMemory {
     /// Packed centroid rows, one per cluster, `words_per_row` words each;
     /// tail bits are kept clear so centroid scoring is a plain popcount.
     centroids: Vec<u64>,
-    /// One part per cluster.
-    clusters: Parts,
+    /// One shard per cluster; see [`RoutedClassMemory::as_sharded`].
+    clusters: ShardedClassMemory,
     /// Mutations since the clustering was last built; drives re-clustering.
     drift: usize,
 }
@@ -144,11 +146,10 @@ impl RoutedClassMemory {
     ///
     /// Panics if `dim == 0`.
     pub fn new(dim: usize, config: RoutedConfig) -> Self {
-        assert!(dim > 0, "dimensionality must be positive");
         Self {
             config,
+            clusters: ShardedClassMemory::new(dim, 1),
             centroids: vec![0u64; words_per_row(dim)],
-            clusters: Parts::new(dim, 1),
             drift: 0,
         }
     }
@@ -196,23 +197,18 @@ impl RoutedClassMemory {
     /// (clamped to at least 1). Results are bit-identical for every setting.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.clusters.set_threads(threads);
+        self.clusters = self.clusters.with_threads(threads);
         self
     }
 
-    /// Number of threads batch lookups and clustering fan out over.
-    pub fn threads(&self) -> usize {
-        self.clusters.pool().threads()
-    }
-
-    /// Dimensionality of the stored prototypes.
-    pub fn dim(&self) -> usize {
-        self.clusters.dim()
-    }
-
-    /// Packed words per prototype row.
-    pub fn words_per_row(&self) -> usize {
-        words_per_row(self.dim())
+    /// The clusters as a sharded memory, one shard per cluster (empty ones
+    /// included), in cluster order: the one stored form of every class.
+    /// Its storage queries — `labels`, `contains`, `class_words`, `dim`,
+    /// `words_per_row`, `threads`, `num_shards`, `shard` — describe this
+    /// index, and its exhaustive lookups are bit-identical to this index's
+    /// under full probing.
+    pub fn as_sharded(&self) -> &ShardedClassMemory {
+        &self.clusters
     }
 
     /// The configuration the index was built with (`nprobe` reflects
@@ -239,28 +235,14 @@ impl RoutedClassMemory {
         self.config.nprobe == 0 || self.config.nprobe >= self.live_clusters()
     }
 
-    /// Number of coarse clusters (including any currently empty ones).
-    pub fn num_clusters(&self) -> usize {
-        self.clusters.count()
-    }
-
     /// Number of clusters currently holding at least one class.
     fn live_clusters(&self) -> usize {
-        self.clusters.iter().filter(|c| !c.is_empty()).count()
-    }
-
-    /// The per-cluster shard at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.num_clusters()`.
-    pub fn cluster(&self, index: usize) -> &PackedClassMemory {
-        self.clusters.part(index)
+        self.clusters.shards().filter(|c| !c.is_empty()).count()
     }
 
     /// The packed centroid row of cluster `index`.
     fn centroid_words(&self, index: usize) -> &[u64] {
-        let wpr = self.words_per_row();
+        let wpr = self.clusters.words_per_row();
         &self.centroids[index * wpr..(index + 1) * wpr]
     }
 
@@ -272,18 +254,6 @@ impl RoutedClassMemory {
     /// Returns `true` if no classes are stored.
     pub fn is_empty(&self) -> bool {
         self.clusters.is_empty()
-    }
-
-    /// The stored labels in cluster-major order (cluster 0's rows, then
-    /// cluster 1's, …). Deterministic for a given mutation history, but
-    /// labels — not positions — are class identity.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.clusters.labels()
-    }
-
-    /// Returns `true` if a class is stored under `label`.
-    pub fn contains(&self, label: &str) -> bool {
-        self.clusters.contains(label)
     }
 
     /// The packed words of the class stored under `label`, if any.
@@ -308,11 +278,12 @@ impl RoutedClassMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `signs.len() != self.dim()` or a sign is not `±1`.
+    /// Panics if `signs.len()` is not the memory's dimensionality or a sign
+    /// is not `±1`.
     pub fn add_class(&mut self, label: impl Into<String>, signs: &[i8]) -> (usize, bool) {
         assert_eq!(
             signs.len(),
-            self.dim(),
+            self.clusters.dim(),
             "prototype dimensionality must match the memory"
         );
         self.add_class_packed(label, &pack_signs(signs))
@@ -324,20 +295,20 @@ impl RoutedClassMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `words.len() != self.words_per_row()`.
+    /// Panics if `words.len()` is not the memory's packed row width.
     pub fn add_class_packed(&mut self, label: impl Into<String>, words: &[u64]) -> (usize, bool) {
         assert_eq!(
             words.len(),
-            self.words_per_row(),
+            self.clusters.words_per_row(),
             "packed row width must match the memory"
         );
         let label = label.into();
         let mut clean = words.to_vec();
-        mask_tail_word(self.dim(), &mut clean);
-        let replaced = self.clusters.remove(&label);
+        mask_tail_word(self.clusters.dim(), &mut clean);
+        let replaced = self.clusters.remove_class(&label);
         let destination = self.route(&clean);
         self.clusters
-            .part_mut(destination)
+            .shard_mut(destination)
             .insert_packed(label.clone(), &clean);
         self.drift += 1;
         self.maybe_recluster();
@@ -357,9 +328,10 @@ impl RoutedClassMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `signs.len() != self.dim()` or a sign is not `±1`.
+    /// Panics if `signs.len()` is not the memory's dimensionality or a sign
+    /// is not `±1`.
     pub fn update_class(&mut self, label: &str, signs: &[i8]) -> bool {
-        if !self.contains(label) {
+        if !self.clusters.contains(label) {
             return false;
         }
         self.add_class(label, signs);
@@ -369,7 +341,7 @@ impl RoutedClassMemory {
     /// Removes the class stored under `label`, repacking only its cluster.
     /// Returns `false` if the label is not stored.
     pub fn remove_class(&mut self, label: &str) -> bool {
-        if !self.clusters.remove(label) {
+        if !self.clusters.remove_class(label) {
             return false;
         }
         self.drift += 1;
@@ -383,7 +355,7 @@ impl RoutedClassMemory {
     pub fn recluster(&mut self) {
         let rows: Vec<(String, Vec<u64>)> = self
             .clusters
-            .iter()
+            .shards()
             .flat_map(|cluster| {
                 (0..cluster.len())
                     .map(|r| (cluster.label(r).to_string(), cluster.row_words(r).to_vec()))
@@ -395,7 +367,7 @@ impl RoutedClassMemory {
     /// Nearest-centroid routing for one clean (tail-masked) row; ties go to
     /// the smallest cluster index.
     fn route(&self, words: &[u64]) -> usize {
-        (0..self.num_clusters())
+        (0..self.clusters.num_shards())
             .min_by_key(|&c| hamming(self.centroid_words(c), words))
             .expect("at least one cluster")
     }
@@ -416,12 +388,13 @@ impl RoutedClassMemory {
     /// Rebuilds centroids and per-cluster shards from scratch over
     /// `rows` (label, clean packed words), in order; resets drift.
     fn rebuild_from(&mut self, rows: Vec<(String, Vec<u64>)>) {
-        let dim = self.dim();
-        let wpr = self.words_per_row();
+        let dim = self.clusters.dim();
+        let wpr = self.clusters.words_per_row();
         let n = rows.len();
         if n == 0 {
             self.centroids = vec![0u64; wpr];
-            self.clusters.replace(vec![PackedClassMemory::new(dim)]);
+            self.clusters
+                .replace_shards(vec![PackedClassMemory::new(dim)]);
             self.drift = 0;
             return;
         }
@@ -564,7 +537,7 @@ impl RoutedClassMemory {
             clusters[assign[i] as usize].insert_packed(label, &row_words);
         }
         self.centroids = centroids;
-        self.clusters.replace(clusters);
+        self.clusters.replace_shards(clusters);
         self.drift = 0;
     }
 
@@ -579,12 +552,12 @@ impl RoutedClassMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `query.len() != self.words_per_row()`.
+    /// Panics if `query` is not one packed row wide.
     fn probe_clusters(&self, query: &[u64]) -> Vec<usize> {
-        assert_eq!(query.len(), self.words_per_row(), "query width");
+        assert_eq!(query.len(), self.clusters.words_per_row(), "query width");
         let mut ranked: Vec<(u64, usize)> = self
             .clusters
-            .iter()
+            .shards()
             .enumerate()
             .filter(|(_, cluster)| !cluster.is_empty())
             .map(|(c, _)| (hamming(self.centroid_words(c), query), c))
@@ -601,11 +574,11 @@ impl RoutedClassMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `query.len() != self.words_per_row()`.
+    /// Panics if `query` is not one packed row wide.
     pub fn candidate_classes(&self, query: &[u64]) -> usize {
         self.probe_clusters(query)
             .into_iter()
-            .map(|c| self.cluster(c).len())
+            .map(|c| self.clusters.shard(c).len())
             .sum()
     }
 
@@ -617,9 +590,10 @@ impl RoutedClassMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `query.len() != self.words_per_row()`.
+    /// Panics if `query` is not one packed row wide.
     pub fn nearest(&self, query: &[u64]) -> Option<(&str, f32)> {
-        self.clusters.nearest(query, self.probe_clusters(query))
+        self.clusters
+            .nearest_among(query, self.probe_clusters(query))
     }
 
     /// The `k` most similar classes among the probed clusters, most similar
@@ -630,9 +604,10 @@ impl RoutedClassMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `query.len() != self.words_per_row()`.
+    /// Panics if `query` is not one packed row wide.
     pub fn top_k(&self, query: &[u64], k: usize) -> Vec<(&str, f32)> {
-        self.clusters.top_k(query, k, self.probe_clusters(query))
+        self.clusters
+            .top_k_among(query, k, self.probe_clusters(query))
     }
 
     /// The nearest class of every query in the batch, parallelised across
@@ -640,11 +615,11 @@ impl RoutedClassMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `batch.dim() != self.dim()` or the memory is empty while
-    /// the batch is not.
+    /// Panics if `batch.dim()` is not the memory's dimensionality or the
+    /// memory is empty while the batch is not.
     pub fn nearest_batch(&self, batch: &PackedQueryBatch) -> Vec<(&str, f32)> {
         self.clusters
-            .nearest_batch(batch, |query| self.probe_clusters(query))
+            .nearest_batch_among(batch, |query| self.probe_clusters(query))
     }
 
     /// The top-k classes of every query in the batch, parallelised across
@@ -653,10 +628,10 @@ impl RoutedClassMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `batch.dim() != self.dim()`.
+    /// Panics if `batch.dim()` is not the memory's dimensionality.
     pub fn topk_batch(&self, batch: &PackedQueryBatch, k: usize) -> Vec<Vec<(&str, f32)>> {
         self.clusters
-            .topk_batch(batch, k, |query| self.probe_clusters(query))
+            .topk_batch_among(batch, k, |query| self.probe_clusters(query))
     }
 }
 
@@ -668,7 +643,7 @@ impl RoutedClassMemory {
 impl Serialize for RoutedClassMemory {
     fn to_value(&self) -> Value {
         Value::Object(vec![
-            ("dim".to_string(), self.dim().to_value()),
+            ("dim".to_string(), self.clusters.dim().to_value()),
             (
                 "clusters_config".to_string(),
                 self.config.clusters.to_value(),
@@ -685,7 +660,7 @@ impl Serialize for RoutedClassMemory {
             ),
             ("drift".to_string(), self.drift.to_value()),
             ("centroids".to_string(), self.centroids.to_value()),
-            ("clusters".to_string(), self.clusters.to_value()),
+            ("clusters".to_string(), self.clusters.shards_value()),
         ])
     }
 }
@@ -697,7 +672,7 @@ impl Serialize for RoutedClassMemory {
 impl Deserialize for RoutedClassMemory {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         let entries = de::expect_object(value, "RoutedClassMemory")?;
-        let clusters = Parts::from_entries(entries, "clusters", "RoutedClassMemory")?;
+        let clusters = ShardedClassMemory::from_entries(entries, "clusters", "RoutedClassMemory")?;
         let config = RoutedConfig {
             clusters: de::field(entries, "clusters_config", "RoutedClassMemory")?,
             nprobe: de::field(entries, "nprobe", "RoutedClassMemory")?,
@@ -710,11 +685,11 @@ impl Deserialize for RoutedClassMemory {
         let type_err = |msg: String| DeError::new(msg).in_field("RoutedClassMemory");
         let dim = clusters.dim();
         let wpr = words_per_row(dim);
-        if centroids.len() != clusters.count() * wpr {
+        if centroids.len() != clusters.num_shards() * wpr {
             return Err(type_err(format!(
                 "{} centroid words do not match {} clusters of {wpr} words",
                 centroids.len(),
-                clusters.count()
+                clusters.num_shards()
             )));
         }
         let rem = dim % 64;
@@ -739,7 +714,7 @@ impl Deserialize for RoutedClassMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parts::lcg_signs;
+    use crate::sharded::lcg_signs;
 
     fn fixture(
         dim: usize,
@@ -847,10 +822,11 @@ mod tests {
         assert!(!replaced);
         assert_eq!(routed.drift, 1);
         // COW: only the destination cluster was deep-copied.
-        let shared = (0..routed.num_clusters())
-            .filter(|&c| std::ptr::eq(routed.cluster(c), twin.cluster(c)))
+        let clusters = routed.as_sharded().num_shards();
+        let shared = (0..clusters)
+            .filter(|&c| std::ptr::eq(routed.clusters.shard(c), twin.clusters.shard(c)))
             .count();
-        assert_eq!(shared, routed.num_clusters() - 1);
+        assert_eq!(shared, clusters - 1);
         // The clone routes identically.
         let mut twin = twin;
         let (cluster_b, _) = twin.add_class("newcomer", &protos[0]);
@@ -905,38 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_lookups_match_single_query_lookups() {
-        let dim = 70;
-        let (routed, _, _) = fixture(
-            dim,
-            9,
-            RoutedConfig {
-                clusters: 2,
-                ..RoutedConfig::default()
-            },
-        );
-        let mut state = 21u64;
-        let mut batch = PackedQueryBatch::new(dim);
-        let queries: Vec<Vec<i8>> = (0..7)
-            .map(|_| {
-                let q = lcg_signs(&mut state, dim);
-                batch.push_signs(&q);
-                q
-            })
-            .collect();
-        let nearest = routed.nearest_batch(&batch);
-        let topk = routed.topk_batch(&batch, 4);
-        for (q, signs) in queries.iter().enumerate() {
-            let packed = pack_signs(signs);
-            assert_eq!(nearest[q], routed.nearest(&packed).expect("non-empty"));
-            assert_eq!(topk[q], routed.top_k(&packed, 4));
-        }
-        let empty = PackedQueryBatch::new(dim);
-        assert!(routed.nearest_batch(&empty).is_empty());
-        assert!(routed.topk_batch(&empty, 3).is_empty());
-    }
-
-    #[test]
     fn empty_memory_lookups() {
         let memory = RoutedClassMemory::new(32, RoutedConfig::default());
         let query = vec![0u64; 1];
@@ -948,6 +892,9 @@ mod tests {
         assert_eq!(memory.live_clusters(), 0);
         assert!(memory.clusters.locate("nothing").is_none());
         assert!(memory.class_words("nothing").is_none());
+        let empty = PackedQueryBatch::new(32);
+        assert!(memory.nearest_batch(&empty).is_empty());
+        assert!(memory.topk_batch(&empty, 3).is_empty());
     }
 
     #[test]
@@ -1017,7 +964,7 @@ mod tests {
         // The same label in two clusters (cluster 0 duplicated wholesale,
         // with a centroid row each so the count check passes), and twice
         // inside one cluster.
-        let cluster0 = serde_json::to_string(memory.cluster(0)).expect("serializes");
+        let cluster0 = serde_json::to_string(memory.clusters.shard(0)).expect("serializes");
         let twice =
             "{\"dim\": 64, \"words_per_row\": 1, \"labels\": [\"a\", \"a\"], \"words\": [1, 2]}";
         for (centroids, clusters) in [

@@ -22,9 +22,10 @@
 //!   k-means centroids route each query to its `nprobe` nearest clusters
 //!   (each a per-cluster packed shard), and the candidates are exactly
 //!   re-ranked on `(hamming, label)` — sub-linear candidate generation with
-//!   bit-identical results under full probing. It shares one copy-on-write
-//!   partitioned store (storage, merge, batch fan-out) with
-//!   [`ShardedClassMemory`]; each keeps only its own placement rule.
+//!   bit-identical results under full probing. Its clusters are a
+//!   [`ShardedClassMemory`] (`as_sharded`), one shard per cluster, so the
+//!   storage, merge and batch fan-out are the sharded memory's; the routed
+//!   memory keeps only its own placement rule.
 //! * [`dense`] — row-parallel float scoring (cosine logits, bilinear
 //!   compatibility) used by the `hdc_zsc` model's inference path and the
 //!   `baselines` predictors.
@@ -74,7 +75,6 @@ pub mod batch;
 pub mod dense;
 pub mod index;
 pub mod packed;
-mod parts;
 pub mod sharded;
 
 pub use batch::PackedQueryBatch;

@@ -62,8 +62,8 @@ pub fn pack_signs(signs: &[i8]) -> Vec<u64> {
 }
 
 /// Packs the *signs* of a float row (`x < 0` → set bit) into a fresh word
-/// row, matching `BipolarHypervector::from_sign_of` followed by
-/// [`pack_signs`] (ties at exactly zero resolve to `+1`, i.e. clear).
+/// row, matching [`pack_signs`] over the row's signs with ties at exactly
+/// zero resolving to `+1`, i.e. clear.
 ///
 /// # Panics
 ///
@@ -416,7 +416,7 @@ impl PackedClassMemory {
     /// Integer-exact variant of [`PackedClassMemory::top_k`]: `(row index,
     /// Hamming distance)` candidates ordered by `(hamming, label)` ascending,
     /// truncated to `min(k, self.len())` entries. This is the primitive the
-    /// sharded and routed memories merge across their parts.
+    /// sharded and routed memories merge across their shards and clusters.
     ///
     /// # Panics
     ///

@@ -18,19 +18,51 @@
 //!   every shard until one is mutated — the property the serving layer's
 //!   atomic snapshot hot-swap relies on.
 //!
-//! The shards, their copy-on-write sharing and the `(hamming, label)` merge
-//! live in the crate's shared partitioned store (`parts.rs`), which
-//! [`RoutedClassMemory`](crate::RoutedClassMemory) uses too; what is the
-//! sharded memory's own is placement: a new label goes to the least-loaded
-//! shard. The `sharded_parity` property tests pin label-and-bit equality
+//! The sharded memory is also the cluster store of
+//! [`RoutedClassMemory`](crate::RoutedClassMemory), one shard per cluster:
+//! which shard a class lives in is the owner's policy (least-loaded here,
+//! nearest centroid there), and the storage queries, lookups, merge, batch
+//! fan-out and shard-list checks of the on-disk form are implemented here
+//! once. The `sharded_parity` property tests pin label-and-bit equality
 //! against a monolithic memory for shard counts {1, 2, 3, 7}, ragged dims,
 //! `k ≥ num_classes`, and arbitrary add/update/remove interleavings.
+//!
+//! # Copy-on-write
+//!
+//! Every shard sits behind an [`Arc`]. Cloning the memory shares every
+//! shard, and a mutation deep-copies ([`Arc::make_mut`]) only the shard it
+//! touches. Building the next serving snapshot from a clone of the live one
+//! therefore copies one shard per mutation (two when a routed class moves
+//! between clusters), never the whole memory.
+//!
+//! # Exactness
+//!
+//! A lookup visits a set of *probed* shards: every shard here, the probed
+//! clusters for the routed memory. Each probed shard contributes raw integer
+//! Hamming distances ([`PackedClassMemory::nearest_hamming`],
+//! [`PackedClassMemory::top_k_hamming`]), and the merge orders them by
+//! `(hamming, label)` — the monolithic comparator. Distinct distances that
+//! would round to the same `f32` similarity therefore still merge in the
+//! monolithic order, and the returned similarities are the same
+//! [`similarity_from_hamming`] bits.
+//!
+//! # Threads
+//!
+//! Single-query lookups run serially on the caller's thread. Batches fan out
+//! across queries: each pool worker runs the serial lookup for its range of
+//! queries, so results are bit-identical for every pool width.
 
 use crate::batch::PackedQueryBatch;
-use crate::packed::{pack_signs, words_per_row, PackedClassMemory};
-use crate::parts::Parts;
+use crate::packed::{pack_signs, similarity_from_hamming, words_per_row, PackedClassMemory};
+use minipool::Pool;
 use serde::{de, DeError, Deserialize, Serialize, Value};
+use std::cmp::Ordering;
+use std::collections::HashSet;
+use std::sync::Arc;
 use tensor::Matrix;
+
+/// A candidate row during a merge: `(shard, row, hamming)`.
+type Hit = (usize, usize, u64);
 
 /// A labelled class memory split across `N` packed shards; see the module
 /// docs for the design and exactness contract.
@@ -54,12 +86,20 @@ use tensor::Matrix;
 /// // k past the class count truncates to everything stored.
 /// assert_eq!(memory.top_k(&query, 99).len(), 3);
 /// ```
-///
-/// Equality is structural — dimensionality plus per-shard contents; the
-/// pool width does not participate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ShardedClassMemory {
-    parts: Parts,
+    dim: usize,
+    shards: Vec<Arc<PackedClassMemory>>,
+    pool: Pool,
+}
+
+/// Equality is structural — dimensionality plus per-shard contents. The pool
+/// width is a performance knob (results are bit-identical for every width)
+/// and does not participate.
+impl PartialEq for ShardedClassMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim && self.shards == other.shards
+    }
 }
 
 impl ShardedClassMemory {
@@ -73,7 +113,11 @@ impl ShardedClassMemory {
         assert!(dim > 0, "dimensionality must be positive");
         assert!(num_shards > 0, "at least one shard is required");
         Self {
-            parts: Parts::new(dim, num_shards),
+            dim,
+            shards: (0..num_shards)
+                .map(|_| Arc::new(PackedClassMemory::new(dim)))
+                .collect(),
+            pool: Pool::auto(),
         }
     }
 
@@ -121,28 +165,33 @@ impl ShardedClassMemory {
     /// at least 1). Results are bit-identical for every setting.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.parts.set_threads(threads);
+        self.pool = Pool::new(threads);
         self
     }
 
     /// Number of threads batches fan out over.
     pub fn threads(&self) -> usize {
-        self.parts.pool().threads()
+        self.pool.threads()
+    }
+
+    /// The pool batches (and the routed memory's clustering) fan out over.
+    pub(crate) fn pool(&self) -> &Pool {
+        &self.pool
     }
 
     /// Dimensionality of the stored prototypes.
     pub fn dim(&self) -> usize {
-        self.parts.dim()
+        self.dim
     }
 
     /// Packed words per prototype row.
     pub fn words_per_row(&self) -> usize {
-        words_per_row(self.dim())
+        words_per_row(self.dim)
     }
 
-    /// Number of shards.
+    /// Number of shards, empty ones included.
     pub fn num_shards(&self) -> usize {
-        self.parts.count()
+        self.shards.len()
     }
 
     /// The shard at `index`.
@@ -151,17 +200,34 @@ impl ShardedClassMemory {
     ///
     /// Panics if `index >= self.num_shards()`.
     pub fn shard(&self, index: usize) -> &PackedClassMemory {
-        self.parts.part(index)
+        &self.shards[index]
+    }
+
+    /// The shard at `index` for writing; deep-copied first when a clone of
+    /// the memory still shares it.
+    pub(crate) fn shard_mut(&mut self, index: usize) -> &mut PackedClassMemory {
+        Arc::make_mut(&mut self.shards[index])
+    }
+
+    /// The shards in order.
+    pub(crate) fn shards(&self) -> impl Iterator<Item = &PackedClassMemory> {
+        self.shards.iter().map(|shard| &**shard)
+    }
+
+    /// Replaces every shard at once (the routed memory's re-clustering),
+    /// keeping the pool.
+    pub(crate) fn replace_shards(&mut self, shards: Vec<PackedClassMemory>) {
+        self.shards = shards.into_iter().map(Arc::new).collect();
     }
 
     /// Total number of stored classes across all shards.
     pub fn len(&self) -> usize {
-        self.parts.len()
+        self.shards.iter().map(|shard| shard.len()).sum()
     }
 
     /// Returns `true` if no classes are stored.
     pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
+        self.shards.iter().all(|shard| shard.is_empty())
     }
 
     /// The stored labels in shard-major order (shard 0's rows, then shard
@@ -169,17 +235,26 @@ impl ShardedClassMemory {
     /// — unlike the monolithic memory — not globally insertion-ordered;
     /// treat labels, not positions, as class identity.
     pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.parts.labels()
+        self.shards.iter().flat_map(|shard| shard.labels())
+    }
+
+    /// The `(shard, row)` holding `label`, if stored.
+    pub(crate) fn locate(&self, label: &str) -> Option<(usize, usize)> {
+        self.shards
+            .iter()
+            .enumerate()
+            .find_map(|(s, shard)| shard.position(label).map(|row| (s, row)))
     }
 
     /// Returns `true` if a class is stored under `label`.
     pub fn contains(&self, label: &str) -> bool {
-        self.parts.contains(label)
+        self.locate(label).is_some()
     }
 
     /// The packed words of the class stored under `label`, if any.
     pub fn class_words(&self, label: &str) -> Option<&[u64]> {
-        self.parts.class_words(label)
+        self.locate(label)
+            .map(|(s, row)| self.shards[s].row_words(row))
     }
 
     /// Least-loaded shard, ties to the smallest index — the deterministic
@@ -220,11 +295,11 @@ impl ShardedClassMemory {
     /// Panics if `words.len() != self.words_per_row()`.
     pub fn add_class_packed(&mut self, label: impl Into<String>, words: &[u64]) -> (usize, bool) {
         let label = label.into();
-        let shard = match self.parts.locate(&label) {
+        let shard = match self.locate(&label) {
             Some((s, _)) => s,
             None => self.shard_for_new_class(),
         };
-        let (_, replaced) = self.parts.part_mut(shard).insert_packed(label, words);
+        let (_, replaced) = self.shard_mut(shard).insert_packed(label, words);
         (shard, replaced)
     }
 
@@ -247,7 +322,10 @@ impl ShardedClassMemory {
     /// (the shard's word matrix is spliced, every other shard is untouched
     /// and stays `Arc`-shared). Returns `false` if the label is not stored.
     pub fn remove_class(&mut self, label: &str) -> bool {
-        self.parts.remove(label)
+        match self.locate(label) {
+            Some((s, _)) => self.shard_mut(s).remove(label).is_some(),
+            None => false,
+        }
     }
 
     /// The most similar stored class to a packed query, as
@@ -261,7 +339,7 @@ impl ShardedClassMemory {
     ///
     /// Panics if `query.len() != self.words_per_row()`.
     pub fn nearest(&self, query: &[u64]) -> Option<(&str, f32)> {
-        self.parts.nearest(query, 0..self.num_shards())
+        self.nearest_among(query, 0..self.num_shards())
     }
 
     /// The `k` most similar stored classes, most similar first, with the
@@ -272,7 +350,7 @@ impl ShardedClassMemory {
     ///
     /// Panics if `query.len() != self.words_per_row()`.
     pub fn top_k(&self, query: &[u64], k: usize) -> Vec<(&str, f32)> {
-        self.parts.top_k(query, k, 0..self.num_shards())
+        self.top_k_among(query, k, 0..self.num_shards())
     }
 
     /// The nearest class of every query in the batch, parallelised across
@@ -283,7 +361,7 @@ impl ShardedClassMemory {
     /// Panics if `batch.dim() != self.dim()` or the memory is empty while the
     /// batch is not.
     pub fn nearest_batch(&self, batch: &PackedQueryBatch) -> Vec<(&str, f32)> {
-        self.parts.nearest_batch(batch, |_| 0..self.num_shards())
+        self.nearest_batch_among(batch, |_| 0..self.num_shards())
     }
 
     /// The top-k classes of every query in the batch, parallelised across
@@ -294,7 +372,185 @@ impl ShardedClassMemory {
     ///
     /// Panics if `batch.dim() != self.dim()`.
     pub fn topk_batch(&self, batch: &PackedQueryBatch, k: usize) -> Vec<Vec<(&str, f32)>> {
-        self.parts.topk_batch(batch, k, |_| 0..self.num_shards())
+        self.topk_batch_among(batch, k, |_| 0..self.num_shards())
+    }
+
+    /// The monolithic comparator: `(hamming, label)` ascending.
+    fn order(&self, &(sa, ra, ha): &Hit, &(sb, rb, hb): &Hit) -> Ordering {
+        ha.cmp(&hb)
+            .then_with(|| self.shards[sa].label(ra).cmp(self.shards[sb].label(rb)))
+    }
+
+    fn resolve(&self, (s, row, hamming): Hit) -> (&str, f32) {
+        (
+            self.shards[s].label(row),
+            similarity_from_hamming(self.dim, hamming),
+        )
+    }
+
+    /// The most similar class among the `probed` shards, merged on
+    /// `(hamming, label)`; `None` when they hold no class.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query` is not one packed row wide.
+    pub(crate) fn nearest_among(
+        &self,
+        query: &[u64],
+        probed: impl IntoIterator<Item = usize>,
+    ) -> Option<(&str, f32)> {
+        assert_eq!(query.len(), self.words_per_row(), "query width");
+        probed
+            .into_iter()
+            .filter_map(|s| {
+                self.shards[s]
+                    .nearest_hamming(query)
+                    .map(|(row, hamming)| (s, row, hamming))
+            })
+            .min_by(|a, b| self.order(a, b))
+            .map(|hit| self.resolve(hit))
+    }
+
+    /// The `k` most similar classes among the `probed` shards, most similar
+    /// first: each shard contributes at most `k` candidates, merged on
+    /// `(hamming, label)` and truncated to `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query` is not one packed row wide.
+    pub(crate) fn top_k_among(
+        &self,
+        query: &[u64],
+        k: usize,
+        probed: impl IntoIterator<Item = usize>,
+    ) -> Vec<(&str, f32)> {
+        assert_eq!(query.len(), self.words_per_row(), "query width");
+        let mut merged: Vec<Hit> = probed
+            .into_iter()
+            .flat_map(|s| {
+                self.shards[s]
+                    .top_k_hamming(query, k)
+                    .into_iter()
+                    .map(move |(row, hamming)| (s, row, hamming))
+            })
+            .collect();
+        merged.sort_by(|a, b| self.order(a, b));
+        merged.truncate(k);
+        merged.into_iter().map(|hit| self.resolve(hit)).collect()
+    }
+
+    /// Applies `f` to every query row of `batch`, fanned out across the
+    /// pool in contiguous query ranges; results come back in batch order.
+    fn map_queries<'q, T, F>(&self, batch: &'q PackedQueryBatch, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&'q [u64]) -> T + Sync,
+    {
+        assert_eq!(
+            batch.dim(),
+            self.dim,
+            "query batch dimensionality must match the class memory"
+        );
+        self.pool
+            .map_chunks(batch.len(), |range| {
+                range.map(|q| f(batch.row(q))).collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// [`ShardedClassMemory::nearest_among`] for every query, probing the
+    /// shards `probe` names for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch.dim()` differs from the memory's or the memory is
+    /// empty while the batch is not.
+    pub(crate) fn nearest_batch_among<P>(
+        &self,
+        batch: &PackedQueryBatch,
+        probe: impl Fn(&[u64]) -> P + Sync,
+    ) -> Vec<(&str, f32)>
+    where
+        P: IntoIterator<Item = usize>,
+    {
+        assert!(
+            batch.is_empty() || !self.is_empty(),
+            "nearest_batch requires a non-empty class memory"
+        );
+        self.map_queries(batch, |query| {
+            self.nearest_among(query, probe(query))
+                .expect("non-empty memory")
+        })
+    }
+
+    /// [`ShardedClassMemory::top_k_among`] for every query, probing the
+    /// shards `probe` names for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch.dim()` differs from the memory's.
+    pub(crate) fn topk_batch_among<P>(
+        &self,
+        batch: &PackedQueryBatch,
+        k: usize,
+        probe: impl Fn(&[u64]) -> P + Sync,
+    ) -> Vec<Vec<(&str, f32)>>
+    where
+        P: IntoIterator<Item = usize>,
+    {
+        self.map_queries(batch, |query| self.top_k_among(query, k, probe(query)))
+    }
+
+    /// Decodes `dim` and the shard list under `key` from an owner's object
+    /// entries, rejecting with typed errors a zero `dim`, an empty shard
+    /// list, a shard at another dimensionality and a label stored twice.
+    /// Each shard's own shape and tail bits are checked by
+    /// [`PackedClassMemory`]'s deserializer. The pool is rebuilt auto-sized
+    /// (it is a performance knob, not state).
+    pub(crate) fn from_entries(
+        entries: &[(String, Value)],
+        key: &str,
+        owner: &'static str,
+    ) -> Result<Self, DeError> {
+        let dim: usize = de::field(entries, "dim", owner)?;
+        let shards: Vec<PackedClassMemory> = de::field(entries, key, owner)?;
+        let err = |msg: String| DeError::new(msg).in_field(owner);
+        if dim == 0 {
+            return Err(err("dimensionality must be positive".into()));
+        }
+        if shards.is_empty() {
+            return Err(err(format!("`{key}` must hold at least one part")));
+        }
+        if let Some((s, shard)) = shards
+            .iter()
+            .enumerate()
+            .find(|(_, shard)| shard.dim() != dim)
+        {
+            return Err(err(format!(
+                "{key}[{s}] has dimensionality {} but the memory declares {dim}",
+                shard.dim()
+            )));
+        }
+        let mut seen = HashSet::new();
+        if let Some(label) = shards
+            .iter()
+            .flat_map(|shard| shard.labels())
+            .find(|label| !seen.insert(*label))
+        {
+            return Err(err(format!("label `{label}` stored twice")));
+        }
+        Ok(Self {
+            dim,
+            shards: shards.into_iter().map(Arc::new).collect(),
+            pool: Pool::auto(),
+        })
+    }
+
+    /// The shard list, in shard order; the owner writes `dim` beside it.
+    pub(crate) fn shards_value(&self) -> Value {
+        Value::Array(self.shards.iter().map(|shard| shard.to_value()).collect())
     }
 }
 
@@ -307,8 +563,8 @@ impl ShardedClassMemory {
 impl Serialize for ShardedClassMemory {
     fn to_value(&self) -> Value {
         Value::Object(vec![
-            ("dim".to_string(), self.dim().to_value()),
-            ("shards".to_string(), self.parts.to_value()),
+            ("dim".to_string(), self.dim.to_value()),
+            ("shards".to_string(), self.shards_value()),
         ])
     }
 }
@@ -320,16 +576,31 @@ impl Serialize for ShardedClassMemory {
 impl Deserialize for ShardedClassMemory {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         let entries = de::expect_object(value, "ShardedClassMemory")?;
-        Ok(Self {
-            parts: Parts::from_entries(entries, "shards", "ShardedClassMemory")?,
-        })
+        Self::from_entries(entries, "shards", "ShardedClassMemory")
     }
+}
+
+/// Deterministic ±1 rows (a 64-bit LCG's top bit) for the unit tests of
+/// both the sharded and the routed memory.
+#[cfg(test)]
+pub(crate) fn lcg_signs(state: &mut u64, dim: usize) -> Vec<i8> {
+    (0..dim)
+        .map(|_| {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if *state >> 63 == 0 {
+                1
+            } else {
+                -1
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parts::lcg_signs;
 
     fn fixture(dim: usize, classes: usize, shards: usize) -> (ShardedClassMemory, Vec<Vec<i8>>) {
         let mut state = 99u64;
@@ -390,10 +661,10 @@ mod tests {
         let (mut memory, protos) = fixture(64, 4, 2);
         assert!(!memory.update_class("ghost", &protos[0]));
         assert!(!memory.contains("ghost"));
-        let before = memory.parts.locate("class001").expect("stored");
+        let before = memory.locate("class001").expect("stored");
         assert!(memory.update_class("class001", &protos[3]));
         // Update stays in the same shard and row.
-        assert_eq!(memory.parts.locate("class001"), Some(before));
+        assert_eq!(memory.locate("class001"), Some(before));
         assert_eq!(
             memory.class_words("class001").expect("stored"),
             &pack_signs(&protos[3])[..]
@@ -436,33 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_lookups_match_single_query_lookups() {
-        let dim = 96;
-        let (memory, _) = fixture(dim, 9, 2);
-        let mut state = 21u64;
-        let mut batch = PackedQueryBatch::new(dim);
-        let queries: Vec<Vec<i8>> = (0..11)
-            .map(|_| {
-                let q = lcg_signs(&mut state, dim);
-                batch.push_signs(&q);
-                q
-            })
-            .collect();
-        let nearest = memory.nearest_batch(&batch);
-        let topk = memory.topk_batch(&batch, 4);
-        assert_eq!(nearest.len(), queries.len());
-        for (q, signs) in queries.iter().enumerate() {
-            let packed = pack_signs(signs);
-            assert_eq!(nearest[q], memory.nearest(&packed).expect("non-empty"));
-            assert_eq!(topk[q], memory.top_k(&packed, 4));
-        }
-        // Empty batch short-circuits.
-        let empty = PackedQueryBatch::new(dim);
-        assert!(memory.nearest_batch(&empty).is_empty());
-        assert!(memory.topk_batch(&empty, 3).is_empty());
-    }
-
-    #[test]
     fn from_packed_and_from_sign_matrix_agree_with_adds() {
         let matrix = Matrix::from_rows(&[
             vec![1.0, -2.0, 3.0],
@@ -488,8 +732,11 @@ mod tests {
         assert!(memory.top_k(&query, 3).is_empty());
         assert!(memory.is_empty());
         assert_eq!(memory.num_shards(), 4);
-        assert!(memory.parts.locate("nothing").is_none());
+        assert!(memory.locate("nothing").is_none());
         assert!(memory.class_words("nothing").is_none());
+        let empty = PackedQueryBatch::new(32);
+        assert!(memory.nearest_batch(&empty).is_empty());
+        assert!(memory.topk_batch(&empty, 3).is_empty());
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn assert_parity(
             .nearest(&query)
             .map(|(index, sim)| (mono.label(index).to_string(), sim.to_bits()));
         for memory in routed {
-            let clusters = memory.num_clusters();
+            let clusters = memory.as_sharded().num_shards();
             assert_eq!(memory.len(), classes, "clusters={clusters}");
             assert!(memory.probes_exhaustively());
             let near = memory
@@ -170,7 +170,7 @@ proptest! {
                     prop_assert!(mono.remove(&target).is_some());
                     for memory in routed.iter_mut() {
                         prop_assert!(memory.remove_class(&target));
-                        prop_assert!(!memory.contains(&target));
+                        prop_assert!(!memory.as_sharded().contains(&target));
                     }
                 }
                 _ => {}
@@ -253,7 +253,7 @@ fn partial_probing_is_sublinear_with_high_recall_on_clustered_data() {
             ..RoutedConfig::default()
         },
     );
-    routed.set_nprobe((routed.num_clusters() as f64).sqrt().ceil() as usize);
+    routed.set_nprobe((routed.as_sharded().num_shards() as f64).sqrt().ceil() as usize);
     assert!(!routed.probes_exhaustively());
 
     let mut candidate_total = 0usize;

@@ -17,8 +17,9 @@
 //!
 //! * packed ↔ sharded results are **bit-identical** (labels and similarity
 //!   bits) for every shard count — the monolithic-merge contract;
-//! * packed ↔ routed (full probing) results are **bit-identical** for
-//!   every cluster count — the coarse-to-fine exact-re-rank contract.
+//! * packed ↔ routed (full probing) ↔ `routed.as_sharded()` results are
+//!   **bit-identical** for every cluster count — the coarse-to-fine
+//!   exact-re-rank contract.
 //!
 //! Prototypes are drawn from a small pool of patterns so exact ties are
 //! frequent rather than accidental.
@@ -215,8 +216,15 @@ proptest! {
                     .into_iter()
                     .map(|(l, s)| (l, s.to_bits()))
                     .collect();
+                let c: Vec<(&str, u32)> = routed
+                    .as_sharded()
+                    .top_k(query, k)
+                    .into_iter()
+                    .map(|(l, s)| (l, s.to_bits()))
+                    .collect();
                 prop_assert_eq!(p.clone(), s, "packed vs sharded q{} k{}", q, k);
-                prop_assert_eq!(p, r, "packed vs routed q{} k{}", q, k);
+                prop_assert_eq!(p.clone(), r, "packed vs routed q{} k{}", q, k);
+                prop_assert_eq!(p, c, "packed vs routed clusters q{} k{}", q, k);
             }
         }
     }

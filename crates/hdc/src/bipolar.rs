@@ -96,19 +96,6 @@ impl BipolarHypervector {
         }
     }
 
-    /// Builds a hypervector by taking the sign of each float (ties at exactly
-    /// zero resolve to `+1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty.
-    pub fn from_sign_of(xs: &[f32]) -> Self {
-        assert!(!xs.is_empty(), "dimensionality must be positive");
-        Self {
-            values: xs.iter().map(|&x| if x < 0.0 { -1 } else { 1 }).collect(),
-        }
-    }
-
     /// Dimensionality of the hypervector.
     pub fn dim(&self) -> usize {
         self.values.len()
@@ -299,12 +286,6 @@ mod tests {
     #[should_panic(expected = "must be +1 or -1")]
     fn from_signs_rejects_invalid() {
         let _ = BipolarHypervector::from_signs(&[1, 0, -1]);
-    }
-
-    #[test]
-    fn from_sign_of_floats() {
-        let hv = BipolarHypervector::from_sign_of(&[0.5, -0.2, 0.0]);
-        assert_eq!(hv.as_slice(), &[1, -1, 1]);
     }
 
     #[test]

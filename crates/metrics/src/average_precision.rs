@@ -1,4 +1,4 @@
-//! Binary average precision (AP) and mean average precision (mAP).
+//! Binary average precision (AP).
 
 /// Average precision of a binary ranking problem.
 ///
@@ -47,28 +47,6 @@ pub fn average_precision(scores: &[f32], labels: &[bool]) -> Option<f32> {
     Some(sum_precision / positives as f32)
 }
 
-/// Mean average precision over a set of binary ranking problems (one
-/// score/label pair per "query" or per attribute), skipping problems with no
-/// positives.
-///
-/// Returns 0 when every problem is skipped.
-///
-/// # Panics
-///
-/// Panics if the two slices differ in length or any inner pair differs in
-/// length.
-pub fn mean_average_precision(problems: &[(Vec<f32>, Vec<bool>)]) -> f32 {
-    let aps: Vec<f32> = problems
-        .iter()
-        .filter_map(|(scores, labels)| average_precision(scores, labels))
-        .collect();
-    if aps.is_empty() {
-        0.0
-    } else {
-        aps.iter().sum::<f32>() / aps.len() as f32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,17 +81,6 @@ mod tests {
     #[test]
     fn all_positives_is_one() {
         assert_eq!(average_precision(&[0.1, 0.9], &[true, true]), Some(1.0));
-    }
-
-    #[test]
-    fn map_averages_and_skips_empty_problems() {
-        let problems = vec![
-            (vec![0.9, 0.1], vec![true, false]),  // AP 1.0
-            (vec![0.1, 0.9], vec![true, false]),  // AP 0.5
-            (vec![0.5, 0.5], vec![false, false]), // skipped
-        ];
-        assert!((mean_average_precision(&problems) - 0.75).abs() < 1e-6);
-        assert_eq!(mean_average_precision(&[]), 0.0);
     }
 
     #[test]

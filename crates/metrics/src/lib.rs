@@ -44,7 +44,7 @@ pub mod topk;
 pub mod wmap;
 
 pub use aggregate::SeedAggregate;
-pub use average_precision::{average_precision, mean_average_precision};
+pub use average_precision::average_precision;
 pub use confusion::ConfusionMatrix;
 pub use gzsl::{harmonic_mean, partitioned_top1_accuracy, PartitionedAccuracy};
 pub use open_set::{auroc, rejection_report, RejectionReport};

@@ -10,14 +10,16 @@
 //! window computing: it embeds the rows it holds through the model's image
 //! encoder and sign-binarizes them, then embeds each top-up of rows that
 //! arrive before the window closes. The whole batch is then scored against
-//! a sharded packed class memory ([`engine::ShardedClassMemory`]), and
-//! each caller receives its own top-k labels.
+//! the snapshot's class index — a sharded packed class memory
+//! ([`engine::ShardedClassMemory`]), or in routed mode a routed index
+//! ([`engine::RoutedClassMemory`]) — and each caller receives its own top-k
+//! labels.
 //!
 //! # Snapshots and hot swap
 //!
 //! All serving state lives in an immutable [`ModelSnapshot`] behind an
 //! `Arc`: a [`FrozenModel`] (shared weights, `&self` inference — parameters
-//! never mutate while serving) plus the sharded class memory. The
+//! never mutate while serving) plus the class index. The
 //! dispatcher picks up the current snapshot once per coalesced batch, so
 //! every batch is scored against exactly one snapshot and a swap never
 //! tears a batch. Rows that arrive after a swap inside an open window are
@@ -93,10 +95,11 @@ pub struct ServerConfig {
     /// Number of shards the class memory is split across. Lookup results are
     /// bit-identical for every shard count; more shards make serve-time
     /// class registration cheaper (only the touched shard is repacked) at a
-    /// small merge cost per query.
+    /// small merge cost per query. In routed mode a class set is encoded at
+    /// this width before it is clustered, and the clustering depends on it.
     pub shards: usize,
-    /// `Some` runs the server in **routed** mode: alongside the sharded
-    /// memory, every snapshot carries a coarse-to-fine
+    /// `Some` runs the server in **routed** mode: instead of a sharded
+    /// memory, every snapshot stores its classes in a coarse-to-fine
     /// [`engine::RoutedClassMemory`] under this configuration and queries
     /// are scored through it. With the config's default full probing
     /// results stay bit-identical to the exhaustive path; a partial
@@ -397,8 +400,8 @@ fn save_base(
         snapshot_version: snapshot.version,
         next_record_seq,
         base: Checkpoint::capture(&snapshot.model, schema),
-        memory: snapshot.memory.clone(),
-        routed: snapshot.routed.clone(),
+        memory: snapshot.memory().clone(),
+        routed: snapshot.routed().cloned(),
         threshold: snapshot.threshold,
         stream,
     }
@@ -514,24 +517,20 @@ impl ServerStats {
     }
 }
 
-/// One immutable serving state: the frozen model plus the sharded class
-/// memory derived from it, tagged with a monotonically increasing version.
+/// One immutable serving state: the frozen model plus the one class index
+/// derived from it — a sharded memory, or in routed mode a routed index —
+/// tagged with a monotonically increasing version.
 ///
 /// Snapshots are cheap to derive from one another — the model is shared
-/// through the [`FrozenModel`]'s `Arc` and the memory's shards are
-/// copy-on-write — and are never mutated after publication, so a reader
+/// through the [`FrozenModel`]'s `Arc` and the index's shards or clusters
+/// are copy-on-write — and are never mutated after publication, so a reader
 /// holding an `Arc<ModelSnapshot>` can score against it indefinitely, swap
 /// or no swap.
 #[derive(Debug, Clone)]
 pub struct ModelSnapshot {
     version: u64,
     model: FrozenModel,
-    memory: ShardedClassMemory,
-    /// The coarse-to-fine index of a routed-mode server; evolves
-    /// incrementally with class mutations (only the touched cluster
-    /// repacks) and is rebuilt from scratch — deterministically — on model
-    /// swaps.
-    routed: Option<RoutedClassMemory>,
+    index: ClassIndex,
     /// The calibrated open-set rejection threshold, when one is set; see
     /// [`Verdict`]. Carried by the snapshot so a threshold change is one
     /// more atomic hot swap: every query is judged by exactly the snapshot
@@ -546,17 +545,25 @@ impl ModelSnapshot {
         self.version
     }
 
-    /// The sharded class memory queries are scored against (directly, or —
-    /// in routed mode — as the ground truth the routed index shortlists
-    /// over).
+    /// The snapshot's classes as a sharded memory: the memory queries are
+    /// scored against, or — in routed mode — the routed index's own
+    /// clusters, one shard per cluster ([`RoutedClassMemory::as_sharded`]).
+    /// Either way it is the one stored form of every class.
     pub fn memory(&self) -> &ShardedClassMemory {
-        &self.memory
+        match &self.index {
+            ClassIndex::Sharded(memory) => memory,
+            ClassIndex::Routed(routed) => routed.as_sharded(),
+        }
     }
 
-    /// The routed coarse-to-fine index, for snapshots published by a server
-    /// running in routed mode ([`ServerConfig::routed`]).
+    /// The routed coarse-to-fine index queries are scored through, for
+    /// snapshots published by a server running in routed mode
+    /// ([`ServerConfig::routed`]).
     pub fn routed(&self) -> Option<&RoutedClassMemory> {
-        self.routed.as_ref()
+        match &self.index {
+            ClassIndex::Sharded(_) => None,
+            ClassIndex::Routed(routed) => Some(routed),
+        }
     }
 
     /// The frozen model embedding the queries. Cloning the returned handle
@@ -597,9 +604,9 @@ impl ModelSnapshot {
             .model
             .embed_images(&Matrix::from_rows(&[features.to_vec()]));
         let packed = engine::pack_float_signs(embedding.row(0));
-        let top = match &self.routed {
-            Some(routed) => routed.top_k(&packed, k),
-            None => self.memory.top_k(&packed, k),
+        let top = match &self.index {
+            ClassIndex::Sharded(memory) => memory.top_k(&packed, k),
+            ClassIndex::Routed(routed) => routed.top_k(&packed, k),
         };
         top.into_iter()
             .map(|(label, sim)| (label.to_string(), sim))
@@ -611,6 +618,48 @@ impl ModelSnapshot {
 /// labels, and the snapshot's open-set verdict (`None` when no threshold
 /// was set).
 pub type ServedResult = (u64, Vec<ScoredLabel>, Option<Verdict>);
+
+/// The class index of a [`ModelSnapshot`], the one stored form of each
+/// class. A routed index evolves incrementally with class mutations and is
+/// rebuilt from scratch — deterministically — on model swaps.
+#[derive(Debug, Clone)]
+enum ClassIndex {
+    Sharded(ShardedClassMemory),
+    Routed(RoutedClassMemory),
+}
+
+impl ClassIndex {
+    /// Serves `memory` as is, or in routed mode the canonical routed build
+    /// over it: its classes fed in its own label order, then clustered once.
+    /// A pure function of the memory's contents, shard layout and `routed`.
+    fn new(memory: ShardedClassMemory, routed: Option<RoutedConfig>) -> Self {
+        let Some(config) = routed else {
+            return ClassIndex::Sharded(memory);
+        };
+        let mut index = RoutedClassMemory::new(memory.dim(), config);
+        for label in memory.labels() {
+            let words = memory.class_words(label).expect("label just listed");
+            index.add_class_packed(label, words);
+        }
+        index.recluster();
+        ClassIndex::Routed(index.with_threads(memory.threads()))
+    }
+
+    /// Inserts or replaces a class: least-loaded shard, or nearest centroid.
+    fn add_class_packed(&mut self, label: String, words: &[u64]) {
+        match self {
+            ClassIndex::Sharded(memory) => memory.add_class_packed(label, words),
+            ClassIndex::Routed(routed) => routed.add_class_packed(label, words),
+        };
+    }
+
+    fn remove_class(&mut self, label: &str) {
+        match self {
+            ClassIndex::Sharded(memory) => memory.remove_class(label),
+            ClassIndex::Routed(routed) => routed.remove_class(label),
+        };
+    }
+}
 
 /// One queued query: the feature row plus the channel its result goes back
 /// on.
@@ -651,6 +700,9 @@ struct ControlPlane {
     durable: Option<DurableState>,
     /// Streaming continual-learning state; see [`StreamControl`].
     stream: StreamControl,
+    /// Copy of [`ServerConfig::shards`], the width a swap encodes at (a
+    /// routed snapshot's memory has one shard per cluster).
+    shards: usize,
 }
 
 /// A running query server; see the module docs.
@@ -748,15 +800,11 @@ impl QueryServer {
         let memory = model
             .sharded_class_memory(labels, class_attributes, config.shards)
             .with_threads(config.threads);
-        let routed = config
-            .routed
-            .map(|rc| routed_from_sharded(&memory, rc, config.threads));
         let stream = StreamControl::fresh(memory.dim(), config.publish_every);
         let snapshot = ModelSnapshot {
             version: 0,
             model,
-            memory,
-            routed,
+            index: ClassIndex::new(memory, config.routed),
             threshold,
         };
         let durable = durability
@@ -789,7 +837,11 @@ impl QueryServer {
         };
         Self {
             shared,
-            control: Mutex::new(ControlPlane { durable, stream }),
+            control: Mutex::new(ControlPlane {
+                durable,
+                stream,
+                shards: config.shards,
+            }),
             dispatcher: Mutex::new(Some(dispatcher)),
         }
     }
@@ -880,18 +932,17 @@ impl QueryServer {
         let mut current = ModelSnapshot {
             version: snapshot_version,
             model: base.into_frozen(schema)?,
-            memory: memory.with_threads(config.threads),
             // Resume the base's routed index only when it was built under
             // exactly the requested routed configuration: replaying the same
             // records into the same structure reproduces the pre-crash index
             // bit-for-bit. Otherwise (config changed, routing newly
-            // requested, or a pre-routed base) a fresh deterministic build
-            // runs after replay.
-            routed: match (config.routed, routed) {
+            // requested, or an unrouted base) replay runs on the base's
+            // sharded memory and a fresh deterministic build follows it.
+            index: match (config.routed, routed) {
                 (Some(rc), Some(saved)) if saved.config() == rc => {
-                    Some(saved.with_threads(config.threads))
+                    ClassIndex::Routed(saved.with_threads(config.threads))
                 }
-                _ => None,
+                _ => ClassIndex::Sharded(memory.with_threads(config.threads)),
             },
             threshold,
         };
@@ -908,7 +959,7 @@ impl QueryServer {
                 observes: 0,
                 drift: StreamDriftDetector::new(StreamDriftConfig::default()),
             },
-            None => StreamControl::fresh(current.memory.dim(), config.publish_every),
+            None => StreamControl::fresh(current.memory().dim(), config.publish_every),
         };
         let mut replayed_records = 0u64;
         for entry in replay.entries {
@@ -929,13 +980,13 @@ impl QueryServer {
             }
             replayed_records += 1;
         }
-        if current.memory.is_empty() {
+        if current.memory().is_empty() {
             return Err(ServeError::InvalidConfig(
                 "recovered state has no registered classes".to_string(),
             ));
         }
-        if let (Some(rc), None) = (config.routed, current.routed.as_ref()) {
-            current.routed = Some(routed_from_sharded(&current.memory, rc, config.threads));
+        if let (Some(_), ClassIndex::Sharded(memory)) = (config.routed, &current.index) {
+            current.index = ClassIndex::new(memory.clone(), config.routed);
         }
         let report = RecoveryReport {
             snapshot_version: current.version,
@@ -1043,7 +1094,7 @@ impl QueryServer {
     ) -> Result<Arc<ModelSnapshot>, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
         let label = label.into();
-        if self.snapshot().memory.contains(&label) {
+        if self.snapshot().memory().contains(&label) {
             return Err(ServeError::DuplicateLabel(label));
         }
         self.register_locked(&mut control, label, attributes, false)
@@ -1068,7 +1119,7 @@ impl QueryServer {
         attributes: &[f32],
     ) -> Result<Arc<ModelSnapshot>, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
-        if !self.snapshot().memory.contains(label) {
+        if !self.snapshot().memory().contains(label) {
             return Err(ServeError::UnknownClass(label.to_string()));
         }
         self.register_locked(&mut control, label.to_string(), attributes, true)
@@ -1123,10 +1174,10 @@ impl QueryServer {
     pub fn remove_class(&self, label: &str) -> Result<Arc<ModelSnapshot>, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
         let current = self.snapshot();
-        if !current.memory.contains(label) {
+        if !current.memory().contains(label) {
             return Err(ServeError::UnknownClass(label.to_string()));
         }
-        if current.memory.len() == 1 {
+        if current.memory().len() == 1 {
             return Err(ServeError::InvalidConfig(
                 "cannot remove the last registered class".to_string(),
             ));
@@ -1192,8 +1243,7 @@ impl QueryServer {
                 )));
             }
         }
-        let shards = self.snapshot().memory.num_shards();
-        let memory = model.sharded_class_memory(labels, class_attributes, shards);
+        let memory = model.sharded_class_memory(labels, class_attributes, control.shards);
         self.commit_publishing(&mut control, Mutation::Swap { model, memory })
     }
 
@@ -1363,7 +1413,9 @@ impl QueryServer {
     /// remain fully replayable in that case.
     pub fn compact(&self) -> Result<bool, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
-        let ControlPlane { durable, stream } = &mut *control;
+        let ControlPlane {
+            durable, stream, ..
+        } = &mut *control;
         let Some(durable) = durable.as_mut() else {
             return Ok(false);
         };
@@ -1392,7 +1444,9 @@ impl QueryServer {
             durable.wal.append(&mutation.record(&durable.schema))?;
         }
         let published = apply(&current, &mut control.stream, mutation).map(|next| self.store(next));
-        let ControlPlane { durable, stream } = control;
+        let ControlPlane {
+            durable, stream, ..
+        } = control;
         if let Some(durable) = durable.as_mut() {
             durable.since_compact += 1;
             if durable.compact_every != 0 && durable.since_compact >= durable.compact_every {
@@ -1703,14 +1757,14 @@ fn check(current: &ModelSnapshot, mutation: &Mutation) -> Result<(), Rejected> {
         Mutation::Register { words, .. }
         | Mutation::Update { words, .. }
         | Mutation::Observe { words, .. }
-            if words.len() != current.memory.words_per_row() =>
+            if words.len() != current.memory().words_per_row() =>
         {
             Err(Rejected::WordWidth {
                 found: words.len(),
-                expected: current.memory.words_per_row(),
+                expected: current.memory().words_per_row(),
             })
         }
-        Mutation::Observe { label, .. } if !current.memory.contains(label) => {
+        Mutation::Observe { label, .. } if !current.memory().contains(label) => {
             Err(Rejected::UnregisteredClass(label.clone()))
         }
         Mutation::SetThreshold(Some(threshold)) if !threshold.is_finite() => {
@@ -1743,10 +1797,7 @@ fn apply(
             stream.accumulators.remove(&label);
             stream.pending.remove(&label);
             let mut next = current.clone();
-            if let Some(routed) = next.routed.as_mut() {
-                routed.add_class_packed(label.clone(), &words);
-            }
-            next.memory.add_class_packed(label, &words);
+            next.index.add_class_packed(label, &words);
             next
         }
         Mutation::Remove { label } => {
@@ -1755,26 +1806,18 @@ fn apply(
             stream.pending.remove(&label);
             stream.drift.remove(&label);
             let mut next = current.clone();
-            next.memory.remove_class(&label);
-            if let Some(routed) = next.routed.as_mut() {
-                routed.remove_class(&label);
-            }
+            next.index.remove_class(&label);
             next
         }
         Mutation::Swap { model, memory } => {
             // A swap replaces the whole class set: stream counters, pending
             // publications, and drift history all described the old one.
-            let threads = current.memory.threads();
-            let memory = memory.with_threads(threads);
+            let memory = memory.with_threads(current.memory().threads());
             *stream = StreamControl::fresh(memory.dim(), stream.publish_every);
             ModelSnapshot {
                 version: current.version,
-                routed: current
-                    .routed
-                    .as_ref()
-                    .map(|r| routed_from_sharded(&memory, r.config(), threads)),
+                index: ClassIndex::new(memory, current.routed().map(RoutedClassMemory::config)),
                 model,
-                memory,
                 // The threshold survives the swap: it is serve-time control
                 // state (set/cleared through its own verb), not a property
                 // of the model being rolled out.
@@ -1787,7 +1830,7 @@ fn apply(
         },
         Mutation::Observe { label, words } => {
             let class_words = current
-                .memory
+                .memory()
                 .class_words(&label)
                 .expect("check rejects observes of unregistered classes");
             fold_observation(
@@ -1795,7 +1838,7 @@ fn apply(
                 &label,
                 &words,
                 class_words,
-                current.memory.dim(),
+                current.memory().dim(),
             );
             stream.pending.insert(label);
             stream.since_publish += 1;
@@ -1810,29 +1853,6 @@ fn apply(
     };
     next.version += 1;
     Some(next)
-}
-
-/// The canonical routed-index build for a freshly (re)built sharded memory:
-/// feed the memory's classes in its own deterministic label order, then run
-/// one seeded clustering over the final set. A pure function of the
-/// memory's contents and `config`, shared by the constructors, the swap
-/// transition, and recovery under a changed routed configuration.
-fn routed_from_sharded(
-    memory: &ShardedClassMemory,
-    config: RoutedConfig,
-    threads: usize,
-) -> RoutedClassMemory {
-    let mut routed = RoutedClassMemory::new(memory.dim(), config);
-    let labels: Vec<String> = memory.labels().map(str::to_string).collect();
-    for label in labels {
-        let words = memory
-            .class_words(&label)
-            .expect("label just listed")
-            .to_vec();
-        routed.add_class_packed(label, &words);
-    }
-    routed.recluster();
-    routed.with_threads(threads)
 }
 
 /// Unpacks one packed ±1 prototype row back into sign components (set bit
@@ -1893,7 +1913,7 @@ fn normalized_displacement(old: &[u64], new: &[u64], dim: usize) -> f64 {
 /// concept drift. Resets the batching position.
 fn publish_pending(current: &ModelSnapshot, stream: &mut StreamControl) -> ModelSnapshot {
     let mut next = current.clone();
-    let dim = next.memory.dim();
+    let dim = next.memory().dim();
     let mut alarmed = false;
     for label in std::mem::take(&mut stream.pending) {
         let prototype = stream
@@ -1902,20 +1922,15 @@ fn publish_pending(current: &ModelSnapshot, stream: &mut StreamControl) -> Model
             .expect("pending labels always have an accumulator");
         let words = engine::pack_signs(prototype.as_slice());
         let displacement = next
-            .memory
+            .memory()
             .class_words(&label)
             .map(|old| normalized_displacement(old, &words, dim))
             .unwrap_or(1.0);
         alarmed |= stream.drift.record(&label, displacement);
-        if let Some(routed) = next.routed.as_mut() {
-            routed.add_class_packed(label.clone(), &words);
-        }
-        next.memory.add_class_packed(label, &words);
+        next.index.add_class_packed(label, &words);
     }
-    if alarmed {
-        if let Some(routed) = next.routed.as_mut() {
-            routed.recluster();
-        }
+    if let (true, ClassIndex::Routed(routed)) = (alarmed, &mut next.index) {
+        routed.recluster();
     }
     stream.since_publish = 0;
     next
@@ -1977,9 +1992,9 @@ fn dispatch_loop(shared: &Shared, config: ServerConfig) {
         queries,
     }) = collect_batch(shared, config.max_batch, config.max_wait_us)
     {
-        let topk = match &snapshot.routed {
-            Some(routed) => routed.topk_batch(&queries, config.top_k),
-            None => snapshot.memory.topk_batch(&queries, config.top_k),
+        let topk = match &snapshot.index {
+            ClassIndex::Sharded(memory) => memory.topk_batch(&queries, config.top_k),
+            ClassIndex::Routed(routed) => routed.topk_batch(&queries, config.top_k),
         };
         {
             let mut stats = shared.stats.lock().expect("stats mutex poisoned");

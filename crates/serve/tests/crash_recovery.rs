@@ -12,6 +12,7 @@
 //! state against the live snapshot timeline the server itself published.
 
 use dataset::AttributeSchema;
+use engine::{PackedClassMemory, ShardedClassMemory};
 use hdc_zsc::{ModelConfig, ZscModel};
 use proptest::prelude::*;
 use serve::{
@@ -86,6 +87,20 @@ fn probe_rows() -> Vec<Vec<f32>> {
                 .collect()
         })
         .collect()
+}
+
+/// A memory's classes as `(label, packed words)`, sorted by label: the
+/// class-set contract, independent of shard or cluster placement.
+fn class_set(memory: &ShardedClassMemory) -> Vec<(String, Vec<u64>)> {
+    let mut set: Vec<(String, Vec<u64>)> = memory
+        .labels()
+        .map(|label| {
+            let words = memory.class_words(label).expect("label just listed");
+            (label.to_string(), words.to_vec())
+        })
+        .collect();
+    set.sort_unstable();
+    set
 }
 
 /// Bit-exact comparison of a recovered snapshot against the live snapshot
@@ -239,15 +254,59 @@ fn kill_and_recover_restores_the_exact_serving_state() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The one-class-set check of a routed snapshot: `memory()` and
+/// `routed()` name the same labels with the same words, and a full-probe
+/// `routed().top_k` equals a monolithic packed memory built independently
+/// from those words.
+fn assert_one_class_set(snapshot: &ModelSnapshot, context: &str) {
+    let memory = snapshot.memory();
+    let routed = snapshot.routed().expect("routed server");
+    let set = class_set(memory);
+    assert_eq!(routed.len(), set.len(), "{context}: class count diverged");
+    let mut reference = PackedClassMemory::new(memory.dim());
+    for (label, words) in &set {
+        assert_eq!(
+            routed.class_words(label),
+            Some(&words[..]),
+            "{context}: `{label}` words diverged"
+        );
+        reference.insert_packed(label.clone(), words);
+    }
+    let mut full = routed.clone();
+    full.probe_all();
+    for (p, row) in probe_rows().into_iter().enumerate() {
+        let embedding = snapshot.model().embed_images(&Matrix::from_rows(&[row]));
+        let query = engine::pack_float_signs(embedding.row(0));
+        let got: Vec<(&str, u32)> = full
+            .top_k(&query, set.len())
+            .into_iter()
+            .map(|(label, sim)| (label, sim.to_bits()))
+            .collect();
+        let want: Vec<(&str, u32)> = reference
+            .top_k(&query, set.len())
+            .into_iter()
+            .map(|(row, sim)| (reference.label(row), sim.to_bits()))
+            .collect();
+        assert_eq!(
+            got, want,
+            "{context}: probe {p} full-probe ranking diverged"
+        );
+    }
+}
+
 /// The routed-mode drill: a durable server carrying a coarse-to-fine
 /// routed index — probing *partially*, so results genuinely depend on the
-/// clustering structure — lives through registrations, updates, removals, a
-/// model swap, and a compaction; killed and recovered under the same
-/// configuration, the rebuilt index is **structurally identical** (same
-/// cluster assignment, same centroids, same drift counter) and serves
-/// bit-identical results. Recovery under a different routed configuration
-/// falls back to a fresh deterministic clustering; recovery without routing
-/// drops the index.
+/// clustering structure — lives through registrations, updates, removals,
+/// streamed observes, a flush, a threshold change, a model swap, and
+/// compactions. Every published snapshot keeps one class set (see
+/// [`assert_one_class_set`]), and the swap builds the routed index a fresh
+/// start builds: it encodes the new class set at the configured shard
+/// width, not at the snapshot's cluster count. Killed and recovered under
+/// the same configuration, the rebuilt index is **structurally identical**
+/// (same cluster assignment, same centroids, same drift counter) and
+/// serves bit-identical results. Recovery under a different routed
+/// configuration falls back to a fresh deterministic clustering; recovery
+/// without routing serves the same class set from a sharded memory.
 #[test]
 fn kill_and_recover_restores_the_exact_routed_index() {
     let dir = temp_dir("routed");
@@ -259,7 +318,10 @@ fn kill_and_recover_restores_the_exact_routed_index() {
     };
     let config = ServerConfig {
         routed: Some(routed_config),
-        publish_every: 1,
+        // Four shards against three clusters, so the swap check below
+        // tells the configured width from the cluster count.
+        shards: 4,
+        publish_every: 2,
         ..config()
     };
     let labels: Vec<String> = (0..6).map(|c| format!("class{c}")).collect();
@@ -274,38 +336,68 @@ fn kill_and_recover_restores_the_exact_routed_index() {
         DurabilityConfig {
             dir: dir.clone(),
             sync: SyncPolicy::Always,
-            compact_every: 4,
+            // Compactions after records 3, 6 and 9: the last base captures
+            // the routed index after the swap, so recovery must resume —
+            // not re-derive — it.
+            compact_every: 3,
         },
     )
     .expect("durable routed server starts");
-    assert!(server.snapshot().routed().is_some());
+    assert_one_class_set(&server.snapshot(), "start");
 
-    server
+    let step = server
         .register_class("hot0", &lcg.attr_row(a))
         .expect("registers");
-    server
+    assert_one_class_set(&step, "register");
+    let step = server
         .update_class("class1", &lcg.attr_row(a))
         .expect("updates");
-    server.remove_class("class4").expect("removes");
+    assert_one_class_set(&step, "update");
+    let step = server.remove_class("class4").expect("removes");
+    assert_one_class_set(&step, "remove");
+    let short = server
+        .observe("class0", &feature_row(&mut lcg))
+        .expect("observes");
+    assert!(short.is_none(), "one observe short of the boundary");
+    let step = server
+        .observe("class3", &feature_row(&mut lcg))
+        .expect("observes")
+        .expect("the second observe publishes");
+    assert_one_class_set(&step, "observe boundary");
+    server
+        .observe("hot0", &feature_row(&mut lcg))
+        .expect("observes");
+    assert_one_class_set(&server.flush().expect("flushes"), "flush");
+    let step = server.set_threshold(0.125).expect("sets the threshold");
+    assert_one_class_set(&step, "set_threshold");
     let swap_labels: Vec<String> = (0..5).map(|c| format!("sw{c}")).collect();
     let swap_attributes = Matrix::from_rows(&(0..5).map(|_| lcg.attr_row(a)).collect::<Vec<_>>());
-    // Mutation 4 of 4 triggers compaction: the base captures the routed
-    // index mid-history, so recovery must resume — not re-derive — it.
-    server
-        .swap_model(model(4), swap_labels, &swap_attributes)
+    let step = server
+        .swap_model(model(4), swap_labels.clone(), &swap_attributes)
         .expect("swaps");
+    assert_one_class_set(&step, "swap");
+    let fresh = QueryServer::start(model(4), swap_labels, &swap_attributes, config)
+        .expect("fresh server starts");
+    assert_eq!(
+        step.routed(),
+        fresh.snapshot().routed(),
+        "a swap must build the routed index a fresh start builds"
+    );
+    drop(fresh);
     server
         .register_class("hot1", &lcg.attr_row(a))
         .expect("registers past the compaction boundary");
 
     let expected = server.snapshot();
-    assert_eq!(expected.version(), 5);
+    assert_one_class_set(&expected, "register after swap");
+    assert_eq!(expected.version(), 8);
     drop(server);
 
     let (recovered, report) =
         QueryServer::recover(&schema(), config, DurabilityConfig::new(dir.clone()))
             .expect("recovers");
-    assert_eq!(report.snapshot_version, 5);
+    assert_eq!(report.snapshot_version, 8);
+    assert_eq!(report.replayed_records, 1, "the register after the swap");
     let snapshot = recovered.snapshot();
     assert_eq!(
         snapshot.routed(),
@@ -313,6 +405,7 @@ fn kill_and_recover_restores_the_exact_routed_index() {
         "recovered routed index diverged structurally"
     );
     assert!(!snapshot.routed().expect("routed").probes_exhaustively());
+    assert_one_class_set(&snapshot, "recover");
     assert_snapshots_match(&snapshot, &expected, "routed recovery");
     drop(recovered);
 
@@ -334,11 +427,18 @@ fn kill_and_recover_restores_the_exact_routed_index() {
     let a_snap = fresh_a.snapshot();
     let b_snap = fresh_b.snapshot();
     assert_eq!(a_snap.routed(), b_snap.routed(), "fresh rebuilds diverged");
-    assert_eq!(a_snap.routed().expect("routed").num_clusters(), 2);
+    assert_eq!(
+        a_snap.routed().expect("routed").as_sharded().num_shards(),
+        2
+    );
     drop(fresh_a);
     drop(fresh_b);
 
-    // Routing off: the index is dropped, the exhaustive state is unchanged.
+    // Routing off: the index is dropped and the same class set — same
+    // labels, same words — is served from the base's sharded memory with
+    // the suffix replayed into it. Its shard layout is the routed
+    // clusters' (the base's memory) plus the least-loaded placement of the
+    // replayed register, so only the class set is comparable.
     let unrouted = ServerConfig {
         routed: None,
         publish_every: 1,
@@ -347,7 +447,10 @@ fn kill_and_recover_restores_the_exact_routed_index() {
     let (plain, _) = QueryServer::recover(&schema(), unrouted, DurabilityConfig::new(dir.clone()))
         .expect("recovers unrouted");
     assert!(plain.snapshot().routed().is_none());
-    assert_eq!(plain.snapshot().memory(), expected.memory());
+    assert_eq!(
+        class_set(plain.snapshot().memory()),
+        class_set(expected.memory())
+    );
     drop(plain);
     std::fs::remove_dir_all(&dir).ok();
 }

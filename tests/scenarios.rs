@@ -279,8 +279,9 @@ fn scenario_routed_memory_ops() {
     let mut record = |stage: &str,
                       routed: &mut engine::RoutedClassMemory,
                       exhaustive: &engine::PackedClassMemory| {
-        let cluster_sizes: Vec<usize> = (0..routed.num_clusters())
-            .map(|c| routed.cluster(c).len())
+        let clusters = routed.as_sharded();
+        let cluster_sizes: Vec<usize> = (0..clusters.num_shards())
+            .map(|c| clusters.shard(c).len())
             .collect();
         let dump = |r: &engine::RoutedClassMemory| {
             scored(
@@ -871,25 +872,32 @@ fn scenario_open_set_serve() {
     let after_calibration = run_queries(&server);
 
     // The routed bit-identity contract, asserted before it is pinned:
-    // full probing must agree exactly with the exhaustive sharded scan.
+    // full probing must agree exactly with an exhaustive scan of a packed
+    // memory built independently from the snapshot's class words.
     let snapshot = server.snapshot();
+    let mut full = snapshot.routed().expect("routed server").clone();
+    full.probe_all();
+    let mut exhaustive = engine::PackedClassMemory::new(snapshot.memory().dim());
+    for label in snapshot.memory().labels() {
+        let words = full
+            .class_words(label)
+            .expect("routed index holds the label");
+        exhaustive.insert_packed(label, words);
+    }
     for (q, features) in queries.iter().enumerate() {
         let embedding = snapshot
             .model()
             .embed_images(&Matrix::from_rows(std::slice::from_ref(features)));
         let packed = engine::pack_float_signs(embedding.row(0));
-        let mut full = snapshot.routed().expect("routed server").clone();
-        full.probe_all();
         let routed_bits: Vec<(String, u32)> = full
             .top_k(&packed, 3)
             .into_iter()
             .map(|(label, sim)| (label.to_string(), sim.to_bits()))
             .collect();
-        let exhaustive_bits: Vec<(String, u32)> = snapshot
-            .memory()
+        let exhaustive_bits: Vec<(String, u32)> = exhaustive
             .top_k(&packed, 3)
             .into_iter()
-            .map(|(label, sim)| (label.to_string(), sim.to_bits()))
+            .map(|(row, sim)| (exhaustive.label(row).to_string(), sim.to_bits()))
             .collect();
         assert_eq!(
             routed_bits, exhaustive_bits,
