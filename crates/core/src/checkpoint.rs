@@ -296,17 +296,14 @@ impl Checkpoint {
             .expect("checkpoint serialization is infallible")
     }
 
-    /// Writes the checkpoint as JSON to `path` **atomically**: the document
-    /// goes to a sibling `<name>.tmp` file first, is fsynced, and is then
-    /// `rename`d over `path`, so a crash mid-save leaves any previous
-    /// checkpoint at `path` intact — a partial temp file can never shadow a
-    /// valid checkpoint.
+    /// Writes the checkpoint as JSON to `path` through [`atomic_write`], so
+    /// a crash mid-save leaves any previous checkpoint at `path` intact.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] if the file cannot be written.
     pub fn save_json(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        atomic_write(path.as_ref(), &self.to_json()).map_err(CheckpointError::from)
+        atomic_write(path.as_ref(), self.to_json().as_bytes()).map_err(CheckpointError::from)
     }
 
     /// Parses a checkpoint from a JSON string.
@@ -465,11 +462,18 @@ fn expect_envelope(value: &Value, expected: &'static str) -> Result<(), Checkpoi
     Ok(())
 }
 
-/// Writes `contents` to `path` atomically: sibling `<name>.tmp` file,
-/// fsync, `rename` over the destination, best-effort directory fsync. A
-/// crash at any point leaves either the old file or the new one — never a
-/// torn mix.
-fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
+/// Writes `contents` to `path` atomically: a sibling `<name>.tmp` file,
+/// fsync, `rename` over `path`, then an fsync of the directory that makes
+/// the rename durable. A crash at any point leaves either the old file or
+/// the new one, never a torn mix. This is the workspace's one atomic
+/// replace: both checkpoint saves and the write-ahead log's create and
+/// rotate go through it.
+///
+/// # Errors
+///
+/// Any I/O error of the four steps. An error from the directory fsync comes
+/// after the rename, so `path` may then already hold `contents`.
+pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     let file_name = path
         .file_name()
         .ok_or_else(|| std::io::Error::other("path has no file name"))?;
@@ -478,20 +482,15 @@ fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
     let tmp = path.with_file_name(tmp_name);
     {
         let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(contents.as_bytes())?;
+        file.write_all(contents)?;
         file.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
-    // Persist the rename itself; failure to fsync the directory only delays
-    // durability, it cannot tear the file, so it is best-effort.
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Ok(dir) = std::fs::File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-    }
-    Ok(())
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Continual-learning stream state captured inside a [`CheckpointDelta`]:
@@ -699,14 +698,13 @@ impl CheckpointDelta {
         })
     }
 
-    /// Writes the delta as JSON to `path` atomically (same temp-then-rename
-    /// contract as [`Checkpoint::save_json`]).
+    /// Writes the delta as JSON to `path` through [`atomic_write`].
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] if the file cannot be written.
     pub fn save_json(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        atomic_write(path.as_ref(), &self.to_json()).map_err(CheckpointError::from)
+        atomic_write(path.as_ref(), self.to_json().as_bytes()).map_err(CheckpointError::from)
     }
 
     /// Reads and parses a delta from a JSON file.

@@ -2,6 +2,8 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+#[cfg(test)]
+mod fault_injection;
 pub mod net;
 pub mod server;
 pub mod wal;

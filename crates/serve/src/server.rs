@@ -285,8 +285,8 @@ pub struct DurabilityConfig {
     /// [`QueryServer::start_durable`] refuses a directory that already
     /// holds either file.
     pub dir: PathBuf,
-    /// When appended records are fsynced; [`SyncPolicy::Always`] by
-    /// default.
+    /// When appended records are fsynced: [`SyncPolicy::Always`], the one
+    /// policy. Every record is fsynced before its mutation is acknowledged.
     pub sync: SyncPolicy,
     /// Fold the WAL into a fresh compaction base after this many records
     /// (`0` disables automatic compaction; [`QueryServer::compact`] is
@@ -374,11 +374,13 @@ impl DurableState {
     /// `stream` captures the continual-learning counters and batching
     /// position at the same instant, so a base written mid-batch still
     /// recovers counter-exactly.
+    /// A stopped log writes nothing; a failed base save can be retried.
     fn compact(
         &mut self,
         snapshot: &ModelSnapshot,
         stream: Option<StreamCheckpoint>,
     ) -> Result<(), ServeError> {
+        self.wal.ensure_live()?;
         let next_seq = self.wal.next_seq();
         save_base(&self.dir, snapshot, &self.schema, next_seq, stream)?;
         self.wal.rotate()?;
@@ -695,8 +697,8 @@ struct QueueState {
 #[derive(Debug)]
 struct ControlPlane {
     /// `Some` for servers started with [`QueryServer::start_durable`] or
-    /// [`QueryServer::recover`]: every mutation is WAL-appended (and
-    /// fsynced per the policy) *before* its snapshot is published.
+    /// [`QueryServer::recover`]: every mutation is WAL-appended and
+    /// fsynced *before* its snapshot is published.
     durable: Option<DurableState>,
     /// Streaming continual-learning state; see [`StreamControl`].
     stream: StreamControl,
@@ -847,13 +849,12 @@ impl QueryServer {
     }
 
     /// Starts a **durable** server: like [`QueryServer::start`], but every
-    /// accepted class mutation is appended (and fsynced per
-    /// [`DurabilityConfig::sync`]) to a write-ahead log under
-    /// [`DurabilityConfig::dir`] *before* its snapshot is published, and the
-    /// initial state is saved there as a checkpoint-delta compaction base.
-    /// After a crash, [`QueryServer::recover`] on the same directory rebuilds
-    /// the exact pre-crash serving state — bit-identical class memory,
-    /// same snapshot version.
+    /// accepted class mutation is appended and fsynced to a write-ahead log
+    /// under [`DurabilityConfig::dir`] *before* its snapshot is published,
+    /// and the initial state is saved there as a checkpoint-delta compaction
+    /// base. After a crash, [`QueryServer::recover`] on the same directory
+    /// rebuilds the exact pre-crash serving state — bit-identical class
+    /// memory, same snapshot version.
     ///
     /// The attribute `schema` is pinned for the server's lifetime: compaction
     /// captures model checkpoints against it, and [`QueryServer::swap_model`]
@@ -908,7 +909,8 @@ impl QueryServer {
     ///
     /// [`ServeError::Checkpoint`] when the base is missing, malformed, or
     /// does not match `schema`; [`ServeError::Wal`] when the log is
-    /// missing, unreadable, or corrupt *before* its final record;
+    /// missing, unreadable, corrupt *before* its final record, or does not
+    /// meet the base (it starts after the base ends or ends before it);
     /// [`ServeError::InvalidConfig`] for a bad `config` or a recovered
     /// state with no classes.
     pub fn recover(
@@ -920,6 +922,13 @@ impl QueryServer {
         let delta = CheckpointDelta::load_json(wal::base_path(&durability.dir))?;
         delta.base.validate_schema(schema)?;
         let (log, replay) = WriteAheadLog::open(wal::wal_path(&durability.dir), durability.sync)?;
+        // Every state the server writes has the log start at or before the
+        // base's end and reach at least that far; else records are lost.
+        let (first, next, resume) = (replay.first_seq, replay.next_seq(), delta.next_record_seq);
+        if !(first..=next).contains(&resume) {
+            let reason = format!("log holds records {first}..{next}, base resumes at {resume}");
+            return Err(WalError::Corrupt { offset: 0, reason }.into());
+        }
         let CheckpointDelta {
             snapshot_version,
             next_record_seq,
@@ -1388,15 +1397,13 @@ impl QueryServer {
             .report()
     }
 
-    /// Durability counters of a durable server — live WAL file size,
+    /// Durability counters of a durable server — the acknowledged WAL size,
     /// records since the last compaction, and the next record sequence
     /// number. `None` on a non-durable server.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
         let control = self.control.lock().expect("control mutex poisoned");
         control.durable.as_ref().map(|durable| DurabilityStats {
-            wal_bytes: std::fs::metadata(durable.wal.path())
-                .map(|m| m.len())
-                .unwrap_or(0),
+            wal_bytes: durable.wal.end(),
             records_since_compaction: durable.since_compact,
             next_record_seq: durable.wal.next_seq(),
         })
@@ -1409,8 +1416,9 @@ impl QueryServer {
     /// # Errors
     ///
     /// Returns [`ServeError::Checkpoint`] / [`ServeError::Wal`] when the
-    /// base or rotated log cannot be written; the previous base and log
-    /// remain fully replayable in that case.
+    /// base or rotated log cannot be written; the directory still recovers
+    /// the acknowledged state. A failed base save can be retried; after a
+    /// failed rotation or append the log answers [`WalError::Failed`].
     pub fn compact(&self) -> Result<bool, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
         let ControlPlane {
@@ -1452,8 +1460,8 @@ impl QueryServer {
             if durable.compact_every != 0 && durable.since_compact >= durable.compact_every {
                 // The mutation is logged and published, so a failed fold
                 // is not its failure. `since_compact` stays due: the next
-                // mutation retries, and `records_since_compaction` keeps
-                // growing as the signal.
+                // mutation retries a failed base save (a failed rotation
+                // stops the log), and `records_since_compaction` grows.
                 let served = published.as_deref().unwrap_or(&current);
                 let _ = durable.compact(served, stream.checkpoint());
             }
@@ -1588,7 +1596,7 @@ impl QueryServer {
     /// scored and answered, submissions arriving from now on are rejected
     /// with [`ServeError::Draining`], and the call blocks until the
     /// dispatcher has answered the last drained query. A durable server's
-    /// log is fsynced one final time on the way out.
+    /// log needs nothing more: every acknowledged record is already fsynced.
     ///
     /// Idempotent and callable from any thread holding `&self`; `Drop` runs
     /// it too, so an explicit call is only needed to stop a shared server
@@ -1606,13 +1614,6 @@ impl QueryServer {
             .take();
         if let Some(handle) = handle {
             let _ = handle.join();
-        }
-        // Best-effort: every acknowledged mutation was already synced per
-        // policy; this only tightens a trailing EveryN batch.
-        if let Ok(mut control) = self.control.lock() {
-            if let Some(durable) = control.durable.as_mut() {
-                let _ = durable.wal.sync();
-            }
         }
     }
 }

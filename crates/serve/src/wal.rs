@@ -41,19 +41,27 @@
 //! final frame is a hard [`WalError::Corrupt`]: it means data an earlier
 //! append acknowledged is gone, which recovery must not paper over.
 //!
-//! # Sync policy
+//! # I/O errors
 //!
-//! [`SyncPolicy::Always`] fsyncs after every record — an acknowledged
-//! mutation survives an immediate power cut. [`SyncPolicy::EveryN`] batches
-//! the fsync, trading a bounded window of acknowledged-but-unsynced records
-//! for mutation throughput; a torn tail in that window is still detected
-//! and cleanly ignored on recovery.
+//! Every append is written and then fsynced before it is acknowledged. The
+//! writer keeps the offset just past the last acknowledged frame: every
+//! byte up to it is fsynced and acknowledged, and nothing past it is.
+//!
+//! A failed write or fsync truncates the file back to that offset (best
+//! effort) and stops the log, and so does any failed rotation: every later
+//! append, rotation and compaction gets [`WalError::Failed`] and touches no
+//! file, until the directory is recovered. A failed fsync is never retried:
+//! the kernel may have dropped the pages it could not write (Rebello et
+//! al., "Can Applications Recover from fsync Failures?", ATC 2020). After a
+//! failed fsync and a power cut, whether the unacknowledged record is in
+//! the log is unknown.
 
 use crate::net::frame::{encode_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use engine::ShardedClassMemory;
+use hdc_zsc::checkpoint::atomic_write;
 use serde::{Serialize, Value};
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every WAL file.
@@ -138,6 +146,9 @@ pub enum WalError {
         /// The version this build writes and reads.
         supported: u32,
     },
+    /// An earlier write, fsync or rotation failed, so the log takes no more
+    /// records; recover the directory to resume.
+    Failed,
 }
 
 impl std::fmt::Display for WalError {
@@ -150,6 +161,10 @@ impl std::fmt::Display for WalError {
             WalError::UnsupportedFormat { found, supported } => write!(
                 f,
                 "unsupported WAL format {found} (this build reads {supported})"
+            ),
+            WalError::Failed => write!(
+                f,
+                "WAL stopped after an earlier I/O error; recover the directory to resume"
             ),
         }
     }
@@ -355,17 +370,13 @@ impl WalOp {
 // Sync policy
 // ---------------------------------------------------------------------------
 
-/// When appended records are fsynced to stable storage.
+/// When appended records are fsynced: always, before the record is
+/// acknowledged. The one variant stays only because callers name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// fsync after every record: an acknowledged mutation survives an
-    /// immediate power cut. The default.
+    /// immediate power cut.
     Always,
-    /// fsync after every `n` appended records (`n = 0` behaves like
-    /// [`SyncPolicy::Always`]). Acknowledged records inside the current
-    /// batch may be lost on a crash; the resulting torn tail is detected
-    /// and cleanly ignored on recovery.
-    EveryN(u32),
 }
 
 // ---------------------------------------------------------------------------
@@ -524,67 +535,47 @@ pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, WalError> {
 // ---------------------------------------------------------------------------
 
 /// An append-only writer over one WAL file; see the module docs for the
-/// format and durability contract.
+/// format and the I/O-error contract.
 #[derive(Debug)]
 pub struct WriteAheadLog {
     file: File,
     path: PathBuf,
     next_seq: u64,
-    policy: SyncPolicy,
-    unsynced: u32,
+    /// Byte offset just past the last acknowledged frame.
+    end: u64,
+    /// Set by the first failed write, fsync or rotation.
+    failed: bool,
 }
 
 impl WriteAheadLog {
-    /// Creates a fresh log at `path` (truncating any existing file), with
+    /// Creates a fresh log at `path` (replacing any existing file), with
     /// records numbered from `0`.
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] if the file cannot be created or synced.
-    pub fn create(path: impl AsRef<Path>, policy: SyncPolicy) -> Result<Self, WalError> {
-        Self::create_with_first_seq(path, policy, 0)
+    /// [`WalError::Io`] if the file cannot be written or reopened.
+    pub fn create(path: impl AsRef<Path>, _sync: SyncPolicy) -> Result<Self, WalError> {
+        Self::create_with_first_seq(path.as_ref().to_path_buf(), 0)
     }
 
-    /// Creates a fresh log whose first record will carry `first_seq` — the
-    /// rotation primitive: after compaction folds records `< first_seq`
-    /// into the base, the new log starts exactly where the base ends.
-    ///
-    /// The new file is written beside `path` and atomically `rename`d over
-    /// it, so a crash mid-rotation leaves the previous (fully replayable)
-    /// log in place.
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::Io`] if the file cannot be created, synced, or renamed.
-    fn create_with_first_seq(
-        path: impl AsRef<Path>,
-        policy: SyncPolicy,
-        first_seq: u64,
-    ) -> Result<Self, WalError> {
-        let path = path.as_ref().to_path_buf();
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| WalError::Io(std::io::Error::other("WAL path has no file name")))?;
-        let mut tmp_name = file_name.to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        let mut file = File::create(&tmp)?;
-        file.write_all(WAL_MAGIC)?;
-        file.write_all(&WAL_FORMAT_VERSION.to_le_bytes())?;
-        file.write_all(&first_seq.to_le_bytes())?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, &path)?;
-        sync_parent_dir(&path);
-        // Reopen through the final name: the handle must refer to the file
-        // the next recovery will read.
-        let mut file = OpenOptions::new().append(true).read(true).open(&path)?;
-        file.seek(SeekFrom::End(0))?;
+    /// Writes a header-only log whose first record will carry `first_seq`
+    /// through [`atomic_write`], then reopens it for appending: the handle
+    /// must refer to the file the next recovery reads.
+    fn create_with_first_seq(path: PathBuf, first_seq: u64) -> Result<Self, WalError> {
+        let mut header = Vec::with_capacity(HEADER_LEN as usize);
+        header.extend_from_slice(WAL_MAGIC);
+        header.extend_from_slice(&WAL_FORMAT_VERSION.to_le_bytes());
+        header.extend_from_slice(&first_seq.to_le_bytes());
+        atomic_write(&path, &header)?;
+        #[cfg(test)]
+        fault::inject(fault::Fault::Reopen, None)?;
+        let file = OpenOptions::new().append(true).open(&path)?;
         Ok(Self {
             file,
             path,
             next_seq: first_seq,
-            policy,
-            unsynced: 0,
+            end: HEADER_LEN,
+            failed: false,
         })
     }
 
@@ -598,21 +589,19 @@ impl WriteAheadLog {
     /// # Errors
     ///
     /// Everything [`replay`] reports, plus [`WalError::Io`].
-    pub fn open(path: impl AsRef<Path>, policy: SyncPolicy) -> Result<(Self, WalReplay), WalError> {
+    pub fn open(path: impl AsRef<Path>, _sync: SyncPolicy) -> Result<(Self, WalReplay), WalError> {
         let path = path.as_ref().to_path_buf();
         let recovered = replay(&path)?;
-        let file = OpenOptions::new().read(true).write(true).open(&path)?;
+        let file = OpenOptions::new().append(true).open(&path)?;
         file.set_len(recovered.end_offset)?;
         file.sync_all()?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0))?;
         Ok((
             Self {
                 file,
                 path,
                 next_seq: recovered.next_seq(),
-                policy,
-                unsynced: 0,
+                end: recovered.end_offset,
+                failed: false,
             },
             recovered,
         ))
@@ -623,71 +612,71 @@ impl WriteAheadLog {
         self.next_seq
     }
 
-    /// The file this log writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Byte offset just past the last acknowledged frame: the log's size.
+    pub(crate) fn end(&self) -> u64 {
+        self.end
     }
 
-    /// Appends one record and applies the sync policy. Returns the sequence
-    /// number the record was written under.
+    /// `Err(`[`WalError::Failed`]`)` once the log has stopped.
+    pub(crate) fn ensure_live(&self) -> Result<(), WalError> {
+        if self.failed {
+            return Err(WalError::Failed);
+        }
+        Ok(())
+    }
+
+    /// Appends one record, writing and then fsyncing it. Returns the
+    /// sequence number the record was written under.
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] if the write or sync fails; the record must then be
-    /// treated as not logged (the caller should not publish the mutation).
+    /// [`WalError::Failed`] once the log has stopped. [`WalError::Io`] if
+    /// the write or the fsync fails: the record is then not logged, the
+    /// caller must not publish the mutation, and the log stops.
     pub fn append(&mut self, op: &WalOp) -> Result<u64, WalError> {
+        self.ensure_live()?;
         let seq = self.next_seq;
         let payload =
             serde_json::to_string(&op.to_value(seq)).expect("record serialization is infallible");
-        self.file.write_all(&encode_frame(payload.as_bytes()))?;
-        self.next_seq += 1;
-        match self.policy {
-            SyncPolicy::Always => self.sync()?,
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
+        let frame = encode_frame(payload.as_bytes());
+        if let Err(e) = self.write_and_sync(&frame) {
+            // Best effort: if this fails too, the unacknowledged frame may
+            // be replayed, as after a power cut.
+            let _ = self.file.set_len(self.end);
+            self.failed = true;
+            return Err(e.into());
         }
+        self.end += frame.len() as u64;
+        self.next_seq += 1;
         Ok(seq)
     }
 
-    /// Forces everything appended so far to stable storage.
-    ///
-    /// # Errors
-    ///
-    /// [`WalError::Io`] if the fsync fails.
-    pub fn sync(&mut self) -> Result<(), WalError> {
-        self.file.sync_all()?;
-        self.unsynced = 0;
-        Ok(())
+    /// Writes `frame` at the end of the log, then fsyncs the file.
+    fn write_and_sync(&mut self, frame: &[u8]) -> std::io::Result<()> {
+        #[cfg(test)]
+        fault::inject(fault::Fault::ShortWrite, Some((&mut self.file, frame)))?;
+        self.file.write_all(frame)?;
+        #[cfg(test)]
+        fault::inject(fault::Fault::Fsync, None)?;
+        self.file.sync_all()
     }
 
     /// Replaces the log with a fresh one starting at the current
     /// `next_seq` — called right after a compaction base is written, so
-    /// records the base already folds in stop being replayed. Atomic: a
-    /// crash mid-rotation leaves the old log, whose records the fresh base
-    /// simply skips.
+    /// records the base already folds in stop being replayed. A crash
+    /// mid-rotation leaves the old log, whose records the fresh base simply
+    /// skips.
     ///
     /// # Errors
     ///
-    /// [`WalError::Io`] if the replacement cannot be written.
+    /// [`WalError::Failed`] once the log has stopped. [`WalError::Io`] if
+    /// the replacement cannot be written or reopened; the log then stops,
+    /// since `path` may already name the fresh file.
     pub fn rotate(&mut self) -> Result<(), WalError> {
-        let fresh = Self::create_with_first_seq(&self.path, self.policy, self.next_seq)?;
-        *self = fresh;
+        self.ensure_live()?;
+        *self = Self::create_with_first_seq(self.path.clone(), self.next_seq)
+            .inspect_err(|_| self.failed = true)?;
         Ok(())
-    }
-}
-
-/// Best-effort fsync of a path's parent directory, persisting a rename.
-fn sync_parent_dir(path: &Path) {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
     }
 }
 
@@ -699,6 +688,55 @@ pub fn wal_path(dir: impl AsRef<Path>) -> PathBuf {
 /// The compaction-base path inside a WAL directory.
 pub fn base_path(dir: impl AsRef<Path>) -> PathBuf {
     dir.as_ref().join(BASE_FILE_NAME)
+}
+
+/// Fault injection into the log's own I/O: one write, fsync or reopen on
+/// the arming thread fails.
+#[cfg(test)]
+pub(crate) mod fault {
+    use std::cell::Cell;
+    use std::fs::File;
+    use std::io::Write;
+
+    /// The log operation that fails.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Fault {
+        /// An append writes half its frame, then fails.
+        ShortWrite,
+        /// An append's fsync fails after its frame is written.
+        Fsync,
+        /// Reopening the log after its atomic replace fails.
+        Reopen,
+    }
+
+    thread_local! {
+        static ARMED: Cell<Option<(Fault, u32)>> = const { Cell::new(None) };
+    }
+
+    /// Makes operation `n` (counted from 0) of kind `fault` on this thread
+    /// fail.
+    pub(crate) fn arm(fault: Fault, n: u32) {
+        ARMED.with(|armed| armed.set(Some((fault, n))));
+    }
+
+    /// Counts one `op` on this thread and fails it when it is the armed
+    /// one. A failing short write first writes half of `write`'s bytes.
+    pub(super) fn inject(op: Fault, write: Option<(&mut File, &[u8])>) -> std::io::Result<()> {
+        let fires = ARMED.with(|armed| match armed.get() {
+            Some((fault, n)) if fault == op => {
+                armed.set(n.checked_sub(1).map(|n| (fault, n)));
+                n == 0
+            }
+            _ => false,
+        });
+        if !fires {
+            return Ok(());
+        }
+        if let Some((file, bytes)) = write {
+            file.write_all(&bytes[..bytes.len() / 2])?;
+        }
+        Err(std::io::Error::other(format!("injected {op:?} failure")))
+    }
 }
 
 #[cfg(test)]
@@ -815,20 +853,6 @@ mod tests {
         assert!(recovered.torn_tail.is_none());
         let replayed: Vec<WalOp> = recovered.entries.iter().map(|e| e.op.clone()).collect();
         assert_eq!(replayed, ops);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn batched_sync_policy_still_replays() {
-        let path = temp_wal("batched.log");
-        let mut wal = WriteAheadLog::create(&path, SyncPolicy::EveryN(2)).expect("create");
-        for op in sample_ops() {
-            wal.append(&op).expect("append");
-        }
-        wal.sync().expect("final sync");
-        let recovered = replay(&path).expect("replay");
-        assert_eq!(recovered.entries.len(), 3);
-        assert!(recovered.torn_tail.is_none());
         std::fs::remove_file(&path).ok();
     }
 
@@ -958,8 +982,7 @@ mod tests {
     #[test]
     fn sequence_discontinuities_are_hard_corruption() {
         let a = temp_wal("seq_a.log");
-        let mut wal =
-            WriteAheadLog::create_with_first_seq(&a, SyncPolicy::Always, 5).expect("create");
+        let mut wal = WriteAheadLog::create_with_first_seq(a.clone(), 5).expect("create");
         wal.append(&WalOp::Remove {
             label: "x".to_string(),
         })

@@ -192,8 +192,8 @@ fn kill_and_recover_restores_the_exact_serving_state() {
 
     let expected = server.snapshot();
     assert_eq!(expected.version(), 6);
-    // The "kill": no `Drop` runs, so there is no final WAL sync and no
-    // dispatcher join; only what each mutation already synced survives.
+    // The "kill": no `Drop` runs, so there is no dispatcher join; only
+    // what each mutation already synced survives.
     std::mem::forget(server);
 
     // Recover and verify bit-identity, then keep living: the recovered
@@ -692,6 +692,90 @@ fn crash_between_base_write_and_log_rotation_skips_folded_records() {
     assert_snapshots_match(&again.snapshot(), &expected, "second recovery");
     drop(again);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Which saved file [`base_and_log_that_do_not_meet`] puts back.
+#[derive(Debug, Clone, Copy)]
+enum Restored {
+    /// `base.json` from before the second compaction: the log then starts
+    /// after the base ends.
+    OlderBase,
+    /// `wal.log` from before the second compaction: the log then ends
+    /// before the base does.
+    OlderLog,
+}
+
+/// Runs a durable server across two compactions, saving `base.json` and
+/// `wal.log` in between, then puts one of them back beside the other's
+/// newer version. Every state the server writes has
+/// `first_seq ≤ next_record_seq ≤ next_seq`; this one does not, so
+/// recovery must refuse it rather than lose records.
+fn base_and_log_that_do_not_meet(restored: Restored) {
+    let dir = temp_dir(&format!("mismatch-{restored:?}"));
+    let a = alpha();
+    let mut lcg = Lcg(43);
+    let server = QueryServer::start_durable(
+        model(23),
+        vec!["x".to_string(), "y".to_string()],
+        &Matrix::ones(2, a),
+        &schema(),
+        config(),
+        DurabilityConfig {
+            dir: dir.clone(),
+            sync: SyncPolicy::Always,
+            compact_every: 0,
+        },
+    )
+    .expect("durable server starts");
+    server
+        .register_class("r0", &lcg.attr_row(a))
+        .expect("registers");
+    assert!(server.compact().expect("compacts"));
+    for label in ["r1", "r2"] {
+        server
+            .register_class(label, &lcg.attr_row(a))
+            .expect("registers");
+    }
+    let (base, log) = (wal::base_path(&dir), wal::wal_path(&dir));
+    let saved = match restored {
+        Restored::OlderBase => (base, std::fs::read(wal::base_path(&dir)).expect("read")),
+        Restored::OlderLog => (log, std::fs::read(wal::wal_path(&dir)).expect("read")),
+    };
+    server
+        .register_class("r3", &lcg.attr_row(a))
+        .expect("registers");
+    assert!(server.compact().expect("compacts"));
+    server
+        .register_class("r4", &lcg.attr_row(a))
+        .expect("registers");
+    drop(server);
+
+    std::fs::write(&saved.0, &saved.1).expect("restore the older file");
+    let recovered = QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()));
+    assert!(
+        matches!(
+            recovered,
+            Err(ServeError::Wal(wal::WalError::Corrupt { .. }))
+        ),
+        "{restored:?}: expected a corrupt-log error, got {:?}",
+        recovered.map(|(_, report)| report)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An older `base.json` beside a newer log: the records between the base's
+/// end and the log's first record exist nowhere, so recovery is refused.
+#[test]
+fn recovery_refuses_a_log_that_starts_after_the_base_ends() {
+    base_and_log_that_do_not_meet(Restored::OlderBase);
+}
+
+/// An older `wal.log` beside a newer base: a writer resumed on it would
+/// hand out sequence numbers the next recovery skips as already folded, so
+/// recovery is refused.
+#[test]
+fn recovery_refuses_a_log_that_ends_before_the_base_does() {
+    base_and_log_that_do_not_meet(Restored::OlderLog);
 }
 
 /// Replay runs the same checks as the live verbs: a logged record the live
