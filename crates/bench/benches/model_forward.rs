@@ -1,11 +1,12 @@
 //! Criterion benchmarks of the model's forward paths: attribute-dictionary
 //! construction, class encoding `A × B`, the image embed the server runs per
 //! query batch, and inference-time class-logit computation (the operations
-//! that run on-device at deployment).
+//! that run on-device at deployment); plus rendering and parsing the model's
+//! checkpoint, which a durable server writes into every compaction base.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dataset::AttributeSchema;
-use hdc_zsc::{HdcAttributeEncoder, ModelConfig, ZscModel};
+use hdc_zsc::{Checkpoint, HdcAttributeEncoder, ModelConfig, ZscModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -87,11 +88,31 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
+/// `Checkpoint::to_json` and `Checkpoint::from_json_str` at the servebench
+/// `durable_churn` model shape (128-d features to d = 256): the model half of
+/// every compaction base a durable server writes and recovery reads.
+fn bench_checkpoint_json(c: &mut Criterion) {
+    let schema = AttributeSchema::cub200();
+    let config = ModelConfig::paper_default().with_embedding_dim(256);
+    let checkpoint = Checkpoint::capture(&ZscModel::new(&config, &schema, 128), &schema);
+    let json = checkpoint.to_json();
+    let mut group = c.benchmark_group("checkpoint_json");
+    group.sample_size(10);
+    group.bench_function("to_json/f128_d256", |b| {
+        b.iter(|| black_box(checkpoint.to_json()))
+    });
+    group.bench_function("from_json_str/f128_d256", |b| {
+        b.iter(|| black_box(Checkpoint::from_json_str(&json).expect("parses")))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_dictionary_construction,
     bench_class_encoding,
     bench_embed,
-    bench_inference
+    bench_inference,
+    bench_checkpoint_json
 );
 criterion_main!(benches);

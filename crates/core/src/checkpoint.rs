@@ -35,6 +35,10 @@
 //! stays optional: an uncalibrated checkpoint is written without it. Every
 //! document the current writer produces loads.
 //!
+//! Both documents are written as compact JSON, with no whitespace between
+//! tokens. The loaders ignore whitespace, so pretty-printed documents that
+//! earlier builds wrote load unchanged, and those builds load compact ones.
+//!
 //! All saves are atomic: the document is written to a sibling `.tmp` file,
 //! fsynced, and `rename`d over the destination, so a crash mid-save can
 //! never corrupt the only good checkpoint.
@@ -284,7 +288,7 @@ impl Checkpoint {
         self
     }
 
-    /// Renders the checkpoint as pretty-printed JSON in the current layout
+    /// Renders the checkpoint as compact JSON in the current layout
     /// (version [`CHECKPOINT_FORMAT_VERSION`], kind `"model"`).
     pub fn to_json(&self) -> String {
         let mut entries = match Serialize::to_value(self) {
@@ -292,7 +296,7 @@ impl Checkpoint {
             _ => unreachable!("checkpoints serialize as objects"),
         };
         entries.insert(1, ("kind".to_string(), KIND_MODEL.to_string().to_value()));
-        serde_json::to_string_pretty(&Value::Object(entries))
+        serde_json::to_string(&Value::Object(entries))
             .expect("checkpoint serialization is infallible")
     }
 
@@ -559,7 +563,7 @@ pub struct CheckpointDelta {
 }
 
 impl CheckpointDelta {
-    /// Renders the delta as pretty-printed JSON (version-2 envelope, kind
+    /// Renders the delta as compact JSON (version-2 envelope, kind
     /// `"serve-delta"`).
     pub fn to_json(&self) -> String {
         let value = Value::Object(vec![
@@ -582,7 +586,7 @@ impl CheckpointDelta {
             ("threshold".to_string(), self.threshold.to_value()),
             ("stream".to_string(), self.stream.to_value()),
         ]);
-        serde_json::to_string_pretty(&value).expect("delta serialization is infallible")
+        serde_json::to_string(&value).expect("delta serialization is infallible")
     }
 
     /// Parses a delta from a JSON string, validating the envelope (version
@@ -741,6 +745,33 @@ mod tests {
         )
     }
 
+    /// Parses `json`, lets `edit` change the document tree, and renders it
+    /// back: edits reach the key they name whatever the text's layout.
+    fn edited(json: &str, edit: impl FnOnce(&mut Vec<(String, Value)>)) -> String {
+        let mut value = serde_json::parse_value(json).expect("document parses");
+        let Value::Object(entries) = &mut value else {
+            panic!("envelopes are objects");
+        };
+        edit(entries);
+        serde_json::to_string(&value).expect("document renders")
+    }
+
+    /// The value under `key` in an object's entries.
+    fn entry<'v>(entries: &'v mut [(String, Value)], key: &str) -> &'v mut Value {
+        &mut entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("missing key `{key}`"))
+            .1
+    }
+
+    /// Drops `key` from an object's entries.
+    fn remove(entries: &mut Vec<(String, Value)>, key: &str) {
+        let before = entries.len();
+        entries.retain(|(k, _)| k != key);
+        assert_eq!(entries.len() + 1, before, "`{key}` removed once");
+    }
+
     #[test]
     fn round_trip_preserves_logits_bit_exactly() {
         let s = schema();
@@ -769,9 +800,9 @@ mod tests {
     fn wrong_version_is_rejected_before_the_payload() {
         let s = schema();
         let model = fixture_model(AttributeEncoderKind::Hdc);
-        let json = Checkpoint::capture(&model, &s)
-            .to_json()
-            .replace("\"format_version\": 2", "\"format_version\": 99");
+        let json = edited(&Checkpoint::capture(&model, &s).to_json(), |doc| {
+            *entry(doc, "format_version") = Value::Number(99.0);
+        });
         match Checkpoint::from_json_str(&json) {
             Err(CheckpointError::UnsupportedVersion {
                 found: 99,
@@ -789,15 +820,12 @@ mod tests {
     fn version_1_documents_are_rejected() {
         let s = schema();
         let model = fixture_model(AttributeEncoderKind::Hdc);
-        let v2 = Checkpoint::capture(&model, &s).to_json();
-        // Drop only the envelope's own kind line (the model payload nests a
-        // differently-indented `kind` of its own).
-        let v1: String = v2
-            .replace("\"format_version\": 2", "\"format_version\": 1")
-            .lines()
-            .filter(|line| *line != "  \"kind\": \"model\",")
-            .collect::<Vec<_>>()
-            .join("\n");
+        // Drop only the envelope's own kind (the model payload nests a
+        // `kind` of its own).
+        let v1 = edited(&Checkpoint::capture(&model, &s).to_json(), |doc| {
+            *entry(doc, "format_version") = Value::Number(1.0);
+            remove(doc, "kind");
+        });
         for result in [
             Checkpoint::from_json_str(&v1).map(|_| ()),
             CheckpointDelta::from_json_str(&v1).map(|_| ()),
@@ -843,10 +871,12 @@ mod tests {
 
         // A garbage threshold is a typed malformed-checkpoint error, not a
         // panic at first query.
-        let bad = json.replace(
-            &format!("\"threshold\": {}", calibration.threshold),
-            "\"threshold\": null",
-        );
+        let bad = edited(&json, |doc| {
+            let Value::Object(calibration) = entry(doc, "calibration") else {
+                panic!("calibration is an object");
+            };
+            *entry(calibration, "threshold") = Value::Null;
+        });
         assert_ne!(bad, json);
         assert!(matches!(
             Checkpoint::from_json_str(&bad),
@@ -861,7 +891,9 @@ mod tests {
         let s = schema();
         let model = fixture_model(AttributeEncoderKind::Hdc);
         let json = Checkpoint::capture(&model, &s).to_json();
-        let delta_kind = json.replace("\"kind\": \"model\"", "\"kind\": \"serve-delta\"");
+        let delta_kind = edited(&json, |doc| {
+            *entry(doc, "kind") = Value::String("serve-delta".to_string());
+        });
         match Checkpoint::from_json_str(&delta_kind) {
             Err(CheckpointError::WrongKind { found, expected }) => {
                 assert_eq!(found, "serve-delta");
@@ -869,11 +901,7 @@ mod tests {
             }
             other => panic!("expected WrongKind, got {other:?}"),
         }
-        let missing_kind: String = json
-            .lines()
-            .filter(|line| *line != "  \"kind\": \"model\",")
-            .collect::<Vec<_>>()
-            .join("\n");
+        let missing_kind = edited(&json, |doc| remove(doc, "kind"));
         assert!(matches!(
             Checkpoint::from_json_str(&missing_kind),
             Err(CheckpointError::Malformed(_))
@@ -973,7 +1001,10 @@ mod tests {
         assert!(restored.threshold.is_none());
         assert!(restored.stream.is_none());
         for key in ["routed", "threshold", "stream"] {
-            let missing = empty.replace(&format!("  \"{key}\":"), "  \"renamed\":");
+            let missing = edited(&empty, |doc| {
+                let (k, _) = doc.iter_mut().find(|(k, _)| k == key).expect("key present");
+                *k = "renamed".to_string();
+            });
             assert_ne!(missing, empty);
             assert!(
                 matches!(

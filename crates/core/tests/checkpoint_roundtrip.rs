@@ -5,15 +5,37 @@
 
 use dataset::{AttributeSchema, CubLikeDataset, DatasetConfig, SplitKind};
 use hdc_zsc::{
-    AttributeEncoderKind, Checkpoint, CheckpointError, ModelConfig, Pipeline, TrainConfig, ZscModel,
+    AttributeEncoderKind, Checkpoint, CheckpointDelta, CheckpointError, ModelConfig, Pipeline,
+    TrainConfig, ZscModel,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::Value;
 use tensor::Matrix;
 
 fn schema() -> AttributeSchema {
     AttributeSchema::cub200()
+}
+
+/// The value under `key` in an object.
+fn entry_mut<'v>(value: &'v mut Value, key: &str) -> &'v mut Value {
+    let Value::Object(entries) = value else {
+        panic!("expected an object while looking for `{key}`");
+    };
+    &mut entries
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("missing key `{key}`"))
+        .1
+}
+
+/// Parses `json`, lets `edit` change the document tree, and renders it
+/// back: edits reach the key they name whatever the text's layout.
+fn edited(json: &str, edit: impl FnOnce(&mut Value)) -> String {
+    let mut doc = serde_json::parse_value(json).expect("checkpoint JSON parses");
+    edit(&mut doc);
+    serde_json::to_string(&doc).expect("render edited document")
 }
 
 /// Builds a model across the configuration axes the checkpoint must cover:
@@ -135,19 +157,39 @@ fn structurally_corrupted_documents_are_rejected_with_typed_errors() {
         Err(CheckpointError::Malformed(_))
     ));
     // Missing version field.
-    let no_version = json.replacen("\"format_version\": 2,", "", 1);
+    let no_version = edited(&json, |doc| {
+        let Value::Object(entries) = doc else {
+            panic!("envelopes are objects");
+        };
+        entries.retain(|(k, _)| k != "format_version");
+    });
     assert!(matches!(
         Checkpoint::from_json_str(&no_version),
         Err(CheckpointError::Malformed(_))
     ));
     // Future version: rejected before the payload is even decoded.
-    let future = json.replacen("\"format_version\": 2", "\"format_version\": 7", 1);
+    let future = edited(&json, |doc| {
+        *entry_mut(doc, "format_version") = Value::Number(7.0);
+    });
     assert!(matches!(
         Checkpoint::from_json_str(&future),
         Err(CheckpointError::UnsupportedVersion { found: 7, .. })
     ));
-    // A dictionary entry outside ±1 violates the HDC encoder invariant.
-    let bad_dict = json.replacen("\"dictionary\": {", "\"dictionary_gone\": {", 1);
+    // An HDC encoder without its dictionary.
+    let bad_dict = edited(&json, |doc| {
+        let hdc = entry_mut(
+            entry_mut(entry_mut(doc, "model"), "attribute_encoder"),
+            "hdc",
+        );
+        let Value::Object(entries) = hdc else {
+            panic!("the HDC encoder is an object");
+        };
+        let (key, _) = entries
+            .iter_mut()
+            .find(|(k, _)| k == "dictionary")
+            .expect("dictionary present");
+        *key = "dictionary_gone".to_string();
+    });
     let err = Checkpoint::from_json_str(&bad_dict).unwrap_err();
     let message = err.to_string();
     assert!(
@@ -155,25 +197,18 @@ fn structurally_corrupted_documents_are_rejected_with_typed_errors() {
         "unexpected error: {message}"
     );
     // Envelope/payload disagreement on the feature width.
-    let bad_width = json.replacen("\"feature_dim\": 8", "\"feature_dim\": 9", 1);
+    let bad_width = edited(&json, |doc| {
+        assert_eq!(*entry_mut(doc, "feature_dim"), Value::Number(8.0));
+        *entry_mut(doc, "feature_dim") = Value::Number(9.0);
+    });
     assert!(matches!(
         Checkpoint::from_json_str(&bad_width),
         Err(CheckpointError::DimensionMismatch { .. })
     ));
     // Negative temperature.
-    let value_of = |text: &str, key: &str| -> String {
-        let start = text.find(key).expect("key present") + key.len();
-        text[start..]
-            .chars()
-            .take_while(|c| !c.is_whitespace() && *c != ',' && *c != '}')
-            .collect()
-    };
-    let k = value_of(&json, "\"temperature_k\": ");
-    let bad_temp = json.replacen(
-        &format!("\"temperature_k\": {k}"),
-        "\"temperature_k\": -0.5",
-        1,
-    );
+    let bad_temp = edited(&json, |doc| {
+        *entry_mut(entry_mut(doc, "model"), "temperature_k") = Value::Number(-0.5);
+    });
     assert!(matches!(
         Checkpoint::from_json_str(&bad_temp),
         Err(CheckpointError::Malformed(_))
@@ -189,19 +224,6 @@ fn structurally_corrupted_documents_are_rejected_with_typed_errors() {
 /// left to panic at the first query.
 #[test]
 fn encoder_attribute_count_mismatch_is_rejected() {
-    use serde::Value;
-
-    fn entry_mut<'v>(value: &'v mut Value, key: &str) -> &'v mut Value {
-        let Value::Object(entries) = value else {
-            panic!("expected an object while looking for `{key}`");
-        };
-        &mut entries
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .unwrap_or_else(|| panic!("missing key `{key}`"))
-            .1
-    }
-
     let config = ModelConfig::tiny()
         .with_attribute_encoder(AttributeEncoderKind::TrainableMlp)
         .with_seed(4);
@@ -234,4 +256,35 @@ fn encoder_attribute_count_mismatch_is_rejected() {
         }) => assert!(what.contains("encoder")),
         other => panic!("expected an encoder-α DimensionMismatch, got {other:?}"),
     }
+}
+
+/// Documents written pretty-printed by an earlier build (a tiny calibrated
+/// model checkpoint, and a serve delta with a routed index, a threshold and
+/// stream counters) still load, and the compact documents the current
+/// writer renders from them hold the same tree.
+#[test]
+fn pretty_documents_from_an_earlier_build_still_load() {
+    let model_text = include_str!("pretty_v2/model.json");
+    let delta_text = include_str!("pretty_v2/delta.json");
+    for text in [model_text, delta_text] {
+        assert!(text.contains("\n  \"kind\": "), "fixture is pretty-printed");
+    }
+
+    let checkpoint = Checkpoint::from_json_str(model_text).expect("pretty checkpoint loads");
+    assert!(checkpoint.calibration.is_some());
+    let compact = checkpoint.to_json();
+    assert!(!compact.contains('\n'), "the writer renders compact");
+    assert_eq!(
+        serde_json::parse_value(&compact).expect("compact parses"),
+        serde_json::parse_value(model_text).expect("fixture parses")
+    );
+
+    let delta = CheckpointDelta::from_json_str(delta_text).expect("pretty delta loads");
+    assert!(delta.routed.is_some() && delta.threshold.is_some() && delta.stream.is_some());
+    let compact = delta.to_json();
+    assert!(!compact.contains('\n'), "the writer renders compact");
+    assert_eq!(
+        serde_json::parse_value(&compact).expect("compact parses"),
+        serde_json::parse_value(delta_text).expect("fixture parses")
+    );
 }

@@ -1217,6 +1217,13 @@ impl QueryServer {
     /// [`ServeError::Wal`] when the swap cannot be logged (nothing is
     /// published then). A failed automatic compaction is not an error, as
     /// for [`QueryServer::register_class`].
+    ///
+    /// A durable swap's WAL record embeds the whole model checkpoint, and a
+    /// record may not exceed [`MAX_FRAME_LEN`](crate::net::frame::MAX_FRAME_LEN).
+    /// A model too large for that, such as the paper shape (2048-d
+    /// features to d = 1536), is refused with [`WalError::RecordTooLarge`]:
+    /// nothing is published and the log stays live. Such a swap cannot be
+    /// made durable until the log stops embedding the model.
     pub fn swap_model(
         &self,
         model: impl Into<FrozenModel>,

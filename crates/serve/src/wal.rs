@@ -47,6 +47,9 @@
 //! writer keeps the offset just past the last acknowledged frame: every
 //! byte up to it is fsynced and acknowledged, and nothing past it is.
 //!
+//! A record whose payload exceeds the frame cap is refused before anything
+//! is written, with [`WalError::RecordTooLarge`]; the log stays live.
+//!
 //! A failed write or fsync truncates the file back to that offset (best
 //! effort) and stops the log, and so does any failed rotation: every later
 //! append, rotation and compaction gets [`WalError::Failed`] and touches no
@@ -149,6 +152,14 @@ pub enum WalError {
     /// An earlier write, fsync or rotation failed, so the log takes no more
     /// records; recover the directory to resume.
     Failed,
+    /// The record's payload is longer than a frame may be, so no replay
+    /// could read it back. Nothing was written and the log stays live.
+    RecordTooLarge {
+        /// Payload length of the refused record.
+        bytes: usize,
+        /// The largest payload a frame carries.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for WalError {
@@ -165,6 +176,10 @@ impl std::fmt::Display for WalError {
             WalError::Failed => write!(
                 f,
                 "WAL stopped after an earlier I/O error; recover the directory to resume"
+            ),
+            WalError::RecordTooLarge { bytes, max } => write!(
+                f,
+                "WAL record of {bytes} bytes exceeds the {max}-byte frame cap; nothing was logged"
             ),
         }
     }
@@ -630,14 +645,23 @@ impl WriteAheadLog {
     ///
     /// # Errors
     ///
-    /// [`WalError::Failed`] once the log has stopped. [`WalError::Io`] if
-    /// the write or the fsync fails: the record is then not logged, the
-    /// caller must not publish the mutation, and the log stops.
+    /// [`WalError::Failed`] once the log has stopped.
+    /// [`WalError::RecordTooLarge`] if the payload exceeds
+    /// [`MAX_FRAME_LEN`]: nothing is written, the caller must not publish
+    /// the mutation, and the log stays live. [`WalError::Io`] if the write
+    /// or the fsync fails: the record is then not logged, the caller must
+    /// not publish the mutation, and the log stops.
     pub fn append(&mut self, op: &WalOp) -> Result<u64, WalError> {
         self.ensure_live()?;
         let seq = self.next_seq;
         let payload =
             serde_json::to_string(&op.to_value(seq)).expect("record serialization is infallible");
+        if payload.len() > MAX_FRAME_LEN as usize {
+            return Err(WalError::RecordTooLarge {
+                bytes: payload.len(),
+                max: MAX_FRAME_LEN as usize,
+            });
+        }
         let frame = encode_frame(payload.as_bytes());
         if let Err(e) = self.write_and_sync(&frame) {
             // Best effort: if this fails too, the unacknowledged frame may
@@ -976,6 +1000,41 @@ mod tests {
         assert_eq!(recovered.first_seq, 3);
         assert_eq!(recovered.entries.len(), 1);
         assert_eq!(recovered.entries[0].seq, 3);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A record over the frame cap is refused before a byte is written:
+    /// the log stays live and replays exactly the records around it.
+    #[test]
+    fn over_cap_records_are_refused_and_the_log_stays_live() {
+        let path = temp_wal("over_cap.log");
+        let mut wal = WriteAheadLog::create(&path, SyncPolicy::Always).expect("create");
+        let small = |label: &str| WalOp::Remove {
+            label: label.to_string(),
+        };
+        assert_eq!(wal.append(&small("before")).expect("append"), 0);
+        let len = std::fs::metadata(&path).expect("metadata").len();
+        let huge = WalOp::Register {
+            label: "x".repeat(MAX_FRAME_LEN as usize),
+            words: vec![1],
+        };
+        match wal.append(&huge) {
+            Err(WalError::RecordTooLarge { bytes, max }) => {
+                assert!(bytes > max);
+                assert_eq!(max, MAX_FRAME_LEN as usize);
+            }
+            other => panic!("expected RecordTooLarge, got {other:?}"),
+        }
+        assert_eq!(std::fs::metadata(&path).expect("metadata").len(), len);
+        assert_eq!(wal.append(&small("after")).expect("append"), 1);
+        drop(wal);
+        let replayed: Vec<WalOp> = replay(&path)
+            .expect("replay")
+            .entries
+            .into_iter()
+            .map(|e| e.op)
+            .collect();
+        assert_eq!(replayed, vec![small("before"), small("after")]);
         std::fs::remove_file(&path).ok();
     }
 
