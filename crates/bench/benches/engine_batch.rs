@@ -72,16 +72,14 @@ fn bench_engine_batch(c: &mut Criterion) {
             bench.iter(|| black_box(scalar_nearest_batch(&p)))
         });
         let scorer_1t = ShardedClassMemory::from_packed(&p.memory, 1).with_threads(1);
-        group.bench_with_input(
-            BenchmarkId::new("packed_nearest_1t", dim),
-            &dim,
-            |bench, _| bench.iter(|| black_box(scorer_1t.nearest_batch(&p.batch))),
-        );
+        group.bench_with_input(BenchmarkId::new("packed_top1_1t", dim), &dim, |bench, _| {
+            bench.iter(|| black_box(scorer_1t.topk_batch(&p.batch, 1)))
+        });
         let scorer = ShardedClassMemory::from_packed(&p.memory, 1);
         group.bench_with_input(
-            BenchmarkId::new("packed_nearest_auto", dim),
+            BenchmarkId::new("packed_top1_auto", dim),
             &dim,
-            |bench, _| bench.iter(|| black_box(scorer.nearest_batch(&p.batch))),
+            |bench, _| bench.iter(|| black_box(scorer.topk_batch(&p.batch, 1))),
         );
     }
     group.finish();

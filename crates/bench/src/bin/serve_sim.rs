@@ -1,39 +1,31 @@
 //! Serving-traffic simulator for the batched inference engine.
 //!
 //! Simulates sustained nearest-class query traffic against an associative
-//! class memory and reports throughput and latency percentiles for three
+//! class memory and reports throughput and latency percentiles for two
 //! paths:
 //!
 //! * `scalar` — the pre-engine reference: one query at a time, a scalar
 //!   `i8` cosine scan over every bipolar prototype;
-//! * `batched_1t` — the engine's packed popcount path through a one-shard
-//!   [`engine::ShardedClassMemory`], the scorer the serving layer runs, on a
+//! * `batched_1t` — `topk_batch(batch, 1)` on a one-shard
+//!   [`engine::ShardedClassMemory`], the lookup the serving layer runs, on a
 //!   single thread (this is what the CI `perf-smoke` floor is asserted
-//!   against, so the gate does not depend on runner core counts);
-//! * `batched` — the same path fanned out over `--threads` threads;
-//! * `sharded` (with `--shards N`) — the same workload through an
-//!   [`engine::ShardedClassMemory`] of `N` shards, the online/mutable
-//!   memory the serving layer hot-swaps. Its best similarities are
-//!   cross-checked bit-identical against the scalar scan, pinning the
-//!   sharded merge's exactness at benchmark scale.
+//!   against, so the gate does not depend on runner core counts). Its best
+//!   similarities are cross-checked bit-identical against the scalar scan.
 //!
 //! Output is a single JSON object on stdout (diagnostics go to stderr), so
 //! CI can archive it as an artifact and enforce `--min-speedup`.
 //!
 //! ```text
 //! serve_sim [--dim N] [--classes N] [--batch N] [--batches N]
-//!           [--threads N] [--shards N] [--seed N] [--noise P] [--quick]
-//!           [--json] [--min-speedup X]
+//!           [--seed N] [--noise P] [--quick] [--json] [--min-speedup X]
 //! ```
 //!
 //! `--quick` selects a small but representative workload (dim 8192,
 //! 200 classes) for CI; `--min-speedup X` exits non-zero if the
 //! single-thread batched throughput is below `X ×` the scalar throughput.
-//! Flags the chosen tier does not read (`--min-speedup` and `--shards`
-//! under `--index routed`; the routed flags below otherwise) are rejected
-//! rather than ignored. The CI perf-smoke job additionally runs a
-//! 2 000-class shape with `--shards 8` to track sharded-memory throughput
-//! in the `serve-sim-perf` artifact.
+//! Flags the chosen tier does not read (`--min-speedup` under
+//! `--index routed`; the routed flags below otherwise) are rejected rather
+//! than ignored.
 //!
 //! # Routed tier (`--index routed`)
 //!
@@ -71,9 +63,6 @@ struct Config {
     classes: usize,
     batch: usize,
     batches: usize,
-    threads: usize,
-    /// `0` skips the sharded path.
-    shards: usize,
     seed: u64,
     noise: f64,
     json: bool,
@@ -97,8 +86,6 @@ impl Default for Config {
             classes: 200,
             batch: 64,
             batches: 48,
-            threads: engine::Pool::auto().threads(),
-            shards: 0,
             seed: 42,
             noise: 0.2,
             json: false,
@@ -125,8 +112,6 @@ fn parse_args() -> Config {
             "--classes" => config.classes = value("--classes").parse().expect("--classes"),
             "--batch" => config.batch = value("--batch").parse().expect("--batch"),
             "--batches" => config.batches = value("--batches").parse().expect("--batches"),
-            "--threads" => config.threads = value("--threads").parse().expect("--threads"),
-            "--shards" => config.shards = value("--shards").parse().expect("--shards"),
             "--seed" => config.seed = value("--seed").parse().expect("--seed"),
             "--noise" => config.noise = value("--noise").parse().expect("--noise"),
             "--quick" => {
@@ -154,8 +139,7 @@ fn parse_args() -> Config {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: serve_sim [--dim N] [--classes N] [--batch N] [--batches N] \
-                     [--threads N] [--shards N] [--seed N] \
-                     [--noise P] [--quick] [--json] [--min-speedup X] \
+                     [--seed N] [--noise P] [--quick] [--json] [--min-speedup X] \
                      [--index exhaustive|routed] [--clusters K] [--nprobe P] \
                      [--max-candidate-fraction X]"
                 );
@@ -171,7 +155,7 @@ fn parse_args() -> Config {
         "--index must be `exhaustive` or `routed`"
     );
     let unread: &[&str] = if config.index == "routed" {
-        &["--min-speedup", "--shards"]
+        &["--min-speedup"]
     } else {
         &["--max-candidate-fraction", "--clusters", "--nprobe"]
     };
@@ -207,8 +191,8 @@ fn run_routed_tier(config: &Config) {
         .unwrap_or_else(|| (clusters as f64).sqrt().ceil() as usize);
     eprintln!(
         "serve_sim[routed]: dim={} classes={} clusters={clusters} nprobe={nprobe} \
-         batch={} batches={} threads={}",
-        config.dim, config.classes, config.batch, config.batches, config.threads
+         batch={} batches={}",
+        config.dim, config.classes, config.batch, config.batches
     );
 
     // The shared clustered workload: same generator, same seed conventions
@@ -235,8 +219,7 @@ fn run_routed_tier(config: &Config) {
             nprobe,
             ..RoutedConfig::default()
         },
-    )
-    .with_threads(config.threads);
+    );
     routed.set_nprobe(nprobe);
     let build_s = build_start.elapsed().as_secs_f64();
     eprintln!(
@@ -260,7 +243,7 @@ fn run_routed_tier(config: &Config) {
 
     // Exhaustive baseline: the serving scorer's batched popcount sweep over
     // every class.
-    let scorer = ShardedClassMemory::from_packed(&memory, 1).with_threads(config.threads);
+    let scorer = ShardedClassMemory::from_packed(&memory, 1);
     let mut exhaustive_top: Vec<Vec<(&str, f32)>> = Vec::with_capacity(total_queries);
     let mut exhaustive_latencies = Vec::with_capacity(packed_batches.len());
     for batch in &packed_batches {
@@ -357,7 +340,7 @@ fn run_routed_tier(config: &Config) {
         config.classes,
         config.batch,
         config.batches,
-        config.threads,
+        scorer.threads(),
         config.seed,
         config.noise,
         exhaustive.to_json(),
@@ -398,8 +381,8 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     eprintln!(
-        "serve_sim: dim={} classes={} batch={} batches={} threads={} shards={}",
-        config.dim, config.classes, config.batch, config.batches, config.threads, config.shards
+        "serve_sim: dim={} classes={} batch={} batches={}",
+        config.dim, config.classes, config.batch, config.batches
     );
 
     // Class memory: random bipolar prototypes, both as the scalar reference
@@ -444,25 +427,21 @@ fn main() {
     }
     let scalar = summarize(queries.len(), scalar_latencies);
 
-    // --- batched engine paths: the serving scorer, one shard --------------
-    let run_batched = |threads: usize| -> (Vec<f32>, LatencySummary) {
-        let scorer = ShardedClassMemory::from_packed(&memory, 1).with_threads(threads);
-        let mut best = Vec::with_capacity(queries.len());
-        let mut latencies = Vec::with_capacity(packed_batches.len());
-        for batch in &packed_batches {
-            let start = Instant::now();
-            let nearest = scorer.nearest_batch(batch);
-            latencies.push(start.elapsed().as_secs_f64() * 1e6);
-            best.extend(nearest.into_iter().map(|(_, sim)| sim));
-        }
-        (best, summarize(queries.len(), latencies))
-    };
-    let (batched_1t_best, batched_1t) = run_batched(1);
-    let (_, batched) = run_batched(config.threads.max(1));
+    // --- batched engine path: the serving lookup, one shard, one thread ---
+    let scorer = ShardedClassMemory::from_packed(&memory, 1).with_threads(1);
+    let mut batched_best = Vec::with_capacity(queries.len());
+    let mut batched_latencies = Vec::with_capacity(packed_batches.len());
+    for batch in &packed_batches {
+        let start = Instant::now();
+        let top1 = scorer.topk_batch(batch, 1);
+        batched_latencies.push(start.elapsed().as_secs_f64() * 1e6);
+        batched_best.extend(top1.into_iter().map(|top| top[0].1));
+    }
+    let batched_1t = summarize(queries.len(), batched_latencies);
 
     // Cross-check: the engine's best similarity must be bit-identical to the
     // scalar scan's (tie-safe: compares scores, not winner labels).
-    for (q, (a, b)) in scalar_best.iter().zip(&batched_1t_best).enumerate() {
+    for (q, (a, b)) in scalar_best.iter().zip(&batched_best).enumerate() {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
@@ -471,78 +450,28 @@ fn main() {
     }
     eprintln!("serve_sim: scalar and batched best-similarities are bit-identical");
 
-    // --- sharded online-memory path (opt-in via --shards) -------------------
-    let sharded_section = (config.shards > 0).then(|| {
-        let sharded =
-            ShardedClassMemory::from_packed(&memory, config.shards).with_threads(config.threads);
-        let mut best = Vec::with_capacity(queries.len());
-        let mut latencies = Vec::with_capacity(packed_batches.len());
-        for batch in &packed_batches {
-            let start = Instant::now();
-            let nearest = sharded.nearest_batch(batch);
-            latencies.push(start.elapsed().as_secs_f64() * 1e6);
-            best.extend(nearest.into_iter().map(|(_, sim)| sim));
-        }
-        for (q, (a, b)) in scalar_best.iter().zip(&best).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "query {q}: scalar best {a} != sharded best {b}"
-            );
-        }
-        eprintln!(
-            "serve_sim: sharded({}) best-similarities are bit-identical to scalar",
-            config.shards
-        );
-        summarize(queries.len(), latencies)
-    });
-
     let speedup_1t = batched_1t.qps / scalar.qps.max(1e-12);
-    let speedup = batched.qps / scalar.qps.max(1e-12);
-    let sharded_json = sharded_section.as_ref().map_or(String::new(), |stats| {
-        format!(
-            ",\n  \"sharded\": {},\n  \"sharded_speedup\": {:.2}",
-            stats.to_json(),
-            stats.qps / scalar.qps.max(1e-12)
-        )
-    });
-
     let json = format!(
         "{{\n  \"config\": {{\"dim\": {}, \"classes\": {}, \"batch\": {}, \"batches\": {}, \
-         \"threads\": {}, \"shards\": {}, \"seed\": {}, \"noise\": {}}},\n  \"scalar\": {},\n  \
-         \"batched_1t\": {},\n  \"batched\": {}{},\n  \"speedup_1t\": {:.2},\n  \
-         \"speedup\": {:.2}\n}}",
+         \"seed\": {}, \"noise\": {}}},\n  \"scalar\": {},\n  \"batched_1t\": {},\n  \
+         \"speedup_1t\": {:.2}\n}}",
         config.dim,
         config.classes,
         config.batch,
         config.batches,
-        config.threads,
-        config.shards,
         config.seed,
         config.noise,
         scalar.to_json(),
         batched_1t.to_json(),
-        batched.to_json(),
-        sharded_json,
         speedup_1t,
-        speedup
     );
     if config.json {
         println!("{json}");
     } else {
         eprintln!("{json}");
         eprintln!(
-            "scalar {:.0} q/s | batched(1t) {:.0} q/s ({:.1}x) | batched({}t) {:.0} q/s ({:.1}x){}",
-            scalar.qps,
-            batched_1t.qps,
-            speedup_1t,
-            config.threads,
-            batched.qps,
-            speedup,
-            sharded_section.as_ref().map_or(String::new(), |s| format!(
-                " | sharded({}) {:.0} q/s",
-                config.shards, s.qps
-            ))
+            "scalar {:.0} q/s | batched(1t) {:.0} q/s ({:.1}x)",
+            scalar.qps, batched_1t.qps, speedup_1t
         );
     }
 

@@ -6,7 +6,7 @@ use std::process::Command;
 
 /// A shape small enough that an accepted run finishes in well under a
 /// second.
-const TINY: &str = "--dim 256 --classes 50 --batch 8 --batches 2 --threads 1";
+const TINY: &str = "--dim 256 --classes 50 --batch 8 --batches 2";
 
 const ROUTED: &[&str] = &["--index", "routed"];
 
@@ -32,7 +32,6 @@ fn flags_the_tier_does_not_read_are_rejected() {
         (&[], &["--clusters", "4"]),
         (&[], &["--nprobe", "2"]),
         (ROUTED, &["--min-speedup", "3.0"]),
-        (ROUTED, &["--shards", "2"]),
     ];
     for (tier, flag) in cases {
         let args = [*tier, *flag].concat();
@@ -44,11 +43,23 @@ fn flags_the_tier_does_not_read_are_rejected() {
         );
     }
     // Control: each tier still accepts its own flags on the same shape.
-    assert!(serve_sim(&["--min-speedup", "1.0", "--shards", "2"]).0);
+    assert!(serve_sim(&["--min-speedup", "1.0"]).0);
     let routed_own = [
         ROUTED,
         &["--nprobe", "2", "--max-candidate-fraction", "1.0"],
     ]
     .concat();
     assert!(serve_sim(&routed_own).0);
+}
+
+#[test]
+fn retired_flags_are_unknown_arguments() {
+    for flag in [["--threads", "2"], ["--shards", "2"]] {
+        let (ok, stderr) = serve_sim(&flag);
+        assert!(!ok, "serve_sim {flag:?} must exit non-zero");
+        assert!(
+            stderr.contains(&format!("unknown argument {}", flag[0])),
+            "serve_sim {flag:?}: {stderr}"
+        );
+    }
 }

@@ -282,12 +282,6 @@ impl Checkpoint {
         }
     }
 
-    /// Attaches a fitted rejection calibration to the checkpoint.
-    pub fn with_calibration(mut self, calibration: SimilarityCalibration) -> Self {
-        self.calibration = Some(calibration);
-        self
-    }
-
     /// Renders the checkpoint as compact JSON in the current layout
     /// (version [`CHECKPOINT_FORMAT_VERSION`], kind `"model"`).
     pub fn to_json(&self) -> String {
@@ -858,7 +852,8 @@ mod tests {
         assert!(restored.calibration.is_none());
 
         let calibration = crate::SimilarityCalibrator::new(0.1).fit(&[0.2, 0.5, 0.9, 0.7]);
-        let calibrated = Checkpoint::capture(&model, &s).with_calibration(calibration);
+        let mut calibrated = Checkpoint::capture(&model, &s);
+        calibrated.calibration = Some(calibration);
         let json = calibrated.to_json();
         assert!(json.contains("\"calibration\""));
         let restored = Checkpoint::from_json_str(&json).expect("calibrated loads");

@@ -216,9 +216,8 @@ impl ZscModel {
     /// and a class-attribute matrix `A ∈ R^{C×α}`.
     ///
     /// Scored by the batched engine (`engine::dense`), which chunks the
-    /// batch across [`ZscModel::inference_threads`] threads and is
-    /// bit-identical to the serial kernel — and to
-    /// [`ZscModel::class_logits_train`].
+    /// batch across an auto-sized thread pool and is bit-identical to the
+    /// serial kernel — and to [`ZscModel::class_logits_train`].
     pub fn class_logits(&self, features: &Matrix, class_attributes: &Matrix) -> Matrix {
         let embeddings = self.image_encoder.infer(features);
         let class_embeddings = self.attribute_encoder.infer_classes(class_attributes);
@@ -238,18 +237,6 @@ impl ZscModel {
             .encode_classes(class_attributes, true);
         let sims = self.kernel.forward(&embeddings, &class_embeddings, true);
         self.temperature.forward(&sims, true)
-    }
-
-    /// Number of threads the batched inference path fans out over.
-    pub fn inference_threads(&self) -> usize {
-        self.inference_pool.threads()
-    }
-
-    /// Caps the batched inference path at `threads` threads (clamped to at
-    /// least 1). Results are bit-identical for every setting; this only
-    /// trades latency against CPU usage.
-    pub fn set_inference_threads(&mut self, threads: usize) {
-        self.inference_pool = Pool::new(threads);
     }
 
     /// Packs the sign-binarized class signatures `sign(ϕ(A))` into an
@@ -573,8 +560,7 @@ mod tests {
         // the same bits for any thread count.
         let train_logits = model.class_logits_train(&features, &class_attributes);
         for threads in [1usize, 2, 7] {
-            model.set_inference_threads(threads);
-            assert_eq!(model.inference_threads(), threads);
+            model.inference_pool = Pool::new(threads);
             let infer_logits = model.class_logits(&features, &class_attributes);
             assert_eq!(
                 infer_logits.as_slice(),
@@ -600,8 +586,8 @@ mod tests {
         let class_embeddings = model.attribute_encoder().infer_classes(&class_attributes);
         for (c, label) in labels.iter().enumerate() {
             let query = engine::pack_float_signs(class_embeddings.row(c));
-            let (nearest, _sim) = memory.nearest(&query).expect("non-empty");
-            assert_eq!(nearest, label);
+            let top1 = memory.top_k(&query, 1);
+            assert_eq!(top1[0].0, label);
         }
     }
 

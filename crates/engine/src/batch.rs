@@ -143,7 +143,7 @@ mod tests {
         let mut batch = PackedQueryBatch::new(3);
         batch.push_packed(&[u64::MAX]);
         assert_eq!(batch.row(0), &[0b111u64][..]);
-        assert_eq!(memory.nearest(batch.row(0)), Some((0, 1.0)));
+        assert_eq!(memory.top_k(batch.row(0), 1), vec![(0, 1.0)]);
     }
 
     #[test]

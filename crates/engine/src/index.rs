@@ -118,7 +118,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// memory.add_class("down", &[-1, -1, -1, -1]);
 /// let query = pack_signs(&[1, 1, 1, -1]);
 /// // Default config probes everything: bit-identical to the exhaustive scan.
-/// assert_eq!(memory.nearest(&query), Some(("up", 0.5)));
+/// assert_eq!(memory.top_k(&query, 1), vec![("up", 0.5)]);
 /// ```
 ///
 /// Equality is structural — configuration, centroids, per-cluster contents
@@ -221,12 +221,6 @@ impl RoutedClassMemory {
     /// recall/latency knob — the stored structure is untouched.
     pub fn set_nprobe(&mut self, nprobe: usize) {
         self.config.nprobe = nprobe;
-    }
-
-    /// Restores exhaustive probing (`nprobe = 0`): every lookup visits all
-    /// clusters and is bit-identical to the monolithic scan.
-    pub fn probe_all(&mut self) {
-        self.config.nprobe = 0;
     }
 
     /// `true` when the current probe width visits every live cluster, i.e.
@@ -582,20 +576,6 @@ impl RoutedClassMemory {
             .sum()
     }
 
-    /// The most similar stored class among the probed clusters, as
-    /// `(label, similarity)`, merged on `(hamming, label)`. Bit-identical
-    /// to [`PackedClassMemory::nearest`] whenever probing is exhaustive.
-    ///
-    /// Returns `None` if the memory is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` is not one packed row wide.
-    pub fn nearest(&self, query: &[u64]) -> Option<(&str, f32)> {
-        self.clusters
-            .nearest_among(query, self.probe_clusters(query))
-    }
-
     /// The `k` most similar classes among the probed clusters, most similar
     /// first, exactly re-ranked on `(hamming, label)`. With exhaustive
     /// probing this is bit-identical to [`PackedClassMemory::top_k`]
@@ -608,18 +588,6 @@ impl RoutedClassMemory {
     pub fn top_k(&self, query: &[u64], k: usize) -> Vec<(&str, f32)> {
         self.clusters
             .top_k_among(query, k, self.probe_clusters(query))
-    }
-
-    /// The nearest class of every query in the batch, parallelised across
-    /// queries (each worker routes and re-ranks its own query range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch.dim()` is not the memory's dimensionality or the
-    /// memory is empty while the batch is not.
-    pub fn nearest_batch(&self, batch: &PackedQueryBatch) -> Vec<(&str, f32)> {
-        self.clusters
-            .nearest_batch_among(batch, |query| self.probe_clusters(query))
     }
 
     /// The top-k classes of every query in the batch, parallelised across
@@ -747,10 +715,6 @@ mod tests {
         let mut state = 3u64;
         for _ in 0..8 {
             let query = pack_signs(&lcg_signs(&mut state, dim));
-            let (label, sim) = routed.nearest(&query).expect("non-empty");
-            let (mono_index, mono_sim) = mono.nearest(&query).expect("non-empty");
-            assert_eq!(label, mono.label(mono_index));
-            assert_eq!(sim.to_bits(), mono_sim.to_bits());
             for k in [0usize, 1, 7, 23, 50] {
                 let r: Vec<(&str, u32)> = routed
                     .top_k(&query, k)
@@ -801,8 +765,8 @@ mod tests {
                 candidates < 30,
                 "center {i}: probing all {candidates} classes is not sub-linear"
             );
-            let (label, _) = routed.nearest(&query).expect("non-empty");
-            let (mono_index, _) = mono.nearest(&query).expect("non-empty");
+            let label = routed.top_k(&query, 1)[0].0;
+            let mono_index = mono.top_k(&query, 1)[0].0;
             assert_eq!(label, mono.label(mono_index), "center {i}");
         }
     }
@@ -885,7 +849,6 @@ mod tests {
         let memory = RoutedClassMemory::new(32, RoutedConfig::default());
         let query = vec![0u64; 1];
         assert!(memory.is_empty());
-        assert!(memory.nearest(&query).is_none());
         assert!(memory.top_k(&query, 3).is_empty());
         assert!(memory.probe_clusters(&query).is_empty());
         assert_eq!(memory.candidate_classes(&query), 0);
@@ -893,7 +856,6 @@ mod tests {
         assert!(memory.clusters.locate("nothing").is_none());
         assert!(memory.class_words("nothing").is_none());
         let empty = PackedQueryBatch::new(32);
-        assert!(memory.nearest_batch(&empty).is_empty());
         assert!(memory.topk_batch(&empty, 3).is_empty());
     }
 

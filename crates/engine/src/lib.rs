@@ -15,9 +15,9 @@
 //!   `update_class` / `remove_class` repack only the touched shard, and the
 //!   cross-shard top-k merge (on integer Hamming distances plus label
 //!   tie-breaks) is bit-identical to the monolithic scorer. Its batched
-//!   `nearest_batch` / `topk_batch` chunk a [`PackedQueryBatch`] across a
-//!   vendored work-stealing-free scoped-thread pool ([`minipool::Pool`]);
-//!   the `serve` crate hot-swaps snapshots of one under live traffic.
+//!   `topk_batch` chunks a [`PackedQueryBatch`] across a vendored
+//!   work-stealing-free scoped-thread pool ([`minipool::Pool`]); the
+//!   `serve` crate hot-swaps snapshots of one under live traffic.
 //! * [`RoutedClassMemory`] — a two-level coarse-to-fine index: seeded
 //!   k-means centroids route each query to its `nprobe` nearest clusters
 //!   (each a per-cluster packed shard), and the candidates are exactly
@@ -32,13 +32,15 @@
 //!
 //! # Lookup contract
 //!
-//! The sharded and routed memories return `(label, similarity)` pairs from
-//! `nearest` / `top_k` / `nearest_batch` / `topk_batch`, ordered by
-//! similarity descending with equal similarities ordered by label
-//! ascending. `top_k` returns `min(k, stored)` entries (`min(k, candidates)`
-//! under partial routed probing): `k == 0` is empty, and `k` past the stored
-//! count returns every class, never padding. Batched lookups return exactly
-//! the per-query results. `tests/scorer_contract.rs` pins all of this.
+//! Top-k is the one lookup: the packed memory answers `top_k` with row
+//! indices, the sharded and routed memories answer `top_k` / `topk_batch`
+//! with `(label, similarity)` pairs. Results are ordered by similarity
+//! descending with equal similarities ordered by label ascending; the
+//! nearest class is `top_k(query, 1)`. `top_k` returns `min(k, stored)`
+//! entries (`min(k, candidates)` under partial routed probing): `k == 0` is
+//! empty, and `k` past the stored count returns every class, never padding.
+//! Batched lookups return exactly the per-query results.
+//! `tests/scorer_contract.rs` pins all of this.
 //!
 //! # Exactness contract
 //!
@@ -63,9 +65,9 @@
 //! batch.push_signs(&[-1, -1, -1, 1, 1, -1]);
 //! batch.push_signs(&[1, 1, 1, 1, -1, -1]);
 //!
-//! let nearest = memory.nearest_batch(&batch);
-//! assert_eq!(nearest[0].0, "left");
-//! assert_eq!(nearest[1].0, "right");
+//! let top1 = memory.topk_batch(&batch, 1);
+//! assert_eq!(top1[0][0].0, "left");
+//! assert_eq!(top1[1][0].0, "right");
 //! ```
 
 #![deny(missing_docs)]

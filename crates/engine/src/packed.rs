@@ -123,9 +123,9 @@ pub(crate) fn hamming(a: &[u64], b: &[u64]) -> u64 {
 /// memory.insert_signs("up", &[1, 1, 1, 1]);
 /// memory.insert_signs("down", &[-1, -1, -1, -1]);
 /// let query = pack_signs(&[1, 1, 1, -1]);
-/// let (index, sim) = memory.nearest(&query).expect("non-empty");
-/// assert_eq!(memory.label(index), "up");
-/// assert_eq!(sim, 0.5);
+/// let top = memory.top_k(&query, 1);
+/// assert_eq!(memory.label(top[0].0), "up");
+/// assert_eq!(top[0].1, 0.5);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct PackedClassMemory {
@@ -351,50 +351,6 @@ impl PackedClassMemory {
         Some(pos)
     }
 
-    /// The most similar stored prototype to a packed query, as
-    /// `(row index, similarity)`; ties on similarity resolve to the
-    /// lexicographically smallest label so results are deterministic and
-    /// independent of insertion order.
-    ///
-    /// Returns `None` if the memory is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query.len() != self.words_per_row()`.
-    pub fn nearest(&self, query: &[u64]) -> Option<(usize, f32)> {
-        self.nearest_hamming(query)
-            .map(|(index, hamming)| (index, similarity_from_hamming(self.dim, hamming)))
-    }
-
-    /// Integer-exact variant of [`PackedClassMemory::nearest`]: the winning
-    /// row together with its raw Hamming distance. Downstream mergers (the
-    /// sharded and routed memories) compare candidates on this integer —
-    /// never on the derived `f32` similarity — so cross-part ordering is
-    /// exactly the monolithic `(hamming, label)` order even when distinct
-    /// Hamming distances would round to the same `f32`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query.len() != self.words_per_row()`.
-    pub fn nearest_hamming(&self, query: &[u64]) -> Option<(usize, u64)> {
-        assert_eq!(query.len(), self.words_per_row, "query width");
-        let mut best: Option<(usize, u64)> = None;
-        for index in 0..self.len() {
-            let hamming = self.row_hamming(index, query);
-            let better = match best {
-                None => true,
-                Some((best_index, best_hamming)) => {
-                    hamming < best_hamming
-                        || (hamming == best_hamming && self.labels[index] < self.labels[best_index])
-                }
-            };
-            if better {
-                best = Some((index, hamming));
-            }
-        }
-        best
-    }
-
     /// The `k` most similar stored prototypes to a packed query, most
     /// similar first; ties on similarity are ordered by label.
     ///
@@ -426,11 +382,19 @@ impl PackedClassMemory {
         let mut scored: Vec<(usize, u64)> = (0..self.len())
             .map(|index| (index, self.row_hamming(index, query)))
             .collect();
-        scored.sort_by(|a, b| {
+        // The row index only decides between equal labels, which a memory
+        // built by inserts never holds; it keeps the order total, so
+        // selecting before sorting returns what a full stable sort would.
+        let order = |a: &(usize, u64), b: &(usize, u64)| {
             a.1.cmp(&b.1)
                 .then_with(|| self.labels[a.0].cmp(&self.labels[b.0]))
-        });
-        scored.truncate(k);
+                .then(a.0.cmp(&b.0))
+        };
+        if k < scored.len() {
+            scored.select_nth_unstable_by(k, order);
+            scored.truncate(k);
+        }
+        scored.sort_unstable_by(order);
         scored
     }
 }
@@ -496,9 +460,8 @@ mod tests {
         mem.insert_signs("zeta", &signs(&[1, 1, -1, -1]));
         mem.insert_signs("alpha", &signs(&[-1, -1, 1, 1]));
         let query = pack_signs(&signs(&[1, -1, 1, -1]));
-        let (index, sim) = mem.nearest(&query).expect("non-empty");
-        assert_eq!(mem.label(index), "alpha");
-        assert_eq!(sim, 0.0);
+        // Top-1 selects the winner without sorting the rest.
+        assert_eq!(mem.top_k(&query, 1), vec![(1, 0.0)]);
         let top = mem.top_k(&query, 2);
         assert_eq!(mem.label(top[0].0), "alpha");
         assert_eq!(mem.label(top[1].0), "zeta");
@@ -515,11 +478,10 @@ mod tests {
         // A properly packed all-negative query matches the masked row
         // exactly (query-side masking is the packing helpers' job; see
         // `mask_tail_word` and `PackedQueryBatch::push_packed`).
-        let (_, sim) = mem.nearest(&pack_signs(&[-1, -1, -1])).expect("non-empty");
-        assert_eq!(sim, 1.0);
+        assert_eq!(mem.top_k(&pack_signs(&[-1, -1, -1]), 1), vec![(0, 1.0)]);
         let mut dirty_query = [u64::MAX];
         mask_tail_word(3, &mut dirty_query);
-        assert_eq!(mem.nearest(&dirty_query).expect("non-empty").1, 1.0);
+        assert_eq!(mem.top_k(&dirty_query, 1), vec![(0, 1.0)]);
     }
 
     #[test]
@@ -533,7 +495,6 @@ mod tests {
     fn default_memory_lookups_are_empty_not_nan() {
         let mem = PackedClassMemory::default();
         assert!(mem.is_empty());
-        assert!(mem.nearest(&[]).is_none());
         assert!(mem.top_k(&[], 3).is_empty());
     }
 
@@ -541,7 +502,6 @@ mod tests {
     fn empty_memory_and_bounded_top_k() {
         let mem = PackedClassMemory::new(64);
         let query = vec![0u64; 1];
-        assert!(mem.nearest(&query).is_none());
         assert!(mem.top_k(&query, 3).is_empty());
         assert!(mem.is_empty());
     }
@@ -588,9 +548,9 @@ mod tests {
             if r == 1 {
                 continue;
             }
-            let (index, sim) = mem.nearest(&pack_signs(row)).expect("non-empty");
-            assert_eq!(mem.label(index), format!("c{r}"));
-            assert_eq!(sim, 1.0);
+            let top = mem.top_k(&pack_signs(row), 1);
+            assert_eq!(mem.label(top[0].0), format!("c{r}"));
+            assert_eq!(top[0].1, 1.0);
         }
         // Word matrix stays dense: 3 rows × 2 words.
         assert_eq!(mem.memory_bytes(), 3 * 2 * 8);

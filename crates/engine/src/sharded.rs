@@ -39,12 +39,11 @@
 //!
 //! A lookup visits a set of *probed* shards: every shard here, the probed
 //! clusters for the routed memory. Each probed shard contributes raw integer
-//! Hamming distances ([`PackedClassMemory::nearest_hamming`],
-//! [`PackedClassMemory::top_k_hamming`]), and the merge orders them by
-//! `(hamming, label)` — the monolithic comparator. Distinct distances that
-//! would round to the same `f32` similarity therefore still merge in the
-//! monolithic order, and the returned similarities are the same
-//! [`similarity_from_hamming`] bits.
+//! Hamming distances ([`PackedClassMemory::top_k_hamming`]), and the merge
+//! orders them by `(hamming, label)` — the monolithic comparator. Distinct
+//! distances that would round to the same `f32` similarity therefore still
+//! merge in the monolithic order, and the returned similarities are the
+//! same [`similarity_from_hamming`] bits.
 //!
 //! # Threads
 //!
@@ -81,8 +80,7 @@ type Hit = (usize, usize, u64);
 /// memory.add_class("down", &[-1, -1, -1, -1]);
 /// memory.add_class("left", &[-1, 1, -1, -1]);
 /// let query = pack_signs(&[1, 1, 1, -1]);
-/// let (label, sim) = memory.nearest(&query).expect("non-empty");
-/// assert_eq!((label, sim), ("up", 0.5));
+/// assert_eq!(memory.top_k(&query, 1), vec![("up", 0.5)]);
 /// // k past the class count truncates to everything stored.
 /// assert_eq!(memory.top_k(&query, 99).len(), 3);
 /// ```
@@ -328,20 +326,6 @@ impl ShardedClassMemory {
         }
     }
 
-    /// The most similar stored class to a packed query, as
-    /// `(label, similarity)`, merged across shards on `(hamming, label)` —
-    /// bit-identical to [`PackedClassMemory::nearest`] over the same class
-    /// set.
-    ///
-    /// Returns `None` if the memory is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query.len() != self.words_per_row()`.
-    pub fn nearest(&self, query: &[u64]) -> Option<(&str, f32)> {
-        self.nearest_among(query, 0..self.num_shards())
-    }
-
     /// The `k` most similar stored classes, most similar first, with the
     /// monolithic `(hamming, label)` ordering and truncation contract:
     /// `min(k, self.len())` entries, `k == 0` empty.
@@ -351,17 +335,6 @@ impl ShardedClassMemory {
     /// Panics if `query.len() != self.words_per_row()`.
     pub fn top_k(&self, query: &[u64], k: usize) -> Vec<(&str, f32)> {
         self.top_k_among(query, k, 0..self.num_shards())
-    }
-
-    /// The nearest class of every query in the batch, parallelised across
-    /// queries (each worker sweeps all shards serially for its query range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch.dim() != self.dim()` or the memory is empty while the
-    /// batch is not.
-    pub fn nearest_batch(&self, batch: &PackedQueryBatch) -> Vec<(&str, f32)> {
-        self.nearest_batch_among(batch, |_| 0..self.num_shards())
     }
 
     /// The top-k classes of every query in the batch, parallelised across
@@ -386,29 +359,6 @@ impl ShardedClassMemory {
             self.shards[s].label(row),
             similarity_from_hamming(self.dim, hamming),
         )
-    }
-
-    /// The most similar class among the `probed` shards, merged on
-    /// `(hamming, label)`; `None` when they hold no class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` is not one packed row wide.
-    pub(crate) fn nearest_among(
-        &self,
-        query: &[u64],
-        probed: impl IntoIterator<Item = usize>,
-    ) -> Option<(&str, f32)> {
-        assert_eq!(query.len(), self.words_per_row(), "query width");
-        probed
-            .into_iter()
-            .filter_map(|s| {
-                self.shards[s]
-                    .nearest_hamming(query)
-                    .map(|(row, hamming)| (s, row, hamming))
-            })
-            .min_by(|a, b| self.order(a, b))
-            .map(|hit| self.resolve(hit))
     }
 
     /// The `k` most similar classes among the `probed` shards, most similar
@@ -458,31 +408,6 @@ impl ShardedClassMemory {
             .into_iter()
             .flatten()
             .collect()
-    }
-
-    /// [`ShardedClassMemory::nearest_among`] for every query, probing the
-    /// shards `probe` names for it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch.dim()` differs from the memory's or the memory is
-    /// empty while the batch is not.
-    pub(crate) fn nearest_batch_among<P>(
-        &self,
-        batch: &PackedQueryBatch,
-        probe: impl Fn(&[u64]) -> P + Sync,
-    ) -> Vec<(&str, f32)>
-    where
-        P: IntoIterator<Item = usize>,
-    {
-        assert!(
-            batch.is_empty() || !self.is_empty(),
-            "nearest_batch requires a non-empty class memory"
-        );
-        self.map_queries(batch, |query| {
-            self.nearest_among(query, probe(query))
-                .expect("non-empty memory")
-        })
     }
 
     /// [`ShardedClassMemory::top_k_among`] for every query, probing the
@@ -685,10 +610,6 @@ mod tests {
             assert_eq!(memory.threads(), threads);
             for _ in 0..6 {
                 let query = pack_signs(&lcg_signs(&mut state, dim));
-                let (label, sim) = memory.nearest(&query).expect("non-empty");
-                let (mono_index, mono_sim) = mono.nearest(&query).expect("non-empty");
-                assert_eq!(label, mono.label(mono_index));
-                assert_eq!(sim.to_bits(), mono_sim.to_bits());
                 for k in [0usize, 1, 5, 17, 40] {
                     let sharded: Vec<(&str, u32)> = memory
                         .top_k(&query, k)
@@ -728,14 +649,12 @@ mod tests {
     fn empty_memory_lookups() {
         let memory = ShardedClassMemory::new(32, 4);
         let query = vec![0u64; 1];
-        assert!(memory.nearest(&query).is_none());
         assert!(memory.top_k(&query, 3).is_empty());
         assert!(memory.is_empty());
         assert_eq!(memory.num_shards(), 4);
         assert!(memory.locate("nothing").is_none());
         assert!(memory.class_words("nothing").is_none());
         let empty = PackedQueryBatch::new(32);
-        assert!(memory.nearest_batch(&empty).is_empty());
         assert!(memory.topk_batch(&empty, 3).is_empty());
     }
 

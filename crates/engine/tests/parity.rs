@@ -5,7 +5,7 @@
 
 use engine::{
     pack_signs, similarity_from_hamming, PackedClassMemory, PackedQueryBatch, Pool,
-    ShardedClassMemory,
+    RoutedClassMemory, RoutedConfig, ShardedClassMemory,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -135,17 +135,33 @@ proptest! {
         let (labels, protos, query_rows, memory, batch) =
             build_problem(dim, classes, queries, seed);
         let scorer = sharded(&memory, shards, THREADS[thread_index]);
-        let nearest = scorer.nearest_batch(&batch);
+        // Full probing (the default): the routed index's exact mode. The
+        // shard count draw doubles as the cluster count.
+        let routed = RoutedClassMemory::from_packed(
+            &memory,
+            RoutedConfig { clusters: shards, ..RoutedConfig::default() },
+        );
+        let top1 = scorer.topk_batch(&batch, 1);
         let topk = scorer.topk_batch(&batch, k);
         for (qi, query) in query_rows.iter().enumerate() {
             let expected = scalar_nearest(query, &labels, &protos).expect("non-empty");
-            prop_assert_eq!(nearest[qi].0, labels[expected.0].as_str(), "dim={} q={}", dim, qi);
-            prop_assert_eq!(nearest[qi].1.to_bits(), expected.1.to_bits());
+            let want = (labels[expected.0].as_str(), expected.1.to_bits());
+            let packed = memory.top_k(batch.row(qi), 1)[0];
+            prop_assert_eq!((memory.label(packed.0), packed.1.to_bits()), want, "packed q={}", qi);
+            let (label, sim) = top1[qi][0];
+            prop_assert_eq!((label, sim.to_bits()), want, "sharded dim={} q={}", dim, qi);
+            let (label, sim) = routed.top_k(batch.row(qi), 1)[0];
+            prop_assert_eq!((label, sim.to_bits()), want, "routed q={}", qi);
+
             let expected_topk = scalar_top_k(query, &labels, &protos, k);
+            let packed_topk = memory.top_k(batch.row(qi), k);
             prop_assert_eq!(topk[qi].len(), expected_topk.len());
-            for (got, want) in topk[qi].iter().zip(&expected_topk) {
+            prop_assert_eq!(packed_topk.len(), expected_topk.len());
+            for ((got, packed), want) in topk[qi].iter().zip(&packed_topk).zip(&expected_topk) {
                 prop_assert_eq!(got.0, labels[want.0].as_str(), "dim={} q={}", dim, qi);
                 prop_assert_eq!(got.1.to_bits(), want.1.to_bits());
+                prop_assert_eq!(packed.0, want.0, "packed dim={} q={}", dim, qi);
+                prop_assert_eq!(packed.1.to_bits(), want.1.to_bits());
             }
         }
     }
@@ -164,7 +180,7 @@ proptest! {
         // compared, not only the winners'.
         let reference = sharded(&memory, shards, THREADS[0]);
         let reference_topk = reference.topk_batch(&batch, classes);
-        let reference_nearest = reference.nearest_batch(&batch);
+        let reference_top1 = reference.topk_batch(&batch, 1);
         for threads in THREADS[1..].iter().copied() {
             let scorer = sharded(&memory, shards, threads);
             prop_assert_eq!(
@@ -172,7 +188,7 @@ proptest! {
                 "threads={} shards={} dim={}", threads, shards, dim
             );
             prop_assert_eq!(
-                scorer.nearest_batch(&batch), reference_nearest,
+                scorer.topk_batch(&batch, 1), reference_top1,
                 "threads={} shards={}", threads, shards
             );
         }
@@ -241,7 +257,7 @@ proptest! {
         // itself is 0.
         let mut memory = PackedClassMemory::new(dim);
         memory.insert_signs("self", &signs);
-        let (index, sim) = memory.nearest(&words).expect("non-empty");
+        let (index, sim) = memory.top_k(&words, 1)[0];
         prop_assert_eq!(index, 0);
         prop_assert_eq!(sim.to_bits(), 1.0f32.to_bits());
         prop_assert_eq!(similarity_from_hamming(dim, 0).to_bits(), 1.0f32.to_bits());

@@ -51,7 +51,7 @@ fn routed_topk(memory: &RoutedClassMemory, query: &[u64], k: usize) -> Vec<(Stri
         .collect()
 }
 
-/// Asserts nearest + top-k parity between a monolithic memory and its
+/// Asserts top-k parity (top-1 included) between a monolithic memory and its
 /// routed counterparts for a set of random queries, including
 /// `k ≥ num_classes` and `k = 0`.
 fn assert_parity(
@@ -71,17 +71,10 @@ fn assert_parity(
     ];
     for _ in 0..3 {
         let query = pack_signs(&random_signs(dim, rng));
-        let mono_nearest = mono
-            .nearest(&query)
-            .map(|(index, sim)| (mono.label(index).to_string(), sim.to_bits()));
         for memory in routed {
             let clusters = memory.as_sharded().num_shards();
             assert_eq!(memory.len(), classes, "clusters={clusters}");
             assert!(memory.probes_exhaustively());
-            let near = memory
-                .nearest(&query)
-                .map(|(label, sim)| (label.to_string(), sim.to_bits()));
-            assert_eq!(near, mono_nearest, "dim={dim} clusters={clusters}");
             for &k in &ks {
                 assert_eq!(
                     routed_topk(memory, &query, k),
@@ -165,7 +158,7 @@ proptest! {
                 }
                 _ if live.len() > 1 => {
                     // Remove a class everywhere (keep at least one live so
-                    // nearest always has a winner).
+                    // top-1 always has a winner).
                     let target = live.remove(rng.gen::<usize>() % live.len());
                     prop_assert!(mono.remove(&target).is_some());
                     for memory in routed.iter_mut() {
@@ -204,17 +197,10 @@ proptest! {
                 for (c, row) in rows.iter().enumerate() {
                     memory.add_class(format!("class{c:04}"), row);
                 }
-                let nearest = memory.nearest_batch(&batch);
                 let topk = memory.topk_batch(&batch, k);
-                prop_assert_eq!(nearest.len(), queries);
                 prop_assert_eq!(topk.len(), queries);
                 for (q, signs) in query_rows.iter().enumerate() {
                     let packed = pack_signs(signs);
-                    prop_assert_eq!(
-                        &nearest[q],
-                        &memory.nearest(&packed).expect("non-empty"),
-                        "clusters={} threads={} q={}", clusters, threads, q
-                    );
                     prop_assert_eq!(
                         &topk[q],
                         &memory.top_k(&packed, k),
@@ -261,8 +247,8 @@ fn partial_probing_is_sublinear_with_high_recall_on_clustered_data() {
     for signs in &workload.queries {
         let query = pack_signs(signs);
         candidate_total += routed.candidate_classes(&query);
-        let (routed_label, _) = routed.nearest(&query).expect("non-empty");
-        let (mono_index, _) = mono.nearest(&query).expect("non-empty");
+        let routed_label = routed.top_k(&query, 1)[0].0;
+        let mono_index = mono.top_k(&query, 1)[0].0;
         if routed_label == mono.label(mono_index) {
             hits += 1;
         }

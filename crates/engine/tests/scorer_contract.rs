@@ -9,9 +9,8 @@
 //!   `k == 0` is empty, oversized `k` returns every class;
 //! * the tie-break — similarity descending, equal similarities ordered by
 //!   label ascending;
-//! * batch consistency — `nearest_batch` / `topk_batch` agree with their
-//!   per-query counterparts bit for bit;
-//! * `nearest` ≡ `top_k(1)`.
+//! * batch consistency — `topk_batch` agrees with per-query `top_k` bit
+//!   for bit.
 //!
 //! Pinned across memories:
 //!
@@ -63,20 +62,6 @@ macro_rules! check_contract {
                     );
                 }
             }
-            // nearest ≡ top_k(1).
-            let nearest = memory.nearest(query);
-            let top1 = memory.top_k(query, 1).into_iter().next();
-            match (nearest, top1) {
-                (None, None) => assert_eq!(classes, 0, "{ctx}: q{q} empty only when no classes"),
-                (Some((nl, ns)), Some((tl, ts))) => {
-                    assert_eq!(
-                        (nl, ns.to_bits()),
-                        (tl, ts.to_bits()),
-                        "{ctx}: q{q} nearest"
-                    );
-                }
-                (a, b) => panic!("{ctx}: q{q} nearest {a:?} disagrees with top_k(1) {b:?}"),
-            }
             // Oversized k covers every stored class exactly once.
             let mut all: Vec<&str> = memory
                 .top_k(query, classes + 1)
@@ -93,19 +78,6 @@ macro_rules! check_contract {
         }
 
         // Batch lookups agree with per-query lookups bit for bit.
-        if classes > 0 {
-            let nearest_batch = memory.nearest_batch(batch);
-            assert_eq!(nearest_batch.len(), batch.len(), "{ctx}: nearest_batch len");
-            for (q, query) in queries.iter().enumerate() {
-                let (bl, bs) = &nearest_batch[q];
-                let (sl, ss) = memory.nearest(query).expect("non-empty");
-                assert_eq!(
-                    (*bl, bs.to_bits()),
-                    (sl, ss.to_bits()),
-                    "{ctx}: q{q} batch nearest"
-                );
-            }
-        }
         for k in [0usize, 1, 3, classes + 2] {
             let topk_batch = memory.topk_batch(batch, k);
             assert_eq!(topk_batch.len(), batch.len(), "{ctx}: topk_batch len");
@@ -229,8 +201,8 @@ proptest! {
         }
     }
 
-    /// Empty memories are well-behaved: no classes, empty top-k, `None`
-    /// nearest.
+    /// Empty memories are well-behaved: no classes, an empty top-1 and an
+    /// empty top-k.
     #[test]
     fn empty_memories_are_consistent(dim in 1usize..100) {
         let packed = PackedClassMemory::new(dim);
@@ -240,9 +212,9 @@ proptest! {
         prop_assert!(packed.is_empty());
         prop_assert!(sharded.is_empty());
         prop_assert!(routed.is_empty());
-        prop_assert!(packed.nearest(&query).is_none());
-        prop_assert!(sharded.nearest(&query).is_none());
-        prop_assert!(routed.nearest(&query).is_none());
+        prop_assert!(packed.top_k(&query, 1).is_empty());
+        prop_assert!(sharded.top_k(&query, 1).is_empty());
+        prop_assert!(routed.top_k(&query, 1).is_empty());
         prop_assert!(packed.top_k(&query, 3).is_empty());
         prop_assert!(sharded.top_k(&query, 3).is_empty());
         prop_assert!(routed.top_k(&query, 3).is_empty());

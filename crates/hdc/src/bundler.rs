@@ -103,30 +103,6 @@ impl Bundler {
         Ok(())
     }
 
-    /// Adds a hypervector with an integer weight (equivalent to adding it
-    /// `weight` times; negative weights subtract).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::DimensionMismatch`] if the dimensionality differs.
-    pub fn try_add_weighted(
-        &mut self,
-        hv: &BipolarHypervector,
-        weight: i32,
-    ) -> Result<(), HdcError> {
-        if hv.dim() != self.dim {
-            return Err(HdcError::DimensionMismatch {
-                left: self.dim,
-                right: hv.dim(),
-            });
-        }
-        for (c, &v) in self.counts.iter_mut().zip(hv.as_slice()) {
-            *c += weight * v as i32;
-        }
-        self.n += 1;
-        Ok(())
-    }
-
     /// Produces the majority bundle: the sign of the accumulated counts, with
     /// exact ties broken by a deterministic pseudo-random hypervector derived
     /// from the tie-break seed (the standard trick for bundling an even number
@@ -212,9 +188,8 @@ impl Bundler {
     /// inverse of reading [`Bundler::counts`], [`Bundler::len`] and
     /// [`Bundler::tie_break_seed`]. Because the counters *are* the complete
     /// state, the rebuilt bundler produces bit-identical bundles. No bound
-    /// is enforced between counts and `n` ([`Bundler::try_add_weighted`]
-    /// legitimately exceeds `±n`); callers persisting unit-weight streams
-    /// should validate that invariant themselves (see
+    /// is enforced between counts and `n`; callers persisting unit-weight
+    /// streams should validate that invariant themselves (see
     /// `hdc::ClassAccumulator`).
     ///
     /// # Errors
@@ -296,24 +271,10 @@ mod tests {
     }
 
     #[test]
-    fn weighted_add_biases_bundle() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let a = BipolarHypervector::random(4096, &mut rng);
-        let b = BipolarHypervector::random(4096, &mut rng);
-        let mut bundler = Bundler::new(4096);
-        bundler.try_add_weighted(&a, 5).expect("same dim");
-        bundler.try_add_weighted(&b, 1).expect("same dim");
-        let bundle = bundler.finish();
-        assert!(bundle.cosine(&a) > bundle.cosine(&b));
-        assert_eq!(bundler.len(), 2);
-    }
-
-    #[test]
     fn dimension_mismatch_is_rejected() {
         let mut bundler = Bundler::new(64);
         let wrong = BipolarHypervector::ones(32);
         assert!(bundler.try_add(&wrong).is_err());
-        assert!(bundler.try_add_weighted(&wrong, 2).is_err());
     }
 
     #[test]

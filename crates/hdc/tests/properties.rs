@@ -132,17 +132,21 @@ proptest! {
 
     #[test]
     fn counters_stay_exact_at_large_counts(seed in any::<u64>(), weight in 1i32..1_000_000) {
-        // Weighted adds reach counter magnitudes a float (or saturating
-        // vote) accumulator would corrupt; the i32 counters must hold the
-        // exact algebraic sum.
+        // Merging restored counters reaches magnitudes a float (or
+        // saturating vote) accumulator would corrupt; the i32 counters must
+        // hold the exact algebraic sum.
         let dim = 64;
         let mut rng = StdRng::seed_from_u64(seed);
         let a = BipolarHypervector::random(dim, &mut rng);
         let b = BipolarHypervector::random(dim, &mut rng);
-        let mut bundler = Bundler::new(dim);
-        bundler.try_add_weighted(&a, weight).expect("same dim");
-        bundler.try_add_weighted(&b, weight - 1).expect("same dim");
-        bundler.try_add_weighted(&a, -weight).expect("same dim");
+        // A bundler holding `weight` copies of `hv` (negative: subtracted).
+        let scaled = |hv: &BipolarHypervector, weight: i32| {
+            let counts = hv.as_slice().iter().map(|&s| weight * s as i32).collect();
+            Bundler::from_parts(counts, weight.unsigned_abs() as usize, 0).expect("non-empty")
+        };
+        let mut bundler = scaled(&a, weight);
+        bundler.merge(&scaled(&b, weight - 1));
+        bundler.merge(&scaled(&a, -weight));
         // The ±weight contributions of `a` cancel exactly, leaving only
         // (weight - 1) · b — no drift, no rounding, at any magnitude.
         let expected: Vec<i32> =

@@ -42,51 +42,6 @@ pub fn topk_accuracy(scores: &Matrix, targets: &[usize], k: usize) -> f32 {
     hits as f32 / targets.len() as f32
 }
 
-/// Per-class top-1 accuracy (recall): for each class, the fraction of its
-/// samples that were predicted correctly. Classes with no samples get `None`.
-///
-/// # Panics
-///
-/// Panics if `targets.len() != scores.rows()` or any target is `>= classes`.
-pub fn per_class_accuracy(scores: &Matrix, targets: &[usize], classes: usize) -> Vec<Option<f32>> {
-    assert_eq!(targets.len(), scores.rows(), "one target per row required");
-    let predictions = scores.argmax_rows();
-    let mut correct = vec![0usize; classes];
-    let mut total = vec![0usize; classes];
-    for (&pred, &target) in predictions.iter().zip(targets) {
-        assert!(target < classes, "target {target} out of range");
-        total[target] += 1;
-        if pred == target {
-            correct[target] += 1;
-        }
-    }
-    correct
-        .iter()
-        .zip(&total)
-        .map(|(&c, &t)| {
-            if t == 0 {
-                None
-            } else {
-                Some(c as f32 / t as f32)
-            }
-        })
-        .collect()
-}
-
-/// Mean per-class accuracy (the "average class accuracy" commonly reported on
-/// CUB-200), ignoring classes that have no samples.
-///
-/// Returns 0 if no class has samples.
-pub fn mean_per_class_accuracy(scores: &Matrix, targets: &[usize], classes: usize) -> f32 {
-    let per_class = per_class_accuracy(scores, targets, classes);
-    let present: Vec<f32> = per_class.into_iter().flatten().collect();
-    if present.is_empty() {
-        0.0
-    } else {
-        present.iter().sum::<f32>() / present.len() as f32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,32 +95,5 @@ mod tests {
     #[should_panic(expected = "one target per row")]
     fn target_length_mismatch_panics() {
         let _ = topk_accuracy(&example_scores(), &[0, 1], 1);
-    }
-
-    #[test]
-    fn per_class_accuracy_handles_missing_classes() {
-        let scores = example_scores();
-        let targets = [0usize, 2, 1, 0];
-        let per_class = per_class_accuracy(&scores, &targets, 4);
-        assert_eq!(per_class[0], Some(1.0)); // rows 0 and 3 both predicted 0
-        assert_eq!(per_class[1], Some(1.0)); // row 2 predicted 1
-        assert_eq!(per_class[2], Some(1.0)); // row 1 predicted 2
-        assert_eq!(per_class[3], None); // class 3 has no samples
-        assert_eq!(mean_per_class_accuracy(&scores, &targets, 4), 1.0);
-    }
-
-    #[test]
-    fn mean_per_class_differs_from_overall_on_imbalanced_data() {
-        // 3 samples of class 0 (all correct), 1 sample of class 1 (wrong).
-        let scores = Matrix::from_rows(&[
-            vec![1.0, 0.0],
-            vec![1.0, 0.0],
-            vec![1.0, 0.0],
-            vec![1.0, 0.0],
-        ]);
-        let targets = [0usize, 0, 0, 1];
-        assert_eq!(top1_accuracy(&scores, &targets), 0.75);
-        assert_eq!(mean_per_class_accuracy(&scores, &targets, 2), 0.5);
-        assert_eq!(mean_per_class_accuracy(&Matrix::zeros(0, 2), &[], 2), 0.0);
     }
 }

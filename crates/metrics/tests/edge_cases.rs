@@ -3,7 +3,7 @@
 //! presence of attributes/classes with zero instances.
 
 use metrics::confusion::ConfusionMatrix;
-use metrics::topk::{mean_per_class_accuracy, per_class_accuracy, top1_accuracy, topk_accuracy};
+use metrics::topk::{top1_accuracy, topk_accuracy};
 use metrics::wmap::{group_top1_accuracy, weighted_average_precision};
 use tensor::Matrix;
 
@@ -55,17 +55,6 @@ fn topk_on_empty_batch_is_zero() {
     let scores = Matrix::zeros(0, 5);
     assert_eq!(topk_accuracy(&scores, &[], 3), 0.0);
     assert_eq!(top1_accuracy(&scores, &[]), 0.0);
-}
-
-#[test]
-fn per_class_accuracy_skips_classes_with_zero_instances() {
-    // Class 1 has no samples; it must be reported as None and excluded from
-    // the mean rather than dragging it toward zero.
-    let scores = Matrix::from_rows(&[vec![1.0, 0.0, 0.0], vec![0.0, 0.0, 1.0]]);
-    let targets = [0usize, 2];
-    let per_class = per_class_accuracy(&scores, &targets, 3);
-    assert_eq!(per_class, vec![Some(1.0), None, Some(1.0)]);
-    assert_eq!(mean_per_class_accuracy(&scores, &targets, 3), 1.0);
 }
 
 #[test]

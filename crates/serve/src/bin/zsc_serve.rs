@@ -219,8 +219,10 @@ fn cross_check(
         let embedding =
             reference_model.embed_images(&Matrix::from_rows(std::slice::from_ref(features)));
         let packed = engine::pack_float_signs(embedding.row(0));
-        let (direct_label, direct_sim) =
-            reference_memory.nearest(&packed).expect("non-empty memory");
+        let (direct_label, direct_sim) = *reference_memory
+            .top_k(&packed, 1)
+            .first()
+            .expect("non-empty memory");
         direct_latencies.push(start.elapsed().as_secs_f64() * 1e6);
         assert_eq!(label, direct_label, "{phase} query {q}: served wrong label");
         assert_eq!(

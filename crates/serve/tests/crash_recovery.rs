@@ -273,7 +273,7 @@ fn assert_one_class_set(snapshot: &ModelSnapshot, context: &str) {
         reference.insert_packed(label.clone(), words);
     }
     let mut full = routed.clone();
-    full.probe_all();
+    full.set_nprobe(0);
     for (p, row) in probe_rows().into_iter().enumerate() {
         let embedding = snapshot.model().embed_images(&Matrix::from_rows(&[row]));
         let query = engine::pack_float_signs(embedding.row(0));

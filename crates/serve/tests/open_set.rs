@@ -351,7 +351,8 @@ fn recovery_preserves_the_calibrated_threshold() {
 #[test]
 fn from_checkpoint_seeds_the_calibrated_threshold() {
     let (model, labels, class_attributes, schema) = fixture();
-    let calibrated = Checkpoint::capture(&model, &schema).with_calibration(SimilarityCalibration {
+    let mut calibrated = Checkpoint::capture(&model, &schema);
+    calibrated.calibration = Some(SimilarityCalibration {
         threshold: 0.031_25,
         target_false_reject: 0.1,
     });

@@ -293,7 +293,7 @@ fn scenario_routed_memory_ops() {
         };
         let partial_top = dump(routed);
         let candidates = routed.candidate_classes(&probe);
-        routed.probe_all();
+        routed.set_nprobe(0);
         let full_top = dump(routed);
         // The bit-identity contract, asserted before it is pinned: full
         // probing must agree exactly with the monolithic scan.
@@ -876,7 +876,7 @@ fn scenario_open_set_serve() {
     // memory built independently from the snapshot's class words.
     let snapshot = server.snapshot();
     let mut full = snapshot.routed().expect("routed server").clone();
-    full.probe_all();
+    full.set_nprobe(0);
     let mut exhaustive = engine::PackedClassMemory::new(snapshot.memory().dim());
     for label in snapshot.memory().labels() {
         let words = full
