@@ -70,40 +70,7 @@ impl Deserialize for HdcAttributeEncoder {
         let dim: usize = de::field(entries, "dim", "HdcAttributeEncoder")?;
         let schema_counts: (usize, usize, usize) =
             de::field(entries, "schema_counts", "HdcAttributeEncoder")?;
-        let type_err = |msg: String| DeError::new(msg).in_field("HdcAttributeEncoder");
-        if groups.dim() != dim || values.dim() != dim {
-            return Err(type_err(format!(
-                "codebook dims ({}, {}) do not match the encoder's {dim}",
-                groups.dim(),
-                values.dim()
-            )));
-        }
-        if groups.len() != schema_counts.0 || values.len() != schema_counts.1 {
-            return Err(type_err(format!(
-                "codebook sizes ({}, {}) do not match the schema counts ({}, {})",
-                groups.len(),
-                values.len(),
-                schema_counts.0,
-                schema_counts.1
-            )));
-        }
-        if dictionary.shape() != (schema_counts.2, dim) {
-            return Err(type_err(format!(
-                "dictionary shape {:?} does not match {} attributes × dim {dim}",
-                dictionary.shape(),
-                schema_counts.2
-            )));
-        }
-        if dictionary.as_slice().iter().any(|&v| v != 1.0 && v != -1.0) {
-            return Err(type_err("dictionary entries must be ±1".to_string()));
-        }
-        Ok(Self {
-            groups,
-            values,
-            dictionary,
-            dim,
-            schema_counts,
-        })
+        Self::from_parts(groups, values, dictionary, dim, schema_counts)
     }
 }
 
@@ -138,6 +105,53 @@ impl HdcAttributeEncoder {
                 schema.num_attributes(),
             ),
         }
+    }
+
+    /// Assembles an encoder from its codebooks, its materialised
+    /// dictionary and the schema counts `(G, V, α)`, checking that they
+    /// agree and that the dictionary is ±1. Both checkpoint loaders build
+    /// HDC encoders through it.
+    pub(crate) fn from_parts(
+        groups: Codebook,
+        values: Codebook,
+        dictionary: Matrix,
+        dim: usize,
+        schema_counts: (usize, usize, usize),
+    ) -> Result<Self, DeError> {
+        let type_err = |msg: String| DeError::new(msg).in_field("HdcAttributeEncoder");
+        if groups.dim() != dim || values.dim() != dim {
+            return Err(type_err(format!(
+                "codebook dims ({}, {}) do not match the encoder's {dim}",
+                groups.dim(),
+                values.dim()
+            )));
+        }
+        if groups.len() != schema_counts.0 || values.len() != schema_counts.1 {
+            return Err(type_err(format!(
+                "codebook sizes ({}, {}) do not match the schema counts ({}, {})",
+                groups.len(),
+                values.len(),
+                schema_counts.0,
+                schema_counts.1
+            )));
+        }
+        if dictionary.shape() != (schema_counts.2, dim) {
+            return Err(type_err(format!(
+                "dictionary shape {:?} does not match {} attributes × dim {dim}",
+                dictionary.shape(),
+                schema_counts.2
+            )));
+        }
+        if dictionary.as_slice().iter().any(|&v| v.abs() != 1.0) {
+            return Err(type_err("dictionary entries must be ±1".to_string()));
+        }
+        Ok(Self {
+            groups,
+            values,
+            dictionary,
+            dim,
+            schema_counts,
+        })
     }
 
     /// Embedding dimensionality `d`.
@@ -208,6 +222,14 @@ impl Deserialize for MlpAttributeEncoder {
         let mlp: Mlp = de::field(entries, "mlp", "MlpAttributeEncoder")?;
         let alpha: usize = de::field(entries, "alpha", "MlpAttributeEncoder")?;
         let dim: usize = de::field(entries, "dim", "MlpAttributeEncoder")?;
+        Self::from_parts(mlp, alpha, dim)
+    }
+}
+
+impl MlpAttributeEncoder {
+    /// Wraps a trained MLP that maps `α = alpha` to `d = dim`. Both
+    /// checkpoint loaders build MLP encoders through it.
+    pub(crate) fn from_parts(mlp: Mlp, alpha: usize, dim: usize) -> Result<Self, DeError> {
         if mlp.dims().first() != Some(&alpha) || mlp.dims().last() != Some(&dim) {
             return Err(DeError::new(format!(
                 "MLP widths {:?} do not map α = {alpha} to d = {dim}",
@@ -217,9 +239,7 @@ impl Deserialize for MlpAttributeEncoder {
         }
         Ok(Self { mlp, alpha, dim })
     }
-}
 
-impl MlpAttributeEncoder {
     /// Builds the MLP `α → hidden → d` with ReLU in between.
     ///
     /// # Panics
@@ -240,6 +260,11 @@ impl MlpAttributeEncoder {
     /// Attribute dimensionality `α`.
     pub fn alpha(&self) -> usize {
         self.alpha
+    }
+
+    /// The underlying MLP.
+    pub(crate) fn mlp(&self) -> &Mlp {
+        &self.mlp
     }
 
     /// Immutable inference encoding: maps class attributes to embeddings

@@ -1,5 +1,7 @@
 //! Model checkpointing: a versioned JSON envelope around a trained
-//! [`ZscModel`], so models are trained once and served many times.
+//! [`ZscModel`], so models are trained once and served many times, plus
+//! the two files a durable server keeps beside its write-ahead log — a
+//! binary [`ModelFile`] per model and a [`ServeBase`] of class state.
 //!
 //! A [`Checkpoint`] pins three things next to the model weights:
 //!
@@ -19,12 +21,17 @@
 //! # Layout versions and kinds
 //!
 //! Version 2 (current) adds a `kind` discriminator to the envelope so the
-//! two on-disk documents this crate writes — a plain model checkpoint
-//! (`"model"`) and a serve-time [`CheckpointDelta`] (`"serve-delta"`, the
-//! compaction base of the serving layer's write-ahead log) — cannot be
-//! confused for one another: loading a delta through the model loader (or
-//! vice versa) fails with [`CheckpointError::WrongKind`] instead of a
-//! confusing payload error.
+//! two version-2 documents — a plain model checkpoint (`"model"`) and a
+//! [`CheckpointDelta`] (`"serve-delta"`, a model plus class state, the
+//! serving layer's compaction base before format 3) — cannot be confused
+//! for one another: loading a delta through the model loader (or vice
+//! versa) fails with [`CheckpointError::WrongKind`] instead of a confusing
+//! payload error.
+//!
+//! The serving layer's compaction base is a [`ServeBase`] since format 3
+//! (kind `"serve-base"`): class state only, naming a binary [`ModelFile`]
+//! that holds the model once. Its loader refuses any other version, a
+//! version-2 delta included, with [`CheckpointError::UnsupportedVersion`].
 //!
 //! Only version 2 loads: version 1 (no `kind` field), which no build has
 //! written since the delta envelope was introduced, fails with
@@ -59,14 +66,17 @@
 //! assert_eq!(restored.embedding_dim(), 64);
 //! ```
 
+use crate::attribute_encoder::{AttributeEncoder, HdcAttributeEncoder, MlpAttributeEncoder};
 use crate::config::ModelConfig;
 use crate::eval::SimilarityCalibration;
+use crate::image_encoder::ImageEncoder;
 use crate::model::ZscModel;
 use dataset::AttributeSchema;
 use engine::{RoutedClassMemory, ShardedClassMemory};
 use serde::{de, DeError, Deserialize, Serialize, Value};
 use std::io::Write;
 use std::path::Path;
+use tensor::Matrix;
 
 /// Version of the on-disk checkpoint layout produced by this crate.
 ///
@@ -155,6 +165,22 @@ pub enum CheckpointError {
         /// The kind the loader expected.
         expected: &'static str,
     },
+    /// A binary model file's payload fails its CRC-32: the bytes on disk
+    /// are not the bytes that were written.
+    ChecksumMismatch {
+        /// The CRC-32 the file's frame declares.
+        stored: u32,
+        /// The CRC-32 of the payload as read.
+        computed: u32,
+    },
+    /// A binary model file's content fingerprint differs from the one its
+    /// file name carries: the file is not the model the name refers to.
+    FingerprintMismatch {
+        /// The fingerprint in the file name.
+        named: u64,
+        /// The fingerprint of the payload as read.
+        computed: u64,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -185,6 +211,14 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::WrongKind { found, expected } => write!(
                 f,
                 "wrong checkpoint kind: expected `{expected}`, found `{found}`"
+            ),
+            CheckpointError::ChecksumMismatch { stored, computed } => write!(
+                f,
+                "model file fails its checksum: frame declares {stored:#010x}, payload has {computed:#010x}"
+            ),
+            CheckpointError::FingerprintMismatch { named, computed } => write!(
+                f,
+                "model file fingerprint {computed:016x} differs from the {named:016x} its name carries"
             ),
         }
     }
@@ -321,7 +355,7 @@ impl Checkpoint {
     pub fn from_json_str(json: &str) -> Result<Self, CheckpointError> {
         let value =
             serde_json::parse_value(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        expect_envelope(&value, KIND_MODEL)?;
+        expect_envelope(&value, CHECKPOINT_FORMAT_VERSION, KIND_MODEL)?;
         let checkpoint: Checkpoint = serde_json::from_value(&value)
             .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
         checkpoint.validate_internal()?;
@@ -436,17 +470,21 @@ impl Checkpoint {
 }
 
 /// Checks an envelope document's `format_version` (which must be
-/// [`CHECKPOINT_FORMAT_VERSION`]) and then its `kind` discriminator.
-fn expect_envelope(value: &Value, expected: &'static str) -> Result<(), CheckpointError> {
+/// `version`) and then its `kind` discriminator.
+fn expect_envelope(
+    value: &Value,
+    version: u32,
+    expected: &'static str,
+) -> Result<(), CheckpointError> {
     let version_value = value
         .get("format_version")
         .ok_or_else(|| CheckpointError::Malformed("missing `format_version`".to_string()))?;
     let found = serde_json::from_value::<u32>(version_value)
         .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-    if found != CHECKPOINT_FORMAT_VERSION {
+    if found != version {
         return Err(CheckpointError::UnsupportedVersion {
             found,
-            supported: CHECKPOINT_FORMAT_VERSION,
+            supported: version,
         });
     }
     let kind_value = value
@@ -491,7 +529,8 @@ pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
 }
 
-/// Continual-learning stream state captured inside a [`CheckpointDelta`]:
+/// Continual-learning stream state captured inside a [`ServeBase`] (or a
+/// [`CheckpointDelta`]):
 /// the exact per-class prototype counters plus the publication batching
 /// position at compaction time.
 ///
@@ -513,15 +552,12 @@ pub struct StreamCheckpoint {
     pub since_publish: u64,
 }
 
-/// A serve-time compaction base: a model [`Checkpoint`] plus the exact
-/// sharded class memory at a known snapshot version, with the write-ahead
-/// log sequence number the memory already folds in.
-///
-/// This is the "checkpoint delta" half of the serving layer's durability
-/// contract (`serve::wal`): recovery loads the delta, rebuilds the class
-/// memory bit-identically (shard assignment included, see
-/// [`ShardedClassMemory`]'s serde docs), and replays only WAL records with
-/// `seq >= next_record_seq` on top.
+/// A model [`Checkpoint`] plus the exact sharded class memory at a known
+/// snapshot version, with the write-ahead log sequence number the memory
+/// already folds in: the serving layer's compaction base before format 3,
+/// which embedded the whole model in every base. The serving layer now
+/// writes a [`ServeBase`] naming a [`ModelFile`] instead; this type stays
+/// as a standalone document.
 ///
 /// Serialized as a version-2 envelope with `kind: "serve-delta"`, so it can
 /// never be confused with a plain model checkpoint.
@@ -603,7 +639,7 @@ impl CheckpointDelta {
     pub fn from_json_str(json: &str) -> Result<Self, CheckpointError> {
         let value =
             serde_json::parse_value(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        expect_envelope(&value, KIND_DELTA)?;
+        expect_envelope(&value, CHECKPOINT_FORMAT_VERSION, KIND_DELTA)?;
         let field = |name: &'static str| {
             value
                 .get(name)
@@ -643,48 +679,10 @@ impl CheckpointDelta {
         }
         let threshold = serde_json::from_value::<Option<f32>>(field("threshold")?)
             .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        if let Some(threshold) = threshold {
-            if !threshold.is_finite() {
-                return Err(CheckpointError::Malformed(
-                    "serve threshold must be finite".to_string(),
-                ));
-            }
-        }
         let stream = serde_json::from_value::<Option<StreamCheckpoint>>(field("stream")?)
             .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        if let Some(stream) = &stream {
-            if stream.accumulators.dim() != memory.dim() {
-                return Err(CheckpointError::DimensionMismatch {
-                    what: "stream accumulator dimensionality",
-                    expected: memory.dim(),
-                    found: stream.accumulators.dim(),
-                });
-            }
-            // Removing a class drops its counters, and publishing a pending
-            // counter re-adds its class, so a counter for a class `memory`
-            // does not hold would resurrect it.
-            for label in stream.accumulators.labels() {
-                if !memory.contains(label) {
-                    return Err(CheckpointError::Malformed(format!(
-                        "stream accumulator `{label}` names no registered class"
-                    )));
-                }
-            }
-            for label in &stream.pending {
-                if !stream.accumulators.contains(label) {
-                    return Err(CheckpointError::Malformed(format!(
-                        "stream pending label `{label}` has no accumulator"
-                    )));
-                }
-            }
-        }
-        if memory.dim() != base.model.embedding_dim() {
-            return Err(CheckpointError::DimensionMismatch {
-                what: "class prototype dimensionality",
-                expected: base.model.embedding_dim(),
-                found: memory.dim(),
-            });
-        }
+        validate_class_state(&memory, threshold, stream.as_ref())?;
+        check_prototype_dim(&memory, &base.model)?;
         Ok(Self {
             snapshot_version,
             next_record_seq,
@@ -714,6 +712,788 @@ impl CheckpointDelta {
     pub fn load_json(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
         let json = std::fs::read_to_string(path)?;
         Self::from_json_str(&json)
+    }
+}
+
+/// The checks every persisted class state must pass, whichever document
+/// carries it: a finite threshold, and stream counters of the memory's
+/// dimensionality that name only classes the memory holds, with every
+/// pending label backed by counters.
+fn validate_class_state(
+    memory: &ShardedClassMemory,
+    threshold: Option<f32>,
+    stream: Option<&StreamCheckpoint>,
+) -> Result<(), CheckpointError> {
+    if threshold.is_some_and(|threshold| !threshold.is_finite()) {
+        return Err(CheckpointError::Malformed(
+            "serve threshold must be finite".to_string(),
+        ));
+    }
+    let Some(stream) = stream else {
+        return Ok(());
+    };
+    if stream.accumulators.dim() != memory.dim() {
+        return Err(CheckpointError::DimensionMismatch {
+            what: "stream accumulator dimensionality",
+            expected: memory.dim(),
+            found: stream.accumulators.dim(),
+        });
+    }
+    // Removing a class drops its counters, and publishing a pending
+    // counter re-adds its class, so a counter for a class `memory` does
+    // not hold would resurrect it.
+    for label in stream.accumulators.labels() {
+        if !memory.contains(label) {
+            return Err(CheckpointError::Malformed(format!(
+                "stream accumulator `{label}` names no registered class"
+            )));
+        }
+    }
+    for label in &stream.pending {
+        if !stream.accumulators.contains(label) {
+            return Err(CheckpointError::Malformed(format!(
+                "stream pending label `{label}` has no accumulator"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The memory's prototypes must be as wide as the model's embeddings.
+fn check_prototype_dim(
+    memory: &ShardedClassMemory,
+    model: &ZscModel,
+) -> Result<(), CheckpointError> {
+    if memory.dim() != model.embedding_dim() {
+        return Err(CheckpointError::DimensionMismatch {
+            what: "class prototype dimensionality",
+            expected: model.embedding_dim(),
+            found: memory.dim(),
+        });
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Serve bases (format 3)
+// ---------------------------------------------------------------------------
+
+/// Version of the serve-base layout ([`ServeBase`]). Version 2 bases were
+/// [`CheckpointDelta`] documents with the model embedded; this build
+/// refuses them with [`CheckpointError::UnsupportedVersion`].
+pub const SERVE_BASE_FORMAT_VERSION: u32 = 3;
+
+/// `kind` discriminator of a serve base.
+const KIND_BASE: &str = "serve-base";
+
+/// The one class index a [`ServeBase`] records: the sharded memory of an
+/// unrouted server, or the routed index of a routed one (whose clusters
+/// are its sharded memory, [`RoutedClassMemory::as_sharded`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum BaseIndex {
+    /// The sharded class memory.
+    Sharded(ShardedClassMemory),
+    /// The routed coarse-to-fine index, exactly: cluster assignment,
+    /// centroids and drift counter.
+    Routed(RoutedClassMemory),
+}
+
+impl BaseIndex {
+    /// The index's classes as a sharded memory.
+    pub fn memory(&self) -> &ShardedClassMemory {
+        match self {
+            BaseIndex::Sharded(memory) => memory,
+            BaseIndex::Routed(routed) => routed.as_sharded(),
+        }
+    }
+}
+
+/// A serve-time compaction base (`base.json`, format version
+/// [`SERVE_BASE_FORMAT_VERSION`]): the class state at a known snapshot
+/// version plus the name of the binary [`ModelFile`] beside it that holds
+/// the model.
+///
+/// Recovery loads the base and its model file, rebuilds the index
+/// bit-identically, and replays only write-ahead-log records with
+/// `seq >= next_record_seq` on top. The model is written once per model
+/// (at start and on every swap), never per compaction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeBase {
+    /// Snapshot version of the serving state at capture time; recovery
+    /// resumes version numbering from here.
+    pub snapshot_version: u64,
+    /// The WAL sequence number of the first record *not* folded into this
+    /// base.
+    pub next_record_seq: u64,
+    /// File name of the model, `model-<fingerprint>.bin`, in the base's
+    /// directory ([`ModelFile::name`]).
+    pub model_file: String,
+    /// The class index at capture time.
+    pub index: BaseIndex,
+    /// The serve-time rejection threshold, stored as `f32` bits; `None`
+    /// when no threshold is set.
+    pub threshold: Option<f32>,
+    /// Continual-learning stream state at capture time, over labels the
+    /// index holds; `None` for servers that never observed an example.
+    pub stream: Option<StreamCheckpoint>,
+}
+
+impl ServeBase {
+    /// Renders the base as compact JSON (version-3 envelope, kind
+    /// `"serve-base"`).
+    pub fn to_json(&self) -> String {
+        let (index, classes) = match &self.index {
+            BaseIndex::Sharded(memory) => ("sharded", memory.to_value()),
+            BaseIndex::Routed(routed) => ("routed", routed.to_value()),
+        };
+        let value = Value::Object(vec![
+            (
+                "format_version".to_string(),
+                SERVE_BASE_FORMAT_VERSION.to_value(),
+            ),
+            ("kind".to_string(), KIND_BASE.to_value()),
+            (
+                "snapshot_version".to_string(),
+                self.snapshot_version.to_value(),
+            ),
+            (
+                "next_record_seq".to_string(),
+                self.next_record_seq.to_value(),
+            ),
+            ("model_file".to_string(), self.model_file.to_value()),
+            ("index".to_string(), index.to_value()),
+            ("classes".to_string(), classes),
+            (
+                "threshold_bits".to_string(),
+                self.threshold.map(f32::to_bits).to_value(),
+            ),
+            ("stream".to_string(), self.stream.to_value()),
+        ]);
+        serde_json::to_string(&value).expect("base serialization is infallible")
+    }
+
+    /// Parses a base from a JSON string: the envelope first (version 3,
+    /// kind `"serve-base"`), then the class state, validated like a
+    /// [`CheckpointDelta`]'s, and the model file's name.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::UnsupportedVersion`] for any other layout version
+    /// (a version-2 delta from an earlier build included),
+    /// [`CheckpointError::WrongKind`] for another envelope,
+    /// [`CheckpointError::Malformed`] for a missing key, an unknown index
+    /// kind, a name that is not a model file's, or an inconsistent class
+    /// state, and [`CheckpointError::DimensionMismatch`] for stream
+    /// counters of the wrong width.
+    pub fn from_json_str(json: &str) -> Result<Self, CheckpointError> {
+        let value =
+            serde_json::parse_value(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+        expect_envelope(&value, SERVE_BASE_FORMAT_VERSION, KIND_BASE)?;
+        fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, CheckpointError> {
+            let entry = value
+                .get(name)
+                .ok_or_else(|| CheckpointError::Malformed(format!("missing `{name}`")))?;
+            serde_json::from_value(entry).map_err(|e| CheckpointError::Malformed(e.to_string()))
+        }
+        let model_file: String = field(&value, "model_file")?;
+        if model_file_fingerprint(&model_file).is_none() {
+            return Err(CheckpointError::Malformed(format!(
+                "`{model_file}` is not a model file name"
+            )));
+        }
+        let index = match field::<String>(&value, "index")?.as_str() {
+            "sharded" => BaseIndex::Sharded(field(&value, "classes")?),
+            "routed" => BaseIndex::Routed(field(&value, "classes")?),
+            other => {
+                return Err(CheckpointError::Malformed(format!(
+                    "unknown index kind `{other}`"
+                )))
+            }
+        };
+        let threshold = field::<Option<u32>>(&value, "threshold_bits")?.map(f32::from_bits);
+        let stream: Option<StreamCheckpoint> = field(&value, "stream")?;
+        validate_class_state(index.memory(), threshold, stream.as_ref())?;
+        Ok(Self {
+            snapshot_version: field(&value, "snapshot_version")?,
+            next_record_seq: field(&value, "next_record_seq")?,
+            model_file,
+            index,
+            threshold,
+            stream,
+        })
+    }
+
+    /// Reads and parses a base from a JSON file.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`] on read failures, plus everything
+    /// [`ServeBase::from_json_str`] reports.
+    pub fn load_json(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
+        let json = std::fs::read_to_string(path)?;
+        Self::from_json_str(&json)
+    }
+
+    /// Checks the base's classes against the model its file holds.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::DimensionMismatch`] when the prototypes are not
+    /// as wide as the model's embeddings.
+    pub fn validate_model(&self, model: &ZscModel) -> Result<(), CheckpointError> {
+        check_prototype_dim(self.index.memory(), model)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Binary model files
+// ---------------------------------------------------------------------------
+
+/// Magic bytes opening every binary model file.
+const MODEL_FILE_MAGIC: &[u8; 8] = b"ZSCMODL\n";
+
+/// Version of the binary model-file layout ([`ModelFile`]).
+const MODEL_FILE_FORMAT_VERSION: u32 = 1;
+
+/// Magic, format version, payload length and CRC-32.
+const MODEL_FILE_HEADER_LEN: usize = 8 + 4 + 4 + 4;
+
+/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) lookup table.
+const fn crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+}
+
+static CRC32_TABLE: [u32; 256] = crc32_table();
+
+/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) of `bytes` — the
+/// checksum guarding every write-ahead-log record, wire frame and model
+/// file.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// 64-bit FNV-1a of `bytes`: the content fingerprint in a model file's
+/// name.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The fingerprint a model file name `model-<16 lowercase hex>.bin`
+/// carries; `None` for any other name.
+pub fn model_file_fingerprint(name: &str) -> Option<u64> {
+    let hex = name.strip_prefix("model-")?.strip_suffix(".bin")?;
+    let lowercase_hex =
+        hex.len() == 16 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    lowercase_hex
+        .then(|| u64::from_str_radix(hex, 16).ok())
+        .flatten()
+}
+
+/// The header of a model file's payload: everything but the tensors, and
+/// the table that names and shapes them in payload order.
+#[derive(Debug, Serialize, Deserialize)]
+struct ModelFileHeader {
+    model_config: ModelConfig,
+    feature_dim: usize,
+    schema: SchemaFingerprint,
+    backbone: dataset::BackboneKind,
+    temperature_bits: u32,
+    temperature_learnable: bool,
+    mlp_activation: Option<nn::ActivationKind>,
+    tensors: Vec<TensorEntry>,
+}
+
+/// One tensor of a model file: `rows × cols`, stored as raw little-endian
+/// `f32` bits or, when every entry is ±1, as packed sign bits (`rows`
+/// rows of `⌈cols/64⌉` little-endian `u64` words, set bit = −1).
+#[derive(Debug, Serialize, Deserialize)]
+struct TensorEntry {
+    name: String,
+    rows: usize,
+    cols: usize,
+    signs: bool,
+}
+
+impl TensorEntry {
+    fn byte_len(&self) -> Option<usize> {
+        if self.signs {
+            self.rows
+                .checked_mul(self.cols.div_ceil(64))?
+                .checked_mul(8)
+        } else {
+            self.rows.checked_mul(self.cols)?.checked_mul(4)
+        }
+    }
+}
+
+/// Appends the words of a packed ±1 row to a model file's tensor data.
+fn push_words(data: &mut Vec<u8>, words: &[u64]) {
+    for word in words {
+        data.extend_from_slice(&word.to_le_bytes());
+    }
+}
+
+/// Appends `matrix` to a model file's tensor data: packed sign bits when
+/// every entry is exactly ±1, raw `f32` bits otherwise.
+fn push_matrix(tensors: &mut Vec<TensorEntry>, data: &mut Vec<u8>, name: &str, matrix: &Matrix) {
+    let (rows, cols) = matrix.shape();
+    let signs = matrix.as_slice().iter().all(|&x| x.abs() == 1.0);
+    if signs {
+        for r in 0..rows {
+            push_words(data, &engine::pack_float_signs(matrix.row(r)));
+        }
+    } else {
+        for x in matrix.as_slice() {
+            data.extend_from_slice(&x.to_le_bytes());
+        }
+    }
+    tensors.push(TensorEntry {
+        name: name.to_string(),
+        rows,
+        cols,
+        signs,
+    });
+}
+
+/// Appends a codebook to a model file's tensor data as packed sign bits.
+fn push_codebook(
+    tensors: &mut Vec<TensorEntry>,
+    data: &mut Vec<u8>,
+    name: &str,
+    codebook: &hdc::Codebook,
+) {
+    for entry in codebook.iter() {
+        push_words(data, &engine::pack_signs(entry.as_slice()));
+    }
+    tensors.push(TensorEntry {
+        name: name.to_string(),
+        rows: codebook.len(),
+        cols: codebook.dim(),
+        signs: true,
+    });
+}
+
+/// The tensors of a model file being decoded, taken by name.
+struct Tensors<'a> {
+    entries: Vec<(TensorEntry, &'a [u8])>,
+}
+
+impl<'a> Tensors<'a> {
+    /// Splits `data` along the header's tensor table; every byte must
+    /// belong to exactly one tensor.
+    fn split(table: Vec<TensorEntry>, mut data: &'a [u8]) -> Result<Self, CheckpointError> {
+        let mut entries = Vec::with_capacity(table.len());
+        for entry in table {
+            if entry.rows == 0 || entry.cols == 0 {
+                return Err(CheckpointError::Malformed(format!(
+                    "model file tensor `{}` is empty",
+                    entry.name
+                )));
+            }
+            let len = entry
+                .byte_len()
+                .filter(|&len| len <= data.len())
+                .ok_or_else(|| {
+                    CheckpointError::Malformed(format!(
+                        "model file ends inside tensor `{}`",
+                        entry.name
+                    ))
+                })?;
+            let (bytes, rest) = data.split_at(len);
+            entries.push((entry, bytes));
+            data = rest;
+        }
+        if !data.is_empty() {
+            return Err(CheckpointError::Malformed(format!(
+                "model file holds {} bytes past its last tensor",
+                data.len()
+            )));
+        }
+        Ok(Self { entries })
+    }
+
+    fn take(&mut self, name: &str) -> Option<(TensorEntry, &'a [u8])> {
+        let at = self
+            .entries
+            .iter()
+            .position(|(entry, _)| entry.name == name)?;
+        Some(self.entries.swap_remove(at))
+    }
+
+    fn require(&mut self, name: &str) -> Result<(TensorEntry, &'a [u8]), CheckpointError> {
+        self.take(name)
+            .ok_or_else(|| CheckpointError::Malformed(format!("model file lacks tensor `{name}`")))
+    }
+
+    /// The named tensor as a matrix, whichever way it is stored.
+    fn matrix(&mut self, name: &str) -> Result<Matrix, CheckpointError> {
+        let (entry, bytes) = self.require(name)?;
+        Ok(decode_matrix(&entry, bytes))
+    }
+
+    /// The named tensor as a codebook; it must be stored as sign bits.
+    fn codebook(&mut self, name: &str) -> Result<hdc::Codebook, CheckpointError> {
+        let (entry, bytes) = self.require(name)?;
+        if !entry.signs {
+            return Err(CheckpointError::Malformed(format!(
+                "codebook `{name}` is not stored as sign bits"
+            )));
+        }
+        let words = decode_words(bytes);
+        let per_row = entry.cols.div_ceil(64);
+        let rows = words
+            .chunks_exact(per_row)
+            .map(|row| {
+                let signs: Vec<i8> = (0..entry.cols)
+                    .map(|c| 1 - 2 * sign_bit(row, c) as i8)
+                    .collect();
+                hdc::BipolarHypervector::from_signs(&signs)
+            })
+            .collect();
+        Ok(hdc::Codebook::from_entries(rows))
+    }
+
+    /// Every tensor must have been taken.
+    fn finish(self) -> Result<(), CheckpointError> {
+        match self.entries.first() {
+            Some((entry, _)) => Err(CheckpointError::Malformed(format!(
+                "model file holds an unexpected tensor `{}`",
+                entry.name
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
+fn decode_words(bytes: &[u8]) -> Vec<u64> {
+    bytes
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+        .collect()
+}
+
+/// `1.0f32.to_bits()`; with the sign bit set it is `-1.0`.
+const ONE_BITS: u32 = 0x3F80_0000;
+
+/// Bit `c` of a packed row, 1 for a −1 entry.
+fn sign_bit(row: &[u64], c: usize) -> u32 {
+    (row[c / 64] >> (c % 64) & 1) as u32
+}
+
+fn decode_matrix(entry: &TensorEntry, bytes: &[u8]) -> Matrix {
+    let data = if entry.signs {
+        let words = decode_words(bytes);
+        words
+            .chunks_exact(entry.cols.div_ceil(64))
+            .flat_map(|row| {
+                (0..entry.cols).map(move |c| f32::from_bits(ONE_BITS | sign_bit(row, c) << 31))
+            })
+            .collect()
+    } else {
+        bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+            .collect()
+    };
+    Matrix::from_vec(entry.rows, entry.cols, data)
+}
+
+/// A model encoded as a binary model file, named by its content:
+/// `model-<fingerprint>.bin`, the fingerprint being the 64-bit FNV-1a of
+/// the payload in 16 lowercase hex digits. A durable server writes one per
+/// model it serves, at start and on every swap; its base and swap records
+/// name the file.
+///
+/// ```text
+/// ┌─────────────────────────── file header (20 bytes) ───────────────────────────┐
+/// │ magic "ZSCMODL\n" (8) │ format u32 LE (=1) │ len u32 LE │ crc32 u32 LE       │
+/// ├──────────────────────────── payload (len bytes) ─────────────────────────────┤
+/// │ header_len u32 LE │ header (compact JSON) │ tensors, in the header's order   │
+/// └──────────────────────────────────────────────────────────────────────────────┘
+/// ```
+///
+/// The header holds the model configuration, the feature width, the schema
+/// fingerprint, the backbone, the temperature (`f32` bits) and a table of
+/// tensors: name, shape, and whether the tensor is stored as raw
+/// little-endian `f32` bits or as packed sign bits. A matrix whose every
+/// entry is ±1 — the HDC dictionary, the phase-II dictionary — is stored
+/// as sign bits, the codebooks always are, and the phase-II dictionary is
+/// omitted when it is the HDC encoder's own dictionary. So no ±1 matrix is
+/// stored as `f32` and none is stored twice. The CRC-32 (as in the
+/// write-ahead log) and the fingerprint both cover the payload.
+///
+/// ```
+/// use dataset::AttributeSchema;
+/// use hdc_zsc::checkpoint::ModelFile;
+/// use hdc_zsc::{ModelConfig, ZscModel};
+///
+/// let schema = AttributeSchema::cub200();
+/// let model = ZscModel::new(&ModelConfig::tiny(), &schema, 48);
+/// let file = ModelFile::encode(&model, &schema);
+/// assert!(file.name().starts_with("model-"));
+/// let restored = ModelFile::decode(file.name(), file.bytes())
+///     .and_then(|c| c.into_model(&schema))
+///     .expect("round trip");
+/// assert_eq!(restored.embedding_dim(), 64);
+/// ```
+#[derive(Debug, Clone)]
+pub struct ModelFile {
+    name: String,
+    bytes: Vec<u8>,
+}
+
+impl ModelFile {
+    /// Encodes `model`, trained against `schema`, straight from its
+    /// weights (no intermediate copy of the model).
+    pub fn encode(model: &ZscModel, schema: &AttributeSchema) -> Self {
+        let mut tensors = Vec::new();
+        let mut data = Vec::new();
+        let image_encoder = model.image_encoder();
+        if let Some(projection) = image_encoder.projection() {
+            let (weight, bias) = (&projection.weight().values, &projection.bias().values);
+            push_matrix(&mut tensors, &mut data, "projection.weight", weight);
+            push_matrix(&mut tensors, &mut data, "projection.bias", bias);
+        }
+        let mut mlp_activation = None;
+        let shared_phase2 = match model.attribute_encoder() {
+            AttributeEncoder::Hdc(hdc) => {
+                push_codebook(&mut tensors, &mut data, "hdc.groups", hdc.group_codebook());
+                push_codebook(&mut tensors, &mut data, "hdc.values", hdc.value_codebook());
+                push_matrix(&mut tensors, &mut data, "hdc.dictionary", hdc.dictionary());
+                hdc.dictionary() == model.phase2_dictionary()
+            }
+            AttributeEncoder::Mlp(mlp) => {
+                mlp_activation = Some(mlp.mlp().activation());
+                for (i, layer) in mlp.mlp().layers().iter().enumerate() {
+                    let (weight, bias) = (&layer.weight().values, &layer.bias().values);
+                    push_matrix(&mut tensors, &mut data, &format!("mlp.{i}.weight"), weight);
+                    push_matrix(&mut tensors, &mut data, &format!("mlp.{i}.bias"), bias);
+                }
+                false
+            }
+        };
+        if !shared_phase2 {
+            let phase2 = model.phase2_dictionary();
+            push_matrix(&mut tensors, &mut data, "phase2_dictionary", phase2);
+        }
+        let header = ModelFileHeader {
+            model_config: *model.config(),
+            feature_dim: image_encoder.feature_dim(),
+            schema: SchemaFingerprint::of(schema),
+            backbone: image_encoder.backbone(),
+            temperature_bits: model.temperature().to_bits(),
+            temperature_learnable: model.temperature_learnable(),
+            mlp_activation,
+            tensors,
+        };
+        let header = serde_json::to_string(&header).expect("header serialization is infallible");
+        let payload_len = 4 + header.len() + data.len();
+        let mut bytes = Vec::with_capacity(MODEL_FILE_HEADER_LEN + payload_len);
+        bytes.extend_from_slice(MODEL_FILE_MAGIC);
+        bytes.extend_from_slice(&MODEL_FILE_FORMAT_VERSION.to_le_bytes());
+        let len = u32::try_from(payload_len).expect("a model file payload fits in 4 GiB");
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(&[0; 4]);
+        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(header.as_bytes());
+        bytes.extend_from_slice(&data);
+        let payload = &bytes[MODEL_FILE_HEADER_LEN..];
+        let (crc, fingerprint) = (crc32(payload), fnv1a64(payload));
+        bytes[16..20].copy_from_slice(&crc.to_le_bytes());
+        Self {
+            name: format!("model-{fingerprint:016x}.bin"),
+            bytes,
+        }
+    }
+
+    /// The file name, `model-<fingerprint>.bin`.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The encoded file.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Writes the file into `dir` under its name, through
+    /// [`atomic_write`].
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`] if the file cannot be written.
+    pub fn save(&self, dir: &Path) -> Result<(), CheckpointError> {
+        atomic_write(&dir.join(&self.name), &self.bytes).map_err(CheckpointError::from)
+    }
+
+    /// Reads the model file `name` from `dir` and decodes it
+    /// ([`ModelFile::decode`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Io`] when the file cannot be read (a missing one
+    /// included), plus everything [`ModelFile::decode`] reports.
+    pub fn load(dir: &Path, name: &str) -> Result<Checkpoint, CheckpointError> {
+        if model_file_fingerprint(name).is_none() {
+            return Err(CheckpointError::Malformed(format!(
+                "`{name}` is not a model file name"
+            )));
+        }
+        Self::decode(name, &std::fs::read(dir.join(name))?)
+    }
+
+    /// Decodes the bytes of the model file `name` into an uncalibrated
+    /// [`Checkpoint`], re-checking the frame's length and CRC-32, the
+    /// fingerprint in `name`, the format version, and every dimension the
+    /// JSON loader checks.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::ChecksumMismatch`] and
+    /// [`CheckpointError::FingerprintMismatch`] for damaged or substituted
+    /// bytes, [`CheckpointError::UnsupportedVersion`] for another layout,
+    /// [`CheckpointError::Malformed`] for a wrong magic, a truncated file,
+    /// a bad name or header, or a tensor table that does not fit the
+    /// model, and [`CheckpointError::DimensionMismatch`] when the header
+    /// and the weights disagree.
+    pub fn decode(name: &str, bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+        let malformed = |reason: &str| CheckpointError::Malformed(format!("model file {reason}"));
+        if bytes.len() < 8 || &bytes[..8] != MODEL_FILE_MAGIC {
+            return Err(malformed("lacks its magic bytes"));
+        }
+        if bytes.len() < MODEL_FILE_HEADER_LEN {
+            return Err(malformed("ends inside its header"));
+        }
+        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+        let format = u32_at(8);
+        if format != MODEL_FILE_FORMAT_VERSION {
+            return Err(CheckpointError::UnsupportedVersion {
+                found: format,
+                supported: MODEL_FILE_FORMAT_VERSION,
+            });
+        }
+        let (len, stored) = (u32_at(12) as usize, u32_at(16));
+        let payload = &bytes[MODEL_FILE_HEADER_LEN..];
+        if payload.len() != len {
+            return Err(malformed(&format!(
+                "holds {} payload bytes, its frame declares {len}",
+                payload.len()
+            )));
+        }
+        let computed = crc32(payload);
+        if computed != stored {
+            return Err(CheckpointError::ChecksumMismatch { stored, computed });
+        }
+        let named = model_file_fingerprint(name).ok_or_else(|| malformed("has a bad name"))?;
+        let computed = fnv1a64(payload);
+        if computed != named {
+            return Err(CheckpointError::FingerprintMismatch { named, computed });
+        }
+        let header_len = payload
+            .get(..4)
+            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
+            .filter(|&n| n <= payload.len() - 4)
+            .ok_or_else(|| malformed("ends inside its header"))?;
+        let header = std::str::from_utf8(&payload[4..4 + header_len])
+            .map_err(|_| malformed("header is not UTF-8"))?;
+        let header: ModelFileHeader = serde_json::from_str(header)
+            .map_err(|e| CheckpointError::Malformed(format!("model file header: {e}")))?;
+        let mut tensors = Tensors::split(header.tensors, &payload[4 + header_len..])?;
+        let parts = |e: DeError| CheckpointError::Malformed(e.to_string());
+        let projection = match tensors.take("projection.weight") {
+            Some((entry, bytes)) => {
+                let weight = decode_matrix(&entry, bytes);
+                let bias = tensors.matrix("projection.bias")?;
+                Some(nn::Linear::try_from_parts(weight, bias).map_err(parts)?)
+            }
+            None => None,
+        };
+        let image_encoder =
+            ImageEncoder::from_parts(header.backbone, header.feature_dim, projection)
+                .map_err(parts)?;
+        let attribute_encoder = match header.mlp_activation {
+            None => {
+                let groups = tensors.codebook("hdc.groups")?;
+                let values = tensors.codebook("hdc.values")?;
+                let dictionary = tensors.matrix("hdc.dictionary")?;
+                let counts = (groups.len(), values.len(), dictionary.rows());
+                let dim = groups.dim();
+                AttributeEncoder::Hdc(
+                    HdcAttributeEncoder::from_parts(groups, values, dictionary, dim, counts)
+                        .map_err(parts)?,
+                )
+            }
+            Some(activation) => {
+                let mut layers = Vec::new();
+                while let Some((entry, bytes)) =
+                    tensors.take(&format!("mlp.{}.weight", layers.len()))
+                {
+                    let weight = decode_matrix(&entry, bytes);
+                    let bias = tensors.matrix(&format!("mlp.{}.bias", layers.len()))?;
+                    layers.push(nn::Linear::try_from_parts(weight, bias).map_err(parts)?);
+                }
+                let mut dims: Vec<usize> = layers
+                    .first()
+                    .map(nn::Linear::in_features)
+                    .into_iter()
+                    .collect();
+                dims.extend(layers.iter().map(nn::Linear::out_features));
+                let mlp = nn::Mlp::try_from_layers(dims, activation, layers).map_err(parts)?;
+                let (alpha, dim) = (mlp.dims()[0], mlp.dims()[mlp.dims().len() - 1]);
+                AttributeEncoder::Mlp(
+                    MlpAttributeEncoder::from_parts(mlp, alpha, dim).map_err(parts)?,
+                )
+            }
+        };
+        let phase2_dictionary = match (tensors.take("phase2_dictionary"), &attribute_encoder) {
+            (Some((entry, bytes)), _) => decode_matrix(&entry, bytes),
+            (None, AttributeEncoder::Hdc(hdc)) => hdc.dictionary().clone(),
+            (None, AttributeEncoder::Mlp(_)) => {
+                return Err(malformed("lacks tensor `phase2_dictionary`"))
+            }
+        };
+        tensors.finish()?;
+        let model = ZscModel::from_parts(
+            header.model_config,
+            image_encoder,
+            attribute_encoder,
+            phase2_dictionary,
+            f32::from_bits(header.temperature_bits),
+            header.temperature_learnable,
+        )
+        .map_err(parts)?;
+        let checkpoint = Checkpoint {
+            format_version: CHECKPOINT_FORMAT_VERSION,
+            model_config: header.model_config,
+            feature_dim: header.feature_dim,
+            schema: header.schema,
+            calibration: None,
+            model,
+        };
+        checkpoint.validate_internal()?;
+        Ok(checkpoint)
     }
 }
 
@@ -1128,6 +1908,95 @@ mod tests {
         assert!(matches!(
             CheckpointDelta::from_json_str(&json),
             Err(CheckpointError::Malformed(reason)) if reason.contains("routed")
+        ));
+    }
+
+    /// A serve base round-trips either index kind exactly, stores the
+    /// threshold as bits, and names its model file; it runs the delta's
+    /// class-state checks; and a version-2 delta — what an earlier build
+    /// wrote as `base.json` — is refused by version before anything else.
+    #[test]
+    fn serve_base_round_trips_and_refuses_version_2_deltas() {
+        let s = schema();
+        let model = fixture_model(AttributeEncoderKind::Hdc);
+        let mut rng = StdRng::seed_from_u64(9);
+        let class_attributes = Matrix::random_uniform(4, 312, 0.5, &mut rng).map(f32::abs);
+        let labels: Vec<String> = (0..4).map(|c| format!("class{c}")).collect();
+        let memory = model.sharded_class_memory(labels.clone(), &class_attributes, 2);
+        let routed = RoutedClassMemory::from_sign_matrix(
+            labels,
+            &model.attribute_encoder().infer_classes(&class_attributes),
+            engine::RoutedConfig {
+                clusters: 2,
+                ..engine::RoutedConfig::default()
+            },
+        );
+        let model_file = ModelFile::encode(&model, &s).name().to_string();
+        let base = |index, stream| ServeBase {
+            snapshot_version: 7,
+            next_record_seq: 3,
+            model_file: model_file.clone(),
+            index,
+            threshold: Some(-0.0),
+            stream,
+        };
+        for index in [
+            BaseIndex::Sharded(memory.clone()),
+            BaseIndex::Routed(routed.clone()),
+        ] {
+            let saved = base(index, None);
+            let restored = ServeBase::from_json_str(&saved.to_json()).expect("base loads");
+            assert_eq!(
+                restored.threshold.map(f32::to_bits),
+                Some((-0.0f32).to_bits())
+            );
+            assert_eq!(restored, saved);
+            restored
+                .validate_model(&model)
+                .expect("prototypes fit the model");
+        }
+        let mut ghost = hdc::ClassAccumulator::new(memory.dim());
+        ghost
+            .observe(
+                "ghost",
+                &hdc::BipolarHypervector::random(memory.dim(), &mut rng),
+            )
+            .expect("observe fits");
+        let stream = StreamCheckpoint {
+            accumulators: ghost,
+            pending: Vec::new(),
+            since_publish: 0,
+        };
+        let json = base(BaseIndex::Sharded(memory.clone()), Some(stream)).to_json();
+        assert!(matches!(
+            ServeBase::from_json_str(&json),
+            Err(CheckpointError::Malformed(reason)) if reason.contains("ghost")
+        ));
+        let renamed = edited(
+            &base(BaseIndex::Sharded(memory.clone()), None).to_json(),
+            |doc| {
+                *entry(doc, "model_file") = Value::String("../model.bin".to_string());
+            },
+        );
+        assert!(matches!(
+            ServeBase::from_json_str(&renamed),
+            Err(CheckpointError::Malformed(_))
+        ));
+        let delta = CheckpointDelta {
+            snapshot_version: 7,
+            next_record_seq: 3,
+            base: Checkpoint::capture(&model, &s),
+            memory,
+            routed: None,
+            threshold: None,
+            stream: None,
+        };
+        assert!(matches!(
+            ServeBase::from_json_str(&delta.to_json()),
+            Err(CheckpointError::UnsupportedVersion {
+                found: 2,
+                supported: SERVE_BASE_FORMAT_VERSION,
+            })
         ));
     }
 

@@ -52,6 +52,19 @@ impl Deserialize for ImageEncoder {
         let backbone: BackboneKind = de::field(entries, "backbone", "ImageEncoder")?;
         let feature_dim: usize = de::field(entries, "feature_dim", "ImageEncoder")?;
         let projection: Option<Linear> = de::field(entries, "projection", "ImageEncoder")?;
+        Self::from_parts(backbone, feature_dim, projection)
+    }
+}
+
+impl ImageEncoder {
+    /// Assembles an encoder from its parts, checking that the projection
+    /// (if any) ingests `feature_dim`-wide features. Both checkpoint
+    /// loaders build image encoders through it.
+    pub(crate) fn from_parts(
+        backbone: BackboneKind,
+        feature_dim: usize,
+        projection: Option<Linear>,
+    ) -> Result<Self, DeError> {
         if feature_dim == 0 {
             return Err(
                 DeError::new("feature dimensionality must be positive").in_field("ImageEncoder")
@@ -72,9 +85,7 @@ impl Deserialize for ImageEncoder {
             projection,
         })
     }
-}
 
-impl ImageEncoder {
     /// Creates an image encoder for `backbone` features of width
     /// `feature_dim`. With `projection_dim = Some(d)` an FC layer projects to
     /// `d`; with `None` the features are used directly (and the embedding
@@ -123,6 +134,11 @@ impl ImageEncoder {
     /// Whether the encoder has a trainable FC projection.
     pub fn has_projection(&self) -> bool {
         self.projection.is_some()
+    }
+
+    /// The FC projection, if the encoder has one.
+    pub(crate) fn projection(&self) -> Option<&Linear> {
+        self.projection.as_ref()
     }
 
     /// Immutable inference forward: maps backbone features (`B×d'`) to

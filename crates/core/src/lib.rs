@@ -93,8 +93,8 @@ pub use attribute_encoder::{
     AttributeEncoder, AttributeEncoderKind, HdcAttributeEncoder, MlpAttributeEncoder,
 };
 pub use checkpoint::{
-    Checkpoint, CheckpointDelta, CheckpointError, SchemaFingerprint, StreamCheckpoint,
-    CHECKPOINT_FORMAT_VERSION,
+    BaseIndex, Checkpoint, CheckpointDelta, CheckpointError, ModelFile, SchemaFingerprint,
+    ServeBase, StreamCheckpoint, CHECKPOINT_FORMAT_VERSION,
 };
 pub use config::{ModelConfig, TrainConfig};
 pub use eval::{

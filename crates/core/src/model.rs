@@ -385,6 +385,30 @@ impl Deserialize for ZscModel {
         let phase2_dictionary: Matrix = de::field(entries, "phase2_dictionary", "ZscModel")?;
         let temperature_k: f32 = de::field(entries, "temperature_k", "ZscModel")?;
         let temperature_learnable: bool = de::field(entries, "temperature_learnable", "ZscModel")?;
+        Self::from_parts(
+            config,
+            image_encoder,
+            attribute_encoder,
+            phase2_dictionary,
+            temperature_k,
+            temperature_learnable,
+        )
+    }
+}
+
+impl ZscModel {
+    /// Assembles a model from its persisted parts, checking that the
+    /// encoders, the configuration and the phase-II dictionary agree and
+    /// that the temperature is a positive finite value. Both checkpoint
+    /// loaders build models through it.
+    pub(crate) fn from_parts(
+        config: ModelConfig,
+        image_encoder: ImageEncoder,
+        attribute_encoder: AttributeEncoder,
+        phase2_dictionary: Matrix,
+        temperature_k: f32,
+        temperature_learnable: bool,
+    ) -> Result<Self, DeError> {
         let type_err = |msg: String| DeError::new(msg).in_field("ZscModel");
         let embedding_dim = image_encoder.embedding_dim();
         if attribute_encoder.dim() != embedding_dim {
@@ -430,6 +454,11 @@ impl Deserialize for ZscModel {
             temperature,
             inference_pool: Pool::auto(),
         })
+    }
+
+    /// Whether the temperature is trained.
+    pub(crate) fn temperature_learnable(&self) -> bool {
+        self.temperature.is_learnable()
     }
 }
 

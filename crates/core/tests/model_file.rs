@@ -1,0 +1,166 @@
+//! Property tests for the binary model file: write → load must give back
+//! the model's weights bit for bit and the same inference outputs, for
+//! both attribute-encoder kinds and random shapes, and every truncation or
+//! flipped byte must be a typed [`CheckpointError`], never a panic.
+
+use dataset::AttributeSchema;
+use hdc_zsc::{
+    AttributeEncoderKind, Checkpoint, CheckpointError, ModelConfig, ModelFile, ZscModel,
+};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use tensor::Matrix;
+
+fn build_model(
+    schema: &AttributeSchema,
+    embedding_dim: usize,
+    feature_dim: usize,
+    use_projection: bool,
+    mlp_encoder: bool,
+    seed: u64,
+) -> ZscModel {
+    let kind = if mlp_encoder {
+        AttributeEncoderKind::TrainableMlp
+    } else {
+        AttributeEncoderKind::Hdc
+    };
+    let config = ModelConfig::tiny()
+        .with_embedding_dim(embedding_dim)
+        .with_projection(use_projection)
+        .with_attribute_encoder(kind)
+        .with_seed(seed);
+    ZscModel::new(&config, schema, feature_dim)
+}
+
+proptest! {
+    /// The decoded model renders the same checkpoint JSON as the original
+    /// (so every weight, codebook, dictionary, configuration field and the
+    /// temperature carry the same bits), and embeds images and encodes
+    /// class signatures identically.
+    #[test]
+    fn model_files_round_trip_bit_identically(
+        groups in 1usize..6,
+        values_per_group in 1usize..5,
+        embedding_dim in 1usize..140,
+        feature_dim in 1usize..40,
+        use_projection in any::<bool>(),
+        mlp_encoder in any::<bool>(),
+        seed in 0u64..1_000,
+    ) {
+        let schema = AttributeSchema::synthetic(groups, values_per_group);
+        let model = build_model(
+            &schema,
+            embedding_dim,
+            feature_dim,
+            use_projection,
+            mlp_encoder,
+            seed,
+        );
+        let file = ModelFile::encode(&model, &schema);
+        let restored = ModelFile::decode(file.name(), file.bytes())
+            .expect("model file decodes")
+            .into_model(&schema)
+            .expect("schema matches");
+        prop_assert_eq!(
+            Checkpoint::capture(&restored, &schema).to_json(),
+            Checkpoint::capture(&model, &schema).to_json()
+        );
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let features = Matrix::random_uniform(3, feature_dim, 1.0, &mut rng);
+        prop_assert_eq!(
+            restored.embed_images(&features).as_slice(),
+            model.embed_images(&features).as_slice()
+        );
+        let attributes = Matrix::random_uniform(1, schema.num_attributes(), 0.5, &mut rng);
+        prop_assert_eq!(
+            restored.packed_class_signature(attributes.row(0)),
+            model.packed_class_signature(attributes.row(0))
+        );
+        // Encoding is deterministic: the same model gets the same name.
+        prop_assert_eq!(ModelFile::encode(&restored, &schema).name(), file.name());
+    }
+}
+
+fn small_file(mlp_encoder: bool) -> ModelFile {
+    let schema = AttributeSchema::synthetic(3, 2);
+    ModelFile::encode(&build_model(&schema, 70, 5, true, mlp_encoder, 11), &schema)
+}
+
+/// Cutting the file at every length short of its end is a typed error.
+#[test]
+fn every_truncation_is_a_typed_error() {
+    for mlp_encoder in [false, true] {
+        let file = small_file(mlp_encoder);
+        for cut in 0..file.bytes().len() {
+            match ModelFile::decode(file.name(), &file.bytes()[..cut]) {
+                Err(CheckpointError::Malformed(_)) => {}
+                other => panic!("cut at {cut}: expected Malformed, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// Flipping any one byte is a typed error: a damaged payload, length or
+/// checksum fails the frame, a damaged magic or version the header.
+#[test]
+fn every_flipped_byte_is_a_typed_error() {
+    for mlp_encoder in [false, true] {
+        let file = small_file(mlp_encoder);
+        for at in 0..file.bytes().len() {
+            let mut bytes = file.bytes().to_vec();
+            bytes[at] ^= 0x10;
+            let result = ModelFile::decode(file.name(), &bytes);
+            let expected = match at {
+                0..=7 | 12..=15 => matches!(result, Err(CheckpointError::Malformed(_))),
+                8..=11 => matches!(result, Err(CheckpointError::UnsupportedVersion { .. })),
+                _ => matches!(result, Err(CheckpointError::ChecksumMismatch { .. })),
+            };
+            assert!(expected, "flip at {at}: got {:?}", result.map(|_| ()));
+        }
+    }
+}
+
+/// Intact bytes under another model's name are not that model.
+#[test]
+fn a_file_under_another_name_fails_its_fingerprint() {
+    let (hdc, mlp) = (small_file(false), small_file(true));
+    assert_ne!(hdc.name(), mlp.name());
+    assert!(matches!(
+        ModelFile::decode(mlp.name(), hdc.bytes()),
+        Err(CheckpointError::FingerprintMismatch { .. })
+    ));
+    for name in [
+        "model.bin",
+        "model-XYZ.bin",
+        "../model-0000000000000000.bin",
+    ] {
+        assert!(matches!(
+            ModelFile::decode(name, hdc.bytes()),
+            Err(CheckpointError::Malformed(_))
+        ));
+    }
+}
+
+/// The file stores the weights as 4-byte floats and every ±1 matrix as
+/// sign bits, once: at the serving shape of the durable benchmark workload
+/// (128-d features to d = 256, CUB schema) that is the projection plus
+/// bits for the two codebooks and one dictionary, and a small header.
+#[test]
+fn weights_are_raw_floats_and_dictionaries_are_bits_stored_once() {
+    let schema = AttributeSchema::cub200();
+    let model = ZscModel::new(
+        &ModelConfig::paper_default().with_embedding_dim(256),
+        &schema,
+        128,
+    );
+    let file = ModelFile::encode(&model, &schema);
+    let floats = (128 * 256 + 256) * 4;
+    let sign_rows = schema.num_groups() + schema.num_values() + schema.num_attributes();
+    let bits = sign_rows * 256 / 8;
+    let len = file.bytes().len();
+    assert!(
+        len > floats + bits && len < floats + bits + 4096,
+        "{len} bytes for {floats} float and {bits} sign bytes"
+    );
+}

@@ -43,9 +43,8 @@ pub fn pack_signs_into(signs: &[i8], words: &mut [u64]) {
     words.fill(0);
     for (i, &s) in signs.iter().enumerate() {
         assert!(s == 1 || s == -1, "bipolar signs must be +1 or -1");
-        if s < 0 {
-            words[i / 64] |= 1u64 << (i % 64);
-        }
+        // Branch-free: random signs would mispredict a branch half the time.
+        words[i / 64] |= u64::from(s < 0) << (i % 64);
     }
 }
 
@@ -72,9 +71,7 @@ pub fn pack_float_signs(xs: &[f32]) -> Vec<u64> {
     assert!(!xs.is_empty(), "cannot pack an empty float row");
     let mut words = vec![0u64; words_per_row(xs.len())];
     for (i, &x) in xs.iter().enumerate() {
-        if x < 0.0 {
-            words[i / 64] |= 1u64 << (i % 64);
-        }
+        words[i / 64] |= u64::from(x < 0.0) << (i % 64);
     }
     words
 }
@@ -379,23 +376,33 @@ impl PackedClassMemory {
     /// Panics if `query.len() != self.words_per_row()`.
     pub fn top_k_hamming(&self, query: &[u64], k: usize) -> Vec<(usize, u64)> {
         assert_eq!(query.len(), self.words_per_row, "query width");
-        let mut scored: Vec<(usize, u64)> = (0..self.len())
-            .map(|index| (index, self.row_hamming(index, query)))
-            .collect();
         // The row index only decides between equal labels, which a memory
-        // built by inserts never holds; it keeps the order total, so
-        // selecting before sorting returns what a full stable sort would.
+        // built by inserts never holds; it keeps the order total, so the
+        // bounded selection returns what a full stable sort would.
         let order = |a: &(usize, u64), b: &(usize, u64)| {
             a.1.cmp(&b.1)
                 .then_with(|| self.labels[a.0].cmp(&self.labels[b.0]))
                 .then(a.0.cmp(&b.0))
         };
-        if k < scored.len() {
-            scored.select_nth_unstable_by(k, order);
-            scored.truncate(k);
+        let k = k.min(self.len());
+        // At most `k` slots, kept in order: a row enters only if it beats
+        // the worst kept one, which for small `k` rejects nearly every row
+        // with one integer compare.
+        let mut best: Vec<(usize, u64)> = Vec::with_capacity(k);
+        for index in 0..self.len() {
+            let candidate = (index, self.row_hamming(index, query));
+            if best.len() == k {
+                match best.last() {
+                    Some(worst) if order(&candidate, worst).is_lt() => {
+                        best.pop();
+                    }
+                    _ => continue,
+                }
+            }
+            let at = best.partition_point(|kept| order(kept, &candidate).is_lt());
+            best.insert(at, candidate);
         }
-        scored.sort_unstable_by(order);
-        scored
+        best
     }
 }
 

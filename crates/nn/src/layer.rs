@@ -145,6 +145,28 @@ impl Linear {
         }
     }
 
+    /// [`Linear::from_parts`] for untrusted parts: a bias that is not one
+    /// row as wide as the weight, or an empty weight, is an error instead
+    /// of a panic. Every checkpoint loader builds layers through it.
+    ///
+    /// # Errors
+    ///
+    /// A [`DeError`] naming the mismatched shapes.
+    pub fn try_from_parts(weight: Matrix, bias: Matrix) -> Result<Self, DeError> {
+        if bias.rows() != 1 || bias.cols() != weight.cols() {
+            return Err(DeError::new(format!(
+                "bias shape {:?} does not match weight shape {:?}",
+                bias.shape(),
+                weight.shape()
+            ))
+            .in_field("Linear"));
+        }
+        if weight.rows() == 0 || weight.cols() == 0 {
+            return Err(DeError::new("layer dimensions must be positive").in_field("Linear"));
+        }
+        Ok(Self::from_parts(weight, bias))
+    }
+
     /// Input feature dimensionality.
     pub fn in_features(&self) -> usize {
         self.weight.values.rows()
@@ -183,18 +205,7 @@ impl Deserialize for Linear {
         let entries = de::expect_object(value, "Linear")?;
         let weight: Matrix = de::field(entries, "weight", "Linear")?;
         let bias: Matrix = de::field(entries, "bias", "Linear")?;
-        if bias.rows() != 1 || bias.cols() != weight.cols() {
-            return Err(DeError::new(format!(
-                "bias shape {:?} does not match weight shape {:?}",
-                bias.shape(),
-                weight.shape()
-            ))
-            .in_field("Linear"));
-        }
-        if weight.rows() == 0 || weight.cols() == 0 {
-            return Err(DeError::new("layer dimensions must be positive").in_field("Linear"));
-        }
-        Ok(Self::from_parts(weight, bias))
+        Self::try_from_parts(weight, bias)
     }
 }
 
@@ -390,9 +401,64 @@ impl Mlp {
         }
     }
 
+    /// Assembles an MLP from its widths, hidden activation and trained
+    /// layers, checking that `layers[i]` maps `dims[i]` to `dims[i + 1]`.
+    /// Every checkpoint loader builds MLPs through it.
+    ///
+    /// # Errors
+    ///
+    /// A [`DeError`] when there are fewer than two widths, a zero width, or
+    /// a layer of the wrong count or shape.
+    pub fn try_from_layers(
+        dims: Vec<usize>,
+        activation: ActivationKind,
+        layers: Vec<Linear>,
+    ) -> Result<Self, DeError> {
+        if dims.len() < 2 || dims.contains(&0) {
+            return Err(
+                DeError::new("MLP widths must be at least two positive dims").in_field("Mlp"),
+            );
+        }
+        if layers.len() != dims.len() - 1 {
+            return Err(DeError::new(format!(
+                "expected {} layers for {} widths, got {}",
+                dims.len() - 1,
+                dims.len(),
+                layers.len()
+            ))
+            .in_field("Mlp"));
+        }
+        for (i, layer) in layers.iter().enumerate() {
+            if layer.in_features() != dims[i] || layer.out_features() != dims[i + 1] {
+                return Err(DeError::new(format!(
+                    "layer {i} maps {}→{}, expected {}→{}",
+                    layer.in_features(),
+                    layer.out_features(),
+                    dims[i],
+                    dims[i + 1]
+                ))
+                .in_field("Mlp"));
+            }
+        }
+        let hidden_activations = (0..layers.len().saturating_sub(1))
+            .map(|_| Activation::new(activation))
+            .collect();
+        Ok(Self {
+            layers,
+            hidden_activations,
+            activation,
+            dims,
+        })
+    }
+
     /// The layer widths this MLP was built with.
     pub fn dims(&self) -> &[usize] {
         &self.dims
+    }
+
+    /// The linear layers, input side first.
+    pub fn layers(&self) -> &[Linear] {
+        &self.layers
     }
 
     /// The shared hidden activation kind.
@@ -465,41 +531,7 @@ impl Deserialize for Mlp {
         let dims: Vec<usize> = de::field(entries, "dims", "Mlp")?;
         let activation: ActivationKind = de::field(entries, "activation", "Mlp")?;
         let layers: Vec<Linear> = de::field(entries, "layers", "Mlp")?;
-        if dims.len() < 2 || dims.contains(&0) {
-            return Err(
-                DeError::new("MLP widths must be at least two positive dims").in_field("Mlp"),
-            );
-        }
-        if layers.len() != dims.len() - 1 {
-            return Err(DeError::new(format!(
-                "expected {} layers for {} widths, got {}",
-                dims.len() - 1,
-                dims.len(),
-                layers.len()
-            ))
-            .in_field("Mlp"));
-        }
-        for (i, layer) in layers.iter().enumerate() {
-            if layer.in_features() != dims[i] || layer.out_features() != dims[i + 1] {
-                return Err(DeError::new(format!(
-                    "layer {i} maps {}→{}, expected {}→{}",
-                    layer.in_features(),
-                    layer.out_features(),
-                    dims[i],
-                    dims[i + 1]
-                ))
-                .in_field("Mlp"));
-            }
-        }
-        let hidden_activations = (0..layers.len().saturating_sub(1))
-            .map(|_| Activation::new(activation))
-            .collect();
-        Ok(Self {
-            layers,
-            hidden_activations,
-            activation,
-            dims,
-        })
+        Self::try_from_layers(dims, activation, layers)
     }
 }
 

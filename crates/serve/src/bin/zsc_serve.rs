@@ -25,8 +25,9 @@
 //!
 //! With `--wal-dir PATH` the server runs durable: every live registration
 //! is write-ahead-logged before it is published, and the report's
-//! `durability` object carries the WAL footprint. `PATH` must not already
-//! hold a WAL or base checkpoint (recover such a directory with
+//! `durability` object carries the WAL, base and model-file sizes and the
+//! last compaction's wall time. `PATH` must not already hold a WAL or a
+//! compaction base (recover such a directory with
 //! [`serve::QueryServer::recover`], or remove it).
 //!
 //! ```text
@@ -401,8 +402,14 @@ fn main() {
     // document shape is stable across modes.
     let durability_json = match server.durability_stats() {
         Some(d) => format!(
-            "{{\"wal_bytes\": {}, \"records_since_compaction\": {}, \"next_record_seq\": {}}}",
-            d.wal_bytes, d.records_since_compaction, d.next_record_seq
+            "{{\"wal_bytes\": {}, \"records_since_compaction\": {}, \"next_record_seq\": {}, \
+             \"base_bytes\": {}, \"model_bytes\": {}, \"last_compaction_us\": {}}}",
+            d.wal_bytes,
+            d.records_since_compaction,
+            d.next_record_seq,
+            d.base_bytes,
+            d.model_bytes,
+            d.last_compaction_us
         ),
         None => "null".to_string(),
     };

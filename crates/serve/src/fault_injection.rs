@@ -6,12 +6,16 @@
 //! still answered from the last published snapshot, and
 //! [`QueryServer::recover`] on the directory returns exactly the last
 //! acknowledged state.
+//!
+//! The same short write and failed fsync in a model file's write fail
+//! `start_durable` before any base exists, and fail a `swap_model` with
+//! nothing logged or published and the log still live.
 
 use crate::wal::fault::{self, Fault};
 use crate::wal::{self, WalError};
 use crate::{DurabilityConfig, ModelSnapshot, QueryServer, ServeError, ServerConfig};
 use dataset::AttributeSchema;
-use hdc_zsc::{ModelConfig, ZscModel};
+use hdc_zsc::{CheckpointError, ModelConfig, ZscModel};
 use std::sync::Arc;
 use tensor::Matrix;
 
@@ -209,4 +213,111 @@ fn a_failed_reopen_after_rotation_stops_the_log_and_recovery_returns_the_acknowl
     for n in [0, 1] {
         inject(Fault::Reopen, n);
     }
+}
+
+fn model_files(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir)
+        .expect("list dir")
+        .filter(|entry| {
+            let name = entry.as_ref().expect("entry").file_name();
+            let name = name.to_string_lossy();
+            name.starts_with("model-") && name.ends_with(".bin")
+        })
+        .count()
+}
+
+/// A model file's write fails at `fault`: at `start_durable` the start
+/// fails with no base and no log written; at `swap_model` nothing is logged
+/// or published, the log stays live for the next mutation, and recovery
+/// returns the pre-swap state.
+fn inject_into_model_file(fault: Fault) {
+    let context = format!("{fault:?} in a model-file write");
+    let dir =
+        std::env::temp_dir().join(format!("zsc-fault-model-{}-{fault:?}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let alpha = schema().num_attributes();
+    let class_attributes = Matrix::from_rows(&[row(alpha, 1), row(alpha, 2)]);
+    let start = || {
+        QueryServer::start_durable(
+            ZscModel::new(&ModelConfig::tiny().with_seed(3), &schema(), FEATURE_DIM),
+            vec!["x".to_string(), "y".to_string()],
+            &class_attributes,
+            &schema(),
+            config(),
+            DurabilityConfig {
+                compact_every: 0,
+                ..DurabilityConfig::new(&dir)
+            },
+        )
+    };
+
+    fault::arm(fault, 0);
+    let failed = start();
+    assert!(
+        matches!(failed, Err(ServeError::Checkpoint(CheckpointError::Io(_)))),
+        "{context}: start_durable returned {:?}",
+        failed.map(|_| ())
+    );
+    assert!(
+        !wal::base_path(&dir).exists(),
+        "{context}: a base was written"
+    );
+    assert!(
+        !wal::wal_path(&dir).exists(),
+        "{context}: a log was written"
+    );
+    assert_eq!(model_files(&dir), 0, "{context}");
+
+    let server = start().expect("durable server starts");
+    let before = server.snapshot();
+    let log_len = || std::fs::metadata(wal::wal_path(&dir)).expect("log").len();
+    let logged = log_len();
+    fault::arm(fault, 0);
+    let swapped = server.swap_model(
+        ZscModel::new(&ModelConfig::tiny().with_seed(4), &schema(), FEATURE_DIM),
+        vec!["s".to_string()],
+        &Matrix::from_rows(&[row(alpha, 3)]),
+    );
+    assert!(
+        matches!(swapped, Err(ServeError::Checkpoint(CheckpointError::Io(_)))),
+        "{context}: swap_model returned {:?}",
+        swapped.map(|_| ())
+    );
+    assert!(
+        Arc::ptr_eq(&before, &server.snapshot()),
+        "{context}: published"
+    );
+    assert_eq!(
+        log_len(),
+        logged,
+        "{context}: the failed swap logged a record"
+    );
+    assert_eq!(
+        model_files(&dir),
+        1,
+        "{context}: only the start's model file"
+    );
+    server
+        .register_class("after", &row(alpha, 4))
+        .expect("the log stays live");
+    let expected = state(&server.snapshot());
+    drop(server);
+
+    let (recovered, report) =
+        QueryServer::recover(&schema(), config(), DurabilityConfig::new(&dir))
+            .unwrap_or_else(|e| panic!("{context}: recovery failed: {e}"));
+    assert_eq!(report.replayed_records, 1, "{context}");
+    assert_eq!(state(&recovered.snapshot()), expected, "{context}");
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_short_model_file_write_fails_the_start_or_the_swap_and_logs_nothing() {
+    inject_into_model_file(Fault::ShortWrite);
+}
+
+#[test]
+fn a_failed_model_file_fsync_fails_the_start_or_the_swap_and_logs_nothing() {
+    inject_into_model_file(Fault::Fsync);
 }

@@ -66,7 +66,8 @@ use crate::wal::{self, SyncPolicy, WalError, WalOp, WriteAheadLog};
 use dataset::AttributeSchema;
 use engine::{PackedQueryBatch, RoutedClassMemory, RoutedConfig, ShardedClassMemory};
 use hdc::{BipolarHypervector, ClassAccumulator};
-use hdc_zsc::{Checkpoint, CheckpointDelta, FrozenModel, StreamCheckpoint};
+use hdc_zsc::checkpoint::atomic_write;
+use hdc_zsc::{BaseIndex, CheckpointError, FrozenModel, ModelFile, ServeBase, StreamCheckpoint};
 use metrics::{DriftReport, StreamDriftConfig, StreamDriftDetector};
 use std::collections::{BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -280,10 +281,11 @@ impl From<WalError> for ServeError {
 /// [`QueryServer::start_durable`] and the [`crate::wal`] module docs.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding the write-ahead log (`wal.log`) and the
-    /// checkpoint-delta compaction base (`base.json`). Created if missing;
+    /// Directory holding the write-ahead log (`wal.log`), the compaction
+    /// base (`base.json`) and the binary model files they name
+    /// (`model-<fingerprint>.bin`). Created if missing;
     /// [`QueryServer::start_durable`] refuses a directory that already
-    /// holds either file.
+    /// holds a log or a base.
     pub dir: PathBuf,
     /// When appended records are fsynced: [`SyncPolicy::Always`], the one
     /// policy. Every record is fsynced before its mutation is acknowledged.
@@ -330,20 +332,30 @@ pub struct RecoveryReport {
 struct DurableState {
     wal: WriteAheadLog,
     dir: PathBuf,
-    /// The serving schema, pinned at startup; compaction captures model
-    /// checkpoints against it, and swapped-in models must keep matching it.
+    /// The serving schema, pinned at startup; model files are written
+    /// against it, and swapped-in models must keep matching it.
     schema: AttributeSchema,
     compact_every: u64,
     since_compact: u64,
+    /// The file holding the serving model: the base's, or the last logged
+    /// swap's. The next base names it.
+    model_file: String,
+    /// Size of that model file in bytes.
+    model_bytes: u64,
+    /// Size of the last base written (or, after recovery, loaded).
+    base_bytes: u64,
+    /// Wall time of the last successful compaction (0 before the first).
+    last_compaction_us: u64,
 }
 
 impl DurableState {
     /// Initialises `durability.dir` for a fresh server serving `snapshot`.
     /// A directory that already holds a log or a base is refused before
     /// anything is written: overwriting it would destroy a recoverable
-    /// state. Base first, then the (empty) log: a crash in between leaves a
-    /// directory `recover` rejects loudly (no log) rather than one that
-    /// silently replays nothing against a stale base.
+    /// state. The model file first, then the base that names it, then the
+    /// (empty) log: a crash in between leaves a directory `recover` rejects
+    /// loudly (no base, or no log) rather than one that silently replays
+    /// nothing against a stale base.
     fn create(
         snapshot: &ModelSnapshot,
         schema: &AttributeSchema,
@@ -357,19 +369,53 @@ impl DurableState {
             )));
         }
         std::fs::create_dir_all(&durability.dir).map_err(|e| ServeError::Wal(WalError::Io(e)))?;
-        save_base(&durability.dir, snapshot, schema, 0, None)?;
+        let model = ModelFile::encode(&snapshot.model, schema);
+        wal::save_model(&durability.dir, &model)?;
+        let base_bytes = save_base(&durability.dir, snapshot, model.name(), 0, None)?;
         Ok(Self {
             wal: WriteAheadLog::create(wal::wal_path(&durability.dir), durability.sync)?,
             dir: durability.dir,
             schema: schema.clone(),
             compact_every: durability.compact_every,
             since_compact: 0,
+            model_file: model.name().to_string(),
+            model_bytes: model.bytes().len() as u64,
+            base_bytes,
+            last_compaction_us: 0,
         })
     }
 
-    /// Writes `snapshot` as the new checkpoint-delta base, then rotates the
-    /// log — in that order, so a crash between the two leaves a base whose
-    /// `next_record_seq` simply skips the old log's already-folded records.
+    /// Appends the record logging `mutation`. A swap first writes its
+    /// model file, so the record never names a file that is not on disk; a
+    /// failed model write logs nothing and leaves the log live.
+    fn log(&mut self, mutation: &Mutation) -> Result<(), ServeError> {
+        let written = match mutation {
+            Mutation::Swap { model, .. } => {
+                // A stopped log takes no record, so it gets no model file.
+                self.wal.ensure_live()?;
+                let file = ModelFile::encode(model, &self.schema);
+                wal::save_model(&self.dir, &file)?;
+                Some(file)
+            }
+            _ => None,
+        };
+        let model_file = written
+            .as_ref()
+            .map_or(self.model_file.as_str(), ModelFile::name);
+        self.wal.append(&mutation.record(model_file))?;
+        if let Some(file) = written {
+            self.model_file = file.name().to_string();
+            self.model_bytes = file.bytes().len() as u64;
+        }
+        Ok(())
+    }
+
+    /// Writes `snapshot` as the new compaction base, rotates the log, and
+    /// deletes every model file but the serving one — in that order, so a
+    /// crash between the base and the rotation leaves a base whose
+    /// `next_record_seq` simply skips the old log's already-folded records
+    /// (whose model files are still there), and the rotated log names no
+    /// model file.
     ///
     /// `stream` captures the continual-learning counters and batching
     /// position at the same instant, so a base written mid-batch still
@@ -381,34 +427,41 @@ impl DurableState {
         stream: Option<StreamCheckpoint>,
     ) -> Result<(), ServeError> {
         self.wal.ensure_live()?;
+        let start = Instant::now();
         let next_seq = self.wal.next_seq();
-        save_base(&self.dir, snapshot, &self.schema, next_seq, stream)?;
+        self.base_bytes = save_base(&self.dir, snapshot, &self.model_file, next_seq, stream)?;
         self.wal.rotate()?;
+        wal::remove_models_except(&self.dir, &self.model_file);
         self.since_compact = 0;
+        self.last_compaction_us = start.elapsed().as_micros() as u64;
         Ok(())
     }
 }
 
-/// Saves `snapshot` (plus the stream state) as the checkpoint-delta base
-/// under `dir`; replay resumes at `next_record_seq`.
+/// Saves the class state of `snapshot` (plus the stream state) as the
+/// compaction base under `dir`, naming `model_file` as its model; replay
+/// resumes at `next_record_seq`. Returns the base's size in bytes.
 fn save_base(
     dir: &Path,
     snapshot: &ModelSnapshot,
-    schema: &AttributeSchema,
+    model_file: &str,
     next_record_seq: u64,
     stream: Option<StreamCheckpoint>,
-) -> Result<(), ServeError> {
-    CheckpointDelta {
+) -> Result<u64, ServeError> {
+    let json = ServeBase {
         snapshot_version: snapshot.version,
         next_record_seq,
-        base: Checkpoint::capture(&snapshot.model, schema),
-        memory: snapshot.memory().clone(),
-        routed: snapshot.routed().cloned(),
+        model_file: model_file.to_string(),
+        index: match &snapshot.index {
+            ClassIndex::Sharded(memory) => BaseIndex::Sharded(memory.clone()),
+            ClassIndex::Routed(routed) => BaseIndex::Routed(routed.clone()),
+        },
         threshold: snapshot.threshold,
         stream,
     }
-    .save_json(wal::base_path(dir))?;
-    Ok(())
+    .to_json();
+    atomic_write(&wal::base_path(dir), json.as_bytes()).map_err(CheckpointError::from)?;
+    Ok(json.len() as u64)
 }
 
 /// The continual-learning half of the control plane: exact per-class
@@ -492,6 +545,14 @@ pub struct DurabilityStats {
     pub records_since_compaction: u64,
     /// The sequence number the next appended record will carry.
     pub next_record_seq: u64,
+    /// Size of the last compaction base written (or, on a recovered
+    /// server, loaded) in bytes.
+    pub base_bytes: u64,
+    /// Size of the serving model's binary file in bytes.
+    pub model_bytes: u64,
+    /// Wall time of the last successful compaction in microseconds: base
+    /// write, log rotation and model-file sweep. 0 before the first.
+    pub last_compaction_us: u64,
 }
 
 /// Counters describing the batching and hot-swap behaviour observed so far.
@@ -851,13 +912,14 @@ impl QueryServer {
     /// Starts a **durable** server: like [`QueryServer::start`], but every
     /// accepted class mutation is appended and fsynced to a write-ahead log
     /// under [`DurabilityConfig::dir`] *before* its snapshot is published,
-    /// and the initial state is saved there as a checkpoint-delta compaction
-    /// base. After a crash, [`QueryServer::recover`] on the same directory
-    /// rebuilds the exact pre-crash serving state — bit-identical class
-    /// memory, same snapshot version.
+    /// and the initial state is saved there: the model as a binary model
+    /// file, the class state as a compaction base naming it. After a crash,
+    /// [`QueryServer::recover`] on the same directory rebuilds the exact
+    /// pre-crash serving state — bit-identical class memory, same snapshot
+    /// version.
     ///
-    /// The attribute `schema` is pinned for the server's lifetime: compaction
-    /// captures model checkpoints against it, and [`QueryServer::swap_model`]
+    /// The attribute `schema` is pinned for the server's lifetime: model
+    /// files are written against it, and [`QueryServer::swap_model`]
     /// rejects models whose attribute space no longer matches it.
     ///
     /// # Errors
@@ -889,10 +951,10 @@ impl QueryServer {
 
     /// Rebuilds a durable server from its WAL directory after a crash (or a
     /// clean shutdown — recovery cannot tell and does not need to): loads
-    /// the checkpoint-delta compaction base, replays the WAL suffix
-    /// (records with `seq >=` the base's `next_record_seq`), truncates away
-    /// a torn final record if one is found, and resumes serving — and
-    /// logging — exactly where the pre-crash server left off.
+    /// the compaction base and the model file it names, replays the WAL
+    /// suffix (records with `seq >=` the base's `next_record_seq`),
+    /// truncates away a torn final record if one is found, and resumes
+    /// serving — and logging — exactly where the pre-crash server left off.
     ///
     /// Replay is the live mutation path's own state transition folded over
     /// the log, so the rebuilt class memory is **bit-identical** to the last
@@ -907,10 +969,15 @@ impl QueryServer {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Checkpoint`] when the base is missing, malformed, or
-    /// does not match `schema`; [`ServeError::Wal`] when the log is
-    /// missing, unreadable, corrupt *before* its final record, or does not
-    /// meet the base (it starts after the base ends or ends before it);
+    /// [`ServeError::Checkpoint`] when the base or a model file it or a
+    /// replayed swap names is missing, malformed, damaged
+    /// ([`CheckpointError::ChecksumMismatch`],
+    /// [`CheckpointError::FingerprintMismatch`]) or does not match
+    /// `schema` — a base written by a build before format 3 is
+    /// [`CheckpointError::UnsupportedVersion`]; [`ServeError::Wal`] when
+    /// the log is missing, unreadable, corrupt *before* its final record,
+    /// or does not meet the base (it starts after the base ends or ends
+    /// before it);
     /// [`ServeError::InvalidConfig`] for a bad `config` or a recovered
     /// state with no classes.
     pub fn recover(
@@ -919,39 +986,43 @@ impl QueryServer {
         durability: DurabilityConfig,
     ) -> Result<(Self, RecoveryReport), ServeError> {
         validate_config(&config)?;
-        let delta = CheckpointDelta::load_json(wal::base_path(&durability.dir))?;
-        delta.base.validate_schema(schema)?;
-        let (log, replay) = WriteAheadLog::open(wal::wal_path(&durability.dir), durability.sync)?;
+        let dir = &durability.dir;
+        let base = ServeBase::load_json(wal::base_path(dir))?;
+        let checkpoint = ModelFile::load(dir, &base.model_file)?;
+        base.validate_model(&checkpoint.model)?;
+        let model = checkpoint.into_frozen(schema)?;
+        let (log, replay) = WriteAheadLog::open(wal::wal_path(dir), durability.sync)?;
         // Every state the server writes has the log start at or before the
         // base's end and reach at least that far; else records are lost.
-        let (first, next, resume) = (replay.first_seq, replay.next_seq(), delta.next_record_seq);
+        let (first, next, resume) = (replay.first_seq, replay.next_seq(), base.next_record_seq);
         if !(first..=next).contains(&resume) {
             let reason = format!("log holds records {first}..{next}, base resumes at {resume}");
             return Err(WalError::Corrupt { offset: 0, reason }.into());
         }
-        let CheckpointDelta {
+        let ServeBase {
             snapshot_version,
             next_record_seq,
-            base,
-            memory,
-            routed,
+            mut model_file,
+            index,
             threshold,
             stream,
-        } = delta;
+        } = base;
         let mut current = ModelSnapshot {
             version: snapshot_version,
-            model: base.into_frozen(schema)?,
+            model,
             // Resume the base's routed index only when it was built under
             // exactly the requested routed configuration: replaying the same
             // records into the same structure reproduces the pre-crash index
             // bit-for-bit. Otherwise (config changed, routing newly
             // requested, or an unrouted base) replay runs on the base's
             // sharded memory and a fresh deterministic build follows it.
-            index: match (config.routed, routed) {
-                (Some(rc), Some(saved)) if saved.config() == rc => {
+            index: match (config.routed, index) {
+                (Some(rc), BaseIndex::Routed(saved)) if saved.config() == rc => {
                     ClassIndex::Routed(saved.with_threads(config.threads))
                 }
-                _ => ClassIndex::Sharded(memory.with_threads(config.threads)),
+                (_, index) => {
+                    ClassIndex::Sharded(index.memory().clone().with_threads(config.threads))
+                }
             },
             threshold,
         };
@@ -977,7 +1048,13 @@ impl QueryServer {
             if entry.seq < next_record_seq {
                 continue;
             }
-            let mutation = Mutation::from_record(entry.op, schema)?;
+            if let WalOp::Swap {
+                model_file: name, ..
+            } = &entry.op
+            {
+                model_file.clone_from(name);
+            }
+            let mutation = Mutation::from_record(entry.op, dir, schema)?;
             check(&current, &mutation).map_err(|rejected| {
                 ServeError::Wal(WalError::Corrupt {
                     offset: entry.end_offset,
@@ -1002,12 +1079,17 @@ impl QueryServer {
             replayed_records,
             torn_tail: replay.torn_tail.is_some(),
         };
+        let file_len = |path: PathBuf| std::fs::metadata(path).map_or(0, |m| m.len());
         let durable = DurableState {
             wal: log,
-            dir: durability.dir,
             schema: schema.clone(),
             compact_every: durability.compact_every,
             since_compact: replayed_records,
+            model_bytes: file_len(dir.join(&model_file)),
+            base_bytes: file_len(wal::base_path(dir)),
+            model_file,
+            last_compaction_us: 0,
+            dir: durability.dir,
         };
         Ok((
             Self::start_with_parts(current, config, Some(durable), stream),
@@ -1218,12 +1300,10 @@ impl QueryServer {
     /// published then). A failed automatic compaction is not an error, as
     /// for [`QueryServer::register_class`].
     ///
-    /// A durable swap's WAL record embeds the whole model checkpoint, and a
-    /// record may not exceed [`MAX_FRAME_LEN`](crate::net::frame::MAX_FRAME_LEN).
-    /// A model too large for that, such as the paper shape (2048-d
-    /// features to d = 1536), is refused with [`WalError::RecordTooLarge`]:
-    /// nothing is published and the log stays live. Such a swap cannot be
-    /// made durable until the log stops embedding the model.
+    /// A durable swap first writes the new model's binary file into the
+    /// WAL directory, then logs a record naming it. If the model file
+    /// cannot be written, [`ServeError::Checkpoint`] is returned, nothing
+    /// is logged or published, and the log stays live.
     pub fn swap_model(
         &self,
         model: impl Into<FrozenModel>,
@@ -1405,14 +1485,18 @@ impl QueryServer {
     }
 
     /// Durability counters of a durable server — the acknowledged WAL size,
-    /// records since the last compaction, and the next record sequence
-    /// number. `None` on a non-durable server.
+    /// records since the last compaction, the next record sequence number,
+    /// the base and model-file sizes, and the last compaction's wall time.
+    /// `None` on a non-durable server.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
         let control = self.control.lock().expect("control mutex poisoned");
         control.durable.as_ref().map(|durable| DurabilityStats {
             wal_bytes: durable.wal.end(),
             records_since_compaction: durable.since_compact,
             next_record_seq: durable.wal.next_seq(),
+            base_bytes: durable.base_bytes,
+            model_bytes: durable.model_bytes,
+            last_compaction_us: durable.last_compaction_us,
         })
     }
 
@@ -1456,7 +1540,7 @@ impl QueryServer {
         let current = self.snapshot();
         check(&current, &mutation).map_err(Rejected::into_serve_error)?;
         if let Some(durable) = control.durable.as_mut() {
-            durable.wal.append(&mutation.record(&durable.schema))?;
+            durable.log(&mutation)?;
         }
         let published = apply(&current, &mut control.stream, mutation).map(|next| self.store(next));
         let ControlPlane {
@@ -1633,8 +1717,8 @@ impl Drop for QueryServer {
 
 /// One mutation of the serving state, as the shared transition consumes
 /// it: the [`WalOp`] record kinds, except that a swap carries the decoded
-/// model rather than its checkpoint JSON — the live path already holds the
-/// model, and replay decodes it once ([`Mutation::from_record`]).
+/// model rather than its file name — the live path already holds the
+/// model, and replay decodes its file once ([`Mutation::from_record`]).
 #[derive(Debug)]
 enum Mutation {
     Register {
@@ -1661,9 +1745,9 @@ enum Mutation {
 }
 
 impl Mutation {
-    /// The WAL record logging this mutation; a swap captures its model
-    /// against the durable `schema`.
-    fn record(&self, schema: &AttributeSchema) -> WalOp {
+    /// The WAL record logging this mutation; a swap's names
+    /// `model_file`, the file its model was written to.
+    fn record(&self, model_file: &str) -> WalOp {
         match self {
             Mutation::Register { label, words } => WalOp::Register {
                 label: label.clone(),
@@ -1676,8 +1760,8 @@ impl Mutation {
             Mutation::Remove { label } => WalOp::Remove {
                 label: label.clone(),
             },
-            Mutation::Swap { model, memory } => WalOp::Swap {
-                checkpoint_json: Checkpoint::capture(model, schema).to_json(),
+            Mutation::Swap { memory, .. } => WalOp::Swap {
+                model_file: model_file.to_string(),
                 memory: memory.clone(),
             },
             Mutation::SetThreshold(threshold) => WalOp::SetThreshold {
@@ -1691,24 +1775,17 @@ impl Mutation {
         }
     }
 
-    /// The mutation a replayed record logs; decodes a swap's checkpoint
-    /// against `schema`.
-    fn from_record(op: WalOp, schema: &AttributeSchema) -> Result<Self, ServeError> {
+    /// The mutation a replayed record logs; loads a swap's model file from
+    /// `dir` and checks it against `schema`.
+    fn from_record(op: WalOp, dir: &Path, schema: &AttributeSchema) -> Result<Self, ServeError> {
         Ok(match op {
             WalOp::Register { label, words } => Mutation::Register { label, words },
             WalOp::Update { label, words } => Mutation::Update { label, words },
             WalOp::Remove { label } => Mutation::Remove { label },
-            WalOp::Swap {
-                checkpoint_json,
+            WalOp::Swap { model_file, memory } => Mutation::Swap {
+                model: ModelFile::load(dir, &model_file)?.into_frozen(schema)?,
                 memory,
-            } => {
-                let checkpoint = Checkpoint::from_json_str(&checkpoint_json)?;
-                checkpoint.validate_schema(schema)?;
-                Mutation::Swap {
-                    model: checkpoint.into_frozen(schema)?,
-                    memory,
-                }
-            }
+            },
             WalOp::SetThreshold { bits } => Mutation::SetThreshold(bits.map(f32::from_bits)),
             WalOp::Observe { label, words } => Mutation::Observe { label, words },
             WalOp::Flush => Mutation::Flush,

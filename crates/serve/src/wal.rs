@@ -5,11 +5,26 @@
 //! [`QueryServer`](crate::QueryServer) is appended here **before** its
 //! effect is published — one record per [`WalOp`] kind: register, update,
 //! remove, swap, set (or clear) threshold, observe, and flush. The log plus
-//! the latest [`CheckpointDelta`](hdc_zsc::CheckpointDelta) compaction
-//! base always reconstruct the exact pre-crash serving state: recovery
-//! loads the base and folds the live path's own state transition over the
-//! WAL suffix (`seq >= next_record_seq`), so it serves bit-identical
-//! results.
+//! the latest [`ServeBase`](hdc_zsc::ServeBase) compaction base
+//! (`base.json`) and the binary model files they name ([`ModelFile`],
+//! `model-<fingerprint>.bin`) always reconstruct the exact pre-crash
+//! serving state: recovery loads the base and its model file, and folds
+//! the live path's own state transition over the WAL suffix
+//! (`seq >= next_record_seq`), so it serves bit-identical results.
+//!
+//! # Directory layout
+//!
+//! ```text
+//! <dir>/
+//! ├── base.json              class state at a snapshot version; names a model file
+//! ├── wal.log                records after the base (this module's format)
+//! └── model-<16 hex>.bin     one binary model file per model a base or record names
+//! ```
+//!
+//! A model file is written once, through the atomic replace, before the
+//! base or swap record that names it: at start and on every swap.
+//! Compaction writes the base, rotates the log, and then deletes every
+//! model file but the one the new base names (the rotated log names none).
 //!
 //! # On-disk format
 //!
@@ -29,8 +44,8 @@
 //! compaction base can name exactly where its suffix starts. Register and
 //! update records store the **packed prototype words** (not the raw
 //! attributes), making replay independent of the model and bit-identical by
-//! construction; swap records embed a full model checkpoint plus the
-//! post-swap memory.
+//! construction; swap records name the new model's file plus the post-swap
+//! memory, so their length does not depend on the model's size.
 //!
 //! # Torn tails
 //!
@@ -61,7 +76,9 @@
 
 use crate::net::frame::{encode_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use engine::ShardedClassMemory;
-use hdc_zsc::checkpoint::atomic_write;
+pub use hdc_zsc::checkpoint::crc32;
+use hdc_zsc::checkpoint::{atomic_write, model_file_fingerprint};
+use hdc_zsc::{CheckpointError, ModelFile};
 use serde::{Serialize, Value};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -82,43 +99,6 @@ const WAL_FILE_NAME: &str = "wal.log";
 /// File name of the checkpoint-delta compaction base inside a WAL
 /// directory.
 const BASE_FILE_NAME: &str = "base.json";
-
-// ---------------------------------------------------------------------------
-// CRC-32
-// ---------------------------------------------------------------------------
-
-/// 256-entry table for the reflected IEEE polynomial `0xEDB88320`.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) of `bytes` — the
-/// checksum guarding every record frame.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -209,9 +189,8 @@ impl From<std::io::Error> for WalError {
 /// Register and update carry the packed prototype words the serving model
 /// produced at mutation time, so replay needs no model at all and is
 /// bit-identical by construction. Swap carries everything the post-swap
-/// server state depends on: the new model (as a checkpoint JSON document,
-/// loaded through the fully-validating
-/// [`Checkpoint`](hdc_zsc::Checkpoint) path) and the rebuilt memory.
+/// server state depends on: the name of the new model's binary file,
+/// written beside the log before the record, and the rebuilt memory.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
     /// A brand-new class was registered.
@@ -235,8 +214,10 @@ pub enum WalOp {
     },
     /// The whole model (and with it the class memory) was hot-swapped.
     Swap {
-        /// The new model as a checkpoint JSON document.
-        checkpoint_json: String,
+        /// File name of the new model, `model-<fingerprint>.bin`, in the
+        /// log's directory ([`ModelFile`]). Replay loads it through the
+        /// checksum- and fingerprint-checking decoder.
+        model_file: String,
         /// The post-swap class memory.
         memory: ShardedClassMemory,
     },
@@ -312,12 +293,9 @@ impl WalOp {
                 entries.push(("op".to_string(), "remove".to_string().to_value()));
                 entries.push(("label".to_string(), label.to_value()));
             }
-            WalOp::Swap {
-                checkpoint_json,
-                memory,
-            } => {
+            WalOp::Swap { model_file, memory } => {
                 entries.push(("op".to_string(), "swap".to_string().to_value()));
-                entries.push(("checkpoint".to_string(), checkpoint_json.to_value()));
+                entries.push(("model_file".to_string(), model_file.to_value()));
                 entries.push(("memory".to_string(), memory.to_value()));
             }
             WalOp::SetThreshold { bits } => {
@@ -362,11 +340,17 @@ impl WalOp {
                 words: row()?,
             },
             "remove" => WalOp::Remove { label: label()? },
-            "swap" => WalOp::Swap {
-                checkpoint_json: serde_json::from_value(get("checkpoint")?)
-                    .map_err(|e| e.to_string())?,
-                memory: serde_json::from_value(get("memory")?).map_err(|e| e.to_string())?,
-            },
+            "swap" => {
+                let model_file: String =
+                    serde_json::from_value(get("model_file")?).map_err(|e| e.to_string())?;
+                if model_file_fingerprint(&model_file).is_none() {
+                    return Err(format!("swap names `{model_file}`, not a model file"));
+                }
+                WalOp::Swap {
+                    model_file,
+                    memory: serde_json::from_value(get("memory")?).map_err(|e| e.to_string())?,
+                }
+            }
             "set_threshold" => WalOp::SetThreshold {
                 bits: serde_json::from_value(get("threshold_bits")?).map_err(|e| e.to_string())?,
             },
@@ -714,20 +698,47 @@ pub fn base_path(dir: impl AsRef<Path>) -> PathBuf {
     dir.as_ref().join(BASE_FILE_NAME)
 }
 
-/// Fault injection into the log's own I/O: one write, fsync or reopen on
-/// the arming thread fails.
+/// Writes `file` into the WAL directory `dir` ([`ModelFile::save`]).
+pub(crate) fn save_model(dir: &Path, file: &ModelFile) -> Result<(), CheckpointError> {
+    #[cfg(test)]
+    fault::inject_file(&dir.join(file.name()), file.bytes())?;
+    file.save(dir)
+}
+
+/// Deletes every model file in `dir` but `keep`, and the temp files of
+/// interrupted model writes. Best effort: a file that cannot be listed or
+/// removed is left for the next sweep.
+pub(crate) fn remove_models_except(dir: &Path, keep: &str) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.filter_map(Result::ok) {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        let model = name.strip_suffix(".tmp").unwrap_or(&name);
+        if name != keep && model_file_fingerprint(model).is_some() {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
+
+/// Fault injection into the durable directory's I/O: one log or model-file
+/// write, fsync, or log reopen on the arming thread fails.
 #[cfg(test)]
 pub(crate) mod fault {
     use std::cell::Cell;
     use std::fs::File;
     use std::io::Write;
+    use std::path::Path;
 
-    /// The log operation that fails.
+    /// The operation that fails.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub(crate) enum Fault {
-        /// An append writes half its frame, then fails.
+        /// An append writes half its frame, or a model-file write half its
+        /// bytes, then fails.
         ShortWrite,
-        /// An append's fsync fails after its frame is written.
+        /// An append's or a model-file write's fsync fails after its bytes
+        /// are written.
         Fsync,
         /// Reopening the log after its atomic replace fails.
         Reopen,
@@ -743,23 +754,50 @@ pub(crate) mod fault {
         ARMED.with(|armed| armed.set(Some((fault, n))));
     }
 
-    /// Counts one `op` on this thread and fails it when it is the armed
-    /// one. A failing short write first writes half of `write`'s bytes.
-    pub(super) fn inject(op: Fault, write: Option<(&mut File, &[u8])>) -> std::io::Result<()> {
-        let fires = ARMED.with(|armed| match armed.get() {
+    /// Counts one `op` on this thread; true when it is the armed one.
+    fn fires(op: Fault) -> bool {
+        ARMED.with(|armed| match armed.get() {
             Some((fault, n)) if fault == op => {
                 armed.set(n.checked_sub(1).map(|n| (fault, n)));
                 n == 0
             }
             _ => false,
-        });
-        if !fires {
+        })
+    }
+
+    fn injected(op: Fault) -> std::io::Error {
+        std::io::Error::other(format!("injected {op:?} failure"))
+    }
+
+    /// Counts one `op` on this thread and fails it when it is the armed
+    /// one. A failing short write first writes half of `write`'s bytes.
+    pub(super) fn inject(op: Fault, write: Option<(&mut File, &[u8])>) -> std::io::Result<()> {
+        if !fires(op) {
             return Ok(());
         }
         if let Some((file, bytes)) = write {
             file.write_all(&bytes[..bytes.len() / 2])?;
         }
-        Err(std::io::Error::other(format!("injected {op:?} failure")))
+        Err(injected(op))
+    }
+
+    /// Counts one short write and then one fsync of an atomic write of
+    /// `contents` to `path`, and fails the armed one as the atomic replace
+    /// would fail there: the temp file holds half of `contents` (short
+    /// write) or all of it (fsync), and nothing is renamed over `path`.
+    pub(super) fn inject_file(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+        for (op, written) in [
+            (Fault::ShortWrite, contents.len() / 2),
+            (Fault::Fsync, contents.len()),
+        ] {
+            if fires(op) {
+                let mut tmp = path.as_os_str().to_os_string();
+                tmp.push(".tmp");
+                std::fs::write(tmp, &contents[..written])?;
+                return Err(injected(op));
+            }
+        }
+        Ok(())
     }
 }
 

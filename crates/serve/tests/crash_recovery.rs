@@ -13,7 +13,9 @@
 
 use dataset::AttributeSchema;
 use engine::{PackedClassMemory, ShardedClassMemory};
-use hdc_zsc::{ModelConfig, ZscModel};
+use hdc_zsc::{
+    Checkpoint, CheckpointDelta, CheckpointError, ModelConfig, ModelFile, ServeBase, ZscModel,
+};
 use proptest::prelude::*;
 use serve::{
     wal, DurabilityConfig, ModelSnapshot, QueryServer, ServeError, ServerConfig, StreamStats,
@@ -27,7 +29,7 @@ const FEATURE_DIM: usize = 16;
 
 fn schema() -> AttributeSchema {
     // A small synthetic attribute space keeps per-case model construction
-    // (and the swap records' embedded checkpoints) cheap.
+    // (and the swaps' model files) cheap.
     AttributeSchema::synthetic(4, 3)
 }
 
@@ -691,6 +693,229 @@ fn crash_between_base_write_and_log_rotation_skips_folded_records() {
     assert_eq!(report.replayed_records, 1);
     assert_snapshots_match(&again.snapshot(), &expected, "second recovery");
     drop(again);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The names of the model files in `dir`, sorted.
+fn model_files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("list dir")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.starts_with("model-"))
+        .collect();
+    names.sort_unstable();
+    names
+}
+
+/// The model file `base.json` names.
+fn base_model_file(dir: &std::path::Path) -> String {
+    ServeBase::load_json(wal::base_path(dir))
+        .expect("base loads")
+        .model_file
+}
+
+/// A swap writes its model file before it appends its record. A crash in
+/// between leaves a model file nothing names: recovery returns the
+/// pre-swap state, and the next compaction deletes the orphan. A swap that
+/// was logged and then compacted leaves exactly one model file, the one
+/// the base names.
+#[test]
+fn a_crash_between_model_file_and_swap_record_recovers_the_pre_swap_state() {
+    let dir = temp_dir("orphan-model");
+    let a = alpha();
+    let server = QueryServer::start_durable(
+        model(29),
+        vec!["x".to_string(), "y".to_string()],
+        &Matrix::ones(2, a),
+        &schema(),
+        config(),
+        DurabilityConfig {
+            compact_every: 0,
+            ..DurabilityConfig::new(dir.clone())
+        },
+    )
+    .expect("durable server starts");
+    server
+        .register_class("z", &vec![0.25; a])
+        .expect("registers");
+    let expected = server.snapshot();
+    // The swap's first step, then the crash.
+    let orphan = ModelFile::encode(&model(30), &schema());
+    orphan.save(&dir).expect("model file writes");
+    std::mem::forget(server);
+    assert_eq!(model_files(&dir).len(), 2);
+
+    let (recovered, report) =
+        QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()))
+            .expect("recovers");
+    assert_eq!(report.replayed_records, 1);
+    assert_snapshots_match(&recovered.snapshot(), &expected, "pre-swap recovery");
+    assert!(recovered.compact().expect("compacts"));
+    assert_eq!(model_files(&dir), [base_model_file(&dir)]);
+
+    recovered
+        .swap_model(model(31), vec!["s".to_string()], &Matrix::ones(1, a))
+        .expect("swaps");
+    assert_eq!(model_files(&dir).len(), 2, "the swap wrote its model file");
+    assert!(recovered.compact().expect("compacts"));
+    let swapped = ModelFile::encode(&model(31), &schema());
+    assert_eq!(model_files(&dir), [swapped.name()]);
+    assert_eq!(base_model_file(&dir), swapped.name());
+    let stats = recovered.durability_stats().expect("durable");
+    assert_eq!(stats.model_bytes, swapped.bytes().len() as u64);
+    let base_len = std::fs::metadata(wal::base_path(&dir)).expect("base").len();
+    assert_eq!(stats.base_bytes, base_len);
+    let expected = recovered.snapshot();
+    drop(recovered);
+    let (again, report) =
+        QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()))
+            .expect("recovers the swapped model");
+    assert_eq!(report.replayed_records, 0);
+    assert_snapshots_match(&again.snapshot(), &expected, "post-swap recovery");
+    drop(again);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A base naming a model file that is gone, or whose bytes are damaged,
+/// fails recovery with a typed checkpoint error instead of serving a
+/// different model.
+#[test]
+fn a_missing_or_corrupt_model_file_fails_recovery() {
+    let dir = temp_dir("bad-model");
+    let a = alpha();
+    drop(
+        QueryServer::start_durable(
+            model(37),
+            vec!["x".to_string(), "y".to_string()],
+            &Matrix::ones(2, a),
+            &schema(),
+            config(),
+            DurabilityConfig::new(dir.clone()),
+        )
+        .expect("durable server starts"),
+    );
+    let path = dir.join(base_model_file(&dir));
+    let intact = std::fs::read(&path).expect("read model file");
+    let recover = || QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()));
+
+    let mut damaged = intact.clone();
+    let last = damaged.len() - 1;
+    damaged[last] ^= 0x01;
+    std::fs::write(&path, &damaged).expect("damage model file");
+    assert!(
+        matches!(
+            recover(),
+            Err(ServeError::Checkpoint(
+                CheckpointError::ChecksumMismatch { .. }
+            ))
+        ),
+        "a damaged model file must fail its checksum"
+    );
+    std::fs::remove_file(&path).expect("remove model file");
+    match recover() {
+        Err(ServeError::Checkpoint(CheckpointError::Io(e))) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::NotFound);
+        }
+        other => panic!("expected a missing-file error, got {:?}", other.err()),
+    }
+    std::fs::write(&path, &intact).expect("restore model file");
+    assert!(recover().is_ok(), "the intact directory recovers");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory an earlier build wrote holds a format-2 `serve-delta` base
+/// with the model embedded. This build refuses it by version before
+/// reading anything else.
+#[test]
+fn a_format_2_base_from_an_earlier_build_is_refused_by_version() {
+    let dir = temp_dir("format-2");
+    let a = alpha();
+    let m = model(41);
+    let memory = m.sharded_class_memory(["x", "y"], &Matrix::ones(2, a), 2);
+    std::fs::create_dir_all(&dir).expect("create dir");
+    CheckpointDelta {
+        snapshot_version: 3,
+        next_record_seq: 0,
+        base: Checkpoint::capture(&m, &schema()),
+        memory,
+        routed: None,
+        threshold: None,
+        stream: None,
+    }
+    .save_json(wal::base_path(&dir))
+    .expect("format-2 base saves");
+    drop(wal::WriteAheadLog::create(wal::wal_path(&dir), SyncPolicy::Always).expect("log"));
+    let recovered = QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()));
+    assert!(
+        matches!(
+            recovered,
+            Err(ServeError::Checkpoint(
+                CheckpointError::UnsupportedVersion {
+                    found: 2,
+                    supported: 3,
+                }
+            ))
+        ),
+        "got {:?}",
+        recovered.err()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A durable swap of a paper-shaped model (2048-d features to d = 1536,
+/// the CUB schema) is logged and recovers bit-identically: the record
+/// names the 12 MB model file instead of embedding it.
+#[test]
+fn a_paper_shaped_swap_is_logged_and_recovers() {
+    let dir = temp_dir("paper-swap");
+    let schema = AttributeSchema::cub200();
+    let paper = |seed| ZscModel::new(&ModelConfig::paper_default().with_seed(seed), &schema, 2048);
+    let mut lcg = Lcg(47);
+    let class_attributes =
+        Matrix::from_rows(&(0..3).map(|_| lcg.attr_row(312)).collect::<Vec<_>>());
+    let labels: Vec<String> = (0..3).map(|c| format!("bird{c}")).collect();
+    let server = QueryServer::start_durable(
+        paper(1),
+        labels.clone(),
+        &class_attributes,
+        &schema,
+        config(),
+        DurabilityConfig {
+            compact_every: 0,
+            ..DurabilityConfig::new(dir.clone())
+        },
+    )
+    .expect("durable server starts");
+    let swapped = server
+        .swap_model(paper(2), labels, &class_attributes)
+        .expect("a paper-shaped swap is logged");
+    let log_bytes = server.durability_stats().expect("durable").wal_bytes;
+    assert!(log_bytes < 4096, "the swap record is {log_bytes} bytes");
+    drop(server);
+
+    let (recovered, report) =
+        QueryServer::recover(&schema, config(), DurabilityConfig::new(dir.clone()))
+            .expect("recovers");
+    assert_eq!(report.replayed_records, 1);
+    let got = recovered.snapshot();
+    assert_eq!(got.version(), swapped.version());
+    assert_eq!(got.memory(), swapped.memory());
+    let probe: Vec<f32> = (0..2048).map(|i| ((i % 13) as f32 - 6.0) / 6.0).collect();
+    let bits = |snapshot: &ModelSnapshot| -> Vec<(String, u32)> {
+        snapshot
+            .solo_topk(&probe, 3)
+            .into_iter()
+            .map(|(l, s)| (l, s.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&got), bits(&swapped));
+    drop(recovered);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,14 +1,25 @@
-//! Pins the write-ahead log's bytes.
+//! Pins the bytes of a durable server's directory.
 //!
 //! A WAL directory written by one build must recover under the next, so the
-//! file header, the `[len][crc32][payload]` frames and the JSON payload of
-//! every record kind are a storage format. The fixtures hold the log after
-//! a fixed sequence of every record kind but swap (whose payload is a whole
-//! model checkpoint, pinned by the checkpoint's own tests), and the log
-//! after a rotation plus one more append.
+//! log's file header, the `[len][crc32][payload]` frames and the JSON
+//! payload of every record kind, the binary model file and the compaction
+//! base are a storage format. The fixtures hold the log after a fixed
+//! sequence of every record kind but swap, the log after a rotation plus
+//! one more append, a tiny model's `model-<fingerprint>.bin`, a sharded and
+//! a routed `base.json`, and the log after a swap, whose record names its
+//! model file.
+//!
+//! After an intentional format change, `WAL_LAYOUT_BLESS=1 cargo test -p
+//! serve --test wal_layout` rewrites the fixtures of the durable-directory
+//! test; say which changed and why.
 
+use dataset::AttributeSchema;
+use engine::RoutedConfig;
+use hdc_zsc::{ModelConfig, ZscModel};
 use serve::wal::{self, WalOp, WriteAheadLog};
-use serve::SyncPolicy;
+use serve::{DurabilityConfig, QueryServer, ServerConfig, SyncPolicy};
+use std::path::{Path, PathBuf};
+use tensor::Matrix;
 
 fn records() -> Vec<WalOp> {
     vec![
@@ -63,4 +74,145 @@ fn wal_bytes_are_pinned() {
     assert_eq!(replay.entries.len(), 1);
     assert_eq!(replay.entries[0].op, last);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+fn schema() -> AttributeSchema {
+    AttributeSchema::synthetic(4, 3)
+}
+
+fn model(seed: u64, feature_dim: usize) -> ZscModel {
+    ZscModel::new(&ModelConfig::tiny().with_seed(seed), &schema(), feature_dim)
+}
+
+fn labels() -> Vec<String> {
+    ["x", "y", "z"].map(String::from).to_vec()
+}
+
+/// One deterministic attribute row per class.
+fn class_attributes() -> Matrix {
+    let alpha = schema().num_attributes();
+    Matrix::from_rows(
+        &(0..3)
+            .map(|c| {
+                (0..alpha)
+                    .map(|i| ((c * 7 + i * 3) % 5) as f32 / 4.0)
+                    .collect()
+            })
+            .collect::<Vec<_>>(),
+    )
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("zsc-dir-layout-{}-{tag}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// A durable server over the three classes, in routed mode or not.
+fn start(dir: &Path, feature_dim: usize, routed: bool) -> QueryServer {
+    let config = ServerConfig {
+        threads: 1,
+        shards: 2,
+        routed: routed.then_some(RoutedConfig {
+            clusters: 2,
+            ..RoutedConfig::default()
+        }),
+        ..ServerConfig::default()
+    };
+    QueryServer::start_durable(
+        model(3, feature_dim),
+        labels(),
+        &class_attributes(),
+        &schema(),
+        config,
+        DurabilityConfig {
+            compact_every: 0,
+            ..DurabilityConfig::new(dir)
+        },
+    )
+    .expect("durable server starts")
+}
+
+/// The names of the model files in `dir`, sorted.
+fn model_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("list dir")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.starts_with("model-"))
+        .collect();
+    names.sort_unstable();
+    names
+}
+
+/// Compares `bytes` with the fixture `name`, or rewrites the fixture under
+/// `WAL_LAYOUT_BLESS=1`.
+fn pinned(name: &str, bytes: &[u8]) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/wal_layout")
+        .join(name);
+    if std::env::var_os("WAL_LAYOUT_BLESS").is_some() {
+        std::fs::write(&path, bytes).expect("bless fixture");
+        return;
+    }
+    let fixture = std::fs::read(&path).expect("read fixture");
+    assert!(fixture == bytes, "{name} differs from its fixture");
+}
+
+#[test]
+fn model_files_bases_and_swap_records_are_pinned() {
+    let dir = fresh_dir("sharded");
+    let server = start(&dir, 8, false);
+    let started = model_files(&dir);
+    assert_eq!(started, ["model-a0d9bd806bd182b5.bin"]);
+    pinned(
+        "model.bin",
+        &std::fs::read(dir.join(&started[0])).expect("read model"),
+    );
+    pinned(
+        "base_sharded.json",
+        &std::fs::read(wal::base_path(&dir)).expect("read base"),
+    );
+    server
+        .swap_model(model(5, 8), labels(), &class_attributes())
+        .expect("swaps");
+    pinned(
+        "swapped.bin",
+        &std::fs::read(wal::wal_path(&dir)).expect("read log"),
+    );
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dir = fresh_dir("routed");
+    drop(start(&dir, 8, true));
+    pinned(
+        "base_routed.json",
+        &std::fs::read(wal::base_path(&dir)).expect("read base"),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A swap record names the model's file instead of embedding the model,
+/// so its length does not grow with the weights: swapping in models of
+/// 8-d and of 256-d features logs records of equal length.
+#[test]
+fn a_swap_record_does_not_grow_with_the_model() {
+    let record_len = |feature_dim: usize| {
+        let dir = fresh_dir(&format!("swap-{feature_dim}"));
+        let server = start(&dir, feature_dim, false);
+        let before = std::fs::metadata(wal::wal_path(&dir)).expect("log").len();
+        server
+            .swap_model(model(5, feature_dim), labels(), &class_attributes())
+            .expect("swaps");
+        let after = std::fs::metadata(wal::wal_path(&dir)).expect("log").len();
+        drop(server);
+        std::fs::remove_dir_all(&dir).ok();
+        after - before
+    };
+    assert_eq!(record_len(8), record_len(256));
 }
