@@ -24,12 +24,14 @@ fn bench_dictionary_construction(c: &mut Criterion) {
     group.finish();
 }
 
+/// `A × B` through the HDC dictionary: 200x1536 is the `cub_paper` shape and
+/// 500x256 the servebench `durable_churn` one.
 fn bench_class_encoding(c: &mut Criterion) {
     let schema = AttributeSchema::cub200();
     let mut rng = StdRng::seed_from_u64(2);
     let mut group = c.benchmark_group("class_encoding");
     group.sample_size(10);
-    for &(classes, dim) in &[(50usize, 512usize), (200, 1536)] {
+    for &(classes, dim) in &[(50usize, 512usize), (200, 1536), (500, 256)] {
         let encoder = HdcAttributeEncoder::new(&schema, dim, 1);
         let attributes = Matrix::random_uniform(classes, 312, 0.5, &mut rng).map(f32::abs);
         group.bench_with_input(
@@ -42,15 +44,15 @@ fn bench_class_encoding(c: &mut Criterion) {
 }
 
 /// `embed_images` at the paper shape (2048-d features to d = 1536): batch 1
-/// is the served case, since the server's batches average one query; batch 16
-/// is a coalesced one.
+/// is the served case, since the server's batches average one query; batch 4
+/// is one block of the row-blocked matmul; batch 16 is a coalesced one.
 fn bench_embed(c: &mut Criterion) {
     let schema = AttributeSchema::cub200();
     let mut rng = StdRng::seed_from_u64(4);
     let model = ZscModel::new(&ModelConfig::paper_default(), &schema, 2048);
     let mut group = c.benchmark_group("embed_images");
     group.sample_size(10);
-    for &batch in &[1usize, 16] {
+    for &batch in &[1usize, 4, 16] {
         let features = Matrix::random_uniform(batch, 2048, 1.0, &mut rng);
         group.bench_with_input(
             BenchmarkId::new("paper_shape", format!("b{batch}_f2048_d1536")),

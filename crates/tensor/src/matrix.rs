@@ -320,10 +320,13 @@ impl Matrix {
 
     /// Computes the matrix product `self · other`.
     ///
-    /// Streams `other` once per row of `self` in i-k-j order, four rows of
-    /// `other` per pass over the output row. Every output entry is the
-    /// sequential k-order sum `((0 + a₀b₀) + a₁b₁) + …` that skips terms
-    /// whose `self` entry is exactly zero, so the fusion never changes a bit.
+    /// Row-blocked: each block of four rows of `self` reads each group of
+    /// four rows of `other` once and applies it to all four output rows.
+    /// Leftover rows, the `k % 4` tail and any row whose group holds an exact
+    /// zero take a per-row path. Every output entry is the sequential k-order
+    /// sum `((0 + a₀b₀) + a₁b₁) + …` that skips terms whose `self` entry is
+    /// exactly zero, with no fused multiply-add, so neither the blocking nor
+    /// the AVX2 clone picked at run time on x86_64 changes a bit.
     ///
     /// # Panics
     ///
@@ -333,7 +336,8 @@ impl Matrix {
             .expect("matmul shape mismatch: inner dimensions differ")
     }
 
-    /// Checked variant of [`Matrix::matmul`].
+    /// Checked variant of [`Matrix::matmul`]: the same row-blocked kernel,
+    /// compiled once portable and once for AVX2, and the same bits from both.
     ///
     /// # Errors
     ///
@@ -350,38 +354,8 @@ impl Matrix {
         if k == 0 || n == 0 {
             return Ok(out);
         }
-        for (a_row, out_row) in self.data.chunks_exact(k).zip(out.data.chunks_exact_mut(n)) {
-            let a_quads = a_row.chunks_exact(4);
-            let b_quads = other.data.chunks_exact(4 * n);
-            let (a_tail, b_tail) = (a_quads.remainder(), b_quads.remainder());
-            for (a, b) in a_quads.zip(b_quads) {
-                // A zero in the group falls back to per-row adds, which skip it.
-                if a.contains(&0.0) {
-                    for (&a, b_row) in a.iter().zip(b.chunks_exact(n)) {
-                        add_scaled_row(out_row, a, b_row);
-                    }
-                    continue;
-                }
-                let (a0, a1, a2, a3) = (a[0], a[1], a[2], a[3]);
-                let (b0, rest) = b.split_at(n);
-                let (b1, rest) = rest.split_at(n);
-                let (b2, b3) = rest.split_at(n);
-                for ((((o, &x0), &x1), &x2), &x3) in
-                    out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3)
-                {
-                    // One add per term, in k order: no reassociation, no FMA.
-                    let mut acc = *o;
-                    acc += a0 * x0;
-                    acc += a1 * x1;
-                    acc += a2 * x2;
-                    acc += a3 * x3;
-                    *o = acc;
-                }
-            }
-            for (&a, b_row) in a_tail.iter().zip(b_tail.chunks_exact(n)) {
-                add_scaled_row(out_row, a, b_row);
-            }
-        }
+        let kernel = avx2_kernel().unwrap_or(matmul_portable);
+        kernel(&self.data, &other.data, k, n, &mut out.data);
         Ok(out)
     }
 
@@ -686,8 +660,152 @@ impl Matrix {
     }
 }
 
+/// `out += a · b` for a row-major `m × k` `a`, `k × n` `b` and `m × n` `out`,
+/// with `k` and `n` nonzero: the one kernel behind [`Matrix::try_matmul`].
+type Kernel = fn(&[f32], &[f32], usize, usize, &mut [f32]);
+
+/// The kernel body compiled without target features.
+fn matmul_portable(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    matmul_body(a, b, k, n, out);
+}
+
+/// The kernel body compiled with AVX2 (and without FMA, so no product is
+/// fused into its sum).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_avx2(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    matmul_body(a, b, k, n, out);
+}
+
+/// The AVX2 clone of the kernel when this CPU has AVX2.
+#[cfg(target_arch = "x86_64")]
+fn avx2_kernel() -> Option<Kernel> {
+    if !is_x86_feature_detected!("avx2") {
+        return None;
+    }
+    Some(|a, b, k, n, out| {
+        #[allow(unsafe_code)]
+        // SAFETY: `matmul_avx2` requires AVX2, which was detected above.
+        unsafe {
+            matmul_avx2(a, b, k, n, out)
+        }
+    })
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn avx2_kernel() -> Option<Kernel> {
+    None
+}
+
+/// Blocks of four `a` rows, then the leftover rows one at a time.
+#[inline(always)]
+fn matmul_body(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    let mut a_blocks = a.chunks_exact(4 * k);
+    let mut out_blocks = out.chunks_exact_mut(4 * n);
+    for (a_block, out_block) in (&mut a_blocks).zip(&mut out_blocks) {
+        block_times(a_block, b, k, n, out_block);
+    }
+    let a_rows = a_blocks.remainder().chunks_exact(k);
+    for (a_row, out_row) in a_rows.zip(out_blocks.into_remainder().chunks_exact_mut(n)) {
+        row_times(a_row, b, n, out_row);
+    }
+}
+
+/// Four output rows at once: each group of four `b` rows is read once for
+/// all four. A group where any of the four `a` rows holds an exact zero falls
+/// back to [`group_step`] row by row.
+#[inline(always)]
+fn block_times(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    let (a0, rest) = a.split_at(k);
+    let (a1, rest) = rest.split_at(k);
+    let (a2, a3) = rest.split_at(k);
+    let (o0, rest) = out.split_at_mut(n);
+    let (o1, rest) = rest.split_at_mut(n);
+    let (o2, o3) = rest.split_at_mut(n);
+    let b_quads = b.chunks_exact(4 * n);
+    let b_tail = b_quads.remainder();
+    let a_quads = a0
+        .chunks_exact(4)
+        .zip(a1.chunks_exact(4))
+        .zip(a2.chunks_exact(4))
+        .zip(a3.chunks_exact(4));
+    for ((((q0, q1), q2), q3), b4) in a_quads.zip(b_quads) {
+        if [q0, q1, q2, q3].iter().any(|q| q.contains(&0.0)) {
+            group_step(o0, q0, b4, n);
+            group_step(o1, q1, b4, n);
+            group_step(o2, q2, b4, n);
+            group_step(o3, q3, b4, n);
+            continue;
+        }
+        let [c0, c1, c2, c3] = [q0, q1, q2, q3].map(|q| [q[0], q[1], q[2], q[3]]);
+        let (b0, rest) = b4.split_at(n);
+        let (b1, rest) = rest.split_at(n);
+        let (b2, b3) = rest.split_at(n);
+        let outs = o0
+            .iter_mut()
+            .zip(o1.iter_mut())
+            .zip(o2.iter_mut())
+            .zip(o3.iter_mut());
+        let bs = b0.iter().zip(b1).zip(b2).zip(b3);
+        for ((((y0, y1), y2), y3), (((&x0, &x1), &x2), &x3)) in outs.zip(bs) {
+            // One add per term, in k order: no reassociation, no FMA.
+            *y0 = (((*y0 + c0[0] * x0) + c0[1] * x1) + c0[2] * x2) + c0[3] * x3;
+            *y1 = (((*y1 + c1[0] * x0) + c1[1] * x1) + c1[2] * x2) + c1[3] * x3;
+            *y2 = (((*y2 + c2[0] * x0) + c2[1] * x1) + c2[2] * x2) + c2[3] * x3;
+            *y3 = (((*y3 + c3[0] * x0) + c3[1] * x1) + c3[2] * x2) + c3[3] * x3;
+        }
+    }
+    let tail = k - k % 4;
+    for (a_row, out_row) in [a0, a1, a2, a3].into_iter().zip([o0, o1, o2, o3]) {
+        for (&x, b_row) in a_row[tail..].iter().zip(b_tail.chunks_exact(n)) {
+            add_scaled_row(out_row, x, b_row);
+        }
+    }
+}
+
+/// One output row: every group of four `b` rows, then the `k % 4` tail.
+#[inline(always)]
+fn row_times(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
+    let a_quads = a_row.chunks_exact(4);
+    let b_quads = b.chunks_exact(4 * n);
+    let (a_tail, b_tail) = (a_quads.remainder(), b_quads.remainder());
+    for (a, b4) in a_quads.zip(b_quads) {
+        group_step(out_row, a, b4, n);
+    }
+    for (&x, b_row) in a_tail.iter().zip(b_tail.chunks_exact(n)) {
+        add_scaled_row(out_row, x, b_row);
+    }
+}
+
+/// `out_row += a · b4` for four `a` entries and their four `b` rows, fused
+/// into one pass unless an entry is exactly zero.
+#[inline(always)]
+fn group_step(out_row: &mut [f32], a: &[f32], b4: &[f32], n: usize) {
+    // A zero in the group falls back to per-row adds, which skip it.
+    if a.contains(&0.0) {
+        for (&x, b_row) in a.iter().zip(b4.chunks_exact(n)) {
+            add_scaled_row(out_row, x, b_row);
+        }
+        return;
+    }
+    let (a0, a1, a2, a3) = (a[0], a[1], a[2], a[3]);
+    let (b0, rest) = b4.split_at(n);
+    let (b1, rest) = rest.split_at(n);
+    let (b2, b3) = rest.split_at(n);
+    for ((((o, &x0), &x1), &x2), &x3) in out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+        // One add per term, in k order: no reassociation, no FMA.
+        let mut acc = *o;
+        acc += a0 * x0;
+        acc += a1 * x1;
+        acc += a2 * x2;
+        acc += a3 * x3;
+        *o = acc;
+    }
+}
+
 /// `out_row += a · b_row`, skipping the row when `a` is exactly zero: one
 /// k-step of [`Matrix::matmul`].
+#[inline(always)]
 fn add_scaled_row(out_row: &mut [f32], a: f32, b_row: &[f32]) {
     if a == 0.0 {
         return;
@@ -823,6 +941,30 @@ mod tests {
     const A_SPECIALS: [f32; 2] = [0.0, -0.0];
     const B_SPECIALS: [f32; 4] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY];
 
+    /// Every kernel body this CPU can run: the portable one, and the AVX2
+    /// clone when AVX2 is detected.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let portable: Kernel = matmul_portable;
+        let mut kernels = vec![("portable", portable)];
+        kernels.extend(avx2_kernel().map(|kernel| ("avx2", kernel)));
+        kernels
+    }
+
+    /// `a · b` through [`Matrix::matmul`] and through each kernel body
+    /// directly, with `try_matmul`'s empty-shape exit.
+    fn products(a: &Matrix, b: &Matrix) -> Vec<(&'static str, Matrix)> {
+        let mut products = vec![("matmul", a.matmul(b))];
+        for (name, kernel) in kernels() {
+            let (k, n) = (a.cols(), b.cols());
+            let mut out = Matrix::zeros(a.rows(), n);
+            if k > 0 && n > 0 {
+                kernel(a.as_slice(), b.as_slice(), k, n, out.as_mut_slice());
+            }
+            products.push((name, out));
+        }
+        products
+    }
+
     proptest! {
         #[test]
         fn matmul_matches_naive_bits(
@@ -834,36 +976,88 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let a = with_specials(m, k, &A_SPECIALS, &mut rng);
             let b = with_specials(k, n, &B_SPECIALS, &mut rng);
-            prop_assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b)));
+            let expected = bits(&naive_matmul(&a, &b));
+            for (_, product) in products(&a, &b) {
+                prop_assert_eq!(bits(&product), expected.clone());
+            }
         }
     }
 
-    /// Empty dimensions and every `k % 4` tail, with the same specials as the
-    /// property above.
+    /// Empty dimensions, every `m` in 0..=9, so each `m % 4` occurs with and
+    /// without a full block, and every `k % 4` tail likewise, with the same
+    /// specials as the property above.
     #[test]
     fn matmul_matches_naive_bits_on_edge_shapes() {
         let mut rng = StdRng::seed_from_u64(8);
-        for m in [0, 1, 3] {
-            for k in [0, 1, 2, 3, 4, 5, 7, 8, 9] {
-                for n in [0, 1, 5] {
+        for m in 0..=9 {
+            for k in 0..=9 {
+                for n in [0, 1, 5, 8] {
                     let a = with_specials(m, k, &A_SPECIALS, &mut rng);
                     let b = with_specials(k, n, &B_SPECIALS, &mut rng);
-                    let product = a.matmul(&b);
-                    assert_eq!(product.shape(), (m, n));
-                    assert_eq!(bits(&product), bits(&naive_matmul(&a, &b)), "{m}x{k}x{n}");
+                    let expected = bits(&naive_matmul(&a, &b));
+                    for (name, product) in products(&a, &b) {
+                        assert_eq!(product.shape(), (m, n));
+                        assert_eq!(bits(&product), expected, "{name} {m}x{k}x{n}");
+                    }
                 }
             }
         }
     }
 
-    /// The served embed shape: one 2048-d feature row through the 2048×1536
-    /// projection.
+    /// Blocks where only some of the four rows hold a zero in a group. `a` is
+    /// positive and each zero meets a `+inf` row of `b`, so every entry is
+    /// finite or `+inf` unless a zero term is not skipped (`0 · inf` is NaN).
+    #[test]
+    fn matmul_skips_zeros_in_a_mixed_block() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let (m, k, n) = (9, 18, 7);
+        for pattern in 1..16u32 {
+            let data = (0..m * k).map(|_| rng.gen_range(0.5f32..2.0)).collect();
+            let mut a = Matrix::from_vec(m, k, data);
+            // First block: the rows `pattern` names hold a ±0 in the group
+            // at k = 4..8. Second block: only row 5 holds one, at k = 9.
+            // Leftover row 8: one in the k % 4 tail.
+            for row in (0..4).filter(|row| pattern & (1 << row) != 0) {
+                a.set(row, 4 + row, if row % 2 == 0 { 0.0 } else { -0.0 });
+            }
+            a.set(5, 9, -0.0);
+            a.set(8, 16, 0.0);
+            let mut b = Matrix::random_uniform(k, n, 2.0, &mut rng);
+            for row in [4, 5, 6, 7, 9, 16] {
+                b.row_mut(row).fill(f32::INFINITY);
+            }
+            let expected = naive_matmul(&a, &b);
+            assert!(expected.as_slice().iter().all(|&v| v == f32::INFINITY));
+            for (name, product) in products(&a, &b) {
+                assert_eq!(bits(&product), bits(&expected), "{name} {pattern:04b}");
+            }
+        }
+    }
+
+    /// The two paper shapes: the served embed, one 2048-d feature row through
+    /// the 2048×1536 projection, and class encoding, 200 CUB class-attribute
+    /// rows through the 312×1536 ±1 dictionary.
     #[test]
     fn matmul_matches_naive_bits_at_paper_shape() {
         let mut rng = StdRng::seed_from_u64(9);
         let a = with_specials(1, 2048, &A_SPECIALS, &mut rng);
         let b = Matrix::random_uniform(2048, 1536, 0.05, &mut rng);
-        assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b)));
+        let classes = with_specials(200, 312, &A_SPECIALS, &mut rng);
+        let signs = (0..312 * 1536)
+            .map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+            .collect();
+        let dictionary = Matrix::from_vec(312, 1536, signs);
+        for (a, b) in [(&a, &b), (&classes, &dictionary)] {
+            let expected = bits(&naive_matmul(a, b));
+            for (name, product) in products(a, b) {
+                assert!(
+                    bits(&product) == expected,
+                    "{name} {}x{}",
+                    a.rows(),
+                    b.cols()
+                );
+            }
+        }
     }
 
     #[test]
@@ -871,7 +1065,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let a = Matrix::random_uniform(70, 130, 1.0, &mut rng);
         let b = Matrix::random_uniform(130, 65, 1.0, &mut rng);
-        assert_eq!(bits(&a.matmul(&b)), bits(&naive_matmul(&a, &b)));
+        let expected = bits(&naive_matmul(&a, &b));
+        for (name, product) in products(&a, &b) {
+            assert_eq!(bits(&product), expected, "{name}");
+        }
     }
 
     #[test]
