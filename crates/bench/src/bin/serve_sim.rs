@@ -210,7 +210,10 @@ fn run_routed_tier(config: &Config) {
         distractors: config.batch,
         seed: config.seed,
     });
+    // Loading inserts every class one at a time, one label-table probe each.
+    let load_start = Instant::now();
     let memory = workload.packed_memory();
+    let load_s = load_start.elapsed().as_secs_f64();
     let build_start = Instant::now();
     let mut routed = RoutedClassMemory::from_packed(
         &memory,
@@ -223,7 +226,8 @@ fn run_routed_tier(config: &Config) {
     routed.set_nprobe(nprobe);
     let build_s = build_start.elapsed().as_secs_f64();
     eprintln!(
-        "serve_sim[routed]: clustered {} classes into {} clusters in {build_s:.2}s",
+        "serve_sim[routed]: loaded {} classes in {load_s:.2}s, clustered them into {} \
+         clusters in {build_s:.2}s",
         memory.len(),
         routed.as_sharded().num_shards()
     );
@@ -329,7 +333,7 @@ fn run_routed_tier(config: &Config) {
         "{{\n  \"config\": {{\"dim\": {}, \"classes\": {}, \"batch\": {}, \"batches\": {}, \
          \"threads\": {}, \"seed\": {}, \"noise\": {}, \"index\": \"routed\", \
          \"clusters\": {clusters}, \"nprobe\": {nprobe}}},\n  \
-         \"build_s\": {build_s:.3},\n  \"exhaustive\": {},\n  \"routed\": {},\n  \
+         \"load_s\": {load_s:.3},\n  \"build_s\": {build_s:.3},\n  \"exhaustive\": {},\n  \"routed\": {},\n  \
          \"routed_speedup\": {routed_speedup:.2},\n  \
          \"candidate_fraction\": {candidate_fraction:.4},\n  \
          \"recall_at_1\": {recall_at_1:.4},\n  \"recall_at_10\": {recall_at_10:.4},\n  \

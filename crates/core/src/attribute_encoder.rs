@@ -164,6 +164,25 @@ impl HdcAttributeEncoder {
         &self.dictionary
     }
 
+    /// The first dictionary row that is not the binding of the group and
+    /// value codevectors `pairs` names for it (the schema's `(group, value)`
+    /// per attribute, one per row), if any. A pair outside the codebooks
+    /// disagrees too.
+    pub(crate) fn first_unbound_row(&self, pairs: &[(usize, usize)]) -> Option<usize> {
+        pairs.iter().enumerate().position(|(k, &(g, v))| {
+            let bound = g < self.groups.len()
+                && v < self.values.len()
+                && self
+                    .dictionary
+                    .row(k)
+                    .iter()
+                    .zip(self.groups.get(g).as_slice())
+                    .zip(self.values.get(v).as_slice())
+                    .all(|((&x, &a), &b)| x == f32::from(a * b));
+            !bound
+        })
+    }
+
     /// The group codebook (28 atomic hypervectors for CUB).
     pub fn group_codebook(&self) -> &Codebook {
         &self.groups

@@ -181,6 +181,13 @@ pub enum CheckpointError {
         /// The fingerprint of the payload as read.
         computed: u64,
     },
+    /// An HDC attribute dictionary row is not the binding of the group and
+    /// value codevectors the serving schema pairs it with: the dictionary
+    /// contradicts the codebooks it is derived from.
+    DictionaryMismatch {
+        /// The first dictionary row (attribute index) that disagrees.
+        row: usize,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -219,6 +226,10 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::FingerprintMismatch { named, computed } => write!(
                 f,
                 "model file fingerprint {computed:016x} differs from the {named:016x} its name carries"
+            ),
+            CheckpointError::DictionaryMismatch { row } => write!(
+                f,
+                "HDC dictionary row {row} is not the binding of its group and value codevectors"
             ),
         }
     }
@@ -391,14 +402,22 @@ impl Checkpoint {
     }
 
     /// Consumes the checkpoint and hands back the model, after validating it
-    /// against the serving schema.
+    /// against the serving schema: the fingerprints must agree, and with the
+    /// HDC encoder every dictionary row `k` must be the binding of the group
+    /// and value codevectors the schema pairs attribute `k` with.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::SchemaMismatch`] if the schema fingerprints
-    /// disagree.
+    /// disagree, and [`CheckpointError::DictionaryMismatch`] naming the first
+    /// dictionary row its codebooks contradict.
     pub fn into_model(self, schema: &AttributeSchema) -> Result<ZscModel, CheckpointError> {
         self.validate_schema(schema)?;
+        if let AttributeEncoder::Hdc(hdc) = self.model.attribute_encoder() {
+            if let Some(row) = hdc.first_unbound_row(schema.pairs()) {
+                return Err(CheckpointError::DictionaryMismatch { row });
+            }
+        }
         Ok(self.model)
     }
 
@@ -409,8 +428,7 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::SchemaMismatch`] if the schema fingerprints
-    /// disagree.
+    /// As [`Checkpoint::into_model`].
     pub fn into_frozen(
         self,
         schema: &AttributeSchema,
@@ -1303,12 +1321,11 @@ impl ModelFile {
             push_matrix(&mut tensors, &mut data, "projection.bias", bias);
         }
         let mut mlp_activation = None;
-        let shared_phase2 = match model.attribute_encoder() {
+        match model.attribute_encoder() {
             AttributeEncoder::Hdc(hdc) => {
                 push_codebook(&mut tensors, &mut data, "hdc.groups", hdc.group_codebook());
                 push_codebook(&mut tensors, &mut data, "hdc.values", hdc.value_codebook());
                 push_matrix(&mut tensors, &mut data, "hdc.dictionary", hdc.dictionary());
-                hdc.dictionary() == model.phase2_dictionary()
             }
             AttributeEncoder::Mlp(mlp) => {
                 mlp_activation = Some(mlp.mlp().activation());
@@ -1317,12 +1334,9 @@ impl ModelFile {
                     push_matrix(&mut tensors, &mut data, &format!("mlp.{i}.weight"), weight);
                     push_matrix(&mut tensors, &mut data, &format!("mlp.{i}.bias"), bias);
                 }
-                false
+                let phase2 = model.phase2_dictionary();
+                push_matrix(&mut tensors, &mut data, "phase2_dictionary", phase2);
             }
-        };
-        if !shared_phase2 {
-            let phase2 = model.phase2_dictionary();
-            push_matrix(&mut tensors, &mut data, "phase2_dictionary", phase2);
         }
         let header = ModelFileHeader {
             model_config: *model.config(),
@@ -1494,8 +1508,8 @@ impl ModelFile {
             }
         };
         let phase2_dictionary = match (tensors.take("phase2_dictionary"), &attribute_encoder) {
-            (Some((entry, bytes)), _) => decode_matrix(&entry, bytes),
-            (None, AttributeEncoder::Hdc(hdc)) => hdc.dictionary().clone(),
+            (Some((entry, bytes)), _) => Some(decode_matrix(&entry, bytes)),
+            (None, AttributeEncoder::Hdc(_)) => None,
             (None, AttributeEncoder::Mlp(_)) => {
                 return Err(malformed("lacks tensor `phase2_dictionary`"))
             }
@@ -2064,6 +2078,61 @@ mod tests {
             checkpoint.into_model(&other),
             Err(CheckpointError::SchemaMismatch { .. })
         ));
+    }
+
+    /// The object entries of a document value.
+    fn object(value: &mut Value) -> &mut Vec<(String, Value)> {
+        match value {
+            Value::Object(entries) => entries,
+            other => panic!("expected an object, got {}", other.kind()),
+        }
+    }
+
+    /// Negates entry `index` of a serialized matrix.
+    fn negate(matrix: &mut Value, index: usize) {
+        let Value::Array(data) = entry(object(matrix), "data") else {
+            panic!("matrix data is an array");
+        };
+        let Value::Number(x) = &mut data[index] else {
+            panic!("matrix entries are numbers");
+        };
+        *x = -*x;
+    }
+
+    /// A JSON checkpoint holds the HDC dictionary twice, in the encoder and
+    /// as the phase-II dictionary. With one entry negated in both, the
+    /// document loads, but the row is no longer the binding of its group and
+    /// value codevectors, so serving it is refused with the row named. With
+    /// only the encoder's copy negated, the two copies disagree and the
+    /// document does not load.
+    #[test]
+    fn a_dictionary_its_codebooks_contradict_is_refused() {
+        let s = schema();
+        let model = fixture_model(AttributeEncoderKind::Hdc);
+        let json = Checkpoint::capture(&model, &s).to_json();
+        let at = 5 * model.embedding_dim() + 3;
+        let tamper = |both: bool| {
+            edited(&json, |doc| {
+                let model = object(entry(doc, "model"));
+                let encoder = object(entry(model, "attribute_encoder"));
+                negate(entry(object(entry(encoder, "hdc")), "dictionary"), at);
+                if both {
+                    negate(entry(model, "phase2_dictionary"), at);
+                }
+            })
+        };
+        let loaded = Checkpoint::from_json_str(&tamper(true)).expect("self-consistent document");
+        match loaded.into_frozen(&s) {
+            Err(CheckpointError::DictionaryMismatch { row: 5 }) => {}
+            other => panic!("expected DictionaryMismatch at row 5, got {other:?}"),
+        }
+        match Checkpoint::from_json_str(&tamper(false)) {
+            Err(CheckpointError::Malformed(msg)) => assert!(msg.contains("phase-II"), "{msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        assert!(Checkpoint::from_json_str(&json)
+            .and_then(|c| c.into_model(&s))
+            .is_ok());
     }
 
     #[test]

@@ -55,11 +55,12 @@ pub struct ZscModel {
     config: ModelConfig,
     image_encoder: ImageEncoder,
     attribute_encoder: AttributeEncoder,
-    /// Stationary dictionary used by the attribute-extraction task. For the
-    /// HDC encoder this is exactly the encoder's dictionary; the
-    /// trainable-MLP variant still pre-trains against an HDC dictionary in
-    /// phase II (the MLP only replaces the *class* encoder in phase III).
-    phase2_dictionary: Matrix,
+    /// The trainable-MLP variant's stationary phase-II dictionary: it still
+    /// pre-trains against an HDC dictionary in phase II (the MLP only
+    /// replaces the *class* encoder in phase III). `None` with the HDC
+    /// encoder, whose own dictionary is the phase-II one and is held once;
+    /// see [`ZscModel::phase2_dictionary`].
+    mlp_phase2_dictionary: Option<Matrix>,
     kernel: CosineSimilarity,
     temperature: TemperatureScale,
     /// Thread pool used by the batched inference (`train = false`) scoring
@@ -92,13 +93,13 @@ impl ZscModel {
             config.mlp_hidden_dim,
             config.seed.wrapping_add(1),
         );
-        let phase2_dictionary = match &attribute_encoder {
-            AttributeEncoder::Hdc(enc) => enc.dictionary().clone(),
-            AttributeEncoder::Mlp(_) => {
+        let mlp_phase2_dictionary = match &attribute_encoder {
+            AttributeEncoder::Hdc(_) => None,
+            AttributeEncoder::Mlp(_) => Some(
                 HdcAttributeEncoder::new(schema, embedding_dim, config.seed.wrapping_add(1))
                     .dictionary()
-                    .clone()
-            }
+                    .clone(),
+            ),
         };
         let temperature = if config.learnable_temperature {
             TemperatureScale::new(config.temperature)
@@ -109,7 +110,7 @@ impl ZscModel {
             config: *config,
             image_encoder,
             attribute_encoder,
-            phase2_dictionary,
+            mlp_phase2_dictionary,
             kernel: CosineSimilarity::new(),
             temperature,
             inference_pool: Pool::auto(),
@@ -150,9 +151,10 @@ impl ZscModel {
         &self.temperature
     }
 
-    /// The stationary attribute dictionary used for attribute extraction.
+    /// The stationary attribute dictionary used for attribute extraction:
+    /// the HDC encoder's own dictionary, or the MLP variant's.
     pub fn phase2_dictionary(&self) -> &Matrix {
-        &self.phase2_dictionary
+        phase2_of(&self.attribute_encoder, &self.mlp_phase2_dictionary)
     }
 
     /// Image embeddings `γ(X)` for a batch of backbone features, through the
@@ -177,7 +179,7 @@ impl ZscModel {
         let embeddings = self.image_encoder.infer(features);
         let sims = engine::dense::cosine_scores(
             &embeddings,
-            &self.phase2_dictionary,
+            self.phase2_dictionary(),
             &self.inference_pool,
         );
         self.temperature.infer(&sims)
@@ -189,9 +191,8 @@ impl ZscModel {
     /// bit-identical to the inference path.
     pub fn attribute_logits_train(&mut self, features: &Matrix) -> Matrix {
         let embeddings = self.image_encoder.forward(features, true);
-        let sims = self
-            .kernel
-            .forward(&embeddings, &self.phase2_dictionary, true);
+        let dictionary = phase2_of(&self.attribute_encoder, &self.mlp_phase2_dictionary);
+        let sims = self.kernel.forward(&embeddings, dictionary, true);
         self.temperature.forward(&sims, true)
     }
 
@@ -259,7 +260,7 @@ impl ZscModel {
     ) -> ShardedClassMemory
     where
         L: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<std::sync::Arc<str>>,
     {
         let class_embeddings = self.attribute_encoder.infer_classes(class_attributes);
         ShardedClassMemory::from_sign_matrix(labels, &class_embeddings, shards)
@@ -350,6 +351,22 @@ impl ZscModel {
     }
 }
 
+/// The phase-II dictionary of a model's parts: the HDC encoder's own, or the
+/// MLP variant's separate one. A free function so the training path can
+/// borrow it beside the mutable similarity kernel.
+fn phase2_of<'a>(
+    encoder: &'a AttributeEncoder,
+    mlp_phase2_dictionary: &'a Option<Matrix>,
+) -> &'a Matrix {
+    match (encoder, mlp_phase2_dictionary) {
+        (AttributeEncoder::Hdc(hdc), _) => hdc.dictionary(),
+        (AttributeEncoder::Mlp(_), Some(dictionary)) => dictionary,
+        (AttributeEncoder::Mlp(_), None) => {
+            unreachable!("every constructor gives the MLP variant its phase-II dictionary")
+        }
+    }
+}
+
 /// Checkpoint format: configuration, both encoders, the phase-II dictionary
 /// and the temperature. The similarity kernel's activation cache and the
 /// inference thread pool are transient and are rebuilt on load.
@@ -364,7 +381,7 @@ impl Serialize for ZscModel {
             ),
             (
                 "phase2_dictionary".to_string(),
-                self.phase2_dictionary.to_value(),
+                self.phase2_dictionary().to_value(),
             ),
             ("temperature_k".to_string(), self.temperature().to_value()),
             (
@@ -389,7 +406,7 @@ impl Deserialize for ZscModel {
             config,
             image_encoder,
             attribute_encoder,
-            phase2_dictionary,
+            Some(phase2_dictionary),
             temperature_k,
             temperature_learnable,
         )
@@ -400,12 +417,14 @@ impl ZscModel {
     /// Assembles a model from its persisted parts, checking that the
     /// encoders, the configuration and the phase-II dictionary agree and
     /// that the temperature is a positive finite value. Both checkpoint
-    /// loaders build models through it.
+    /// loaders build models through it. The MLP variant needs its phase-II
+    /// dictionary; with the HDC encoder one given separately must equal the
+    /// encoder's and is dropped, so the dictionary is held once.
     pub(crate) fn from_parts(
         config: ModelConfig,
         image_encoder: ImageEncoder,
         attribute_encoder: AttributeEncoder,
-        phase2_dictionary: Matrix,
+        phase2_dictionary: Option<Matrix>,
         temperature_k: f32,
         temperature_learnable: bool,
     ) -> Result<Self, DeError> {
@@ -429,10 +448,24 @@ impl ZscModel {
                 "projection flag disagrees between configuration and image encoder".to_string(),
             ));
         }
-        if phase2_dictionary.cols() != embedding_dim {
+        let mlp_phase2_dictionary = match (&attribute_encoder, phase2_dictionary) {
+            (AttributeEncoder::Hdc(hdc), Some(phase2)) if phase2 != *hdc.dictionary() => {
+                return Err(type_err(
+                    "phase-II dictionary differs from the HDC encoder's dictionary".to_string(),
+                ))
+            }
+            (AttributeEncoder::Hdc(_), _) => None,
+            (AttributeEncoder::Mlp(_), None) => {
+                return Err(type_err(
+                    "the MLP variant needs its phase-II dictionary".to_string(),
+                ))
+            }
+            (AttributeEncoder::Mlp(_), Some(phase2)) => Some(phase2),
+        };
+        let phase2_cols = phase2_of(&attribute_encoder, &mlp_phase2_dictionary).cols();
+        if phase2_cols != embedding_dim {
             return Err(type_err(format!(
-                "phase-II dictionary width {} does not match embedding dim {embedding_dim}",
-                phase2_dictionary.cols()
+                "phase-II dictionary width {phase2_cols} does not match embedding dim {embedding_dim}"
             )));
         }
         if !(temperature_k.is_finite() && temperature_k > 0.0) {
@@ -449,7 +482,7 @@ impl ZscModel {
             config,
             image_encoder,
             attribute_encoder,
-            phase2_dictionary,
+            mlp_phase2_dictionary,
             kernel: CosineSimilarity::new(),
             temperature,
             inference_pool: Pool::auto(),

@@ -53,6 +53,7 @@ use crate::batch::PackedQueryBatch;
 use crate::packed::{hamming, mask_tail_word, pack_signs, words_per_row, PackedClassMemory};
 use crate::sharded::ShardedClassMemory;
 use serde::{de, DeError, Deserialize, Serialize, Value};
+use std::sync::Arc;
 use tensor::Matrix;
 
 /// Tuning knobs of a [`RoutedClassMemory`]; every field participates in the
@@ -89,6 +90,26 @@ impl Default for RoutedConfig {
             recluster_percent: 50,
         }
     }
+}
+
+/// Classes to cluster, in build order: shared labels and one flat word
+/// matrix, `words_per_row` words per label.
+#[derive(Default)]
+struct Rows {
+    labels: Vec<Arc<str>>,
+    words: Vec<u64>,
+}
+
+/// The rows of `parts`, part by part in row order.
+fn collect_rows<'a>(parts: impl IntoIterator<Item = &'a PackedClassMemory>) -> Rows {
+    let mut rows = Rows::default();
+    for part in parts {
+        for r in 0..part.len() {
+            rows.labels.push(Arc::clone(part.label_arc(r)));
+            rows.words.extend_from_slice(part.row_words(r));
+        }
+    }
+    rows
 }
 
 /// One step of the SplitMix64 stream — the only randomness in the index,
@@ -162,10 +183,20 @@ impl RoutedClassMemory {
     /// Panics if `memory` is zero-dimensional.
     pub fn from_packed(memory: &PackedClassMemory, config: RoutedConfig) -> Self {
         let mut routed = Self::new(memory.dim(), config);
-        let rows: Vec<(String, Vec<u64>)> = (0..memory.len())
-            .map(|r| (memory.label(r).to_string(), memory.row_words(r).to_vec()))
-            .collect();
-        routed.rebuild_from(rows);
+        routed.rebuild_from(collect_rows([memory]));
+        routed
+    }
+
+    /// Builds a routed memory over the classes of a sharded memory, fed in
+    /// its label order ([`ShardedClassMemory::labels`]) to one k-means pass;
+    /// the labels are shared with `memory`, not copied. Equal to adding the
+    /// classes one by one in that order and then calling
+    /// [`RoutedClassMemory::recluster`] whenever the adds never re-cluster
+    /// on their own (fewer than [`RoutedClassMemory::MIN_RECLUSTER_DRIFT`]
+    /// classes, or automatic re-clustering disabled).
+    pub fn from_sharded(memory: &ShardedClassMemory, config: RoutedConfig) -> Self {
+        let mut routed = Self::new(memory.dim(), config);
+        routed.rebuild_from(collect_rows(memory.shards()));
         routed
     }
 
@@ -180,15 +211,21 @@ impl RoutedClassMemory {
     pub fn from_sign_matrix<L, S>(labels: L, matrix: &Matrix, config: RoutedConfig) -> Self
     where
         L: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Arc<str>>,
     {
         let mut routed = Self::new(matrix.cols(), config);
-        let mut rows: Vec<(String, Vec<u64>)> = Vec::new();
+        let mut rows = Rows::default();
         for (r, label) in labels.into_iter().enumerate() {
             assert!(r < matrix.rows(), "more labels than matrix rows");
-            rows.push((label.into(), crate::packed::pack_float_signs(matrix.row(r))));
+            rows.labels.push(label.into());
+            rows.words
+                .extend(crate::packed::pack_float_signs(matrix.row(r)));
         }
-        assert_eq!(rows.len(), matrix.rows(), "fewer labels than matrix rows");
+        assert_eq!(
+            rows.labels.len(),
+            matrix.rows(),
+            "fewer labels than matrix rows"
+        );
         routed.rebuild_from(rows);
         routed
     }
@@ -274,7 +311,7 @@ impl RoutedClassMemory {
     ///
     /// Panics if `signs.len()` is not the memory's dimensionality or a sign
     /// is not `±1`.
-    pub fn add_class(&mut self, label: impl Into<String>, signs: &[i8]) -> (usize, bool) {
+    pub fn add_class(&mut self, label: impl Into<Arc<str>>, signs: &[i8]) -> (usize, bool) {
         assert_eq!(
             signs.len(),
             self.clusters.dim(),
@@ -290,7 +327,7 @@ impl RoutedClassMemory {
     /// # Panics
     ///
     /// Panics if `words.len()` is not the memory's packed row width.
-    pub fn add_class_packed(&mut self, label: impl Into<String>, words: &[u64]) -> (usize, bool) {
+    pub fn add_class_packed(&mut self, label: impl Into<Arc<str>>, words: &[u64]) -> (usize, bool) {
         assert_eq!(
             words.len(),
             self.clusters.words_per_row(),
@@ -303,7 +340,7 @@ impl RoutedClassMemory {
         let destination = self.route(&clean);
         self.clusters
             .shard_mut(destination)
-            .insert_packed(label.clone(), &clean);
+            .insert_packed(Arc::clone(&label), &clean);
         self.drift += 1;
         self.maybe_recluster();
         // A drift reset means re-clustering fired and may have moved the
@@ -347,15 +384,7 @@ impl RoutedClassMemory {
     /// seed, resetting drift. Called automatically once drift crosses the
     /// configured threshold; callable directly after a bulk-load phase.
     pub fn recluster(&mut self) {
-        let rows: Vec<(String, Vec<u64>)> = self
-            .clusters
-            .shards()
-            .flat_map(|cluster| {
-                (0..cluster.len())
-                    .map(|r| (cluster.label(r).to_string(), cluster.row_words(r).to_vec()))
-            })
-            .collect();
-        self.rebuild_from(rows);
+        self.rebuild_from(collect_rows(self.clusters.shards()));
     }
 
     /// Nearest-centroid routing for one clean (tail-masked) row; ties go to
@@ -379,12 +408,14 @@ impl RoutedClassMemory {
         }
     }
 
-    /// Rebuilds centroids and per-cluster shards from scratch over
-    /// `rows` (label, clean packed words), in order; resets drift.
-    fn rebuild_from(&mut self, rows: Vec<(String, Vec<u64>)>) {
+    /// Rebuilds centroids and per-cluster shards from scratch over `rows`
+    /// (clean packed words), in order; resets drift.
+    fn rebuild_from(&mut self, rows: Rows) {
         let dim = self.clusters.dim();
         let wpr = self.clusters.words_per_row();
-        let n = rows.len();
+        let Rows { labels, words } = rows;
+        let n = labels.len();
+        debug_assert_eq!(words.len(), n * wpr);
         if n == 0 {
             self.centroids = vec![0u64; wpr];
             self.clusters
@@ -398,12 +429,6 @@ impl RoutedClassMemory {
         }
         .clamp(1, n);
 
-        // Flat word matrix for the clustering passes.
-        let mut words = Vec::with_capacity(n * wpr);
-        for (_, row) in &rows {
-            debug_assert_eq!(row.len(), wpr);
-            words.extend_from_slice(row);
-        }
         let row = |i: usize| &words[i * wpr..(i + 1) * wpr];
 
         // k-means++ initialisation from the seeded SplitMix64 stream: the
@@ -527,8 +552,8 @@ impl RoutedClassMemory {
         // Materialise the per-cluster shards in original row order.
         let mut clusters: Vec<PackedClassMemory> =
             (0..k).map(|_| PackedClassMemory::new(dim)).collect();
-        for (i, (label, row_words)) in rows.into_iter().enumerate() {
-            clusters[assign[i] as usize].insert_packed(label, &row_words);
+        for (i, label) in labels.into_iter().enumerate() {
+            clusters[assign[i] as usize].insert_packed(label, row(i));
         }
         self.centroids = centroids;
         self.clusters.replace_shards(clusters);

@@ -20,6 +20,8 @@
 //! with no float comparisons.
 
 use serde::{de, DeError, Deserialize, Serialize, Value};
+use std::collections::HashMap;
+use std::sync::Arc;
 use tensor::Matrix;
 
 /// Number of `u64` words needed for one `dim`-bit row.
@@ -111,6 +113,11 @@ pub(crate) fn hamming(a: &[u64], b: &[u64]) -> u64 {
 /// shard of a [`ShardedClassMemory`](crate::ShardedClassMemory) and each
 /// cluster of a [`RoutedClassMemory`](crate::RoutedClassMemory) is one.
 ///
+/// Each label is stored once, as an `Arc<str>` that the row list and a
+/// `label → row` table share, so finding a class by label is one hash probe
+/// and cloning the memory (a copy-on-write shard copy) copies no label
+/// bytes.
+///
 /// # Example
 ///
 /// ```
@@ -123,18 +130,50 @@ pub(crate) fn hamming(a: &[u64], b: &[u64]) -> u64 {
 /// let top = memory.top_k(&query, 1);
 /// assert_eq!(memory.label(top[0].0), "up");
 /// assert_eq!(top[0].1, 0.5);
+/// assert_eq!(memory.position("down"), Some(1));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PackedClassMemory {
     dim: usize,
     words_per_row: usize,
-    labels: Vec<String>,
+    labels: Vec<Arc<str>>,
+    /// `label → row`, holding the same `Arc`s as `labels`; every mutation
+    /// keeps the two in step.
+    rows: HashMap<Arc<str>, usize>,
     words: Vec<u64>,
+}
+
+/// Equality is structural — shape, labels in row order and words; the label
+/// table is derived from the labels and does not participate.
+impl PartialEq for PackedClassMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim
+            && self.words_per_row == other.words_per_row
+            && self.labels == other.labels
+            && self.words == other.words
+    }
+}
+
+/// Serializes as `{dim, words_per_row, labels, words}`, labels as plain
+/// strings in row order; the label table is rebuilt on load.
+impl Serialize for PackedClassMemory {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("dim".to_string(), self.dim.to_value()),
+            ("words_per_row".to_string(), self.words_per_row.to_value()),
+            (
+                "labels".to_string(),
+                Value::Array(self.labels().map(|label| label.to_value()).collect()),
+            ),
+            ("words".to_string(), self.words.to_value()),
+        ])
+    }
 }
 
 /// Hand-written (instead of derived) so documents whose word matrix
 /// disagrees with the declared shape — or that smuggle set bits past `dim`,
-/// which would skew every popcount — are rejected with a typed error.
+/// which would skew every popcount, or hold one label twice — are rejected
+/// with a typed error.
 impl Deserialize for PackedClassMemory {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         let entries = de::expect_object(value, "PackedClassMemory")?;
@@ -168,10 +207,18 @@ impl Deserialize for PackedClassMemory {
                 }
             }
         }
+        let labels: Vec<Arc<str>> = labels.into_iter().map(Arc::from).collect();
+        let mut rows = HashMap::with_capacity(labels.len());
+        for (row, label) in labels.iter().enumerate() {
+            if rows.insert(Arc::clone(label), row).is_some() {
+                return Err(type_err(format!("label `{label}` stored twice")));
+            }
+        }
         Ok(Self {
             dim,
             words_per_row: wpr,
             labels,
+            rows,
             words,
         })
     }
@@ -189,6 +236,7 @@ impl PackedClassMemory {
             dim,
             words_per_row: words_per_row(dim),
             labels: Vec::new(),
+            rows: HashMap::new(),
             words: Vec::new(),
         }
     }
@@ -204,7 +252,7 @@ impl PackedClassMemory {
     pub fn from_sign_matrix<L, S>(labels: L, matrix: &Matrix) -> Self
     where
         L: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Arc<str>>,
     {
         let mut memory = Self::new(matrix.cols());
         let mut count = 0;
@@ -240,7 +288,7 @@ impl PackedClassMemory {
 
     /// The stored labels in insertion order.
     pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.labels.iter().map(String::as_str)
+        self.labels.iter().map(|label| &**label)
     }
 
     /// The label of row `index`.
@@ -252,9 +300,15 @@ impl PackedClassMemory {
         &self.labels[index]
     }
 
-    /// Position of `label`, if stored.
+    /// The shared label of row `index`, for building another memory over
+    /// the same classes without copying label bytes.
+    pub(crate) fn label_arc(&self, index: usize) -> &Arc<str> {
+        &self.labels[index]
+    }
+
+    /// Row of `label`, if stored: one probe of the label table.
     pub fn position(&self, label: &str) -> Option<usize> {
-        self.labels.iter().position(|l| l == label)
+        self.rows.get(label).copied()
     }
 
     /// The packed words of row `index`.
@@ -274,7 +328,7 @@ impl PackedClassMemory {
     /// # Panics
     ///
     /// Panics if `signs.len() != self.dim()`.
-    pub fn insert_signs(&mut self, label: impl Into<String>, signs: &[i8]) -> (usize, bool) {
+    pub fn insert_signs(&mut self, label: impl Into<Arc<str>>, signs: &[i8]) -> (usize, bool) {
         assert_eq!(
             signs.len(),
             self.dim,
@@ -294,7 +348,7 @@ impl PackedClassMemory {
     ///
     /// Panics if `words.len() != self.words_per_row()` or the memory was
     /// `Default`-constructed (zero-dimensional).
-    pub fn insert_packed(&mut self, label: impl Into<String>, words: &[u64]) -> (usize, bool) {
+    pub fn insert_packed(&mut self, label: impl Into<Arc<str>>, words: &[u64]) -> (usize, bool) {
         assert!(
             self.dim > 0,
             "use PackedClassMemory::new to construct a usable memory"
@@ -310,6 +364,7 @@ impl PackedClassMemory {
                 .copy_from_slice(words);
             (pos, true)
         } else {
+            self.rows.insert(Arc::clone(&label), self.labels.len());
             self.labels.push(label);
             self.words.extend_from_slice(words);
             (self.labels.len() - 1, false)
@@ -338,13 +393,19 @@ impl PackedClassMemory {
     /// row index, or `None` if the label is not stored.
     ///
     /// This repacks only *this* memory — an `O(rows · words_per_row)` move of
-    /// the tail of the word matrix — which is what lets a sharded memory
-    /// repack a single touched shard instead of rebuilding the world.
+    /// the tail of the word matrix, which also moves each later row's
+    /// table entry down by one — so a sharded memory repacks a single
+    /// touched shard instead of rebuilding the world.
     pub fn remove(&mut self, label: &str) -> Option<usize> {
-        let pos = self.position(label)?;
+        let pos = self.rows.remove(label)?;
         self.labels.remove(pos);
-        self.words
-            .drain(pos * self.words_per_row..(pos + 1) * self.words_per_row);
+        let wpr = self.words_per_row;
+        for (row, label) in self.labels.iter().enumerate().skip(pos) {
+            self.words
+                .copy_within((row + 1) * wpr..(row + 2) * wpr, row * wpr);
+            *self.rows.get_mut(label).expect("every row is in the table") = row;
+        }
+        self.words.truncate(self.labels.len() * wpr);
         Some(pos)
     }
 

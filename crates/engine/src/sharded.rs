@@ -130,7 +130,7 @@ impl ShardedClassMemory {
     pub fn from_sign_matrix<L, S>(labels: L, matrix: &Matrix, num_shards: usize) -> Self
     where
         L: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Arc<str>>,
     {
         let mut memory = Self::new(matrix.cols(), num_shards);
         let mut count = 0;
@@ -154,7 +154,7 @@ impl ShardedClassMemory {
     pub fn from_packed(memory: &PackedClassMemory, num_shards: usize) -> Self {
         let mut sharded = Self::new(memory.dim(), num_shards);
         for index in 0..memory.len() {
-            sharded.add_class_packed(memory.label(index).to_string(), memory.row_words(index));
+            sharded.add_class_packed(Arc::clone(memory.label_arc(index)), memory.row_words(index));
         }
         sharded
     }
@@ -236,7 +236,10 @@ impl ShardedClassMemory {
         self.shards.iter().flat_map(|shard| shard.labels())
     }
 
-    /// The `(shard, row)` holding `label`, if stored.
+    /// The `(shard, row)` holding `label`, if stored: one label-table probe
+    /// per shard, so O(shards) whatever the class count. A memory-level
+    /// `label → shard` map would sit outside the copy-on-write shards and be
+    /// deep-copied on every snapshot clone.
     pub(crate) fn locate(&self, label: &str) -> Option<(usize, usize)> {
         self.shards
             .iter()
@@ -275,7 +278,7 @@ impl ShardedClassMemory {
     /// # Panics
     ///
     /// Panics if `signs.len() != self.dim()` or a sign is not `±1`.
-    pub fn add_class(&mut self, label: impl Into<String>, signs: &[i8]) -> (usize, bool) {
+    pub fn add_class(&mut self, label: impl Into<Arc<str>>, signs: &[i8]) -> (usize, bool) {
         assert_eq!(
             signs.len(),
             self.dim(),
@@ -291,7 +294,7 @@ impl ShardedClassMemory {
     /// # Panics
     ///
     /// Panics if `words.len() != self.words_per_row()`.
-    pub fn add_class_packed(&mut self, label: impl Into<String>, words: &[u64]) -> (usize, bool) {
+    pub fn add_class_packed(&mut self, label: impl Into<Arc<str>>, words: &[u64]) -> (usize, bool) {
         let label = label.into();
         let shard = match self.locate(&label) {
             Some((s, _)) => s,

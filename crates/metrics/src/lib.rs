@@ -35,7 +35,6 @@
 
 pub mod aggregate;
 pub mod average_precision;
-pub mod confusion;
 pub mod gzsl;
 pub mod open_set;
 pub mod percentile;
@@ -45,7 +44,6 @@ pub mod wmap;
 
 pub use aggregate::SeedAggregate;
 pub use average_precision::average_precision;
-pub use confusion::ConfusionMatrix;
 pub use gzsl::{harmonic_mean, partitioned_top1_accuracy, PartitionedAccuracy};
 pub use open_set::{auroc, rejection_report, RejectionReport};
 pub use percentile::{nearest_rank, LatencySummary};

@@ -1,42 +1,10 @@
-//! Edge-case coverage for the metrics crate: empty confusion matrices,
-//! top-k with `k` larger than the number of classes, and WMAP in the
-//! presence of attributes/classes with zero instances.
+//! Edge-case coverage for the metrics crate: top-k with `k` larger than the
+//! number of classes, and WMAP in the presence of attributes/classes with
+//! zero instances.
 
-use metrics::confusion::ConfusionMatrix;
 use metrics::topk::{top1_accuracy, topk_accuracy};
 use metrics::wmap::{group_top1_accuracy, weighted_average_precision};
 use tensor::Matrix;
-
-#[test]
-fn empty_confusion_matrix_is_well_defined() {
-    let cm = ConfusionMatrix::new(4);
-    assert_eq!(cm.total(), 0);
-    assert_eq!(cm.accuracy(), 0.0, "no records must not divide by zero");
-    for class in 0..4 {
-        assert_eq!(cm.recall(class), None);
-        assert_eq!(cm.precision(class), None);
-    }
-    assert_eq!(cm.most_confused_pair(), None);
-}
-
-#[test]
-#[should_panic(expected = "need at least one class")]
-fn zero_class_confusion_matrix_is_rejected() {
-    // The documented contract: a confusion matrix over zero classes is a
-    // construction error, not a silently-empty metric.
-    let _ = ConfusionMatrix::new(0);
-}
-
-#[test]
-fn confusion_matrix_with_unseen_class_reports_none() {
-    let mut cm = ConfusionMatrix::new(3);
-    // Class 2 never appears as target or prediction.
-    cm.record_batch(&[0, 0, 1], &[0, 1, 1]);
-    assert_eq!(cm.recall(2), None);
-    assert_eq!(cm.precision(2), None);
-    assert!((cm.accuracy() - 2.0 / 3.0).abs() < 1e-6);
-    assert_eq!(cm.most_confused_pair(), Some((0, 1, 1)));
-}
 
 #[test]
 fn topk_with_k_beyond_classes_saturates_at_one() {

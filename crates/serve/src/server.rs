@@ -693,19 +693,16 @@ enum ClassIndex {
 
 impl ClassIndex {
     /// Serves `memory` as is, or in routed mode the canonical routed build
-    /// over it: its classes fed in its own label order, then clustered once.
-    /// A pure function of the memory's contents, shard layout and `routed`.
+    /// over it: its classes in its own label order, clustered once
+    /// ([`RoutedClassMemory::from_sharded`]). A pure function of the
+    /// memory's contents, shard layout and `routed`.
     fn new(memory: ShardedClassMemory, routed: Option<RoutedConfig>) -> Self {
-        let Some(config) = routed else {
-            return ClassIndex::Sharded(memory);
-        };
-        let mut index = RoutedClassMemory::new(memory.dim(), config);
-        for label in memory.labels() {
-            let words = memory.class_words(label).expect("label just listed");
-            index.add_class_packed(label, words);
+        match routed {
+            None => ClassIndex::Sharded(memory),
+            Some(config) => ClassIndex::Routed(
+                RoutedClassMemory::from_sharded(&memory, config).with_threads(memory.threads()),
+            ),
         }
-        index.recluster();
-        ClassIndex::Routed(index.with_threads(memory.threads()))
     }
 
     /// Inserts or replaces a class: least-loaded shard, or nearest centroid.

@@ -12,7 +12,7 @@
 //! state against the live snapshot timeline the server itself published.
 
 use dataset::AttributeSchema;
-use engine::{PackedClassMemory, ShardedClassMemory};
+use engine::{PackedClassMemory, RoutedClassMemory, ShardedClassMemory};
 use hdc_zsc::{
     Checkpoint, CheckpointDelta, CheckpointError, ModelConfig, ModelFile, ServeBase, ZscModel,
 };
@@ -454,6 +454,70 @@ fn kill_and_recover_restores_the_exact_routed_index() {
         class_set(expected.memory())
     );
     drop(plain);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A routed server over more classes than
+/// [`engine::RoutedClassMemory::MIN_RECLUSTER_DRIFT`] serves the one bulk
+/// build of its class memory, one k-means pass in label order, at start and
+/// at a swap. The swap is logged, not compacted, so recovery replays it and
+/// must rebuild the index the live server built.
+#[test]
+fn a_routed_server_serves_the_bulk_build_and_recovers_a_logged_swap() {
+    let dir = temp_dir("routed-bulk");
+    let a = alpha();
+    let routed_config = engine::RoutedConfig::default(); // ⌈√n⌉ clusters
+    let config = ServerConfig {
+        routed: Some(routed_config),
+        ..config()
+    };
+    let bulk_build = |model: &ZscModel, labels: &[String], attributes: &Matrix| {
+        let memory = model.sharded_class_memory(labels.to_vec(), attributes, config.shards);
+        RoutedClassMemory::from_sharded(&memory, routed_config)
+    };
+    let mut lcg = Lcg(77);
+    let labels: Vec<String> = (0..12).map(|c| format!("class{c:02}")).collect();
+    let attributes = Matrix::from_rows(&(0..12).map(|_| lcg.attr_row(a)).collect::<Vec<_>>());
+    let server = QueryServer::start_durable(
+        model(5),
+        labels.clone(),
+        &attributes,
+        &schema(),
+        config,
+        DurabilityConfig {
+            dir: dir.clone(),
+            sync: SyncPolicy::Always,
+            compact_every: 0,
+        },
+    )
+    .expect("durable routed server starts");
+    let started = server.snapshot();
+    let routed = started.routed().expect("routed server");
+    assert_eq!(routed.as_sharded().num_shards(), 4, "⌈√12⌉ clusters");
+    assert_eq!(
+        Some(&bulk_build(&model(5), &labels, &attributes)),
+        started.routed()
+    );
+    assert_one_class_set(&started, "start");
+
+    let swap_labels: Vec<String> = (0..10).map(|c| format!("sw{c:02}")).collect();
+    let swap_attributes = Matrix::from_rows(&(0..10).map(|_| lcg.attr_row(a)).collect::<Vec<_>>());
+    let live = server
+        .swap_model(model(6), swap_labels.clone(), &swap_attributes)
+        .expect("swaps");
+    assert_eq!(
+        Some(&bulk_build(&model(6), &swap_labels, &swap_attributes)),
+        live.routed()
+    );
+    assert_one_class_set(&live, "swap");
+    drop(server);
+
+    let (recovered, report) =
+        QueryServer::recover(&schema(), config, DurabilityConfig::new(dir.clone()))
+            .expect("recovers");
+    assert_eq!(report.replayed_records, 1, "the swap record");
+    assert_snapshots_match(&recovered.snapshot(), &live, "replayed swap");
+    drop(recovered);
     std::fs::remove_dir_all(&dir).ok();
 }
 
