@@ -1092,51 +1092,59 @@ impl TensorEntry {
     }
 }
 
-/// Appends the words of a packed ±1 row to a model file's tensor data.
-fn push_words(data: &mut Vec<u8>, words: &[u64]) {
-    for word in words {
-        data.extend_from_slice(&word.to_le_bytes());
-    }
+/// A tensor a model file is encoded from, borrowed from the model.
+enum TensorSource<'a> {
+    Matrix(&'a Matrix),
+    Codebook(&'a hdc::Codebook),
 }
 
-/// Appends `matrix` to a model file's tensor data: packed sign bits when
-/// every entry is exactly ±1, raw `f32` bits otherwise.
-fn push_matrix(tensors: &mut Vec<TensorEntry>, data: &mut Vec<u8>, name: &str, matrix: &Matrix) {
-    let (rows, cols) = matrix.shape();
-    let signs = matrix.as_slice().iter().all(|&x| x.abs() == 1.0);
-    if signs {
-        for r in 0..rows {
-            push_words(data, &engine::pack_float_signs(matrix.row(r)));
-        }
-    } else {
-        for x in matrix.as_slice() {
-            data.extend_from_slice(&x.to_le_bytes());
-        }
+impl TensorSource<'_> {
+    /// This tensor with the table entry naming and shaping it: packed sign
+    /// bits for a codebook and for a matrix whose every entry is exactly
+    /// ±1, raw `f32` bits otherwise.
+    fn named(self, name: &str) -> (TensorEntry, Self) {
+        let (rows, cols, signs) = match self {
+            TensorSource::Matrix(m) => (
+                m.rows(),
+                m.cols(),
+                m.as_slice().iter().all(|&x| x.abs() == 1.0),
+            ),
+            TensorSource::Codebook(c) => (c.len(), c.dim(), true),
+        };
+        let entry = TensorEntry {
+            name: name.to_string(),
+            rows,
+            cols,
+            signs,
+        };
+        (entry, self)
     }
-    tensors.push(TensorEntry {
-        name: name.to_string(),
-        rows,
-        cols,
-        signs,
-    });
-}
 
-/// Appends a codebook to a model file's tensor data as packed sign bits.
-fn push_codebook(
-    tensors: &mut Vec<TensorEntry>,
-    data: &mut Vec<u8>,
-    name: &str,
-    codebook: &hdc::Codebook,
-) {
-    for entry in codebook.iter() {
-        push_words(data, &engine::pack_signs(entry.as_slice()));
+    /// Appends the tensor's bytes to `out`, stored as `entry` says.
+    fn write(&self, entry: &TensorEntry, out: &mut Vec<u8>) {
+        let mut push_words = |words: Vec<u64>| {
+            for word in words {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+        };
+        match self {
+            TensorSource::Matrix(m) if entry.signs => {
+                for r in 0..m.rows() {
+                    push_words(engine::pack_float_signs(m.row(r)));
+                }
+            }
+            TensorSource::Matrix(m) => {
+                for x in m.as_slice() {
+                    out.extend_from_slice(&x.to_le_bytes());
+                }
+            }
+            TensorSource::Codebook(c) => {
+                for hv in c.iter() {
+                    push_words(engine::pack_signs(hv.as_slice()));
+                }
+            }
+        }
     }
-    tensors.push(TensorEntry {
-        name: name.to_string(),
-        rows: codebook.len(),
-        cols: codebook.dim(),
-        signs: true,
-    });
 }
 
 /// The tensors of a model file being decoded, taken by name.
@@ -1310,34 +1318,36 @@ pub struct ModelFile {
 
 impl ModelFile {
     /// Encodes `model`, trained against `schema`, straight from its
-    /// weights (no intermediate copy of the model).
+    /// weights into one buffer: the tensor table is computed from the
+    /// shapes first, so the file's exact length is reserved before any
+    /// tensor is written (no intermediate copy of the model or its data).
     pub fn encode(model: &ZscModel, schema: &AttributeSchema) -> Self {
         let mut tensors = Vec::new();
-        let mut data = Vec::new();
         let image_encoder = model.image_encoder();
         if let Some(projection) = image_encoder.projection() {
             let (weight, bias) = (&projection.weight().values, &projection.bias().values);
-            push_matrix(&mut tensors, &mut data, "projection.weight", weight);
-            push_matrix(&mut tensors, &mut data, "projection.bias", bias);
+            tensors.push(TensorSource::Matrix(weight).named("projection.weight"));
+            tensors.push(TensorSource::Matrix(bias).named("projection.bias"));
         }
         let mut mlp_activation = None;
         match model.attribute_encoder() {
             AttributeEncoder::Hdc(hdc) => {
-                push_codebook(&mut tensors, &mut data, "hdc.groups", hdc.group_codebook());
-                push_codebook(&mut tensors, &mut data, "hdc.values", hdc.value_codebook());
-                push_matrix(&mut tensors, &mut data, "hdc.dictionary", hdc.dictionary());
+                tensors.push(TensorSource::Codebook(hdc.group_codebook()).named("hdc.groups"));
+                tensors.push(TensorSource::Codebook(hdc.value_codebook()).named("hdc.values"));
+                tensors.push(TensorSource::Matrix(hdc.dictionary()).named("hdc.dictionary"));
             }
             AttributeEncoder::Mlp(mlp) => {
                 mlp_activation = Some(mlp.mlp().activation());
                 for (i, layer) in mlp.mlp().layers().iter().enumerate() {
                     let (weight, bias) = (&layer.weight().values, &layer.bias().values);
-                    push_matrix(&mut tensors, &mut data, &format!("mlp.{i}.weight"), weight);
-                    push_matrix(&mut tensors, &mut data, &format!("mlp.{i}.bias"), bias);
+                    tensors.push(TensorSource::Matrix(weight).named(&format!("mlp.{i}.weight")));
+                    tensors.push(TensorSource::Matrix(bias).named(&format!("mlp.{i}.bias")));
                 }
-                let phase2 = model.phase2_dictionary();
-                push_matrix(&mut tensors, &mut data, "phase2_dictionary", phase2);
+                let phase2 = TensorSource::Matrix(model.phase2_dictionary());
+                tensors.push(phase2.named("phase2_dictionary"));
             }
         }
+        let (tensors, sources): (Vec<_>, Vec<_>) = tensors.into_iter().unzip();
         let header = ModelFileHeader {
             model_config: *model.config(),
             feature_dim: image_encoder.feature_dim(),
@@ -1348,17 +1358,25 @@ impl ModelFile {
             mlp_activation,
             tensors,
         };
-        let header = serde_json::to_string(&header).expect("header serialization is infallible");
-        let payload_len = 4 + header.len() + data.len();
+        let json = serde_json::to_string(&header).expect("header serialization is infallible");
+        let data_len: usize = header
+            .tensors
+            .iter()
+            .map(|entry| entry.byte_len().expect("an in-memory tensor's size fits"))
+            .sum();
+        let payload_len = 4 + json.len() + data_len;
         let mut bytes = Vec::with_capacity(MODEL_FILE_HEADER_LEN + payload_len);
         bytes.extend_from_slice(MODEL_FILE_MAGIC);
         bytes.extend_from_slice(&MODEL_FILE_FORMAT_VERSION.to_le_bytes());
         let len = u32::try_from(payload_len).expect("a model file payload fits in 4 GiB");
         bytes.extend_from_slice(&len.to_le_bytes());
         bytes.extend_from_slice(&[0; 4]);
-        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(header.as_bytes());
-        bytes.extend_from_slice(&data);
+        bytes.extend_from_slice(&(json.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(json.as_bytes());
+        for (source, entry) in sources.iter().zip(&header.tensors) {
+            source.write(entry, &mut bytes);
+        }
+        debug_assert_eq!(bytes.len(), MODEL_FILE_HEADER_LEN + payload_len);
         let payload = &bytes[MODEL_FILE_HEADER_LEN..];
         let (crc, fingerprint) = (crc32(payload), fnv1a64(payload));
         bytes[16..20].copy_from_slice(&crc.to_le_bytes());

@@ -164,3 +164,49 @@ fn weights_are_raw_floats_and_dictionaries_are_bits_stored_once() {
         "{len} bytes for {floats} float and {bits} sign bytes"
     );
 }
+
+/// Every trainable parameter of `model`, and whether any holds gradient
+/// storage.
+fn params_with_grad(model: &ZscModel) -> (usize, usize) {
+    let (mut params, mut with_grad) = (0, 0);
+    model.visit_params_ref(&mut |p| {
+        params += 1;
+        with_grad += usize::from(p.grad().is_some());
+    });
+    (params, with_grad)
+}
+
+/// A model that is only served holds each weight once: building one at
+/// the paper shape (2048-d features to d = 1536), decoding its model file
+/// and parsing its JSON checkpoint allocate no gradient storage. The first
+/// backward pass allocates it.
+#[test]
+fn built_and_loaded_models_hold_no_gradient_storage() {
+    let schema = AttributeSchema::cub200();
+    let paper = ZscModel::new(&ModelConfig::paper_default(), &schema, 2048);
+    assert_eq!(
+        params_with_grad(&paper),
+        (3, 0),
+        "projection, bias, temperature"
+    );
+    let file = ModelFile::encode(&paper, &schema);
+    let decoded = ModelFile::decode(file.name(), file.bytes())
+        .and_then(|c| c.into_model(&schema))
+        .expect("decode");
+    assert_eq!(params_with_grad(&decoded), (3, 0));
+
+    let schema = AttributeSchema::synthetic(3, 2);
+    let mut mlp = build_model(&schema, 24, 5, true, true, 3);
+    let json = Checkpoint::capture(&mlp, &schema).to_json();
+    let parsed = Checkpoint::from_json_str(&json)
+        .and_then(|c| c.into_model(&schema))
+        .expect("JSON round trip");
+    let (params, with_grad) = params_with_grad(&parsed);
+    assert!(params > 3 && with_grad == 0, "{with_grad} of {params}");
+
+    let features = Matrix::filled(2, 5, 0.5);
+    let attributes = Matrix::filled(2, schema.num_attributes(), 1.0);
+    let logits = mlp.class_logits_train(&features, &attributes);
+    mlp.backward_class(&logits);
+    assert_eq!(params_with_grad(&mlp), (params, params));
+}

@@ -193,9 +193,10 @@ impl RoutedClassMemory {
     /// classes one by one in that order and then calling
     /// [`RoutedClassMemory::recluster`] whenever the adds never re-cluster
     /// on their own (fewer than [`RoutedClassMemory::MIN_RECLUSTER_DRIFT`]
-    /// classes, or automatic re-clustering disabled).
+    /// classes, or automatic re-clustering disabled). Clusters and scores
+    /// on `memory`'s pool width ([`ShardedClassMemory::threads`]).
     pub fn from_sharded(memory: &ShardedClassMemory, config: RoutedConfig) -> Self {
-        let mut routed = Self::new(memory.dim(), config);
+        let mut routed = Self::new(memory.dim(), config).with_threads(memory.threads());
         routed.rebuild_from(collect_rows(memory.shards()));
         routed
     }
@@ -725,6 +726,19 @@ mod tests {
             .collect();
         let routed = RoutedClassMemory::from_packed(&mono, config);
         (routed, mono, protos)
+    }
+
+    /// The build itself runs on the source memory's pool, so a capped
+    /// memory never fans its k-means out wider than its cap.
+    #[test]
+    fn from_sharded_keeps_the_source_pool_width() {
+        let (_, mono, _) = fixture(64, 20, RoutedConfig::default());
+        for threads in [1, 3] {
+            let memory = ShardedClassMemory::from_packed(&mono, 2).with_threads(threads);
+            let routed = RoutedClassMemory::from_sharded(&memory, RoutedConfig::default());
+            assert_eq!(routed.as_sharded().threads(), threads);
+            assert_eq!(routed.len(), 20);
+        }
     }
 
     #[test]

@@ -244,7 +244,7 @@ impl TemperatureScale {
                 .zip(sims.as_slice())
                 .map(|(&g, &s)| g * (-s / (k * k)))
                 .sum();
-            self.k.grad.set(0, 0, self.k.grad.get(0, 0) + grad_k);
+            self.k.accumulate_grad(&Matrix::filled(1, 1, grad_k));
         }
         grad_output.scale(1.0 / k)
     }
@@ -385,7 +385,7 @@ mod tests {
         let eps = 1e-3;
         let numeric = (loss(k0 + eps) - loss(k0 - eps)) / (2.0 * eps);
         let mut analytic = 0.0;
-        temp.visit_params(&mut |p| analytic = p.grad.get(0, 0));
+        temp.visit_params(&mut |p| analytic = p.grad().expect("a backward pass").get(0, 0));
         assert!((numeric - analytic).abs() < 1e-2);
     }
 

@@ -190,7 +190,8 @@ impl Linear {
 
 /// Checkpoint format: only the weight and bias *values* are persisted.
 /// Gradient accumulators and the forward activation cache are transient
-/// training state and are rebuilt (zeroed / empty) on load.
+/// training state: a loaded layer has neither until its first forward and
+/// backward pass.
 impl Serialize for Linear {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -600,7 +601,7 @@ mod tests {
         let out = fc.forward(&x, true);
         fc.zero_grad();
         let _ = fc.backward(&out);
-        let analytic = fc.weight().grad.clone();
+        let analytic = fc.weight().grad().expect("a backward pass").clone();
         // Finite differences on one weight entry.
         let eps = 1e-3f32;
         let (wr, wc) = (1, 2);
@@ -676,9 +677,43 @@ mod tests {
         let x = Matrix::ones(1, 3);
         let y = fc.forward(&x, true);
         let _ = fc.backward(&y);
-        assert!(fc.weight().grad.frobenius_norm() > 0.0);
+        assert!(fc.weight().grad_norm() > 0.0);
         fc.zero_grad();
-        assert_eq!(fc.weight().grad.frobenius_norm(), 0.0);
+        assert_eq!(fc.weight().grad().map(Matrix::frobenius_norm), Some(0.0));
+    }
+
+    /// Gradients allocated by the first backward pass equal, bit for bit,
+    /// those accumulated into zeroed storage that existed beforehand.
+    #[test]
+    fn lazily_allocated_gradients_equal_preallocated_ones() {
+        let build = || {
+            let mut rng = StdRng::seed_from_u64(10);
+            Mlp::new(&[6, 5, 4], ActivationKind::Tanh, &mut rng)
+        };
+        let (mut lazy, mut eager) = (build(), build());
+        eager.visit_params(&mut |p| {
+            let (rows, cols) = p.shape();
+            p.accumulate_grad(&Matrix::filled(rows, cols, -0.5));
+        });
+        let mut rng = StdRng::seed_from_u64(11);
+        let x = Matrix::random_uniform(3, 6, 1.0, &mut rng);
+        let upstream = Matrix::random_uniform(3, 4, 1.0, &mut rng);
+        for model in [&mut lazy, &mut eager] {
+            model.zero_grad();
+            let _ = model.forward(&x, true);
+            let _ = model.backward(&upstream);
+        }
+        let bits = |model: &Mlp| {
+            let mut out = Vec::new();
+            model.visit_params_ref(&mut |p| {
+                let grad = p
+                    .grad()
+                    .expect("one backward pass allocates every gradient");
+                out.extend(grad.as_slice().iter().map(|x| x.to_bits()));
+            });
+            out
+        };
+        assert_eq!(bits(&lazy), bits(&eager));
     }
 
     #[test]

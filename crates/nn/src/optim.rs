@@ -67,11 +67,15 @@ impl AdamState {
             let m = &mut m_bufs[slot];
             let v = &mut v_bufs[slot];
             debug_assert_eq!(m.shape(), p.values.shape(), "optimizer slot shape changed");
-            for (((mi, vi), &g), w) in m
+            // A parameter the backward pass never reached has no gradient
+            // storage: its gradient is exactly zero, and the decay still
+            // applies.
+            let grad = p.grad.as_ref().map(Matrix::as_slice).unwrap_or_default();
+            for (((mi, vi), g), w) in m
                 .as_mut_slice()
                 .iter_mut()
                 .zip(v.as_mut_slice().iter_mut())
-                .zip(p.grad.as_slice())
+                .zip(grad.iter().copied().chain(std::iter::repeat(0.0)))
                 .zip(p.values.as_mut_slice())
             {
                 *mi = beta1 * *mi + (1.0 - beta1) * g;
@@ -185,6 +189,25 @@ mod tests {
             opt.step(0.01, &mut |f| f(&mut p));
         }
         assert!(p.values.get(0, 0) < 5.0);
+    }
+
+    /// A parameter the backward pass never reached steps exactly as one
+    /// holding an explicit zero gradient: same moments, same decay.
+    #[test]
+    fn a_step_without_gradient_storage_equals_one_with_a_zero_gradient() {
+        let values = Matrix::from_rows(&[vec![5.0, -0.75, 0.0, 1e-3]]);
+        let mut absent = ParamTensor::new(values.clone());
+        let mut explicit = ParamTensor::new(values.clone());
+        explicit.accumulate_grad(&Matrix::zeros(1, 4));
+        let (mut opt_absent, mut opt_explicit) = (AdamW::new(), AdamW::new());
+        for _ in 0..3 {
+            opt_absent.step(0.01, &mut |f| f(&mut absent));
+            opt_explicit.step(0.01, &mut |f| f(&mut explicit));
+        }
+        assert!(absent.grad().is_none());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&absent.values), bits(&explicit.values));
+        assert_ne!(absent.values, values, "the decoupled decay applies");
     }
 
     #[test]

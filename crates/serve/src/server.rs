@@ -694,14 +694,12 @@ enum ClassIndex {
 impl ClassIndex {
     /// Serves `memory` as is, or in routed mode the canonical routed build
     /// over it: its classes in its own label order, clustered once
-    /// ([`RoutedClassMemory::from_sharded`]). A pure function of the
-    /// memory's contents, shard layout and `routed`.
+    /// ([`RoutedClassMemory::from_sharded`], on the memory's pool width).
+    /// A pure function of the memory's contents, shard layout and `routed`.
     fn new(memory: ShardedClassMemory, routed: Option<RoutedConfig>) -> Self {
         match routed {
             None => ClassIndex::Sharded(memory),
-            Some(config) => ClassIndex::Routed(
-                RoutedClassMemory::from_sharded(&memory, config).with_threads(memory.threads()),
-            ),
+            Some(config) => ClassIndex::Routed(RoutedClassMemory::from_sharded(&memory, config)),
         }
     }
 
