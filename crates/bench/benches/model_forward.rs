@@ -1,12 +1,13 @@
 //! Criterion benchmarks of the model's forward paths: attribute-dictionary
 //! construction, class encoding `A × B`, the image embed the server runs per
 //! query batch, and inference-time class-logit computation (the operations
-//! that run on-device at deployment); plus rendering and parsing the model's
-//! checkpoint, which a durable server writes into every compaction base.
+//! that run on-device at deployment); plus encoding and decoding the model's
+//! binary model file, which a durable server writes at start and on every
+//! swap, recovery reads, and the wire `swap_model` request carries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dataset::AttributeSchema;
-use hdc_zsc::{Checkpoint, HdcAttributeEncoder, ModelConfig, ZscModel};
+use hdc_zsc::{HdcAttributeEncoder, ModelConfig, ModelFile, ZscModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -90,21 +91,22 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
-/// `Checkpoint::to_json` and `Checkpoint::from_json_str` at the servebench
-/// `durable_churn` model shape (128-d features to d = 256): the model half of
-/// every compaction base a durable server writes and recovery reads.
-fn bench_checkpoint_json(c: &mut Criterion) {
+/// `ModelFile::encode` and `ModelFile::decode` at the paper shape (2048-d
+/// features to d = 1536, CUB schema): a 12.7 MB file, the cost of a
+/// paper-shaped swap or recovery before any class is encoded.
+fn bench_model_file(c: &mut Criterion) {
     let schema = AttributeSchema::cub200();
-    let config = ModelConfig::paper_default().with_embedding_dim(256);
-    let checkpoint = Checkpoint::capture(&ZscModel::new(&config, &schema, 128), &schema);
-    let json = checkpoint.to_json();
-    let mut group = c.benchmark_group("checkpoint_json");
+    let model = ZscModel::new(&ModelConfig::paper_default(), &schema, 2048);
+    let file = ModelFile::encode(&model, &schema);
+    let mut group = c.benchmark_group("model_file");
     group.sample_size(10);
-    group.bench_function("to_json/f128_d256", |b| {
-        b.iter(|| black_box(checkpoint.to_json()))
+    group.bench_function("encode/f2048_d1536", |b| {
+        b.iter(|| black_box(ModelFile::encode(&model, &schema)))
     });
-    group.bench_function("from_json_str/f128_d256", |b| {
-        b.iter(|| black_box(Checkpoint::from_json_str(&json).expect("parses")))
+    group.bench_function("decode/f2048_d1536", |b| {
+        b.iter(|| {
+            black_box(ModelFile::decode(file.name(), file.bytes(), &schema).expect("decodes"))
+        })
     });
     group.finish();
 }
@@ -115,6 +117,6 @@ criterion_group!(
     bench_class_encoding,
     bench_embed,
     bench_inference,
-    bench_checkpoint_json
+    bench_model_file
 );
 criterion_main!(benches);

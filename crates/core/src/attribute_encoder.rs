@@ -485,6 +485,13 @@ impl AttributeEncoder {
             e.zero_grad();
         }
     }
+
+    /// Drops the MLP's gradients and cached activations (no-op for HDC).
+    pub(crate) fn clear_training_state(&mut self) {
+        if let AttributeEncoder::Mlp(e) = self {
+            e.mlp.clear_training_state();
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,91 +1,69 @@
-//! Model checkpointing: a versioned JSON envelope around a trained
-//! [`ZscModel`], so models are trained once and served many times, plus
-//! the two files a durable server keeps beside its write-ahead log — a
-//! binary [`ModelFile`] per model and a [`ServeBase`] of class state.
+//! Model persistence: the binary [`ModelFile`] a trained [`ZscModel`] is
+//! saved, loaded and shipped as, and the [`ServeBase`] of class state a
+//! durable server keeps beside its write-ahead log.
 //!
-//! A [`Checkpoint`] pins three things next to the model weights:
+//! A model file pins three things next to the model weights:
 //!
-//! * a **format version**, checked *before* the model payload is decoded so
+//! * a **format version**, checked *before* the payload is decoded so
 //!   future layout changes fail fast with a typed error;
 //! * the **model configuration** the model was built from;
-//! * a **schema fingerprint** (`G`/`V`/`α` counts), so a checkpoint trained
-//!   against one attribute schema cannot be silently served against another.
+//! * a **schema fingerprint** (`G`/`V`/`α` counts): [`ModelFile::decode`]
+//!   takes the serving schema, so a model trained against one attribute
+//!   schema cannot be silently served against another.
 //!
-//! Loading validates dimensions and invariants end to end (see the
-//! hand-written `Deserialize` impls on the model parts) and reports every
+//! Loading validates dimensions and invariants end to end and reports every
 //! failure as a [`CheckpointError`] instead of panicking. Derived state —
 //! gradient buffers, similarity-kernel caches, the engine's packed class
 //! memories, thread pools — is intentionally not persisted and is rebuilt on
 //! load.
 //!
-//! # Layout versions and kinds
+//! # JSON documents
 //!
-//! Version 2 (current) adds a `kind` discriminator to the envelope so the
-//! two version-2 documents — a plain model checkpoint (`"model"`) and a
-//! [`CheckpointDelta`] (`"serve-delta"`, a model plus class state, the
-//! serving layer's compaction base before format 3) — cannot be confused
-//! for one another: loading a delta through the model loader (or vice
-//! versa) fails with [`CheckpointError::WrongKind`] instead of a confusing
-//! payload error.
-//!
-//! The serving layer's compaction base is a [`ServeBase`] since format 3
-//! (kind `"serve-base"`): class state only, naming a binary [`ModelFile`]
-//! that holds the model once. Its loader refuses any other version, a
-//! version-2 delta included, with [`CheckpointError::UnsupportedVersion`].
-//!
-//! Only version 2 loads: version 1 (no `kind` field), which no build has
-//! written since the delta envelope was introduced, fails with
-//! [`CheckpointError::UnsupportedVersion`]. A delta must carry
-//! its `routed`, `threshold` and `stream` keys — the writer always emits
-//! them, as `null` when empty — so a missing one is
-//! [`CheckpointError::Malformed`]. A model checkpoint's `calibration` key
-//! stays optional: an uncalibrated checkpoint is written without it. Every
-//! document the current writer produces loads.
+//! Two JSON envelopes remain, each with a `format_version` checked before
+//! its payload and a `kind` discriminator: the [`ServeBase`] (version 3,
+//! kind `"serve-base"`), and the standalone [`CheckpointDelta`] (version 2,
+//! kind `"serve-delta"`) — a model [`Checkpoint`] plus class state, the
+//! serving layer's compaction base before format 3. A document of another
+//! kind fails with [`CheckpointError::WrongKind`], of another version with
+//! [`CheckpointError::UnsupportedVersion`]. A delta must carry its
+//! `routed`, `threshold` and `stream` keys — the writer always emits them,
+//! as `null` when empty — so a missing one is [`CheckpointError::Malformed`].
 //!
 //! Both documents are written as compact JSON, with no whitespace between
 //! tokens. The loaders ignore whitespace, so pretty-printed documents that
-//! earlier builds wrote load unchanged, and those builds load compact ones.
+//! earlier builds wrote load unchanged.
 //!
-//! All saves are atomic: the document is written to a sibling `.tmp` file,
-//! fsynced, and `rename`d over the destination, so a crash mid-save can
-//! never corrupt the only good checkpoint.
+//! All saves are atomic ([`atomic_write`]): the bytes are written to a
+//! sibling `.tmp` file, fsynced, and `rename`d over the destination, so a
+//! crash mid-save can never corrupt the only good copy.
 //!
 //! # Example
 //!
 //! ```
 //! use dataset::AttributeSchema;
-//! use hdc_zsc::{Checkpoint, ModelConfig, ZscModel};
+//! use hdc_zsc::{ModelConfig, ModelFile, ZscModel};
 //!
 //! let schema = AttributeSchema::cub200();
 //! let model = ZscModel::new(&ModelConfig::tiny(), &schema, 48);
-//! let checkpoint = Checkpoint::capture(&model, &schema);
-//! let json = checkpoint.to_json();
-//! let restored = Checkpoint::from_json_str(&json)
-//!     .and_then(|c| c.into_model(&schema))
-//!     .expect("round trip");
+//! let file = ModelFile::encode(&model, &schema);
+//! let restored = ModelFile::decode(file.name(), file.bytes(), &schema).expect("round trip");
 //! assert_eq!(restored.embedding_dim(), 64);
 //! ```
 
 use crate::attribute_encoder::{AttributeEncoder, HdcAttributeEncoder, MlpAttributeEncoder};
 use crate::config::ModelConfig;
-use crate::eval::SimilarityCalibration;
 use crate::image_encoder::ImageEncoder;
 use crate::model::ZscModel;
 use dataset::AttributeSchema;
 use engine::{RoutedClassMemory, ShardedClassMemory};
-use serde::{de, DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::io::Write;
 use std::path::Path;
 use tensor::Matrix;
 
-/// Version of the on-disk checkpoint layout produced by this crate.
-///
-/// Version 2 added the `kind` discriminator and the [`CheckpointDelta`]
-/// envelope; it is the only version this build reads.
+/// Version of the [`CheckpointDelta`] layout and of the [`Checkpoint`]
+/// it embeds; the only version this build reads.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
-
-/// `kind` discriminator of a plain model checkpoint.
-const KIND_MODEL: &str = "model";
 
 /// `kind` discriminator of a serve-time checkpoint delta.
 const KIND_DELTA: &str = "serve-delta";
@@ -250,11 +228,13 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// A versioned, self-describing envelope around a trained [`ZscModel`].
-#[derive(Debug, Clone)]
+/// A model in the JSON layout a [`CheckpointDelta`] embeds: the weights
+/// with the configuration, feature width and schema fingerprint they were
+/// built against. Models are saved, loaded and shipped as [`ModelFile`]s;
+/// this type exists for the standalone delta document.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Checkpoint {
-    /// Layout version; always [`CHECKPOINT_FORMAT_VERSION`], the only
-    /// version this build reads and writes.
+    /// Layout version; always [`CHECKPOINT_FORMAT_VERSION`].
     pub format_version: u32,
     /// The configuration the model was constructed from.
     pub model_config: ModelConfig,
@@ -262,55 +242,8 @@ pub struct Checkpoint {
     pub feature_dim: usize,
     /// Shape of the attribute schema the model was trained against.
     pub schema: SchemaFingerprint,
-    /// A fitted serve-time rejection threshold, if the model has been
-    /// calibrated ([`SimilarityCalibrator`](crate::SimilarityCalibrator)).
-    /// An uncalibrated checkpoint writes no `calibration` key and loads as
-    /// `None`.
-    pub calibration: Option<SimilarityCalibration>,
     /// The model weights.
     pub model: ZscModel,
-}
-
-/// Envelope layout, kept field-by-field so the optional `calibration` key
-/// can stay additive — the derived impl would reject documents missing it.
-impl Serialize for Checkpoint {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![
-            (
-                "format_version".to_string(),
-                CHECKPOINT_FORMAT_VERSION.to_value(),
-            ),
-            ("model_config".to_string(), self.model_config.to_value()),
-            ("feature_dim".to_string(), self.feature_dim.to_value()),
-            ("schema".to_string(), self.schema.to_value()),
-        ];
-        if let Some(calibration) = &self.calibration {
-            entries.push(("calibration".to_string(), calibration.to_value()));
-        }
-        entries.push(("model".to_string(), self.model.to_value()));
-        Value::Object(entries)
-    }
-}
-
-impl Deserialize for Checkpoint {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "Checkpoint")?;
-        // Uncalibrated checkpoints carry no `calibration` key; treat a
-        // missing key exactly like an explicit null.
-        let calibration = match value.get("calibration") {
-            None => None,
-            Some(v) => Option::<SimilarityCalibration>::from_value(v)
-                .map_err(|e| e.in_field("Checkpoint"))?,
-        };
-        Ok(Self {
-            format_version: de::field(entries, "format_version", "Checkpoint")?,
-            model_config: de::field(entries, "model_config", "Checkpoint")?,
-            feature_dim: de::field(entries, "feature_dim", "Checkpoint")?,
-            schema: de::field(entries, "schema", "Checkpoint")?,
-            calibration,
-            model: de::field(entries, "model", "Checkpoint")?,
-        })
-    }
 }
 
 impl Checkpoint {
@@ -322,118 +255,8 @@ impl Checkpoint {
             model_config: *model.config(),
             feature_dim: model.image_encoder().feature_dim(),
             schema: SchemaFingerprint::of(schema),
-            calibration: None,
             model: model.clone(),
         }
-    }
-
-    /// Renders the checkpoint as compact JSON in the current layout
-    /// (version [`CHECKPOINT_FORMAT_VERSION`], kind `"model"`).
-    pub fn to_json(&self) -> String {
-        let mut entries = match Serialize::to_value(self) {
-            Value::Object(entries) => entries,
-            _ => unreachable!("checkpoints serialize as objects"),
-        };
-        entries.insert(1, ("kind".to_string(), KIND_MODEL.to_string().to_value()));
-        serde_json::to_string(&Value::Object(entries))
-            .expect("checkpoint serialization is infallible")
-    }
-
-    /// Writes the checkpoint as JSON to `path` through [`atomic_write`], so
-    /// a crash mid-save leaves any previous checkpoint at `path` intact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] if the file cannot be written.
-    pub fn save_json(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        atomic_write(path.as_ref(), self.to_json().as_bytes()).map_err(CheckpointError::from)
-    }
-
-    /// Parses a checkpoint from a JSON string.
-    ///
-    /// The format version is checked *before* the model payload is decoded,
-    /// so documents of any other layout version (the retired version 1
-    /// included) fail with [`CheckpointError::UnsupportedVersion`] rather
-    /// than a decoding error. The document must be `kind: "model"`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Malformed`] for syntactically or
-    /// structurally invalid documents,
-    /// [`CheckpointError::UnsupportedVersion`] for version mismatches, and
-    /// [`CheckpointError::WrongKind`] when the document is a different
-    /// envelope (e.g. a serve-time [`CheckpointDelta`]).
-    pub fn from_json_str(json: &str) -> Result<Self, CheckpointError> {
-        let value =
-            serde_json::parse_value(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        expect_envelope(&value, CHECKPOINT_FORMAT_VERSION, KIND_MODEL)?;
-        let checkpoint: Checkpoint = serde_json::from_value(&value)
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        checkpoint.validate_internal()?;
-        Ok(checkpoint)
-    }
-
-    /// Reads and parses a checkpoint from a JSON file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] on read failures, plus everything
-    /// [`Checkpoint::from_json_str`] reports.
-    pub fn load_json(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        let json = std::fs::read_to_string(path)?;
-        Self::from_json_str(&json)
-    }
-
-    /// Checks the checkpoint against the schema the caller intends to serve.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::SchemaMismatch`] if the fingerprints
-    /// disagree.
-    pub fn validate_schema(&self, schema: &AttributeSchema) -> Result<(), CheckpointError> {
-        let requested = SchemaFingerprint::of(schema);
-        if self.schema != requested {
-            return Err(CheckpointError::SchemaMismatch {
-                checkpoint: self.schema,
-                requested,
-            });
-        }
-        Ok(())
-    }
-
-    /// Consumes the checkpoint and hands back the model, after validating it
-    /// against the serving schema: the fingerprints must agree, and with the
-    /// HDC encoder every dictionary row `k` must be the binding of the group
-    /// and value codevectors the schema pairs attribute `k` with.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::SchemaMismatch`] if the schema fingerprints
-    /// disagree, and [`CheckpointError::DictionaryMismatch`] naming the first
-    /// dictionary row its codebooks contradict.
-    pub fn into_model(self, schema: &AttributeSchema) -> Result<ZscModel, CheckpointError> {
-        self.validate_schema(schema)?;
-        if let AttributeEncoder::Hdc(hdc) = self.model.attribute_encoder() {
-            if let Some(row) = hdc.first_unbound_row(schema.pairs()) {
-                return Err(CheckpointError::DictionaryMismatch { row });
-            }
-        }
-        Ok(self.model)
-    }
-
-    /// Consumes the checkpoint straight into an immutable
-    /// [`FrozenModel`](crate::FrozenModel), after validating it against the
-    /// serving schema — the load path of the serving layer: no intermediate
-    /// mutable model, no extra copy.
-    ///
-    /// # Errors
-    ///
-    /// As [`Checkpoint::into_model`].
-    pub fn into_frozen(
-        self,
-        schema: &AttributeSchema,
-    ) -> Result<crate::FrozenModel, CheckpointError> {
-        self.into_model(schema).map(crate::FrozenModel::new)
     }
 
     /// Envelope-level consistency: the fields outside the model payload must
@@ -447,44 +270,38 @@ impl Checkpoint {
                 found: model_feature_dim,
             });
         }
-        if self.schema.attributes != self.model.phase2_dictionary().rows() {
-            return Err(CheckpointError::DimensionMismatch {
-                what: "attribute count α",
-                expected: self.schema.attributes,
-                found: self.model.phase2_dictionary().rows(),
-            });
-        }
-        // The attribute encoder itself must ingest α-wide class-attribute
-        // matrices too; without this check an internally-consistent but
-        // differently-sized encoder would pass load and panic at first
-        // query instead of failing typed.
-        let encoder_alpha = self.model.attribute_encoder().num_attributes();
-        if self.schema.attributes != encoder_alpha {
-            return Err(CheckpointError::DimensionMismatch {
-                what: "attribute encoder α",
-                expected: self.schema.attributes,
-                found: encoder_alpha,
-            });
-        }
+        check_attribute_count(&self.model, self.schema.attributes)?;
         if self.model_config != *self.model.config() {
             return Err(CheckpointError::Malformed(
                 "envelope model_config disagrees with the model payload".to_string(),
             ));
         }
-        if let Some(calibration) = &self.calibration {
-            if !calibration.threshold.is_finite() {
-                return Err(CheckpointError::Malformed(
-                    "calibration threshold must be finite".to_string(),
-                ));
-            }
-            if !(0.0..1.0).contains(&calibration.target_false_reject) {
-                return Err(CheckpointError::Malformed(
-                    "calibration target false-reject rate must lie in [0, 1)".to_string(),
-                ));
-            }
-        }
         Ok(())
     }
+}
+
+/// The model's phase-II dictionary and its attribute encoder must both be
+/// `attributes` (α) wide. Without the encoder check an internally
+/// consistent but differently sized encoder would pass load and panic at
+/// the first query instead of failing typed.
+fn check_attribute_count(model: &ZscModel, attributes: usize) -> Result<(), CheckpointError> {
+    let dictionary_rows = model.phase2_dictionary().rows();
+    if dictionary_rows != attributes {
+        return Err(CheckpointError::DimensionMismatch {
+            what: "attribute count α",
+            expected: attributes,
+            found: dictionary_rows,
+        });
+    }
+    let encoder_alpha = model.attribute_encoder().num_attributes();
+    if encoder_alpha != attributes {
+        return Err(CheckpointError::DimensionMismatch {
+            what: "attribute encoder α",
+            expected: attributes,
+            found: encoder_alpha,
+        });
+    }
+    Ok(())
 }
 
 /// Checks an envelope document's `format_version` (which must be
@@ -578,7 +395,7 @@ pub struct StreamCheckpoint {
 /// as a standalone document.
 ///
 /// Serialized as a version-2 envelope with `kind: "serve-delta"`, so it can
-/// never be confused with a plain model checkpoint.
+/// never be confused with another document.
 #[derive(Debug, Clone)]
 pub struct CheckpointDelta {
     /// Snapshot version of the serving memory at capture time; recovery
@@ -647,10 +464,12 @@ impl CheckpointDelta {
     ///
     /// # Errors
     ///
-    /// Everything [`Checkpoint::from_json_str`] reports, plus
-    /// [`CheckpointError::DimensionMismatch`] when the memory, routed index
-    /// or stream counters do not fit the model, and
-    /// [`CheckpointError::Malformed`] when a `routed`, `threshold` or
+    /// [`CheckpointError::Malformed`] for syntactically or structurally
+    /// invalid documents, [`CheckpointError::UnsupportedVersion`] for
+    /// another layout version, [`CheckpointError::WrongKind`] for another
+    /// envelope, [`CheckpointError::DimensionMismatch`] when the model's
+    /// parts, the memory, routed index or stream counters do not fit each
+    /// other, and [`CheckpointError::Malformed`] when a `routed`, `threshold` or
     /// `stream` key is missing, the routed index disagrees with the
     /// memory's classes or words, or the stream counters name a class the
     /// memory does not hold.
@@ -1274,9 +1093,10 @@ fn decode_matrix(entry: &TensorEntry, bytes: &[u8]) -> Matrix {
 
 /// A model encoded as a binary model file, named by its content:
 /// `model-<fingerprint>.bin`, the fingerprint being the 64-bit FNV-1a of
-/// the payload in 16 lowercase hex digits. A durable server writes one per
-/// model it serves, at start and on every swap; its base and swap records
-/// name the file.
+/// the payload in 16 lowercase hex digits. It is the one format a model is
+/// saved, loaded and shipped in: a durable server writes one per model it
+/// serves, at start and on every swap (its base and swap records name the
+/// file), and the wire `swap_model` request carries one.
 ///
 /// ```text
 /// ┌─────────────────────────── file header (20 bytes) ───────────────────────────┐
@@ -1298,17 +1118,11 @@ fn decode_matrix(entry: &TensorEntry, bytes: &[u8]) -> Matrix {
 ///
 /// ```
 /// use dataset::AttributeSchema;
-/// use hdc_zsc::checkpoint::ModelFile;
-/// use hdc_zsc::{ModelConfig, ZscModel};
+/// use hdc_zsc::{ModelConfig, ModelFile, ZscModel};
 ///
 /// let schema = AttributeSchema::cub200();
-/// let model = ZscModel::new(&ModelConfig::tiny(), &schema, 48);
-/// let file = ModelFile::encode(&model, &schema);
-/// assert!(file.name().starts_with("model-"));
-/// let restored = ModelFile::decode(file.name(), file.bytes())
-///     .and_then(|c| c.into_model(&schema))
-///     .expect("round trip");
-/// assert_eq!(restored.embedding_dim(), 64);
+/// let file = ModelFile::encode(&ZscModel::new(&ModelConfig::tiny(), &schema, 48), &schema);
+/// assert!(file.name().starts_with("model-") && file.name().ends_with(".bin"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ModelFile {
@@ -1406,26 +1220,32 @@ impl ModelFile {
         atomic_write(&dir.join(&self.name), &self.bytes).map_err(CheckpointError::from)
     }
 
-    /// Reads the model file `name` from `dir` and decodes it
-    /// ([`ModelFile::decode`]).
+    /// Reads the model file `name` from `dir` and decodes it against
+    /// `schema` ([`ModelFile::decode`]).
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] when the file cannot be read (a missing one
     /// included), plus everything [`ModelFile::decode`] reports.
-    pub fn load(dir: &Path, name: &str) -> Result<Checkpoint, CheckpointError> {
+    pub fn load(
+        dir: &Path,
+        name: &str,
+        schema: &AttributeSchema,
+    ) -> Result<ZscModel, CheckpointError> {
         if model_file_fingerprint(name).is_none() {
             return Err(CheckpointError::Malformed(format!(
                 "`{name}` is not a model file name"
             )));
         }
-        Self::decode(name, &std::fs::read(dir.join(name))?)
+        Self::decode(name, &std::fs::read(dir.join(name))?, schema)
     }
 
-    /// Decodes the bytes of the model file `name` into an uncalibrated
-    /// [`Checkpoint`], re-checking the frame's length and CRC-32, the
-    /// fingerprint in `name`, the format version, and every dimension the
-    /// JSON loader checks.
+    /// Decodes the bytes of the model file `name` into the model, checked
+    /// against the schema it is to be served with: the frame's length and
+    /// CRC-32, the fingerprint in `name`, the format version, the schema
+    /// fingerprint, every dimension, and — with the HDC encoder — that every
+    /// dictionary row `k` is the binding of the group and value codevectors
+    /// `schema` pairs attribute `k` with.
     ///
     /// # Errors
     ///
@@ -1434,9 +1254,16 @@ impl ModelFile {
     /// bytes, [`CheckpointError::UnsupportedVersion`] for another layout,
     /// [`CheckpointError::Malformed`] for a wrong magic, a truncated file,
     /// a bad name or header, or a tensor table that does not fit the
-    /// model, and [`CheckpointError::DimensionMismatch`] when the header
-    /// and the weights disagree.
-    pub fn decode(name: &str, bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+    /// model, [`CheckpointError::SchemaMismatch`] when the model was trained
+    /// against another schema, [`CheckpointError::DimensionMismatch`] when
+    /// the header and the weights disagree, and
+    /// [`CheckpointError::DictionaryMismatch`] naming the first dictionary
+    /// row its codebooks contradict.
+    pub fn decode(
+        name: &str,
+        bytes: &[u8],
+        schema: &AttributeSchema,
+    ) -> Result<ZscModel, CheckpointError> {
         let malformed = |reason: &str| CheckpointError::Malformed(format!("model file {reason}"));
         if bytes.len() < 8 || &bytes[..8] != MODEL_FILE_MAGIC {
             return Err(malformed("lacks its magic bytes"));
@@ -1478,6 +1305,13 @@ impl ModelFile {
             .map_err(|_| malformed("header is not UTF-8"))?;
         let header: ModelFileHeader = serde_json::from_str(header)
             .map_err(|e| CheckpointError::Malformed(format!("model file header: {e}")))?;
+        let requested = SchemaFingerprint::of(schema);
+        if header.schema != requested {
+            return Err(CheckpointError::SchemaMismatch {
+                checkpoint: header.schema,
+                requested,
+            });
+        }
         let mut tensors = Tensors::split(header.tensors, &payload[4 + header_len..])?;
         let parts = |e: DeError| CheckpointError::Malformed(e.to_string());
         let projection = match tensors.take("projection.weight") {
@@ -1542,16 +1376,13 @@ impl ModelFile {
             header.temperature_learnable,
         )
         .map_err(parts)?;
-        let checkpoint = Checkpoint {
-            format_version: CHECKPOINT_FORMAT_VERSION,
-            model_config: header.model_config,
-            feature_dim: header.feature_dim,
-            schema: header.schema,
-            calibration: None,
-            model,
-        };
-        checkpoint.validate_internal()?;
-        Ok(checkpoint)
+        check_attribute_count(&model, requested.attributes)?;
+        if let AttributeEncoder::Hdc(hdc) = model.attribute_encoder() {
+            if let Some(row) = hdc.first_unbound_row(schema.pairs()) {
+                return Err(CheckpointError::DictionaryMismatch { row });
+            }
+        }
+        Ok(model)
     }
 }
 
@@ -1628,6 +1459,41 @@ mod tests {
         assert_eq!(entries.len() + 1, before, "`{key}` removed once");
     }
 
+    /// A delta document an earlier build wrote, pretty-printed.
+    const PRETTY_DELTA: &str = include_str!("../tests/pretty_v2/delta.json");
+
+    /// A model file framed around `payload`: a correct length, CRC-32 and
+    /// name, so only what the payload says is checked.
+    fn reframed(payload: &[u8]) -> ModelFile {
+        let mut bytes = MODEL_FILE_MAGIC.to_vec();
+        bytes.extend_from_slice(&MODEL_FILE_FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        ModelFile {
+            name: format!("model-{:016x}.bin", fnv1a64(payload)),
+            bytes,
+        }
+    }
+
+    /// The payload range tensor `name` of `file` occupies.
+    fn tensor_range(file: &ModelFile, name: &str) -> (TensorEntry, std::ops::Range<usize>) {
+        let payload = &file.bytes()[MODEL_FILE_HEADER_LEN..];
+        let header_len = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
+        let header: ModelFileHeader =
+            serde_json::from_str(std::str::from_utf8(&payload[4..4 + header_len]).expect("UTF-8"))
+                .expect("header parses");
+        let mut at = 4 + header_len;
+        for entry in header.tensors {
+            let len = entry.byte_len().expect("fits");
+            if entry.name == name {
+                return (entry, at..at + len);
+            }
+            at += len;
+        }
+        panic!("no tensor `{name}`");
+    }
+
     #[test]
     fn round_trip_preserves_logits_bit_exactly() {
         let s = schema();
@@ -1639,10 +1505,10 @@ mod tests {
             AttributeEncoderKind::TrainableMlp,
         ] {
             let model = fixture_model(kind);
-            let json = Checkpoint::capture(&model, &s).to_json();
-            let restored = Checkpoint::from_json_str(&json)
-                .and_then(|c| c.into_frozen(&s))
-                .expect("round trip");
+            let file = ModelFile::encode(&model, &s);
+            let restored = ModelFile::decode(file.name(), file.bytes(), &s)
+                .expect("round trip")
+                .freeze();
             let original = model.class_logits(&features, &class_attributes);
             let loaded = restored.class_logits(&features, &class_attributes);
             assert_eq!(original.as_slice(), loaded.as_slice(), "{kind}");
@@ -1652,148 +1518,97 @@ mod tests {
         }
     }
 
+    /// The format version is read before anything else: a model file of
+    /// another version is refused by version even when its payload is
+    /// damaged too.
     #[test]
     fn wrong_version_is_rejected_before_the_payload() {
         let s = schema();
-        let model = fixture_model(AttributeEncoderKind::Hdc);
-        let json = edited(&Checkpoint::capture(&model, &s).to_json(), |doc| {
-            *entry(doc, "format_version") = Value::Number(99.0);
-        });
-        match Checkpoint::from_json_str(&json) {
+        let file = ModelFile::encode(&fixture_model(AttributeEncoderKind::Hdc), &s);
+        let mut bytes = file.bytes().to_vec();
+        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
+        *bytes.last_mut().expect("non-empty") ^= 0xFF;
+        match ModelFile::decode(file.name(), &bytes, &s) {
             Err(CheckpointError::UnsupportedVersion {
                 found: 99,
                 supported,
             }) => {
-                assert_eq!(supported, CHECKPOINT_FORMAT_VERSION);
+                assert_eq!(supported, MODEL_FILE_FORMAT_VERSION);
             }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
+            other => panic!("expected UnsupportedVersion, got {:?}", other.map(|_| ())),
         }
     }
 
     /// The retired version-1 layout — no `kind` field, `format_version: 1` —
-    /// fails typed through both loaders.
+    /// fails typed.
     #[test]
     fn version_1_documents_are_rejected() {
-        let s = schema();
-        let model = fixture_model(AttributeEncoderKind::Hdc);
-        // Drop only the envelope's own kind (the model payload nests a
-        // `kind` of its own).
-        let v1 = edited(&Checkpoint::capture(&model, &s).to_json(), |doc| {
+        let v1 = edited(PRETTY_DELTA, |doc| {
             *entry(doc, "format_version") = Value::Number(1.0);
             remove(doc, "kind");
         });
-        for result in [
-            Checkpoint::from_json_str(&v1).map(|_| ()),
-            CheckpointDelta::from_json_str(&v1).map(|_| ()),
-        ] {
-            assert!(
-                matches!(
-                    result,
-                    Err(CheckpointError::UnsupportedVersion {
-                        found: 1,
-                        supported: CHECKPOINT_FORMAT_VERSION,
-                    })
-                ),
-                "{result:?}"
-            );
-        }
-    }
-
-    /// The optional `calibration` field: present it round-trips bit-exactly,
-    /// and an uncalibrated checkpoint writes no key at all and loads as
-    /// `None`.
-    #[test]
-    fn calibration_is_additive_and_round_trips_bit_exactly() {
-        let s = schema();
-        let model = fixture_model(AttributeEncoderKind::Hdc);
-        let uncalibrated = Checkpoint::capture(&model, &s);
-        assert!(uncalibrated.calibration.is_none());
-        assert!(!uncalibrated.to_json().contains("\"calibration\""));
-        let restored =
-            Checkpoint::from_json_str(&uncalibrated.to_json()).expect("uncalibrated loads");
-        assert!(restored.calibration.is_none());
-
-        let calibration = crate::SimilarityCalibrator::new(0.1).fit(&[0.2, 0.5, 0.9, 0.7]);
-        let mut calibrated = Checkpoint::capture(&model, &s);
-        calibrated.calibration = Some(calibration);
-        let json = calibrated.to_json();
-        assert!(json.contains("\"calibration\""));
-        let restored = Checkpoint::from_json_str(&json).expect("calibrated loads");
-        let restored_calibration = restored.calibration.expect("calibration survives");
-        assert_eq!(
-            restored_calibration.threshold.to_bits(),
-            calibration.threshold.to_bits()
+        let result = CheckpointDelta::from_json_str(&v1);
+        assert!(
+            matches!(
+                result,
+                Err(CheckpointError::UnsupportedVersion {
+                    found: 1,
+                    supported: CHECKPOINT_FORMAT_VERSION,
+                })
+            ),
+            "{:?}",
+            result.map(|_| ())
         );
-        assert_eq!(restored_calibration, calibration);
-
-        // A garbage threshold is a typed malformed-checkpoint error, not a
-        // panic at first query.
-        let bad = edited(&json, |doc| {
-            let Value::Object(calibration) = entry(doc, "calibration") else {
-                panic!("calibration is an object");
-            };
-            *entry(calibration, "threshold") = Value::Null;
-        });
-        assert_ne!(bad, json);
-        assert!(matches!(
-            Checkpoint::from_json_str(&bad),
-            Err(CheckpointError::Malformed(_))
-        ));
     }
 
     /// A current-layout document with the wrong (or a missing) kind is a
-    /// different envelope, not a malformed checkpoint.
+    /// different envelope, not a malformed delta.
     #[test]
     fn wrong_kind_is_rejected() {
-        let s = schema();
-        let model = fixture_model(AttributeEncoderKind::Hdc);
-        let json = Checkpoint::capture(&model, &s).to_json();
-        let delta_kind = edited(&json, |doc| {
-            *entry(doc, "kind") = Value::String("serve-delta".to_string());
+        let model_kind = edited(PRETTY_DELTA, |doc| {
+            *entry(doc, "kind") = Value::String("model".to_string());
         });
-        match Checkpoint::from_json_str(&delta_kind) {
+        match CheckpointDelta::from_json_str(&model_kind) {
             Err(CheckpointError::WrongKind { found, expected }) => {
-                assert_eq!(found, "serve-delta");
-                assert_eq!(expected, "model");
+                assert_eq!(found, "model");
+                assert_eq!(expected, "serve-delta");
             }
-            other => panic!("expected WrongKind, got {other:?}"),
+            other => panic!("expected WrongKind, got {:?}", other.map(|_| ())),
         }
-        let missing_kind = edited(&json, |doc| remove(doc, "kind"));
+        let missing_kind = edited(PRETTY_DELTA, |doc| remove(doc, "kind"));
         assert!(matches!(
-            Checkpoint::from_json_str(&missing_kind),
+            CheckpointDelta::from_json_str(&missing_kind),
             Err(CheckpointError::Malformed(_))
         ));
     }
 
-    /// The satellite bugfix: saving goes through a temp file + rename, so a
-    /// stale partial `.tmp` (a crashed half-save) never shadows the valid
-    /// checkpoint, and a successful save cleans up after itself.
+    /// Saving goes through a temp file + rename, so a stale partial `.tmp`
+    /// (a crashed half-save) never shadows the valid model file, and a
+    /// successful save cleans up after itself.
     #[test]
     fn save_is_atomic_and_partial_temp_files_never_shadow_a_checkpoint() {
         let s = schema();
-        let model = fixture_model(AttributeEncoderKind::Hdc);
-        let checkpoint = Checkpoint::capture(&model, &s);
+        let file = ModelFile::encode(&fixture_model(AttributeEncoderKind::Hdc), &s);
         let dir = std::env::temp_dir().join(format!("zsc-ckpt-atomic-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create temp dir");
-        let path = dir.join("ckpt.json");
-        checkpoint.save_json(&path).expect("first save");
-        assert!(!dir.join("ckpt.json.tmp").exists(), "temp file cleaned up");
+        let tmp = dir.join(format!("{}.tmp", file.name()));
+        file.save(&dir).expect("first save");
+        assert!(!tmp.exists(), "temp file cleaned up");
         // Simulate a crash mid-save: a torn temp file next to the good one.
-        std::fs::write(dir.join("ckpt.json.tmp"), "{\"format_version\": 2, \"ki")
-            .expect("write torn temp");
-        let restored = Checkpoint::load_json(&path).expect("good checkpoint untouched");
-        assert_eq!(restored.feature_dim, checkpoint.feature_dim);
+        std::fs::write(&tmp, &file.bytes()[..100]).expect("write torn temp");
+        let restored = ModelFile::load(&dir, file.name(), &s).expect("good file untouched");
+        assert_eq!(ModelFile::encode(&restored, &s).bytes(), file.bytes());
         // A subsequent save replaces both the torn temp and the file.
-        checkpoint.save_json(&path).expect("second save");
-        assert!(!dir.join("ckpt.json.tmp").exists());
-        Checkpoint::load_json(&path).expect("still valid");
+        file.save(&dir).expect("second save");
+        assert!(!tmp.exists());
+        ModelFile::load(&dir, file.name(), &s).expect("still valid");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Delta round trip: memory (shard assignment included) and sequence
     /// bookkeeping survive bit-exactly, the `routed`, `threshold` and
-    /// `stream` keys are required (as `null` when empty), and the two
-    /// envelope kinds cannot be confused for each other.
+    /// `stream` keys are required (as `null` when empty), and a delta is
+    /// not a serve base.
     #[test]
     fn delta_round_trips_and_kinds_do_not_cross() {
         let s = schema();
@@ -1843,7 +1658,11 @@ mod tests {
         );
         assert_eq!(restored.routed.as_ref(), Some(&routed));
         assert_eq!(restored.stream.as_ref(), Some(&stream));
-        restored.base.validate_schema(&s).expect("schema preserved");
+        assert_eq!(
+            restored.base.schema,
+            SchemaFingerprint::of(&s),
+            "schema preserved"
+        );
         // Empty optional state is written as explicit nulls and loads back
         // as `None`; a missing key is malformed.
         let empty = CheckpointDelta {
@@ -1871,15 +1690,10 @@ mod tests {
                 "missing `{key}`"
             );
         }
-        // A delta is not a model checkpoint, and vice versa.
+        // A delta is not a serve base.
         assert!(matches!(
-            Checkpoint::from_json_str(&json),
-            Err(CheckpointError::WrongKind { .. })
-        ));
-        let model_json = Checkpoint::capture(&model, &s).to_json();
-        assert!(matches!(
-            CheckpointDelta::from_json_str(&model_json),
-            Err(CheckpointError::WrongKind { .. })
+            ServeBase::from_json_str(&json),
+            Err(CheckpointError::UnsupportedVersion { found: 2, .. })
         ));
     }
 
@@ -2085,82 +1899,62 @@ mod tests {
     #[test]
     fn schema_mismatch_is_rejected() {
         let s = schema();
-        let model = fixture_model(AttributeEncoderKind::Hdc);
-        let checkpoint = Checkpoint::capture(&model, &s);
+        let file = ModelFile::encode(&fixture_model(AttributeEncoderKind::Hdc), &s);
         let other = AttributeSchema::synthetic(4, 5);
+        let requested = SchemaFingerprint::of(&other);
         assert!(matches!(
-            checkpoint.validate_schema(&other),
-            Err(CheckpointError::SchemaMismatch { .. })
-        ));
-        assert!(matches!(
-            checkpoint.into_model(&other),
-            Err(CheckpointError::SchemaMismatch { .. })
+            ModelFile::decode(file.name(), file.bytes(), &other),
+            Err(CheckpointError::SchemaMismatch { checkpoint, requested: r })
+                if checkpoint == SchemaFingerprint::of(&s) && r == requested
         ));
     }
 
-    /// The object entries of a document value.
-    fn object(value: &mut Value) -> &mut Vec<(String, Value)> {
-        match value {
-            Value::Object(entries) => entries,
-            other => panic!("expected an object, got {}", other.kind()),
-        }
-    }
-
-    /// Negates entry `index` of a serialized matrix.
-    fn negate(matrix: &mut Value, index: usize) {
-        let Value::Array(data) = entry(object(matrix), "data") else {
-            panic!("matrix data is an array");
-        };
-        let Value::Number(x) = &mut data[index] else {
-            panic!("matrix entries are numbers");
-        };
-        *x = -*x;
-    }
-
-    /// A JSON checkpoint holds the HDC dictionary twice, in the encoder and
-    /// as the phase-II dictionary. With one entry negated in both, the
-    /// document loads, but the row is no longer the binding of its group and
-    /// value codevectors, so serving it is refused with the row named. With
-    /// only the encoder's copy negated, the two copies disagree and the
-    /// document does not load.
+    /// A model file whose HDC dictionary has one sign flipped, re-framed
+    /// with a correct CRC-32 and name, holds a row its codebooks
+    /// contradict: it is refused with the row named. So is one whose
+    /// dictionary is intact but whose value codebook has a flipped sign,
+    /// since every row bound with that value then disagrees.
     #[test]
     fn a_dictionary_its_codebooks_contradict_is_refused() {
         let s = schema();
-        let model = fixture_model(AttributeEncoderKind::Hdc);
-        let json = Checkpoint::capture(&model, &s).to_json();
-        let at = 5 * model.embedding_dim() + 3;
-        let tamper = |both: bool| {
-            edited(&json, |doc| {
-                let model = object(entry(doc, "model"));
-                let encoder = object(entry(model, "attribute_encoder"));
-                negate(entry(object(entry(encoder, "hdc")), "dictionary"), at);
-                if both {
-                    negate(entry(model, "phase2_dictionary"), at);
-                }
-            })
+        let file = ModelFile::encode(&fixture_model(AttributeEncoderKind::Hdc), &s);
+        let flipped = |tensor: &str, row: usize| {
+            let (entry, range) = tensor_range(&file, tensor);
+            assert!(entry.signs, "`{tensor}` is stored as sign bits");
+            let mut payload = file.bytes()[MODEL_FILE_HEADER_LEN..].to_vec();
+            payload[range.start + row * entry.cols.div_ceil(64) * 8] ^= 0b1000;
+            reframed(&payload)
         };
-        let loaded = Checkpoint::from_json_str(&tamper(true)).expect("self-consistent document");
-        match loaded.into_frozen(&s) {
+        let tampered = flipped("hdc.dictionary", 5);
+        assert_ne!(tampered.name(), file.name());
+        match ModelFile::decode(tampered.name(), tampered.bytes(), &s) {
             Err(CheckpointError::DictionaryMismatch { row: 5 }) => {}
-            other => panic!("expected DictionaryMismatch at row 5, got {other:?}"),
+            other => panic!(
+                "expected DictionaryMismatch at row 5, got {:?}",
+                other.map(|_| ())
+            ),
         }
-        match Checkpoint::from_json_str(&tamper(false)) {
-            Err(CheckpointError::Malformed(msg)) => assert!(msg.contains("phase-II"), "{msg}"),
-            other => panic!("expected Malformed, got {other:?}"),
-        }
-        assert!(Checkpoint::from_json_str(&json)
-            .and_then(|c| c.into_model(&s))
-            .is_ok());
+        let tampered = flipped("hdc.values", s.pairs()[0].1);
+        assert!(matches!(
+            ModelFile::decode(tampered.name(), tampered.bytes(), &s),
+            Err(CheckpointError::DictionaryMismatch { row: 0 })
+        ));
+        // The untouched bytes re-framed the same way still load.
+        let same = reframed(&file.bytes()[MODEL_FILE_HEADER_LEN..]);
+        assert_eq!(same.name(), file.name());
+        assert!(ModelFile::decode(same.name(), same.bytes(), &s).is_ok());
     }
 
     #[test]
     fn io_errors_are_typed() {
-        let missing = Checkpoint::load_json("/nonexistent/dir/ckpt.json");
-        assert!(matches!(missing, Err(CheckpointError::Io(_))));
         let s = schema();
-        let model = fixture_model(AttributeEncoderKind::Hdc);
-        let bad_path = Checkpoint::capture(&model, &s).save_json("/nonexistent/dir/ckpt.json");
-        assert!(matches!(bad_path, Err(CheckpointError::Io(_))));
+        let file = ModelFile::encode(&fixture_model(AttributeEncoderKind::Hdc), &s);
+        let missing = Path::new("/nonexistent/dir");
+        assert!(matches!(
+            ModelFile::load(missing, file.name(), &s),
+            Err(CheckpointError::Io(_))
+        ));
+        assert!(matches!(file.save(missing), Err(CheckpointError::Io(_))));
     }
 
     #[test]

@@ -49,8 +49,12 @@ pub struct FrozenModel {
 }
 
 impl FrozenModel {
-    /// Freezes a model into an immutable shared view.
-    pub fn new(model: ZscModel) -> Self {
+    /// Freezes a model into an immutable shared view. What training left
+    /// in it — gradient storage, the layers' cached activations, the
+    /// similarity kernel's and temperature's caches — is dropped in place
+    /// first, so a served model holds its weights and nothing else.
+    pub fn new(mut model: ZscModel) -> Self {
+        model.clear_training_state();
         Self {
             inner: Arc::new(model),
         }
@@ -88,6 +92,7 @@ mod tests {
     use super::*;
     use crate::config::ModelConfig;
     use dataset::AttributeSchema;
+    use nn::{AdamW, Optimizer};
     use tensor::Matrix;
 
     fn frozen() -> FrozenModel {
@@ -148,6 +153,46 @@ mod tests {
             frozen.num_trainable_params(),
             mutable.num_trainable_params()
         );
+    }
+
+    /// Freezing a model that has trained drops what training left in it,
+    /// in place: no parameter holds gradient storage, and no layer,
+    /// similarity kernel or temperature holds a cached activation (read off
+    /// the model's `Debug` form, which prints each cache). Class logits and
+    /// packed class signatures keep their bits.
+    #[test]
+    fn freezing_a_trained_model_drops_its_training_state() {
+        let config = ModelConfig::tiny()
+            .with_attribute_encoder(crate::AttributeEncoderKind::TrainableMlp)
+            .with_seed(5);
+        let mut model = ZscModel::new(&config, &AttributeSchema::cub200(), 40);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(4);
+        let features = Matrix::random_uniform(3, 40, 1.0, &mut rng);
+        let class_attributes = Matrix::random_uniform(5, 312, 0.5, &mut rng).map(f32::abs);
+        let logits = model.class_logits_train(&features, &class_attributes);
+        model.backward_class(&nn::loss::cross_entropy(&logits, &[0, 3, 4]).grad);
+        AdamW::new().step(0.01, &mut |f| model.visit_params(f));
+        let grads = |model: &ZscModel| {
+            let (mut params, mut grads) = (0, 0);
+            model.visit_params_ref(&mut |p| {
+                params += 1;
+                grads += usize::from(p.grad().is_some());
+            });
+            (params, grads)
+        };
+        let (params, trained) = grads(&model);
+        assert!(params > 3 && trained == params, "{trained} of {params}");
+        assert!(format!("{model:?}").contains("cache: Some"));
+        let trained_logits = model.class_logits(&features, &class_attributes);
+        let trained_signature = model.packed_class_signature(class_attributes.row(2));
+
+        let frozen = model.freeze();
+        assert_eq!(grads(&frozen), (params, 0));
+        assert!(!format!("{:?}", *frozen).contains("cache: Some"));
+        let logits = frozen.class_logits(&features, &class_attributes);
+        assert_eq!(logits.as_slice(), trained_logits.as_slice());
+        let signature = frozen.packed_class_signature(class_attributes.row(2));
+        assert_eq!(signature, trained_signature);
     }
 
     #[test]

@@ -222,6 +222,13 @@ impl ImageEncoder {
             fc.zero_grad();
         }
     }
+
+    /// Drops the projection's gradients and cached activations.
+    pub(crate) fn clear_training_state(&mut self) {
+        if let Some(fc) = &mut self.projection {
+            fc.clear_training_state();
+        }
+    }
 }
 
 #[cfg(test)]

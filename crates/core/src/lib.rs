@@ -49,13 +49,15 @@
 //!
 //! * [`Pipeline::run_returning_model`] returns the exact model behind
 //!   the reported outcome (nothing is retrained);
-//! * [`Checkpoint::capture`] + [`Checkpoint::save_json`](Checkpoint::save_json)
-//!   persist it as a single validated JSON document, and
-//!   [`Checkpoint::load_json`](Checkpoint::load_json) restores it
-//!   bit-identically on the whole inference surface;
-//! * [`ZscModel::freeze`] (or [`Checkpoint::into_frozen`]) produces a
-//!   [`FrozenModel`] — a cheaply clonable, `Send + Sync` immutable view
-//!   that any number of threads score against without copying weights;
+//! * [`ModelFile::encode`] + [`ModelFile::save`] persist it as one
+//!   binary, checksummed file named by its content, and
+//!   [`ModelFile::load`] (or [`ModelFile::decode`] of bytes in hand)
+//!   restores it bit-identically on the whole inference surface, after
+//!   checking it against the serving schema;
+//! * [`ZscModel::freeze`] produces a [`FrozenModel`] — a cheaply
+//!   clonable, `Send + Sync` immutable view that any number of threads
+//!   score against without copying weights; freezing drops the gradients
+//!   and cached activations training left behind;
 //! * the `serve` crate turns that frozen view into an online service
 //!   (micro-batched query serving, live class registration, crash-safe
 //!   durability, a TCP front-end) — see `docs/architecture.md` at the
@@ -63,14 +65,16 @@
 //!
 //! ```
 //! use dataset::{CubLikeDataset, DatasetConfig, SplitKind};
-//! use hdc_zsc::{Checkpoint, ModelConfig, Pipeline, TrainConfig};
+//! use hdc_zsc::{ModelConfig, ModelFile, Pipeline, TrainConfig};
 //!
 //! let data = CubLikeDataset::generate(&DatasetConfig::tiny(1));
 //! let pipeline = Pipeline::new(ModelConfig::tiny(), TrainConfig::fast());
 //! let (_outcome, model) = pipeline.run_returning_model(&data, SplitKind::Zs, 1);
-//! let checkpoint = Checkpoint::capture(&model, data.schema());
-//! // later, in the serving process: load into the immutable view
-//! let frozen = checkpoint.into_frozen(data.schema()).expect("schema matches");
+//! let file = ModelFile::encode(&model, data.schema());
+//! // later, in the serving process: decode into the immutable view
+//! let frozen = ModelFile::decode(file.name(), file.bytes(), data.schema())
+//!     .expect("schema matches")
+//!     .freeze();
 //! let _embeddings = frozen.embed_images(&data.features_and_labels(
 //!     data.split(SplitKind::Zs).eval_classes()).0);
 //! ```

@@ -330,6 +330,15 @@ impl ZscModel {
         self.attribute_encoder.zero_grad();
     }
 
+    /// Drops what training left behind — every gradient and every cached
+    /// activation — keeping the weights in place.
+    pub(crate) fn clear_training_state(&mut self) {
+        self.image_encoder.clear_training_state();
+        self.attribute_encoder.clear_training_state();
+        self.kernel = CosineSimilarity::new(); // holds nothing but its cache
+        self.temperature.clear_training_state();
+    }
+
     /// Clamps the temperature after an optimizer step.
     pub fn post_step(&mut self) {
         self.temperature.clamp();
@@ -346,6 +355,7 @@ impl ZscModel {
     /// Consumes the model into an immutable, cheaply clonable
     /// [`FrozenModel`](crate::FrozenModel) — the `Send + Sync` handle the
     /// serving layer shares across threads without deep-copying weights.
+    /// Gradients and cached activations are dropped on the way.
     pub fn freeze(self) -> crate::FrozenModel {
         crate::FrozenModel::new(self)
     }

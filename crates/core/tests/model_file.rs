@@ -4,9 +4,7 @@
 //! flipped byte must be a typed [`CheckpointError`], never a panic.
 
 use dataset::AttributeSchema;
-use hdc_zsc::{
-    AttributeEncoderKind, Checkpoint, CheckpointError, ModelConfig, ModelFile, ZscModel,
-};
+use hdc_zsc::{AttributeEncoderKind, CheckpointError, ModelConfig, ModelFile, ZscModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,10 +32,10 @@ fn build_model(
 }
 
 proptest! {
-    /// The decoded model renders the same checkpoint JSON as the original
-    /// (so every weight, codebook, dictionary, configuration field and the
-    /// temperature carry the same bits), and embeds images and encodes
-    /// class signatures identically.
+    /// The decoded model encodes to the same bytes as the original (so
+    /// every weight, codebook, dictionary, configuration field and the
+    /// temperature carry the same bits, and the same model gets the same
+    /// name), and embeds images and encodes class signatures identically.
     #[test]
     fn model_files_round_trip_bit_identically(
         groups in 1usize..6,
@@ -58,14 +56,11 @@ proptest! {
             seed,
         );
         let file = ModelFile::encode(&model, &schema);
-        let restored = ModelFile::decode(file.name(), file.bytes())
-            .expect("model file decodes")
-            .into_model(&schema)
-            .expect("schema matches");
-        prop_assert_eq!(
-            Checkpoint::capture(&restored, &schema).to_json(),
-            Checkpoint::capture(&model, &schema).to_json()
-        );
+        let restored =
+            ModelFile::decode(file.name(), file.bytes(), &schema).expect("model file decodes");
+        let again = ModelFile::encode(&restored, &schema);
+        prop_assert_eq!(again.name(), file.name());
+        prop_assert!(again.bytes() == file.bytes());
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let features = Matrix::random_uniform(3, feature_dim, 1.0, &mut rng);
         prop_assert_eq!(
@@ -77,25 +72,31 @@ proptest! {
             restored.packed_class_signature(attributes.row(0)),
             model.packed_class_signature(attributes.row(0))
         );
-        // Encoding is deterministic: the same model gets the same name.
-        prop_assert_eq!(ModelFile::encode(&restored, &schema).name(), file.name());
     }
 }
 
+fn small_schema() -> AttributeSchema {
+    AttributeSchema::synthetic(3, 2)
+}
+
 fn small_file(mlp_encoder: bool) -> ModelFile {
-    let schema = AttributeSchema::synthetic(3, 2);
+    let schema = small_schema();
     ModelFile::encode(&build_model(&schema, 70, 5, true, mlp_encoder, 11), &schema)
 }
 
 /// Cutting the file at every length short of its end is a typed error.
 #[test]
 fn every_truncation_is_a_typed_error() {
+    let schema = small_schema();
     for mlp_encoder in [false, true] {
         let file = small_file(mlp_encoder);
         for cut in 0..file.bytes().len() {
-            match ModelFile::decode(file.name(), &file.bytes()[..cut]) {
+            match ModelFile::decode(file.name(), &file.bytes()[..cut], &schema) {
                 Err(CheckpointError::Malformed(_)) => {}
-                other => panic!("cut at {cut}: expected Malformed, got {other:?}"),
+                other => panic!(
+                    "cut at {cut}: expected Malformed, got {:?}",
+                    other.map(|_| ())
+                ),
             }
         }
     }
@@ -105,12 +106,13 @@ fn every_truncation_is_a_typed_error() {
 /// checksum fails the frame, a damaged magic or version the header.
 #[test]
 fn every_flipped_byte_is_a_typed_error() {
+    let schema = small_schema();
     for mlp_encoder in [false, true] {
         let file = small_file(mlp_encoder);
         for at in 0..file.bytes().len() {
             let mut bytes = file.bytes().to_vec();
             bytes[at] ^= 0x10;
-            let result = ModelFile::decode(file.name(), &bytes);
+            let result = ModelFile::decode(file.name(), &bytes, &schema);
             let expected = match at {
                 0..=7 | 12..=15 => matches!(result, Err(CheckpointError::Malformed(_))),
                 8..=11 => matches!(result, Err(CheckpointError::UnsupportedVersion { .. })),
@@ -127,7 +129,7 @@ fn a_file_under_another_name_fails_its_fingerprint() {
     let (hdc, mlp) = (small_file(false), small_file(true));
     assert_ne!(hdc.name(), mlp.name());
     assert!(matches!(
-        ModelFile::decode(mlp.name(), hdc.bytes()),
+        ModelFile::decode(mlp.name(), hdc.bytes(), &small_schema()),
         Err(CheckpointError::FingerprintMismatch { .. })
     ));
     for name in [
@@ -136,7 +138,7 @@ fn a_file_under_another_name_fails_its_fingerprint() {
         "../model-0000000000000000.bin",
     ] {
         assert!(matches!(
-            ModelFile::decode(name, hdc.bytes()),
+            ModelFile::decode(name, hdc.bytes(), &small_schema()),
             Err(CheckpointError::Malformed(_))
         ));
     }
@@ -177,8 +179,8 @@ fn params_with_grad(model: &ZscModel) -> (usize, usize) {
 }
 
 /// A model that is only served holds each weight once: building one at
-/// the paper shape (2048-d features to d = 1536), decoding its model file
-/// and parsing its JSON checkpoint allocate no gradient storage. The first
+/// the paper shape (2048-d features to d = 1536) and decoding its model
+/// file allocate no gradient storage, for either encoder kind. The first
 /// backward pass allocates it.
 #[test]
 fn built_and_loaded_models_hold_no_gradient_storage() {
@@ -190,18 +192,14 @@ fn built_and_loaded_models_hold_no_gradient_storage() {
         "projection, bias, temperature"
     );
     let file = ModelFile::encode(&paper, &schema);
-    let decoded = ModelFile::decode(file.name(), file.bytes())
-        .and_then(|c| c.into_model(&schema))
-        .expect("decode");
+    let decoded = ModelFile::decode(file.name(), file.bytes(), &schema).expect("decode");
     assert_eq!(params_with_grad(&decoded), (3, 0));
 
-    let schema = AttributeSchema::synthetic(3, 2);
+    let schema = small_schema();
     let mut mlp = build_model(&schema, 24, 5, true, true, 3);
-    let json = Checkpoint::capture(&mlp, &schema).to_json();
-    let parsed = Checkpoint::from_json_str(&json)
-        .and_then(|c| c.into_model(&schema))
-        .expect("JSON round trip");
-    let (params, with_grad) = params_with_grad(&parsed);
+    let file = ModelFile::encode(&mlp, &schema);
+    let decoded = ModelFile::decode(file.name(), file.bytes(), &schema).expect("decode");
+    let (params, with_grad) = params_with_grad(&decoded);
     assert!(params > 3 && with_grad == 0, "{with_grad} of {params}");
 
     let features = Matrix::filled(2, 5, 0.5);

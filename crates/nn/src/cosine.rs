@@ -276,6 +276,13 @@ impl TemperatureScale {
     pub fn zero_grad(&mut self) {
         self.k.zero_grad();
     }
+
+    /// Drops the similarities a training forward cached and the gradient
+    /// storage of `K`, keeping its value.
+    pub fn clear_training_state(&mut self) {
+        self.cache = None;
+        self.k.grad = None;
+    }
 }
 
 #[cfg(test)]

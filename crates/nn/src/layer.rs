@@ -74,6 +74,11 @@ pub trait Layer {
     fn zero_grad(&mut self) {
         self.visit_params(&mut |p| p.zero_grad());
     }
+
+    /// Drops what training leaves behind — cached activations and gradient
+    /// storage — keeping the weights in place. Freezing a model for
+    /// serving calls it; a later training step allocates both afresh.
+    fn clear_training_state(&mut self);
 }
 
 /// A fully-connected layer `y = x·W + b`.
@@ -262,6 +267,11 @@ impl Layer for Linear {
         f(&self.weight);
         f(&self.bias);
     }
+
+    fn clear_training_state(&mut self) {
+        self.input_cache = None;
+        self.visit_params(&mut |p| p.grad = None);
+    }
 }
 
 /// Supported pointwise non-linearities.
@@ -333,6 +343,10 @@ impl Layer for Activation {
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut ParamTensor)) {}
 
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&ParamTensor)) {}
+
+    fn clear_training_state(&mut self) {
+        self.input_cache = None;
+    }
 }
 
 /// A multi-layer perceptron: a chain of [`Linear`] layers with a shared
@@ -512,6 +526,13 @@ impl Layer for Mlp {
         for layer in &self.layers {
             layer.visit_params_ref(f);
         }
+    }
+
+    fn clear_training_state(&mut self) {
+        self.layers.iter_mut().for_each(Layer::clear_training_state);
+        self.hidden_activations
+            .iter_mut()
+            .for_each(Layer::clear_training_state);
     }
 }
 

@@ -5,8 +5,9 @@
 //!
 //! 1. **train** — `Pipeline::run_returning_model` (the returned model is the
 //!    exact model behind the reported outcome);
-//! 2. **save** — `Checkpoint::save_json`;
-//! 3. **load** — `Checkpoint::load_json` into a fresh model object;
+//! 2. **save** — `ModelFile::encode` + `ModelFile::save`, one binary model
+//!    file in the `--checkpoint` directory;
+//! 3. **load** — `ModelFile::load` into a fresh model object;
 //! 4. **serve** — a [`serve::QueryServer`] answers a simulated traffic mix
 //!    (several caller threads, mixed single queries and small batches)
 //!    over the evaluation classes *minus* `--register N` held-out classes;
@@ -34,12 +35,12 @@
 //! zsc_serve [--classes N] [--images N] [--feature-dim N] [--epochs N]
 //!           [--queries N] [--callers N] [--max-batch N] [--max-wait-us N]
 //!           [--threads N] [--top-k K] [--shards N] [--register N]
-//!           [--seed N] [--checkpoint PATH] [--wal-dir PATH] [--quick] [--json]
+//!           [--seed N] [--checkpoint DIR] [--wal-dir PATH] [--quick] [--json]
 //! ```
 
 use dataset::{CubLikeDataset, DatasetConfig, SplitKind};
 use engine::ShardedClassMemory;
-use hdc_zsc::{Checkpoint, ModelConfig, Pipeline, TrainConfig, ZscModel};
+use hdc_zsc::{ModelConfig, ModelFile, Pipeline, TrainConfig, ZscModel};
 use metrics::LatencySummary;
 use serve::{DurabilityConfig, QueryServer, ScoredLabel, ServerConfig};
 use std::sync::Mutex;
@@ -83,7 +84,7 @@ impl Default for Config {
             shards: 4,
             register: 3,
             seed: 42,
-            checkpoint: std::env::temp_dir().join("zsc_serve_checkpoint.json"),
+            checkpoint: std::env::temp_dir().join("zsc_serve_checkpoint"),
             wal_dir: None,
             json: false,
         }
@@ -134,7 +135,7 @@ fn parse_args() -> Config {
                 eprintln!(
                     "usage: zsc_serve [--classes N] [--images N] [--feature-dim N] [--epochs N] \
                      [--queries N] [--callers N] [--max-batch N] [--max-wait-us N] [--threads N] \
-                     [--top-k K] [--shards N] [--register N] [--seed N] [--checkpoint PATH] \
+                     [--top-k K] [--shards N] [--register N] [--seed N] [--checkpoint DIR] \
                      [--wal-dir PATH] [--quick] [--json]"
                 );
                 std::process::exit(0);
@@ -268,19 +269,20 @@ fn main() {
     eprintln!("zsc_serve: trained in {train_s:.2}s, eval {}", outcome.zsc);
 
     // --- save → load ------------------------------------------------------
+    // `--checkpoint` names the directory the model file is written into,
+    // under its content-derived name.
     let schema = data.schema();
-    Checkpoint::capture(&model, schema)
-        .save_json(&config.checkpoint)
-        .expect("write checkpoint");
-    let checkpoint_bytes = std::fs::metadata(&config.checkpoint)
-        .map(|m| m.len())
-        .unwrap_or(0);
-    drop(model); // from here on, only the reloaded model exists
-    let loaded = Checkpoint::load_json(&config.checkpoint).expect("reload checkpoint");
+    let file = ModelFile::encode(&model, schema);
+    std::fs::create_dir_all(&config.checkpoint).expect("create checkpoint directory");
+    file.save(&config.checkpoint).expect("write model file");
+    let checkpoint_path = config.checkpoint.join(file.name());
+    let checkpoint_bytes = file.bytes().len();
+    let name = file.name().to_string();
+    drop((model, file)); // from here on, only the reloaded model exists
+    let loaded = ModelFile::load(&config.checkpoint, &name, schema).expect("reload model file");
     eprintln!(
-        "zsc_serve: checkpoint {} ({checkpoint_bytes} bytes) reloaded, format v{}",
-        config.checkpoint.display(),
-        loaded.format_version
+        "zsc_serve: model file {} ({checkpoint_bytes} bytes) reloaded",
+        checkpoint_path.display()
     );
 
     // --- serve over the initial class set ----------------------------------
@@ -298,10 +300,7 @@ fn main() {
     let initial_labels: Vec<String> = labels[..initial].to_vec();
     let initial_attr = eval_class_attr.select_rows(&(0..initial).collect::<Vec<_>>());
 
-    let reference_model = loaded
-        .clone()
-        .into_model(schema)
-        .expect("checkpoint matches the schema");
+    let reference_model = loaded.clone();
     let reference_initial =
         reference_model.sharded_class_memory(initial_labels.clone(), &initial_attr, config.shards);
     let reference_full =
@@ -318,28 +317,17 @@ fn main() {
     let server = match &config.wal_dir {
         // Durable serving: class mutations are write-ahead-logged under
         // `--wal-dir` before they are published (see `serve::wal`).
-        Some(dir) => {
-            let frozen = loaded
-                .into_frozen(schema)
-                .expect("checkpoint matches the schema");
-            QueryServer::start_durable(
-                frozen,
-                initial_labels,
-                &initial_attr,
-                schema,
-                server_config,
-                DurabilityConfig::new(dir.clone()),
-            )
-            .expect("durable server starts from checkpoint")
-        }
-        None => QueryServer::from_checkpoint(
+        Some(dir) => QueryServer::start_durable(
             loaded,
-            schema,
             initial_labels,
             &initial_attr,
+            schema,
             server_config,
+            DurabilityConfig::new(dir.clone()),
         )
-        .expect("server starts from checkpoint"),
+        .expect("durable server starts from the model file"),
+        None => QueryServer::start(loaded, initial_labels, &initial_attr, server_config)
+            .expect("server starts from the model file"),
     };
 
     // Traffic: evaluation-side features, cycled up to the requested query
@@ -440,7 +428,7 @@ fn main() {
         config.seed,
         train_s,
         outcome.zsc.top1,
-        config.checkpoint.display(),
+        checkpoint_path.display(),
         checkpoint_bytes,
         serve_stats.to_json(),
         register_s,

@@ -19,7 +19,7 @@ pub use wal::{SyncPolicy, WalError};
 mod tests {
     use super::*;
     use dataset::AttributeSchema;
-    use hdc_zsc::{Checkpoint, ModelConfig, ZscModel};
+    use hdc_zsc::{CheckpointError, ModelConfig, ModelFile, ZscModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tensor::Matrix;
@@ -386,8 +386,8 @@ mod tests {
         }
     }
 
-    /// The acceptance path: a checkpoint saved and reloaded serves queries
-    /// bit-identical to the in-process model it was captured from.
+    /// The acceptance path: a model file saved and reloaded serves queries
+    /// bit-identical to the in-process model it was encoded from.
     #[test]
     fn checkpoint_round_trip_serves_bit_identical_results() {
         let (model, labels, class_attributes, schema) = fixture();
@@ -397,17 +397,12 @@ mod tests {
             &class_attributes,
             ServerConfig::default().shards,
         );
-        let json = Checkpoint::capture(&model, &schema).to_json();
+        let file = ModelFile::encode(&model, &schema);
         drop(model);
-        let reloaded = Checkpoint::from_json_str(&json).expect("checkpoint parses");
-        let server = QueryServer::from_checkpoint(
-            reloaded,
-            &schema,
-            labels,
-            &class_attributes,
-            ServerConfig::default(),
-        )
-        .expect("server starts from checkpoint");
+        let reloaded = ModelFile::decode(file.name(), file.bytes(), &schema).expect("decodes");
+        let server =
+            QueryServer::start(reloaded, labels, &class_attributes, ServerConfig::default())
+                .expect("server starts from the model file");
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..20 {
             let q = Matrix::random_uniform(1, FEATURE_DIM, 1.0, &mut rng)
@@ -546,20 +541,34 @@ mod tests {
         assert!(server.durability_stats().is_none());
     }
 
+    /// A durable directory written against one schema does not recover
+    /// against another: its model file is refused with a typed error.
     #[test]
     fn checkpoint_schema_mismatch_is_typed() {
         let (model, labels, class_attributes, schema) = fixture();
-        let checkpoint = Checkpoint::capture(&model, &schema);
+        let dir = std::env::temp_dir().join(format!("zsc-serve-schema-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let server = QueryServer::start_durable(
+            model,
+            labels,
+            &class_attributes,
+            &schema,
+            ServerConfig::default(),
+            DurabilityConfig::new(dir.clone()),
+        )
+        .expect("durable server starts");
+        drop(server);
         let other = AttributeSchema::synthetic(3, 4);
         assert!(matches!(
-            QueryServer::from_checkpoint(
-                checkpoint,
+            QueryServer::recover(
                 &other,
-                labels,
-                &class_attributes,
-                ServerConfig::default()
+                ServerConfig::default(),
+                DurabilityConfig::new(dir.clone())
             ),
-            Err(ServeError::Checkpoint(_))
+            Err(ServeError::Checkpoint(
+                CheckpointError::SchemaMismatch { .. }
+            ))
         ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -13,6 +13,7 @@ use super::frame::{read_frame, write_frame, FrameError, ReadOutcome};
 use super::wire::{Request, Response, WireStats, PROTOCOL_VERSION};
 use super::NetError;
 use crate::server::{ScoredLabel, Verdict};
+use hdc_zsc::ModelFile;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -230,21 +231,23 @@ impl NetClient {
         })
     }
 
-    /// Replaces the whole serving state from a checkpoint JSON document
-    /// plus its class set; returns the snapshot version it published.
+    /// Replaces the whole serving state with the model in `model` plus its
+    /// class set; returns the snapshot version it published. The model
+    /// travels as its binary model file.
     ///
     /// # Errors
     ///
-    /// See [`NetClient::query`]; invalid checkpoints come back with code
-    /// `checkpoint`.
+    /// See [`NetClient::query`]; a model file the server cannot decode
+    /// against its schema comes back with code `checkpoint`.
     pub fn swap_model(
         &mut self,
-        checkpoint_json: impl Into<String>,
+        model: &ModelFile,
         labels: Vec<String>,
         attributes: Vec<Vec<f32>>,
     ) -> Result<u64, NetError> {
         self.mutate(&Request::SwapModel {
-            checkpoint_json: checkpoint_json.into(),
+            model_file: model.name().to_string(),
+            model: model.bytes().to_vec(),
             labels,
             attributes,
         })

@@ -266,17 +266,17 @@ mod tests {
     }
 
     /// Pins the byte-level frame example in `docs/wire-protocol.md`: the
-    /// 29-byte protocol-2 hello payload frames to these exact 37 bytes.
+    /// 29-byte protocol-3 hello payload frames to these exact 37 bytes.
     #[test]
     fn documented_hello_frame_is_byte_exact() {
-        let bytes = encode(b"{\"type\":\"hello\",\"protocol\":2}");
+        let bytes = encode(b"{\"type\":\"hello\",\"protocol\":3}");
         assert_eq!(&bytes[..4], &[0x1d, 0x00, 0x00, 0x00], "len 29 LE");
         assert_eq!(
             &bytes[4..8],
-            &0x88fe_9137_u32.to_le_bytes(),
+            &0x91e5_a076_u32.to_le_bytes(),
             "IEEE CRC-32 of the payload"
         );
-        assert_eq!(&bytes[8..], b"{\"type\":\"hello\",\"protocol\":2}");
+        assert_eq!(&bytes[8..], b"{\"type\":\"hello\",\"protocol\":3}");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use super::wire::{self, Request, Response, WireScore, WireStats, PROTOCOL_VERSIO
 use super::NetError;
 use crate::server::{QueryServer, ServeError, Verdict};
 use dataset::AttributeSchema;
-use hdc_zsc::Checkpoint;
+use hdc_zsc::ModelFile;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -115,8 +115,8 @@ struct Counters {
 /// [`NetServer`] handle.
 struct NetShared {
     server: Arc<QueryServer>,
-    /// The serving schema, pinned at bind time: checkpoints swapped in
-    /// over the wire are validated against it before any model is built.
+    /// The serving schema, pinned at bind time: model files swapped in
+    /// over the wire are decoded against it.
     schema: AttributeSchema,
     config: NetConfig,
     draining: AtomicBool,
@@ -156,9 +156,9 @@ impl NetServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts accepting connections against `server`.
     ///
-    /// `schema` is pinned for the front-end's lifetime: checkpoints
-    /// arriving in `swap_model` requests are validated against it before a
-    /// model is built from them, mirroring what
+    /// `schema` is pinned for the front-end's lifetime: model files
+    /// arriving in `swap_model` requests are decoded against it, mirroring
+    /// what
     /// [`QueryServer::start_durable`] pins for the WAL.
     ///
     /// # Errors
@@ -400,6 +400,8 @@ fn handle_connection(shared: &NetShared, mut stream: TcpStream) {
                 continue;
             }
         };
+        // A decoded swap holds its own copy of the model file's bytes.
+        drop(payload);
         if shared.draining.load(Ordering::Acquire) {
             shared
                 .counters
@@ -564,10 +566,11 @@ fn respond(shared: &NetShared, request: Request) -> Response {
             None => shared.server.clear_threshold(),
         }),
         Request::SwapModel {
-            checkpoint_json,
+            model_file,
+            model,
             labels,
             attributes,
-        } => swap_response(shared, &checkpoint_json, labels, &attributes),
+        } => swap_response(shared, &model_file, &model, labels, &attributes),
         Request::Observe { label, features } => {
             // An observe below the publication boundary folds counters
             // without publishing: answer with the version still serving so
@@ -631,22 +634,16 @@ fn mutation_response(result: Result<Arc<crate::ModelSnapshot>, ServeError>) -> R
     }
 }
 
-/// Decodes, validates (against the pinned schema), and applies a
+/// Decodes the model file against the pinned schema, then applies a
 /// `swap_model` request.
 fn swap_response(
     shared: &NetShared,
-    checkpoint_json: &str,
+    model_file: &str,
+    model: &[u8],
     labels: Vec<String>,
     attributes: &[Vec<f32>],
 ) -> Response {
-    let checkpoint = match Checkpoint::from_json_str(checkpoint_json) {
-        Ok(checkpoint) => checkpoint,
-        Err(e) => return Response::from_serve_error(&ServeError::Checkpoint(e)),
-    };
-    if let Err(e) = checkpoint.validate_schema(&shared.schema) {
-        return Response::from_serve_error(&ServeError::Checkpoint(e));
-    }
-    let model = match checkpoint.into_frozen(&shared.schema) {
+    let model = match ModelFile::decode(model_file, model, &shared.schema) {
         Ok(model) => model,
         Err(e) => return Response::from_serve_error(&ServeError::Checkpoint(e)),
     };

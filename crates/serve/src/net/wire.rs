@@ -2,9 +2,11 @@
 //! payloads, plus the handshake version and the typed error codes.
 //!
 //! Every payload is a compact JSON object with a `"type"` discriminator,
-//! except a `query` request: its feature row travels as raw little-endian
-//! `f32` bytes behind a one-byte tag ([`Request::encode`] documents the
-//! layout), so the hot path pays no decimal float formatting or parsing.
+//! except two binary requests behind a one-byte tag ([`Request::encode`]
+//! documents both layouts): a `query`, whose feature row travels as raw
+//! little-endian `f32` bytes so the hot path pays no decimal float
+//! formatting or parsing, and a `swap_model`, which carries the new model
+//! as the bytes of its binary model file.
 //! The normative byte-level specification lives in `docs/wire-protocol.md`;
 //! this module is its executable form — the `encode`/`decode` pairs here
 //! are what both the server and the bundled client actually speak, and the
@@ -23,15 +25,22 @@ use serde::{Serialize, Value};
 /// different version is rejected with an `unsupported_protocol` error
 /// naming this value; `docs/wire-protocol.md` states the compatibility
 /// rule for bumping it.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// First byte of a binary `query` payload. A JSON payload always starts
-/// with `{` (`0x7B`), so one byte tells the two apart.
+/// with `{` (`0x7B`), so one byte tells the binary ones apart.
 const QUERY_TAG: u8 = 0x01;
 
 /// Bytes of a binary `query` payload before its feature row: the tag, the
 /// `has_k` flag and the little-endian `u64` `k`.
 const QUERY_HEADER_LEN: usize = 1 + 1 + 8;
+
+/// First byte of a binary `swap_model` payload.
+const SWAP_TAG: u8 = 0x02;
+
+/// Bytes of a binary `swap_model` payload before its JSON part: the tag
+/// and the little-endian `u32` length of the JSON part.
+const SWAP_HEADER_LEN: usize = 1 + 4;
 
 /// Typed error codes a [`Response::Error`] can carry; one string per
 /// rejection the protocol distinguishes. Kept as constants so the server,
@@ -53,7 +62,8 @@ pub mod code {
     pub const DUPLICATE_LABEL: &str = "duplicate_label";
     /// A mutation or swap was structurally invalid.
     pub const INVALID_CONFIG: &str = "invalid_config";
-    /// A swapped-in checkpoint failed validation.
+    /// A swapped-in model file failed to decode against the serving
+    /// schema.
     pub const CHECKPOINT: &str = "checkpoint";
     /// The durable server could not log the mutation.
     pub const WAL: &str = "wal";
@@ -157,8 +167,8 @@ pub enum Request {
         /// The protocol version the client speaks.
         protocol: u32,
     },
-    /// Score one feature row; answered with [`Response::TopK`]. The one
-    /// binary request: [`Request::encode`] documents its layout.
+    /// Score one feature row; answered with [`Response::TopK`]. A binary
+    /// request: [`Request::encode`] documents its layout.
     Query {
         /// Backbone feature row.
         features: Vec<f32>,
@@ -186,11 +196,15 @@ pub enum Request {
         label: String,
     },
     /// Replace the whole serving state; answered with
-    /// [`Response::Mutated`].
+    /// [`Response::Mutated`]. The other binary request: [`Request::encode`]
+    /// documents its layout.
     SwapModel {
-        /// The new model as a checkpoint JSON document (the same document
-        /// [`Checkpoint::to_json`](hdc_zsc::Checkpoint::to_json) writes).
-        checkpoint_json: String,
+        /// The new model's file name, `model-<fingerprint>.bin`
+        /// ([`ModelFile::name`](hdc_zsc::ModelFile::name)).
+        model_file: String,
+        /// The bytes of that model file
+        /// ([`ModelFile::bytes`](hdc_zsc::ModelFile::bytes)).
+        model: Vec<u8>,
         /// One label per attribute row.
         labels: Vec<String>,
         /// Class-attribute rows of the new class set.
@@ -311,10 +325,25 @@ impl Request {
     /// | 2 | 8 | `k` as a `u64`, `0` when `has_k = 0` |
     /// | 10 | 4·n | the row: `f32::to_bits` of each feature |
     ///
+    /// A [`Request::SwapModel`] is binary too:
+    ///
+    /// | offset | size | field |
+    /// |---|---|---|
+    /// | 0 | 1 | tag `0x02` |
+    /// | 1 | 4 | `n`, the length of the JSON part, as a `u32` |
+    /// | 5 | n | compact JSON `{"name", "labels", "attributes"}` |
+    /// | 5 + n | rest | the model file's bytes |
+    ///
     /// Every other request is a compact-JSON object.
     pub fn encode(&self) -> Vec<u8> {
         let value = match self {
             Request::Query { features, k } => return encode_query(features, *k),
+            Request::SwapModel {
+                model_file,
+                model,
+                labels,
+                attributes,
+            } => return encode_swap(model_file, model, labels, attributes),
             Request::Hello { protocol } => obj(vec![
                 ("type", "hello".to_value()),
                 ("protocol", protocol.to_value()),
@@ -333,16 +362,6 @@ impl Request {
                 ("type", "remove_class".to_value()),
                 ("label", label.to_value()),
             ]),
-            Request::SwapModel {
-                checkpoint_json,
-                labels,
-                attributes,
-            } => obj(vec![
-                ("type", "swap_model".to_value()),
-                ("checkpoint", checkpoint_json.to_value()),
-                ("labels", labels.to_value()),
-                ("attributes", attributes.to_value()),
-            ]),
             Request::SetThreshold { threshold_bits } => obj(vec![
                 ("type", "set_threshold".to_value()),
                 ("threshold_bits", threshold_bits.to_value()),
@@ -360,8 +379,8 @@ impl Request {
             .into_bytes()
     }
 
-    /// Decodes a frame payload into a request: a binary query when the
-    /// first byte is the query tag, a JSON request otherwise.
+    /// Decodes a frame payload into a request: a binary query or swap when
+    /// the first byte is its tag, a JSON request otherwise.
     ///
     /// # Errors
     ///
@@ -369,13 +388,17 @@ impl Request {
     /// request — the server wraps it in a [`code::BAD_REQUEST`] response.
     /// A binary query is rejected when its length is not `10 + 4n`, its
     /// `has_k` byte is not 0 or 1, its `k` bytes are nonzero under
-    /// `has_k = 0`, or a feature is NaN or infinite. A JSON `query` is
-    /// rejected too: protocol 2 carries queries only in binary.
+    /// `has_k = 0`, or a feature is NaN or infinite. A binary swap is
+    /// rejected when its JSON part runs past the payload or is not the
+    /// documented object; its model part is checked by the server against
+    /// the serving schema. A JSON `query` or `swap_model` is rejected too:
+    /// protocol 3 carries both only in binary.
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
-        if payload.first() == Some(&QUERY_TAG) {
-            return decode_query(payload);
+        match payload.first() {
+            Some(&QUERY_TAG) => decode_query(payload),
+            Some(&SWAP_TAG) => decode_swap(payload),
+            _ => Self::from_value(&parse_json(payload)?),
         }
-        Self::from_value(&parse_json(payload)?)
     }
 
     /// Parses a JSON request out of its value.
@@ -385,9 +408,8 @@ impl Request {
             "hello" => Ok(Request::Hello {
                 protocol: field(value, "protocol")?,
             }),
-            "query" => Err(format!(
-                "protocol {PROTOCOL_VERSION} carries `query` as a binary payload \
-                 (tag 0x{QUERY_TAG:02x}), not JSON"
+            "query" | "swap_model" => Err(format!(
+                "protocol {PROTOCOL_VERSION} carries `{kind}` as a binary payload, not JSON"
             )),
             "register_class" => Ok(Request::RegisterClass {
                 label: field(value, "label")?,
@@ -399,11 +421,6 @@ impl Request {
             }),
             "remove_class" => Ok(Request::RemoveClass {
                 label: field(value, "label")?,
-            }),
-            "swap_model" => Ok(Request::SwapModel {
-                checkpoint_json: field(value, "checkpoint")?,
-                labels: field(value, "labels")?,
-                attributes: field(value, "attributes")?,
             }),
             "set_threshold" => Ok(Request::SetThreshold {
                 threshold_bits: match value.get("threshold_bits") {
@@ -470,6 +487,54 @@ fn decode_query(payload: &[u8]) -> Result<Request, String> {
         ));
     }
     Ok(Request::Query { features, k })
+}
+
+/// Writes the binary `swap_model` payload [`Request::encode`] documents.
+fn encode_swap(
+    model_file: &str,
+    model: &[u8],
+    labels: &[String],
+    attributes: &[Vec<f32>],
+) -> Vec<u8> {
+    let json = serde_json::to_string(&obj(vec![
+        ("name", model_file.to_value()),
+        ("labels", labels.to_value()),
+        ("attributes", attributes.to_value()),
+    ]))
+    .expect("value rendering is infallible");
+    let json_len = u32::try_from(json.len()).expect("a swap's JSON part fits in 4 GiB");
+    let mut payload = Vec::with_capacity(SWAP_HEADER_LEN + json.len() + model.len());
+    payload.push(SWAP_TAG);
+    payload.extend_from_slice(&json_len.to_le_bytes());
+    payload.extend_from_slice(json.as_bytes());
+    payload.extend_from_slice(model);
+    payload
+}
+
+/// Reads a binary `swap_model` payload: its JSON part must fit the payload
+/// and carry the name, labels and attribute rows; the rest is the model
+/// file, passed on unread.
+fn decode_swap(payload: &[u8]) -> Result<Request, String> {
+    let Some((header, rest)) = payload.split_at_checked(SWAP_HEADER_LEN) else {
+        return Err(format!(
+            "binary swap_model of {} bytes is shorter than its {SWAP_HEADER_LEN}-byte header",
+            payload.len()
+        ));
+    };
+    let json_len = u32::from_le_bytes(header[1..].try_into().expect("4 bytes")) as usize;
+    let Some((json, model)) = rest.split_at_checked(json_len) else {
+        return Err(format!(
+            "binary swap_model declares a {json_len}-byte JSON part, {} bytes follow",
+            rest.len()
+        ));
+    };
+    let value = parse_json(json)?;
+    Ok(Request::SwapModel {
+        model_file: field(&value, "name")?,
+        model: model.to_vec(),
+        labels: field(&value, "labels")?,
+        attributes: field(&value, "attributes")?,
+    })
 }
 
 /// Parses a JSON payload into its value.
@@ -670,7 +735,8 @@ mod tests {
             label: "owl".to_string(),
         });
         round_trip_request(Request::SwapModel {
-            checkpoint_json: "{\"fake\":1}".to_string(),
+            model_file: "model-0123456789abcdef.bin".to_string(),
+            model: b"ZSCMODL\n\x01\x00".to_vec(),
             labels: vec!["a".to_string(), "b".to_string()],
             attributes: vec![vec![1.0, 2.0], vec![3.0, 4.0]],
         });
@@ -798,8 +864,12 @@ mod tests {
         assert!(Request::decode(b"[1,2,3]").is_err());
         assert!(Request::decode(b"{\"type\":\"warp\"}").is_err());
         assert!(Request::decode(b"{\"type\":\"query\"}").is_err());
-        // Protocol 2 takes queries only in binary.
+        // Protocol 3 takes queries and swaps only in binary.
         assert!(Request::decode(b"{\"type\":\"query\",\"features\":[0.5,-1.0],\"k\":2}").is_err());
+        assert!(Request::decode(
+            b"{\"type\":\"swap_model\",\"checkpoint\":\"{}\",\"labels\":[],\"attributes\":[]}"
+        )
+        .is_err());
         assert!(Response::decode(b"{\"type\":\"topk\",\"version\":1}").is_err());
         assert!(Response::decode(
             b"{\"type\":\"topk\",\"version\":1,\"results\":[],\"verdict\":\"maybe\"}"
@@ -845,6 +915,27 @@ mod tests {
                 );
             }
         }
+        // A binary swap whose header or JSON part does not fit its
+        // payload, or whose JSON part lacks its name; the model part is
+        // passed on unread, so an empty one decodes.
+        let swap = Request::SwapModel {
+            model_file: "model-0123456789abcdef.bin".to_string(),
+            model: Vec::new(),
+            labels: vec!["owl".to_string()],
+            attributes: vec![vec![0.5]],
+        }
+        .encode();
+        assert!(Request::decode(&swap).is_ok());
+        assert!((1..swap.len()).all(|cut| Request::decode(&swap[..cut]).is_err()));
+        let unnamed = br#"{"labels":["owl"],"attributes":[[0.5]]}"#;
+        let mut payload = vec![SWAP_TAG, unnamed.len() as u8, 0, 0, 0];
+        payload.extend_from_slice(unnamed);
+        assert!(Request::decode(&payload).is_err());
+        payload[1] += 1;
+        assert!(
+            Request::decode(&payload).is_err(),
+            "a JSON part past the end"
+        );
         // A header-only query is well-formed; the server's width check
         // answers it with `feature_width`.
         assert_eq!(
@@ -867,7 +958,7 @@ mod tests {
                 protocol: PROTOCOL_VERSION
             }
             .encode(),
-            b"{\"type\":\"hello\",\"protocol\":2}"
+            b"{\"type\":\"hello\",\"protocol\":3}"
         );
         let mut query = Vec::new();
         crate::net::frame::write_frame(
@@ -891,6 +982,27 @@ mod tests {
                 0x00, 0x00, 0x80, 0xbf, // -1.0
             ]
         );
+    }
+
+    /// Pins the byte-level `swap_model` example in
+    /// `docs/wire-protocol.md`: tag, the JSON part's length, the JSON part,
+    /// then the model file's bytes as they are (here only the magic a
+    /// model file opens with).
+    #[test]
+    fn documented_swap_payload_is_byte_exact() {
+        let json =
+            br#"{"name":"model-0123456789abcdef.bin","labels":["owl"],"attributes":[[0.5,1]]}"#;
+        let request = Request::SwapModel {
+            model_file: "model-0123456789abcdef.bin".to_string(),
+            model: b"ZSCMODL\n".to_vec(),
+            labels: vec!["owl".to_string()],
+            attributes: vec![vec![0.5, 1.0]],
+        };
+        let mut expected = vec![0x02, 0x4d, 0x00, 0x00, 0x00];
+        expected.extend_from_slice(json);
+        expected.extend_from_slice(&[0x5a, 0x53, 0x43, 0x4d, 0x4f, 0x44, 0x4c, 0x0a]);
+        assert_eq!(json.len(), 0x4d);
+        assert_eq!(request.encode(), expected);
     }
 
     /// The `verdict` field is additive: a verdict-free response carries no

@@ -141,8 +141,8 @@ pub type ScoredLabel = (String, f32);
 /// The open-set verdict a calibrated snapshot attaches to a served query.
 ///
 /// Only produced when the serving snapshot carries a rejection threshold
-/// ([`QueryServer::set_threshold`], or a checkpoint whose
-/// [`SimilarityCalibration`](hdc_zsc::SimilarityCalibration) seeded one):
+/// ([`QueryServer::set_threshold`], typically with the threshold of a
+/// [`SimilarityCalibration`](hdc_zsc::SimilarityCalibration)):
 /// the verdict is [`Verdict::Unknown`] exactly when the query's best
 /// similarity falls **strictly below** the threshold — the same strict-less
 /// rule [`hdc_zsc::SimilarityCalibrator`] fits its target false-reject rate
@@ -217,7 +217,7 @@ pub enum ServeError {
     /// The server could not be constructed from the given parts, or a
     /// mutation would leave it unservable (e.g. removing the last class).
     InvalidConfig(String),
-    /// A checkpoint could not be loaded or validated.
+    /// A model file or compaction base could not be loaded or validated.
     Checkpoint(hdc_zsc::CheckpointError),
     /// The write-ahead log could not be written, read, or replayed.
     Wal(WalError),
@@ -826,22 +826,19 @@ impl QueryServer {
         class_attributes: &Matrix,
         config: ServerConfig,
     ) -> Result<Self, ServeError> {
-        Self::start_fresh(model.into(), labels, class_attributes, config, None, None)
+        Self::start_fresh(model.into(), labels, class_attributes, config, None)
     }
 
     /// The one construction path of a fresh server: validates the class
     /// set and configuration, encodes the class memory (and routed index),
     /// and — for a durable server — initialises the WAL directory before
-    /// serving. [`QueryServer::start`] seeds no threshold,
-    /// [`QueryServer::from_checkpoint`] seeds the checkpoint's calibrated
-    /// one, [`QueryServer::start_durable`] passes its schema and durability
-    /// settings.
+    /// serving. [`QueryServer::start_durable`] passes its schema and
+    /// durability settings.
     fn start_fresh(
         model: FrozenModel,
         labels: Vec<String>,
         class_attributes: &Matrix,
         config: ServerConfig,
-        threshold: Option<f32>,
         durability: Option<(&AttributeSchema, DurabilityConfig)>,
     ) -> Result<Self, ServeError> {
         validate_class_set(&labels, class_attributes)?;
@@ -863,7 +860,7 @@ impl QueryServer {
             version: 0,
             model,
             index: ClassIndex::new(memory, config.routed),
-            threshold,
+            threshold: None,
         };
         let durable = durability
             .map(|(schema, durability)| DurableState::create(&snapshot, schema, durability))
@@ -939,7 +936,6 @@ impl QueryServer {
             labels,
             class_attributes,
             config,
-            None,
             Some((schema, durability)),
         )
     }
@@ -983,9 +979,9 @@ impl QueryServer {
         validate_config(&config)?;
         let dir = &durability.dir;
         let base = ServeBase::load_json(wal::base_path(dir))?;
-        let checkpoint = ModelFile::load(dir, &base.model_file)?;
-        base.validate_model(&checkpoint.model)?;
-        let model = checkpoint.into_frozen(schema)?;
+        let model = ModelFile::load(dir, &base.model_file, schema)?;
+        base.validate_model(&model)?;
+        let model = model.freeze();
         let (log, replay) = WriteAheadLog::open(wal::wal_path(dir), durability.sync)?;
         // Every state the server writes has the log start at or before the
         // base's end and reach at least that far; else records are lost.
@@ -1090,35 +1086,6 @@ impl QueryServer {
             Self::start_with_parts(current, config, Some(durable), stream),
             report,
         ))
-    }
-
-    /// Starts a server from a saved [`hdc_zsc::Checkpoint`]: the
-    /// train-once / serve-many entry point. The checkpoint is validated
-    /// against the serving schema and loaded straight into the immutable
-    /// [`FrozenModel`] view ([`hdc_zsc::Checkpoint::into_frozen`]) — no
-    /// intermediate mutable model, no extra copy.
-    ///
-    /// A checkpoint carrying a
-    /// [`SimilarityCalibration`](hdc_zsc::SimilarityCalibration) seeds the
-    /// server's open-set rejection threshold, so calibrated verdicts
-    /// survive the save/load cycle without a separate
-    /// [`QueryServer::set_threshold`] call; an uncalibrated checkpoint
-    /// starts with no threshold, exactly as before.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Checkpoint`] when the checkpoint does not match
-    /// `schema`, plus everything [`QueryServer::start`] reports.
-    pub fn from_checkpoint(
-        checkpoint: hdc_zsc::Checkpoint,
-        schema: &dataset::AttributeSchema,
-        labels: Vec<String>,
-        class_attributes: &Matrix,
-        config: ServerConfig,
-    ) -> Result<Self, ServeError> {
-        let threshold = checkpoint.calibration.as_ref().map(|c| c.threshold);
-        let model = checkpoint.into_frozen(schema)?;
-        Self::start_fresh(model, labels, class_attributes, config, threshold, None)
     }
 
     /// Width of the backbone feature rows the server expects.
@@ -1278,7 +1245,7 @@ impl QueryServer {
 
     /// Replaces the entire serving state — model and class set — with one
     /// atomic snapshot publication (e.g. rolling out a retrained
-    /// checkpoint). Queries already coalesced keep their old snapshot; the
+    /// model). Queries already coalesced keep their old snapshot; the
     /// next batch is scored by the new model.
     ///
     /// # Errors
@@ -1778,7 +1745,7 @@ impl Mutation {
             WalOp::Update { label, words } => Mutation::Update { label, words },
             WalOp::Remove { label } => Mutation::Remove { label },
             WalOp::Swap { model_file, memory } => Mutation::Swap {
-                model: ModelFile::load(dir, &model_file)?.into_frozen(schema)?,
+                model: ModelFile::load(dir, &model_file, schema)?.freeze(),
                 memory,
             },
             WalOp::SetThreshold { bits } => Mutation::SetThreshold(bits.map(f32::from_bits)),

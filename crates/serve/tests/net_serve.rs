@@ -7,7 +7,7 @@
 //! the documented handshake rules are what the server actually enforces.
 
 use dataset::AttributeSchema;
-use hdc_zsc::{Checkpoint, ModelConfig, ZscModel};
+use hdc_zsc::{ModelConfig, ModelFile, ZscModel};
 use serve::net::wire::{self, Request, Response};
 use serve::net::{frame, ClientConfig, NetClient, NetConfig, NetError, NetServer};
 use serve::{DurabilityConfig, QueryServer, ServerConfig};
@@ -29,21 +29,27 @@ fn fixture() -> (ZscModel, Vec<String>, Matrix, AttributeSchema) {
 
 fn start_stack(net_config: NetConfig) -> (Arc<QueryServer>, NetServer, AttributeSchema) {
     let (model, labels, class_attributes, schema) = fixture();
-    let server = Arc::new(
-        QueryServer::start(
-            model,
-            labels,
-            &class_attributes,
-            ServerConfig {
-                top_k: 4,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("server starts"),
-    );
-    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server), &schema, net_config)
-        .expect("front-end binds");
+    let (server, net) = serve(model, labels, &class_attributes, &schema, net_config);
     (server, net, schema)
+}
+
+/// A top-4 server around `model` and its front-end.
+fn serve(
+    model: ZscModel,
+    labels: Vec<String>,
+    class_attributes: &Matrix,
+    schema: &AttributeSchema,
+    net_config: NetConfig,
+) -> (Arc<QueryServer>, NetServer) {
+    let config = ServerConfig {
+        top_k: 4,
+        ..ServerConfig::default()
+    };
+    let server =
+        Arc::new(QueryServer::start(model, labels, class_attributes, config).expect("starts"));
+    let net = NetServer::bind("127.0.0.1:0", Arc::clone(&server), schema, net_config)
+        .expect("front-end binds");
+    (server, net)
 }
 
 fn client(net: &NetServer) -> NetClient {
@@ -59,6 +65,33 @@ fn random_rows(count: usize, seed: u64) -> Vec<Vec<f32>> {
                 .to_vec()
         })
         .collect()
+}
+
+/// Every row of `matrix` as its own `Vec`.
+fn rows_of(matrix: &Matrix) -> Vec<Vec<f32>> {
+    (0..matrix.rows()).map(|r| matrix.row(r).to_vec()).collect()
+}
+
+/// Asserts every query in `queries` is answered at `version`,
+/// bit-identical to `solo_topk` on the snapshot serving it.
+fn assert_served_at(
+    client: &mut NetClient,
+    server: &QueryServer,
+    version: u64,
+    queries: &[Vec<f32>],
+) {
+    let snapshot = server.snapshot();
+    assert_eq!(snapshot.version(), version);
+    for q in queries {
+        let (served_version, served) = client.query(q, None).expect("query served");
+        assert_eq!(served_version, version);
+        let expected = snapshot.solo_topk(q, 4);
+        assert_eq!(served.len(), expected.len());
+        for ((sl, ss), (el, es)) in served.iter().zip(&expected) {
+            assert_eq!(sl, el);
+            assert_eq!(ss.to_bits(), es.to_bits());
+        }
+    }
 }
 
 /// The headline contract: responses served through the socket are
@@ -136,62 +169,73 @@ fn mutations_over_the_wire_publish_versions() {
         2
     );
     // Post-mutation queries name the new version and stay bit-identical.
-    let snapshot = server.snapshot();
-    assert_eq!(snapshot.version(), 2);
-    for q in random_rows(8, 43) {
-        let (version, served) = client.query(&q, None).expect("query served");
-        assert_eq!(version, 2);
-        let expected = snapshot.solo_topk(&q, 4);
-        for ((sl, ss), (el, es)) in served.iter().zip(&expected) {
-            assert_eq!(sl, el);
-            assert_eq!(ss.to_bits(), es.to_bits());
-        }
-    }
+    assert_served_at(&mut client, &server, 2, &random_rows(8, 43));
     assert_eq!(client.remove_class("netbird").expect("removes"), 3);
     assert!(!server.snapshot().memory().contains("netbird"));
     net.shutdown();
 }
 
-/// A full model swap shipped as a checkpoint JSON document through the
-/// socket: the new model serves the next queries, bit-identical to solo
-/// scoring against the post-swap snapshot.
+/// A full model swap shipped as a binary model file through the socket:
+/// the new model serves the next queries, bit-identical to solo scoring
+/// against the post-swap snapshot. A model file the server cannot decode
+/// against its schema is a typed `checkpoint` rejection, and the
+/// connection survives it.
 #[test]
 fn swap_model_over_the_wire_replaces_serving_state() {
     let (server, net, schema) = start_stack(NetConfig::default());
     let mut client = client(&net);
     let (_, labels, class_attributes, _) = fixture();
     let new_model = ZscModel::new(&ModelConfig::tiny().with_seed(77), &schema, FEATURE_DIM);
-    let checkpoint_json = Checkpoint::capture(&new_model, &schema).to_json();
-    let rows: Vec<Vec<f32>> = (0..class_attributes.rows())
-        .map(|r| class_attributes.row(r).to_vec())
-        .collect();
-
+    let file = ModelFile::encode(&new_model, &schema);
     let version = client
-        .swap_model(checkpoint_json, labels, rows)
+        .swap_model(&file, labels, rows_of(&class_attributes))
         .expect("swaps over the wire");
     assert_eq!(version, 1);
-    let snapshot = server.snapshot();
-    assert_eq!(snapshot.version(), 1);
-    for q in random_rows(8, 47) {
-        let (served_version, served) = client.query(&q, None).expect("query served");
-        assert_eq!(served_version, 1);
-        let expected = snapshot.solo_topk(&q, 4);
-        for ((sl, ss), (el, es)) in served.iter().zip(&expected) {
-            assert_eq!(sl, el);
-            assert_eq!(ss.to_bits(), es.to_bits());
-        }
-    }
-    // Garbage checkpoints are a typed `checkpoint` rejection, and the
-    // connection survives to serve more requests.
+    assert_served_at(&mut client, &server, 1, &random_rows(8, 47));
+    let other = AttributeSchema::synthetic(3, 4);
+    let foreign = ModelFile::encode(
+        &ZscModel::new(&ModelConfig::tiny(), &other, FEATURE_DIM),
+        &other,
+    );
     let err = client
-        .swap_model(
-            "{\"not\":\"a checkpoint\"}",
-            vec!["x".to_string()],
-            vec![vec![1.0; 312]],
-        )
-        .expect_err("garbage checkpoint rejected");
+        .swap_model(&foreign, vec!["x".to_string()], vec![vec![1.0; 12]])
+        .expect_err("a model for another schema is rejected");
     assert!(err.is_rejection(wire::code::CHECKPOINT), "{err}");
-    assert!(client.stats().is_ok(), "connection still usable");
+    assert_served_at(&mut client, &server, 1, &random_rows(2, 48));
+    net.shutdown();
+}
+
+/// A model at the paper's shape (2048-d features to d = 1536) swaps in
+/// over the wire: its model file fits one frame, and every query answered
+/// at the new version is bit-identical to `solo_topk` on that snapshot.
+#[test]
+fn a_paper_shaped_model_swaps_over_the_wire() {
+    let schema = AttributeSchema::cub200();
+    let config = ModelConfig::paper_default();
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(6);
+    let class_attributes = Matrix::random_uniform(20, 312, 0.5, &mut rng).map(f32::abs);
+    let labels: Vec<String> = (0..20).map(|c| format!("class{c}")).collect();
+    let model = ZscModel::new(&config.with_seed(1), &schema, 2048);
+    let (server, net) = serve(
+        model,
+        labels.clone(),
+        &class_attributes,
+        &schema,
+        NetConfig::default(),
+    );
+    let mut client = client(&net);
+    let file = ModelFile::encode(&ZscModel::new(&config.with_seed(2), &schema, 2048), &schema);
+    let len = file.bytes().len();
+    assert!(
+        len > 12_000_000 && len < frame::MAX_FRAME_LEN as usize,
+        "{len} bytes"
+    );
+    let version = client
+        .swap_model(&file, labels, rows_of(&class_attributes))
+        .expect("a paper-shaped model swaps over the wire");
+    assert_eq!(version, 1);
+    let queries = rows_of(&Matrix::random_uniform(6, 2048, 1.0, &mut rng));
+    assert_served_at(&mut client, &server, 1, &queries);
     net.shutdown();
 }
 
@@ -218,13 +262,13 @@ fn exchange(socket: &mut TcpStream, payload: &[u8]) -> Response {
 }
 
 /// Handshake rules, pinned over a raw socket: a version mismatch — an
-/// unknown version or the retired protocol 1 — is a typed
+/// unknown version or a retired protocol, 1 or 2 — is a typed
 /// `unsupported_protocol` rejection naming the supported version, and a
 /// non-hello opener is `bad_request`.
 #[test]
 fn handshake_version_mismatch_is_rejected() {
     let (_server, net, _schema) = start_stack(NetConfig::default());
-    for protocol in [99, 1] {
+    for protocol in [99, 1, 2] {
         let mut socket = raw_socket(&net);
         match exchange(&mut socket, &Request::Hello { protocol }.encode()) {
             Response::Error { code, message } => {
@@ -473,16 +517,6 @@ fn streamed_observes_over_the_wire_on(wal_dir: Option<&std::path::Path>) {
         assert_eq!((stats.wal_bytes, stats.records_since_compaction), (0, 0));
     }
 
-    let snapshot = server.snapshot();
-    for q in random_rows(8, 59) {
-        let (version, served) = client.query(&q, None).expect("query served");
-        assert_eq!(version, 2);
-        let expected = snapshot.solo_topk(&q, 4);
-        assert_eq!(served.len(), expected.len());
-        for ((sl, ss), (el, es)) in served.iter().zip(&expected) {
-            assert_eq!(sl, el);
-            assert_eq!(ss.to_bits(), es.to_bits(), "similarity bits for `{sl}`");
-        }
-    }
+    assert_served_at(&mut client, &server, 2, &random_rows(8, 59));
     net.shutdown();
 }

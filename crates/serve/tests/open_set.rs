@@ -11,7 +11,7 @@
 //! through a compaction base).
 
 use dataset::AttributeSchema;
-use hdc_zsc::{Checkpoint, ModelConfig, SimilarityCalibration, ZscModel};
+use hdc_zsc::{ModelConfig, ZscModel};
 use serve::net::{ClientConfig, NetClient, NetConfig, NetServer};
 use serve::{DurabilityConfig, QueryServer, ServeError, ServerConfig, SyncPolicy, Verdict};
 use std::path::PathBuf;
@@ -343,41 +343,6 @@ fn recovery_preserves_the_calibrated_threshold() {
     assert_eq!(verdict, None);
     drop(server);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A checkpoint carrying a [`SimilarityCalibration`] seeds the server's
-/// threshold on [`QueryServer::from_checkpoint`]; an uncalibrated
-/// checkpoint starts verdict-free, exactly as before.
-#[test]
-fn from_checkpoint_seeds_the_calibrated_threshold() {
-    let (model, labels, class_attributes, schema) = fixture();
-    let mut calibrated = Checkpoint::capture(&model, &schema);
-    calibrated.calibration = Some(SimilarityCalibration {
-        threshold: 0.031_25,
-        target_false_reject: 0.1,
-    });
-    let plain = Checkpoint::capture(&model, &schema);
-    let server = QueryServer::from_checkpoint(
-        calibrated,
-        &schema,
-        labels.clone(),
-        &class_attributes,
-        ServerConfig::default(),
-    )
-    .expect("calibrated server starts");
-    assert_eq!(
-        server.snapshot().threshold().map(f32::to_bits),
-        Some(0.031_25f32.to_bits())
-    );
-    let server = QueryServer::from_checkpoint(
-        plain,
-        &schema,
-        labels,
-        &class_attributes,
-        ServerConfig::default(),
-    )
-    .expect("plain server starts");
-    assert_eq!(server.snapshot().threshold(), None);
 }
 
 /// The in-process error path mirrors the wire one: non-finite thresholds

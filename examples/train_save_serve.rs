@@ -1,8 +1,8 @@
 //! Train once, serve many: the full deployment lifecycle.
 //!
 //! Trains the zero-shot classifier on a small synthetic dataset, saves the
-//! exact trained model to a versioned JSON checkpoint, reloads it, and puts
-//! a micro-batching [`serve::QueryServer`] in front of the reloaded model to
+//! exact trained model as a binary model file, reloads it, and puts a
+//! micro-batching [`serve::QueryServer`] in front of the reloaded model to
 //! answer concurrent queries.
 //!
 //! Run with:
@@ -12,7 +12,7 @@
 //! ```
 
 use dataset::{CubLikeDataset, DatasetConfig, SplitKind};
-use hdc_zsc::{Checkpoint, ModelConfig, Pipeline, TrainConfig};
+use hdc_zsc::{ModelConfig, ModelFile, Pipeline, TrainConfig};
 use serve::{QueryServer, ServerConfig};
 
 fn main() {
@@ -30,17 +30,19 @@ fn main() {
     let (outcome, model) = pipeline.run_returning_model(&data, SplitKind::Zs, 0);
     println!("trained: {}", outcome.zsc);
 
-    // 2. Save a versioned checkpoint next to the system temp dir.
-    let path = std::env::temp_dir().join("hdc_zsc_example_checkpoint.json");
-    Checkpoint::capture(&model, data.schema())
-        .save_json(&path)
-        .expect("write checkpoint");
+    // 2. Save it as a model file, named by its content, in a directory
+    //    under the system temp dir.
+    let dir = std::env::temp_dir().join("hdc_zsc_example_checkpoint");
+    std::fs::create_dir_all(&dir).expect("create checkpoint directory");
+    let file = ModelFile::encode(&model, data.schema());
+    file.save(&dir).expect("write model file");
     drop(model);
-    println!("checkpoint written to {}", path.display());
+    println!("model file written to {}", dir.join(file.name()).display());
 
-    // 3. Reload it — schema and dimension validation happen here — and serve
-    //    the unseen classes through the engine's packed popcount path.
-    let checkpoint = Checkpoint::load_json(&path).expect("reload checkpoint");
+    // 3. Reload it — checksum, schema and dimension validation happen here —
+    //    and serve the unseen classes through the engine's packed popcount
+    //    path.
+    let reloaded = ModelFile::load(&dir, file.name(), data.schema()).expect("reload model file");
     let split = data.split(SplitKind::Zs);
     let labels: Vec<String> = split
         .eval_classes()
@@ -48,14 +50,8 @@ fn main() {
         .map(|c| format!("class{c:03}"))
         .collect();
     let class_attributes = data.class_attribute_matrix(split.eval_classes());
-    let server = QueryServer::from_checkpoint(
-        checkpoint,
-        data.schema(),
-        labels,
-        &class_attributes,
-        ServerConfig::default(),
-    )
-    .expect("server starts");
+    let server = QueryServer::start(reloaded, labels, &class_attributes, ServerConfig::default())
+        .expect("server starts");
 
     // 4. Concurrent callers: every evaluation image is submitted as its own
     //    query; the admission queue coalesces them into engine batches.
