@@ -92,7 +92,7 @@ fn bench_inference(c: &mut Criterion) {
 }
 
 /// `ModelFile::encode` and `ModelFile::decode` at the paper shape (2048-d
-/// features to d = 1536, CUB schema): a 12.7 MB file, the cost of a
+/// features to d = 1536, CUB schema): a 12.6 MB file, the cost of a
 /// paper-shaped swap or recovery before any class is encoded.
 fn bench_model_file(c: &mut Criterion) {
     let schema = AttributeSchema::cub200();

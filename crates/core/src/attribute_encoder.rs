@@ -1,6 +1,7 @@
 //! Attribute encoders `ϕ(·)`: the stationary HDC encoder (the paper's
 //! contribution) and the trainable-MLP baseline.
 
+use crate::checkpoint::CheckpointError;
 use dataset::AttributeSchema;
 use hdc::{Codebook, CodebookMemory, HdcConfig};
 use nn::{ActivationKind, Layer, Mlp, ParamTensor};
@@ -86,31 +87,62 @@ impl HdcAttributeEncoder {
         let mut rng = StdRng::seed_from_u64(seed);
         let groups = Codebook::random(schema.num_groups(), &cfg, &mut rng);
         let values = Codebook::random(schema.num_values(), &cfg, &mut rng);
-        let mut rows = Vec::with_capacity(schema.num_attributes());
+        Self::from_codebooks(groups, values, schema).expect("codebooks drawn for the schema fit it")
+    }
+
+    /// Materialises the attribute dictionary from given codebooks: row `k`
+    /// is the binding of the group and value codevectors `schema` pairs
+    /// attribute `k` with. The model file loader builds HDC encoders
+    /// through it, so a loaded dictionary cannot contradict its codebooks.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::DimensionMismatch`] when a codebook's size is not
+    /// the schema's group or value count, or the two differ in width.
+    pub(crate) fn from_codebooks(
+        groups: Codebook,
+        values: Codebook,
+        schema: &AttributeSchema,
+    ) -> Result<Self, CheckpointError> {
+        let dim = groups.dim();
+        let counts = (
+            schema.num_groups(),
+            schema.num_values(),
+            schema.num_attributes(),
+        );
+        for (what, expected, found) in [
+            ("group codebook size G", counts.0, groups.len()),
+            ("value codebook size V", counts.1, values.len()),
+            ("value codebook width", dim, values.dim()),
+        ] {
+            if expected != found {
+                return Err(CheckpointError::DimensionMismatch {
+                    what,
+                    expected,
+                    found,
+                });
+            }
+        }
+        let mut data = Vec::with_capacity(counts.2 * dim);
         for &(g, v) in schema.pairs() {
             let bound = groups
                 .bind_with(g, &values, v)
-                .expect("schema indices are within the codebooks by construction");
-            rows.push(bound.to_f32());
+                .expect("schema indices are within codebooks of the schema's sizes");
+            data.extend(bound.as_slice().iter().map(|&s| f32::from(s)));
         }
-        let dictionary = Matrix::from_rows(&rows);
-        Self {
+        Ok(Self {
             groups,
             values,
-            dictionary,
+            dictionary: Matrix::from_vec(counts.2, dim, data),
             dim,
-            schema_counts: (
-                schema.num_groups(),
-                schema.num_values(),
-                schema.num_attributes(),
-            ),
-        }
+            schema_counts: counts,
+        })
     }
 
     /// Assembles an encoder from its codebooks, its materialised
     /// dictionary and the schema counts `(G, V, α)`, checking that they
-    /// agree and that the dictionary is ±1. Both checkpoint loaders build
-    /// HDC encoders through it.
+    /// agree and that the dictionary is ±1. The JSON loader builds HDC
+    /// encoders through it.
     pub(crate) fn from_parts(
         groups: Codebook,
         values: Codebook,
@@ -164,23 +196,9 @@ impl HdcAttributeEncoder {
         &self.dictionary
     }
 
-    /// The first dictionary row that is not the binding of the group and
-    /// value codevectors `pairs` names for it (the schema's `(group, value)`
-    /// per attribute, one per row), if any. A pair outside the codebooks
-    /// disagrees too.
-    pub(crate) fn first_unbound_row(&self, pairs: &[(usize, usize)]) -> Option<usize> {
-        pairs.iter().enumerate().position(|(k, &(g, v))| {
-            let bound = g < self.groups.len()
-                && v < self.values.len()
-                && self
-                    .dictionary
-                    .row(k)
-                    .iter()
-                    .zip(self.groups.get(g).as_slice())
-                    .zip(self.values.get(v).as_slice())
-                    .all(|((&x, &a), &b)| x == f32::from(a * b));
-            !bound
-        })
+    /// The attribute dictionary, without the codebooks it was bound from.
+    pub(crate) fn into_dictionary(self) -> Matrix {
+        self.dictionary
     }
 
     /// The group codebook (28 atomic hypervectors for CUB).

@@ -53,7 +53,7 @@
 use crate::attribute_encoder::{AttributeEncoder, HdcAttributeEncoder, MlpAttributeEncoder};
 use crate::config::ModelConfig;
 use crate::image_encoder::ImageEncoder;
-use crate::model::ZscModel;
+use crate::model::{mlp_phase2_dictionary, ZscModel};
 use dataset::AttributeSchema;
 use engine::{RoutedClassMemory, ShardedClassMemory};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -143,13 +143,13 @@ pub enum CheckpointError {
         /// The kind the loader expected.
         expected: &'static str,
     },
-    /// A binary model file's payload fails its CRC-32: the bytes on disk
+    /// A binary model file's payload fails its CRC-64: the bytes on disk
     /// are not the bytes that were written.
     ChecksumMismatch {
-        /// The CRC-32 the file's frame declares.
-        stored: u32,
-        /// The CRC-32 of the payload as read.
-        computed: u32,
+        /// The CRC-64 the file's header declares.
+        stored: u64,
+        /// The CRC-64 of the payload as read.
+        computed: u64,
     },
     /// A binary model file's content fingerprint differs from the one its
     /// file name carries: the file is not the model the name refers to.
@@ -158,13 +158,6 @@ pub enum CheckpointError {
         named: u64,
         /// The fingerprint of the payload as read.
         computed: u64,
-    },
-    /// An HDC attribute dictionary row is not the binding of the group and
-    /// value codevectors the serving schema pairs it with: the dictionary
-    /// contradicts the codebooks it is derived from.
-    DictionaryMismatch {
-        /// The first dictionary row (attribute index) that disagrees.
-        row: usize,
     },
 }
 
@@ -199,15 +192,11 @@ impl std::fmt::Display for CheckpointError {
             ),
             CheckpointError::ChecksumMismatch { stored, computed } => write!(
                 f,
-                "model file fails its checksum: frame declares {stored:#010x}, payload has {computed:#010x}"
+                "model file fails its checksum: header declares {stored:016x}, payload has {computed:016x}"
             ),
             CheckpointError::FingerprintMismatch { named, computed } => write!(
                 f,
                 "model file fingerprint {computed:016x} differs from the {named:016x} its name carries"
-            ),
-            CheckpointError::DictionaryMismatch { row } => write!(
-                f,
-                "HDC dictionary row {row} is not the binding of its group and value codevectors"
             ),
         }
     }
@@ -790,26 +779,23 @@ impl ServeBase {
 const MODEL_FILE_MAGIC: &[u8; 8] = b"ZSCMODL\n";
 
 /// Version of the binary model-file layout ([`ModelFile`]).
-const MODEL_FILE_FORMAT_VERSION: u32 = 1;
+const MODEL_FILE_FORMAT_VERSION: u32 = 2;
 
-/// Magic, format version, payload length and CRC-32.
-const MODEL_FILE_HEADER_LEN: usize = 8 + 4 + 4 + 4;
+/// Magic, format version, payload length and CRC-64.
+const MODEL_FILE_HEADER_LEN: usize = 8 + 4 + 4 + 8;
 
-/// Slicing-by-8 tables for the IEEE CRC-32 (reflected, polynomial
-/// `0xEDB88320`): `[0]` is the bytewise table, and `[t][i]` is the CRC
-/// register after byte `i` is followed by `t` zero bytes.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// Slicing-by-8 tables for the reflected CRC with polynomial `poly`: `[0]`
+/// is the bytewise table, and `[t][i]` is the CRC register after byte `i`
+/// is followed by `t` zero bytes. A 32-bit polynomial yields 32-bit
+/// entries, so one generator serves both CRCs.
+const fn crc_tables(poly: u64) -> [[u64; 256]; 8] {
+    let mut tables = [[0u64; 256]; 8];
     let mut i = 0;
     while i < 256 {
-        let mut c = i as u32;
+        let mut c = i as u64;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            c = if c & 1 != 0 { poly ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         tables[0][i] = c;
@@ -828,39 +814,44 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+static CRC32_TABLES: [[u64; 256]; 8] = crc_tables(0xEDB8_8320);
 
-/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) of `bytes` — the
-/// checksum guarding every write-ahead-log record, wire frame and model
-/// file. Eight bytes per step (slicing-by-8), then the rest one at a time.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
+/// The CRC-64/XZ polynomial (ECMA-182, reflected).
+const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
+
+static CRC64_TABLES: [[u64; 256]; 8] = crc_tables(CRC64_POLY);
+
+/// Runs the reflected CRC register `c` over `bytes`: eight bytes per step
+/// (slicing-by-8), then the rest one at a time.
+fn crc_update(t: &[[u64; 256]; 8], mut c: u64, bytes: &[u8]) -> u64 {
     let mut words = bytes.chunks_exact(8);
     for word in &mut words {
-        let lo = c ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
-        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        let x = c ^ u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        c = t[7][(x & 0xFF) as usize]
+            ^ t[6][((x >> 8) & 0xFF) as usize]
+            ^ t[5][((x >> 16) & 0xFF) as usize]
+            ^ t[4][((x >> 24) & 0xFF) as usize]
+            ^ t[3][((x >> 32) & 0xFF) as usize]
+            ^ t[2][((x >> 40) & 0xFF) as usize]
+            ^ t[1][((x >> 48) & 0xFF) as usize]
+            ^ t[0][(x >> 56) as usize];
     }
     for &b in words.remainder() {
-        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        c = t[0][((c ^ u64::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
 }
 
-/// 64-bit FNV-1a of `bytes`: the content fingerprint in a model file's
-/// name.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
-        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-    })
+/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) of `bytes` — the
+/// checksum guarding every write-ahead-log record and wire frame.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !(crc_update(&CRC32_TABLES, 0xFFFF_FFFF, bytes) as u32)
+}
+
+/// CRC-64/XZ of `bytes`: a model file's checksum and the fingerprint its
+/// name carries.
+fn crc64(bytes: &[u8]) -> u64 {
+    !crc_update(&CRC64_TABLES, !0, bytes)
 }
 
 /// The fingerprint a model file name `model-<16 lowercase hex>.bin`
@@ -888,20 +879,23 @@ struct ModelFileHeader {
     tensors: Vec<TensorEntry>,
 }
 
-/// One tensor of a model file: `rows × cols`, stored as raw little-endian
-/// `f32` bits or, when every entry is ±1, as packed sign bits (`rows`
-/// rows of `⌈cols/64⌉` little-endian `u64` words, set bit = −1).
+/// The tensors stored as packed sign bits: the HDC encoder's codebooks.
+const CODEBOOKS: [&str; 2] = ["hdc.groups", "hdc.values"];
+
+/// One tensor of a model file: `rows × cols`, stored as packed sign bits
+/// (`rows` rows of `⌈cols/64⌉` little-endian `u64` words, set bit = −1)
+/// when it is one of the [`CODEBOOKS`], as raw little-endian `f32` bits
+/// otherwise.
 #[derive(Debug, Serialize, Deserialize)]
 struct TensorEntry {
     name: String,
     rows: usize,
     cols: usize,
-    signs: bool,
 }
 
 impl TensorEntry {
     fn byte_len(&self) -> Option<usize> {
-        if self.signs {
+        if CODEBOOKS.contains(&self.name.as_str()) {
             self.rows
                 .checked_mul(self.cols.div_ceil(64))?
                 .checked_mul(8)
@@ -918,48 +912,31 @@ enum TensorSource<'a> {
 }
 
 impl TensorSource<'_> {
-    /// This tensor with the table entry naming and shaping it: packed sign
-    /// bits for a codebook and for a matrix whose every entry is exactly
-    /// ±1, raw `f32` bits otherwise.
+    /// This tensor with the table entry naming and shaping it.
     fn named(self, name: &str) -> (TensorEntry, Self) {
-        let (rows, cols, signs) = match self {
-            TensorSource::Matrix(m) => (
-                m.rows(),
-                m.cols(),
-                m.as_slice().iter().all(|&x| x.abs() == 1.0),
-            ),
-            TensorSource::Codebook(c) => (c.len(), c.dim(), true),
+        let (rows, cols) = match self {
+            TensorSource::Matrix(m) => m.shape(),
+            TensorSource::Codebook(c) => (c.len(), c.dim()),
         };
         let entry = TensorEntry {
             name: name.to_string(),
             rows,
             cols,
-            signs,
         };
         (entry, self)
     }
 
-    /// Appends the tensor's bytes to `out`, stored as `entry` says.
-    fn write(&self, entry: &TensorEntry, out: &mut Vec<u8>) {
-        let mut push_words = |words: Vec<u64>| {
-            for word in words {
-                out.extend_from_slice(&word.to_le_bytes());
-            }
-        };
+    /// Appends the tensor's bytes to `out`.
+    fn write(&self, out: &mut Vec<u8>) {
         match self {
-            TensorSource::Matrix(m) if entry.signs => {
-                for r in 0..m.rows() {
-                    push_words(engine::pack_float_signs(m.row(r)));
-                }
-            }
             TensorSource::Matrix(m) => {
                 for x in m.as_slice() {
                     out.extend_from_slice(&x.to_le_bytes());
                 }
             }
             TensorSource::Codebook(c) => {
-                for hv in c.iter() {
-                    push_words(engine::pack_signs(hv.as_slice()));
+                for word in c.iter().flat_map(|hv| engine::pack_signs(hv.as_slice())) {
+                    out.extend_from_slice(&word.to_le_bytes());
                 }
             }
         }
@@ -1018,27 +995,21 @@ impl<'a> Tensors<'a> {
             .ok_or_else(|| CheckpointError::Malformed(format!("model file lacks tensor `{name}`")))
     }
 
-    /// The named tensor as a matrix, whichever way it is stored.
+    /// The named `f32` tensor as a matrix.
     fn matrix(&mut self, name: &str) -> Result<Matrix, CheckpointError> {
         let (entry, bytes) = self.require(name)?;
         Ok(decode_matrix(&entry, bytes))
     }
 
-    /// The named tensor as a codebook; it must be stored as sign bits.
+    /// The named sign-bit tensor as a codebook. A row's little-endian
+    /// words put bit `c` in byte `c / 8` at bit `c % 8`.
     fn codebook(&mut self, name: &str) -> Result<hdc::Codebook, CheckpointError> {
         let (entry, bytes) = self.require(name)?;
-        if !entry.signs {
-            return Err(CheckpointError::Malformed(format!(
-                "codebook `{name}` is not stored as sign bits"
-            )));
-        }
-        let words = decode_words(bytes);
-        let per_row = entry.cols.div_ceil(64);
-        let rows = words
-            .chunks_exact(per_row)
+        let rows = bytes
+            .chunks_exact(entry.cols.div_ceil(64) * 8)
             .map(|row| {
                 let signs: Vec<i8> = (0..entry.cols)
-                    .map(|c| 1 - 2 * sign_bit(row, c) as i8)
+                    .map(|c| 1 - 2 * (row[c / 8] >> (c % 8) & 1) as i8)
                     .collect();
                 hdc::BipolarHypervector::from_signs(&signs)
             })
@@ -1058,49 +1029,24 @@ impl<'a> Tensors<'a> {
     }
 }
 
-fn decode_words(bytes: &[u8]) -> Vec<u64> {
-    bytes
-        .chunks_exact(8)
-        .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
-        .collect()
-}
-
-/// `1.0f32.to_bits()`; with the sign bit set it is `-1.0`.
-const ONE_BITS: u32 = 0x3F80_0000;
-
-/// Bit `c` of a packed row, 1 for a −1 entry.
-fn sign_bit(row: &[u64], c: usize) -> u32 {
-    (row[c / 64] >> (c % 64) & 1) as u32
-}
-
 fn decode_matrix(entry: &TensorEntry, bytes: &[u8]) -> Matrix {
-    let data = if entry.signs {
-        let words = decode_words(bytes);
-        words
-            .chunks_exact(entry.cols.div_ceil(64))
-            .flat_map(|row| {
-                (0..entry.cols).map(move |c| f32::from_bits(ONE_BITS | sign_bit(row, c) << 31))
-            })
-            .collect()
-    } else {
-        bytes
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk")))
-            .collect()
-    };
+    let data = bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+        .collect();
     Matrix::from_vec(entry.rows, entry.cols, data)
 }
 
 /// A model encoded as a binary model file, named by its content:
-/// `model-<fingerprint>.bin`, the fingerprint being the 64-bit FNV-1a of
-/// the payload in 16 lowercase hex digits. It is the one format a model is
+/// `model-<fingerprint>.bin`, the fingerprint being the CRC-64/XZ of the
+/// payload in 16 lowercase hex digits. It is the one format a model is
 /// saved, loaded and shipped in: a durable server writes one per model it
 /// serves, at start and on every swap (its base and swap records name the
 /// file), and the wire `swap_model` request carries one.
 ///
 /// ```text
-/// ┌─────────────────────────── file header (20 bytes) ───────────────────────────┐
-/// │ magic "ZSCMODL\n" (8) │ format u32 LE (=1) │ len u32 LE │ crc32 u32 LE       │
+/// ┌─────────────────────────── file header (24 bytes) ───────────────────────────┐
+/// │ magic "ZSCMODL\n" (8) │ format u32 LE (=2) │ len u32 LE │ crc64 u64 LE       │
 /// ├──────────────────────────── payload (len bytes) ─────────────────────────────┤
 /// │ header_len u32 LE │ header (compact JSON) │ tensors, in the header's order   │
 /// └──────────────────────────────────────────────────────────────────────────────┘
@@ -1108,13 +1054,15 @@ fn decode_matrix(entry: &TensorEntry, bytes: &[u8]) -> Matrix {
 ///
 /// The header holds the model configuration, the feature width, the schema
 /// fingerprint, the backbone, the temperature (`f32` bits) and a table of
-/// tensors: name, shape, and whether the tensor is stored as raw
-/// little-endian `f32` bits or as packed sign bits. A matrix whose every
-/// entry is ±1 — the HDC dictionary, the phase-II dictionary — is stored
-/// as sign bits, the codebooks always are, and the phase-II dictionary is
-/// omitted when it is the HDC encoder's own dictionary. So no ±1 matrix is
-/// stored as `f32` and none is stored twice. The CRC-32 (as in the
-/// write-ahead log) and the fingerprint both cover the payload.
+/// tensors: name and shape. The weights are stored as raw little-endian
+/// `f32` bits, and the HDC encoder's two stationary codebooks
+/// (`hdc.groups`, `hdc.values`) as packed sign bits; a tensor's name says
+/// which. No file stores a ±1 dictionary: [`ModelFile::decode`] binds the
+/// codebooks along the serving schema's `(group, value)` pairs, and the
+/// trainable-MLP variant's phase-II dictionary is redrawn from its
+/// configuration's seed, as [`ZscModel::new`] draws it. The CRC-64 in the
+/// header is computed once per encode and once per decode; it both guards
+/// the payload and names the file.
 ///
 /// ```
 /// use dataset::AttributeSchema;
@@ -1146,9 +1094,8 @@ impl ModelFile {
         let mut mlp_activation = None;
         match model.attribute_encoder() {
             AttributeEncoder::Hdc(hdc) => {
-                tensors.push(TensorSource::Codebook(hdc.group_codebook()).named("hdc.groups"));
-                tensors.push(TensorSource::Codebook(hdc.value_codebook()).named("hdc.values"));
-                tensors.push(TensorSource::Matrix(hdc.dictionary()).named("hdc.dictionary"));
+                tensors.push(TensorSource::Codebook(hdc.group_codebook()).named(CODEBOOKS[0]));
+                tensors.push(TensorSource::Codebook(hdc.value_codebook()).named(CODEBOOKS[1]));
             }
             AttributeEncoder::Mlp(mlp) => {
                 mlp_activation = Some(mlp.mlp().activation());
@@ -1157,8 +1104,6 @@ impl ModelFile {
                     tensors.push(TensorSource::Matrix(weight).named(&format!("mlp.{i}.weight")));
                     tensors.push(TensorSource::Matrix(bias).named(&format!("mlp.{i}.bias")));
                 }
-                let phase2 = TensorSource::Matrix(model.phase2_dictionary());
-                tensors.push(phase2.named("phase2_dictionary"));
             }
         }
         let (tensors, sources): (Vec<_>, Vec<_>) = tensors.into_iter().unzip();
@@ -1184,18 +1129,17 @@ impl ModelFile {
         bytes.extend_from_slice(&MODEL_FILE_FORMAT_VERSION.to_le_bytes());
         let len = u32::try_from(payload_len).expect("a model file payload fits in 4 GiB");
         bytes.extend_from_slice(&len.to_le_bytes());
-        bytes.extend_from_slice(&[0; 4]);
+        bytes.extend_from_slice(&[0; 8]);
         bytes.extend_from_slice(&(json.len() as u32).to_le_bytes());
         bytes.extend_from_slice(json.as_bytes());
-        for (source, entry) in sources.iter().zip(&header.tensors) {
-            source.write(entry, &mut bytes);
+        for source in &sources {
+            source.write(&mut bytes);
         }
         debug_assert_eq!(bytes.len(), MODEL_FILE_HEADER_LEN + payload_len);
-        let payload = &bytes[MODEL_FILE_HEADER_LEN..];
-        let (crc, fingerprint) = (crc32(payload), fnv1a64(payload));
-        bytes[16..20].copy_from_slice(&crc.to_le_bytes());
+        let crc = crc64(&bytes[MODEL_FILE_HEADER_LEN..]);
+        bytes[16..24].copy_from_slice(&crc.to_le_bytes());
         Self {
-            name: format!("model-{fingerprint:016x}.bin"),
+            name: format!("model-{crc:016x}.bin"),
             bytes,
         }
     }
@@ -1241,24 +1185,22 @@ impl ModelFile {
     }
 
     /// Decodes the bytes of the model file `name` into the model, checked
-    /// against the schema it is to be served with: the frame's length and
-    /// CRC-32, the fingerprint in `name`, the format version, the schema
-    /// fingerprint, every dimension, and — with the HDC encoder — that every
-    /// dictionary row `k` is the binding of the group and value codevectors
-    /// `schema` pairs attribute `k` with.
+    /// against the schema it is to be served with: the format version, the
+    /// frame's length and CRC-64, that `name` carries that CRC-64, the
+    /// schema fingerprint and every dimension. The HDC dictionary is bound
+    /// from the loaded codebooks along `schema`'s pairs.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::ChecksumMismatch`] and
     /// [`CheckpointError::FingerprintMismatch`] for damaged or substituted
-    /// bytes, [`CheckpointError::UnsupportedVersion`] for another layout,
-    /// [`CheckpointError::Malformed`] for a wrong magic, a truncated file,
-    /// a bad name or header, or a tensor table that does not fit the
-    /// model, [`CheckpointError::SchemaMismatch`] when the model was trained
-    /// against another schema, [`CheckpointError::DimensionMismatch`] when
-    /// the header and the weights disagree, and
-    /// [`CheckpointError::DictionaryMismatch`] naming the first dictionary
-    /// row its codebooks contradict.
+    /// bytes, [`CheckpointError::UnsupportedVersion`] for another layout
+    /// (format 1 included), [`CheckpointError::Malformed`] for a wrong
+    /// magic, a truncated file, a bad name or header, or a tensor table
+    /// that does not fit the model, [`CheckpointError::SchemaMismatch`]
+    /// when the model was trained against another schema, and
+    /// [`CheckpointError::DimensionMismatch`] when the header, the
+    /// codebooks and the weights disagree.
     pub fn decode(
         name: &str,
         bytes: &[u8],
@@ -1279,7 +1221,8 @@ impl ModelFile {
                 supported: MODEL_FILE_FORMAT_VERSION,
             });
         }
-        let (len, stored) = (u32_at(12) as usize, u32_at(16));
+        let len = u32_at(12) as usize;
+        let stored = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
         let payload = &bytes[MODEL_FILE_HEADER_LEN..];
         if payload.len() != len {
             return Err(malformed(&format!(
@@ -1287,13 +1230,12 @@ impl ModelFile {
                 payload.len()
             )));
         }
-        let computed = crc32(payload);
+        let computed = crc64(payload);
         if computed != stored {
             return Err(CheckpointError::ChecksumMismatch { stored, computed });
         }
         let named = model_file_fingerprint(name).ok_or_else(|| malformed("has a bad name"))?;
-        let computed = fnv1a64(payload);
-        if computed != named {
+        if named != computed {
             return Err(CheckpointError::FingerprintMismatch { named, computed });
         }
         let header_len = payload
@@ -1325,17 +1267,12 @@ impl ModelFile {
         let image_encoder =
             ImageEncoder::from_parts(header.backbone, header.feature_dim, projection)
                 .map_err(parts)?;
-        let attribute_encoder = match header.mlp_activation {
+        let (attribute_encoder, phase2_dictionary) = match header.mlp_activation {
             None => {
-                let groups = tensors.codebook("hdc.groups")?;
-                let values = tensors.codebook("hdc.values")?;
-                let dictionary = tensors.matrix("hdc.dictionary")?;
-                let counts = (groups.len(), values.len(), dictionary.rows());
-                let dim = groups.dim();
-                AttributeEncoder::Hdc(
-                    HdcAttributeEncoder::from_parts(groups, values, dictionary, dim, counts)
-                        .map_err(parts)?,
-                )
+                let groups = tensors.codebook(CODEBOOKS[0])?;
+                let values = tensors.codebook(CODEBOOKS[1])?;
+                let hdc = HdcAttributeEncoder::from_codebooks(groups, values, schema)?;
+                (AttributeEncoder::Hdc(hdc), None)
             }
             Some(activation) => {
                 let mut layers = Vec::new();
@@ -1354,16 +1291,9 @@ impl ModelFile {
                 dims.extend(layers.iter().map(nn::Linear::out_features));
                 let mlp = nn::Mlp::try_from_layers(dims, activation, layers).map_err(parts)?;
                 let (alpha, dim) = (mlp.dims()[0], mlp.dims()[mlp.dims().len() - 1]);
-                AttributeEncoder::Mlp(
-                    MlpAttributeEncoder::from_parts(mlp, alpha, dim).map_err(parts)?,
-                )
-            }
-        };
-        let phase2_dictionary = match (tensors.take("phase2_dictionary"), &attribute_encoder) {
-            (Some((entry, bytes)), _) => Some(decode_matrix(&entry, bytes)),
-            (None, AttributeEncoder::Hdc(_)) => None,
-            (None, AttributeEncoder::Mlp(_)) => {
-                return Err(malformed("lacks tensor `phase2_dictionary`"))
+                let encoder = MlpAttributeEncoder::from_parts(mlp, alpha, dim).map_err(parts)?;
+                let phase2 = mlp_phase2_dictionary(schema, dim, &header.model_config);
+                (AttributeEncoder::Mlp(encoder), Some(phase2))
             }
         };
         tensors.finish()?;
@@ -1377,11 +1307,6 @@ impl ModelFile {
         )
         .map_err(parts)?;
         check_attribute_count(&model, requested.attributes)?;
-        if let AttributeEncoder::Hdc(hdc) = model.attribute_encoder() {
-            if let Some(row) = hdc.first_unbound_row(schema.pairs()) {
-                return Err(CheckpointError::DictionaryMismatch { row });
-            }
-        }
         Ok(model)
     }
 }
@@ -1402,8 +1327,42 @@ mod tests {
     /// The bytewise CRC-32 the slicing-by-8 one must equal.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         !bytes.iter().fold(!0u32, |c, &b| {
-            CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+            CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] as u32 ^ (c >> 8)
         })
+    }
+
+    /// CRC-64/XZ one bit at a time, straight from the polynomial.
+    fn crc64_bitwise(bytes: &[u8]) -> u64 {
+        !bytes.iter().fold(!0u64, |mut c, &b| {
+            c ^= u64::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    CRC64_POLY ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            c
+        })
+    }
+
+    /// The slicing-by-8 CRC-64 is CRC-64/XZ: its check value, and the
+    /// bit-at-a-time reference at every length that leaves 0–7 tail bytes
+    /// after 0–2 whole words, and on one long slice starting off a word
+    /// boundary.
+    #[test]
+    fn crc64_is_crc64_xz() {
+        assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
+        let mut rng = StdRng::seed_from_u64(64);
+        let buffer: Vec<u8> = (0..4099).map(|_| rng.gen_range(0u8..=255)).collect();
+        for len in 0..=17 {
+            assert_eq!(
+                crc64(&buffer[..len]),
+                crc64_bitwise(&buffer[..len]),
+                "{len}"
+            );
+        }
+        assert_eq!(crc64(&buffer[3..]), crc64_bitwise(&buffer[3..]));
     }
 
     proptest! {
@@ -1462,16 +1421,16 @@ mod tests {
     /// A delta document an earlier build wrote, pretty-printed.
     const PRETTY_DELTA: &str = include_str!("../tests/pretty_v2/delta.json");
 
-    /// A model file framed around `payload`: a correct length, CRC-32 and
+    /// A model file framed around `payload`: a correct length, CRC-64 and
     /// name, so only what the payload says is checked.
     fn reframed(payload: &[u8]) -> ModelFile {
         let mut bytes = MODEL_FILE_MAGIC.to_vec();
         bytes.extend_from_slice(&MODEL_FILE_FORMAT_VERSION.to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(&crc64(payload).to_le_bytes());
         bytes.extend_from_slice(payload);
         ModelFile {
-            name: format!("model-{:016x}.bin", fnv1a64(payload)),
+            name: format!("model-{:016x}.bin", crc64(payload)),
             bytes,
         }
     }
@@ -1909,40 +1868,121 @@ mod tests {
         ));
     }
 
-    /// A model file whose HDC dictionary has one sign flipped, re-framed
-    /// with a correct CRC-32 and name, holds a row its codebooks
-    /// contradict: it is refused with the row named. So is one whose
-    /// dictionary is intact but whose value codebook has a flipped sign,
-    /// since every row bound with that value then disagrees.
+    /// A model file's payload with `edit` applied to its header's tensor
+    /// table and its tensor bytes, re-framed with a correct CRC-64 and name.
+    fn edited_tensors(
+        file: &ModelFile,
+        edit: impl FnOnce(&mut Vec<TensorEntry>, &mut Vec<u8>),
+    ) -> ModelFile {
+        let payload = &file.bytes()[MODEL_FILE_HEADER_LEN..];
+        let header_len = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
+        let mut header: ModelFileHeader =
+            serde_json::from_str(std::str::from_utf8(&payload[4..4 + header_len]).expect("UTF-8"))
+                .expect("header parses");
+        let mut data = payload[4 + header_len..].to_vec();
+        edit(&mut header.tensors, &mut data);
+        let json = serde_json::to_string(&header).expect("header renders");
+        let mut payload = (json.len() as u32).to_le_bytes().to_vec();
+        payload.extend_from_slice(json.as_bytes());
+        payload.extend_from_slice(&data);
+        reframed(&payload)
+    }
+
+    /// A file that adds a ±1 dictionary tensor beside the codebooks, framed
+    /// correctly, is refused: the layout has no place for one.
     #[test]
-    fn a_dictionary_its_codebooks_contradict_is_refused() {
+    fn a_file_holding_a_dictionary_tensor_is_refused() {
         let s = schema();
-        let file = ModelFile::encode(&fixture_model(AttributeEncoderKind::Hdc), &s);
-        let flipped = |tensor: &str, row: usize| {
-            let (entry, range) = tensor_range(&file, tensor);
-            assert!(entry.signs, "`{tensor}` is stored as sign bits");
-            let mut payload = file.bytes()[MODEL_FILE_HEADER_LEN..].to_vec();
-            payload[range.start + row * entry.cols.div_ceil(64) * 8] ^= 0b1000;
-            reframed(&payload)
-        };
-        let tampered = flipped("hdc.dictionary", 5);
-        assert_ne!(tampered.name(), file.name());
+        let model = fixture_model(AttributeEncoderKind::Hdc);
+        let file = ModelFile::encode(&model, &s);
+        let dictionary = model.phase2_dictionary();
+        let tampered = edited_tensors(&file, |table, data| {
+            table.push(TensorEntry {
+                name: "hdc.dictionary".to_string(),
+                rows: dictionary.rows(),
+                cols: dictionary.cols(),
+            });
+            for x in dictionary.as_slice() {
+                data.extend_from_slice(&x.to_le_bytes());
+            }
+        });
         match ModelFile::decode(tampered.name(), tampered.bytes(), &s) {
-            Err(CheckpointError::DictionaryMismatch { row: 5 }) => {}
-            other => panic!(
-                "expected DictionaryMismatch at row 5, got {:?}",
-                other.map(|_| ())
-            ),
+            Err(CheckpointError::Malformed(message)) => {
+                assert!(message.contains("hdc.dictionary"), "{message}")
+            }
+            other => panic!("expected Malformed, got {:?}", other.map(|_| ())),
         }
-        let tampered = flipped("hdc.values", s.pairs()[0].1);
-        assert!(matches!(
-            ModelFile::decode(tampered.name(), tampered.bytes(), &s),
-            Err(CheckpointError::DictionaryMismatch { row: 0 })
-        ));
-        // The untouched bytes re-framed the same way still load.
+    }
+
+    /// A file with one value-codebook sign flipped, re-framed with a
+    /// correct CRC-64 and name, is a different model, not a contradiction:
+    /// it loads, and every dictionary row is the binding of its loaded
+    /// codebooks.
+    #[test]
+    fn a_flipped_codebook_sign_is_bound_into_the_dictionary() {
+        let s = schema();
+        let original = fixture_model(AttributeEncoderKind::Hdc);
+        let file = ModelFile::encode(&original, &s);
+        let (_, range) = tensor_range(&file, "hdc.values");
+        let mut payload = file.bytes()[MODEL_FILE_HEADER_LEN..].to_vec();
+        payload[range.start] ^= 0b1000;
+        let tampered = reframed(&payload);
+        assert_ne!(tampered.name(), file.name());
+        let model = ModelFile::decode(tampered.name(), tampered.bytes(), &s).expect("loads");
+        let (AttributeEncoder::Hdc(hdc), AttributeEncoder::Hdc(before)) =
+            (model.attribute_encoder(), original.attribute_encoder())
+        else {
+            panic!("HDC models");
+        };
+        assert_eq!(
+            hdc.value_codebook().get(0).get(3),
+            -before.value_codebook().get(0).get(3)
+        );
+        for (k, &(g, v)) in s.pairs().iter().enumerate() {
+            let bound = hdc
+                .group_codebook()
+                .get(g)
+                .bind(hdc.value_codebook().get(v));
+            assert_eq!(hdc.dictionary().row(k), &bound.to_f32()[..], "row {k}");
+        }
+        // The untouched bytes re-framed the same way are the same file.
         let same = reframed(&file.bytes()[MODEL_FILE_HEADER_LEN..]);
         assert_eq!(same.name(), file.name());
-        assert!(ModelFile::decode(same.name(), same.bytes(), &s).is_ok());
+        assert!(same.bytes() == file.bytes());
+    }
+
+    /// A codebook one row short of the schema's count, framed correctly,
+    /// is a typed error: nothing panics binding it.
+    #[test]
+    fn a_codebook_one_row_short_is_a_typed_error() {
+        let s = schema();
+        let file = ModelFile::encode(&fixture_model(AttributeEncoderKind::Hdc), &s);
+        for name in CODEBOOKS {
+            let tampered = edited_tensors(&file, |table, data| {
+                let at = table.iter().position(|e| e.name == name).expect("stored");
+                let start: usize = table[..at]
+                    .iter()
+                    .map(|e| e.byte_len().expect("fits"))
+                    .sum();
+                let row_bytes = table[at].byte_len().expect("fits") / table[at].rows;
+                table[at].rows -= 1;
+                data.drain(start..start + row_bytes);
+            });
+            match ModelFile::decode(tampered.name(), tampered.bytes(), &s) {
+                Err(CheckpointError::DimensionMismatch {
+                    what,
+                    expected,
+                    found,
+                }) => {
+                    assert_eq!(found + 1, expected, "{what}");
+                    assert!(what.contains("codebook size"), "{what}");
+                }
+                other => panic!(
+                    "{name}: expected DimensionMismatch, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
     }
 
     #[test]

@@ -95,11 +95,7 @@ impl ZscModel {
         );
         let mlp_phase2_dictionary = match &attribute_encoder {
             AttributeEncoder::Hdc(_) => None,
-            AttributeEncoder::Mlp(_) => Some(
-                HdcAttributeEncoder::new(schema, embedding_dim, config.seed.wrapping_add(1))
-                    .dictionary()
-                    .clone(),
-            ),
+            AttributeEncoder::Mlp(_) => Some(mlp_phase2_dictionary(schema, embedding_dim, config)),
         };
         let temperature = if config.learnable_temperature {
             TemperatureScale::new(config.temperature)
@@ -375,6 +371,17 @@ fn phase2_of<'a>(
             unreachable!("every constructor gives the MLP variant its phase-II dictionary")
         }
     }
+}
+
+/// The trainable-MLP variant's phase-II dictionary: the one bound from the
+/// codebooks `config.seed + 1` draws, the HDC variant's own. [`ZscModel::new`]
+/// and the model file loader both derive it, so no model file stores it.
+pub(crate) fn mlp_phase2_dictionary(
+    schema: &AttributeSchema,
+    embedding_dim: usize,
+    config: &ModelConfig,
+) -> Matrix {
+    HdcAttributeEncoder::new(schema, embedding_dim, config.seed.wrapping_add(1)).into_dictionary()
 }
 
 /// Checkpoint format: configuration, both encoders, the phase-II dictionary

@@ -5,7 +5,6 @@
 //! inside must be rejected with typed errors, never panics.
 
 use dataset::{AttributeSchema, CubLikeDataset, DatasetConfig, SplitKind};
-use hdc_zsc::checkpoint::crc32;
 use hdc_zsc::{
     AttributeEncoderKind, CheckpointDelta, CheckpointError, ModelConfig, ModelFile, Pipeline,
     TrainConfig, ZscModel,
@@ -43,7 +42,7 @@ fn build_model(
 }
 
 /// Bytes of a model file before its payload: magic, version, length, CRC.
-const FILE_HEADER_LEN: usize = 20;
+const FILE_HEADER_LEN: usize = 24;
 
 /// A model file taken apart: its JSON header as a document tree, and each
 /// tensor's bytes in the header's table order.
@@ -52,12 +51,12 @@ struct Parts {
     tensors: Vec<Vec<u8>>,
 }
 
-/// The shape of one tensor in a model file's table.
+/// The name and shape of one tensor in a model file's table.
 #[derive(serde::Deserialize)]
 struct Shape {
+    name: String,
     rows: usize,
     cols: usize,
-    signs: bool,
 }
 
 /// The value under `key` in an object.
@@ -92,7 +91,7 @@ fn split(file: &ModelFile) -> Parts {
     let tensors = shapes
         .iter()
         .map(|t| {
-            let row_bytes = if t.signs {
+            let row_bytes = if matches!(t.name.as_str(), "hdc.groups" | "hdc.values") {
                 t.cols.div_ceil(64) * 8
             } else {
                 t.cols * 4
@@ -105,14 +104,23 @@ fn split(file: &ModelFile) -> Parts {
     Parts { header, tensors }
 }
 
-/// 64-bit FNV-1a: the fingerprint a model file's name carries.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
-        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+/// CRC-64/XZ, one bit at a time: a model file's checksum and the
+/// fingerprint its name carries.
+fn crc64(bytes: &[u8]) -> u64 {
+    !bytes.iter().fold(!0u64, |mut c, &b| {
+        c ^= u64::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xC96C_5795_D787_0F42 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+        c
     })
 }
 
-/// Frames `parts` as a model file with a correct length, CRC-32 and name,
+/// Frames `parts` as a model file with a correct length, CRC-64 and name,
 /// so the decoder gets past the frame to what the parts say. Returns the
 /// name and the bytes.
 fn join(parts: &Parts) -> (String, Vec<u8>) {
@@ -123,11 +131,11 @@ fn join(parts: &Parts) -> (String, Vec<u8>) {
         payload.extend_from_slice(tensor);
     }
     let mut bytes = b"ZSCMODL\n".to_vec();
-    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&2u32.to_le_bytes());
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&crc64(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
-    (format!("model-{:016x}.bin", fnv1a64(&payload)), bytes)
+    (format!("model-{:016x}.bin", crc64(&payload)), bytes)
 }
 
 /// Takes `file` apart, lets `edit` change the parts, and decodes the
@@ -194,7 +202,7 @@ fn trained_model_round_trip_reproduces_outcome() {
     assert_eq!(report, outcome.zsc);
 }
 
-/// Corruptions that keep the file well framed (correct length, CRC-32 and
+/// Corruptions that keep the file well framed (correct length, CRC-64 and
 /// name) but break an invariant inside must surface as typed errors naming
 /// the broken part.
 #[test]
@@ -231,17 +239,18 @@ fn structurally_corrupted_documents_are_rejected_with_typed_errors() {
         }),
         "feature_dim",
     );
-    // An HDC encoder without its dictionary.
+    // An HDC encoder without its group codebook.
     malformed(
         decode_edited(&file, |parts| {
-            for entry in table(&mut parts.header) {
-                let name = entry_mut(entry, "name");
-                if *name == Value::String("hdc.dictionary".to_string()) {
-                    *name = Value::String("dictionary_gone".to_string());
-                }
-            }
+            let tensors = table(&mut parts.header);
+            let at = tensors
+                .iter_mut()
+                .position(|entry| *entry_mut(entry, "name") == Value::String("hdc.groups".into()))
+                .expect("a group codebook");
+            tensors.remove(at);
+            parts.tensors.remove(at);
         }),
-        "dictionary",
+        "hdc.groups",
     );
     // Header and projection disagree on the feature width.
     malformed(
@@ -285,8 +294,8 @@ fn encoder_attribute_count_mismatch_is_rejected() {
         &small_schema,
     ));
     // Splice the α = 12 input layer (valid on its own) into the α = 312
-    // file; everything else — fingerprint, phase-II dictionary — still
-    // says 312.
+    // file; everything else — the schema fingerprint, which the phase-II
+    // dictionary is bound along — still says 312.
     let result = decode_edited(&full, |parts| {
         let layer = &mut table(&mut parts.header)[0];
         assert_eq!(

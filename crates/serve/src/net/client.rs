@@ -10,7 +10,7 @@
 //! without string-matching messages.
 
 use super::frame::{read_frame, write_frame, FrameError, ReadOutcome};
-use super::wire::{Request, Response, WireStats, PROTOCOL_VERSION};
+use super::wire::{encode_swap, Request, Response, WireStats, PROTOCOL_VERSION};
 use super::NetError;
 use crate::server::{ScoredLabel, Verdict};
 use hdc_zsc::ModelFile;
@@ -245,12 +245,8 @@ impl NetClient {
         labels: Vec<String>,
         attributes: Vec<Vec<f32>>,
     ) -> Result<u64, NetError> {
-        self.mutate(&Request::SwapModel {
-            model_file: model.name().to_string(),
-            model: model.bytes().to_vec(),
-            labels,
-            attributes,
-        })
+        let request = encode_swap(model.name(), model.bytes(), &labels, &attributes);
+        mutated(self.exchange(&request)?)
     }
 
     /// Folds one streamed labeled example into `label`'s exact per-class
@@ -295,16 +291,18 @@ impl NetClient {
 
     /// Sends a mutation request and unwraps the `mutated` response.
     fn mutate(&mut self, request: &Request) -> Result<u64, NetError> {
-        match self.call(request)? {
-            Response::Mutated { version, .. } => Ok(version),
-            other => Err(unexpected(&other, "mutated")),
-        }
+        mutated(self.call(request)?)
     }
 
     /// One request/response exchange; typed `error` responses become
     /// [`NetError::Rejected`].
     fn call(&mut self, request: &Request) -> Result<Response, NetError> {
-        write_frame(&mut self.stream, &request.encode()).map_err(FrameError::Io)?;
+        self.exchange(&request.encode())
+    }
+
+    /// [`NetClient::call`] with the request already encoded.
+    fn exchange(&mut self, request: &[u8]) -> Result<Response, NetError> {
+        write_frame(&mut self.stream, request).map_err(FrameError::Io)?;
         let deadline = Instant::now() + self.config.response_timeout;
         let payload = loop {
             match read_frame(&mut self.stream, self.config.response_timeout)? {
@@ -325,6 +323,14 @@ impl NetClient {
             Response::Error { code, message } => Err(NetError::Rejected { code, message }),
             response => Ok(response),
         }
+    }
+}
+
+/// The version a `mutated` response carries.
+fn mutated(response: Response) -> Result<u64, NetError> {
+    match response {
+        Response::Mutated { version, .. } => Ok(version),
+        other => Err(unexpected(&other, "mutated")),
     }
 }
 

@@ -489,8 +489,10 @@ fn decode_query(payload: &[u8]) -> Result<Request, String> {
     Ok(Request::Query { features, k })
 }
 
-/// Writes the binary `swap_model` payload [`Request::encode`] documents.
-fn encode_swap(
+/// Writes the binary `swap_model` payload [`Request::encode`] documents,
+/// from borrowed parts: a client encodes a model file's bytes straight
+/// into the payload, with no owned [`Request::SwapModel`] in between.
+pub(crate) fn encode_swap(
     model_file: &str,
     model: &[u8],
     labels: &[String],

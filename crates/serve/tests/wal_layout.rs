@@ -7,7 +7,9 @@
 //! sequence of every record kind but swap, the log after a rotation plus
 //! one more append, a tiny model's `model-<fingerprint>.bin`, a sharded and
 //! a routed `base.json`, and the log after a swap, whose record names its
-//! model file.
+//! model file. `model_format1.bin` is the same model in the retired
+//! format-1 layout, which must be refused by version; it is never
+//! rewritten.
 //!
 //! After an intentional format change, `WAL_LAYOUT_BLESS=1 cargo test -p
 //! serve --test wal_layout` rewrites the fixtures of the durable-directory
@@ -15,7 +17,7 @@
 
 use dataset::AttributeSchema;
 use engine::RoutedConfig;
-use hdc_zsc::{ModelConfig, ZscModel};
+use hdc_zsc::{CheckpointError, ModelConfig, ModelFile, ZscModel};
 use serve::wal::{self, WalOp, WriteAheadLog};
 use serve::{DurabilityConfig, QueryServer, ServerConfig, SyncPolicy};
 use std::path::{Path, PathBuf};
@@ -169,7 +171,7 @@ fn model_files_bases_and_swap_records_are_pinned() {
     let dir = fresh_dir("sharded");
     let server = start(&dir, 8, false);
     let started = model_files(&dir);
-    assert_eq!(started, ["model-a0d9bd806bd182b5.bin"]);
+    assert_eq!(started, ["model-e416c9221d7f395e.bin"]);
     pinned(
         "model.bin",
         &std::fs::read(dir.join(&started[0])).expect("read model"),
@@ -215,4 +217,19 @@ fn a_swap_record_does_not_grow_with_the_model() {
         after - before
     };
     assert_eq!(record_len(8), record_len(256));
+}
+
+/// A model file an earlier build wrote in format 1 (the dictionary stored
+/// beside the codebooks, a CRC-32 and an FNV-1a name) is refused by its
+/// version before anything else in it is read.
+#[test]
+fn a_format_1_model_file_is_refused_by_version() {
+    let bytes = include_bytes!("wal_layout/model_format1.bin");
+    match ModelFile::decode("model-a0d9bd806bd182b5.bin", bytes, &schema()) {
+        Err(CheckpointError::UnsupportedVersion {
+            found: 1,
+            supported: 2,
+        }) => {}
+        other => panic!("expected UnsupportedVersion, got {:?}", other.map(|_| ())),
+    }
 }
