@@ -1,6 +1,6 @@
 //! Model persistence: the binary [`ModelFile`] a trained [`ZscModel`] is
-//! saved, loaded and shipped as, and the [`ServeBase`] of class state a
-//! durable server keeps beside its write-ahead log.
+//! saved, loaded and shipped as, and the [`ServeBase`] of class state that
+//! opens a durable server's write-ahead log.
 //!
 //! A model file pins three things next to the model weights:
 //!
@@ -19,23 +19,25 @@
 //!
 //! # JSON documents
 //!
-//! Two JSON envelopes remain, each with a `format_version` checked before
-//! its payload and a `kind` discriminator: the [`ServeBase`] (version 3,
-//! kind `"serve-base"`), and the standalone [`CheckpointDelta`] (version 2,
-//! kind `"serve-delta"`) — a model [`Checkpoint`] plus class state, the
-//! serving layer's compaction base before format 3. A document of another
-//! kind fails with [`CheckpointError::WrongKind`], of another version with
-//! [`CheckpointError::UnsupportedVersion`]. A delta must carry its
-//! `routed`, `threshold` and `stream` keys — the writer always emits them,
-//! as `null` when empty — so a missing one is [`CheckpointError::Malformed`].
+//! One JSON envelope remains, with a `format_version` checked before its
+//! payload and a `kind` discriminator: the standalone [`CheckpointDelta`]
+//! (version 2, kind `"serve-delta"`) — a model [`Checkpoint`] plus class
+//! state, the serving layer's compaction base before format 3. A document
+//! of another kind fails with [`CheckpointError::WrongKind`], of another
+//! version with [`CheckpointError::UnsupportedVersion`]. A delta must carry
+//! its `routed`, `threshold` and `stream` keys — the writer always emits
+//! them, as `null` when empty — so a missing one is
+//! [`CheckpointError::Malformed`]. A [`ServeBase`] has no envelope: it is
+//! a record of the write-ahead log, whose frame and position say what it
+//! is.
 //!
-//! Both documents are written as compact JSON, with no whitespace between
-//! tokens. The loaders ignore whitespace, so pretty-printed documents that
-//! earlier builds wrote load unchanged.
+//! Both are written as compact JSON, with no whitespace between tokens.
+//! The loaders ignore whitespace, so pretty-printed documents that earlier
+//! builds wrote load unchanged.
 //!
-//! All saves are atomic ([`atomic_write`]): the bytes are written to a
-//! sibling `.tmp` file, fsynced, and `rename`d over the destination, so a
-//! crash mid-save can never corrupt the only good copy.
+//! All saves are atomic ([`write_temp`], then [`rename_temp`]): the bytes
+//! are written to a sibling `.tmp` file, fsynced, and `rename`d over the
+//! destination, so a crash mid-save can never corrupt the only good copy.
 //!
 //! # Example
 //!
@@ -293,6 +295,15 @@ fn check_attribute_count(model: &ZscModel, attributes: usize) -> Result<(), Chec
     Ok(())
 }
 
+/// The `name` entry of a JSON object, decoded; a missing or ill-typed one
+/// is [`CheckpointError::Malformed`].
+fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, CheckpointError> {
+    let entry = value
+        .get(name)
+        .ok_or_else(|| CheckpointError::Malformed(format!("missing `{name}`")))?;
+    serde_json::from_value(entry).map_err(|e| CheckpointError::Malformed(e.to_string()))
+}
+
 /// Checks an envelope document's `format_version` (which must be
 /// `version`) and then its `kind` discriminator.
 fn expect_envelope(
@@ -300,52 +311,60 @@ fn expect_envelope(
     version: u32,
     expected: &'static str,
 ) -> Result<(), CheckpointError> {
-    let version_value = value
-        .get("format_version")
-        .ok_or_else(|| CheckpointError::Malformed("missing `format_version`".to_string()))?;
-    let found = serde_json::from_value::<u32>(version_value)
-        .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+    let found = field(value, "format_version")?;
     if found != version {
         return Err(CheckpointError::UnsupportedVersion {
             found,
             supported: version,
         });
     }
-    let kind_value = value
-        .get("kind")
-        .ok_or_else(|| CheckpointError::Malformed("missing `kind`".to_string()))?;
-    let found = serde_json::from_value::<String>(kind_value)
-        .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+    let found: String = field(value, "kind")?;
     if found != expected {
         return Err(CheckpointError::WrongKind { found, expected });
     }
     Ok(())
 }
 
-/// Writes `contents` to `path` atomically: a sibling `<name>.tmp` file,
-/// fsync, `rename` over `path`, then an fsync of the directory that makes
-/// the rename durable. A crash at any point leaves either the old file or
-/// the new one, never a torn mix. This is the workspace's one atomic
-/// replace: both checkpoint saves and the write-ahead log's create and
-/// rotate go through it.
+/// Writes `contents` to `path` atomically: [`write_temp`], then
+/// [`rename_temp`]. A crash at any point leaves either the old file or the
+/// new one, never a torn mix. Model files and delta documents are saved
+/// through it, and every new write-ahead log through its two steps.
+pub(crate) fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+    write_temp(path, contents)?;
+    rename_temp(path)
+}
+
+/// The sibling `<name>.tmp` of `path`.
+fn temp_path(path: &Path) -> std::io::Result<std::path::PathBuf> {
+    let mut name = path
+        .file_name()
+        .ok_or_else(|| std::io::Error::other("path has no file name"))?
+        .to_os_string();
+    name.push(".tmp");
+    Ok(path.with_file_name(name))
+}
+
+/// The first step of an atomic replace: writes `contents` to the sibling
+/// `<name>.tmp` of `path` and fsyncs it. `path` itself is not touched.
 ///
 /// # Errors
 ///
-/// Any I/O error of the four steps. An error from the directory fsync comes
-/// after the rename, so `path` may then already hold `contents`.
-pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| std::io::Error::other("path has no file name"))?;
-    let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(contents)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
+/// Any I/O error creating, writing or fsyncing the temp file.
+pub fn write_temp(path: &Path, contents: &[u8]) -> std::io::Result<()> {
+    let mut file = std::fs::File::create(temp_path(path)?)?;
+    file.write_all(contents)?;
+    file.sync_all()
+}
+
+/// The second step, the commit: renames the temp file [`write_temp`]
+/// wrote over `path`, then fsyncs the directory to make the rename durable.
+///
+/// # Errors
+///
+/// Any I/O error of the rename or of the directory fsync, after which
+/// `path` already names the new file.
+pub fn rename_temp(path: &Path) -> std::io::Result<()> {
+    std::fs::rename(temp_path(path)?, path)?;
     let dir = match path.parent() {
         Some(parent) if !parent.as_os_str().is_empty() => parent,
         _ => Path::new("."),
@@ -354,9 +373,8 @@ pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
 }
 
 /// Continual-learning stream state captured inside a [`ServeBase`] (or a
-/// [`CheckpointDelta`]):
-/// the exact per-class prototype counters plus the publication batching
-/// position at compaction time.
+/// [`CheckpointDelta`]): the exact per-class prototype counters plus the
+/// publication batching position at compaction time.
 ///
 /// The counters are the ground truth of streamed learning — prototypes are
 /// re-derived from them by re-signing, so persisting them exactly (i32
@@ -466,22 +484,10 @@ impl CheckpointDelta {
         let value =
             serde_json::parse_value(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
         expect_envelope(&value, CHECKPOINT_FORMAT_VERSION, KIND_DELTA)?;
-        let field = |name: &'static str| {
-            value
-                .get(name)
-                .ok_or_else(|| CheckpointError::Malformed(format!("missing `{name}`")))
-        };
-        let snapshot_version = serde_json::from_value::<u64>(field("snapshot_version")?)
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        let next_record_seq = serde_json::from_value::<u64>(field("next_record_seq")?)
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        let base = serde_json::from_value::<Checkpoint>(field("base")?)
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+        let base: Checkpoint = field(&value, "base")?;
         base.validate_internal()?;
-        let memory = serde_json::from_value::<ShardedClassMemory>(field("memory")?)
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        let routed = serde_json::from_value::<Option<RoutedClassMemory>>(field("routed")?)
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+        let memory: ShardedClassMemory = field(&value, "memory")?;
+        let routed: Option<RoutedClassMemory> = field(&value, "routed")?;
         if let Some(routed) = routed.as_ref().map(RoutedClassMemory::as_sharded) {
             if routed.dim() != memory.dim() {
                 return Err(CheckpointError::DimensionMismatch {
@@ -503,15 +509,13 @@ impl CheckpointDelta {
                 ));
             }
         }
-        let threshold = serde_json::from_value::<Option<f32>>(field("threshold")?)
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        let stream = serde_json::from_value::<Option<StreamCheckpoint>>(field("stream")?)
-            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+        let threshold: Option<f32> = field(&value, "threshold")?;
+        let stream: Option<StreamCheckpoint> = field(&value, "stream")?;
         validate_class_state(&memory, threshold, stream.as_ref())?;
         check_prototype_dim(&memory, &base.model)?;
         Ok(Self {
-            snapshot_version,
-            next_record_seq,
+            snapshot_version: field(&value, "snapshot_version")?,
+            next_record_seq: field(&value, "next_record_seq")?,
             base,
             memory,
             routed,
@@ -520,7 +524,8 @@ impl CheckpointDelta {
         })
     }
 
-    /// Writes the delta as JSON to `path` through [`atomic_write`].
+    /// Writes the delta as JSON to `path` through the atomic replace
+    /// ([`write_temp`], [`rename_temp`]).
     ///
     /// # Errors
     ///
@@ -601,16 +606,8 @@ fn check_prototype_dim(
 }
 
 // ---------------------------------------------------------------------------
-// Serve bases (format 3)
+// Serve bases
 // ---------------------------------------------------------------------------
-
-/// Version of the serve-base layout ([`ServeBase`]). Version 2 bases were
-/// [`CheckpointDelta`] documents with the model embedded; this build
-/// refuses them with [`CheckpointError::UnsupportedVersion`].
-pub const SERVE_BASE_FORMAT_VERSION: u32 = 3;
-
-/// `kind` discriminator of a serve base.
-const KIND_BASE: &str = "serve-base";
 
 /// The one class index a [`ServeBase`] records: the sharded memory of an
 /// unrouted server, or the routed index of a routed one (whose clusters
@@ -634,23 +631,24 @@ impl BaseIndex {
     }
 }
 
-/// A serve-time compaction base (`base.json`, format version
-/// [`SERVE_BASE_FORMAT_VERSION`]): the class state at a known snapshot
-/// version plus the name of the binary [`ModelFile`] beside it that holds
-/// the model.
+/// A serve-time compaction base: the class state at a known snapshot
+/// version, the publication cadence the log after it is written under,
+/// and the name of the binary [`ModelFile`] that holds the model.
 ///
-/// Recovery loads the base and its model file, rebuilds the index
-/// bit-identically, and replays only write-ahead-log records with
-/// `seq >= next_record_seq` on top. The model is written once per model
-/// (at start and on every swap), never per compaction.
+/// A durable server's write-ahead log opens with one, as its first record:
+/// recovery loads it and its model file, rebuilds the index
+/// bit-identically, and folds the records after it on top. The model is
+/// written once per model (at start and on every swap), never per
+/// compaction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeBase {
     /// Snapshot version of the serving state at capture time; recovery
     /// resumes version numbering from here.
     pub snapshot_version: u64,
-    /// The WAL sequence number of the first record *not* folded into this
-    /// base.
-    pub next_record_seq: u64,
+    /// The `publish_every` cadence the records after this base were
+    /// written under: replay re-derives their automatic publications from
+    /// it. At least 1.
+    pub publish_every: u32,
     /// File name of the model, `model-<fingerprint>.bin`, in the base's
     /// directory ([`ModelFile::name`]).
     pub model_file: String,
@@ -664,28 +662,18 @@ pub struct ServeBase {
     pub stream: Option<StreamCheckpoint>,
 }
 
-impl ServeBase {
-    /// Renders the base as compact JSON (version-3 envelope, kind
-    /// `"serve-base"`).
-    pub fn to_json(&self) -> String {
+impl Serialize for ServeBase {
+    fn to_value(&self) -> Value {
         let (index, classes) = match &self.index {
             BaseIndex::Sharded(memory) => ("sharded", memory.to_value()),
             BaseIndex::Routed(routed) => ("routed", routed.to_value()),
         };
-        let value = Value::Object(vec![
-            (
-                "format_version".to_string(),
-                SERVE_BASE_FORMAT_VERSION.to_value(),
-            ),
-            ("kind".to_string(), KIND_BASE.to_value()),
+        Value::Object(vec![
             (
                 "snapshot_version".to_string(),
                 self.snapshot_version.to_value(),
             ),
-            (
-                "next_record_seq".to_string(),
-                self.next_record_seq.to_value(),
-            ),
+            ("publish_every".to_string(), self.publish_every.to_value()),
             ("model_file".to_string(), self.model_file.to_value()),
             ("index".to_string(), index.to_value()),
             ("classes".to_string(), classes),
@@ -694,70 +682,55 @@ impl ServeBase {
                 self.threshold.map(f32::to_bits).to_value(),
             ),
             ("stream".to_string(), self.stream.to_value()),
-        ]);
-        serde_json::to_string(&value).expect("base serialization is infallible")
+        ])
     }
+}
 
-    /// Parses a base from a JSON string: the envelope first (version 3,
-    /// kind `"serve-base"`), then the class state, validated like a
-    /// [`CheckpointDelta`]'s, and the model file's name.
+impl ServeBase {
+    /// Parses a base from the value [`Serialize::to_value`] renders: the
+    /// class state, validated like a [`CheckpointDelta`]'s, the cadence and
+    /// the model file's name.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::UnsupportedVersion`] for any other layout version
-    /// (a version-2 delta from an earlier build included),
-    /// [`CheckpointError::WrongKind`] for another envelope,
     /// [`CheckpointError::Malformed`] for a missing key, an unknown index
-    /// kind, a name that is not a model file's, or an inconsistent class
-    /// state, and [`CheckpointError::DimensionMismatch`] for stream
-    /// counters of the wrong width.
-    pub fn from_json_str(json: &str) -> Result<Self, CheckpointError> {
-        let value =
-            serde_json::parse_value(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        expect_envelope(&value, SERVE_BASE_FORMAT_VERSION, KIND_BASE)?;
-        fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, CheckpointError> {
-            let entry = value
-                .get(name)
-                .ok_or_else(|| CheckpointError::Malformed(format!("missing `{name}`")))?;
-            serde_json::from_value(entry).map_err(|e| CheckpointError::Malformed(e.to_string()))
-        }
-        let model_file: String = field(&value, "model_file")?;
+    /// kind, a zero cadence, a name that is not a model file's, or an
+    /// inconsistent class state, and
+    /// [`CheckpointError::DimensionMismatch`] for stream counters of the
+    /// wrong width.
+    pub fn from_value(value: &Value) -> Result<Self, CheckpointError> {
+        let model_file: String = field(value, "model_file")?;
         if model_file_fingerprint(&model_file).is_none() {
             return Err(CheckpointError::Malformed(format!(
                 "`{model_file}` is not a model file name"
             )));
         }
-        let index = match field::<String>(&value, "index")?.as_str() {
-            "sharded" => BaseIndex::Sharded(field(&value, "classes")?),
-            "routed" => BaseIndex::Routed(field(&value, "classes")?),
+        let publish_every: u32 = field(value, "publish_every")?;
+        if publish_every == 0 {
+            return Err(CheckpointError::Malformed(
+                "a base's publish_every must be at least 1".to_string(),
+            ));
+        }
+        let index = match field::<String>(value, "index")?.as_str() {
+            "sharded" => BaseIndex::Sharded(field(value, "classes")?),
+            "routed" => BaseIndex::Routed(field(value, "classes")?),
             other => {
                 return Err(CheckpointError::Malformed(format!(
                     "unknown index kind `{other}`"
                 )))
             }
         };
-        let threshold = field::<Option<u32>>(&value, "threshold_bits")?.map(f32::from_bits);
-        let stream: Option<StreamCheckpoint> = field(&value, "stream")?;
+        let threshold = field::<Option<u32>>(value, "threshold_bits")?.map(f32::from_bits);
+        let stream: Option<StreamCheckpoint> = field(value, "stream")?;
         validate_class_state(index.memory(), threshold, stream.as_ref())?;
         Ok(Self {
-            snapshot_version: field(&value, "snapshot_version")?,
-            next_record_seq: field(&value, "next_record_seq")?,
+            snapshot_version: field(value, "snapshot_version")?,
+            publish_every,
             model_file,
             index,
             threshold,
             stream,
         })
-    }
-
-    /// Reads and parses a base from a JSON file.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] on read failures, plus everything
-    /// [`ServeBase::from_json_str`] reports.
-    pub fn load_json(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
-        let json = std::fs::read_to_string(path)?;
-        Self::from_json_str(&json)
     }
 
     /// Checks the base's classes against the model its file holds.
@@ -783,6 +756,12 @@ const MODEL_FILE_FORMAT_VERSION: u32 = 2;
 
 /// Magic, format version, payload length and CRC-64.
 const MODEL_FILE_HEADER_LEN: usize = 8 + 4 + 4 + 8;
+
+/// The largest dimension a model file's tensor may declare; a wider one is
+/// refused before decoding allocates. Decoding binds an `α × d` `f32`
+/// dictionary from `(G + V) × d` codebook bits, 110 times their size at the
+/// CUB shape, so this caps the CUB dictionary at 82 MB.
+pub const MAX_MODEL_DIM: usize = 1 << 16;
 
 /// Slicing-by-8 tables for the reflected CRC with polynomial `poly`: `[0]`
 /// is the bytewise table, and `[t][i]` is the CRC register after byte `i`
@@ -958,6 +937,12 @@ impl<'a> Tensors<'a> {
                 return Err(CheckpointError::Malformed(format!(
                     "model file tensor `{}` is empty",
                     entry.name
+                )));
+            }
+            if entry.rows.max(entry.cols) > MAX_MODEL_DIM {
+                return Err(CheckpointError::Malformed(format!(
+                    "model file tensor `{}` is {}×{}, wider than MAX_MODEL_DIM ({MAX_MODEL_DIM})",
+                    entry.name, entry.rows, entry.cols
                 )));
             }
             let len = entry
@@ -1154,8 +1139,8 @@ impl ModelFile {
         &self.bytes
     }
 
-    /// Writes the file into `dir` under its name, through
-    /// [`atomic_write`].
+    /// Writes the file into `dir` under its name, through the atomic
+    /// replace ([`write_temp`], [`rename_temp`]).
     ///
     /// # Errors
     ///
@@ -1196,8 +1181,10 @@ impl ModelFile {
     /// [`CheckpointError::FingerprintMismatch`] for damaged or substituted
     /// bytes, [`CheckpointError::UnsupportedVersion`] for another layout
     /// (format 1 included), [`CheckpointError::Malformed`] for a wrong
-    /// magic, a truncated file, a bad name or header, or a tensor table
-    /// that does not fit the model, [`CheckpointError::SchemaMismatch`]
+    /// magic, a truncated file, a bad name or header, a tensor table that
+    /// does not fit the model, or a tensor dimension over
+    /// [`MAX_MODEL_DIM`] (refused before anything is allocated for it),
+    /// [`CheckpointError::SchemaMismatch`]
     /// when the model was trained against another schema, and
     /// [`CheckpointError::DimensionMismatch`] when the header, the
     /// codebooks and the weights disagree.
@@ -1650,9 +1637,10 @@ mod tests {
             );
         }
         // A delta is not a serve base.
+        let value = serde_json::parse_value(&json).expect("delta parses");
         assert!(matches!(
-            ServeBase::from_json_str(&json),
-            Err(CheckpointError::UnsupportedVersion { found: 2, .. })
+            ServeBase::from_value(&value),
+            Err(CheckpointError::Malformed(_))
         ));
     }
 
@@ -1767,9 +1755,9 @@ mod tests {
     }
 
     /// A serve base round-trips either index kind exactly, stores the
-    /// threshold as bits, and names its model file; it runs the delta's
-    /// class-state checks; and a version-2 delta — what an earlier build
-    /// wrote as `base.json` — is refused by version before anything else.
+    /// threshold as bits, and names its model file and its cadence; it runs
+    /// the delta's class-state checks; and a version-2 delta — what an
+    /// earlier build wrote as `base.json` — is not a base.
     #[test]
     fn serve_base_round_trips_and_refuses_version_2_deltas() {
         let s = schema();
@@ -1789,7 +1777,7 @@ mod tests {
         let model_file = ModelFile::encode(&model, &s).name().to_string();
         let base = |index, stream| ServeBase {
             snapshot_version: 7,
-            next_record_seq: 3,
+            publish_every: 3,
             model_file: model_file.clone(),
             index,
             threshold: Some(-0.0),
@@ -1800,7 +1788,7 @@ mod tests {
             BaseIndex::Routed(routed.clone()),
         ] {
             let saved = base(index, None);
-            let restored = ServeBase::from_json_str(&saved.to_json()).expect("base loads");
+            let restored = ServeBase::from_value(&saved.to_value()).expect("base loads");
             assert_eq!(
                 restored.threshold.map(f32::to_bits),
                 Some((-0.0f32).to_bits())
@@ -1822,21 +1810,27 @@ mod tests {
             pending: Vec::new(),
             since_publish: 0,
         };
-        let json = base(BaseIndex::Sharded(memory.clone()), Some(stream)).to_json();
+        let value = base(BaseIndex::Sharded(memory.clone()), Some(stream)).to_value();
         assert!(matches!(
-            ServeBase::from_json_str(&json),
+            ServeBase::from_value(&value),
             Err(CheckpointError::Malformed(reason)) if reason.contains("ghost")
         ));
-        let renamed = edited(
-            &base(BaseIndex::Sharded(memory.clone()), None).to_json(),
-            |doc| {
-                *entry(doc, "model_file") = Value::String("../model.bin".to_string());
-            },
-        );
-        assert!(matches!(
-            ServeBase::from_json_str(&renamed),
-            Err(CheckpointError::Malformed(_))
-        ));
+        let sharded = serde_json::to_string(&base(BaseIndex::Sharded(memory.clone()), None))
+            .expect("base renders");
+        for (key, bad) in [
+            ("model_file", Value::String("../model.bin".to_string())),
+            ("publish_every", Value::Number(0.0)),
+        ] {
+            let edited = edited(&sharded, |doc| *entry(doc, key) = bad);
+            let value = serde_json::parse_value(&edited).expect("base parses");
+            assert!(
+                matches!(
+                    ServeBase::from_value(&value),
+                    Err(CheckpointError::Malformed(_))
+                ),
+                "a bad `{key}`"
+            );
+        }
         let delta = CheckpointDelta {
             snapshot_version: 7,
             next_record_seq: 3,
@@ -1846,12 +1840,10 @@ mod tests {
             threshold: None,
             stream: None,
         };
+        let delta = serde_json::parse_value(&delta.to_json()).expect("delta parses");
         assert!(matches!(
-            ServeBase::from_json_str(&delta.to_json()),
-            Err(CheckpointError::UnsupportedVersion {
-                found: 2,
-                supported: SERVE_BASE_FORMAT_VERSION,
-            })
+            ServeBase::from_value(&delta),
+            Err(CheckpointError::Malformed(reason)) if reason.contains("model_file")
         ));
     }
 

@@ -4,6 +4,7 @@
 //! flipped byte must be a typed [`CheckpointError`], never a panic.
 
 use dataset::AttributeSchema;
+use hdc_zsc::checkpoint::MAX_MODEL_DIM;
 use hdc_zsc::{AttributeEncoderKind, CheckpointError, ModelConfig, ModelFile, ZscModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -121,6 +122,43 @@ fn every_flipped_byte_is_a_typed_error() {
                 _ => matches!(result, Err(CheckpointError::ChecksumMismatch { .. })),
             };
             assert!(expected, "flip at {at}: got {:?}", result.map(|_| ()));
+        }
+    }
+}
+
+/// A file that declares a tensor wider than `MAX_MODEL_DIM` is refused
+/// before the decoder allocates the dictionary that width implies. The
+/// files are real encodings of models one wider than the bound, with and
+/// without a projection and for both encoder kinds, so every other check
+/// passes.
+#[test]
+fn a_tensor_wider_than_the_bound_is_refused_before_decoding() {
+    let schema = small_schema();
+    let wide = MAX_MODEL_DIM + 1;
+    for (use_projection, mlp_encoder) in [(true, false), (false, false), (true, true)] {
+        let (embedding_dim, feature_dim) = if use_projection {
+            (wide, 3)
+        } else {
+            (64, wide)
+        };
+        let model = build_model(
+            &schema,
+            embedding_dim,
+            feature_dim,
+            use_projection,
+            mlp_encoder,
+            5,
+        );
+        let file = ModelFile::encode(&model, &schema);
+        drop(model);
+        match ModelFile::decode(file.name(), file.bytes(), &schema) {
+            Err(CheckpointError::Malformed(reason)) => {
+                assert!(reason.contains("MAX_MODEL_DIM"), "{reason}")
+            }
+            other => panic!(
+                "projection {use_projection}, MLP {mlp_encoder}: expected Malformed, got {:?}",
+                other.map(|_| ())
+            ),
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Pins the on-disk JSON of both partitioned class memories byte for byte.
 //!
-//! `base.json` and every WAL `swap` record embed a `ShardedClassMemory`,
-//! and routed bases also embed a `RoutedClassMemory`, so their key names,
-//! key order and numbers are a storage format: a WAL directory written by
-//! an older build must still recover. Each fixture is a small ragged-dim
+//! A WAL's base record and every `swap` record embed a
+//! `ShardedClassMemory`, and routed bases embed a `RoutedClassMemory`, so
+//! their key names, key order and numbers are a storage format: a WAL
+//! directory written by an older build must still recover. Each fixture is a small ragged-dim
 //! (70-bit, two words per row) memory after one `remove_class`, so the
 //! parts are unbalanced and the tail words carry fewer than 64 live bits.
 

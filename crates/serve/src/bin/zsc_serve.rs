@@ -26,10 +26,10 @@
 //!
 //! With `--wal-dir PATH` the server runs durable: every live registration
 //! is write-ahead-logged before it is published, and the report's
-//! `durability` object carries the WAL, base and model-file sizes and the
-//! last compaction's wall time. `PATH` must not already hold a WAL or a
-//! compaction base (recover such a directory with
-//! [`serve::QueryServer::recover`], or remove it).
+//! `durability` object carries the WAL, base-record and model-file sizes
+//! and the last compaction's wall time. `PATH` then holds `wal.log` and one
+//! `model-<fingerprint>.bin`; it must not already hold a `wal.log` (recover
+//! such a directory with [`serve::QueryServer::recover`], or remove it).
 //!
 //! ```text
 //! zsc_serve [--classes N] [--images N] [--feature-dim N] [--epochs N]

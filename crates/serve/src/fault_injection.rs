@@ -1,15 +1,17 @@
 //! Fault injection on the durable write path: a short write, a failed
-//! fsync and a failed reopen after a rotation, each at op `n` of a
-//! mutation script on a durable [`QueryServer`]. In every case the failing
-//! operation returns [`ServeError::Wal`] and publishes nothing, every later
-//! mutation gets [`WalError::Failed`] and touches no file, queries are
-//! still answered from the last published snapshot, and
+//! fsync and a failed reopen of a compaction's new log, each at op `n` of
+//! a mutation script on a durable [`QueryServer`]. In every case the
+//! failing operation returns [`ServeError::Wal`] and publishes nothing,
+//! every later mutation gets [`WalError::Failed`] and touches no file,
+//! queries are still answered from the last published snapshot, and
 //! [`QueryServer::recover`] on the directory returns exactly the last
 //! acknowledged state.
 //!
 //! The same short write and failed fsync in a model file's write fail
-//! `start_durable` before any base exists, and fail a `swap_model` with
-//! nothing logged or published and the log still live.
+//! `start_durable` before any log exists, and fail a `swap_model` with
+//! nothing logged or published and the log still live. In a compaction's
+//! new log, before its rename, they fail that compaction only: the old log
+//! stays byte-identical and live, and the next compaction succeeds.
 
 use crate::wal::fault::{self, Fault};
 use crate::wal::{self, WalError};
@@ -141,10 +143,7 @@ fn inject(fault: Fault, n: u32) {
     });
     assert!(fired, "{context}: the fault never fired");
     let acked = server.snapshot();
-    let files = || {
-        let read = |path| std::fs::read(path).expect("read");
-        (read(wal::base_path(&dir)), read(wal::wal_path(&dir)))
-    };
+    let files = || std::fs::read(wal::wal_path(&dir)).expect("read log");
     let on_disk = files();
 
     let alpha_row = row(alpha, 99);
@@ -227,7 +226,7 @@ fn model_files(dir: &std::path::Path) -> usize {
 }
 
 /// A model file's write fails at `fault`: at `start_durable` the start
-/// fails with no base and no log written; at `swap_model` nothing is logged
+/// fails with no log written; at `swap_model` nothing is logged
 /// or published, the log stays live for the next mutation, and recovery
 /// returns the pre-swap state.
 fn inject_into_model_file(fault: Fault) {
@@ -257,10 +256,6 @@ fn inject_into_model_file(fault: Fault) {
         matches!(failed, Err(ServeError::Checkpoint(CheckpointError::Io(_)))),
         "{context}: start_durable returned {:?}",
         failed.map(|_| ())
-    );
-    assert!(
-        !wal::base_path(&dir).exists(),
-        "{context}: a base was written"
     );
     assert!(
         !wal::wal_path(&dir).exists(),
@@ -320,4 +315,73 @@ fn a_short_model_file_write_fails_the_start_or_the_swap_and_logs_nothing() {
 #[test]
 fn a_failed_model_file_fsync_fails_the_start_or_the_swap_and_logs_nothing() {
     inject_into_model_file(Fault::Fsync);
+}
+
+/// A compaction's new log fails at `fault` before its rename: the
+/// compaction returns [`WalError::Io`], `wal.log` keeps its bytes and takes
+/// the next mutation, the next compaction succeeds, and recovery returns
+/// the acknowledged state.
+fn inject_into_new_log(fault: Fault) {
+    let context = format!("{fault:?} in a compaction's new log");
+    let dir = std::env::temp_dir().join(format!("zsc-fault-log-{}-{fault:?}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let alpha = schema().num_attributes();
+    let class_attributes = Matrix::from_rows(&[row(alpha, 1), row(alpha, 2)]);
+    let server = QueryServer::start_durable(
+        ZscModel::new(&ModelConfig::tiny().with_seed(3), &schema(), FEATURE_DIM),
+        vec!["x".to_string(), "y".to_string()],
+        &class_attributes,
+        &schema(),
+        config(),
+        DurabilityConfig {
+            compact_every: 0,
+            ..DurabilityConfig::new(&dir)
+        },
+    )
+    .expect("durable server starts");
+    for i in 0..5 {
+        step(&server, i).expect("scripted step");
+    }
+    let log = || std::fs::read(wal::wal_path(&dir)).expect("read log");
+    let before = log();
+    fault::arm(fault, 0);
+    let compacted = server.compact();
+    assert!(
+        matches!(compacted, Err(ServeError::Wal(WalError::Io(_)))),
+        "{context}: compact returned {compacted:?}"
+    );
+    assert!(log() == before, "{context}: the live log changed");
+    server
+        .register_class("after", &row(alpha, 4))
+        .expect("the log stays live");
+    assert_eq!(
+        server
+            .durability_stats()
+            .expect("durable")
+            .records_since_compaction,
+        6,
+        "{context}: the compaction stays due"
+    );
+    assert!(server.compact().expect("the next compaction succeeds"));
+    server.observe("x", &row(FEATURE_DIM, 5)).expect("observes");
+    let expected = state(&server.snapshot());
+    drop(server);
+
+    let (recovered, report) =
+        QueryServer::recover(&schema(), config(), DurabilityConfig::new(&dir))
+            .unwrap_or_else(|e| panic!("{context}: recovery failed: {e}"));
+    assert_eq!(report.replayed_records, 1, "{context}");
+    assert_eq!(state(&recovered.snapshot()), expected, "{context}");
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_short_write_of_a_new_log_fails_the_compaction_and_keeps_the_old_log_live() {
+    inject_into_new_log(Fault::ShortWrite);
+}
+
+#[test]
+fn a_failed_fsync_of_a_new_log_fails_the_compaction_and_keeps_the_old_log_live() {
+    inject_into_new_log(Fault::Fsync);
 }

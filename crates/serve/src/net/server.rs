@@ -385,7 +385,7 @@ fn handle_connection(shared: &NetShared, mut stream: TcpStream) {
             return;
         }
         used += 1;
-        let request = match Request::decode(&payload) {
+        let request = match Request::decode_frame(payload) {
             Ok(request) => request,
             Err(reason) => {
                 if !send(
@@ -400,8 +400,6 @@ fn handle_connection(shared: &NetShared, mut stream: TcpStream) {
                 continue;
             }
         };
-        // A decoded swap holds its own copy of the model file's bytes.
-        drop(payload);
         if shared.draining.load(Ordering::Acquire) {
             shared
                 .counters

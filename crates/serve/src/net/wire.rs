@@ -396,8 +396,16 @@ impl Request {
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
         match payload.first() {
             Some(&QUERY_TAG) => decode_query(payload),
-            Some(&SWAP_TAG) => decode_swap(payload),
+            Some(&SWAP_TAG) => decode_swap(payload.to_vec()),
             _ => Self::from_value(&parse_json(payload)?),
+        }
+    }
+
+    /// [`Request::decode`] of an owned payload: a swap keeps its buffer.
+    pub(crate) fn decode_frame(payload: Vec<u8>) -> Result<Self, String> {
+        match payload.first() {
+            Some(&SWAP_TAG) => decode_swap(payload),
+            _ => Self::decode(&payload),
         }
     }
 
@@ -515,8 +523,8 @@ pub(crate) fn encode_swap(
 
 /// Reads a binary `swap_model` payload: its JSON part must fit the payload
 /// and carry the name, labels and attribute rows; the rest is the model
-/// file, passed on unread.
-fn decode_swap(payload: &[u8]) -> Result<Request, String> {
+/// file, passed on unread in the payload's own buffer.
+fn decode_swap(mut payload: Vec<u8>) -> Result<Request, String> {
     let Some((header, rest)) = payload.split_at_checked(SWAP_HEADER_LEN) else {
         return Err(format!(
             "binary swap_model of {} bytes is shorter than its {SWAP_HEADER_LEN}-byte header",
@@ -524,16 +532,17 @@ fn decode_swap(payload: &[u8]) -> Result<Request, String> {
         ));
     };
     let json_len = u32::from_le_bytes(header[1..].try_into().expect("4 bytes")) as usize;
-    let Some((json, model)) = rest.split_at_checked(json_len) else {
+    let Some(json) = rest.get(..json_len) else {
         return Err(format!(
             "binary swap_model declares a {json_len}-byte JSON part, {} bytes follow",
             rest.len()
         ));
     };
     let value = parse_json(json)?;
+    payload.drain(..SWAP_HEADER_LEN + json_len);
     Ok(Request::SwapModel {
         model_file: field(&value, "name")?,
-        model: model.to_vec(),
+        model: payload,
         labels: field(&value, "labels")?,
         attributes: field(&value, "attributes")?,
     })
@@ -990,6 +999,26 @@ mod tests {
     /// `docs/wire-protocol.md`: tag, the JSON part's length, the JSON part,
     /// then the model file's bytes as they are (here only the magic a
     /// model file opens with).
+    /// A swap frame the server owns becomes its model part in place: the
+    /// decoded model is the frame's own buffer, not a copy of its tail.
+    #[test]
+    fn a_decoded_swap_frame_keeps_its_buffer() {
+        let request = Request::SwapModel {
+            model_file: "model-0123456789abcdef.bin".to_string(),
+            model: vec![7; 4096],
+            labels: vec!["owl".to_string()],
+            attributes: vec![vec![0.5, 1.0]],
+        };
+        let frame = request.encode();
+        let buffer = frame.as_ptr();
+        let decoded = Request::decode_frame(frame).expect("swap decodes");
+        let Request::SwapModel { ref model, .. } = decoded else {
+            panic!("expected a swap, got {decoded:?}");
+        };
+        assert_eq!(model.as_ptr(), buffer);
+        assert_eq!(decoded, request);
+    }
+
     #[test]
     fn documented_swap_payload_is_byte_exact() {
         let json =

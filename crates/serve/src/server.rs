@@ -66,8 +66,7 @@ use crate::wal::{self, SyncPolicy, WalError, WalOp, WriteAheadLog};
 use dataset::AttributeSchema;
 use engine::{PackedQueryBatch, RoutedClassMemory, RoutedConfig, ShardedClassMemory};
 use hdc::{BipolarHypervector, ClassAccumulator};
-use hdc_zsc::checkpoint::atomic_write;
-use hdc_zsc::{BaseIndex, CheckpointError, FrozenModel, ModelFile, ServeBase, StreamCheckpoint};
+use hdc_zsc::{BaseIndex, FrozenModel, ModelFile, ServeBase, StreamCheckpoint};
 use metrics::{DriftReport, StreamDriftConfig, StreamDriftDetector};
 use std::collections::{BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -115,9 +114,9 @@ pub struct ServerConfig {
     /// nothing acknowledged is ever lost. [`QueryServer::flush`] publishes a
     /// partial batch on demand. Must be at least 1.
     ///
-    /// A durable server must be recovered ([`QueryServer::recover`]) with
-    /// the same value it ran with: the log records each observe but not the
-    /// automatic boundaries, which replay re-derives from this cadence.
+    /// A durable server's log records the cadence it is written under, so
+    /// [`QueryServer::recover`] takes any value: it replays under the
+    /// logged one and serves on under this one.
     pub publish_every: u32,
 }
 
@@ -281,11 +280,11 @@ impl From<WalError> for ServeError {
 /// [`QueryServer::start_durable`] and the [`crate::wal`] module docs.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding the write-ahead log (`wal.log`), the compaction
-    /// base (`base.json`) and the binary model files they name
+    /// Directory holding the write-ahead log (`wal.log`, which opens with
+    /// the compaction base) and the binary model files it names
     /// (`model-<fingerprint>.bin`). Created if missing;
     /// [`QueryServer::start_durable`] refuses a directory that already
-    /// holds a log or a base.
+    /// holds a log.
     pub dir: PathBuf,
     /// When appended records are fsynced: [`SyncPolicy::Always`], the one
     /// policy. Every record is fsynced before its mutation is acknowledged.
@@ -314,11 +313,11 @@ pub struct RecoveryReport {
     /// The snapshot version the recovered server resumes at — the
     /// compaction base's version plus one per replayed *publication*
     /// (classic mutation records each published one snapshot; streamed
-    /// observe records publish on the `publish_every` cadence, with flush
-    /// records marking the explicit boundaries), i.e. exactly the version
-    /// the pre-crash server last acknowledged.
+    /// observe records publish on the `publish_every` cadence the base
+    /// records, with flush records marking the explicit boundaries), i.e.
+    /// exactly the version the pre-crash server last acknowledged.
     pub snapshot_version: u64,
-    /// WAL records replayed on top of the compaction base.
+    /// Mutation records replayed on top of the compaction base.
     pub replayed_records: u64,
     /// Whether a torn final record was detected (and cleanly ignored): the
     /// signature of a crash mid-append.
@@ -342,26 +341,24 @@ struct DurableState {
     model_file: String,
     /// Size of that model file in bytes.
     model_bytes: u64,
-    /// Size of the last base written (or, after recovery, loaded).
-    base_bytes: u64,
     /// Wall time of the last successful compaction (0 before the first).
     last_compaction_us: u64,
 }
 
 impl DurableState {
     /// Initialises `durability.dir` for a fresh server serving `snapshot`.
-    /// A directory that already holds a log or a base is refused before
-    /// anything is written: overwriting it would destroy a recoverable
-    /// state. The model file first, then the base that names it, then the
-    /// (empty) log: a crash in between leaves a directory `recover` rejects
-    /// loudly (no base, or no log) rather than one that silently replays
-    /// nothing against a stale base.
+    /// A directory that already holds a log is refused before anything is
+    /// written: overwriting it would destroy a recoverable state. The model
+    /// file first, then the log that opens with the base naming it: a
+    /// crash in between leaves no log, which `recover` rejects loudly.
     fn create(
         snapshot: &ModelSnapshot,
+        stream: &StreamControl,
         schema: &AttributeSchema,
         durability: DurabilityConfig,
     ) -> Result<Self, ServeError> {
-        if wal::wal_path(&durability.dir).exists() || wal::base_path(&durability.dir).exists() {
+        let path = wal::wal_path(&durability.dir);
+        if path.exists() {
             return Err(ServeError::InvalidConfig(format!(
                 "{} already holds a durable server state; recover it with \
                  QueryServer::recover or remove it",
@@ -371,16 +368,15 @@ impl DurableState {
         std::fs::create_dir_all(&durability.dir).map_err(|e| ServeError::Wal(WalError::Io(e)))?;
         let model = ModelFile::encode(&snapshot.model, schema);
         wal::save_model(&durability.dir, &model)?;
-        let base_bytes = save_base(&durability.dir, snapshot, model.name(), 0, None)?;
+        let base = base(snapshot, stream, model.name());
         Ok(Self {
-            wal: WriteAheadLog::create(wal::wal_path(&durability.dir), durability.sync)?,
+            wal: WriteAheadLog::headed(path, Some(&base))?,
             dir: durability.dir,
             schema: schema.clone(),
             compact_every: durability.compact_every,
             since_compact: 0,
             model_file: model.name().to_string(),
             model_bytes: model.bytes().len() as u64,
-            base_bytes,
             last_compaction_us: 0,
         })
     }
@@ -410,27 +406,19 @@ impl DurableState {
         Ok(())
     }
 
-    /// Writes `snapshot` as the new compaction base, rotates the log, and
-    /// deletes every model file but the serving one — in that order, so a
-    /// crash between the base and the rotation leaves a base whose
-    /// `next_record_seq` simply skips the old log's already-folded records
-    /// (whose model files are still there), and the rotated log names no
-    /// model file.
-    ///
-    /// `stream` captures the continual-learning counters and batching
-    /// position at the same instant, so a base written mid-batch still
-    /// recovers counter-exactly.
-    /// A stopped log writes nothing; a failed base save can be retried.
+    /// Replaces the log with one that opens with `snapshot` and `stream`
+    /// (counters and batching position, so a base written mid-batch
+    /// recovers counter-exactly) as its base, then deletes every model file
+    /// but the serving one. A failure before the new log's rename leaves
+    /// the old log live.
     fn compact(
         &mut self,
         snapshot: &ModelSnapshot,
-        stream: Option<StreamCheckpoint>,
-    ) -> Result<(), ServeError> {
-        self.wal.ensure_live()?;
+        stream: &StreamControl,
+    ) -> Result<(), WalError> {
         let start = Instant::now();
-        let next_seq = self.wal.next_seq();
-        self.base_bytes = save_base(&self.dir, snapshot, &self.model_file, next_seq, stream)?;
-        self.wal.rotate()?;
+        let base = base(snapshot, stream, &self.model_file);
+        self.wal.compact(Some(&base))?;
         wal::remove_models_except(&self.dir, &self.model_file);
         self.since_compact = 0;
         self.last_compaction_us = start.elapsed().as_micros() as u64;
@@ -438,30 +426,19 @@ impl DurableState {
     }
 }
 
-/// Saves the class state of `snapshot` (plus the stream state) as the
-/// compaction base under `dir`, naming `model_file` as its model; replay
-/// resumes at `next_record_seq`. Returns the base's size in bytes.
-fn save_base(
-    dir: &Path,
-    snapshot: &ModelSnapshot,
-    model_file: &str,
-    next_record_seq: u64,
-    stream: Option<StreamCheckpoint>,
-) -> Result<u64, ServeError> {
-    let json = ServeBase {
+/// The compaction base of `snapshot` and `stream`, naming `model_file`.
+fn base(snapshot: &ModelSnapshot, stream: &StreamControl, model_file: &str) -> ServeBase {
+    ServeBase {
         snapshot_version: snapshot.version,
-        next_record_seq,
+        publish_every: stream.publish_every,
         model_file: model_file.to_string(),
         index: match &snapshot.index {
             ClassIndex::Sharded(memory) => BaseIndex::Sharded(memory.clone()),
             ClassIndex::Routed(routed) => BaseIndex::Routed(routed.clone()),
         },
         threshold: snapshot.threshold,
-        stream,
+        stream: stream.checkpoint(),
     }
-    .to_json();
-    atomic_write(&wal::base_path(dir), json.as_bytes()).map_err(CheckpointError::from)?;
-    Ok(json.len() as u64)
 }
 
 /// The continual-learning half of the control plane: exact per-class
@@ -545,13 +522,12 @@ pub struct DurabilityStats {
     pub records_since_compaction: u64,
     /// The sequence number the next appended record will carry.
     pub next_record_seq: u64,
-    /// Size of the last compaction base written (or, on a recovered
-    /// server, loaded) in bytes.
+    /// Size in bytes of the base record the live log opens with.
     pub base_bytes: u64,
     /// Size of the serving model's binary file in bytes.
     pub model_bytes: u64,
-    /// Wall time of the last successful compaction in microseconds: base
-    /// write, log rotation and model-file sweep. 0 before the first.
+    /// Wall time of the last successful compaction in microseconds: new
+    /// log written and renamed, model files swept. 0 before the first.
     pub last_compaction_us: u64,
 }
 
@@ -863,7 +839,9 @@ impl QueryServer {
             threshold: None,
         };
         let durable = durability
-            .map(|(schema, durability)| DurableState::create(&snapshot, schema, durability))
+            .map(|(schema, durability)| {
+                DurableState::create(&snapshot, &stream, schema, durability)
+            })
             .transpose()?;
         Ok(Self::start_with_parts(snapshot, config, durable, stream))
     }
@@ -905,7 +883,8 @@ impl QueryServer {
     /// accepted class mutation is appended and fsynced to a write-ahead log
     /// under [`DurabilityConfig::dir`] *before* its snapshot is published,
     /// and the initial state is saved there: the model as a binary model
-    /// file, the class state as a compaction base naming it. After a crash,
+    /// file, then the log, whose first record is the compaction base naming
+    /// it. After a crash,
     /// [`QueryServer::recover`] on the same directory rebuilds the exact
     /// pre-crash serving state — bit-identical class memory, same snapshot
     /// version.
@@ -919,10 +898,9 @@ impl QueryServer {
     /// Everything [`QueryServer::start`] reports, plus
     /// [`ServeError::InvalidConfig`] when the model's attribute encoder does
     /// not match `schema` or when [`DurabilityConfig::dir`] already holds a
-    /// `wal.log` or `base.json` (a state to [`QueryServer::recover`], never
-    /// to overwrite), and [`ServeError::Wal`] /
-    /// [`ServeError::Checkpoint`] when the WAL directory cannot be
-    /// initialised.
+    /// `wal.log` (a state to [`QueryServer::recover`], never to
+    /// overwrite), and [`ServeError::Wal`] / [`ServeError::Checkpoint`]
+    /// when the WAL directory cannot be initialised.
     pub fn start_durable(
         model: impl Into<FrozenModel>,
         labels: Vec<String>,
@@ -942,33 +920,30 @@ impl QueryServer {
 
     /// Rebuilds a durable server from its WAL directory after a crash (or a
     /// clean shutdown — recovery cannot tell and does not need to): loads
-    /// the compaction base and the model file it names, replays the WAL
-    /// suffix (records with `seq >=` the base's `next_record_seq`),
-    /// truncates away a torn final record if one is found, and resumes
-    /// serving — and logging — exactly where the pre-crash server left off.
+    /// the compaction base the log opens with and the model file it names,
+    /// replays the records after it, truncates away a torn final record if
+    /// one is found, and resumes serving — and logging — exactly where the
+    /// pre-crash server left off.
     ///
     /// Replay is the live mutation path's own state transition folded over
     /// the log, so the rebuilt class memory is **bit-identical** to the last
     /// acknowledged pre-crash snapshot: register/update/observe records
     /// replay the packed words the original server encoded, so no model
-    /// arithmetic is ever re-run.
-    ///
-    /// Pass the pre-crash server's [`ServerConfig::publish_every`]: the log
-    /// records every observe but not the automatic publication boundaries,
-    /// which replay re-derives from this cadence. A different value
-    /// recovers a different version and class memory.
+    /// arithmetic is ever re-run. Automatic publications are re-derived
+    /// from the `publish_every` the base records, so any `config` recovers
+    /// the same state; when its `publish_every` differs, the server first
+    /// compacts into a fresh log of the new cadence.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Checkpoint`] when the base or a model file it or a
-    /// replayed swap names is missing, malformed, damaged
-    /// ([`CheckpointError::ChecksumMismatch`],
-    /// [`CheckpointError::FingerprintMismatch`]) or does not match
-    /// `schema` — a base written by a build before format 3 is
-    /// [`CheckpointError::UnsupportedVersion`]; [`ServeError::Wal`] when
-    /// the log is missing, unreadable, corrupt *before* its final record,
-    /// or does not meet the base (it starts after the base ends or ends
-    /// before it);
+    /// [`ServeError::Checkpoint`] when a model file the base or a replayed
+    /// swap names is missing, malformed, damaged
+    /// ([`CheckpointError::ChecksumMismatch`](hdc_zsc::CheckpointError::ChecksumMismatch),
+    /// [`CheckpointError::FingerprintMismatch`](hdc_zsc::CheckpointError::FingerprintMismatch))
+    /// or does not match `schema`; [`ServeError::Wal`] when the log is
+    /// missing, unreadable, corrupt *before* its final record, or opens
+    /// with no base ([`WalError::MissingBase`], as an earlier build's
+    /// two-file directory does), or a fresh log cannot be written;
     /// [`ServeError::InvalidConfig`] for a bad `config` or a recovered
     /// state with no classes.
     pub fn recover(
@@ -978,21 +953,13 @@ impl QueryServer {
     ) -> Result<(Self, RecoveryReport), ServeError> {
         validate_config(&config)?;
         let dir = &durability.dir;
-        let base = ServeBase::load_json(wal::base_path(dir))?;
+        let (log, replay) = WriteAheadLog::open(wal::wal_path(dir), durability.sync)?;
+        let base = replay.base.ok_or(WalError::MissingBase)?;
         let model = ModelFile::load(dir, &base.model_file, schema)?;
         base.validate_model(&model)?;
-        let model = model.freeze();
-        let (log, replay) = WriteAheadLog::open(wal::wal_path(dir), durability.sync)?;
-        // Every state the server writes has the log start at or before the
-        // base's end and reach at least that far; else records are lost.
-        let (first, next, resume) = (replay.first_seq, replay.next_seq(), base.next_record_seq);
-        if !(first..=next).contains(&resume) {
-            let reason = format!("log holds records {first}..{next}, base resumes at {resume}");
-            return Err(WalError::Corrupt { offset: 0, reason }.into());
-        }
         let ServeBase {
             snapshot_version,
-            next_record_seq,
+            publish_every,
             mut model_file,
             index,
             threshold,
@@ -1000,7 +967,7 @@ impl QueryServer {
         } = base;
         let mut current = ModelSnapshot {
             version: snapshot_version,
-            model,
+            model: model.freeze(),
             // Resume the base's routed index only when it was built under
             // exactly the requested routed configuration: replaying the same
             // records into the same structure reproduces the pre-crash index
@@ -1023,22 +990,17 @@ impl QueryServer {
         // boundaries the pre-crash server published.
         let mut stream = match stream {
             Some(saved) => StreamControl {
-                publish_every: config.publish_every,
+                publish_every,
                 accumulators: saved.accumulators,
                 pending: saved.pending.into_iter().collect(),
                 since_publish: saved.since_publish,
                 observes: 0,
                 drift: StreamDriftDetector::new(StreamDriftConfig::default()),
             },
-            None => StreamControl::fresh(current.memory().dim(), config.publish_every),
+            None => StreamControl::fresh(current.memory().dim(), publish_every),
         };
         let mut replayed_records = 0u64;
         for entry in replay.entries {
-            // Records the base already folds in (a crash can interleave a
-            // fresh base with the not-yet-rotated log; their seqs overlap).
-            if entry.seq < next_record_seq {
-                continue;
-            }
             if let WalOp::Swap {
                 model_file: name, ..
             } = &entry.op
@@ -1070,18 +1032,21 @@ impl QueryServer {
             replayed_records,
             torn_tail: replay.torn_tail.is_some(),
         };
-        let file_len = |path: PathBuf| std::fs::metadata(path).map_or(0, |m| m.len());
-        let durable = DurableState {
+        let model_bytes = std::fs::metadata(dir.join(&model_file)).map_or(0, |m| m.len());
+        let mut durable = DurableState {
             wal: log,
             schema: schema.clone(),
             compact_every: durability.compact_every,
             since_compact: replayed_records,
-            model_bytes: file_len(dir.join(&model_file)),
-            base_bytes: file_len(wal::base_path(dir)),
             model_file,
+            model_bytes,
             last_compaction_us: 0,
             dir: durability.dir,
         };
+        if stream.publish_every != config.publish_every {
+            stream.publish_every = config.publish_every;
+            durable.compact(&current, &stream)?;
+        }
         Ok((
             Self::start_with_parts(current, config, Some(durable), stream),
             report,
@@ -1456,7 +1421,7 @@ impl QueryServer {
             wal_bytes: durable.wal.end(),
             records_since_compaction: durable.since_compact,
             next_record_seq: durable.wal.next_seq(),
-            base_bytes: durable.base_bytes,
+            base_bytes: durable.wal.base_bytes(),
             model_bytes: durable.model_bytes,
             last_compaction_us: durable.last_compaction_us,
         })
@@ -1468,10 +1433,10 @@ impl QueryServer {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Checkpoint`] / [`ServeError::Wal`] when the
-    /// base or rotated log cannot be written; the directory still recovers
-    /// the acknowledged state. A failed base save can be retried; after a
-    /// failed rotation or append the log answers [`WalError::Failed`].
+    /// Returns [`ServeError::Wal`] when the new log cannot be written; the
+    /// directory still recovers the acknowledged state. A failure before
+    /// its rename can be retried; after a failed rename or reopen, or an
+    /// earlier failed append, the log answers [`WalError::Failed`].
     pub fn compact(&self) -> Result<bool, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
         let ControlPlane {
@@ -1480,7 +1445,7 @@ impl QueryServer {
         let Some(durable) = durable.as_mut() else {
             return Ok(false);
         };
-        durable.compact(&self.snapshot(), stream.checkpoint())?;
+        durable.compact(&self.snapshot(), stream)?;
         Ok(true)
     }
 
@@ -1513,10 +1478,10 @@ impl QueryServer {
             if durable.compact_every != 0 && durable.since_compact >= durable.compact_every {
                 // The mutation is logged and published, so a failed fold
                 // is not its failure. `since_compact` stays due: the next
-                // mutation retries a failed base save (a failed rotation
-                // stops the log), and `records_since_compaction` grows.
+                // mutation retries it (unless it stopped the log), and
+                // `records_since_compaction` grows.
                 let served = published.as_deref().unwrap_or(&current);
-                let _ = durable.compact(served, stream.checkpoint());
+                let _ = durable.compact(served, stream);
             }
         }
         Ok(published)

@@ -4,27 +4,27 @@
 //! Every mutation accepted by a durable
 //! [`QueryServer`](crate::QueryServer) is appended here **before** its
 //! effect is published — one record per [`WalOp`] kind: register, update,
-//! remove, swap, set (or clear) threshold, observe, and flush. The log plus
-//! the latest [`ServeBase`](hdc_zsc::ServeBase) compaction base
-//! (`base.json`) and the binary model files they name ([`ModelFile`],
-//! `model-<fingerprint>.bin`) always reconstruct the exact pre-crash
-//! serving state: recovery loads the base and its model file, and folds
-//! the live path's own state transition over the WAL suffix
-//! (`seq >= next_record_seq`), so it serves bit-identical results.
+//! remove, swap, set (or clear) threshold, observe, and flush. The log
+//! opens with its compaction base, a [`ServeBase`] record, and it and the
+//! binary model files it names ([`ModelFile`], `model-<fingerprint>.bin`)
+//! always reconstruct the exact pre-crash serving state: recovery loads the
+//! base and its model file, and folds the live path's own state transition
+//! over the records after it, so it serves bit-identical results.
 //!
 //! # Directory layout
 //!
 //! ```text
 //! <dir>/
-//! ├── base.json              class state at a snapshot version; names a model file
-//! ├── wal.log                records after the base (this module's format)
-//! └── model-<16 hex>.bin     one binary model file per model a base or record names
+//! ├── wal.log                the base record, then the records after it
+//! └── model-<16 hex>.bin     one binary model file per model the log names
 //! ```
 //!
 //! A model file is written once, through the atomic replace, before the
-//! base or swap record that names it: at start and on every swap.
-//! Compaction writes the base, rotates the log, and then deletes every
-//! model file but the one the new base names (the rotated log names none).
+//! record that names it: at start and on every swap. Compaction writes a
+//! new log, the header and a fresh base, to `wal.log.tmp`, fsyncs it and
+//! renames it over `wal.log`, then deletes every model file but the one the
+//! new base names. The rename is the commit: before it, the old log is
+//! whole and live.
 //!
 //! # On-disk format
 //!
@@ -32,20 +32,22 @@
 //! ┌────────────────────────── file header (20 bytes) ─────────────────────────┐
 //! │ magic "ZSCWAL1\n" (8) │ format u32 LE (=1) │ first_seq u64 LE             │
 //! ├──────────────────────────── record frames ────────────────────────────────┤
-//! │ len u32 LE │ crc32 u32 LE │ payload (len bytes of compact JSON)           │
-//! │ len u32 LE │ crc32 u32 LE │ payload                                       │
+//! │ len u32 LE │ crc32 u32 LE │ payload: the base {"op":"base","base":{…}}    │
+//! │ len u32 LE │ crc32 u32 LE │ payload: a record {"seq":first_seq,"op":…}    │
 //! │ …                                                                         │
 //! └───────────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! The CRC is the IEEE CRC-32 (reflected, polynomial `0xEDB88320`) of the
-//! payload bytes. Payloads are compact JSON objects carrying an explicit
-//! monotonically-increasing `seq`, so replay can detect reordering and the
-//! compaction base can name exactly where its suffix starts. Register and
-//! update records store the **packed prototype words** (not the raw
-//! attributes), making replay independent of the model and bit-identical by
-//! construction; swap records name the new model's file plus the post-swap
-//! memory, so their length does not depend on the model's size.
+//! compact-JSON payload. The base is the first frame, or absent
+//! ([`WriteAheadLog::create`]; no server recovers from such a log), and has
+//! no `seq`: its position says what it is, and `first_seq` numbers the
+//! first record it does not fold in. Every later record carries a
+//! consecutive `seq`, so replay detects reordering. Register and update
+//! records store the **packed prototype words** (not the raw attributes),
+//! making replay independent of the model and bit-identical by
+//! construction; swap records name the new model's file plus the
+//! post-swap memory, so their length does not depend on the model's size.
 //!
 //! # Torn tails
 //!
@@ -66,20 +68,21 @@
 //! is written, with [`WalError::RecordTooLarge`]; the log stays live.
 //!
 //! A failed write or fsync truncates the file back to that offset (best
-//! effort) and stops the log, and so does any failed rotation: every later
-//! append, rotation and compaction gets [`WalError::Failed`] and touches no
-//! file, until the directory is recovered. A failed fsync is never retried:
-//! the kernel may have dropped the pages it could not write (Rebello et
-//! al., "Can Applications Recover from fsync Failures?", ATC 2020). After a
-//! failed fsync and a power cut, whether the unacknowledged record is in
-//! the log is unknown.
+//! effort) and stops the log, and so does a failed rename or reopen of a
+//! new log: every later append and compaction gets [`WalError::Failed`]
+//! and touches no file, until the directory is recovered. A new log that
+//! fails before its rename leaves the old one live. A failed fsync is
+//! never retried: the kernel may have dropped the pages it could not write
+//! (Rebello et al., "Can Applications Recover from fsync Failures?", ATC
+//! 2020). After a failed fsync and a power cut, whether the unacknowledged
+//! record is in the log is unknown.
 
 use crate::net::frame::{encode_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use engine::ShardedClassMemory;
 pub use hdc_zsc::checkpoint::crc32;
-use hdc_zsc::checkpoint::{atomic_write, model_file_fingerprint};
-use hdc_zsc::{CheckpointError, ModelFile};
-use serde::{Serialize, Value};
+use hdc_zsc::checkpoint::{model_file_fingerprint, rename_temp, write_temp};
+use hdc_zsc::{CheckpointError, ModelFile, ServeBase};
+use serde::{Deserialize, Serialize, Value};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -95,10 +98,6 @@ const HEADER_LEN: u64 = 8 + 4 + 8;
 
 /// File name of the log inside a WAL directory.
 const WAL_FILE_NAME: &str = "wal.log";
-
-/// File name of the checkpoint-delta compaction base inside a WAL
-/// directory.
-const BASE_FILE_NAME: &str = "base.json";
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -129,9 +128,13 @@ pub enum WalError {
         /// The version this build writes and reads.
         supported: u32,
     },
-    /// An earlier write, fsync or rotation failed, so the log takes no more
-    /// records; recover the directory to resume.
+    /// An earlier write, fsync, or new log's rename or reopen failed, so
+    /// the log takes no more records; recover the directory to resume.
     Failed,
+    /// The log opens with no base record, so no server recovers from it:
+    /// [`WriteAheadLog::create`] or an earlier build (beside a `base.json`)
+    /// wrote it.
+    MissingBase,
     /// The record's payload is longer than a frame may be, so no replay
     /// could read it back. Nothing was written and the log stays live.
     RecordTooLarge {
@@ -161,6 +164,7 @@ impl std::fmt::Display for WalError {
                 f,
                 "WAL record of {bytes} bytes exceeds the {max}-byte frame cap; nothing was logged"
             ),
+            WalError::MissingBase => write!(f, "WAL does not open with a base record"),
         }
     }
 }
@@ -242,19 +246,15 @@ pub enum WalOp {
     /// Pending accumulated observes were explicitly published
     /// (`QueryServer::flush`). Logged so replay reproduces the exact
     /// publication boundaries — and therefore the exact snapshot-version
-    /// sequence — of the pre-crash server; automatic `publish_every`
-    /// boundaries are re-derived from the server configuration instead and
-    /// need no record.
+    /// sequence — of the pre-crash server; automatic boundaries are
+    /// re-derived from the `publish_every` cadence the log's base records
+    /// and need no record.
     Flush,
 }
 
 /// Lowercase hex, 16 digits per word — a compact, exact `u64` encoding.
 fn words_to_hex(words: &[u64]) -> String {
-    let mut out = String::with_capacity(words.len() * 16);
-    for word in words {
-        out.push_str(&format!("{word:016x}"));
-    }
-    out
+    words.iter().map(|word| format!("{word:016x}")).collect()
 }
 
 fn words_from_hex(hex: &str) -> Result<Vec<u64>, String> {
@@ -277,60 +277,49 @@ impl WalOp {
     /// Renders the record payload (including its sequence number) as a
     /// JSON value.
     fn to_value(&self, seq: u64) -> Value {
-        let mut entries: Vec<(String, Value)> = vec![("seq".to_string(), seq.to_value())];
-        match self {
-            WalOp::Register { label, words } => {
-                entries.push(("op".to_string(), "register".to_string().to_value()));
-                entries.push(("label".to_string(), label.to_value()));
-                entries.push(("row".to_string(), words_to_hex(words).to_value()));
-            }
-            WalOp::Update { label, words } => {
-                entries.push(("op".to_string(), "update".to_string().to_value()));
-                entries.push(("label".to_string(), label.to_value()));
-                entries.push(("row".to_string(), words_to_hex(words).to_value()));
-            }
-            WalOp::Remove { label } => {
-                entries.push(("op".to_string(), "remove".to_string().to_value()));
-                entries.push(("label".to_string(), label.to_value()));
-            }
-            WalOp::Swap { model_file, memory } => {
-                entries.push(("op".to_string(), "swap".to_string().to_value()));
-                entries.push(("model_file".to_string(), model_file.to_value()));
-                entries.push(("memory".to_string(), memory.to_value()));
-            }
+        let row = |label: &String, words: &[u64]| {
+            vec![
+                ("label", label.to_value()),
+                ("row", words_to_hex(words).to_value()),
+            ]
+        };
+        let (op, fields) = match self {
+            WalOp::Register { label, words } => ("register", row(label, words)),
+            WalOp::Update { label, words } => ("update", row(label, words)),
+            WalOp::Remove { label } => ("remove", vec![("label", label.to_value())]),
+            WalOp::Swap { model_file, memory } => (
+                "swap",
+                vec![
+                    ("model_file", model_file.to_value()),
+                    ("memory", memory.to_value()),
+                ],
+            ),
             WalOp::SetThreshold { bits } => {
-                entries.push(("op".to_string(), "set_threshold".to_string().to_value()));
-                entries.push(("threshold_bits".to_string(), bits.to_value()));
+                ("set_threshold", vec![("threshold_bits", bits.to_value())])
             }
-            WalOp::Observe { label, words } => {
-                entries.push(("op".to_string(), "observe".to_string().to_value()));
-                entries.push(("label".to_string(), label.to_value()));
-                entries.push(("row".to_string(), words_to_hex(words).to_value()));
-            }
-            WalOp::Flush => {
-                entries.push(("op".to_string(), "flush".to_string().to_value()));
-            }
-        }
-        Value::Object(entries)
+            WalOp::Observe { label, words } => ("observe", row(label, words)),
+            WalOp::Flush => ("flush", Vec::new()),
+        };
+        let head = [("seq", seq.to_value()), ("op", op.to_value())];
+        let entries = head.into_iter().chain(fields);
+        Value::Object(
+            entries
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
     }
 
     /// Parses a record payload back into `(seq, op)`.
     fn from_value(value: &Value) -> Result<(u64, Self), String> {
-        let get = |name: &str| {
-            value
+        fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, String> {
+            let entry = value
                 .get(name)
-                .ok_or_else(|| format!("record missing `{name}`"))
-        };
-        let seq: u64 = serde_json::from_value(get("seq")?).map_err(|e| e.to_string())?;
-        let op: String = serde_json::from_value(get("op")?).map_err(|e| e.to_string())?;
-        let label = || -> Result<String, String> {
-            serde_json::from_value(get("label")?).map_err(|e| e.to_string())
-        };
-        let row = || -> Result<Vec<u64>, String> {
-            let hex: String = serde_json::from_value(get("row")?).map_err(|e| e.to_string())?;
-            words_from_hex(&hex)
-        };
-        let op = match op.as_str() {
+                .ok_or_else(|| format!("record missing `{name}`"))?;
+            serde_json::from_value(entry).map_err(|e| e.to_string())
+        }
+        let label = || field::<String>(value, "label");
+        let row = || words_from_hex(&field::<String>(value, "row")?);
+        let op = match field::<String>(value, "op")?.as_str() {
             "register" => WalOp::Register {
                 label: label()?,
                 words: row()?,
@@ -341,18 +330,17 @@ impl WalOp {
             },
             "remove" => WalOp::Remove { label: label()? },
             "swap" => {
-                let model_file: String =
-                    serde_json::from_value(get("model_file")?).map_err(|e| e.to_string())?;
+                let model_file: String = field(value, "model_file")?;
                 if model_file_fingerprint(&model_file).is_none() {
                     return Err(format!("swap names `{model_file}`, not a model file"));
                 }
                 WalOp::Swap {
                     model_file,
-                    memory: serde_json::from_value(get("memory")?).map_err(|e| e.to_string())?,
+                    memory: field(value, "memory")?,
                 }
             }
             "set_threshold" => WalOp::SetThreshold {
-                bits: serde_json::from_value(get("threshold_bits")?).map_err(|e| e.to_string())?,
+                bits: field(value, "threshold_bits")?,
             },
             "observe" => WalOp::Observe {
                 label: label()?,
@@ -361,7 +349,7 @@ impl WalOp {
             "flush" => WalOp::Flush,
             other => return Err(format!("unknown op `{other}`")),
         };
-        Ok((seq, op))
+        Ok((field(value, "seq")?, op))
     }
 }
 
@@ -398,10 +386,12 @@ pub struct WalEntry {
 #[derive(Debug)]
 #[must_use = "a replay carries the recovered records and the torn-tail verdict"]
 pub struct WalReplay {
-    /// Sequence number of the first record this file holds (from the
-    /// header; records before it live in the compaction base).
+    /// Sequence number of the first record after the base (from the
+    /// header; records before it are folded into the base).
     pub first_seq: u64,
-    /// The valid records, in sequence order.
+    /// The base the log opens with; `None` for [`WriteAheadLog::create`]'s.
+    pub base: Option<ServeBase>,
+    /// The valid records after the base, in sequence order.
     pub entries: Vec<WalEntry>,
     /// Why the final frame was discarded, when a torn tail was detected
     /// (`None` for a clean log).
@@ -423,14 +413,20 @@ impl WalReplay {
 /// A truncated or checksum-corrupt **final** frame is reported as a torn
 /// tail and ignored (see the module docs for why that is the correct
 /// contract); damage before the final frame is a hard
-/// [`WalError::Corrupt`], as is a sequence-number discontinuity.
+/// [`WalError::Corrupt`], as is a sequence-number discontinuity or a base
+/// record anywhere but first.
 ///
 /// # Errors
 ///
 /// [`WalError::Io`] on read failures, [`WalError::UnsupportedFormat`] for
 /// non-WAL files, [`WalError::Corrupt`] for mid-log damage.
 pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, WalError> {
-    let bytes = std::fs::read(path.as_ref())?;
+    read(path.as_ref()).map(|(replay, _)| replay)
+}
+
+/// [`replay`], plus the offset where the records after the base start.
+fn read(path: &Path) -> Result<(WalReplay, u64), WalError> {
+    let bytes = std::fs::read(path)?;
     if bytes.len() < 8 || &bytes[..8] != WAL_MAGIC {
         return Err(WalError::UnsupportedFormat {
             found: 0,
@@ -452,11 +448,17 @@ pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, WalError> {
     }
     let first_seq = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
 
+    let mut base = None;
     let mut entries = Vec::new();
     let mut torn_tail = None;
     let mut offset = HEADER_LEN as usize;
+    let mut records_start = HEADER_LEN;
     let mut expected_seq = first_seq;
     while offset < bytes.len() {
+        let corrupt = |reason: String| WalError::Corrupt {
+            offset: offset as u64,
+            reason,
+        };
         let remaining = bytes.len() - offset;
         // A frame that does not fit in the remaining bytes can only be the
         // torn final append — everything before it already verified.
@@ -469,10 +471,9 @@ pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, WalError> {
         let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes"));
         let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
         if len > MAX_FRAME_LEN {
-            return Err(WalError::Corrupt {
-                offset: offset as u64,
-                reason: format!("frame declares an absurd payload of {len} bytes"),
-            });
+            return Err(corrupt(format!(
+                "frame declares an absurd payload of {len} bytes"
+            )));
         }
         let body_start = offset + FRAME_HEADER_LEN;
         let body_end = body_start + len as usize;
@@ -489,44 +490,59 @@ pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, WalError> {
                 torn_tail = Some("final frame fails its checksum".to_string());
                 break;
             }
-            return Err(WalError::Corrupt {
-                offset: offset as u64,
-                reason: "frame fails its checksum before the end of the log".to_string(),
+            let reason = "frame fails its checksum before the end of the log";
+            return Err(corrupt(reason.to_string()));
+        }
+        let text = std::str::from_utf8(payload)
+            .map_err(|_| corrupt("payload is not UTF-8 despite a valid checksum".to_string()))?;
+        let value = serde_json::parse_value(text)
+            .map_err(|e| corrupt(format!("payload is not valid JSON: {e}")))?;
+        if offset == HEADER_LEN as usize && value.get("op") == Some(&BASE_OP.to_value()) {
+            let fields = value.get("base").unwrap_or(&Value::Null);
+            let parsed =
+                ServeBase::from_value(fields).map_err(|e| corrupt(format!("base: {e}")))?;
+            base = Some(parsed);
+            records_start = body_end as u64;
+        } else {
+            let (seq, op) = WalOp::from_value(&value).map_err(corrupt)?;
+            if seq != expected_seq {
+                return Err(corrupt(format!(
+                    "record carries seq {seq}, expected {expected_seq}"
+                )));
+            }
+            expected_seq += 1;
+            entries.push(WalEntry {
+                seq,
+                op,
+                end_offset: body_end as u64,
             });
         }
-        let text = std::str::from_utf8(payload).map_err(|_| WalError::Corrupt {
-            offset: offset as u64,
-            reason: "payload is not UTF-8 despite a valid checksum".to_string(),
-        })?;
-        let value = serde_json::parse_value(text).map_err(|e| WalError::Corrupt {
-            offset: offset as u64,
-            reason: format!("payload is not valid JSON: {e}"),
-        })?;
-        let (seq, op) = WalOp::from_value(&value).map_err(|reason| WalError::Corrupt {
-            offset: offset as u64,
-            reason,
-        })?;
-        if seq != expected_seq {
-            return Err(WalError::Corrupt {
-                offset: offset as u64,
-                reason: format!("record carries seq {seq}, expected {expected_seq}"),
-            });
-        }
-        expected_seq += 1;
-        entries.push(WalEntry {
-            seq,
-            op,
-            end_offset: body_end as u64,
-        });
         offset = body_end;
     }
-    let end_offset = entries.last().map_or(HEADER_LEN, |e| e.end_offset);
-    Ok(WalReplay {
+    let end_offset = entries.last().map_or(records_start, |e| e.end_offset);
+    let replay = WalReplay {
         first_seq,
+        base,
         entries,
         torn_tail,
         end_offset,
-    })
+    };
+    Ok((replay, records_start))
+}
+
+/// The `op` of the base record.
+const BASE_OP: &str = "base";
+
+/// Frames one record payload; [`WalError::RecordTooLarge`] over the cap.
+fn encode_record(payload: &Value) -> Result<Vec<u8>, WalError> {
+    let payload = serde_json::to_string(payload).expect("record serialization is infallible");
+    if payload.len() > MAX_FRAME_LEN as usize {
+        return Err(WalError::RecordTooLarge {
+            bytes: payload.len(),
+            max: MAX_FRAME_LEN as usize,
+        });
+    }
+    Ok(encode_frame(payload.as_bytes()))
 }
 
 // ---------------------------------------------------------------------------
@@ -542,30 +558,52 @@ pub struct WriteAheadLog {
     next_seq: u64,
     /// Byte offset just past the last acknowledged frame.
     end: u64,
-    /// Set by the first failed write, fsync or rotation.
+    /// Byte offset where the records after the base start.
+    start: u64,
+    /// Set by the first failed write, fsync, or new log's rename or reopen.
     failed: bool,
 }
 
 impl WriteAheadLog {
     /// Creates a fresh log at `path` (replacing any existing file), with
-    /// records numbered from `0`.
+    /// records numbered from `0` and no base.
     ///
     /// # Errors
     ///
     /// [`WalError::Io`] if the file cannot be written or reopened.
     pub fn create(path: impl AsRef<Path>, _sync: SyncPolicy) -> Result<Self, WalError> {
-        Self::create_with_first_seq(path.as_ref().to_path_buf(), 0)
+        Self::headed(path.as_ref().to_path_buf(), None)
     }
 
-    /// Writes a header-only log whose first record will carry `first_seq`
-    /// through [`atomic_write`], then reopens it for appending: the handle
-    /// must refer to the file the next recovery reads.
-    fn create_with_first_seq(path: PathBuf, first_seq: u64) -> Result<Self, WalError> {
-        let mut header = Vec::with_capacity(HEADER_LEN as usize);
-        header.extend_from_slice(WAL_MAGIC);
-        header.extend_from_slice(&WAL_FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&first_seq.to_le_bytes());
-        atomic_write(&path, &header)?;
+    /// [`WriteAheadLog::create`], but the log opens with `base` when given.
+    pub(crate) fn headed(path: PathBuf, base: Option<&ServeBase>) -> Result<Self, WalError> {
+        let len = Self::stage(&path, 0, base)?;
+        Self::commit(path, 0, len)
+    }
+
+    /// Writes a log of records from `first_seq`, opened by `base` when
+    /// given, to the temp file beside `path`; returns its length.
+    fn stage(path: &Path, first_seq: u64, base: Option<&ServeBase>) -> Result<u64, WalError> {
+        let mut bytes = Vec::with_capacity(HEADER_LEN as usize);
+        bytes.extend_from_slice(WAL_MAGIC);
+        bytes.extend_from_slice(&WAL_FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&first_seq.to_le_bytes());
+        if let Some(base) = base {
+            bytes.extend(encode_record(&Value::Object(vec![
+                ("op".to_string(), BASE_OP.to_value()),
+                ("base".to_string(), base.to_value()),
+            ]))?);
+        }
+        #[cfg(test)]
+        fault::inject_file(path, &bytes)?;
+        write_temp(path, &bytes)?;
+        Ok(bytes.len() as u64)
+    }
+
+    /// Renames the staged `len`-byte log over `path` — the commit — and
+    /// reopens it, so the handle is the file the next recovery reads.
+    fn commit(path: PathBuf, first_seq: u64, len: u64) -> Result<Self, WalError> {
+        rename_temp(&path)?;
         #[cfg(test)]
         fault::inject(fault::Fault::Reopen, None)?;
         let file = OpenOptions::new().append(true).open(&path)?;
@@ -573,7 +611,8 @@ impl WriteAheadLog {
             file,
             path,
             next_seq: first_seq,
-            end: HEADER_LEN,
+            end: len,
+            start: len,
             failed: false,
         })
     }
@@ -590,7 +629,7 @@ impl WriteAheadLog {
     /// Everything [`replay`] reports, plus [`WalError::Io`].
     pub fn open(path: impl AsRef<Path>, _sync: SyncPolicy) -> Result<(Self, WalReplay), WalError> {
         let path = path.as_ref().to_path_buf();
-        let recovered = replay(&path)?;
+        let (recovered, records_start) = read(&path)?;
         let file = OpenOptions::new().append(true).open(&path)?;
         file.set_len(recovered.end_offset)?;
         file.sync_all()?;
@@ -600,6 +639,7 @@ impl WriteAheadLog {
                 path,
                 next_seq: recovered.next_seq(),
                 end: recovered.end_offset,
+                start: records_start,
                 failed: false,
             },
             recovered,
@@ -614,6 +654,11 @@ impl WriteAheadLog {
     /// Byte offset just past the last acknowledged frame: the log's size.
     pub(crate) fn end(&self) -> u64 {
         self.end
+    }
+
+    /// Size of the base record's frame in bytes; 0 for a log without one.
+    pub(crate) fn base_bytes(&self) -> u64 {
+        self.start - HEADER_LEN
     }
 
     /// `Err(`[`WalError::Failed`]`)` once the log has stopped.
@@ -638,15 +683,7 @@ impl WriteAheadLog {
     pub fn append(&mut self, op: &WalOp) -> Result<u64, WalError> {
         self.ensure_live()?;
         let seq = self.next_seq;
-        let payload =
-            serde_json::to_string(&op.to_value(seq)).expect("record serialization is infallible");
-        if payload.len() > MAX_FRAME_LEN as usize {
-            return Err(WalError::RecordTooLarge {
-                bytes: payload.len(),
-                max: MAX_FRAME_LEN as usize,
-            });
-        }
-        let frame = encode_frame(payload.as_bytes());
+        let frame = encode_record(&op.to_value(seq))?;
         if let Err(e) = self.write_and_sync(&frame) {
             // Best effort: if this fails too, the unacknowledged frame may
             // be replayed, as after a power cut.
@@ -669,20 +706,29 @@ impl WriteAheadLog {
         self.file.sync_all()
     }
 
-    /// Replaces the log with a fresh one starting at the current
-    /// `next_seq` — called right after a compaction base is written, so
-    /// records the base already folds in stop being replayed. A crash
-    /// mid-rotation leaves the old log, whose records the fresh base simply
-    /// skips.
+    /// Replaces the log with a fresh one without a base, whose records
+    /// start at the current `next_seq`. The new log is written and
+    /// fsynced beside the old one and renamed over it; the rename is the
+    /// commit.
     ///
     /// # Errors
     ///
-    /// [`WalError::Failed`] once the log has stopped. [`WalError::Io`] if
-    /// the replacement cannot be written or reopened; the log then stops,
-    /// since `path` may already name the fresh file.
+    /// [`WalError::Failed`] once the log has stopped. [`WalError::Io`] when
+    /// the new log cannot be written or fsynced: the old log is then whole
+    /// and live, and the call can be retried. [`WalError::Io`] when the
+    /// rename or the reopen fails: the log then stops, since `path` may
+    /// already name the new file.
     pub fn rotate(&mut self) -> Result<(), WalError> {
+        self.compact(None)
+    }
+
+    /// [`WriteAheadLog::rotate`], but the new log opens with `base` when
+    /// given, which must fold in every record logged so far. A base over
+    /// the frame cap is [`WalError::RecordTooLarge`], with nothing written.
+    pub(crate) fn compact(&mut self, base: Option<&ServeBase>) -> Result<(), WalError> {
         self.ensure_live()?;
-        *self = Self::create_with_first_seq(self.path.clone(), self.next_seq)
+        let len = Self::stage(&self.path, self.next_seq, base)?;
+        *self = Self::commit(self.path.clone(), self.next_seq, len)
             .inspect_err(|_| self.failed = true)?;
         Ok(())
     }
@@ -691,11 +737,6 @@ impl WriteAheadLog {
 /// The log path inside a WAL directory.
 pub fn wal_path(dir: impl AsRef<Path>) -> PathBuf {
     dir.as_ref().join(WAL_FILE_NAME)
-}
-
-/// The compaction-base path inside a WAL directory.
-pub fn base_path(dir: impl AsRef<Path>) -> PathBuf {
-    dir.as_ref().join(BASE_FILE_NAME)
 }
 
 /// Writes `file` into the WAL directory `dir` ([`ModelFile::save`]).
@@ -722,8 +763,8 @@ pub(crate) fn remove_models_except(dir: &Path, keep: &str) {
     }
 }
 
-/// Fault injection into the durable directory's I/O: one log or model-file
-/// write, fsync, or log reopen on the arming thread fails.
+/// Fault injection into the durable directory's I/O: one append, model-file
+/// or new-log write, fsync, or new-log reopen on the arming thread fails.
 #[cfg(test)]
 pub(crate) mod fault {
     use std::cell::Cell;
@@ -734,13 +775,13 @@ pub(crate) mod fault {
     /// The operation that fails.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub(crate) enum Fault {
-        /// An append writes half its frame, or a model-file write half its
-        /// bytes, then fails.
+        /// An append writes half its frame, or a model-file or new-log
+        /// write half its bytes, then fails.
         ShortWrite,
-        /// An append's or a model-file write's fsync fails after its bytes
-        /// are written.
+        /// An append's, a model file's or a new log's fsync fails after
+        /// its bytes are written.
         Fsync,
-        /// Reopening the log after its atomic replace fails.
+        /// Reopening a new log after its rename fails.
         Reopen,
     }
 
@@ -1020,6 +1061,43 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A base record is read only as a log's first frame, records after it
+    /// number from the header's `first_seq`, and the same frame anywhere
+    /// else is hard corruption.
+    #[test]
+    fn a_base_record_opens_a_log_and_nowhere_else() {
+        let mut memory = ShardedClassMemory::new(64, 2);
+        memory.add_class_packed("alpha", &[7]);
+        let base = ServeBase {
+            snapshot_version: 4,
+            publish_every: 3,
+            model_file: format!("model-{:016x}.bin", 1),
+            index: hdc_zsc::BaseIndex::Sharded(memory),
+            threshold: None,
+            stream: None,
+        };
+        let path = temp_wal("based.log");
+        let len = WriteAheadLog::stage(&path, 9, Some(&base)).expect("stage");
+        let mut wal = WriteAheadLog::commit(path.clone(), 9, len).expect("commit");
+        assert_eq!(wal.append(&sample_ops()[2]).expect("append"), 9);
+        drop(wal);
+        let (wal, replayed) = WriteAheadLog::open(&path, SyncPolicy::Always).expect("open");
+        assert_eq!(replayed.base.as_ref(), Some(&base));
+        assert_eq!(replayed.entries.len(), 1);
+        assert_eq!(wal.base_bytes(), len - HEADER_LEN);
+        drop(wal);
+        // The base's frame after the record: a base that is not first.
+        let bytes = std::fs::read(&path).expect("read");
+        let base_frame = &bytes[HEADER_LEN as usize..len as usize];
+        let mut moved = bytes[..HEADER_LEN as usize].to_vec();
+        moved.extend_from_slice(&bytes[len as usize..]);
+        moved.extend_from_slice(base_frame);
+        moved.extend_from_slice(base_frame);
+        std::fs::write(&path, &moved).expect("write");
+        assert!(matches!(replay(&path), Err(WalError::Corrupt { .. })));
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn rotation_renumbers_from_next_seq() {
         let path = temp_wal("rotate.log");
@@ -1079,7 +1157,8 @@ mod tests {
     #[test]
     fn sequence_discontinuities_are_hard_corruption() {
         let a = temp_wal("seq_a.log");
-        let mut wal = WriteAheadLog::create_with_first_seq(a.clone(), 5).expect("create");
+        let len = WriteAheadLog::stage(&a, 5, None).expect("stage");
+        let mut wal = WriteAheadLog::commit(a.clone(), 5, len).expect("create");
         wal.append(&WalOp::Remove {
             label: "x".to_string(),
         })

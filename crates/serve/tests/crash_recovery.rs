@@ -13,9 +13,7 @@
 
 use dataset::AttributeSchema;
 use engine::{PackedClassMemory, RoutedClassMemory, ShardedClassMemory};
-use hdc_zsc::{
-    Checkpoint, CheckpointDelta, CheckpointError, ModelConfig, ModelFile, ServeBase, ZscModel,
-};
+use hdc_zsc::{CheckpointError, ModelConfig, ModelFile, ZscModel};
 use proptest::prelude::*;
 use serve::{
     wal, DurabilityConfig, ModelSnapshot, QueryServer, ServeError, ServerConfig, StreamStats,
@@ -637,11 +635,12 @@ fn explicit_compaction_folds_the_log() {
 }
 
 /// A failed automatic compaction is not the mutation's failure: the
-/// mutation is already logged and published. With `base.json` blocked by a
-/// non-empty directory, mutations still return `Ok`, the compaction stays
-/// due (every later mutation retries it), an explicit `compact` reports
-/// the error, and once the blocker is gone `compact` succeeds and recovery
-/// matches the live snapshot.
+/// mutation is already logged and published. With the new log's temp file
+/// `wal.log.tmp` blocked by a non-empty directory, mutations still return
+/// `Ok` and are logged to the old log, the compaction stays due (every
+/// later mutation retries it), an explicit `compact` reports the error,
+/// and once the blocker is gone `compact` succeeds and recovery matches
+/// the live snapshot.
 #[test]
 fn failed_automatic_compaction_does_not_fail_the_mutation() {
     let dir = temp_dir("compact-fail");
@@ -659,10 +658,9 @@ fn failed_automatic_compaction_does_not_fail_the_mutation() {
         },
     )
     .expect("durable server starts");
-    let base = wal::base_path(&dir);
-    std::fs::remove_file(&base).expect("remove base");
-    std::fs::create_dir(&base).expect("block base");
-    std::fs::write(base.join("blocker"), b"x").expect("fill blocker");
+    let blocker = dir.join("wal.log.tmp");
+    std::fs::create_dir(&blocker).expect("block the new log");
+    std::fs::write(blocker.join("blocker"), b"x").expect("fill blocker");
 
     let published = server
         .register_class("c", &vec![0.25; a])
@@ -676,11 +674,11 @@ fn failed_automatic_compaction_does_not_fail_the_mutation() {
         "the compaction stays due"
     );
     assert!(
-        matches!(server.compact(), Err(ServeError::Checkpoint(_))),
+        matches!(server.compact(), Err(ServeError::Wal(wal::WalError::Io(_)))),
         "explicit compaction reports the failure"
     );
 
-    std::fs::remove_dir_all(&base).expect("unblock base");
+    std::fs::remove_dir_all(&blocker).expect("unblock the new log");
     assert!(server.compact().expect("compacts"));
     assert_eq!(stats(&server).records_since_compaction, 0);
     let expected = server.snapshot();
@@ -691,72 +689,6 @@ fn failed_automatic_compaction_does_not_fail_the_mutation() {
     assert_eq!(report.replayed_records, 0);
     assert_snapshots_match(&recovered.snapshot(), &expected, "post-retry recovery");
     drop(recovered);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A crash between compaction's two steps — the fresh base written, the
-/// log not yet rotated — leaves a base whose `next_record_seq` is past
-/// every record of the old log. Recovery skips them all (the base already
-/// folds them in) and keeps logging after them.
-#[test]
-fn crash_between_base_write_and_log_rotation_skips_folded_records() {
-    let dir = temp_dir("mid-compaction");
-    let a = alpha();
-    let mut lcg = Lcg(31);
-    let labels: Vec<String> = (0..3).map(|c| format!("class{c}")).collect();
-    let class_attributes = Matrix::from_rows(&(0..3).map(|_| lcg.attr_row(a)).collect::<Vec<_>>());
-    let server = QueryServer::start_durable(
-        model(17),
-        labels,
-        &class_attributes,
-        &schema(),
-        config(),
-        DurabilityConfig {
-            dir: dir.clone(),
-            sync: SyncPolicy::Always,
-            compact_every: 0,
-        },
-    )
-    .expect("durable server starts");
-    server
-        .register_class("hot", &lcg.attr_row(a))
-        .expect("registers");
-    server
-        .update_class("class1", &lcg.attr_row(a))
-        .expect("updates");
-    server
-        .observe("class2", &feature_row(&mut lcg))
-        .expect("observes");
-    server.set_threshold(-0.25).expect("sets threshold");
-    server.remove_class("class0").expect("removes");
-
-    let log_path = wal::wal_path(&dir);
-    let unrotated = std::fs::read(&log_path).expect("read log");
-    assert!(server.compact().expect("compacts"));
-    std::fs::write(&log_path, unrotated).expect("restore the unrotated log");
-    let expected = server.snapshot();
-    drop(server);
-
-    let (recovered, report) =
-        QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()))
-            .expect("recovers");
-    assert_eq!(
-        report.replayed_records, 0,
-        "the base already folds in every record of the old log"
-    );
-    assert_snapshots_match(&recovered.snapshot(), &expected, "mid-compaction recovery");
-    recovered
-        .register_class("after", &lcg.attr_row(a))
-        .expect("registers after recovery");
-    let expected = recovered.snapshot();
-    drop(recovered);
-
-    let (again, report) =
-        QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()))
-            .expect("recovers again");
-    assert_eq!(report.replayed_records, 1);
-    assert_snapshots_match(&again.snapshot(), &expected, "second recovery");
-    drop(again);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -777,10 +709,12 @@ fn model_files(dir: &std::path::Path) -> Vec<String> {
     names
 }
 
-/// The model file `base.json` names.
+/// The model file the log's base record names.
 fn base_model_file(dir: &std::path::Path) -> String {
-    ServeBase::load_json(wal::base_path(dir))
-        .expect("base loads")
+    wal::replay(wal::wal_path(dir))
+        .expect("log replays")
+        .base
+        .expect("the log opens with a base")
         .model_file
 }
 
@@ -833,8 +767,9 @@ fn a_crash_between_model_file_and_swap_record_recovers_the_pre_swap_state() {
     assert_eq!(base_model_file(&dir), swapped.name());
     let stats = recovered.durability_stats().expect("durable");
     assert_eq!(stats.model_bytes, swapped.bytes().len() as u64);
-    let base_len = std::fs::metadata(wal::base_path(&dir)).expect("base").len();
-    assert_eq!(stats.base_bytes, base_len);
+    let log_len = std::fs::metadata(wal::wal_path(&dir)).expect("log").len();
+    assert_eq!(stats.wal_bytes, log_len);
+    assert_eq!(log_len, 20 + stats.base_bytes, "the header, then the base");
     let expected = recovered.snapshot();
     drop(recovered);
     let (again, report) =
@@ -893,45 +828,6 @@ fn a_missing_or_corrupt_model_file_fails_recovery() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A directory an earlier build wrote holds a format-2 `serve-delta` base
-/// with the model embedded. This build refuses it by version before
-/// reading anything else.
-#[test]
-fn a_format_2_base_from_an_earlier_build_is_refused_by_version() {
-    let dir = temp_dir("format-2");
-    let a = alpha();
-    let m = model(41);
-    let memory = m.sharded_class_memory(["x", "y"], &Matrix::ones(2, a), 2);
-    std::fs::create_dir_all(&dir).expect("create dir");
-    CheckpointDelta {
-        snapshot_version: 3,
-        next_record_seq: 0,
-        base: Checkpoint::capture(&m, &schema()),
-        memory,
-        routed: None,
-        threshold: None,
-        stream: None,
-    }
-    .save_json(wal::base_path(&dir))
-    .expect("format-2 base saves");
-    drop(wal::WriteAheadLog::create(wal::wal_path(&dir), SyncPolicy::Always).expect("log"));
-    let recovered = QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()));
-    assert!(
-        matches!(
-            recovered,
-            Err(ServeError::Checkpoint(
-                CheckpointError::UnsupportedVersion {
-                    found: 2,
-                    supported: 3,
-                }
-            ))
-        ),
-        "got {:?}",
-        recovered.err()
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// A durable swap of a paper-shaped model (2048-d features to d = 1536,
 /// the CUB schema) is logged and recovers bit-identically: the record
 /// names the 12 MB model file instead of embedding it.
@@ -981,90 +877,6 @@ fn a_paper_shaped_swap_is_logged_and_recovers() {
     assert_eq!(bits(&got), bits(&swapped));
     drop(recovered);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Which saved file [`base_and_log_that_do_not_meet`] puts back.
-#[derive(Debug, Clone, Copy)]
-enum Restored {
-    /// `base.json` from before the second compaction: the log then starts
-    /// after the base ends.
-    OlderBase,
-    /// `wal.log` from before the second compaction: the log then ends
-    /// before the base does.
-    OlderLog,
-}
-
-/// Runs a durable server across two compactions, saving `base.json` and
-/// `wal.log` in between, then puts one of them back beside the other's
-/// newer version. Every state the server writes has
-/// `first_seq ≤ next_record_seq ≤ next_seq`; this one does not, so
-/// recovery must refuse it rather than lose records.
-fn base_and_log_that_do_not_meet(restored: Restored) {
-    let dir = temp_dir(&format!("mismatch-{restored:?}"));
-    let a = alpha();
-    let mut lcg = Lcg(43);
-    let server = QueryServer::start_durable(
-        model(23),
-        vec!["x".to_string(), "y".to_string()],
-        &Matrix::ones(2, a),
-        &schema(),
-        config(),
-        DurabilityConfig {
-            dir: dir.clone(),
-            sync: SyncPolicy::Always,
-            compact_every: 0,
-        },
-    )
-    .expect("durable server starts");
-    server
-        .register_class("r0", &lcg.attr_row(a))
-        .expect("registers");
-    assert!(server.compact().expect("compacts"));
-    for label in ["r1", "r2"] {
-        server
-            .register_class(label, &lcg.attr_row(a))
-            .expect("registers");
-    }
-    let (base, log) = (wal::base_path(&dir), wal::wal_path(&dir));
-    let saved = match restored {
-        Restored::OlderBase => (base, std::fs::read(wal::base_path(&dir)).expect("read")),
-        Restored::OlderLog => (log, std::fs::read(wal::wal_path(&dir)).expect("read")),
-    };
-    server
-        .register_class("r3", &lcg.attr_row(a))
-        .expect("registers");
-    assert!(server.compact().expect("compacts"));
-    server
-        .register_class("r4", &lcg.attr_row(a))
-        .expect("registers");
-    drop(server);
-
-    std::fs::write(&saved.0, &saved.1).expect("restore the older file");
-    let recovered = QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()));
-    assert!(
-        matches!(
-            recovered,
-            Err(ServeError::Wal(wal::WalError::Corrupt { .. }))
-        ),
-        "{restored:?}: expected a corrupt-log error, got {:?}",
-        recovered.map(|(_, report)| report)
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// An older `base.json` beside a newer log: the records between the base's
-/// end and the log's first record exist nowhere, so recovery is refused.
-#[test]
-fn recovery_refuses_a_log_that_starts_after_the_base_ends() {
-    base_and_log_that_do_not_meet(Restored::OlderBase);
-}
-
-/// An older `wal.log` beside a newer base: a writer resumed on it would
-/// hand out sequence numbers the next recovery skips as already folded, so
-/// recovery is refused.
-#[test]
-fn recovery_refuses_a_log_that_ends_before_the_base_does() {
-    base_and_log_that_do_not_meet(Restored::OlderLog);
 }
 
 /// Replay runs the same checks as the live verbs: a logged record the live
@@ -1246,6 +1058,89 @@ fn kill_and_recover_resumes_the_exact_stream_position() {
     );
 }
 
+/// Recovery needs no configuration to match: a server that streamed
+/// observes four per publication and was killed mid-batch recovers the
+/// acknowledged version, class words and batching position under another
+/// `publish_every`, because its log records the cadence it was written
+/// under. The recovered server then opens a fresh log under the new
+/// cadence and serves on under it, and recovers again under a third.
+#[test]
+fn recovery_under_another_publish_every_returns_the_acknowledged_state() {
+    let dir = temp_dir("cadence");
+    let a = alpha();
+    let labels: Vec<String> = (0..3).map(|c| format!("class{c}")).collect();
+    let mut lcg = Lcg(83);
+    let class_attributes = Matrix::from_rows(&(0..3).map(|_| lcg.attr_row(a)).collect::<Vec<_>>());
+    let with_cadence = |publish_every| ServerConfig {
+        publish_every,
+        ..config()
+    };
+    let durability = || DurabilityConfig {
+        compact_every: 0,
+        ..DurabilityConfig::new(dir.clone())
+    };
+    let server = QueryServer::start_durable(
+        model(53),
+        labels,
+        &class_attributes,
+        &schema(),
+        with_cadence(4),
+        durability(),
+    )
+    .expect("durable server starts");
+    // Ten observes: publications at #4 and #8, then two into the third
+    // batch.
+    for i in 0..10 {
+        let label = format!("class{}", i % 3);
+        server
+            .observe(&label, &feature_row(&mut lcg))
+            .expect("observe");
+    }
+    let acked = server.snapshot();
+    let acked_stream = server.stream_stats();
+    assert_eq!(acked.version(), 2);
+    assert_eq!(acked_stream.since_publish, 2);
+    drop(server);
+
+    let (recovered, report) = QueryServer::recover(&schema(), with_cadence(1), durability())
+        .expect("recovers under another cadence");
+    assert_eq!(report.snapshot_version, acked.version());
+    assert_eq!(report.replayed_records, 10);
+    assert_snapshots_match(&recovered.snapshot(), &acked, "cadence 4 → 1");
+    let stream = recovered.stream_stats();
+    assert_eq!(stream.since_publish, acked_stream.since_publish);
+    assert_eq!(stream.pending_classes, acked_stream.pending_classes);
+    // The recovered state now heads a fresh log of the new cadence.
+    let log = wal::replay(wal::wal_path(&dir)).expect("log replays");
+    assert_eq!(
+        log.base.expect("the log opens with a base").publish_every,
+        1
+    );
+    assert!(log.entries.is_empty());
+    assert_eq!(
+        recovered
+            .durability_stats()
+            .expect("durable")
+            .records_since_compaction,
+        0
+    );
+    // Under cadence 1 the next observe publishes the pending batch.
+    let published = recovered
+        .observe("class0", &feature_row(&mut lcg))
+        .expect("observe")
+        .expect("cadence 1 publishes every observe");
+    assert_eq!(published.version(), acked.version() + 1);
+    drop(recovered);
+
+    let (again, report) = QueryServer::recover(&schema(), with_cadence(3), durability())
+        .expect("recovers under a third cadence");
+    assert_eq!(report.snapshot_version, published.version());
+    assert_eq!(report.replayed_records, 1);
+    assert_snapshots_match(&again.snapshot(), &published, "cadence 1 → 3");
+    drop(again);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// One step of the property test's mutation script, covering every WAL
 /// record kind. The script is a pure function of the LCG state, so the same
 /// seed always produces the same server history.
@@ -1355,6 +1250,8 @@ proptest! {
             },
         )
         .expect("durable server starts");
+        // The log's header and base record: a cut there keeps no record.
+        let head = server.durability_stats().expect("durable").wal_bytes;
 
         // The reference timeline: the snapshot the server itself served,
         // and its stream counters, after 0, 1, … logged records.
@@ -1379,7 +1276,7 @@ proptest! {
         prop_assert_eq!(full.entries.len(), records);
         let cut = cut_sel % (records + 1);
         let offset = if cut == 0 {
-            20 // the 20-byte file header: magic + format + first_seq
+            head
         } else {
             full.entries[cut - 1].end_offset
         };

@@ -2,14 +2,17 @@
 //!
 //! A WAL directory written by one build must recover under the next, so the
 //! log's file header, the `[len][crc32][payload]` frames and the JSON
-//! payload of every record kind, the binary model file and the compaction
-//! base are a storage format. The fixtures hold the log after a fixed
-//! sequence of every record kind but swap, the log after a rotation plus
-//! one more append, a tiny model's `model-<fingerprint>.bin`, a sharded and
-//! a routed `base.json`, and the log after a swap, whose record names its
-//! model file. `model_format1.bin` is the same model in the retired
-//! format-1 layout, which must be refused by version; it is never
-//! rewritten.
+//! payload of every record kind, the base record included, and the binary
+//! model file are a storage format. The fixtures hold the log after a fixed
+//! sequence of every record kind but swap and base, the log after a
+//! rotation plus one more append, a tiny model's `model-<fingerprint>.bin`,
+//! a durable server's log right after its start, sharded and routed (the
+//! header and the base record), and its log after a swap, whose record
+//! names its model file. `model_format1.bin` is the same model in the
+//! retired format-1 layout, which must be refused by version, and
+//! `two_file/` is the directory an earlier build's durable start wrote, a
+//! `base.json` beside a log without a base, which must be refused; neither
+//! is ever rewritten.
 //!
 //! After an intentional format change, `WAL_LAYOUT_BLESS=1 cargo test -p
 //! serve --test wal_layout` rewrites the fixtures of the durable-directory
@@ -18,8 +21,8 @@
 use dataset::AttributeSchema;
 use engine::RoutedConfig;
 use hdc_zsc::{CheckpointError, ModelConfig, ModelFile, ZscModel};
-use serve::wal::{self, WalOp, WriteAheadLog};
-use serve::{DurabilityConfig, QueryServer, ServerConfig, SyncPolicy};
+use serve::wal::{self, WalError, WalOp, WriteAheadLog};
+use serve::{DurabilityConfig, QueryServer, ServeError, ServerConfig, SyncPolicy};
 use std::path::{Path, PathBuf};
 use tensor::Matrix;
 
@@ -177,8 +180,8 @@ fn model_files_bases_and_swap_records_are_pinned() {
         &std::fs::read(dir.join(&started[0])).expect("read model"),
     );
     pinned(
-        "base_sharded.json",
-        &std::fs::read(wal::base_path(&dir)).expect("read base"),
+        "headed_sharded.bin",
+        &std::fs::read(wal::wal_path(&dir)).expect("read log"),
     );
     server
         .swap_model(model(5, 8), labels(), &class_attributes())
@@ -193,8 +196,8 @@ fn model_files_bases_and_swap_records_are_pinned() {
     let dir = fresh_dir("routed");
     drop(start(&dir, 8, true));
     pinned(
-        "base_routed.json",
-        &std::fs::read(wal::base_path(&dir)).expect("read base"),
+        "headed_routed.bin",
+        &std::fs::read(wal::wal_path(&dir)).expect("read log"),
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -232,4 +235,43 @@ fn a_format_1_model_file_is_refused_by_version() {
         }) => {}
         other => panic!("expected UnsupportedVersion, got {:?}", other.map(|_| ())),
     }
+}
+
+/// The directory an earlier build's durable start wrote — `base.json`
+/// beside a header-only `wal.log`, and the model file — is refused by
+/// recovery with a typed error, since its log does not open with a base,
+/// and is not overwritten by a fresh durable start. There is no migration.
+#[test]
+fn a_two_file_directory_from_an_earlier_build_is_refused() {
+    let dir = fresh_dir("two-file");
+    std::fs::create_dir_all(&dir).expect("create dir");
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/wal_layout");
+    for (fixture, name) in [
+        ("two_file/base.json", "base.json"),
+        ("two_file/wal.log", "wal.log"),
+        ("model.bin", "model-e416c9221d7f395e.bin"),
+    ] {
+        std::fs::copy(fixtures.join(fixture), dir.join(name)).expect("copy fixture");
+    }
+    let config = ServerConfig {
+        threads: 1,
+        shards: 2,
+        ..ServerConfig::default()
+    };
+    match QueryServer::recover(&schema(), config, DurabilityConfig::new(&dir)) {
+        Err(ServeError::Wal(WalError::MissingBase)) => {}
+        other => panic!("expected MissingBase, got {:?}", other.map(|(_, r)| r)),
+    }
+    assert!(matches!(
+        QueryServer::start_durable(
+            model(3, 8),
+            labels(),
+            &class_attributes(),
+            &schema(),
+            config,
+            DurabilityConfig::new(&dir),
+        ),
+        Err(ServeError::InvalidConfig(_))
+    ));
+    std::fs::remove_dir_all(&dir).ok();
 }
