@@ -8,12 +8,11 @@
 //! the class decision end to end.
 
 use engine::Pool;
-use serde::{Deserialize, Serialize};
 use tensor::{ridge_solve, Matrix};
 
 /// A fitted DAP-style model: a ridge-regression attribute predictor
 /// `W ∈ R^{d×α}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DirectAttributePrediction {
     weights: Matrix,
 }

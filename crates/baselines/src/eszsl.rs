@@ -40,7 +40,7 @@ impl Default for EszslConfig {
 }
 
 /// A fitted ESZSL model: the bilinear compatibility matrix `V ∈ R^{d×α}`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Eszsl {
     compatibility: Matrix,
     config: EszslConfig,

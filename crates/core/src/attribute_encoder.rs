@@ -7,7 +7,7 @@ use hdc::{Codebook, CodebookMemory, HdcConfig};
 use nn::{ActivationKind, Layer, Mlp, ParamTensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{de, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use tensor::Matrix;
 
 /// Which attribute-encoder variant a model uses.
@@ -50,29 +50,13 @@ impl std::fmt::Display for AttributeEncoderKind {
 /// let class_attributes = Matrix::ones(3, 312);
 /// assert_eq!(encoder.encode_classes(&class_attributes).shape(), (3, 1536));
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HdcAttributeEncoder {
     groups: Codebook,
     values: Codebook,
     dictionary: Matrix,
     dim: usize,
     schema_counts: (usize, usize, usize),
-}
-
-/// Hand-written (instead of derived) so the cross-field invariants — the
-/// codebooks, the materialised dictionary and the schema counts must agree —
-/// are validated with typed errors on load.
-impl Deserialize for HdcAttributeEncoder {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "HdcAttributeEncoder")?;
-        let groups: Codebook = de::field(entries, "groups", "HdcAttributeEncoder")?;
-        let values: Codebook = de::field(entries, "values", "HdcAttributeEncoder")?;
-        let dictionary: Matrix = de::field(entries, "dictionary", "HdcAttributeEncoder")?;
-        let dim: usize = de::field(entries, "dim", "HdcAttributeEncoder")?;
-        let schema_counts: (usize, usize, usize) =
-            de::field(entries, "schema_counts", "HdcAttributeEncoder")?;
-        Self::from_parts(groups, values, dictionary, dim, schema_counts)
-    }
 }
 
 impl HdcAttributeEncoder {
@@ -139,53 +123,6 @@ impl HdcAttributeEncoder {
         })
     }
 
-    /// Assembles an encoder from its codebooks, its materialised
-    /// dictionary and the schema counts `(G, V, α)`, checking that they
-    /// agree and that the dictionary is ±1. The JSON loader builds HDC
-    /// encoders through it.
-    pub(crate) fn from_parts(
-        groups: Codebook,
-        values: Codebook,
-        dictionary: Matrix,
-        dim: usize,
-        schema_counts: (usize, usize, usize),
-    ) -> Result<Self, DeError> {
-        let type_err = |msg: String| DeError::new(msg).in_field("HdcAttributeEncoder");
-        if groups.dim() != dim || values.dim() != dim {
-            return Err(type_err(format!(
-                "codebook dims ({}, {}) do not match the encoder's {dim}",
-                groups.dim(),
-                values.dim()
-            )));
-        }
-        if groups.len() != schema_counts.0 || values.len() != schema_counts.1 {
-            return Err(type_err(format!(
-                "codebook sizes ({}, {}) do not match the schema counts ({}, {})",
-                groups.len(),
-                values.len(),
-                schema_counts.0,
-                schema_counts.1
-            )));
-        }
-        if dictionary.shape() != (schema_counts.2, dim) {
-            return Err(type_err(format!(
-                "dictionary shape {:?} does not match {} attributes × dim {dim}",
-                dictionary.shape(),
-                schema_counts.2
-            )));
-        }
-        if dictionary.as_slice().iter().any(|&v| v.abs() != 1.0) {
-            return Err(type_err("dictionary entries must be ±1".to_string()));
-        }
-        Ok(Self {
-            groups,
-            values,
-            dictionary,
-            dim,
-            schema_counts,
-        })
-    }
-
     /// Embedding dimensionality `d`.
     pub fn dim(&self) -> usize {
         self.dim
@@ -194,11 +131,6 @@ impl HdcAttributeEncoder {
     /// The attribute dictionary `B ∈ {−1,+1}^{α×d}` as a float matrix.
     pub fn dictionary(&self) -> &Matrix {
         &self.dictionary
-    }
-
-    /// The attribute dictionary, without the codebooks it was bound from.
-    pub(crate) fn into_dictionary(self) -> Matrix {
-        self.dictionary
     }
 
     /// The group codebook (28 atomic hypervectors for CUB).
@@ -244,37 +176,34 @@ impl HdcAttributeEncoder {
 /// The paper's *Trainable-MLP* reference attribute encoder: a 2-layer MLP
 /// mapping the `α`-dimensional class-attribute vector to the shared embedding
 /// space.
-#[derive(Debug, Clone, Serialize)]
+///
+/// The MLP only replaces the *class* encoder of phase III: phase II still
+/// pre-trains against a stationary HDC dictionary, the one an
+/// [`HdcAttributeEncoder`] of the same seed binds. The encoder holds it, so
+/// it is drawn from the seed wherever the encoder is built, and no model
+/// file stores it.
+#[derive(Debug, Clone)]
 pub struct MlpAttributeEncoder {
     mlp: Mlp,
     alpha: usize,
     dim: usize,
-}
-
-/// Hand-written (instead of derived) so the MLP's widths are validated
-/// against the declared `α → … → d` signature on load.
-impl Deserialize for MlpAttributeEncoder {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "MlpAttributeEncoder")?;
-        let mlp: Mlp = de::field(entries, "mlp", "MlpAttributeEncoder")?;
-        let alpha: usize = de::field(entries, "alpha", "MlpAttributeEncoder")?;
-        let dim: usize = de::field(entries, "dim", "MlpAttributeEncoder")?;
-        Self::from_parts(mlp, alpha, dim)
-    }
+    phase2_dictionary: Matrix,
 }
 
 impl MlpAttributeEncoder {
-    /// Wraps a trained MLP that maps `α = alpha` to `d = dim`. Both
-    /// checkpoint loaders build MLP encoders through it.
-    pub(crate) fn from_parts(mlp: Mlp, alpha: usize, dim: usize) -> Result<Self, DeError> {
-        if mlp.dims().first() != Some(&alpha) || mlp.dims().last() != Some(&dim) {
-            return Err(DeError::new(format!(
-                "MLP widths {:?} do not map α = {alpha} to d = {dim}",
-                mlp.dims()
-            ))
-            .in_field("MlpAttributeEncoder"));
+    /// Wraps a trained MLP, drawing the phase-II dictionary from `seed`
+    /// as [`MlpAttributeEncoder::new`] does. The model file loader builds
+    /// MLP encoders through it.
+    pub(crate) fn from_mlp(mlp: Mlp, schema: &AttributeSchema, seed: u64) -> Self {
+        let dims = mlp.dims();
+        let (alpha, dim) = (dims[0], dims[dims.len() - 1]);
+        let phase2_dictionary = HdcAttributeEncoder::new(schema, dim, seed).dictionary;
+        Self {
+            mlp,
+            alpha,
+            dim,
+            phase2_dictionary,
         }
-        Ok(Self { mlp, alpha, dim })
     }
 
     /// Builds the MLP `α → hidden → d` with ReLU in between.
@@ -283,10 +212,13 @@ impl MlpAttributeEncoder {
     ///
     /// Panics if any dimension is zero.
     pub fn new(schema: &AttributeSchema, hidden: usize, dim: usize, seed: u64) -> Self {
-        let alpha = schema.num_attributes();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mlp = Mlp::new(&[alpha, hidden, dim], ActivationKind::Relu, &mut rng);
-        Self { mlp, alpha, dim }
+        let mlp = Mlp::new(
+            &[schema.num_attributes(), hidden, dim],
+            ActivationKind::Relu,
+            &mut rng,
+        );
+        Self::from_mlp(mlp, schema, seed)
     }
 
     /// Embedding dimensionality `d`.
@@ -364,46 +296,6 @@ pub enum AttributeEncoder {
     Mlp(MlpAttributeEncoder),
 }
 
-/// Checkpoint format: the encoder kind plus exactly one populated payload
-/// field (the derive macro only supports unit enums, so the data-carrying
-/// variant is encoded by hand).
-impl Serialize for AttributeEncoder {
-    fn to_value(&self) -> Value {
-        let (hdc, mlp) = match self {
-            AttributeEncoder::Hdc(e) => (Some(e.to_value()), None),
-            AttributeEncoder::Mlp(e) => (None, Some(e.to_value())),
-        };
-        Value::Object(vec![
-            ("kind".to_string(), self.kind().to_value()),
-            ("hdc".to_string(), hdc.unwrap_or(Value::Null)),
-            ("mlp".to_string(), mlp.unwrap_or(Value::Null)),
-        ])
-    }
-}
-
-impl Deserialize for AttributeEncoder {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "AttributeEncoder")?;
-        let kind: AttributeEncoderKind = de::field(entries, "kind", "AttributeEncoder")?;
-        match kind {
-            AttributeEncoderKind::Hdc => {
-                let payload: Option<HdcAttributeEncoder> =
-                    de::field(entries, "hdc", "AttributeEncoder")?;
-                payload.map(AttributeEncoder::Hdc).ok_or_else(|| {
-                    DeError::missing_field("hdc", "AttributeEncoder").in_field("AttributeEncoder")
-                })
-            }
-            AttributeEncoderKind::TrainableMlp => {
-                let payload: Option<MlpAttributeEncoder> =
-                    de::field(entries, "mlp", "AttributeEncoder")?;
-                payload.map(AttributeEncoder::Mlp).ok_or_else(|| {
-                    DeError::missing_field("mlp", "AttributeEncoder").in_field("AttributeEncoder")
-                })
-            }
-        }
-    }
-}
-
 impl AttributeEncoder {
     /// Builds an encoder of the requested kind.
     pub fn build(
@@ -443,6 +335,15 @@ impl AttributeEncoder {
         match self {
             AttributeEncoder::Hdc(e) => e.dictionary().rows(),
             AttributeEncoder::Mlp(e) => e.alpha(),
+        }
+    }
+
+    /// The stationary dictionary phase II pre-trains against: the HDC
+    /// encoder's own, or the one the MLP variant draws from its seed.
+    pub(crate) fn phase2_dictionary(&self) -> &Matrix {
+        match self {
+            AttributeEncoder::Hdc(e) => &e.dictionary,
+            AttributeEncoder::Mlp(e) => &e.phase2_dictionary,
         }
     }
 

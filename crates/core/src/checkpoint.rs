@@ -21,19 +21,20 @@
 //!
 //! One JSON envelope remains, with a `format_version` checked before its
 //! payload and a `kind` discriminator: the standalone [`CheckpointDelta`]
-//! (version 2, kind `"serve-delta"`) — a model [`Checkpoint`] plus class
-//! state, the serving layer's compaction base before format 3. A document
-//! of another kind fails with [`CheckpointError::WrongKind`], of another
-//! version with [`CheckpointError::UnsupportedVersion`]. A delta must carry
-//! its `routed`, `threshold` and `stream` keys — the writer always emits
-//! them, as `null` when empty — so a missing one is
+//! (version 3, kind `"serve-delta"`) — class state plus the [`ModelFile`]
+//! of the model that encodes it, embedded as
+//! `{"model_file": <name>, "bytes": <lowercase hex>}`. A document of
+//! another kind fails with [`CheckpointError::WrongKind`], of another
+//! version (the version-2 documents that embedded the model as decimal
+//! JSON included) with [`CheckpointError::UnsupportedVersion`]. A delta
+//! must carry its `routed`, `threshold` and `stream` keys — the writer
+//! always emits them, as `null` when empty — so a missing one is
 //! [`CheckpointError::Malformed`]. A [`ServeBase`] has no envelope: it is
 //! a record of the write-ahead log, whose frame and position say what it
 //! is.
 //!
-//! Both are written as compact JSON, with no whitespace between tokens.
-//! The loaders ignore whitespace, so pretty-printed documents that earlier
-//! builds wrote load unchanged.
+//! Both are written as compact JSON, with no whitespace between tokens;
+//! the loaders ignore whitespace.
 //!
 //! All saves are atomic ([`write_temp`], then [`rename_temp`]): the bytes
 //! are written to a sibling `.tmp` file, fsynced, and `rename`d over the
@@ -55,7 +56,7 @@
 use crate::attribute_encoder::{AttributeEncoder, HdcAttributeEncoder, MlpAttributeEncoder};
 use crate::config::ModelConfig;
 use crate::image_encoder::ImageEncoder;
-use crate::model::{mlp_phase2_dictionary, ZscModel};
+use crate::model::{attribute_encoder_seed, ZscModel};
 use dataset::AttributeSchema;
 use engine::{RoutedClassMemory, ShardedClassMemory};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -63,9 +64,9 @@ use std::io::Write;
 use std::path::Path;
 use tensor::Matrix;
 
-/// Version of the [`CheckpointDelta`] layout and of the [`Checkpoint`]
-/// it embeds; the only version this build reads.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
+/// Version of the [`CheckpointDelta`] layout; the only version this build
+/// reads.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 /// `kind` discriminator of a serve-time checkpoint delta.
 const KIND_DELTA: &str = "serve-delta";
@@ -219,80 +220,68 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// A model in the JSON layout a [`CheckpointDelta`] embeds: the weights
-/// with the configuration, feature width and schema fingerprint they were
-/// built against. Models are saved, loaded and shipped as [`ModelFile`]s;
-/// this type exists for the standalone delta document.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The model a [`CheckpointDelta`] embeds: its [`ModelFile`], written
+/// into the document as `{"model_file": <name>, "bytes": <lowercase hex>}`.
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Layout version; always [`CHECKPOINT_FORMAT_VERSION`].
-    pub format_version: u32,
-    /// The configuration the model was constructed from.
-    pub model_config: ModelConfig,
-    /// Backbone feature width `d'` the model ingests.
-    pub feature_dim: usize,
-    /// Shape of the attribute schema the model was trained against.
-    pub schema: SchemaFingerprint,
-    /// The model weights.
-    pub model: ZscModel,
+    /// The model file.
+    pub file: ModelFile,
 }
 
 impl Checkpoint {
-    /// Captures a model (cloning its weights) together with the schema it
-    /// was trained against.
+    /// Encodes a model, trained against `schema`, into its model file.
     pub fn capture(model: &ZscModel, schema: &AttributeSchema) -> Self {
         Self {
-            format_version: CHECKPOINT_FORMAT_VERSION,
-            model_config: *model.config(),
-            feature_dim: model.image_encoder().feature_dim(),
-            schema: SchemaFingerprint::of(schema),
-            model: model.clone(),
+            file: ModelFile::encode(model, schema),
         }
     }
 
-    /// Envelope-level consistency: the fields outside the model payload must
-    /// agree with the payload itself.
-    fn validate_internal(&self) -> Result<(), CheckpointError> {
-        let model_feature_dim = self.model.image_encoder().feature_dim();
-        if self.feature_dim != model_feature_dim {
-            return Err(CheckpointError::DimensionMismatch {
-                what: "backbone feature width",
-                expected: self.feature_dim,
-                found: model_feature_dim,
-            });
+    fn to_value(&self) -> Value {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let bytes = self.file.bytes();
+        let mut hex = String::with_capacity(2 * bytes.len());
+        for &b in bytes {
+            hex.push(char::from(DIGITS[usize::from(b >> 4)]));
+            hex.push(char::from(DIGITS[usize::from(b & 0xF)]));
         }
-        check_attribute_count(&self.model, self.schema.attributes)?;
-        if self.model_config != *self.model.config() {
+        Value::Object(vec![
+            ("model_file".to_string(), self.file.name().to_value()),
+            ("bytes".to_string(), Value::String(hex)),
+        ])
+    }
+
+    /// Parses the embedded model file and checks its frame
+    /// ([`ModelFile::frame`]); returns it with its embedding width. No
+    /// model is built: nothing reads one from a delta.
+    fn from_value(value: &Value) -> Result<(Self, usize), CheckpointError> {
+        let name: String = field(value, "model_file")?;
+        let hex: String = field(value, "bytes")?;
+        if !hex.len().is_multiple_of(2) {
             return Err(CheckpointError::Malformed(
-                "envelope model_config disagrees with the model payload".to_string(),
+                "model file bytes have an odd number of hex digits".to_string(),
             ));
         }
-        Ok(())
+        let digit = |c: u8| match c {
+            b'0'..=b'9' => Ok(c - b'0'),
+            b'a'..=b'f' => Ok(c - b'a' + 10),
+            _ => Err(CheckpointError::Malformed(format!(
+                "model file bytes hold `{}`, not a lowercase hex digit",
+                char::from(c)
+            ))),
+        };
+        let bytes = hex
+            .as_bytes()
+            .chunks_exact(2)
+            .map(|pair| Ok(digit(pair[0])? << 4 | digit(pair[1])?))
+            .collect::<Result<Vec<u8>, CheckpointError>>()?;
+        let embedding_dim = ModelFile::frame(&name, &bytes)?.embedding_dim();
+        Ok((
+            Self {
+                file: ModelFile { name, bytes },
+            },
+            embedding_dim,
+        ))
     }
-}
-
-/// The model's phase-II dictionary and its attribute encoder must both be
-/// `attributes` (α) wide. Without the encoder check an internally
-/// consistent but differently sized encoder would pass load and panic at
-/// the first query instead of failing typed.
-fn check_attribute_count(model: &ZscModel, attributes: usize) -> Result<(), CheckpointError> {
-    let dictionary_rows = model.phase2_dictionary().rows();
-    if dictionary_rows != attributes {
-        return Err(CheckpointError::DimensionMismatch {
-            what: "attribute count α",
-            expected: attributes,
-            found: dictionary_rows,
-        });
-    }
-    let encoder_alpha = model.attribute_encoder().num_attributes();
-    if encoder_alpha != attributes {
-        return Err(CheckpointError::DimensionMismatch {
-            what: "attribute encoder α",
-            expected: attributes,
-            found: encoder_alpha,
-        });
-    }
-    Ok(())
 }
 
 /// The `name` entry of a JSON object, decoded; a missing or ill-typed one
@@ -394,14 +383,14 @@ pub struct StreamCheckpoint {
     pub since_publish: u64,
 }
 
-/// A model [`Checkpoint`] plus the exact sharded class memory at a known
-/// snapshot version, with the write-ahead log sequence number the memory
-/// already folds in: the serving layer's compaction base before format 3,
-/// which embedded the whole model in every base. The serving layer now
-/// writes a [`ServeBase`] naming a [`ModelFile`] instead; this type stays
-/// as a standalone document.
+/// The exact sharded class memory at a known snapshot version, the
+/// write-ahead log sequence number the memory already folds in, and the
+/// [`Checkpoint`] of the model that encodes it: the serving layer's
+/// compaction base before the write-ahead log held its own. The serving
+/// layer now writes a [`ServeBase`] naming a [`ModelFile`] instead; this
+/// type stays as a standalone document.
 ///
-/// Serialized as a version-2 envelope with `kind: "serve-delta"`, so it can
+/// Serialized as a version-3 envelope with `kind: "serve-delta"`, so it can
 /// never be confused with another document.
 #[derive(Debug, Clone)]
 pub struct CheckpointDelta {
@@ -435,7 +424,7 @@ pub struct CheckpointDelta {
 }
 
 impl CheckpointDelta {
-    /// Renders the delta as compact JSON (version-2 envelope, kind
+    /// Renders the delta as compact JSON (version-3 envelope, kind
     /// `"serve-delta"`).
     pub fn to_json(&self) -> String {
         let value = Value::Object(vec![
@@ -452,7 +441,7 @@ impl CheckpointDelta {
                 "next_record_seq".to_string(),
                 self.next_record_seq.to_value(),
             ),
-            ("base".to_string(), Serialize::to_value(&self.base)),
+            ("base".to_string(), self.base.to_value()),
             ("memory".to_string(), self.memory.to_value()),
             ("routed".to_string(), self.routed.to_value()),
             ("threshold".to_string(), self.threshold.to_value()),
@@ -462,8 +451,10 @@ impl CheckpointDelta {
     }
 
     /// Parses a delta from a JSON string, validating the envelope (version
-    /// checked before the payload, kind must be `"serve-delta"`), the model
-    /// payload, the memory's structural invariants, that the memory's
+    /// checked before the payload, kind must be `"serve-delta"`), the
+    /// embedded model file up to its tensor table (what
+    /// [`ModelFile::decode`] checks before it needs a schema; no model is
+    /// built), the memory's structural invariants, that the memory's
     /// prototype dimensionality matches the model's embedding width, that
     /// the routed index holds exactly the memory's classes with the same
     /// words, and that the stream counters name only classes the memory
@@ -472,11 +463,13 @@ impl CheckpointDelta {
     /// # Errors
     ///
     /// [`CheckpointError::Malformed`] for syntactically or structurally
-    /// invalid documents, [`CheckpointError::UnsupportedVersion`] for
-    /// another layout version, [`CheckpointError::WrongKind`] for another
-    /// envelope, [`CheckpointError::DimensionMismatch`] when the model's
-    /// parts, the memory, routed index or stream counters do not fit each
-    /// other, and [`CheckpointError::Malformed`] when a `routed`, `threshold` or
+    /// invalid documents (model file bytes that are not lowercase hex
+    /// included), [`CheckpointError::UnsupportedVersion`] for another
+    /// layout version, [`CheckpointError::WrongKind`] for another envelope,
+    /// what [`ModelFile::decode`] reports for a damaged frame,
+    /// [`CheckpointError::DimensionMismatch`] when the memory, routed index
+    /// or stream counters do not fit each other or the model, and
+    /// [`CheckpointError::Malformed`] when a `routed`, `threshold` or
     /// `stream` key is missing, the routed index disagrees with the
     /// memory's classes or words, or the stream counters name a class the
     /// memory does not hold.
@@ -484,8 +477,10 @@ impl CheckpointDelta {
         let value =
             serde_json::parse_value(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
         expect_envelope(&value, CHECKPOINT_FORMAT_VERSION, KIND_DELTA)?;
-        let base: Checkpoint = field(&value, "base")?;
-        base.validate_internal()?;
+        let base = value
+            .get("base")
+            .ok_or_else(|| CheckpointError::Malformed("missing `base`".to_string()))?;
+        let (base, embedding_dim) = Checkpoint::from_value(base)?;
         let memory: ShardedClassMemory = field(&value, "memory")?;
         let routed: Option<RoutedClassMemory> = field(&value, "routed")?;
         if let Some(routed) = routed.as_ref().map(RoutedClassMemory::as_sharded) {
@@ -512,7 +507,7 @@ impl CheckpointDelta {
         let threshold: Option<f32> = field(&value, "threshold")?;
         let stream: Option<StreamCheckpoint> = field(&value, "stream")?;
         validate_class_state(&memory, threshold, stream.as_ref())?;
-        check_prototype_dim(&memory, &base.model)?;
+        check_prototype_dim(&memory, embedding_dim)?;
         Ok(Self {
             snapshot_version: field(&value, "snapshot_version")?,
             next_record_seq: field(&value, "next_record_seq")?,
@@ -593,12 +588,12 @@ fn validate_class_state(
 /// The memory's prototypes must be as wide as the model's embeddings.
 fn check_prototype_dim(
     memory: &ShardedClassMemory,
-    model: &ZscModel,
+    embedding_dim: usize,
 ) -> Result<(), CheckpointError> {
-    if memory.dim() != model.embedding_dim() {
+    if memory.dim() != embedding_dim {
         return Err(CheckpointError::DimensionMismatch {
             what: "class prototype dimensionality",
-            expected: model.embedding_dim(),
+            expected: embedding_dim,
             found: memory.dim(),
         });
     }
@@ -740,7 +735,7 @@ impl ServeBase {
     /// [`CheckpointError::DimensionMismatch`] when the prototypes are not
     /// as wide as the model's embeddings.
     pub fn validate_model(&self, model: &ZscModel) -> Result<(), CheckpointError> {
-        check_prototype_dim(self.index.memory(), model)
+        check_prototype_dim(self.index.memory(), model.embedding_dim())
     }
 }
 
@@ -1169,30 +1164,13 @@ impl ModelFile {
         Self::decode(name, &std::fs::read(dir.join(name))?, schema)
     }
 
-    /// Decodes the bytes of the model file `name` into the model, checked
-    /// against the schema it is to be served with: the format version, the
-    /// frame's length and CRC-64, that `name` carries that CRC-64, the
-    /// schema fingerprint and every dimension. The HDC dictionary is bound
-    /// from the loaded codebooks along `schema`'s pairs.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::ChecksumMismatch`] and
-    /// [`CheckpointError::FingerprintMismatch`] for damaged or substituted
-    /// bytes, [`CheckpointError::UnsupportedVersion`] for another layout
-    /// (format 1 included), [`CheckpointError::Malformed`] for a wrong
-    /// magic, a truncated file, a bad name or header, a tensor table that
-    /// does not fit the model, or a tensor dimension over
-    /// [`MAX_MODEL_DIM`] (refused before anything is allocated for it),
-    /// [`CheckpointError::SchemaMismatch`]
-    /// when the model was trained against another schema, and
-    /// [`CheckpointError::DimensionMismatch`] when the header, the
-    /// codebooks and the weights disagree.
-    pub fn decode(
-        name: &str,
-        bytes: &[u8],
-        schema: &AttributeSchema,
-    ) -> Result<ZscModel, CheckpointError> {
+    /// Checks the frame of the model file `name` without building the
+    /// model: the magic, the format version, the frame's length and
+    /// CRC-64, that `name` carries that CRC-64, and that the header parses
+    /// and its tensor table, no dimension over [`MAX_MODEL_DIM`], covers
+    /// the tensor bytes exactly. [`ModelFile::decode`] starts here; a
+    /// [`CheckpointDelta`] runs only this.
+    fn frame<'a>(name: &str, bytes: &'a [u8]) -> Result<Frame<'a>, CheckpointError> {
         let malformed = |reason: &str| CheckpointError::Malformed(format!("model file {reason}"));
         if bytes.len() < 8 || &bytes[..8] != MODEL_FILE_MAGIC {
             return Err(malformed("lacks its magic bytes"));
@@ -1232,8 +1210,41 @@ impl ModelFile {
             .ok_or_else(|| malformed("ends inside its header"))?;
         let header = std::str::from_utf8(&payload[4..4 + header_len])
             .map_err(|_| malformed("header is not UTF-8"))?;
-        let header: ModelFileHeader = serde_json::from_str(header)
+        let mut header: ModelFileHeader = serde_json::from_str(header)
             .map_err(|e| CheckpointError::Malformed(format!("model file header: {e}")))?;
+        let table = std::mem::take(&mut header.tensors);
+        let tensors = Tensors::split(table, &payload[4 + header_len..])?;
+        Ok(Frame { header, tensors })
+    }
+
+    /// Decodes the bytes of the model file `name` into the model, checked
+    /// against the schema it is to be served with: the format version, the
+    /// frame's length and CRC-64, that `name` carries that CRC-64, the
+    /// schema fingerprint and every dimension. The HDC dictionary is bound
+    /// from the loaded codebooks along `schema`'s pairs.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::ChecksumMismatch`] and
+    /// [`CheckpointError::FingerprintMismatch`] for damaged or substituted
+    /// bytes, [`CheckpointError::UnsupportedVersion`] for another layout
+    /// (format 1 included), [`CheckpointError::Malformed`] for a wrong
+    /// magic, a truncated file, a bad name or header, a tensor table that
+    /// does not fit the model, or a tensor dimension over
+    /// [`MAX_MODEL_DIM`] (refused before anything is allocated for it),
+    /// [`CheckpointError::SchemaMismatch`]
+    /// when the model was trained against another schema, and
+    /// [`CheckpointError::DimensionMismatch`] when the header, the
+    /// codebooks and the weights disagree.
+    pub fn decode(
+        name: &str,
+        bytes: &[u8],
+        schema: &AttributeSchema,
+    ) -> Result<ZscModel, CheckpointError> {
+        let Frame {
+            header,
+            mut tensors,
+        } = Self::frame(name, bytes)?;
         let requested = SchemaFingerprint::of(schema);
         if header.schema != requested {
             return Err(CheckpointError::SchemaMismatch {
@@ -1241,7 +1252,6 @@ impl ModelFile {
                 requested,
             });
         }
-        let mut tensors = Tensors::split(header.tensors, &payload[4 + header_len..])?;
         let parts = |e: DeError| CheckpointError::Malformed(e.to_string());
         let projection = match tensors.take("projection.weight") {
             Some((entry, bytes)) => {
@@ -1252,14 +1262,12 @@ impl ModelFile {
             None => None,
         };
         let image_encoder =
-            ImageEncoder::from_parts(header.backbone, header.feature_dim, projection)
-                .map_err(parts)?;
-        let (attribute_encoder, phase2_dictionary) = match header.mlp_activation {
+            ImageEncoder::from_parts(header.backbone, header.feature_dim, projection)?;
+        let attribute_encoder = match header.mlp_activation {
             None => {
                 let groups = tensors.codebook(CODEBOOKS[0])?;
                 let values = tensors.codebook(CODEBOOKS[1])?;
-                let hdc = HdcAttributeEncoder::from_codebooks(groups, values, schema)?;
-                (AttributeEncoder::Hdc(hdc), None)
+                AttributeEncoder::Hdc(HdcAttributeEncoder::from_codebooks(groups, values, schema)?)
             }
             Some(activation) => {
                 let mut layers = Vec::new();
@@ -1277,24 +1285,38 @@ impl ModelFile {
                     .collect();
                 dims.extend(layers.iter().map(nn::Linear::out_features));
                 let mlp = nn::Mlp::try_from_layers(dims, activation, layers).map_err(parts)?;
-                let (alpha, dim) = (mlp.dims()[0], mlp.dims()[mlp.dims().len() - 1]);
-                let encoder = MlpAttributeEncoder::from_parts(mlp, alpha, dim).map_err(parts)?;
-                let phase2 = mlp_phase2_dictionary(schema, dim, &header.model_config);
-                (AttributeEncoder::Mlp(encoder), Some(phase2))
+                let seed = attribute_encoder_seed(&header.model_config);
+                AttributeEncoder::Mlp(MlpAttributeEncoder::from_mlp(mlp, schema, seed))
             }
         };
         tensors.finish()?;
-        let model = ZscModel::from_parts(
+        ZscModel::from_parts(
             header.model_config,
+            schema,
             image_encoder,
             attribute_encoder,
-            phase2_dictionary,
             f32::from_bits(header.temperature_bits),
             header.temperature_learnable,
         )
-        .map_err(parts)?;
-        check_attribute_count(&model, requested.attributes)?;
-        Ok(model)
+    }
+}
+
+/// A model file whose frame [`ModelFile::frame`] has checked: its header
+/// (the tensor table moved out) and its tensors.
+struct Frame<'a> {
+    header: ModelFileHeader,
+    tensors: Tensors<'a>,
+}
+
+impl Frame<'_> {
+    /// The width of the model's embeddings: its projection's output, or
+    /// the feature width without one.
+    fn embedding_dim(&self) -> usize {
+        self.tensors
+            .entries
+            .iter()
+            .find(|(entry, _)| entry.name == "projection.weight")
+            .map_or(self.header.feature_dim, |(entry, _)| entry.cols)
     }
 }
 
@@ -1405,8 +1427,27 @@ mod tests {
         assert_eq!(entries.len() + 1, before, "`{key}` removed once");
     }
 
-    /// A delta document an earlier build wrote, pretty-printed.
+    /// A version-2 delta document an earlier build wrote, pretty-printed.
     const PRETTY_DELTA: &str = include_str!("../tests/pretty_v2/delta.json");
+
+    /// A delta of the fixture model over three classes, with every
+    /// optional key `null`.
+    fn fresh_delta() -> CheckpointDelta {
+        let s = schema();
+        let model = fixture_model(AttributeEncoderKind::Hdc);
+        let mut rng = StdRng::seed_from_u64(11);
+        let class_attributes = Matrix::random_uniform(3, 312, 0.5, &mut rng).map(f32::abs);
+        let labels: Vec<String> = (0..3).map(|c| format!("class{c}")).collect();
+        CheckpointDelta {
+            snapshot_version: 2,
+            next_record_seq: 5,
+            base: Checkpoint::capture(&model, &s),
+            memory: model.sharded_class_memory(labels, &class_attributes, 2),
+            routed: None,
+            threshold: None,
+            stream: None,
+        }
+    }
 
     /// A model file framed around `payload`: a correct length, CRC-64 and
     /// name, so only what the payload says is checked.
@@ -1489,7 +1530,7 @@ mod tests {
     /// fails typed.
     #[test]
     fn version_1_documents_are_rejected() {
-        let v1 = edited(PRETTY_DELTA, |doc| {
+        let v1 = edited(&fresh_delta().to_json(), |doc| {
             *entry(doc, "format_version") = Value::Number(1.0);
             remove(doc, "kind");
         });
@@ -1511,7 +1552,8 @@ mod tests {
     /// different envelope, not a malformed delta.
     #[test]
     fn wrong_kind_is_rejected() {
-        let model_kind = edited(PRETTY_DELTA, |doc| {
+        let json = fresh_delta().to_json();
+        let model_kind = edited(&json, |doc| {
             *entry(doc, "kind") = Value::String("model".to_string());
         });
         match CheckpointDelta::from_json_str(&model_kind) {
@@ -1521,7 +1563,7 @@ mod tests {
             }
             other => panic!("expected WrongKind, got {:?}", other.map(|_| ())),
         }
-        let missing_kind = edited(PRETTY_DELTA, |doc| remove(doc, "kind"));
+        let missing_kind = edited(&json, |doc| remove(doc, "kind"));
         assert!(matches!(
             CheckpointDelta::from_json_str(&missing_kind),
             Err(CheckpointError::Malformed(_))
@@ -1551,10 +1593,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Delta round trip: memory (shard assignment included) and sequence
-    /// bookkeeping survive bit-exactly, the `routed`, `threshold` and
-    /// `stream` keys are required (as `null` when empty), and a delta is
-    /// not a serve base.
+    /// Delta round trip: the embedded model file, memory (shard assignment
+    /// included) and sequence bookkeeping survive bit-exactly, the
+    /// `routed`, `threshold` and `stream` keys are required (as `null` when
+    /// empty), and a delta is not a serve base.
     #[test]
     fn delta_round_trips_and_kinds_do_not_cross() {
         let s = schema();
@@ -1604,11 +1646,8 @@ mod tests {
         );
         assert_eq!(restored.routed.as_ref(), Some(&routed));
         assert_eq!(restored.stream.as_ref(), Some(&stream));
-        assert_eq!(
-            restored.base.schema,
-            SchemaFingerprint::of(&s),
-            "schema preserved"
-        );
+        assert_eq!(restored.base.file.name(), delta.base.file.name());
+        assert!(restored.base.file.bytes() == delta.base.file.bytes());
         // Empty optional state is written as explicit nulls and loads back
         // as `None`; a missing key is malformed.
         let empty = CheckpointDelta {
@@ -1754,6 +1793,89 @@ mod tests {
         ));
     }
 
+    /// A delta whose embedded model file is damaged is refused with a
+    /// typed error, never a panic: bytes that are not lowercase hex, a
+    /// flipped or a missing byte, a name that does not carry the file's
+    /// CRC-64, and a model whose embeddings are not as wide as the
+    /// memory's prototypes.
+    #[test]
+    fn delta_rejects_hostile_model_files() {
+        let delta = fresh_delta();
+        let json = delta.to_json();
+        let file = &delta.base.file;
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let good = hex(file.bytes());
+        let mut flipped = file.bytes().to_vec();
+        *flipped.last_mut().expect("non-empty") ^= 0x01;
+        let narrow = ModelFile::encode(
+            &ZscModel::new(&ModelConfig::tiny().with_embedding_dim(32), &schema(), 48),
+            &schema(),
+        );
+        type Expect = fn(&CheckpointError) -> bool;
+        let cases: [(&str, &str, String, Expect); 7] = [
+            (
+                "odd-length hex",
+                file.name(),
+                good[1..].to_string(),
+                |e| matches!(e, CheckpointError::Malformed(m) if m.contains("odd")),
+            ),
+            (
+                "a non-hex digit",
+                file.name(),
+                format!("g{}", &good[1..]),
+                |e| matches!(e, CheckpointError::Malformed(m) if m.contains("hex digit")),
+            ),
+            (
+                "uppercase hex",
+                file.name(),
+                good.to_uppercase(),
+                |e| matches!(e, CheckpointError::Malformed(m) if m.contains("hex digit")),
+            ),
+            ("a flipped byte", file.name(), hex(&flipped), |e| {
+                matches!(e, CheckpointError::ChecksumMismatch { .. })
+            }),
+            ("another name", narrow.name(), good.clone(), |e| {
+                matches!(e, CheckpointError::FingerprintMismatch { .. })
+            }),
+            (
+                "a truncated file",
+                file.name(),
+                hex(&file.bytes()[..file.bytes().len() - 8]),
+                |e| matches!(e, CheckpointError::Malformed(m) if m.contains("payload bytes")),
+            ),
+            (
+                "a narrower model",
+                narrow.name(),
+                hex(narrow.bytes()),
+                |e| {
+                    matches!(
+                        e,
+                        CheckpointError::DimensionMismatch {
+                            what: "class prototype dimensionality",
+                            expected: 32,
+                            found: 64,
+                        }
+                    )
+                },
+            ),
+        ];
+        let with_base = |name: &str, bytes: String| {
+            edited(&json, |doc| {
+                *entry(doc, "base") = Value::Object(vec![
+                    ("model_file".to_string(), Value::String(name.to_string())),
+                    ("bytes".to_string(), Value::String(bytes)),
+                ]);
+            })
+        };
+        assert!(CheckpointDelta::from_json_str(&with_base(file.name(), good.clone())).is_ok());
+        for (what, name, bytes, expected) in cases {
+            match CheckpointDelta::from_json_str(&with_base(name, bytes)) {
+                Err(e) => assert!(expected(&e), "{what}: {e:?}"),
+                Ok(_) => panic!("{what}: the delta loaded"),
+            }
+        }
+    }
+
     /// A serve base round-trips either index kind exactly, stores the
     /// threshold as bits, and names its model file and its cadence; it runs
     /// the delta's class-state checks; and a version-2 delta — what an
@@ -1831,16 +1953,7 @@ mod tests {
                 "a bad `{key}`"
             );
         }
-        let delta = CheckpointDelta {
-            snapshot_version: 7,
-            next_record_seq: 3,
-            base: Checkpoint::capture(&model, &s),
-            memory,
-            routed: None,
-            threshold: None,
-            stream: None,
-        };
-        let delta = serde_json::parse_value(&delta.to_json()).expect("delta parses");
+        let delta = serde_json::parse_value(PRETTY_DELTA).expect("delta parses");
         assert!(matches!(
             ServeBase::from_value(&delta),
             Err(CheckpointError::Malformed(reason)) if reason.contains("model_file")

@@ -1,11 +1,11 @@
 //! The image encoder `γ(·)`: a frozen (simulated) backbone plus an optional
 //! trainable FC projection to the shared embedding dimension.
 
+use crate::checkpoint::CheckpointError;
 use dataset::BackboneKind;
 use nn::{init::Init, Layer, Linear, ParamTensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{de, DeError, Deserialize, Serialize, Value};
 use tensor::Matrix;
 
 /// The image encoder of the paper: backbone features (already extracted by
@@ -34,49 +34,26 @@ pub struct ImageEncoder {
     projection: Option<Linear>,
 }
 
-/// Checkpoint format: backbone kind, feature width and the (optional) FC
-/// projection weights.
-impl Serialize for ImageEncoder {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("backbone".to_string(), self.backbone.to_value()),
-            ("feature_dim".to_string(), self.feature_dim.to_value()),
-            ("projection".to_string(), self.projection.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ImageEncoder {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "ImageEncoder")?;
-        let backbone: BackboneKind = de::field(entries, "backbone", "ImageEncoder")?;
-        let feature_dim: usize = de::field(entries, "feature_dim", "ImageEncoder")?;
-        let projection: Option<Linear> = de::field(entries, "projection", "ImageEncoder")?;
-        Self::from_parts(backbone, feature_dim, projection)
-    }
-}
-
 impl ImageEncoder {
     /// Assembles an encoder from its parts, checking that the projection
-    /// (if any) ingests `feature_dim`-wide features. Both checkpoint
-    /// loaders build image encoders through it.
+    /// (if any) ingests `feature_dim`-wide features. The model file loader
+    /// builds image encoders through it.
     pub(crate) fn from_parts(
         backbone: BackboneKind,
         feature_dim: usize,
         projection: Option<Linear>,
-    ) -> Result<Self, DeError> {
+    ) -> Result<Self, CheckpointError> {
         if feature_dim == 0 {
-            return Err(
-                DeError::new("feature dimensionality must be positive").in_field("ImageEncoder")
-            );
+            return Err(CheckpointError::Malformed(
+                "ImageEncoder: feature dimensionality must be positive".to_string(),
+            ));
         }
         if let Some(fc) = &projection {
             if fc.in_features() != feature_dim {
-                return Err(DeError::new(format!(
-                    "projection expects {}-dimensional features, encoder declares {feature_dim}",
+                return Err(CheckpointError::Malformed(format!(
+                    "ImageEncoder: projection expects {}-dimensional features, encoder declares {feature_dim}",
                     fc.in_features()
-                ))
-                .in_field("ImageEncoder"));
+                )));
             }
         }
         Ok(Self {

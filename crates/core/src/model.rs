@@ -1,13 +1,13 @@
 //! The assembled HDC-ZSC model: image encoder + attribute encoder +
 //! similarity kernel + temperature.
 
-use crate::attribute_encoder::{AttributeEncoder, AttributeEncoderKind, HdcAttributeEncoder};
+use crate::attribute_encoder::{AttributeEncoder, AttributeEncoderKind};
+use crate::checkpoint::CheckpointError;
 use crate::config::ModelConfig;
 use crate::image_encoder::ImageEncoder;
 use dataset::AttributeSchema;
 use engine::{Pool, ShardedClassMemory};
 use nn::{CosineSimilarity, ParamTensor, TemperatureScale};
-use serde::{de, DeError, Deserialize, Serialize, Value};
 use tensor::Matrix;
 
 /// A complete zero-shot classification model in the architecture of Fig. 1:
@@ -55,12 +55,6 @@ pub struct ZscModel {
     config: ModelConfig,
     image_encoder: ImageEncoder,
     attribute_encoder: AttributeEncoder,
-    /// The trainable-MLP variant's stationary phase-II dictionary: it still
-    /// pre-trains against an HDC dictionary in phase II (the MLP only
-    /// replaces the *class* encoder in phase III). `None` with the HDC
-    /// encoder, whose own dictionary is the phase-II one and is held once;
-    /// see [`ZscModel::phase2_dictionary`].
-    mlp_phase2_dictionary: Option<Matrix>,
     kernel: CosineSimilarity,
     temperature: TemperatureScale,
     /// Thread pool used by the batched inference (`train = false`) scoring
@@ -91,26 +85,17 @@ impl ZscModel {
             schema,
             embedding_dim,
             config.mlp_hidden_dim,
-            config.seed.wrapping_add(1),
+            attribute_encoder_seed(config),
         );
-        let mlp_phase2_dictionary = match &attribute_encoder {
-            AttributeEncoder::Hdc(_) => None,
-            AttributeEncoder::Mlp(_) => Some(mlp_phase2_dictionary(schema, embedding_dim, config)),
-        };
-        let temperature = if config.learnable_temperature {
-            TemperatureScale::new(config.temperature)
-        } else {
-            TemperatureScale::fixed(config.temperature)
-        };
-        Self {
-            config: *config,
+        Self::from_parts(
+            *config,
+            schema,
             image_encoder,
             attribute_encoder,
-            mlp_phase2_dictionary,
-            kernel: CosineSimilarity::new(),
-            temperature,
-            inference_pool: Pool::auto(),
-        }
+            config.temperature,
+            config.learnable_temperature,
+        )
+        .expect("a model built from its configuration is consistent")
     }
 
     /// The model configuration.
@@ -150,7 +135,7 @@ impl ZscModel {
     /// The stationary attribute dictionary used for attribute extraction:
     /// the HDC encoder's own dictionary, or the MLP variant's.
     pub fn phase2_dictionary(&self) -> &Matrix {
-        phase2_of(&self.attribute_encoder, &self.mlp_phase2_dictionary)
+        self.attribute_encoder.phase2_dictionary()
     }
 
     /// Image embeddings `γ(X)` for a batch of backbone features, through the
@@ -187,7 +172,7 @@ impl ZscModel {
     /// bit-identical to the inference path.
     pub fn attribute_logits_train(&mut self, features: &Matrix) -> Matrix {
         let embeddings = self.image_encoder.forward(features, true);
-        let dictionary = phase2_of(&self.attribute_encoder, &self.mlp_phase2_dictionary);
+        let dictionary = self.attribute_encoder.phase2_dictionary();
         let sims = self.kernel.forward(&embeddings, dictionary, true);
         self.temperature.forward(&sims, true)
     }
@@ -357,136 +342,57 @@ impl ZscModel {
     }
 }
 
-/// The phase-II dictionary of a model's parts: the HDC encoder's own, or the
-/// MLP variant's separate one. A free function so the training path can
-/// borrow it beside the mutable similarity kernel.
-fn phase2_of<'a>(
-    encoder: &'a AttributeEncoder,
-    mlp_phase2_dictionary: &'a Option<Matrix>,
-) -> &'a Matrix {
-    match (encoder, mlp_phase2_dictionary) {
-        (AttributeEncoder::Hdc(hdc), _) => hdc.dictionary(),
-        (AttributeEncoder::Mlp(_), Some(dictionary)) => dictionary,
-        (AttributeEncoder::Mlp(_), None) => {
-            unreachable!("every constructor gives the MLP variant its phase-II dictionary")
-        }
-    }
-}
-
-/// The trainable-MLP variant's phase-II dictionary: the one bound from the
-/// codebooks `config.seed + 1` draws, the HDC variant's own. [`ZscModel::new`]
-/// and the model file loader both derive it, so no model file stores it.
-pub(crate) fn mlp_phase2_dictionary(
-    schema: &AttributeSchema,
-    embedding_dim: usize,
-    config: &ModelConfig,
-) -> Matrix {
-    HdcAttributeEncoder::new(schema, embedding_dim, config.seed.wrapping_add(1)).into_dictionary()
-}
-
-/// Checkpoint format: configuration, both encoders, the phase-II dictionary
-/// and the temperature. The similarity kernel's activation cache and the
-/// inference thread pool are transient and are rebuilt on load.
-impl Serialize for ZscModel {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("config".to_string(), self.config.to_value()),
-            ("image_encoder".to_string(), self.image_encoder.to_value()),
-            (
-                "attribute_encoder".to_string(),
-                self.attribute_encoder.to_value(),
-            ),
-            (
-                "phase2_dictionary".to_string(),
-                self.phase2_dictionary().to_value(),
-            ),
-            ("temperature_k".to_string(), self.temperature().to_value()),
-            (
-                "temperature_learnable".to_string(),
-                self.temperature.is_learnable().to_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for ZscModel {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "ZscModel")?;
-        let config: ModelConfig = de::field(entries, "config", "ZscModel")?;
-        let image_encoder: ImageEncoder = de::field(entries, "image_encoder", "ZscModel")?;
-        let attribute_encoder: AttributeEncoder =
-            de::field(entries, "attribute_encoder", "ZscModel")?;
-        let phase2_dictionary: Matrix = de::field(entries, "phase2_dictionary", "ZscModel")?;
-        let temperature_k: f32 = de::field(entries, "temperature_k", "ZscModel")?;
-        let temperature_learnable: bool = de::field(entries, "temperature_learnable", "ZscModel")?;
-        Self::from_parts(
-            config,
-            image_encoder,
-            attribute_encoder,
-            Some(phase2_dictionary),
-            temperature_k,
-            temperature_learnable,
-        )
-    }
+/// The seed [`ZscModel::new`] draws the attribute encoder from (and with
+/// it the MLP variant's phase-II dictionary); the model file loader redraws
+/// that dictionary from it.
+pub(crate) fn attribute_encoder_seed(config: &ModelConfig) -> u64 {
+    config.seed.wrapping_add(1)
 }
 
 impl ZscModel {
-    /// Assembles a model from its persisted parts, checking that the
-    /// encoders, the configuration and the phase-II dictionary agree and
-    /// that the temperature is a positive finite value. Both checkpoint
-    /// loaders build models through it. The MLP variant needs its phase-II
-    /// dictionary; with the HDC encoder one given separately must equal the
-    /// encoder's and is dropped, so the dictionary is held once.
+    /// Assembles a model from its parts, checking that the encoders, the
+    /// configuration and `schema`'s attribute count agree and that the
+    /// temperature is a positive finite value. [`ZscModel::new`] and the
+    /// model file loader build models through it.
     pub(crate) fn from_parts(
         config: ModelConfig,
+        schema: &AttributeSchema,
         image_encoder: ImageEncoder,
         attribute_encoder: AttributeEncoder,
-        phase2_dictionary: Option<Matrix>,
         temperature_k: f32,
         temperature_learnable: bool,
-    ) -> Result<Self, DeError> {
-        let type_err = |msg: String| DeError::new(msg).in_field("ZscModel");
+    ) -> Result<Self, CheckpointError> {
+        let malformed = |msg: String| CheckpointError::Malformed(format!("ZscModel: {msg}"));
         let embedding_dim = image_encoder.embedding_dim();
         if attribute_encoder.dim() != embedding_dim {
-            return Err(type_err(format!(
+            return Err(malformed(format!(
                 "attribute encoder dim {} does not match the image encoder's {embedding_dim}",
                 attribute_encoder.dim()
             )));
         }
         if attribute_encoder.kind() != config.attribute_encoder {
-            return Err(type_err(format!(
+            return Err(malformed(format!(
                 "attribute encoder kind {} disagrees with the configuration's {}",
                 attribute_encoder.kind(),
                 config.attribute_encoder
             )));
         }
         if config.use_projection != image_encoder.has_projection() {
-            return Err(type_err(
+            return Err(malformed(
                 "projection flag disagrees between configuration and image encoder".to_string(),
             ));
         }
-        let mlp_phase2_dictionary = match (&attribute_encoder, phase2_dictionary) {
-            (AttributeEncoder::Hdc(hdc), Some(phase2)) if phase2 != *hdc.dictionary() => {
-                return Err(type_err(
-                    "phase-II dictionary differs from the HDC encoder's dictionary".to_string(),
-                ))
-            }
-            (AttributeEncoder::Hdc(_), _) => None,
-            (AttributeEncoder::Mlp(_), None) => {
-                return Err(type_err(
-                    "the MLP variant needs its phase-II dictionary".to_string(),
-                ))
-            }
-            (AttributeEncoder::Mlp(_), Some(phase2)) => Some(phase2),
-        };
-        let phase2_cols = phase2_of(&attribute_encoder, &mlp_phase2_dictionary).cols();
-        if phase2_cols != embedding_dim {
-            return Err(type_err(format!(
-                "phase-II dictionary width {phase2_cols} does not match embedding dim {embedding_dim}"
-            )));
+        // Without this check an internally consistent but differently sized
+        // encoder would load and panic at the first query.
+        if attribute_encoder.num_attributes() != schema.num_attributes() {
+            return Err(CheckpointError::DimensionMismatch {
+                what: "attribute encoder α",
+                expected: schema.num_attributes(),
+                found: attribute_encoder.num_attributes(),
+            });
         }
         if !(temperature_k.is_finite() && temperature_k > 0.0) {
-            return Err(type_err(format!(
+            return Err(malformed(format!(
                 "temperature must be a positive finite value, got {temperature_k}"
             )));
         }
@@ -499,7 +405,6 @@ impl ZscModel {
             config,
             image_encoder,
             attribute_encoder,
-            mlp_phase2_dictionary,
             kernel: CosineSimilarity::new(),
             temperature,
             inference_pool: Pool::auto(),

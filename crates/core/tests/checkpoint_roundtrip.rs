@@ -318,22 +318,24 @@ fn encoder_attribute_count_mismatch_is_rejected() {
     }
 }
 
-/// A serve delta written pretty-printed by an earlier build (with a routed
-/// index, a threshold and stream counters) still loads, and the compact
-/// document the current writer renders from it holds the same tree.
+/// A serve delta written pretty-printed by an earlier build, in the
+/// version-2 layout that embedded the whole model as decimal JSON, is
+/// refused by version: the current layout embeds the model file.
 #[test]
-fn pretty_documents_from_an_earlier_build_still_load() {
+fn pretty_version_2_deltas_from_an_earlier_build_are_refused() {
     let delta_text = include_str!("pretty_v2/delta.json");
     assert!(
         delta_text.contains("\n  \"kind\": "),
         "fixture is pretty-printed"
     );
-    let delta = CheckpointDelta::from_json_str(delta_text).expect("pretty delta loads");
-    assert!(delta.routed.is_some() && delta.threshold.is_some() && delta.stream.is_some());
-    let compact = delta.to_json();
-    assert!(!compact.contains('\n'), "the writer renders compact");
-    assert_eq!(
-        serde_json::parse_value(&compact).expect("compact parses"),
-        serde_json::parse_value(delta_text).expect("fixture parses")
-    );
+    match CheckpointDelta::from_json_str(delta_text) {
+        Err(CheckpointError::UnsupportedVersion {
+            found: 2,
+            supported: 3,
+        }) => {}
+        other => panic!(
+            "expected UnsupportedVersion {{ found: 2, supported: 3 }}, got {:?}",
+            other.map(|_| ())
+        ),
+    }
 }

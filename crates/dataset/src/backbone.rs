@@ -90,7 +90,7 @@ impl std::fmt::Display for BackboneKind {
 /// let features = backbone.features(&attributes, 7);
 /// assert_eq!(features.len(), 2048);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticBackbone {
     kind: BackboneKind,
     /// Fixed random projection `α × d'` (the "pretrained weights").

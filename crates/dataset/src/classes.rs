@@ -4,7 +4,6 @@
 use crate::schema::AttributeSchema;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tensor::Matrix;
 
 /// The continuous class-attribute matrix `A ∈ R^{C×α}` plus class names.
@@ -27,7 +26,7 @@ use tensor::Matrix;
 /// let classes = ClassAttributes::generate(&schema, 200, 42);
 /// assert_eq!(classes.matrix().shape(), (200, 312));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassAttributes {
     names: Vec<String>,
     matrix: Matrix,

@@ -7,7 +7,6 @@
 
 use crate::HdcError;
 use rand::Rng;
-use serde::{de, DeError, Deserialize, Serialize, Value};
 
 /// A dense bipolar hypervector with entries in `{-1, +1}` stored as `i8`.
 ///
@@ -28,31 +27,9 @@ use serde::{de, DeError, Deserialize, Serialize, Value};
 /// // Binding with the value recovers the group (Hadamard binding is self-inverse).
 /// assert_eq!(attribute.bind(&v), g);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BipolarHypervector {
     values: Vec<i8>,
-}
-
-/// Hand-written (instead of derived) so documents carrying entries outside
-/// `{-1, +1}` are rejected with a typed error instead of breaking the ±1
-/// invariant every downstream kernel relies on.
-impl Deserialize for BipolarHypervector {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "BipolarHypervector")?;
-        let values: Vec<i8> = de::field(entries, "values", "BipolarHypervector")?;
-        if values.is_empty() {
-            return Err(
-                DeError::new("dimensionality must be positive").in_field("BipolarHypervector")
-            );
-        }
-        if let Some(bad) = values.iter().find(|&&v| v != 1 && v != -1) {
-            return Err(
-                DeError::new(format!("bipolar entries must be +1 or -1, found {bad}"))
-                    .in_field("BipolarHypervector"),
-            );
-        }
-        Ok(Self { values })
-    }
 }
 
 impl BipolarHypervector {

@@ -7,7 +7,7 @@
 
 use crate::{BipolarHypervector, HdcConfig, HdcError};
 use rand::Rng;
-use serde::{de, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// An ordered collection of atomic bipolar hypervectors indexed by symbol id.
 ///
@@ -25,31 +25,10 @@ use serde::{de, DeError, Deserialize, Serialize, Value};
 /// assert_eq!(groups.len(), 28);
 /// assert_eq!(groups.dim(), 1536);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Codebook {
     dim: usize,
     entries: Vec<BipolarHypervector>,
-}
-
-/// Hand-written (instead of derived) so documents with mismatched entry
-/// dimensionalities or an empty codebook are rejected with a typed error.
-impl Deserialize for Codebook {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let fields = de::expect_object(value, "Codebook")?;
-        let dim: usize = de::field(fields, "dim", "Codebook")?;
-        let entries: Vec<BipolarHypervector> = de::field(fields, "entries", "Codebook")?;
-        if entries.is_empty() {
-            return Err(DeError::new("a codebook needs at least one entry").in_field("Codebook"));
-        }
-        if let Some(bad) = entries.iter().find(|hv| hv.dim() != dim) {
-            return Err(DeError::new(format!(
-                "entry dimensionality {} does not match the codebook's {dim}",
-                bad.dim()
-            ))
-            .in_field("Codebook"));
-        }
-        Ok(Self { dim, entries })
-    }
 }
 
 impl Codebook {

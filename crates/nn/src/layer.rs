@@ -3,7 +3,7 @@
 use crate::init::Init;
 use crate::param::ParamTensor;
 use rand::Rng;
-use serde::{de, DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize};
 use tensor::Matrix;
 
 /// A differentiable layer operating on batched row-major inputs
@@ -152,7 +152,7 @@ impl Linear {
 
     /// [`Linear::from_parts`] for untrusted parts: a bias that is not one
     /// row as wide as the weight, or an empty weight, is an error instead
-    /// of a panic. Every checkpoint loader builds layers through it.
+    /// of a panic. The model file loader builds layers through it.
     ///
     /// # Errors
     ///
@@ -190,28 +190,6 @@ impl Linear {
     /// Borrow of the bias parameter.
     pub fn bias(&self) -> &ParamTensor {
         &self.bias
-    }
-}
-
-/// Checkpoint format: only the weight and bias *values* are persisted.
-/// Gradient accumulators and the forward activation cache are transient
-/// training state: a loaded layer has neither until its first forward and
-/// backward pass.
-impl Serialize for Linear {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("weight".to_string(), self.weight.values.to_value()),
-            ("bias".to_string(), self.bias.values.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Linear {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "Linear")?;
-        let weight: Matrix = de::field(entries, "weight", "Linear")?;
-        let bias: Matrix = de::field(entries, "bias", "Linear")?;
-        Self::try_from_parts(weight, bias)
     }
 }
 
@@ -418,7 +396,7 @@ impl Mlp {
 
     /// Assembles an MLP from its widths, hidden activation and trained
     /// layers, checking that `layers[i]` maps `dims[i]` to `dims[i + 1]`.
-    /// Every checkpoint loader builds MLPs through it.
+    /// The model file loader builds MLPs through it.
     ///
     /// # Errors
     ///
@@ -533,27 +511,6 @@ impl Layer for Mlp {
         self.hidden_activations
             .iter_mut()
             .for_each(Layer::clear_training_state);
-    }
-}
-
-/// Checkpoint format: widths, activation kind and the per-layer weights.
-impl Serialize for Mlp {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("dims".to_string(), self.dims.to_value()),
-            ("activation".to_string(), self.activation.to_value()),
-            ("layers".to_string(), self.layers.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Mlp {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "Mlp")?;
-        let dims: Vec<usize> = de::field(entries, "dims", "Mlp")?;
-        let activation: ActivationKind = de::field(entries, "activation", "Mlp")?;
-        let layers: Vec<Linear> = de::field(entries, "layers", "Mlp")?;
-        Self::try_from_layers(dims, activation, layers)
     }
 }
 

@@ -3,7 +3,6 @@
 use crate::ShapeError;
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{de, DeError, Deserialize, Serialize, Value};
 
 /// A dense, row-major matrix of `f32` values.
 ///
@@ -21,25 +20,11 @@ use serde::{de, DeError, Deserialize, Serialize, Value};
 /// assert_eq!(x.cols(), 3);
 /// assert_eq!(x.get(1, 2), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
-}
-
-/// Hand-written (instead of derived) so a corrupted document whose buffer
-/// length disagrees with its declared shape is rejected with a typed error
-/// rather than constructing a matrix that panics on first access.
-impl Deserialize for Matrix {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "Matrix")?;
-        let rows: usize = de::field(entries, "rows", "Matrix")?;
-        let cols: usize = de::field(entries, "cols", "Matrix")?;
-        let data: Vec<f32> = de::field(entries, "data", "Matrix")?;
-        Self::try_from_vec(rows, cols, data)
-            .map_err(|e| DeError::new(e.to_string()).in_field("Matrix"))
-    }
 }
 
 impl Matrix {
@@ -1196,15 +1181,5 @@ mod tests {
         assert!(Matrix::try_from_vec(2, 2, vec![0.0; 4]).is_ok());
         // The product wraps to exactly 0 unless it is checked.
         assert!(Matrix::try_from_vec(usize::MAX / 2 + 1, 2, Vec::new()).is_err());
-    }
-
-    /// `rows * cols` would wrap to 0 and accept the empty buffer: the shape
-    /// must be rejected with a typed error in every build profile, not
-    /// accepted (release) or panic (debug).
-    #[test]
-    fn deserialize_rejects_overflowing_shape() {
-        let doc = r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#;
-        let err = serde_json::from_str::<Matrix>(doc).expect_err("overflowing shape");
-        assert!(err.to_string().contains("4294967296x4294967296"), "{err}");
     }
 }
