@@ -59,7 +59,8 @@ use crate::image_encoder::ImageEncoder;
 use crate::model::{attribute_encoder_seed, ZscModel};
 use dataset::AttributeSchema;
 use engine::{RoutedClassMemory, ShardedClassMemory};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{json, DeError, Deserialize, Serialize, Value};
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::path::Path;
 use tensor::Matrix;
@@ -236,20 +237,6 @@ impl Checkpoint {
         }
     }
 
-    fn to_value(&self) -> Value {
-        const DIGITS: &[u8; 16] = b"0123456789abcdef";
-        let bytes = self.file.bytes();
-        let mut hex = String::with_capacity(2 * bytes.len());
-        for &b in bytes {
-            hex.push(char::from(DIGITS[usize::from(b >> 4)]));
-            hex.push(char::from(DIGITS[usize::from(b & 0xF)]));
-        }
-        Value::Object(vec![
-            ("model_file".to_string(), self.file.name().to_value()),
-            ("bytes".to_string(), Value::String(hex)),
-        ])
-    }
-
     /// Parses the embedded model file and checks its frame
     /// ([`ModelFile::frame`]); returns it with its embedding width. No
     /// model is built: nothing reads one from a delta.
@@ -281,6 +268,28 @@ impl Checkpoint {
             },
             embedding_dim,
         ))
+    }
+}
+
+/// Written as `{"model_file": <name>, "bytes": <lowercase hex>}`, the hex
+/// straight into the output.
+impl Serialize for Checkpoint {
+    fn to_value(&self) -> Value {
+        serde_json::to_value_via_text(self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let bytes = self.file.bytes();
+        out.reserve(2 * bytes.len() + 64);
+        out.push_str("{\"model_file\":");
+        json::write_str(self.file.name(), out);
+        out.push_str(",\"bytes\":\"");
+        for &b in bytes {
+            out.push(char::from(DIGITS[usize::from(b >> 4)]));
+            out.push(char::from(DIGITS[usize::from(b & 0xF)]));
+        }
+        out.push_str("\"}");
     }
 }
 
@@ -375,9 +384,9 @@ pub fn rename_temp(path: &Path) -> std::io::Result<()> {
 pub struct StreamCheckpoint {
     /// Exact per-class bundling counters (see [`hdc::ClassAccumulator`]).
     pub accumulators: hdc::ClassAccumulator,
-    /// Labels observed since their last publication, in sorted order —
-    /// the classes the next publication boundary will re-sign.
-    pub pending: Vec<String>,
+    /// Labels observed since their last publication — the classes the
+    /// next publication boundary will re-sign, in sorted order.
+    pub pending: BTreeSet<String>,
     /// Observes folded since the last publication boundary; the automatic
     /// boundary fires when this reaches the server's `publish_every`.
     pub since_publish: u64,
@@ -427,27 +436,20 @@ impl CheckpointDelta {
     /// Renders the delta as compact JSON (version-3 envelope, kind
     /// `"serve-delta"`).
     pub fn to_json(&self) -> String {
-        let value = Value::Object(vec![
-            (
-                "format_version".to_string(),
-                CHECKPOINT_FORMAT_VERSION.to_value(),
-            ),
-            ("kind".to_string(), KIND_DELTA.to_string().to_value()),
-            (
-                "snapshot_version".to_string(),
-                self.snapshot_version.to_value(),
-            ),
-            (
-                "next_record_seq".to_string(),
-                self.next_record_seq.to_value(),
-            ),
-            ("base".to_string(), self.base.to_value()),
-            ("memory".to_string(), self.memory.to_value()),
-            ("routed".to_string(), self.routed.to_value()),
-            ("threshold".to_string(), self.threshold.to_value()),
-            ("stream".to_string(), self.stream.to_value()),
-        ]);
-        serde_json::to_string(&value).expect("delta serialization is infallible")
+        let mut out = String::new();
+        let mut object = json::Object::new(&mut out);
+        object
+            .field("format_version", &CHECKPOINT_FORMAT_VERSION)
+            .field("kind", KIND_DELTA)
+            .field("snapshot_version", &self.snapshot_version)
+            .field("next_record_seq", &self.next_record_seq)
+            .field("base", &self.base)
+            .field("memory", &self.memory)
+            .field("routed", &self.routed)
+            .field("threshold", &self.threshold)
+            .field("stream", &self.stream);
+        object.end();
+        out
     }
 
     /// Parses a delta from a JSON string, validating the envelope (version
@@ -635,8 +637,13 @@ impl BaseIndex {
 /// bit-identically, and folds the records after it on top. The model is
 /// written once per model (at start and on every swap), never per
 /// compaction.
+///
+/// `S` is how the base holds its stream state: a loaded base owns a
+/// [`StreamCheckpoint`], and a server writes its base from a borrowed
+/// `&StreamCheckpoint`, so the counters are not copied. Both write the
+/// same JSON.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServeBase {
+pub struct ServeBase<S = StreamCheckpoint> {
     /// Snapshot version of the serving state at capture time; recovery
     /// resumes version numbering from here.
     pub snapshot_version: u64,
@@ -654,30 +661,30 @@ pub struct ServeBase {
     pub threshold: Option<f32>,
     /// Continual-learning stream state at capture time, over labels the
     /// index holds; `None` for servers that never observed an example.
-    pub stream: Option<StreamCheckpoint>,
+    pub stream: Option<S>,
 }
 
-impl Serialize for ServeBase {
+/// Written straight into the output, never through a [`Value`]: a base
+/// holds every class's words and every streamed class's counters.
+impl<S: Serialize> Serialize for ServeBase<S> {
     fn to_value(&self) -> Value {
-        let (index, classes) = match &self.index {
-            BaseIndex::Sharded(memory) => ("sharded", memory.to_value()),
-            BaseIndex::Routed(routed) => ("routed", routed.to_value()),
+        serde_json::to_value_via_text(self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let mut object = json::Object::new(out);
+        object
+            .field("snapshot_version", &self.snapshot_version)
+            .field("publish_every", &self.publish_every)
+            .field("model_file", &self.model_file);
+        match &self.index {
+            BaseIndex::Sharded(memory) => object.field("index", "sharded").field("classes", memory),
+            BaseIndex::Routed(routed) => object.field("index", "routed").field("classes", routed),
         };
-        Value::Object(vec![
-            (
-                "snapshot_version".to_string(),
-                self.snapshot_version.to_value(),
-            ),
-            ("publish_every".to_string(), self.publish_every.to_value()),
-            ("model_file".to_string(), self.model_file.to_value()),
-            ("index".to_string(), index.to_value()),
-            ("classes".to_string(), classes),
-            (
-                "threshold_bits".to_string(),
-                self.threshold.map(f32::to_bits).to_value(),
-            ),
-            ("stream".to_string(), self.stream.to_value()),
-        ])
+        object
+            .field("threshold_bits", &self.threshold.map(f32::to_bits))
+            .field("stream", &self.stream);
+        object.end();
     }
 }
 
@@ -1620,7 +1627,7 @@ mod tests {
             .expect("observe fits");
         let stream = StreamCheckpoint {
             accumulators,
-            pending: vec!["class1".to_string()],
+            pending: BTreeSet::from(["class1".to_string()]),
             since_publish: 1,
         };
         let delta = CheckpointDelta {
@@ -1716,7 +1723,7 @@ mod tests {
             .expect("observe fits");
         let json = delta(StreamCheckpoint {
             accumulators: narrow,
-            pending: Vec::new(),
+            pending: BTreeSet::new(),
             since_publish: 0,
         })
         .to_json();
@@ -1730,7 +1737,7 @@ mod tests {
         // Pending label with no counters behind it.
         let json = delta(StreamCheckpoint {
             accumulators: hdc::ClassAccumulator::new(memory.dim()),
-            pending: vec!["ghost".to_string()],
+            pending: BTreeSet::from(["ghost".to_string()]),
             since_publish: 1,
         })
         .to_json();
@@ -1749,7 +1756,7 @@ mod tests {
             .expect("observe fits");
         let json = delta(StreamCheckpoint {
             accumulators: ghost,
-            pending: vec!["ghost".to_string()],
+            pending: BTreeSet::from(["ghost".to_string()]),
             since_publish: 1,
         })
         .to_json();
@@ -1929,7 +1936,7 @@ mod tests {
             .expect("observe fits");
         let stream = StreamCheckpoint {
             accumulators: ghost,
-            pending: Vec::new(),
+            pending: BTreeSet::new(),
             since_publish: 0,
         };
         let value = base(BaseIndex::Sharded(memory.clone()), Some(stream)).to_value();
@@ -1958,6 +1965,99 @@ mod tests {
             ServeBase::from_value(&delta),
             Err(CheckpointError::Malformed(reason)) if reason.contains("model_file")
         ));
+    }
+
+    /// A base's streaming writer emits exactly the text of its value tree,
+    /// owned or with borrowed stream counters, for both index kinds, both
+    /// threshold states, and with and without stream state; the layout is
+    /// the one fixed before the writer existed.
+    #[test]
+    fn base_writer_matches_the_value_rendering() {
+        let mut memory = ShardedClassMemory::new(64, 2);
+        memory.add_class_packed("a\"\\", &[5]);
+        let routed = RoutedClassMemory::from_sharded(
+            &memory,
+            engine::RoutedConfig {
+                clusters: 2,
+                ..engine::RoutedConfig::default()
+            },
+        );
+        let mut counters = hdc::ClassAccumulator::new(64);
+        let signs: Vec<i8> = (0..64).map(|i| if i % 3 == 0 { -1 } else { 1 }).collect();
+        counters
+            .observe("a\"\\", &hdc::BipolarHypervector::from_signs(&signs))
+            .expect("observe fits");
+        let stream = StreamCheckpoint {
+            accumulators: counters,
+            pending: BTreeSet::from(["a\"\\".to_string()]),
+            since_publish: 1 << 53,
+        };
+        let base = |index, threshold, stream| ServeBase {
+            snapshot_version: u64::MAX,
+            publish_every: 3,
+            model_file: format!("model-{:016x}.bin", 1),
+            index,
+            threshold,
+            stream,
+        };
+        let mut bases = Vec::new();
+        for index in [
+            BaseIndex::Sharded(memory.clone()),
+            BaseIndex::Routed(routed),
+        ] {
+            for threshold in [None, Some(-0.0), Some(0.25)] {
+                for stream in [None, Some(stream.clone())] {
+                    bases.push(base(index.clone(), threshold, stream));
+                }
+            }
+        }
+        for saved in &bases {
+            let text = serde_json::to_string(saved).expect("writes");
+            assert_eq!(
+                text,
+                serde_json::to_string(&saved.to_value()).expect("renders")
+            );
+            let borrowed = ServeBase {
+                snapshot_version: saved.snapshot_version,
+                publish_every: saved.publish_every,
+                model_file: saved.model_file.clone(),
+                index: saved.index.clone(),
+                threshold: saved.threshold,
+                stream: saved.stream.as_ref(),
+            };
+            assert_eq!(serde_json::to_string(&borrowed).expect("writes"), text);
+        }
+        assert_eq!(
+            serde_json::to_string(&base(BaseIndex::Sharded(memory), Some(-0.0), None))
+                .expect("writes"),
+            r#"{"snapshot_version":"18446744073709551615","publish_every":3,"model_file":"model-0000000000000001.bin","index":"sharded","classes":{"dim":64,"shards":[{"dim":64,"words_per_row":1,"labels":["a\"\\"],"words":[5]},{"dim":64,"words_per_row":1,"labels":[],"words":[]}]},"threshold_bits":2147483648,"stream":null}"#
+        );
+    }
+
+    /// The delta's embedded model writes its file's name and its bytes as
+    /// lowercase hex, the text of its own value tree.
+    #[test]
+    fn checkpoint_writer_matches_the_value_rendering() {
+        let s = schema();
+        let checkpoint = Checkpoint::capture(&fixture_model(AttributeEncoderKind::Hdc), &s);
+        let hex: String = checkpoint
+            .file
+            .bytes()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        let text = serde_json::to_string(&checkpoint).expect("writes");
+        assert_eq!(
+            text,
+            format!(
+                r#"{{"model_file":"{}","bytes":"{hex}"}}"#,
+                checkpoint.file.name()
+            )
+        );
+        assert_eq!(
+            text,
+            serde_json::to_string(&checkpoint.to_value()).expect("renders")
+        );
     }
 
     #[test]

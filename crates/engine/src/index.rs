@@ -52,7 +52,7 @@
 use crate::batch::PackedQueryBatch;
 use crate::packed::{hamming, mask_tail_word, pack_signs, words_per_row, PackedClassMemory};
 use crate::sharded::ShardedClassMemory;
-use serde::{de, DeError, Deserialize, Serialize, Value};
+use serde::{de, json, DeError, Deserialize, Serialize, Value};
 use std::sync::Arc;
 use tensor::Matrix;
 
@@ -636,26 +636,22 @@ impl RoutedClassMemory {
 /// crash-recovery property).
 impl Serialize for RoutedClassMemory {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("dim".to_string(), self.clusters.dim().to_value()),
-            (
-                "clusters_config".to_string(),
-                self.config.clusters.to_value(),
-            ),
-            ("nprobe".to_string(), self.config.nprobe.to_value()),
-            ("seed".to_string(), self.config.seed.to_value()),
-            (
-                "kmeans_iters".to_string(),
-                self.config.kmeans_iters.to_value(),
-            ),
-            (
-                "recluster_percent".to_string(),
-                self.config.recluster_percent.to_value(),
-            ),
-            ("drift".to_string(), self.drift.to_value()),
-            ("centroids".to_string(), self.centroids.to_value()),
-            ("clusters".to_string(), self.clusters.shards_value()),
-        ])
+        serde_json::to_value_via_text(self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let mut object = json::Object::new(out);
+        object
+            .field("dim", &self.clusters.dim())
+            .field("clusters_config", &self.config.clusters)
+            .field("nprobe", &self.config.nprobe)
+            .field("seed", &self.config.seed)
+            .field("kmeans_iters", &self.config.kmeans_iters)
+            .field("recluster_percent", &self.config.recluster_percent)
+            .field("drift", &self.drift)
+            .field("centroids", &self.centroids)
+            .field("clusters", &self.clusters.shards().collect::<Vec<_>>());
+        object.end();
     }
 }
 
@@ -947,6 +943,37 @@ mod tests {
         let (cluster_b, _) = imported.add_class("next", &protos[0]);
         assert_eq!(cluster_a, cluster_b, "routing must survive the round trip");
         assert_eq!(memory, imported);
+    }
+
+    /// The streaming writer emits exactly the text of the value tree, for
+    /// a ragged dimension, a seed past 2^53 and an emptied cluster.
+    #[test]
+    fn writer_matches_the_value_rendering() {
+        let config = RoutedConfig {
+            clusters: 3,
+            seed: u64::MAX,
+            ..RoutedConfig::default()
+        };
+        let (memory, _, _) = fixture(70, 9, config);
+        let mut emptied = memory.clone();
+        let cluster: Vec<String> = emptied
+            .clusters
+            .shard(0)
+            .labels()
+            .map(String::from)
+            .collect();
+        for label in &cluster {
+            emptied.remove_class(label);
+        }
+        assert!(emptied.clusters.shard(0).is_empty());
+        for memory in [memory, emptied] {
+            let text = serde_json::to_string(&memory).expect("writes");
+            assert!(text.contains(r#""seed":"18446744073709551615""#), "{text}");
+            assert_eq!(
+                text,
+                serde_json::to_string(&memory.to_value()).expect("renders")
+            );
+        }
     }
 
     #[test]

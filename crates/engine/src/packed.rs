@@ -19,7 +19,7 @@
 //! `dim < 2^24`, and ties can be resolved on the integer Hamming distance
 //! with no float comparisons.
 
-use serde::{de, DeError, Deserialize, Serialize, Value};
+use serde::{de, json, DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tensor::Matrix;
@@ -71,11 +71,16 @@ pub fn pack_signs(signs: &[i8]) -> Vec<u64> {
 /// Panics if `xs` is empty.
 pub fn pack_float_signs(xs: &[f32]) -> Vec<u64> {
     assert!(!xs.is_empty(), "cannot pack an empty float row");
-    let mut words = vec![0u64; words_per_row(xs.len())];
-    for (i, &x) in xs.iter().enumerate() {
-        words[i / 64] |= u64::from(x < 0.0) << (i % 64);
-    }
-    words
+    // A word at a time: the fold over one chunk has no indexed store, so
+    // the compiler vectorizes it.
+    xs.chunks(64)
+        .map(|chunk| {
+            chunk
+                .iter()
+                .enumerate()
+                .fold(0, |word, (i, &x)| word | (u64::from(x < 0.0) << i))
+        })
+        .collect()
 }
 
 /// Clears any bits beyond `dim` in the final word of a packed row, so
@@ -155,18 +160,21 @@ impl PartialEq for PackedClassMemory {
 }
 
 /// Serializes as `{dim, words_per_row, labels, words}`, labels as plain
-/// strings in row order; the label table is rebuilt on load.
+/// strings in row order; the label table is rebuilt on load. Written
+/// straight into the output: a compaction base holds every row.
 impl Serialize for PackedClassMemory {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("dim".to_string(), self.dim.to_value()),
-            ("words_per_row".to_string(), self.words_per_row.to_value()),
-            (
-                "labels".to_string(),
-                Value::Array(self.labels().map(|label| label.to_value()).collect()),
-            ),
-            ("words".to_string(), self.words.to_value()),
-        ])
+        serde_json::to_value_via_text(self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let mut object = json::Object::new(out);
+        object
+            .field("dim", &self.dim)
+            .field("words_per_row", &self.words_per_row)
+            .field("labels", &self.labels)
+            .field("words", &self.words);
+        object.end();
     }
 }
 
@@ -490,6 +498,103 @@ mod tests {
     fn float_sign_packing_matches_sign_rule() {
         let words = pack_float_signs(&[0.5, -0.1, 0.0, -7.0]);
         assert_eq!(words[0] & 0b1111, 0b1010);
+    }
+
+    /// The streaming writer emits exactly the text of the value tree, and
+    /// that text is the layout fixed since before the writer existed.
+    #[test]
+    fn writer_matches_the_value_rendering() {
+        let two_53 = 1u64 << 53;
+        let mut edges = PackedClassMemory::new(64);
+        edges.insert_packed("q\"b\\s\u{1}é", &[two_53 - 1]);
+        edges.insert_packed("\n\t😀", &[two_53]);
+        edges.insert_packed("max", &[u64::MAX]);
+        let mut ragged = PackedClassMemory::new(70);
+        ragged.insert_packed("a", &[0, 0b11_1111]);
+        let cases = [
+            (
+                PackedClassMemory::new(64),
+                r#"{"dim":64,"words_per_row":1,"labels":[],"words":[]}"#,
+            ),
+            (
+                edges,
+                r#"{"dim":64,"words_per_row":1,"labels":["q\"b\\s\u0001é","\n\t😀","max"],"words":[9007199254740991,"9007199254740992","18446744073709551615"]}"#,
+            ),
+            (
+                ragged,
+                r#"{"dim":70,"words_per_row":2,"labels":["a"],"words":[0,63]}"#,
+            ),
+        ];
+        for (memory, expected) in cases {
+            let text = serde_json::to_string(&memory).expect("writes");
+            assert_eq!(text, expected);
+            assert_eq!(
+                text,
+                serde_json::to_string(&memory.to_value()).expect("renders")
+            );
+        }
+    }
+
+    /// The bit-at-a-time loop the word-at-a-time packer replaced.
+    fn pack_float_signs_per_bit(xs: &[f32]) -> Vec<u64> {
+        let mut words = vec![0u64; words_per_row(xs.len())];
+        for (i, &x) in xs.iter().enumerate() {
+            words[i / 64] |= u64::from(x < 0.0) << (i % 64);
+        }
+        words
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn float_sign_packing_matches_the_per_bit_loop(
+            width in 1usize..300,
+            seed in proptest::arbitrary::any::<u64>(),
+        ) {
+            const SPECIAL: [f32; 8] = [
+                -0.0,
+                0.0,
+                f32::NAN,
+                -f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                -f32::MIN_POSITIVE / 2.0,
+                f32::MIN_POSITIVE / 2.0,
+            ];
+            let mut state = seed;
+            let row: Vec<f32> = (0..width)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let bits = (state >> 32) as u32;
+                    if bits.is_multiple_of(4) {
+                        SPECIAL[(bits >> 8) as usize % SPECIAL.len()]
+                    } else {
+                        f32::from_bits(bits)
+                    }
+                })
+                .collect();
+            assert_eq!(pack_float_signs(&row), pack_float_signs_per_bit(&row));
+        }
+    }
+
+    #[test]
+    fn float_sign_packing_edge_values_and_widths() {
+        let specials = [
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -1.0,
+        ];
+        for width in [6, 63, 64, 65, 127, 128, 129, 1536] {
+            let row: Vec<f32> = (0..width).map(|i| specials[i % specials.len()]).collect();
+            let words = pack_float_signs(&row);
+            assert_eq!(words, pack_float_signs_per_bit(&row), "width {width}");
+            // −0.0 and NaN are not below zero; −∞ and −1 are.
+            assert_eq!(words[0] & 0b11_1111, 0b11_0000, "width {width}");
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@
 use crate::batch::PackedQueryBatch;
 use crate::packed::{pack_signs, similarity_from_hamming, words_per_row, PackedClassMemory};
 use minipool::Pool;
-use serde::{de, DeError, Deserialize, Serialize, Value};
+use serde::{de, json, DeError, Deserialize, Serialize, Value};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -475,11 +475,6 @@ impl ShardedClassMemory {
             pool: Pool::auto(),
         })
     }
-
-    /// The shard list, in shard order; the owner writes `dim` beside it.
-    pub(crate) fn shards_value(&self) -> Value {
-        Value::Array(self.shards.iter().map(|shard| shard.to_value()).collect())
-    }
 }
 
 /// Serializes as `{dim, shards: [PackedClassMemory, …]}` — the exact
@@ -490,10 +485,13 @@ impl ShardedClassMemory {
 /// property the serve-layer crash-recovery replay relies on.
 impl Serialize for ShardedClassMemory {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("dim".to_string(), self.dim.to_value()),
-            ("shards".to_string(), self.shards_value()),
-        ])
+        serde_json::to_value_via_text(self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let mut object = json::Object::new(out);
+        object.field("dim", &self.dim).field("shards", &self.shards);
+        object.end();
     }
 }
 
@@ -700,6 +698,31 @@ mod tests {
         let (shard_b, _) = imported.add_class("next", &protos[0]);
         assert_eq!(shard_a, shard_b, "routing must survive the round trip");
         assert_eq!(memory, imported);
+    }
+
+    /// The streaming writer emits exactly the text of the value tree and
+    /// the layout fixed before it, empty shards included.
+    #[test]
+    fn writer_matches_the_value_rendering() {
+        let mut one = ShardedClassMemory::new(64, 3);
+        one.add_class_packed("only \"one\"", &[u64::MAX]);
+        let expected_one = r#"{"dim":64,"shards":[{"dim":64,"words_per_row":1,"labels":["only \"one\""],"words":["18446744073709551615"]},{"dim":64,"words_per_row":1,"labels":[],"words":[]},{"dim":64,"words_per_row":1,"labels":[],"words":[]}]}"#;
+        let (full, _) = fixture(130, 7, 3);
+        let mut emptied = full.clone();
+        for label in ["class000", "class003", "class006"] {
+            emptied.remove_class(label);
+        }
+        assert!(emptied.shard(0).is_empty());
+        for (memory, expected) in [(one, Some(expected_one)), (full, None), (emptied, None)] {
+            let text = serde_json::to_string(&memory).expect("writes");
+            if let Some(expected) = expected {
+                assert_eq!(text, expected);
+            }
+            assert_eq!(
+                text,
+                serde_json::to_string(&memory.to_value()).expect("renders")
+            );
+        }
     }
 
     #[test]

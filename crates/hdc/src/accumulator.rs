@@ -28,7 +28,7 @@
 //! ```
 
 use crate::{BipolarHypervector, Bundler, HdcError};
-use serde::{de, DeError, Deserialize, Serialize, Value};
+use serde::{de, json, DeError, Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// Per-class exact counter state, keyed by label; see the module docs.
@@ -174,21 +174,26 @@ impl ClassAccumulator {
 
 impl Serialize for ClassAccumulator {
     fn to_value(&self) -> Value {
-        let classes: Vec<Value> = self
-            .classes
-            .iter()
-            .map(|(label, bundler)| {
-                Value::Object(vec![
-                    ("label".to_string(), label.to_value()),
-                    ("n".to_string(), bundler.len().to_value()),
-                    ("counts".to_string(), bundler.counts().to_vec().to_value()),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("dim".to_string(), self.dim.to_value()),
-            ("classes".to_string(), Value::Array(classes)),
-        ])
+        serde_json::to_value_via_text(self)
+    }
+
+    /// Writes the counters straight from the bundlers, with no copy.
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"dim\":");
+        self.dim.write_json(out);
+        out.push_str(",\"classes\":[");
+        for (i, (label, bundler)) in self.classes.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let mut class = json::Object::new(out);
+            class
+                .field("label", label)
+                .field("n", &bundler.len())
+                .field("counts", bundler.counts());
+            class.end();
+        }
+        out.push_str("]}");
     }
 }
 
@@ -331,6 +336,34 @@ mod tests {
         }
         let mut wrong = ClassAccumulator::new(64);
         assert!(wrong.merge(&whole).is_err());
+    }
+
+    /// The streaming writer emits exactly the text of the value tree and
+    /// the layout fixed before it: empty, and with escaped labels and
+    /// negative counters.
+    #[test]
+    fn writer_matches_the_value_rendering() {
+        let mut acc = ClassAccumulator::new(4);
+        let down = BipolarHypervector::from_signs(&[-1, -1, 1, -1]);
+        let up = BipolarHypervector::from_signs(&[1, -1, 1, 1]);
+        acc.observe("é \"q\"\u{1f}", &down).expect("same dim");
+        acc.observe("é \"q\"\u{1f}", &down).expect("same dim");
+        acc.observe("b", &up).expect("same dim");
+        let cases = [
+            (ClassAccumulator::new(4), r#"{"dim":4,"classes":[]}"#),
+            (
+                acc,
+                r#"{"dim":4,"classes":[{"label":"b","n":1,"counts":[1,-1,1,1]},{"label":"é \"q\"\u001f","n":2,"counts":[-2,-2,2,-2]}]}"#,
+            ),
+        ];
+        for (acc, expected) in cases {
+            let text = serde_json::to_string(&acc).expect("writes");
+            assert_eq!(text, expected);
+            assert_eq!(
+                text,
+                serde_json::to_string(&acc.to_value()).expect("renders")
+            );
+        }
     }
 
     #[test]

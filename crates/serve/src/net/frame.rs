@@ -98,24 +98,29 @@ pub enum ReadOutcome {
     Idle,
 }
 
-/// Encodes `payload` as one frame — the one encoder behind [`write_frame`]
-/// and the WAL's record appends.
+/// Encodes `payload` as one frame — the encoder behind [`write_frame`].
 ///
 /// # Panics
 ///
 /// Debug-asserts `payload.len() <= MAX_FRAME_LEN`; every caller builds
 /// payloads far below the cap.
 pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
     let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    frame.extend_from_slice(
+    encode_frame_into(payload, &mut frame);
+    frame
+}
+
+/// [`encode_frame`], appending the frame to `out`: the one frame writer,
+/// which the WAL's record appends also call.
+pub(crate) fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) {
+    debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
+    out.extend_from_slice(
         &u32::try_from(payload.len())
             .expect("payload under cap")
             .to_le_bytes(),
     );
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// Encodes `payload` as one frame and writes it (flushed) to `w`.

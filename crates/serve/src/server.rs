@@ -426,8 +426,13 @@ impl DurableState {
     }
 }
 
-/// The compaction base of `snapshot` and `stream`, naming `model_file`.
-fn base(snapshot: &ModelSnapshot, stream: &StreamControl, model_file: &str) -> ServeBase {
+/// The compaction base of `snapshot` and `stream`, naming `model_file`. It
+/// borrows the stream counters: a base is written, never kept.
+fn base<'a>(
+    snapshot: &ModelSnapshot,
+    stream: &'a StreamControl,
+    model_file: &str,
+) -> ServeBase<&'a StreamCheckpoint> {
     ServeBase {
         snapshot_version: snapshot.version,
         publish_every: stream.publish_every,
@@ -451,15 +456,14 @@ struct StreamControl {
     /// Copy of [`ServerConfig::publish_every`] — the automatic publication
     /// cadence.
     publish_every: u32,
-    /// Exact i32 counters per streamed class; prototypes are re-signed from
-    /// these at every publication boundary, so folding is order-independent
-    /// and bit-reproducible from the counters alone.
-    accumulators: ClassAccumulator,
-    /// Classes observed since their last publication — what the next
-    /// boundary re-signs. Sorted, so publication order is deterministic.
-    pending: BTreeSet<String>,
-    /// Observes folded since the last publication boundary.
-    since_publish: u64,
+    /// What a compaction base persists: the exact i32 counters per
+    /// streamed class (prototypes are re-signed from these at every
+    /// publication boundary, so folding is order-independent and
+    /// bit-reproducible from the counters alone), the classes observed
+    /// since their last publication (what the next boundary re-signs, in
+    /// sorted order, so publication order is deterministic), and the
+    /// observes folded since the last boundary.
+    state: StreamCheckpoint,
     /// Lifetime observes accepted (pre- and post-publication).
     observes: u64,
     /// EWMA + Page–Hinkley change-point detection over per-class prototype
@@ -471,25 +475,22 @@ impl StreamControl {
     fn fresh(dim: usize, publish_every: u32) -> Self {
         Self {
             publish_every,
-            accumulators: ClassAccumulator::new(dim),
-            pending: BTreeSet::new(),
-            since_publish: 0,
+            state: StreamCheckpoint {
+                accumulators: ClassAccumulator::new(dim),
+                pending: BTreeSet::new(),
+                since_publish: 0,
+            },
             observes: 0,
             drift: StreamDriftDetector::new(StreamDriftConfig::default()),
         }
     }
 
-    /// The delta-persistable projection of this state (`None` when nothing
-    /// has been streamed, keeping pre-streaming bases byte-stable).
-    fn checkpoint(&self) -> Option<StreamCheckpoint> {
-        if self.accumulators.is_empty() && self.since_publish == 0 {
-            return None;
-        }
-        Some(StreamCheckpoint {
-            accumulators: self.accumulators.clone(),
-            pending: self.pending.iter().cloned().collect(),
-            since_publish: self.since_publish,
-        })
+    /// The state a compaction base persists, borrowed (`None` when
+    /// nothing has been streamed, keeping pre-streaming bases
+    /// byte-stable).
+    fn checkpoint(&self) -> Option<&StreamCheckpoint> {
+        let state = &self.state;
+        (!state.accumulators.is_empty() || state.since_publish != 0).then_some(state)
     }
 }
 
@@ -989,11 +990,9 @@ impl QueryServer {
         // not persisted and is rebuilt by replaying the same publication
         // boundaries the pre-crash server published.
         let mut stream = match stream {
-            Some(saved) => StreamControl {
+            Some(state) => StreamControl {
                 publish_every,
-                accumulators: saved.accumulators,
-                pending: saved.pending.into_iter().collect(),
-                since_publish: saved.since_publish,
+                state,
                 observes: 0,
                 drift: StreamDriftDetector::new(StreamDriftConfig::default()),
             },
@@ -1378,7 +1377,7 @@ impl QueryServer {
     /// is not an error, as for [`QueryServer::register_class`].
     pub fn flush(&self) -> Result<Arc<ModelSnapshot>, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
-        if control.stream.pending.is_empty() {
+        if control.stream.state.pending.is_empty() {
             return Ok(self.snapshot());
         }
         self.commit_publishing(&mut control, Mutation::Flush)
@@ -1392,8 +1391,8 @@ impl QueryServer {
         let stream = &control.stream;
         StreamStats {
             observes: stream.observes,
-            pending_classes: stream.pending.len() as u64,
-            since_publish: stream.since_publish,
+            pending_classes: stream.state.pending.len() as u64,
+            since_publish: stream.state.since_publish,
             publishes: stream.drift.publishes(),
             drift_alarms: stream.drift.alarms(),
         }
@@ -1806,16 +1805,16 @@ fn apply(
             // A re-pointed class's stream counters described the prototype
             // being replaced; drop them so the next observe re-seeds from
             // the new row. A fresh register has no counters — a no-op.
-            stream.accumulators.remove(&label);
-            stream.pending.remove(&label);
+            stream.state.accumulators.remove(&label);
+            stream.state.pending.remove(&label);
             let mut next = current.clone();
             next.index.add_class_packed(label, &words);
             next
         }
         Mutation::Remove { label } => {
             // Every stream trace of the class goes with it.
-            stream.accumulators.remove(&label);
-            stream.pending.remove(&label);
+            stream.state.accumulators.remove(&label);
+            stream.state.pending.remove(&label);
             stream.drift.remove(&label);
             let mut next = current.clone();
             next.index.remove_class(&label);
@@ -1846,21 +1845,21 @@ fn apply(
                 .class_words(&label)
                 .expect("check rejects observes of unregistered classes");
             fold_observation(
-                &mut stream.accumulators,
+                &mut stream.state.accumulators,
                 &label,
                 &words,
                 class_words,
                 current.memory().dim(),
             );
-            stream.pending.insert(label);
-            stream.since_publish += 1;
+            stream.state.pending.insert(label);
+            stream.state.since_publish += 1;
             stream.observes += 1;
-            if stream.since_publish < u64::from(stream.publish_every) {
+            if stream.state.since_publish < u64::from(stream.publish_every) {
                 return None;
             }
             publish_pending(current, stream)
         }
-        Mutation::Flush if stream.pending.is_empty() => return None,
+        Mutation::Flush if stream.state.pending.is_empty() => return None,
         Mutation::Flush => publish_pending(current, stream),
     };
     next.version += 1;
@@ -1927,8 +1926,9 @@ fn publish_pending(current: &ModelSnapshot, stream: &mut StreamControl) -> Model
     let mut next = current.clone();
     let dim = next.memory().dim();
     let mut alarmed = false;
-    for label in std::mem::take(&mut stream.pending) {
+    for label in std::mem::take(&mut stream.state.pending) {
         let prototype = stream
+            .state
             .accumulators
             .prototype(&label)
             .expect("pending labels always have an accumulator");
@@ -1944,7 +1944,7 @@ fn publish_pending(current: &ModelSnapshot, stream: &mut StreamControl) -> Model
     if let (true, ClassIndex::Routed(routed)) = (alarmed, &mut next.index) {
         routed.recluster();
     }
-    stream.since_publish = 0;
+    stream.state.since_publish = 0;
     next
 }
 

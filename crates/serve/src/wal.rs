@@ -77,12 +77,12 @@
 //! 2020). After a failed fsync and a power cut, whether the unacknowledged
 //! record is in the log is unknown.
 
-use crate::net::frame::{encode_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
+use crate::net::frame::{encode_frame_into, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use engine::ShardedClassMemory;
 pub use hdc_zsc::checkpoint::crc32;
 use hdc_zsc::checkpoint::{model_file_fingerprint, rename_temp, write_temp};
 use hdc_zsc::{CheckpointError, ModelFile, ServeBase};
-use serde::{Deserialize, Serialize, Value};
+use serde::{json, Deserialize, Serialize, Value};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -252,11 +252,6 @@ pub enum WalOp {
     Flush,
 }
 
-/// Lowercase hex, 16 digits per word — a compact, exact `u64` encoding.
-fn words_to_hex(words: &[u64]) -> String {
-    words.iter().map(|word| format!("{word:016x}")).collect()
-}
-
 fn words_from_hex(hex: &str) -> Result<Vec<u64>, String> {
     if !hex.len().is_multiple_of(16) {
         return Err(format!(
@@ -273,40 +268,62 @@ fn words_from_hex(hex: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
-impl WalOp {
-    /// Renders the record payload (including its sequence number) as a
-    /// JSON value.
-    fn to_value(&self, seq: u64) -> Value {
-        let row = |label: &String, words: &[u64]| {
-            vec![
-                ("label", label.to_value()),
-                ("row", words_to_hex(words).to_value()),
-            ]
-        };
-        let (op, fields) = match self {
-            WalOp::Register { label, words } => ("register", row(label, words)),
-            WalOp::Update { label, words } => ("update", row(label, words)),
-            WalOp::Remove { label } => ("remove", vec![("label", label.to_value())]),
-            WalOp::Swap { model_file, memory } => (
-                "swap",
-                vec![
-                    ("model_file", model_file.to_value()),
-                    ("memory", memory.to_value()),
-                ],
-            ),
-            WalOp::SetThreshold { bits } => {
-                ("set_threshold", vec![("threshold_bits", bits.to_value())])
+/// A packed row as one JSON string of lowercase hex, 16 digits per word —
+/// a compact, exact `u64` encoding — written straight into the output.
+struct HexRow<'a>(&'a [u64]);
+
+impl Serialize for HexRow<'_> {
+    fn to_value(&self) -> Value {
+        serde_json::to_value_via_text(self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        out.push('"');
+        for word in self.0 {
+            for shift in (0..64).step_by(4).rev() {
+                out.push(char::from(DIGITS[((word >> shift) & 0xF) as usize]));
             }
-            WalOp::Observe { label, words } => ("observe", row(label, words)),
-            WalOp::Flush => ("flush", Vec::new()),
+        }
+        out.push('"');
+    }
+}
+
+impl WalOp {
+    /// Writes the record payload, its sequence number first, as compact
+    /// JSON.
+    fn write_json(&self, seq: u64, out: &mut String) {
+        let op = match self {
+            WalOp::Register { .. } => "register",
+            WalOp::Update { .. } => "update",
+            WalOp::Remove { .. } => "remove",
+            WalOp::Swap { .. } => "swap",
+            WalOp::SetThreshold { .. } => "set_threshold",
+            WalOp::Observe { .. } => "observe",
+            WalOp::Flush => "flush",
         };
-        let head = [("seq", seq.to_value()), ("op", op.to_value())];
-        let entries = head.into_iter().chain(fields);
-        Value::Object(
-            entries
-                .map(|(key, value)| (key.to_string(), value))
-                .collect(),
-        )
+        let mut record = json::Object::new(out);
+        record.field("seq", &seq).field("op", op);
+        match self {
+            WalOp::Register { label, words }
+            | WalOp::Update { label, words }
+            | WalOp::Observe { label, words } => {
+                record.field("label", label).field("row", &HexRow(words));
+            }
+            WalOp::Remove { label } => {
+                record.field("label", label);
+            }
+            WalOp::Swap { model_file, memory } => {
+                record
+                    .field("model_file", model_file)
+                    .field("memory", memory);
+            }
+            WalOp::SetThreshold { bits } => {
+                record.field("threshold_bits", bits);
+            }
+            WalOp::Flush => {}
+        }
+        record.end();
     }
 
     /// Parses a record payload back into `(seq, op)`.
@@ -533,16 +550,17 @@ fn read(path: &Path) -> Result<(WalReplay, u64), WalError> {
 /// The `op` of the base record.
 const BASE_OP: &str = "base";
 
-/// Frames one record payload; [`WalError::RecordTooLarge`] over the cap.
-fn encode_record(payload: &Value) -> Result<Vec<u8>, WalError> {
-    let payload = serde_json::to_string(payload).expect("record serialization is infallible");
+/// Appends the frame of one record payload to `out`;
+/// [`WalError::RecordTooLarge`] over the cap, with nothing appended.
+fn frame_record(payload: &str, out: &mut Vec<u8>) -> Result<(), WalError> {
     if payload.len() > MAX_FRAME_LEN as usize {
         return Err(WalError::RecordTooLarge {
             bytes: payload.len(),
             max: MAX_FRAME_LEN as usize,
         });
     }
-    Ok(encode_frame(payload.as_bytes()))
+    encode_frame_into(payload.as_bytes(), out);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -572,27 +590,40 @@ impl WriteAheadLog {
     ///
     /// [`WalError::Io`] if the file cannot be written or reopened.
     pub fn create(path: impl AsRef<Path>, _sync: SyncPolicy) -> Result<Self, WalError> {
-        Self::headed(path.as_ref().to_path_buf(), None)
+        Self::headed(path.as_ref().to_path_buf(), None::<&ServeBase>)
     }
 
     /// [`WriteAheadLog::create`], but the log opens with `base` when given.
-    pub(crate) fn headed(path: PathBuf, base: Option<&ServeBase>) -> Result<Self, WalError> {
+    pub(crate) fn headed<S: Serialize>(
+        path: PathBuf,
+        base: Option<&ServeBase<S>>,
+    ) -> Result<Self, WalError> {
         let len = Self::stage(&path, 0, base)?;
         Self::commit(path, 0, len)
     }
 
     /// Writes a log of records from `first_seq`, opened by `base` when
-    /// given, to the temp file beside `path`; returns its length.
-    fn stage(path: &Path, first_seq: u64, base: Option<&ServeBase>) -> Result<u64, WalError> {
-        let mut bytes = Vec::with_capacity(HEADER_LEN as usize);
+    /// given, to the temp file beside `path`; returns its length. The base
+    /// is written as JSON text and framed once, with no value tree.
+    fn stage<S: Serialize>(
+        path: &Path,
+        first_seq: u64,
+        base: Option<&ServeBase<S>>,
+    ) -> Result<u64, WalError> {
+        let payload = base.map(|base| {
+            let mut payload = String::new();
+            let mut record = json::Object::new(&mut payload);
+            record.field("op", BASE_OP).field("base", base);
+            record.end();
+            payload
+        });
+        let payload_len = payload.as_ref().map_or(0, String::len);
+        let mut bytes = Vec::with_capacity(HEADER_LEN as usize + FRAME_HEADER_LEN + payload_len);
         bytes.extend_from_slice(WAL_MAGIC);
         bytes.extend_from_slice(&WAL_FORMAT_VERSION.to_le_bytes());
         bytes.extend_from_slice(&first_seq.to_le_bytes());
-        if let Some(base) = base {
-            bytes.extend(encode_record(&Value::Object(vec![
-                ("op".to_string(), BASE_OP.to_value()),
-                ("base".to_string(), base.to_value()),
-            ]))?);
+        if let Some(payload) = payload {
+            frame_record(&payload, &mut bytes)?;
         }
         #[cfg(test)]
         fault::inject_file(path, &bytes)?;
@@ -683,7 +714,10 @@ impl WriteAheadLog {
     pub fn append(&mut self, op: &WalOp) -> Result<u64, WalError> {
         self.ensure_live()?;
         let seq = self.next_seq;
-        let frame = encode_record(&op.to_value(seq))?;
+        let mut payload = String::new();
+        op.write_json(seq, &mut payload);
+        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+        frame_record(&payload, &mut frame)?;
         if let Err(e) = self.write_and_sync(&frame) {
             // Best effort: if this fails too, the unacknowledged frame may
             // be replayed, as after a power cut.
@@ -719,13 +753,16 @@ impl WriteAheadLog {
     /// rename or the reopen fails: the log then stops, since `path` may
     /// already name the new file.
     pub fn rotate(&mut self) -> Result<(), WalError> {
-        self.compact(None)
+        self.compact(None::<&ServeBase>)
     }
 
     /// [`WriteAheadLog::rotate`], but the new log opens with `base` when
     /// given, which must fold in every record logged so far. A base over
     /// the frame cap is [`WalError::RecordTooLarge`], with nothing written.
-    pub(crate) fn compact(&mut self, base: Option<&ServeBase>) -> Result<(), WalError> {
+    pub(crate) fn compact<S: Serialize>(
+        &mut self,
+        base: Option<&ServeBase<S>>,
+    ) -> Result<(), WalError> {
         self.ensure_live()?;
         let len = Self::stage(&self.path, self.next_seq, base)?;
         *self = Self::commit(self.path.clone(), self.next_seq, len)
@@ -866,6 +903,79 @@ mod tests {
                 label: "alpha".to_string(),
             },
         ]
+    }
+
+    /// Every record kind's payload is the layout fixed before records were
+    /// streamed, reads back as the op it logs, and is the text of its own
+    /// parsed value tree; sequence numbers from 2^53 on are quoted.
+    #[test]
+    fn record_payloads_keep_their_layout() {
+        let mut memory = ShardedClassMemory::new(64, 2);
+        memory.add_class_packed("m", &[9]);
+        let label = "q\"b\\\u{1}é".to_string();
+        let cases = [
+            (
+                WalOp::Register {
+                    label: label.clone(),
+                    words: vec![0x0123_4567_89ab_cdef, u64::MAX],
+                },
+                r#""op":"register","label":"q\"b\\\u0001é","row":"0123456789abcdefffffffffffffffff"}"#,
+            ),
+            (
+                WalOp::Update {
+                    label: label.clone(),
+                    words: vec![1 << 53],
+                },
+                r#""op":"update","label":"q\"b\\\u0001é","row":"0020000000000000"}"#,
+            ),
+            (
+                WalOp::Remove {
+                    label: label.clone(),
+                },
+                r#""op":"remove","label":"q\"b\\\u0001é"}"#,
+            ),
+            (
+                WalOp::Swap {
+                    model_file: format!("model-{:016x}.bin", 7),
+                    memory,
+                },
+                r#""op":"swap","model_file":"model-0000000000000007.bin","memory":{"dim":64,"shards":[{"dim":64,"words_per_row":1,"labels":["m"],"words":[9]},{"dim":64,"words_per_row":1,"labels":[],"words":[]}]}}"#,
+            ),
+            (
+                WalOp::SetThreshold { bits: None },
+                r#""op":"set_threshold","threshold_bits":null}"#,
+            ),
+            (
+                WalOp::SetThreshold {
+                    bits: Some((-0.0f32).to_bits()),
+                },
+                r#""op":"set_threshold","threshold_bits":2147483648}"#,
+            ),
+            (
+                WalOp::Observe {
+                    label,
+                    words: vec![u64::MAX - 1],
+                },
+                r#""op":"observe","label":"q\"b\\\u0001é","row":"fffffffffffffffe"}"#,
+            ),
+            (WalOp::Flush, r#""op":"flush"}"#),
+        ];
+        let two_53 = 1u64 << 53;
+        for seq in [0, two_53 - 1, two_53, u64::MAX] {
+            let head = if seq < two_53 {
+                format!(r#"{{"seq":{seq},"#)
+            } else {
+                format!(r#"{{"seq":"{seq}","#)
+            };
+            for (op, tail) in &cases {
+                let mut payload = String::new();
+                op.write_json(seq, &mut payload);
+                assert_eq!(payload, format!("{head}{tail}"));
+                let value = serde_json::parse_value(&payload).expect("payload parses");
+                assert_eq!(serde_json::to_string(&value).expect("renders"), payload);
+                assert_eq!(WalOp::from_value(&value), Ok((seq, op.clone())));
+            }
+        }
     }
 
     #[test]
@@ -1157,7 +1267,7 @@ mod tests {
     #[test]
     fn sequence_discontinuities_are_hard_corruption() {
         let a = temp_wal("seq_a.log");
-        let len = WriteAheadLog::stage(&a, 5, None).expect("stage");
+        let len = WriteAheadLog::stage(&a, 5, None::<&ServeBase>).expect("stage");
         let mut wal = WriteAheadLog::commit(a.clone(), 5, len).expect("create");
         wal.append(&WalOp::Remove {
             label: "x".to_string(),
