@@ -9,7 +9,13 @@
 //!   fsynced and renamed over the log, under the control mutex, so every
 //!   mutation waits for it;
 //! * `recover` — one [`QueryServer::recover`] of the compacted directory:
-//!   the base parsed and its model file decoded, in a fresh server.
+//!   the base read and its model file decoded, in a fresh server;
+//! * `swap_model` — one durable [`QueryServer::swap_model`] on the
+//!   recovered server, alternating between two models of the same shape:
+//!   the 650 classes encoded, the model file written and fsynced, the swap
+//!   record (the file's name and the rebuilt memory) logged, and the routed
+//!   index rebuilt, under the control mutex. The time includes cloning the
+//!   model and the label list the call consumes.
 //!
 //! Times include the fsyncs, so they depend on the disk as well as the
 //! code. The set-up logs every observe with an fsync and takes a few
@@ -43,29 +49,45 @@ fn config() -> ServerConfig {
     }
 }
 
+/// The paper's model at the bench shape, drawn from `seed`.
+fn model(schema: &AttributeSchema, seed: u64) -> ZscModel {
+    ZscModel::new(
+        &ModelConfig::paper_default()
+            .with_embedding_dim(EMBEDDING_DIM)
+            .with_seed(seed),
+        schema,
+        FEATURE_DIM,
+    )
+}
+
+/// The class labels and their attribute rows.
+fn classes(schema: &AttributeSchema, rng: &mut StdRng) -> (Vec<String>, Matrix) {
+    let labels = (0..CLASSES).map(|c| format!("class{c:04}")).collect();
+    let attributes =
+        Matrix::random_uniform(CLASSES, schema.num_attributes(), 0.5, rng).map(f32::abs);
+    (labels, attributes)
+}
+
+/// Durability in `dir` with no compaction of its own.
+fn durability(dir: &Path) -> DurabilityConfig {
+    DurabilityConfig {
+        compact_every: 0,
+        ..DurabilityConfig::new(dir)
+    }
+}
+
 /// A durable server at the `durable_churn` end shape, logging into `dir`;
 /// it never compacts on its own.
 fn churned_server(schema: &AttributeSchema, dir: &Path) -> QueryServer {
     let mut rng = StdRng::seed_from_u64(1);
-    let model = ZscModel::new(
-        &ModelConfig::paper_default().with_embedding_dim(EMBEDDING_DIM),
-        schema,
-        FEATURE_DIM,
-    );
-    let labels: Vec<String> = (0..CLASSES).map(|c| format!("class{c:04}")).collect();
-    let attributes =
-        Matrix::random_uniform(CLASSES, schema.num_attributes(), 0.5, &mut rng).map(f32::abs);
-    let durability = DurabilityConfig {
-        compact_every: 0,
-        ..DurabilityConfig::new(dir)
-    };
+    let (labels, attributes) = classes(schema, &mut rng);
     let server = QueryServer::start_durable(
-        model,
+        model(schema, ModelConfig::paper_default().seed),
         labels.clone(),
         &attributes,
         schema,
         config(),
-        durability,
+        durability(dir),
     )
     .expect("durable server starts");
     for _ in 0..OBSERVES {
@@ -100,7 +122,22 @@ fn bench_control_plane(c: &mut Criterion) {
             )
         })
     });
+    let (server, _) =
+        QueryServer::recover(&schema, config(), durability(&dir)).expect("directory recovers");
+    let models = [model(&schema, 2), model(&schema, 3)];
+    let (labels, attributes) = classes(&schema, &mut StdRng::seed_from_u64(2));
+    let mut swaps = 0;
+    group.bench_function("swap_model", |b| {
+        b.iter(|| {
+            swaps += 1;
+            let model = models[swaps % 2].clone();
+            server
+                .swap_model(model, labels.clone(), &attributes)
+                .expect("swap logs")
+        })
+    });
     group.finish();
+    drop(server);
     std::fs::remove_dir_all(&dir).ok();
 }
 

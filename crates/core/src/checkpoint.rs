@@ -237,12 +237,26 @@ impl Checkpoint {
         }
     }
 
-    /// Parses the embedded model file and checks its frame
-    /// ([`ModelFile::frame`]); returns it with its embedding width. No
-    /// model is built: nothing reads one from a delta.
-    fn from_value(value: &Value) -> Result<(Self, usize), CheckpointError> {
-        let name: String = field(value, "model_file")?;
-        let hex: String = field(value, "bytes")?;
+    /// Reads the embedded model file, decoding its hex straight from the
+    /// text, and checks its frame ([`ModelFile::frame`]); returns it with
+    /// its embedding width. No model is built: nothing reads one from a
+    /// delta.
+    fn read_json(r: &mut json::Reader<'_>) -> Result<(Self, usize), CheckpointError> {
+        let (mut name, mut hex) = (None, None);
+        let mut read = || -> Result<(), json::Error> {
+            r.begin_object()?;
+            while let Some(key) = r.next_key()? {
+                match &*key {
+                    "model_file" => r.field::<String>(&mut name, "model_file")?,
+                    "bytes" => r.field_with(&mut hex, "bytes", json::Reader::str)?,
+                    _ => r.skip()?,
+                }
+            }
+            Ok(())
+        };
+        read().map_err(malformed)?;
+        let name = name.ok_or_else(|| missing("model_file"))?;
+        let hex = hex.ok_or_else(|| missing("bytes"))?;
         if !hex.len().is_multiple_of(2) {
             return Err(CheckpointError::Malformed(
                 "model file bytes have an odd number of hex digits".to_string(),
@@ -293,34 +307,32 @@ impl Serialize for Checkpoint {
     }
 }
 
-/// The `name` entry of a JSON object, decoded; a missing or ill-typed one
-/// is [`CheckpointError::Malformed`].
-fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, CheckpointError> {
-    let entry = value
-        .get(name)
-        .ok_or_else(|| CheckpointError::Malformed(format!("missing `{name}`")))?;
-    serde_json::from_value(entry).map_err(|e| CheckpointError::Malformed(e.to_string()))
+/// A JSON error as [`CheckpointError::Malformed`].
+fn malformed(e: json::Error) -> CheckpointError {
+    CheckpointError::Malformed(e.to_string())
 }
 
-/// Checks an envelope document's `format_version` (which must be
-/// `version`) and then its `kind` discriminator.
-fn expect_envelope(
-    value: &Value,
-    version: u32,
-    expected: &'static str,
-) -> Result<(), CheckpointError> {
-    let found = field(value, "format_version")?;
-    if found != version {
-        return Err(CheckpointError::UnsupportedVersion {
-            found,
-            supported: version,
-        });
-    }
-    let found: String = field(value, "kind")?;
-    if found != expected {
-        return Err(CheckpointError::WrongKind { found, expected });
-    }
-    Ok(())
+/// A missing field, as [`CheckpointError::Malformed`].
+fn missing(name: &str) -> CheckpointError {
+    CheckpointError::Malformed(format!("missing `{name}`"))
+}
+
+/// The reader at a field's value; a missing field is
+/// [`CheckpointError::Malformed`].
+fn required<'a>(
+    slot: Option<json::Reader<'a>>,
+    name: &str,
+) -> Result<json::Reader<'a>, CheckpointError> {
+    slot.ok_or_else(|| missing(name))
+}
+
+/// A field's value, decoded; a missing or ill-typed one is
+/// [`CheckpointError::Malformed`].
+fn decode<T: Deserialize>(
+    slot: Option<json::Reader<'_>>,
+    name: &str,
+) -> Result<T, CheckpointError> {
+    T::read_json(&mut required(slot, name)?).map_err(|e| malformed(e.in_field(name)))
 }
 
 /// Writes `contents` to `path` atomically: [`write_temp`], then
@@ -476,15 +488,40 @@ impl CheckpointDelta {
     /// memory's classes or words, or the stream counters name a class the
     /// memory does not hold.
     pub fn from_json_str(json: &str) -> Result<Self, CheckpointError> {
-        let value =
-            serde_json::parse_value(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        expect_envelope(&value, CHECKPOINT_FORMAT_VERSION, KIND_DELTA)?;
-        let base = value
-            .get("base")
-            .ok_or_else(|| CheckpointError::Malformed("missing `base`".to_string()))?;
-        let (base, embedding_dim) = Checkpoint::from_value(base)?;
-        let memory: ShardedClassMemory = field(&value, "memory")?;
-        let routed: Option<RoutedClassMemory> = field(&value, "routed")?;
+        let mut r = json::Reader::new(json);
+        // Every field is kept in place and decoded in the order of the
+        // checks, so the version is checked before the payload is read.
+        let [version, kind, snapshot_version, next_record_seq, base, memory, routed, threshold, stream] =
+            r.defer_fields([
+                "format_version",
+                "kind",
+                "snapshot_version",
+                "next_record_seq",
+                "base",
+                "memory",
+                "routed",
+                "threshold",
+                "stream",
+            ])
+            .map_err(malformed)?;
+        r.finish().map_err(malformed)?;
+        let found = decode(version, "format_version")?;
+        if found != CHECKPOINT_FORMAT_VERSION {
+            return Err(CheckpointError::UnsupportedVersion {
+                found,
+                supported: CHECKPOINT_FORMAT_VERSION,
+            });
+        }
+        let found: String = decode(kind, "kind")?;
+        if found != KIND_DELTA {
+            return Err(CheckpointError::WrongKind {
+                found,
+                expected: KIND_DELTA,
+            });
+        }
+        let (base, embedding_dim) = Checkpoint::read_json(&mut required(base, "base")?)?;
+        let memory: ShardedClassMemory = decode(memory, "memory")?;
+        let routed: Option<RoutedClassMemory> = decode(routed, "routed")?;
         if let Some(routed) = routed.as_ref().map(RoutedClassMemory::as_sharded) {
             if routed.dim() != memory.dim() {
                 return Err(CheckpointError::DimensionMismatch {
@@ -506,13 +543,13 @@ impl CheckpointDelta {
                 ));
             }
         }
-        let threshold: Option<f32> = field(&value, "threshold")?;
-        let stream: Option<StreamCheckpoint> = field(&value, "stream")?;
+        let threshold: Option<f32> = decode(threshold, "threshold")?;
+        let stream: Option<StreamCheckpoint> = decode(stream, "stream")?;
         validate_class_state(&memory, threshold, stream.as_ref())?;
         check_prototype_dim(&memory, embedding_dim)?;
         Ok(Self {
-            snapshot_version: field(&value, "snapshot_version")?,
-            next_record_seq: field(&value, "next_record_seq")?,
+            snapshot_version: decode(snapshot_version, "snapshot_version")?,
+            next_record_seq: decode(next_record_seq, "next_record_seq")?,
             base,
             memory,
             routed,
@@ -689,44 +726,98 @@ impl<S: Serialize> Serialize for ServeBase<S> {
 }
 
 impl ServeBase {
-    /// Parses a base from the value [`Serialize::to_value`] renders: the
-    /// class state, validated like a [`CheckpointDelta`]'s, the cadence and
-    /// the model file's name.
+    /// Parses a base from the JSON text [`Serialize::write_json`] writes;
+    /// see [`ServeBase::read_json`].
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Malformed`] for a missing key, an unknown index
-    /// kind, a zero cadence, a name that is not a model file's, or an
-    /// inconsistent class state, and
+    /// As [`ServeBase::read_json`], and [`CheckpointError::Malformed`] for
+    /// text after the base.
+    pub fn from_json_str(json: &str) -> Result<Self, CheckpointError> {
+        let mut r = json::Reader::new(json);
+        let base = Self::read_json(&mut r)?;
+        r.finish().map_err(malformed)?;
+        Ok(base)
+    }
+
+    /// Reads a base straight from JSON text into its final types: the class
+    /// state, validated like a [`CheckpointDelta`]'s, the cadence and the
+    /// model file's name. Keys may come in any order; unknown keys are
+    /// skipped and a repeated key is refused.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Malformed`] for malformed text, a missing or
+    /// repeated key, an unknown index kind, a zero cadence, a name that is
+    /// not a model file's, or an inconsistent class state, and
     /// [`CheckpointError::DimensionMismatch`] for stream counters of the
     /// wrong width.
-    pub fn from_value(value: &Value) -> Result<Self, CheckpointError> {
-        let model_file: String = field(value, "model_file")?;
+    pub fn read_json(r: &mut json::Reader<'_>) -> Result<Self, CheckpointError> {
+        // The classes' type depends on `index`: read at once when `index`
+        // came first (as the writer puts it), else kept to read after it.
+        enum Classes<'a> {
+            Read(BaseIndex),
+            Later(json::Reader<'a>),
+        }
+        let (mut snapshot_version, mut publish_every, mut model_file) = (None, None, None);
+        let (mut index, mut classes, mut threshold_bits, mut stream) = (None, None, None, None);
+        let mut read = || -> Result<(), json::Error> {
+            r.begin_object()?;
+            while let Some(key) = r.next_key()? {
+                match &*key {
+                    "snapshot_version" => r.field(&mut snapshot_version, "snapshot_version")?,
+                    "publish_every" => r.field(&mut publish_every, "publish_every")?,
+                    "model_file" => r.field(&mut model_file, "model_file")?,
+                    "index" => r.field(&mut index, "index")?,
+                    "classes" => {
+                        r.field_with(&mut classes, "classes", |r| match index.as_deref() {
+                            Some(kind) if is_index_kind(kind) => {
+                                read_index(kind, r).map(Classes::Read)
+                            }
+                            _ => r.defer().map(Classes::Later),
+                        })?
+                    }
+                    "threshold_bits" => {
+                        r.field::<Option<u32>>(&mut threshold_bits, "threshold_bits")?
+                    }
+                    "stream" => r.field(&mut stream, "stream")?,
+                    _ => r.skip()?,
+                }
+            }
+            Ok(())
+        };
+        read().map_err(malformed)?;
+        let model_file: String = model_file.ok_or_else(|| missing("model_file"))?;
         if model_file_fingerprint(&model_file).is_none() {
             return Err(CheckpointError::Malformed(format!(
                 "`{model_file}` is not a model file name"
             )));
         }
-        let publish_every: u32 = field(value, "publish_every")?;
+        let publish_every: u32 = publish_every.ok_or_else(|| missing("publish_every"))?;
         if publish_every == 0 {
             return Err(CheckpointError::Malformed(
                 "a base's publish_every must be at least 1".to_string(),
             ));
         }
-        let index = match field::<String>(value, "index")?.as_str() {
-            "sharded" => BaseIndex::Sharded(field(value, "classes")?),
-            "routed" => BaseIndex::Routed(field(value, "classes")?),
-            other => {
-                return Err(CheckpointError::Malformed(format!(
-                    "unknown index kind `{other}`"
-                )))
+        let kind: String = index.ok_or_else(|| missing("index"))?;
+        if !is_index_kind(&kind) {
+            return Err(CheckpointError::Malformed(format!(
+                "unknown index kind `{kind}`"
+            )));
+        }
+        let index = match classes.ok_or_else(|| missing("classes"))? {
+            Classes::Read(index) => index,
+            Classes::Later(mut r) => {
+                read_index(&kind, &mut r).map_err(|e| malformed(e.in_field("classes")))?
             }
         };
-        let threshold = field::<Option<u32>>(value, "threshold_bits")?.map(f32::from_bits);
-        let stream: Option<StreamCheckpoint> = field(value, "stream")?;
+        let threshold = threshold_bits
+            .ok_or_else(|| missing("threshold_bits"))?
+            .map(f32::from_bits);
+        let stream: Option<StreamCheckpoint> = stream.ok_or_else(|| missing("stream"))?;
         validate_class_state(index.memory(), threshold, stream.as_ref())?;
         Ok(Self {
-            snapshot_version: field(value, "snapshot_version")?,
+            snapshot_version: snapshot_version.ok_or_else(|| missing("snapshot_version"))?,
             publish_every,
             model_file,
             index,
@@ -744,6 +835,21 @@ impl ServeBase {
     pub fn validate_model(&self, model: &ZscModel) -> Result<(), CheckpointError> {
         check_prototype_dim(self.index.memory(), model.embedding_dim())
     }
+}
+
+/// Whether `kind` names a [`BaseIndex`] variant.
+fn is_index_kind(kind: &str) -> bool {
+    matches!(kind, "sharded" | "routed")
+}
+
+/// Reads the classes of a base whose index is of `kind`, one
+/// [`is_index_kind`] accepts.
+fn read_index(kind: &str, r: &mut json::Reader<'_>) -> Result<BaseIndex, json::Error> {
+    Ok(if kind == "sharded" {
+        BaseIndex::Sharded(ShardedClassMemory::read_json(r)?)
+    } else {
+        BaseIndex::Routed(RoutedClassMemory::read_json(r)?)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1683,9 +1789,8 @@ mod tests {
             );
         }
         // A delta is not a serve base.
-        let value = serde_json::parse_value(&json).expect("delta parses");
         assert!(matches!(
-            ServeBase::from_value(&value),
+            ServeBase::from_json_str(&json),
             Err(CheckpointError::Malformed(_))
         ));
     }
@@ -1917,7 +2022,8 @@ mod tests {
             BaseIndex::Routed(routed.clone()),
         ] {
             let saved = base(index, None);
-            let restored = ServeBase::from_value(&saved.to_value()).expect("base loads");
+            let text = serde_json::to_string(&saved).expect("base renders");
+            let restored = ServeBase::from_json_str(&text).expect("base loads");
             assert_eq!(
                 restored.threshold.map(f32::to_bits),
                 Some((-0.0f32).to_bits())
@@ -1939,9 +2045,10 @@ mod tests {
             pending: BTreeSet::new(),
             since_publish: 0,
         };
-        let value = base(BaseIndex::Sharded(memory.clone()), Some(stream)).to_value();
+        let text = serde_json::to_string(&base(BaseIndex::Sharded(memory.clone()), Some(stream)))
+            .expect("base renders");
         assert!(matches!(
-            ServeBase::from_value(&value),
+            ServeBase::from_json_str(&text),
             Err(CheckpointError::Malformed(reason)) if reason.contains("ghost")
         ));
         let sharded = serde_json::to_string(&base(BaseIndex::Sharded(memory.clone()), None))
@@ -1951,20 +2058,139 @@ mod tests {
             ("publish_every", Value::Number(0.0)),
         ] {
             let edited = edited(&sharded, |doc| *entry(doc, key) = bad);
-            let value = serde_json::parse_value(&edited).expect("base parses");
             assert!(
                 matches!(
-                    ServeBase::from_value(&value),
+                    ServeBase::from_json_str(&edited),
                     Err(CheckpointError::Malformed(_))
                 ),
                 "a bad `{key}`"
             );
         }
-        let delta = serde_json::parse_value(PRETTY_DELTA).expect("delta parses");
         assert!(matches!(
-            ServeBase::from_value(&delta),
+            ServeBase::from_json_str(PRETTY_DELTA),
             Err(CheckpointError::Malformed(reason)) if reason.contains("model_file")
         ));
+    }
+
+    /// A base over two classes, the first word of each at least 2^53 (so
+    /// written quoted), with one observation folded into `é😀` (every count
+    /// 1), as text.
+    fn hostile_base_text() -> (ServeBase, String) {
+        let mut memory = ShardedClassMemory::new(64, 2);
+        memory.add_class_packed("é😀", &[u64::MAX - 5]);
+        memory.add_class_packed("b", &[1 << 60]);
+        let mut accumulators = hdc::ClassAccumulator::new(64);
+        accumulators
+            .observe("é😀", &hdc::BipolarHypervector::from_signs(&[1; 64]))
+            .expect("observe fits");
+        let base = ServeBase {
+            snapshot_version: 7,
+            publish_every: 3,
+            model_file: format!("model-{:016x}.bin", 7),
+            index: BaseIndex::Sharded(memory),
+            threshold: None,
+            stream: Some(StreamCheckpoint {
+                accumulators,
+                pending: BTreeSet::from(["é😀".to_string()]),
+                since_publish: 1,
+            }),
+        };
+        let text = serde_json::to_string(&base).expect("base renders");
+        (base, text)
+    }
+
+    /// The base reader refuses hostile text with a typed error, never a
+    /// panic: a repeated key at the top or inside the classes, an unknown
+    /// key nested past `MAX_DEPTH`, an unquoted word from 2^53 on, a count
+    /// above its class's observations, and counts that are strings. Quoted
+    /// counts below 2^53 load, as they always have.
+    #[test]
+    fn serve_base_reader_refuses_hostile_text() {
+        let (base, text) = hostile_base_text();
+        assert_eq!(ServeBase::from_json_str(&text).expect("base loads"), base);
+        let deep = format!(
+            "{{\"deep\":{}{},",
+            "[".repeat(json::MAX_DEPTH + 1),
+            "]".repeat(json::MAX_DEPTH + 1)
+        );
+        let ones = format!("[{}]", vec!["1"; 64].join(","));
+        let cases = [
+            (
+                "a repeated key",
+                "\"publish_every\":3,",
+                "\"publish_every\":3,\"publish_every\":3,",
+            ),
+            (
+                "a repeated nested key",
+                "\"dim\":64,\"shards\"",
+                "\"dim\":64,\"dim\":64,\"shards\"",
+            ),
+            ("a deep unknown key", "{", deep.as_str()),
+            (
+                "an unquoted word",
+                "\"18446744073709551610\"",
+                "18446744073709551610",
+            ),
+            ("a count above n", "\"counts\":[1,", "\"counts\":[2,"),
+            (
+                "counts as a string",
+                "\"counts\":[",
+                "\"counts\":\"1\",\"rest\":[",
+            ),
+            (
+                "a count that is no number",
+                "\"counts\":[1,",
+                "\"counts\":[\"x\",",
+            ),
+            ("a truncated document", &text[text.len() - 2..], "}"),
+        ];
+        for (what, from, to) in cases {
+            assert!(text.contains(from), "{what}: `{from}` in the base");
+            let hostile = text.replacen(from, to, 1);
+            assert!(
+                matches!(
+                    ServeBase::from_json_str(&hostile),
+                    Err(CheckpointError::Malformed(_))
+                ),
+                "{what}: {:?}",
+                ServeBase::from_json_str(&hostile).map(|_| ())
+            );
+        }
+        let quoted = text.replacen(&ones, &ones.replace('1', "\"1\""), 1);
+        assert_ne!(quoted, text);
+        assert_eq!(
+            ServeBase::from_json_str(&quoted).expect("quoted counts"),
+            base
+        );
+    }
+
+    /// Keys load in any order, unknown keys of any shape are skipped, and
+    /// labels written with `\u` escapes (a surrogate pair included) read
+    /// back as the labels they spell.
+    #[test]
+    fn serve_base_reader_takes_any_key_order_and_escaped_labels() {
+        let (base, text) = hostile_base_text();
+        let reordered = edited(&text, |doc| {
+            doc.reverse();
+            doc.insert(
+                2,
+                (
+                    "extra".to_string(),
+                    Value::Object(vec![(
+                        "classes".to_string(),
+                        Value::Array(vec![Value::Null]),
+                    )]),
+                ),
+            );
+        });
+        assert!(reordered.find("\"classes\"") < reordered.find("\"index\""));
+        assert_eq!(
+            ServeBase::from_json_str(&reordered).expect("reordered"),
+            base
+        );
+        let escaped = text.replace("é😀", "\\u00e9\\ud83d\\ude00");
+        assert_eq!(escaped.matches("\\ud83d").count(), 3);
+        assert_eq!(ServeBase::from_json_str(&escaped).expect("escaped"), base);
     }
 
     /// A base's streaming writer emits exactly the text of its value tree,

@@ -661,18 +661,45 @@ impl Serialize for RoutedClassMemory {
 /// (tail-masked) row per cluster. The scoring pool is rebuilt auto-sized.
 impl Deserialize for RoutedClassMemory {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "RoutedClassMemory")?;
-        let clusters = ShardedClassMemory::from_entries(entries, "clusters", "RoutedClassMemory")?;
+        serde_json::from_value_via_text(value)
+    }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        const TYPE: &str = "RoutedClassMemory";
+        let (mut dim, mut clusters, mut drift, mut centroids) = (None, None, None, None);
+        let (mut count, mut nprobe, mut seed, mut iters, mut percent) =
+            (None, None, None, None, None);
+        r.begin_object().map_err(|e| e.in_field(TYPE))?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "dim" => r.field(&mut dim, "dim")?,
+                "clusters_config" => r.field(&mut count, "clusters_config")?,
+                "nprobe" => r.field(&mut nprobe, "nprobe")?,
+                "seed" => r.field(&mut seed, "seed")?,
+                "kmeans_iters" => r.field(&mut iters, "kmeans_iters")?,
+                "recluster_percent" => r.field(&mut percent, "recluster_percent")?,
+                "drift" => r.field(&mut drift, "drift")?,
+                "centroids" => r.field(&mut centroids, "centroids")?,
+                "clusters" => r.field(&mut clusters, "clusters")?,
+                _ => r.skip()?,
+            }
+        }
+        let clusters = ShardedClassMemory::from_parts(
+            de::required(dim, "dim", TYPE)?,
+            de::required(clusters, "clusters", TYPE)?,
+            "clusters",
+            TYPE,
+        )?;
         let config = RoutedConfig {
-            clusters: de::field(entries, "clusters_config", "RoutedClassMemory")?,
-            nprobe: de::field(entries, "nprobe", "RoutedClassMemory")?,
-            seed: de::field(entries, "seed", "RoutedClassMemory")?,
-            kmeans_iters: de::field(entries, "kmeans_iters", "RoutedClassMemory")?,
-            recluster_percent: de::field(entries, "recluster_percent", "RoutedClassMemory")?,
+            clusters: de::required(count, "clusters_config", TYPE)?,
+            nprobe: de::required(nprobe, "nprobe", TYPE)?,
+            seed: de::required(seed, "seed", TYPE)?,
+            kmeans_iters: de::required(iters, "kmeans_iters", TYPE)?,
+            recluster_percent: de::required(percent, "recluster_percent", TYPE)?,
         };
-        let drift: usize = de::field(entries, "drift", "RoutedClassMemory")?;
-        let centroids: Vec<u64> = de::field(entries, "centroids", "RoutedClassMemory")?;
-        let type_err = |msg: String| DeError::new(msg).in_field("RoutedClassMemory");
+        let drift: usize = de::required(drift, "drift", TYPE)?;
+        let centroids: Vec<u64> = de::required(centroids, "centroids", TYPE)?;
+        let type_err = |msg: String| json::Error::from(DeError::new(msg).in_field(TYPE));
         let dim = clusters.dim();
         let wpr = words_per_row(dim);
         if centroids.len() != clusters.num_shards() * wpr {

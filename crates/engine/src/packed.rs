@@ -181,25 +181,53 @@ impl Serialize for PackedClassMemory {
 /// Hand-written (instead of derived) so documents whose word matrix
 /// disagrees with the declared shape — or that smuggle set bits past `dim`,
 /// which would skew every popcount, or hold one label twice — are rejected
-/// with a typed error.
+/// with a typed error. Read straight from the text: words into the word
+/// matrix, labels into their shared `Arc<str>`s.
 impl Deserialize for PackedClassMemory {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "PackedClassMemory")?;
-        let dim: usize = de::field(entries, "dim", "PackedClassMemory")?;
-        let wpr: usize = de::field(entries, "words_per_row", "PackedClassMemory")?;
-        let labels: Vec<String> = de::field(entries, "labels", "PackedClassMemory")?;
-        let words: Vec<u64> = de::field(entries, "words", "PackedClassMemory")?;
-        let type_err = |msg: String| DeError::new(msg).in_field("PackedClassMemory");
+        serde_json::from_value_via_text(value)
+    }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        const TYPE: &str = "PackedClassMemory";
+        let (mut dim, mut wpr, mut labels, mut words) = (None, None, None, None);
+        r.begin_object().map_err(|e| e.in_field(TYPE))?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "dim" => r.field(&mut dim, "dim")?,
+                "words_per_row" => r.field(&mut wpr, "words_per_row")?,
+                "labels" => r.field(&mut labels, "labels")?,
+                "words" => r.field(&mut words, "words")?,
+                _ => r.skip()?,
+            }
+        }
+        let dim: usize = de::required(dim, "dim", TYPE)?;
+        let wpr: usize = de::required(wpr, "words_per_row", TYPE)?;
+        let labels: Vec<Arc<str>> = de::required(labels, "labels", TYPE)?;
+        let words: Vec<u64> = de::required(words, "words", TYPE)?;
+        Ok(Self::from_parts(dim, wpr, labels, words).map_err(|e| e.in_field(TYPE))?)
+    }
+}
+
+impl PackedClassMemory {
+    /// A memory from its decoded parts, checked: the shape, the tail bits
+    /// and no label twice. Builds the label table.
+    fn from_parts(
+        dim: usize,
+        wpr: usize,
+        labels: Vec<Arc<str>>,
+        words: Vec<u64>,
+    ) -> Result<Self, DeError> {
         if dim == 0 && !(wpr == 0 && labels.is_empty() && words.is_empty()) {
-            return Err(type_err("non-empty memory with zero dimensionality".into()));
+            return Err(DeError::new("non-empty memory with zero dimensionality"));
         }
         if dim > 0 && wpr != words_per_row(dim) {
-            return Err(type_err(format!(
+            return Err(DeError::new(format!(
                 "words_per_row {wpr} does not match dimensionality {dim}"
             )));
         }
         if words.len() != labels.len() * wpr {
-            return Err(type_err(format!(
+            return Err(DeError::new(format!(
                 "{} words do not match {} rows of {wpr} words",
                 words.len(),
                 labels.len()
@@ -209,17 +237,16 @@ impl Deserialize for PackedClassMemory {
         if rem != 0 && wpr > 0 {
             for (row, chunk) in words.chunks_exact(wpr).enumerate() {
                 if chunk[wpr - 1] >> rem != 0 {
-                    return Err(type_err(format!(
+                    return Err(DeError::new(format!(
                         "row {row} has set bits beyond the declared dimensionality"
                     )));
                 }
             }
         }
-        let labels: Vec<Arc<str>> = labels.into_iter().map(Arc::from).collect();
         let mut rows = HashMap::with_capacity(labels.len());
         for (row, label) in labels.iter().enumerate() {
             if rows.insert(Arc::clone(label), row).is_some() {
-                return Err(type_err(format!("label `{label}` stored twice")));
+                return Err(DeError::new(format!("label `{label}` stored twice")));
             }
         }
         Ok(Self {
@@ -230,9 +257,7 @@ impl Deserialize for PackedClassMemory {
             words,
         })
     }
-}
 
-impl PackedClassMemory {
     /// Creates an empty memory for `dim`-bit prototypes.
     ///
     /// # Panics

@@ -431,19 +431,18 @@ impl ShardedClassMemory {
         self.map_queries(batch, |query| self.top_k_among(query, k, probe(query)))
     }
 
-    /// Decodes `dim` and the shard list under `key` from an owner's object
-    /// entries, rejecting with typed errors a zero `dim`, an empty shard
-    /// list, a shard at another dimensionality and a label stored twice.
-    /// Each shard's own shape and tail bits are checked by
+    /// A memory from a decoded `dim` and the shard list under `key`,
+    /// rejecting with typed errors a zero `dim`, an empty shard list, a
+    /// shard at another dimensionality and a label stored twice. Each
+    /// shard's own shape and tail bits are checked by
     /// [`PackedClassMemory`]'s deserializer. The pool is rebuilt auto-sized
     /// (it is a performance knob, not state).
-    pub(crate) fn from_entries(
-        entries: &[(String, Value)],
+    pub(crate) fn from_parts(
+        dim: usize,
+        shards: Vec<PackedClassMemory>,
         key: &str,
         owner: &'static str,
     ) -> Result<Self, DeError> {
-        let dim: usize = de::field(entries, "dim", owner)?;
-        let shards: Vec<PackedClassMemory> = de::field(entries, key, owner)?;
         let err = |msg: String| DeError::new(msg).in_field(owner);
         if dim == 0 {
             return Err(err("dimensionality must be positive".into()));
@@ -501,8 +500,23 @@ impl Serialize for ShardedClassMemory {
 /// performance knob, not state).
 impl Deserialize for ShardedClassMemory {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "ShardedClassMemory")?;
-        Self::from_entries(entries, "shards", "ShardedClassMemory")
+        serde_json::from_value_via_text(value)
+    }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        const TYPE: &str = "ShardedClassMemory";
+        let (mut dim, mut shards) = (None, None);
+        r.begin_object().map_err(|e| e.in_field(TYPE))?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "dim" => r.field(&mut dim, "dim")?,
+                "shards" => r.field(&mut shards, "shards")?,
+                _ => r.skip()?,
+            }
+        }
+        let dim = de::required(dim, "dim", TYPE)?;
+        let shards = de::required(shards, "shards", TYPE)?;
+        Ok(Self::from_parts(dim, shards, "shards", TYPE)?)
     }
 }
 

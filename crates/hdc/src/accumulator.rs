@@ -197,56 +197,110 @@ impl Serialize for ClassAccumulator {
     }
 }
 
+/// Read straight from the text: each class's counters go into its
+/// bundler's `Vec<i32>` with no copy, and are checked as they arrive.
 impl Deserialize for ClassAccumulator {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = de::expect_object(value, "ClassAccumulator")?;
-        let dim: usize = de::field(entries, "dim", "ClassAccumulator")?;
-        if dim == 0 {
-            return Err(DeError::new("accumulator dimensionality must be positive"));
+        serde_json::from_value_via_text(value)
+    }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
+        const TYPE: &str = "ClassAccumulator";
+        // The classes are checked against `dim`: read at once when `dim`
+        // came first (as the writer puts it), else kept to read after it.
+        enum Classes<'a> {
+            Read(BTreeMap<String, Bundler>),
+            Later(json::Reader<'a>),
         }
-        let classes_value = entries
-            .iter()
-            .find(|(k, _)| k == "classes")
-            .map(|(_, v)| v)
-            .ok_or_else(|| DeError::missing_field("classes", "ClassAccumulator"))?;
-        let Value::Array(items) = classes_value else {
-            return Err(DeError::expected("array", classes_value).in_field("classes"));
+        let (mut dim, mut classes) = (None, None);
+        r.begin_object().map_err(|e| e.in_field(TYPE))?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "dim" => r.field(&mut dim, "dim")?,
+                "classes" => r.field_with(&mut classes, "classes", |r| match dim {
+                    Some(dim) => read_classes(r, dim).map(Classes::Read),
+                    None => r.defer().map(Classes::Later),
+                })?,
+                _ => r.skip()?,
+            }
+        }
+        let dim: usize = de::required(dim, "dim", TYPE)?;
+        let classes = match de::required(classes, "classes", TYPE)? {
+            Classes::Read(classes) => classes,
+            Classes::Later(mut r) => {
+                read_classes(&mut r, dim).map_err(|e| e.in_field("classes"))?
+            }
         };
-        let mut classes = BTreeMap::new();
-        for item in items {
-            let fields = de::expect_object(item, "ClassAccumulator class")?;
-            let label: String = de::field(fields, "label", "ClassAccumulator class")?;
-            let n: usize = de::field(fields, "n", "ClassAccumulator class")?;
-            let counts: Vec<i32> = de::field(fields, "counts", "ClassAccumulator class")?;
-            if counts.len() != dim {
-                return Err(DeError::new(format!(
-                    "class `{label}` carries {} counts for dimensionality {dim}",
-                    counts.len()
-                )));
-            }
-            if n == 0 {
-                return Err(DeError::new(format!(
-                    "class `{label}` stores state without any observation"
-                )));
-            }
-            // Unit-weight folds bound every counter by the observation
-            // count; state outside that envelope cannot have come from an
-            // accumulator and is rejected as corrupt.
-            let bound = u32::try_from(n).unwrap_or(u32::MAX);
-            if counts.iter().any(|c| c.unsigned_abs() > bound) {
-                return Err(DeError::new(format!(
-                    "class `{label}` carries a count exceeding its {n} observations"
-                )));
-            }
-            let tie_break_seed = Bundler::new(dim).tie_break_seed();
-            let bundler = Bundler::from_parts(counts, n, tie_break_seed)
-                .map_err(|e| DeError::new(e.to_string()))?;
-            if classes.insert(label.clone(), bundler).is_some() {
-                return Err(DeError::new(format!("duplicate class `{label}`")));
-            }
-        }
         Ok(Self { dim, classes })
     }
+}
+
+/// The `classes` array of a serialized accumulator of dimensionality
+/// `dim`, which must be positive; no label twice.
+fn read_classes(
+    r: &mut json::Reader<'_>,
+    dim: usize,
+) -> Result<BTreeMap<String, Bundler>, json::Error> {
+    if dim == 0 {
+        return Err(DeError::new("accumulator dimensionality must be positive").into());
+    }
+    let tie_break_seed = Bundler::new(dim).tie_break_seed();
+    let mut classes = BTreeMap::new();
+    r.begin_array()?;
+    while r.next_item()? {
+        let (label, bundler) = read_class(r, dim, tie_break_seed)?;
+        if classes.contains_key(&label) {
+            return Err(DeError::new(format!("duplicate class `{label}`")).into());
+        }
+        classes.insert(label, bundler);
+    }
+    Ok(classes)
+}
+
+/// One `{label, n, counts}` entry of a serialized accumulator, checked:
+/// `dim` counts, at least one observation, and no count magnitude above
+/// it (unit-weight folds bound every counter by the observation count, so
+/// state outside that envelope cannot have come from an accumulator).
+fn read_class(
+    r: &mut json::Reader<'_>,
+    dim: usize,
+    tie_break_seed: u64,
+) -> Result<(String, Bundler), json::Error> {
+    const TYPE: &str = "ClassAccumulator class";
+    let (mut label, mut n, mut counts) = (None, None, None);
+    r.begin_object().map_err(|e| e.in_field(TYPE))?;
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "label" => r.field(&mut label, "label")?,
+            "n" => r.field(&mut n, "n")?,
+            "counts" => r.field(&mut counts, "counts")?,
+            _ => r.skip()?,
+        }
+    }
+    let label: String = de::required(label, "label", TYPE)?;
+    let n: usize = de::required(n, "n", TYPE)?;
+    let counts: Vec<i32> = de::required(counts, "counts", TYPE)?;
+    let invalid = |message: String| Err(DeError::new(message).into());
+    if counts.len() != dim {
+        return invalid(format!(
+            "class `{label}` carries {} counts for dimensionality {dim}",
+            counts.len()
+        ));
+    }
+    if n == 0 {
+        return invalid(format!(
+            "class `{label}` stores state without any observation"
+        ));
+    }
+    let bound = u32::try_from(n).unwrap_or(u32::MAX);
+    if counts.iter().any(|c| c.unsigned_abs() > bound) {
+        return invalid(format!(
+            "class `{label}` carries a count exceeding its {n} observations"
+        ));
+    }
+    let bundler =
+        Bundler::from_parts(counts, n, tie_break_seed).map_err(|e| DeError::new(e.to_string()))?;
+    Ok((label, bundler))
 }
 
 #[cfg(test)]

@@ -82,7 +82,7 @@ use engine::ShardedClassMemory;
 pub use hdc_zsc::checkpoint::crc32;
 use hdc_zsc::checkpoint::{model_file_fingerprint, rename_temp, write_temp};
 use hdc_zsc::{CheckpointError, ModelFile, ServeBase};
-use serde::{json, Deserialize, Serialize, Value};
+use serde::{json, DeError, Deserialize, Serialize, Value};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -252,6 +252,8 @@ pub enum WalOp {
     Flush,
 }
 
+/// The words of a packed row written by [`HexRow`], decoded straight from
+/// the string's text.
 fn words_from_hex(hex: &str) -> Result<Vec<u64>, String> {
     if !hex.len().is_multiple_of(16) {
         return Err(format!(
@@ -326,17 +328,21 @@ impl WalOp {
         record.end();
     }
 
-    /// Parses a record payload back into `(seq, op)`.
-    fn from_value(value: &Value) -> Result<(u64, Self), String> {
-        fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, String> {
-            let entry = value
-                .get(name)
-                .ok_or_else(|| format!("record missing `{name}`"))?;
-            serde_json::from_value(entry).map_err(|e| e.to_string())
+    /// `(seq, op)` from the fields of a record that is not a base: each is
+    /// kept in place until `op` says which ones the record has, then
+    /// decoded straight from the text.
+    fn from_fields(fields: RecordFields<'_>) -> Result<(u64, Self), String> {
+        let [seq, op, label, row, model_file, memory, threshold_bits, _base] = fields;
+        fn field<T: Deserialize>(slot: Option<json::Reader<'_>>, name: &str) -> Result<T, String> {
+            let mut r = slot.ok_or_else(|| format!("record missing `{name}`"))?;
+            T::read_json(&mut r).map_err(|e| e.in_field(name).to_string())
         }
-        let label = || field::<String>(value, "label");
-        let row = || words_from_hex(&field::<String>(value, "row")?);
-        let op = match field::<String>(value, "op")?.as_str() {
+        let label = || field::<String>(label.clone(), "label");
+        let row = || {
+            let mut r = row.clone().ok_or("record missing `row`")?;
+            words_from_hex(&r.str().map_err(|e| e.in_field("row").to_string())?)
+        };
+        let op = match field::<String>(op, "op")?.as_str() {
             "register" => WalOp::Register {
                 label: label()?,
                 words: row()?,
@@ -347,17 +353,17 @@ impl WalOp {
             },
             "remove" => WalOp::Remove { label: label()? },
             "swap" => {
-                let model_file: String = field(value, "model_file")?;
+                let model_file: String = field(model_file, "model_file")?;
                 if model_file_fingerprint(&model_file).is_none() {
                     return Err(format!("swap names `{model_file}`, not a model file"));
                 }
                 WalOp::Swap {
                     model_file,
-                    memory: field(value, "memory")?,
+                    memory: field(memory, "memory")?,
                 }
             }
             "set_threshold" => WalOp::SetThreshold {
-                bits: field(value, "threshold_bits")?,
+                bits: field(threshold_bits, "threshold_bits")?,
             },
             "observe" => WalOp::Observe {
                 label: label()?,
@@ -366,9 +372,28 @@ impl WalOp {
             "flush" => WalOp::Flush,
             other => return Err(format!("unknown op `{other}`")),
         };
-        Ok((field(value, "seq")?, op))
+        Ok((field(seq, "seq")?, op))
     }
 }
+
+/// Where [`RECORD_KEYS`] puts `op` and `base`.
+const OP: usize = 1;
+const BASE: usize = 7;
+
+/// The keys of a log frame: a record's, then the base record's `base`.
+const RECORD_KEYS: [&str; 8] = [
+    "seq",
+    "op",
+    "label",
+    "row",
+    "model_file",
+    "memory",
+    "threshold_bits",
+    "base",
+];
+
+/// A frame's fields in [`RECORD_KEYS`] order, each a reader at its value.
+type RecordFields<'a> = [Option<json::Reader<'a>>; 8];
 
 // ---------------------------------------------------------------------------
 // Sync policy
@@ -512,27 +537,24 @@ fn read(path: &Path) -> Result<(WalReplay, u64), WalError> {
         }
         let text = std::str::from_utf8(payload)
             .map_err(|_| corrupt("payload is not UTF-8 despite a valid checksum".to_string()))?;
-        let value = serde_json::parse_value(text)
-            .map_err(|e| corrupt(format!("payload is not valid JSON: {e}")))?;
-        if offset == HEADER_LEN as usize && value.get("op") == Some(&BASE_OP.to_value()) {
-            let fields = value.get("base").unwrap_or(&Value::Null);
-            let parsed =
-                ServeBase::from_value(fields).map_err(|e| corrupt(format!("base: {e}")))?;
-            base = Some(parsed);
-            records_start = body_end as u64;
-        } else {
-            let (seq, op) = WalOp::from_value(&value).map_err(corrupt)?;
-            if seq != expected_seq {
-                return Err(corrupt(format!(
-                    "record carries seq {seq}, expected {expected_seq}"
-                )));
+        match read_payload(text, offset == HEADER_LEN as usize).map_err(corrupt)? {
+            Payload::Base(parsed) => {
+                base = Some(parsed);
+                records_start = body_end as u64;
             }
-            expected_seq += 1;
-            entries.push(WalEntry {
-                seq,
-                op,
-                end_offset: body_end as u64,
-            });
+            Payload::Record(seq, op) => {
+                if seq != expected_seq {
+                    return Err(corrupt(format!(
+                        "record carries seq {seq}, expected {expected_seq}"
+                    )));
+                }
+                expected_seq += 1;
+                entries.push(WalEntry {
+                    seq,
+                    op,
+                    end_offset: body_end as u64,
+                });
+            }
         }
         offset = body_end;
     }
@@ -547,8 +569,63 @@ fn read(path: &Path) -> Result<(WalReplay, u64), WalError> {
     Ok((replay, records_start))
 }
 
-/// The `op` of the base record.
+/// The `op` of the base record, and the key of its base.
 const BASE_OP: &str = "base";
+
+/// A frame's payload, read.
+enum Payload {
+    /// The log's base record.
+    Base(ServeBase),
+    /// A record after the base: its `seq` and mutation.
+    Record(u64, WalOp),
+}
+
+/// Reads a frame's payload straight from its text, with no value tree.
+/// The log's first frame (`first`) is the base when its `op` is
+/// [`BASE_OP`]: its base is read as it comes when `op` came before it (as
+/// the writer puts it), else kept in place and read after the payload.
+/// A record's fields are kept in place until its `op` says which ones it
+/// has.
+fn read_payload(text: &str, first: bool) -> Result<Payload, String> {
+    let is_base = |fields: &RecordFields<'_>| {
+        first
+            && fields[OP]
+                .clone()
+                .is_some_and(|mut r| r.str().is_ok_and(|op| op == BASE_OP))
+    };
+    let mut r = json::Reader::new(text);
+    let mut fields: RecordFields<'_> = Default::default();
+    let mut base = None;
+    let mut read = || -> Result<(), json::Error> {
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match RECORD_KEYS.iter().position(|k| *k == key) {
+                Some(BASE) if is_base(&fields) => {
+                    r.field_with(&mut fields[BASE], BASE_OP, |r| {
+                        let at = r.clone();
+                        let read = ServeBase::read_json(r);
+                        base = Some(read.map_err(|e| DeError::new(e.to_string()))?);
+                        Ok(at)
+                    })?
+                }
+                Some(i) => r.field_with(&mut fields[i], RECORD_KEYS[i], json::Reader::defer)?,
+                None => r.skip()?,
+            }
+        }
+        Ok(())
+    };
+    read().map_err(|e| format!("payload: {e}"))?;
+    r.finish().map_err(|e| format!("payload: {e}"))?;
+    if !is_base(&fields) {
+        return WalOp::from_fields(fields).map(|(seq, op)| Payload::Record(seq, op));
+    }
+    let base = match (base, fields[BASE].clone()) {
+        (Some(base), _) => base,
+        (None, Some(mut r)) => ServeBase::read_json(&mut r).map_err(|e| format!("base: {e}"))?,
+        (None, None) => return Err("base record missing `base`".to_string()),
+    };
+    Ok(Payload::Base(base))
+}
 
 /// Appends the frame of one record payload to `out`;
 /// [`WalError::RecordTooLarge`] over the cap, with nothing appended.
@@ -883,6 +960,14 @@ pub(crate) mod fault {
 mod tests {
     use super::*;
 
+    /// A record payload read back as `read` reads a frame after the base.
+    fn read_record(text: &str) -> Result<(u64, WalOp), String> {
+        match read_payload(text, false)? {
+            Payload::Record(seq, op) => Ok((seq, op)),
+            Payload::Base(_) => unreachable!("only a first frame is a base"),
+        }
+    }
+
     fn temp_wal(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("zsc-wal-unit-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create temp dir");
@@ -973,7 +1058,7 @@ mod tests {
                 assert_eq!(payload, format!("{head}{tail}"));
                 let value = serde_json::parse_value(&payload).expect("payload parses");
                 assert_eq!(serde_json::to_string(&value).expect("renders"), payload);
-                assert_eq!(WalOp::from_value(&value), Ok((seq, op.clone())));
+                assert_eq!(read_record(&payload), Ok((seq, op.clone())));
             }
         }
     }

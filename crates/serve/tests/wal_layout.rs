@@ -275,3 +275,145 @@ fn a_two_file_directory_from_an_earlier_build_is_refused() {
     ));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The log header and the base record's payload of `headed_routed.bin`.
+fn routed_base() -> (&'static [u8], String) {
+    let bytes: &'static [u8] = include_bytes!("wal_layout/headed_routed.bin");
+    let payload = std::str::from_utf8(&bytes[28..]).expect("UTF-8 payload");
+    (&bytes[..20], payload.to_string())
+}
+
+/// Replays a log of `header` and one frame around `payload`, with a
+/// correct length and CRC-32, so only what the payload says is checked.
+fn replay_reframed(header: &[u8], payload: &[u8]) -> Result<wal::WalReplay, WalError> {
+    static LOGS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = LOGS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("zsc-reframed-{}-{n}.log", std::process::id()));
+    let mut log = header.to_vec();
+    log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    log.extend_from_slice(&wal::crc32(payload).to_le_bytes());
+    log.extend_from_slice(payload);
+    std::fs::write(&path, log).expect("write log");
+    let replay = wal::replay(&path);
+    std::fs::remove_file(&path).ok();
+    replay
+}
+
+/// Every cut of the base record's payload, re-framed with a correct CRC so
+/// it is not a torn tail, is typed corruption and never a panic.
+#[test]
+fn every_cut_of_a_base_payload_is_typed_corruption() {
+    let (header, payload) = routed_base();
+    let whole = replay_reframed(header, payload.as_bytes()).expect("the fixture replays");
+    assert!(whole.base.is_some());
+    for cut in 0..payload.len() {
+        match replay_reframed(header, &payload.as_bytes()[..cut]) {
+            Err(WalError::Corrupt { offset: 20, .. }) => {}
+            other => panic!("cut at {cut}: {:?}", other.map(|r| r.base.is_some())),
+        }
+    }
+}
+
+/// A base payload that repeats a key, hides an unknown key past the
+/// reader's depth limit, writes a word from 2^53 on unquoted, or carries
+/// stream counts above their class's observations or as strings is typed
+/// corruption. Reordered keys, an extra unknown key and labels written
+/// with `\u` escapes (a surrogate pair included) still load.
+#[test]
+fn hostile_base_payloads_are_typed_corruption() {
+    let (header, payload) = routed_base();
+    let stream = |counts: &str| {
+        format!(
+            r#""stream":{{"accumulators":{{"dim":64,"classes":[{{"label":"x","n":1,"counts":{counts}}}]}},"pending":["x"],"since_publish":1}}"#
+        )
+    };
+    let ones = format!("[{}]", vec!["1"; 64].join(","));
+    let twos = format!("[{}]", vec!["2"; 64].join(","));
+    let deep = format!(r#"{{"deep":{}{},"#, "[".repeat(200), "]".repeat(200));
+    let observed = payload.replacen(r#""stream":null"#, &stream(&ones), 1);
+    let replay = replay_reframed(header, observed.as_bytes()).expect("a stream base loads");
+    let base = replay.base.expect("a base");
+    let counters = base.stream.expect("stream state").accumulators;
+    assert_eq!(counters.observations("x"), Some(1));
+    let hostile = [
+        (
+            "a repeated op",
+            payload.replacen(r#""op":"base","#, r#""op":"base","op":"base","#, 1),
+        ),
+        (
+            "a repeated base key",
+            payload.replacen(r#""drift":0,"#, r#""drift":0,"drift":0,"#, 1),
+        ),
+        ("a deep unknown key", payload.replacen('{', &deep, 1)),
+        (
+            "an unquoted word",
+            payload.replacen(r#""15433845342562776483""#, "15433845342562776483", 1),
+        ),
+        (
+            "an unquoted centroid",
+            payload.replacen(r#""14136799853774374307""#, "14136799853774374307", 1),
+        ),
+        (
+            "a count above n",
+            payload.replacen(r#""stream":null"#, &stream(&twos), 1),
+        ),
+        (
+            "counts as a string",
+            payload.replacen(r#""stream":null"#, &stream(r#""1""#), 1),
+        ),
+        (
+            "counts that are no numbers",
+            payload.replacen(r#""stream":null"#, &stream(r#"["x"]"#), 1),
+        ),
+    ];
+    for (what, text) in hostile {
+        assert_ne!(text, payload, "{what} edits the payload");
+        match replay_reframed(header, text.as_bytes()) {
+            Err(WalError::Corrupt { offset: 20, .. }) => {}
+            other => panic!("{what}: {:?}", other.map(|r| r.base.is_some())),
+        }
+    }
+
+    let original = replay_reframed(header, payload.as_bytes())
+        .expect("replays")
+        .base
+        .expect("a base");
+    let base_start = payload.find(r#""base":{"#).expect("a base key") + 7;
+    let fields = &payload[base_start + 1..payload.len() - 2];
+    let mut keys: Vec<&str> = split_top_level(fields);
+    keys.reverse();
+    let reordered = format!(
+        r#"{{"base":{{"extra":{{"classes":[1,{{"index":"x"}}]}},{}}},"unknown":[],"op":"base"}}"#,
+        keys.join(",")
+    );
+    let replay = replay_reframed(header, reordered.as_bytes()).expect("reordered keys load");
+    assert_eq!(replay.base.as_ref(), Some(&original));
+    let escaped = payload.replacen(r#"["x"]"#, r#"["\u0078"]"#, 1);
+    let replay = replay_reframed(header, escaped.as_bytes()).expect("escaped labels load");
+    assert_eq!(replay.base.as_ref(), Some(&original));
+    let paired = payload.replacen(r#"["z","y"]"#, r#"["z","\ud83d\ude00"]"#, 1);
+    let replay = replay_reframed(header, paired.as_bytes()).expect("a surrogate pair loads");
+    let memory = replay.base.expect("a base").index.memory().clone();
+    assert!(memory.contains("z") && memory.contains("😀") && !memory.contains("y"));
+}
+
+/// The top-level `key:value` entries of an object's contents, split on the
+/// commas outside strings, brackets and braces.
+fn split_top_level(fields: &str) -> Vec<&str> {
+    let (mut parts, mut depth, mut quoted, mut start) = (Vec::new(), 0, false, 0);
+    let bytes = fields.as_bytes();
+    for (i, &b) in bytes.iter().enumerate() {
+        match b {
+            b'"' if i == 0 || bytes[i - 1] != b'\\' => quoted = !quoted,
+            b'{' | b'[' if !quoted => depth += 1,
+            b'}' | b']' if !quoted => depth -= 1,
+            b',' if !quoted && depth == 0 => {
+                parts.push(&fields[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    parts.push(&fields[start..]);
+    parts
+}
