@@ -373,10 +373,9 @@ mod tests {
 
     #[test]
     fn calibration_serde_round_trip_is_bit_exact() {
-        use serde::{Deserialize, Serialize};
         let calibration = SimilarityCalibrator::new(0.05).fit(&[0.31, 0.72, 0.55, 0.48]);
-        let value = calibration.to_value();
-        let restored = SimilarityCalibration::from_value(&value).expect("round trip");
+        let text = serde_json::to_string(&calibration).expect("writes");
+        let restored: SimilarityCalibration = serde_json::from_str(&text).expect("round trip");
         assert_eq!(
             restored.threshold.to_bits(),
             calibration.threshold.to_bits()

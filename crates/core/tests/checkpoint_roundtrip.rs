@@ -51,6 +51,12 @@ struct Parts {
     tensors: Vec<Vec<u8>>,
 }
 
+/// The tensor table of a model file's header; the other keys are skipped.
+#[derive(serde::Deserialize)]
+struct Table {
+    tensors: Vec<Shape>,
+}
+
 /// The name and shape of one tensor in a model file's table.
 #[derive(serde::Deserialize)]
 struct Shape {
@@ -85,8 +91,7 @@ fn split(file: &ModelFile) -> Parts {
     let header_len = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
     let text = std::str::from_utf8(&payload[4..4 + header_len]).expect("header is UTF-8");
     let header = serde_json::parse_value(text).expect("header parses");
-    let shapes: Vec<Shape> =
-        serde_json::from_value(header.get("tensors").expect("a table")).expect("table parses");
+    let Table { tensors: shapes } = serde_json::from_str(text).expect("table parses");
     let mut data = &payload[4 + header_len..];
     let tensors = shapes
         .iter()

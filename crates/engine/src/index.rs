@@ -52,7 +52,7 @@
 use crate::batch::PackedQueryBatch;
 use crate::packed::{hamming, mask_tail_word, pack_signs, words_per_row, PackedClassMemory};
 use crate::sharded::ShardedClassMemory;
-use serde::{de, json, DeError, Deserialize, Serialize, Value};
+use serde::{de, json, DeError, Deserialize, Serialize};
 use std::sync::Arc;
 use tensor::Matrix;
 
@@ -635,10 +635,6 @@ impl RoutedClassMemory {
 /// subsequent mutation exactly as the original would (the serve-layer
 /// crash-recovery property).
 impl Serialize for RoutedClassMemory {
-    fn to_value(&self) -> Value {
-        serde_json::to_value_via_text(self)
-    }
-
     fn write_json(&self, out: &mut String) {
         let mut object = json::Object::new(out);
         object
@@ -660,10 +656,6 @@ impl Serialize for RoutedClassMemory {
 /// stored twice) and the centroids are checked against it: one clean
 /// (tail-masked) row per cluster. The scoring pool is rebuilt auto-sized.
 impl Deserialize for RoutedClassMemory {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        serde_json::from_value_via_text(value)
-    }
-
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
         const TYPE: &str = "RoutedClassMemory";
         let (mut dim, mut clusters, mut drift, mut centroids) = (None, None, None, None);
@@ -732,6 +724,7 @@ impl Deserialize for RoutedClassMemory {
 mod tests {
     use super::*;
     use crate::sharded::lcg_signs;
+    use serde::Value;
 
     fn fixture(
         dim: usize,
@@ -972,8 +965,8 @@ mod tests {
         assert_eq!(memory, imported);
     }
 
-    /// The streaming writer emits exactly the text of the value tree, for
-    /// a ragged dimension, a seed past 2^53 and an emptied cluster.
+    /// The writer emits the layout fixed before it, key by key, for a
+    /// ragged dimension, a seed past 2^53 and an emptied cluster.
     #[test]
     fn writer_matches_the_value_rendering() {
         let config = RoutedConfig {
@@ -995,11 +988,21 @@ mod tests {
         assert!(emptied.clusters.shard(0).is_empty());
         for memory in [memory, emptied] {
             let text = serde_json::to_string(&memory).expect("writes");
-            assert!(text.contains(r#""seed":"18446744073709551615""#), "{text}");
-            assert_eq!(
-                text,
-                serde_json::to_string(&memory.to_value()).expect("renders")
+            let clusters: Vec<String> = memory
+                .clusters
+                .shards()
+                .map(|cluster| serde_json::to_string(cluster).expect("writes"))
+                .collect();
+            let expected = format!(
+                r#"{{"dim":70,"clusters_config":3,"nprobe":{},"seed":"18446744073709551615","kmeans_iters":{},"recluster_percent":{},"drift":{},"centroids":{},"clusters":[{}]}}"#,
+                memory.config.nprobe,
+                memory.config.kmeans_iters,
+                memory.config.recluster_percent,
+                memory.drift,
+                serde_json::to_string(&memory.centroids).expect("writes"),
+                clusters.join(",")
             );
+            assert_eq!(text, expected);
         }
     }
 
@@ -1037,14 +1040,13 @@ mod tests {
 
         // Centroid smuggling tail bits past dim.
         let ragged = fixture(70, 4, RoutedConfig::default()).0;
-        let value = serde::Serialize::to_value(&ragged);
-        let smuggled = match value {
+        let smuggled = match serde_json::to_value(&ragged) {
             Value::Object(mut entries) => {
                 for (key, v) in &mut entries {
                     if key == "centroids" {
                         if let Value::Array(words) = v {
                             let last = words.len() - 1;
-                            words[last] = u64::MAX.to_value();
+                            words[last] = Value::String(u64::MAX.to_string());
                         }
                     }
                 }
@@ -1052,6 +1054,10 @@ mod tests {
             }
             _ => unreachable!(),
         };
-        assert!(<RoutedClassMemory as serde::Deserialize>::from_value(&smuggled).is_err());
+        let text = serde_json::to_string(&ragged).expect("writes");
+        assert!(serde_json::from_str::<RoutedClassMemory>(&text).is_ok());
+        let text = serde_json::to_string(&smuggled).expect("writes");
+        let err = serde_json::from_str::<RoutedClassMemory>(&text).expect_err("smuggled");
+        assert!(err.to_string().contains("beyond"), "{err}");
     }
 }

@@ -19,7 +19,7 @@
 //! `dim < 2^24`, and ties can be resolved on the integer Hamming distance
 //! with no float comparisons.
 
-use serde::{de, json, DeError, Deserialize, Serialize, Value};
+use serde::{de, json, DeError, Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tensor::Matrix;
@@ -163,10 +163,6 @@ impl PartialEq for PackedClassMemory {
 /// strings in row order; the label table is rebuilt on load. Written
 /// straight into the output: a compaction base holds every row.
 impl Serialize for PackedClassMemory {
-    fn to_value(&self) -> Value {
-        serde_json::to_value_via_text(self)
-    }
-
     fn write_json(&self, out: &mut String) {
         let mut object = json::Object::new(out);
         object
@@ -184,10 +180,6 @@ impl Serialize for PackedClassMemory {
 /// with a typed error. Read straight from the text: words into the word
 /// matrix, labels into their shared `Arc<str>`s.
 impl Deserialize for PackedClassMemory {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        serde_json::from_value_via_text(value)
-    }
-
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
         const TYPE: &str = "PackedClassMemory";
         let (mut dim, mut wpr, mut labels, mut words) = (None, None, None, None);
@@ -525,8 +517,7 @@ mod tests {
         assert_eq!(words[0] & 0b1111, 0b1010);
     }
 
-    /// The streaming writer emits exactly the text of the value tree, and
-    /// that text is the layout fixed since before the writer existed.
+    /// The writer emits the layout fixed since before it existed.
     #[test]
     fn writer_matches_the_value_rendering() {
         let two_53 = 1u64 << 53;
@@ -553,10 +544,6 @@ mod tests {
         for (memory, expected) in cases {
             let text = serde_json::to_string(&memory).expect("writes");
             assert_eq!(text, expected);
-            assert_eq!(
-                text,
-                serde_json::to_string(&memory.to_value()).expect("renders")
-            );
         }
     }
 

@@ -54,7 +54,7 @@
 use crate::batch::PackedQueryBatch;
 use crate::packed::{pack_signs, similarity_from_hamming, words_per_row, PackedClassMemory};
 use minipool::Pool;
-use serde::{de, json, DeError, Deserialize, Serialize, Value};
+use serde::{de, json, DeError, Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -483,10 +483,6 @@ impl ShardedClassMemory {
 /// routes every subsequent mutation exactly as the original would — the
 /// property the serve-layer crash-recovery replay relies on.
 impl Serialize for ShardedClassMemory {
-    fn to_value(&self) -> Value {
-        serde_json::to_value_via_text(self)
-    }
-
     fn write_json(&self, out: &mut String) {
         let mut object = json::Object::new(out);
         object.field("dim", &self.dim).field("shards", &self.shards);
@@ -499,10 +495,6 @@ impl Serialize for ShardedClassMemory {
 /// no label stored twice. The scoring pool is rebuilt auto-sized (it is a
 /// performance knob, not state).
 impl Deserialize for ShardedClassMemory {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        serde_json::from_value_via_text(value)
-    }
-
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
         const TYPE: &str = "ShardedClassMemory";
         let (mut dim, mut shards) = (None, None);
@@ -714,8 +706,8 @@ mod tests {
         assert_eq!(memory, imported);
     }
 
-    /// The streaming writer emits exactly the text of the value tree and
-    /// the layout fixed before it, empty shards included.
+    /// The writer emits the layout fixed before it: `dim`, then every
+    /// shard's own text in shard order, empty shards included.
     #[test]
     fn writer_matches_the_value_rendering() {
         let mut one = ShardedClassMemory::new(64, 3);
@@ -727,14 +719,19 @@ mod tests {
             emptied.remove_class(label);
         }
         assert!(emptied.shard(0).is_empty());
-        for (memory, expected) in [(one, Some(expected_one)), (full, None), (emptied, None)] {
-            let text = serde_json::to_string(&memory).expect("writes");
-            if let Some(expected) = expected {
-                assert_eq!(text, expected);
-            }
+        assert_eq!(serde_json::to_string(&one).expect("writes"), expected_one);
+        for memory in [one, full, emptied] {
+            let shards: Vec<String> = memory
+                .shards()
+                .map(|shard| serde_json::to_string(shard).expect("writes"))
+                .collect();
             assert_eq!(
-                text,
-                serde_json::to_string(&memory.to_value()).expect("renders")
+                serde_json::to_string(&memory).expect("writes"),
+                format!(
+                    r#"{{"dim":{},"shards":[{}]}}"#,
+                    memory.dim,
+                    shards.join(",")
+                )
             );
         }
     }

@@ -28,7 +28,7 @@
 //! ```
 
 use crate::{BipolarHypervector, Bundler, HdcError};
-use serde::{de, json, DeError, Deserialize, Serialize, Value};
+use serde::{de, json, DeError, Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Per-class exact counter state, keyed by label; see the module docs.
@@ -173,10 +173,6 @@ impl ClassAccumulator {
 }
 
 impl Serialize for ClassAccumulator {
-    fn to_value(&self) -> Value {
-        serde_json::to_value_via_text(self)
-    }
-
     /// Writes the counters straight from the bundlers, with no copy.
     fn write_json(&self, out: &mut String) {
         out.push_str("{\"dim\":");
@@ -200,10 +196,6 @@ impl Serialize for ClassAccumulator {
 /// Read straight from the text: each class's counters go into its
 /// bundler's `Vec<i32>` with no copy, and are checked as they arrive.
 impl Deserialize for ClassAccumulator {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        serde_json::from_value_via_text(value)
-    }
-
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, json::Error> {
         const TYPE: &str = "ClassAccumulator";
         // The classes are checked against `dim`: read at once when `dim`
@@ -308,6 +300,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use serde::Value;
 
     fn random_examples(n: usize, dim: usize, seed: u64) -> Vec<BipolarHypervector> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -392,9 +385,8 @@ mod tests {
         assert!(wrong.merge(&whole).is_err());
     }
 
-    /// The streaming writer emits exactly the text of the value tree and
-    /// the layout fixed before it: empty, and with escaped labels and
-    /// negative counters.
+    /// The writer emits the layout fixed before it: empty, and with
+    /// escaped labels and negative counters.
     #[test]
     fn writer_matches_the_value_rendering() {
         let mut acc = ClassAccumulator::new(4);
@@ -413,10 +405,6 @@ mod tests {
         for (acc, expected) in cases {
             let text = serde_json::to_string(&acc).expect("writes");
             assert_eq!(text, expected);
-            assert_eq!(
-                text,
-                serde_json::to_string(&acc.to_value()).expect("renders")
-            );
         }
     }
 
@@ -427,9 +415,8 @@ mod tests {
         for (i, hv) in examples.iter().enumerate() {
             acc.observe(format!("class_{}", i % 3), hv).expect("dim");
         }
-        let json = serde_json::to_string(&acc.to_value()).expect("serializable");
-        let value = serde_json::parse_value(&json).expect("valid JSON");
-        let restored = ClassAccumulator::from_value(&value).expect("valid state");
+        let json = serde_json::to_string(&acc).expect("serializable");
+        let restored: ClassAccumulator = serde_json::from_str(&json).expect("valid state");
         assert_eq!(restored.dim(), acc.dim());
         assert_eq!(restored.len(), acc.len());
         for label in ["class_0", "class_1", "class_2"] {
@@ -444,11 +431,12 @@ mod tests {
         let examples = random_examples(1, 8, 15);
         let mut acc = ClassAccumulator::new(8);
         acc.observe("c", &examples[0]).expect("dim");
-        let good = acc.to_value();
+        let good = serde_json::to_value(&acc);
         let corrupt = |edit: &dyn Fn(&mut Value)| {
             let mut v = good.clone();
             edit(&mut v);
-            ClassAccumulator::from_value(&v)
+            let text = serde_json::to_string(&v).expect("renders");
+            serde_json::from_str::<ClassAccumulator>(&text)
         };
         // A count magnitude past the observation total is impossible state.
         assert!(corrupt(&|v| set_count(v, 5.0)).is_err());
@@ -462,7 +450,7 @@ mod tests {
         // Dimensionality must be positive.
         assert!(corrupt(&|v| set_field(v, "dim", Value::Number(0.0))).is_err());
         // The untouched document still loads.
-        assert!(ClassAccumulator::from_value(&good).is_ok());
+        assert!(corrupt(&|_| {}).is_ok());
     }
 
     fn set_field(value: &mut Value, name: &str, to: Value) {

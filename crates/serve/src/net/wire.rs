@@ -19,7 +19,8 @@
 //! without trusting any decimal float formatting.
 
 use crate::server::{ServeError, Verdict};
-use serde::{Serialize, Value};
+use serde::json::{self, Reader};
+use serde::{Deserialize, Serialize};
 
 /// The handshake version this build speaks. A client whose `hello` names a
 /// different version is rejected with an `unsupported_protocol` error
@@ -100,7 +101,7 @@ pub fn error_code(error: &ServeError) -> &'static str {
 
 /// One scored label as it travels: the class label plus the raw bit
 /// pattern of its `f32` similarity.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WireScore {
     /// Class label.
     pub label: String,
@@ -287,30 +288,85 @@ pub enum Response {
     },
 }
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// A compact-JSON object payload whose fields `write` writes.
+fn object_payload(write: impl FnOnce(&mut json::Object<'_>)) -> Vec<u8> {
+    let mut out = String::new();
+    let mut object = json::Object::new(&mut out);
+    write(&mut object);
+    object.end();
+    out.into_bytes()
 }
 
-fn get<'v>(value: &'v Value, name: &str) -> Result<&'v Value, String> {
-    value
-        .get(name)
-        .ok_or_else(|| format!("message missing `{name}`"))
+/// The keys of a JSON request, of every type.
+const REQUEST_KEYS: [&str; 6] = [
+    "type",
+    "protocol",
+    "label",
+    "attributes",
+    "threshold_bits",
+    "features",
+];
+
+/// The keys of a JSON response other than `stats`, which reads itself.
+const RESPONSE_KEYS: [&str; 11] = [
+    "type",
+    "protocol",
+    "feature_dim",
+    "attribute_dim",
+    "snapshot_version",
+    "classes",
+    "version",
+    "results",
+    "verdict",
+    "code",
+    "message",
+];
+
+/// The keys of a binary `swap_model`'s JSON part.
+const SWAP_KEYS: [&str; 3] = ["name", "labels", "attributes"];
+
+/// A JSON message: a reader at the value of each of `keys` it holds, to
+/// decode the ones its `type` needs. Keys may come in any order and other
+/// keys are skipped, but none of `keys` may appear twice.
+struct Fields<'a, const N: usize> {
+    text: &'a str,
+    keys: [&'static str; N],
+    values: [Option<Reader<'a>>; N],
 }
 
-fn field<T: serde::Deserialize>(value: &Value, name: &str) -> Result<T, String> {
-    serde_json::from_value(get(value, name)?).map_err(|e| format!("field `{name}`: {e}"))
-}
-
-fn message_type(value: &Value) -> Result<String, String> {
-    if value.as_object().is_none() {
-        return Err(format!("message is a JSON {}, not an object", value.kind()));
+impl<'a, const N: usize> Fields<'a, N> {
+    /// Reads the JSON object `payload` holds, checking its syntax.
+    fn parse(payload: &'a [u8], keys: [&'static str; N]) -> Result<Self, String> {
+        let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
+        let malformed = |e: json::Error| format!("payload is not a JSON object: {e}");
+        let mut r = Reader::new(text);
+        let values = r.defer_fields(keys).map_err(malformed)?;
+        r.finish().map_err(malformed)?;
+        Ok(Self { text, keys, values })
     }
-    field(value, "type")
+
+    /// Decodes the value of `key`, one of the parsed keys.
+    fn read<T: Deserialize>(&self, key: &str) -> Result<T, String> {
+        let mut r = self
+            .value(key)
+            .ok_or_else(|| format!("message missing `{key}`"))?;
+        T::read_json(&mut r).map_err(|e| format!("field `{key}`: {e}"))
+    }
+
+    /// [`Fields::read`] of an additive field: a missing key or `null` is
+    /// `None`.
+    fn read_optional<T: Deserialize>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.value(key) {
+            Some(_) => self.read(key),
+            None => Ok(None),
+        }
+    }
+
+    /// A reader at the value of `key`, if the message holds it.
+    fn value(&self, key: &str) -> Option<Reader<'a>> {
+        let i = self.keys.iter().position(|k| *k == key)?;
+        self.values[i].clone()
+    }
 }
 
 impl Request {
@@ -336,47 +392,46 @@ impl Request {
     ///
     /// Every other request is a compact-JSON object.
     pub fn encode(&self) -> Vec<u8> {
-        let value = match self {
-            Request::Query { features, k } => return encode_query(features, *k),
+        match self {
+            Request::Query { features, k } => encode_query(features, *k),
             Request::SwapModel {
                 model_file,
                 model,
                 labels,
                 attributes,
-            } => return encode_swap(model_file, model, labels, attributes),
-            Request::Hello { protocol } => obj(vec![
-                ("type", "hello".to_value()),
-                ("protocol", protocol.to_value()),
-            ]),
-            Request::RegisterClass { label, attributes } => obj(vec![
-                ("type", "register_class".to_value()),
-                ("label", label.to_value()),
-                ("attributes", attributes.to_value()),
-            ]),
-            Request::UpdateClass { label, attributes } => obj(vec![
-                ("type", "update_class".to_value()),
-                ("label", label.to_value()),
-                ("attributes", attributes.to_value()),
-            ]),
-            Request::RemoveClass { label } => obj(vec![
-                ("type", "remove_class".to_value()),
-                ("label", label.to_value()),
-            ]),
-            Request::SetThreshold { threshold_bits } => obj(vec![
-                ("type", "set_threshold".to_value()),
-                ("threshold_bits", threshold_bits.to_value()),
-            ]),
-            Request::Observe { label, features } => obj(vec![
-                ("type", "observe".to_value()),
-                ("label", label.to_value()),
-                ("features", features.to_value()),
-            ]),
-            Request::Flush => obj(vec![("type", "flush".to_value())]),
-            Request::Stats => obj(vec![("type", "stats".to_value())]),
-        };
-        serde_json::to_string(&value)
-            .expect("value rendering is infallible")
-            .into_bytes()
+            } => encode_swap(model_file, model, labels, attributes),
+            Request::Hello { protocol } => object_payload(|o| {
+                o.field("type", "hello").field("protocol", protocol);
+            }),
+            Request::RegisterClass { label, attributes } => object_payload(|o| {
+                o.field("type", "register_class")
+                    .field("label", label)
+                    .field("attributes", attributes);
+            }),
+            Request::UpdateClass { label, attributes } => object_payload(|o| {
+                o.field("type", "update_class")
+                    .field("label", label)
+                    .field("attributes", attributes);
+            }),
+            Request::RemoveClass { label } => object_payload(|o| {
+                o.field("type", "remove_class").field("label", label);
+            }),
+            Request::SetThreshold { threshold_bits } => object_payload(|o| {
+                o.field("type", "set_threshold")
+                    .field("threshold_bits", threshold_bits);
+            }),
+            Request::Observe { label, features } => object_payload(|o| {
+                o.field("type", "observe")
+                    .field("label", label)
+                    .field("features", features);
+            }),
+            Request::Flush => object_payload(|o| {
+                o.field("type", "flush");
+            }),
+            Request::Stats => object_payload(|o| {
+                o.field("type", "stats");
+            }),
+        }
     }
 
     /// Decodes a frame payload into a request: a binary query or swap when
@@ -397,7 +452,7 @@ impl Request {
         match payload.first() {
             Some(&QUERY_TAG) => decode_query(payload),
             Some(&SWAP_TAG) => decode_swap(payload.to_vec()),
-            _ => Self::from_value(&parse_json(payload)?),
+            _ => Self::decode_json(payload),
         }
     }
 
@@ -409,39 +464,34 @@ impl Request {
         }
     }
 
-    /// Parses a JSON request out of its value.
-    fn from_value(value: &Value) -> Result<Self, String> {
-        let kind = message_type(value)?;
+    /// Reads a JSON request: its `type` chooses which fields it needs.
+    fn decode_json(payload: &[u8]) -> Result<Self, String> {
+        let message = Fields::parse(payload, REQUEST_KEYS)?;
+        let kind: String = message.read("type")?;
         match kind.as_str() {
             "hello" => Ok(Request::Hello {
-                protocol: field(value, "protocol")?,
+                protocol: message.read("protocol")?,
             }),
             "query" | "swap_model" => Err(format!(
                 "protocol {PROTOCOL_VERSION} carries `{kind}` as a binary payload, not JSON"
             )),
             "register_class" => Ok(Request::RegisterClass {
-                label: field(value, "label")?,
-                attributes: field(value, "attributes")?,
+                label: message.read("label")?,
+                attributes: message.read("attributes")?,
             }),
             "update_class" => Ok(Request::UpdateClass {
-                label: field(value, "label")?,
-                attributes: field(value, "attributes")?,
+                label: message.read("label")?,
+                attributes: message.read("attributes")?,
             }),
             "remove_class" => Ok(Request::RemoveClass {
-                label: field(value, "label")?,
+                label: message.read("label")?,
             }),
             "set_threshold" => Ok(Request::SetThreshold {
-                threshold_bits: match value.get("threshold_bits") {
-                    None | Some(Value::Null) => None,
-                    Some(bits) => Some(
-                        serde_json::from_value(bits)
-                            .map_err(|e| format!("field `threshold_bits`: {e}"))?,
-                    ),
-                },
+                threshold_bits: message.read_optional("threshold_bits")?,
             }),
             "observe" => Ok(Request::Observe {
-                label: field(value, "label")?,
-                features: field(value, "features")?,
+                label: message.read("label")?,
+                features: message.read("features")?,
             }),
             "flush" => Ok(Request::Flush),
             "stats" => Ok(Request::Stats),
@@ -506,17 +556,16 @@ pub(crate) fn encode_swap(
     labels: &[String],
     attributes: &[Vec<f32>],
 ) -> Vec<u8> {
-    let json = serde_json::to_string(&obj(vec![
-        ("name", model_file.to_value()),
-        ("labels", labels.to_value()),
-        ("attributes", attributes.to_value()),
-    ]))
-    .expect("value rendering is infallible");
+    let json = object_payload(|o| {
+        o.field("name", model_file)
+            .field("labels", labels)
+            .field("attributes", attributes);
+    });
     let json_len = u32::try_from(json.len()).expect("a swap's JSON part fits in 4 GiB");
     let mut payload = Vec::with_capacity(SWAP_HEADER_LEN + json.len() + model.len());
     payload.push(SWAP_TAG);
     payload.extend_from_slice(&json_len.to_le_bytes());
-    payload.extend_from_slice(json.as_bytes());
+    payload.extend_from_slice(&json);
     payload.extend_from_slice(model);
     payload
 }
@@ -538,25 +587,22 @@ fn decode_swap(mut payload: Vec<u8>) -> Result<Request, String> {
             rest.len()
         ));
     };
-    let value = parse_json(json)?;
+    let part = Fields::parse(json, SWAP_KEYS)?;
+    let model_file = part.read("name")?;
+    let labels = part.read("labels")?;
+    let attributes = part.read("attributes")?;
     payload.drain(..SWAP_HEADER_LEN + json_len);
     Ok(Request::SwapModel {
-        model_file: field(&value, "name")?,
+        model_file,
         model: payload,
-        labels: field(&value, "labels")?,
-        attributes: field(&value, "attributes")?,
+        labels,
+        attributes,
     })
 }
 
-/// Parses a JSON payload into its value.
-fn parse_json(payload: &[u8]) -> Result<Value, String> {
-    let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
-    serde_json::parse_value(text).map_err(|e| format!("payload is not JSON: {e}"))
-}
-
 impl Response {
-    /// Renders the response as its JSON value.
-    fn to_value(&self) -> Value {
+    /// Encodes the response as a compact-JSON frame payload.
+    pub fn encode(&self) -> Vec<u8> {
         match self {
             Response::Welcome {
                 protocol,
@@ -564,127 +610,48 @@ impl Response {
                 attribute_dim,
                 snapshot_version,
                 classes,
-            } => obj(vec![
-                ("type", "welcome".to_value()),
-                ("protocol", protocol.to_value()),
-                ("feature_dim", feature_dim.to_value()),
-                ("attribute_dim", attribute_dim.to_value()),
-                ("snapshot_version", snapshot_version.to_value()),
-                ("classes", classes.to_value()),
-            ]),
+            } => object_payload(|o| {
+                o.field("type", "welcome")
+                    .field("protocol", protocol)
+                    .field("feature_dim", feature_dim)
+                    .field("attribute_dim", attribute_dim)
+                    .field("snapshot_version", snapshot_version)
+                    .field("classes", classes);
+            }),
             Response::TopK {
                 version,
                 results,
                 verdict,
-            } => {
-                let mut entries = vec![
-                    ("type", "topk".to_value()),
-                    ("version", version.to_value()),
-                    (
-                        "results",
-                        Value::Array(
-                            results
-                                .iter()
-                                .map(|score| {
-                                    obj(vec![
-                                        ("label", score.label.to_value()),
-                                        ("sim_bits", score.sim_bits.to_value()),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ];
+            } => object_payload(|o| {
+                o.field("type", "topk")
+                    .field("version", version)
+                    .field("results", results);
                 // Additive: written only when a threshold judged the query,
                 // so uncalibrated responses are byte-identical to protocol
                 // 1 before verdicts existed.
                 if let Some(verdict) = verdict {
-                    entries.push(("verdict", verdict.to_string().to_value()));
+                    o.field("verdict", &verdict.to_string());
                 }
-                obj(entries)
-            }
-            Response::Mutated { version, classes } => obj(vec![
-                ("type", "mutated".to_value()),
-                ("version", version.to_value()),
-                ("classes", classes.to_value()),
-            ]),
+            }),
+            Response::Mutated { version, classes } => object_payload(|o| {
+                o.field("type", "mutated")
+                    .field("version", version)
+                    .field("classes", classes);
+            }),
             Response::Stats(stats) => {
-                let Value::Object(mut entries) = stats.to_value() else {
-                    unreachable!("derived struct serialization yields an object")
-                };
-                entries.insert(0, ("type".to_string(), "stats".to_value()));
-                Value::Object(entries)
+                // The counters' own object (never empty), with the type tag
+                // put first.
+                let mut out = String::new();
+                stats.write_json(&mut out);
+                out.insert_str(1, "\"type\":\"stats\",");
+                out.into_bytes()
             }
-            Response::Error { code, message } => obj(vec![
-                ("type", "error".to_value()),
-                ("code", code.to_value()),
-                ("message", message.to_value()),
-            ]),
+            Response::Error { code, message } => object_payload(|o| {
+                o.field("type", "error")
+                    .field("code", code)
+                    .field("message", message);
+            }),
         }
-    }
-
-    /// Parses a response out of its JSON value.
-    fn from_value(value: &Value) -> Result<Self, String> {
-        let kind = message_type(value)?;
-        match kind.as_str() {
-            "welcome" => Ok(Response::Welcome {
-                protocol: field(value, "protocol")?,
-                feature_dim: field(value, "feature_dim")?,
-                attribute_dim: field(value, "attribute_dim")?,
-                snapshot_version: field(value, "snapshot_version")?,
-                classes: field(value, "classes")?,
-            }),
-            "topk" => {
-                let Some(Value::Array(items)) = value.get("results") else {
-                    return Err("topk response missing `results` array".to_string());
-                };
-                let results = items
-                    .iter()
-                    .map(|item| {
-                        Ok(WireScore {
-                            label: field(item, "label")?,
-                            sim_bits: field(item, "sim_bits")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                let verdict = match value.get("verdict") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => {
-                        let name: String = serde_json::from_value(v)
-                            .map_err(|e| format!("field `verdict`: {e}"))?;
-                        Some(match name.as_str() {
-                            "known" => Verdict::Known,
-                            "unknown" => Verdict::Unknown,
-                            other => return Err(format!("unknown verdict `{other}`")),
-                        })
-                    }
-                };
-                Ok(Response::TopK {
-                    version: field(value, "version")?,
-                    results,
-                    verdict,
-                })
-            }
-            "mutated" => Ok(Response::Mutated {
-                version: field(value, "version")?,
-                classes: field(value, "classes")?,
-            }),
-            "stats" => Ok(Response::Stats(
-                serde_json::from_value(value).map_err(|e| format!("stats response: {e}"))?,
-            )),
-            "error" => Ok(Response::Error {
-                code: field(value, "code")?,
-                message: field(value, "message")?,
-            }),
-            other => Err(format!("unknown response type `{other}`")),
-        }
-    }
-
-    /// Encodes the response as a compact-JSON frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_string(&self.to_value())
-            .expect("value rendering is infallible")
-            .into_bytes()
     }
 
     /// Decodes a frame payload into a response.
@@ -694,7 +661,39 @@ impl Response {
     /// A human-readable reason when the payload is not UTF-8 JSON or not a
     /// well-formed response.
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
-        Self::from_value(&parse_json(payload)?)
+        let message = Fields::parse(payload, RESPONSE_KEYS)?;
+        let kind: String = message.read("type")?;
+        match kind.as_str() {
+            "welcome" => Ok(Response::Welcome {
+                protocol: message.read("protocol")?,
+                feature_dim: message.read("feature_dim")?,
+                attribute_dim: message.read("attribute_dim")?,
+                snapshot_version: message.read("snapshot_version")?,
+                classes: message.read("classes")?,
+            }),
+            "topk" => Ok(Response::TopK {
+                version: message.read("version")?,
+                results: message.read("results")?,
+                verdict: match message.read_optional::<String>("verdict")?.as_deref() {
+                    None => None,
+                    Some("known") => Some(Verdict::Known),
+                    Some("unknown") => Some(Verdict::Unknown),
+                    Some(other) => return Err(format!("unknown verdict `{other}`")),
+                },
+            }),
+            "mutated" => Ok(Response::Mutated {
+                version: message.read("version")?,
+                classes: message.read("classes")?,
+            }),
+            "stats" => Ok(Response::Stats(
+                serde_json::from_str(message.text).map_err(|e| format!("stats response: {e}"))?,
+            )),
+            "error" => Ok(Response::Error {
+                code: message.read("code")?,
+                message: message.read("message")?,
+            }),
+            other => Err(format!("unknown response type `{other}`")),
+        }
     }
 
     /// Builds the typed rejection for a [`ServeError`], preserving its
@@ -954,6 +953,65 @@ mod tests {
             Request::Query {
                 features: vec![],
                 k: Some(2),
+            }
+        );
+    }
+
+    /// A JSON message says one thing per key: a repeated key is refused,
+    /// in a request, a response, a swap's JSON part and the stats document,
+    /// whichever copy comes first.
+    #[test]
+    fn json_messages_refuse_repeated_keys() {
+        for request in [
+            r#"{"type":"remove_class","label":"owl","label":"wren"}"#,
+            r#"{"type":"remove_class","type":"flush","label":"owl"}"#,
+            r#"{"type":"set_threshold","threshold_bits":null,"threshold_bits":1}"#,
+        ] {
+            let err = Request::decode(request.as_bytes()).expect_err(request);
+            assert!(err.contains("duplicate key"), "{request}: {err}");
+        }
+        for response in [
+            r#"{"type":"mutated","version":1,"classes":2,"version":3}"#,
+            r#"{"type":"topk","version":1,"results":[{"label":"a","sim_bits":0,"label":"b"}]}"#,
+            r#"{"type":"topk","version":1,"results":[],"verdict":null,"verdict":"known"}"#,
+            r#"{"type":"stats","queries":1,"queries":2}"#,
+        ] {
+            let err = Response::decode(response.as_bytes()).expect_err(response);
+            assert!(err.contains("duplicate key"), "{response}: {err}");
+        }
+        let json = br#"{"name":"model-0123456789abcdef.bin","labels":[],"labels":["owl"],"attributes":[]}"#;
+        let mut swap = vec![SWAP_TAG];
+        swap.extend_from_slice(&(json.len() as u32).to_le_bytes());
+        swap.extend_from_slice(json);
+        let err = Request::decode(&swap).expect_err("repeated swap key");
+        assert!(err.contains("duplicate key"), "{err}");
+    }
+
+    /// The `type` may come after the fields it selects, among unknown keys
+    /// of every JSON kind, which are skipped.
+    #[test]
+    fn json_messages_take_keys_in_any_order() {
+        let unknown =
+            r#""n":null,"t":true,"f":false,"x":-1.5e3,"s":"}\"","a":[1,{"y":[]}],"o":{"z":{}}"#;
+        let request = format!(r#"{{{unknown},"label":"owl","type":"remove_class"}}"#);
+        assert_eq!(
+            Request::decode(request.as_bytes()).expect("request decodes"),
+            Request::RemoveClass {
+                label: "owl".to_string()
+            }
+        );
+        let response = format!(
+            r#"{{"results":[{{"sim_bits":7,"extra":[],"label":"owl"}}],{unknown},"version":2,"type":"topk"}}"#
+        );
+        assert_eq!(
+            Response::decode(response.as_bytes()).expect("response decodes"),
+            Response::TopK {
+                version: 2,
+                results: vec![WireScore {
+                    label: "owl".to_string(),
+                    sim_bits: 7,
+                }],
+                verdict: None,
             }
         );
     }

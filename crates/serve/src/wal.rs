@@ -82,7 +82,7 @@ use engine::ShardedClassMemory;
 pub use hdc_zsc::checkpoint::crc32;
 use hdc_zsc::checkpoint::{model_file_fingerprint, rename_temp, write_temp};
 use hdc_zsc::{CheckpointError, ModelFile, ServeBase};
-use serde::{json, DeError, Deserialize, Serialize, Value};
+use serde::{json, DeError, Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -275,10 +275,6 @@ fn words_from_hex(hex: &str) -> Result<Vec<u64>, String> {
 struct HexRow<'a>(&'a [u64]);
 
 impl Serialize for HexRow<'_> {
-    fn to_value(&self) -> Value {
-        serde_json::to_value_via_text(self)
-    }
-
     fn write_json(&self, out: &mut String) {
         const DIGITS: &[u8; 16] = b"0123456789abcdef";
         out.push('"');

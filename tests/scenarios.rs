@@ -31,7 +31,8 @@ use dataset::{
     StreamWorkload, StreamWorkloadConfig,
 };
 use hdc_zsc::{evaluate_gzsl, ModelConfig, Pipeline, SimilarityCalibrator, TrainConfig, ZscModel};
-use serde::{Serialize, Value};
+use serde::Value;
+use serde_json::to_value;
 use serve::{wal, DurabilityConfig, QueryServer, ServerConfig, SyncPolicy};
 use std::path::PathBuf;
 use tensor::Matrix;
@@ -111,8 +112,8 @@ fn scored(top: &[(String, f32)]) -> Value {
         top.iter()
             .map(|(label, sim)| {
                 object(vec![
-                    ("label", label.to_value()),
-                    ("similarity", sim.to_value()),
+                    ("label", to_value(&label)),
+                    ("similarity", to_value(&sim)),
                 ])
             })
             .collect(),
@@ -135,11 +136,11 @@ fn pipeline_document(split: SplitKind, name: &str) -> Value {
     let pipeline = Pipeline::new(ModelConfig::tiny(), TrainConfig::fast().with_epochs(3));
     let outcome = pipeline.run(&data, split, 1);
     object(vec![
-        ("scenario", name.to_value()),
-        ("dataset_seed", 29u64.to_value()),
-        ("pipeline_seed", 1u64.to_value()),
-        ("split", format!("{split:?}").to_value()),
-        ("outcome", outcome.to_value()),
+        ("scenario", to_value(&name)),
+        ("dataset_seed", to_value(&29u64)),
+        ("pipeline_seed", to_value(&1u64)),
+        ("split", to_value(&format!("{split:?}"))),
+        ("outcome", to_value(&outcome)),
     ])
 }
 
@@ -202,9 +203,9 @@ fn scenario_sharded_memory_ops() {
             )
         };
         stages.push(object(vec![
-            ("stage", stage.to_value()),
-            ("classes", memory.len().to_value()),
-            ("shard_sizes", shard_sizes.to_value()),
+            ("stage", to_value(&stage)),
+            ("classes", to_value(&memory.len())),
+            ("shard_sizes", to_value(&shard_sizes)),
             ("top_0", dump(0)),
             ("top_3", dump(3)),
             ("top_all_plus_5", dump(memory.len() + 5)),
@@ -227,9 +228,9 @@ fn scenario_sharded_memory_ops() {
     check_golden(
         "sharded_memory_ops",
         &object(vec![
-            ("scenario", "sharded_memory_ops".to_value()),
-            ("dim", dim.to_value()),
-            ("shards", 3usize.to_value()),
+            ("scenario", to_value("sharded_memory_ops")),
+            ("dim", to_value(&dim)),
+            ("shards", to_value(&3usize)),
             ("stages", Value::Array(stages)),
         ]),
     );
@@ -307,10 +308,10 @@ fn scenario_routed_memory_ops() {
         assert_eq!(full_top, reference, "full probing diverged at `{stage}`");
         routed.set_nprobe(2);
         stages.push(object(vec![
-            ("stage", stage.to_value()),
-            ("classes", routed.len().to_value()),
-            ("cluster_sizes", cluster_sizes.to_value()),
-            ("candidates_at_nprobe_2", candidates.to_value()),
+            ("stage", to_value(&stage)),
+            ("classes", to_value(&routed.len())),
+            ("cluster_sizes", to_value(&cluster_sizes)),
+            ("candidates_at_nprobe_2", to_value(&candidates)),
             ("top_3_partial", partial_top),
             ("top_3_full", full_top),
         ]));
@@ -341,10 +342,10 @@ fn scenario_routed_memory_ops() {
     check_golden(
         "routed_memory_ops",
         &object(vec![
-            ("scenario", "routed_memory_ops".to_value()),
-            ("dim", dim.to_value()),
-            ("clusters", 3usize.to_value()),
-            ("nprobe", 2usize.to_value()),
+            ("scenario", to_value("routed_memory_ops")),
+            ("dim", to_value(&dim)),
+            ("clusters", to_value(&3usize)),
+            ("nprobe", to_value(&2usize)),
             ("stages", Value::Array(stages)),
         ]),
     );
@@ -402,7 +403,7 @@ fn scenario_serve_hot_swap() {
                 .iter()
                 .map(|q| {
                     let (version, top) = server.query_traced(q).expect("query served");
-                    object(vec![("version", version.to_value()), ("top", scored(&top))])
+                    object(vec![("version", to_value(&version)), ("top", scored(&top))])
                 })
                 .collect(),
         )
@@ -417,9 +418,9 @@ fn scenario_serve_hot_swap() {
             .register_class(label.clone(), class_attr.row(r))
             .expect("class registers");
         registrations.push(object(vec![
-            ("label", label.to_value()),
-            ("version", snapshot.version().to_value()),
-            ("classes_live", snapshot.memory().len().to_value()),
+            ("label", to_value(&label)),
+            ("version", to_value(&snapshot.version())),
+            ("classes_live", to_value(&snapshot.memory().len())),
         ]));
     }
     let after_register = run_queries(&server);
@@ -436,20 +437,20 @@ fn scenario_serve_hot_swap() {
     check_golden(
         "serve_hot_swap",
         &object(vec![
-            ("scenario", "serve_hot_swap".to_value()),
-            ("dataset_seed", 37u64.to_value()),
-            ("pipeline_seed", 2u64.to_value()),
-            ("initial_classes", initial.to_value()),
+            ("scenario", to_value("serve_hot_swap")),
+            ("dataset_seed", to_value(&37u64)),
+            ("pipeline_seed", to_value(&2u64)),
+            ("initial_classes", to_value(&initial)),
             ("queries_before_register", before),
             ("registrations", Value::Array(registrations)),
             ("queries_after_register", after_register),
-            ("update_version", updated.version().to_value()),
-            ("remove_version", removed.version().to_value()),
+            ("update_version", to_value(&updated.version())),
+            ("remove_version", to_value(&removed.version())),
             ("queries_after_mutations", after_mutations),
             // Only deterministic counters belong in a golden: batch counts
             // depend on coalescing timing, swap counts do not.
-            ("swaps", stats.swaps.to_value()),
-            ("queries_served", stats.queries.to_value()),
+            ("swaps", to_value(&stats.swaps)),
+            ("queries_served", to_value(&stats.queries)),
         ]),
     );
 }
@@ -520,7 +521,7 @@ fn scenario_serve_crash_recovery() {
                 .iter()
                 .map(|q| {
                     let (version, top) = server.query_traced(q).expect("query served");
-                    object(vec![("version", version.to_value()), ("top", scored(&top))])
+                    object(vec![("version", to_value(&version)), ("top", scored(&top))])
                 })
                 .collect(),
         )
@@ -569,17 +570,17 @@ fn scenario_serve_crash_recovery() {
     check_golden(
         "serve_crash_recovery",
         &object(vec![
-            ("scenario", "serve_crash_recovery".to_value()),
-            ("dataset_seed", 41u64.to_value()),
-            ("pipeline_seed", 3u64.to_value()),
-            ("initial_classes", initial.to_value()),
+            ("scenario", to_value("serve_crash_recovery")),
+            ("dataset_seed", to_value(&41u64)),
+            ("pipeline_seed", to_value(&3u64)),
+            ("initial_classes", to_value(&initial)),
             ("queries_before_crash", before_crash),
             (
                 "recovery",
                 object(vec![
-                    ("snapshot_version", report.snapshot_version.to_value()),
-                    ("replayed_records", report.replayed_records.to_value()),
-                    ("torn_tail", report.torn_tail.to_value()),
+                    ("snapshot_version", to_value(&report.snapshot_version)),
+                    ("replayed_records", to_value(&report.replayed_records)),
+                    ("torn_tail", to_value(&report.torn_tail)),
                 ]),
             ),
             ("queries_after_recovery", after_recovery),
@@ -705,51 +706,51 @@ fn scenario_gzsl_eval() {
     );
     let outcome = |o: &GzslOutcome| {
         object(vec![
-            ("seen", o.seen.to_value()),
-            ("unseen", o.unseen.to_value()),
-            ("harmonic", o.harmonic.to_value()),
+            ("seen", to_value(&o.seen)),
+            ("unseen", to_value(&o.unseen)),
+            ("harmonic", to_value(&o.harmonic)),
         ])
     };
 
     check_golden(
         "gzsl_eval",
         &object(vec![
-            ("scenario", "gzsl_eval".to_value()),
-            ("workload_seed", 0x675a_0001u64.to_value()),
-            ("model_seed", 7u64.to_value()),
-            ("classes", workload.labels.len().to_value()),
-            ("unseen_classes", workload.unseen_classes().to_value()),
-            ("gzsl", gzsl.to_value()),
+            ("scenario", to_value("gzsl_eval")),
+            ("workload_seed", to_value(&0x675a_0001u64)),
+            ("model_seed", to_value(&7u64)),
+            ("classes", to_value(&workload.labels.len())),
+            ("unseen_classes", to_value(&workload.unseen_classes())),
+            ("gzsl", to_value(&gzsl)),
             (
                 "calibration",
                 object(vec![
                     (
                         "target_false_reject",
-                        calibration.target_false_reject.to_value(),
+                        to_value(&calibration.target_false_reject),
                     ),
-                    ("threshold", calibration.threshold.to_value()),
-                    ("threshold_bits", calibration.threshold.to_bits().to_value()),
+                    ("threshold", to_value(&calibration.threshold)),
+                    ("threshold_bits", to_value(&calibration.threshold.to_bits())),
                 ]),
             ),
             (
                 "open_set",
                 object(vec![
-                    ("rejected", rejection.rejected.to_value()),
+                    ("rejected", to_value(&rejection.rejected)),
                     (
                         "precision",
-                        rejection.precision.map_or(Value::Null, |p| p.to_value()),
+                        rejection.precision.map_or(Value::Null, |p| to_value(&p)),
                     ),
                     (
                         "recall",
-                        rejection.recall.map_or(Value::Null, |r| r.to_value()),
+                        rejection.recall.map_or(Value::Null, |r| to_value(&r)),
                     ),
                     (
                         "false_reject_rate",
                         rejection
                             .false_reject_rate
-                            .map_or(Value::Null, |f| f.to_value()),
+                            .map_or(Value::Null, |f| to_value(&f)),
                     ),
-                    ("auroc", auroc.to_value()),
+                    ("auroc", to_value(&auroc)),
                 ]),
             ),
             (
@@ -837,10 +838,10 @@ fn scenario_open_set_serve() {
                     let (version, top, verdict) =
                         server.query_with_verdict(q).expect("query served");
                     object(vec![
-                        ("version", version.to_value()),
+                        ("version", to_value(&version)),
                         (
                             "verdict",
-                            verdict.map_or(Value::Null, |v| v.to_string().to_value()),
+                            verdict.map_or(Value::Null, |v| to_value(&v.to_string())),
                         ),
                         ("top", scored(&top)),
                     ])
@@ -943,31 +944,31 @@ fn scenario_open_set_serve() {
     check_golden(
         "open_set_serve",
         &object(vec![
-            ("scenario", "open_set_serve".to_value()),
-            ("dataset_seed", 43u64.to_value()),
-            ("pipeline_seed", 4u64.to_value()),
-            ("initial_classes", initial.to_value()),
+            ("scenario", to_value("open_set_serve")),
+            ("dataset_seed", to_value(&43u64)),
+            ("pipeline_seed", to_value(&4u64)),
+            ("initial_classes", to_value(&initial)),
             ("queries_before_calibration", before_calibration),
             (
                 "calibration",
                 object(vec![
                     (
                         "target_false_reject",
-                        calibration.target_false_reject.to_value(),
+                        to_value(&calibration.target_false_reject),
                     ),
-                    ("threshold", calibration.threshold.to_value()),
-                    ("threshold_bits", calibration.threshold.to_bits().to_value()),
-                    ("set_version", calibrated.version().to_value()),
+                    ("threshold", to_value(&calibration.threshold)),
+                    ("threshold_bits", to_value(&calibration.threshold.to_bits())),
+                    ("set_version", to_value(&calibrated.version())),
                 ]),
             ),
             ("queries_after_calibration", after_calibration),
             (
                 "recovery",
                 object(vec![
-                    ("snapshot_version", report.snapshot_version.to_value()),
-                    ("replayed_records", report.replayed_records.to_value()),
-                    ("torn_tail", report.torn_tail.to_value()),
-                    ("threshold_bits", recovered_threshold.to_bits().to_value()),
+                    ("snapshot_version", to_value(&report.snapshot_version)),
+                    ("replayed_records", to_value(&report.replayed_records)),
+                    ("torn_tail", to_value(&report.torn_tail)),
+                    ("threshold_bits", to_value(&recovered_threshold.to_bits())),
                 ]),
             ),
             ("queries_after_recovery", after_recovery),
@@ -1072,11 +1073,11 @@ fn scenario_stream_learn() {
     let stream_stats_value = |server: &QueryServer| -> Value {
         let stats = server.stream_stats();
         object(vec![
-            ("observes", stats.observes.to_value()),
-            ("pending_classes", stats.pending_classes.to_value()),
-            ("since_publish", stats.since_publish.to_value()),
-            ("publishes", stats.publishes.to_value()),
-            ("drift_alarms", stats.drift_alarms.to_value()),
+            ("observes", to_value(&stats.observes)),
+            ("pending_classes", to_value(&stats.pending_classes)),
+            ("since_publish", to_value(&stats.since_publish)),
+            ("publishes", to_value(&stats.publishes)),
+            ("drift_alarms", to_value(&stats.drift_alarms)),
         ])
     };
 
@@ -1084,7 +1085,7 @@ fn scenario_stream_learn() {
     // flush publishing the 2 left pending.
     let boundary_versions: Vec<Value> = (0..14)
         .filter_map(|i| observe(&server, i))
-        .map(|v| v.to_value())
+        .map(|v| to_value(&v))
         .collect();
     let flushed = server.flush().expect("flush publishes").version();
 
@@ -1174,7 +1175,7 @@ fn scenario_stream_learn() {
             .iter()
             .map(|q| {
                 let (version, top) = recovered.query_traced(q).expect("query served");
-                object(vec![("version", version.to_value()), ("top", scored(&top))])
+                object(vec![("version", to_value(&version)), ("top", scored(&top))])
             })
             .collect(),
     );
@@ -1186,12 +1187,12 @@ fn scenario_stream_learn() {
             .iter()
             .map(|class| {
                 object(vec![
-                    ("label", class.label.to_value()),
-                    ("publishes", class.publishes.to_value()),
-                    ("last_displacement", class.last_displacement.to_value()),
-                    ("mean_displacement", class.mean_displacement.to_value()),
-                    ("alarms", class.alarms.to_value()),
-                    ("drifted", class.drifted.to_value()),
+                    ("label", to_value(&class.label)),
+                    ("publishes", to_value(&class.publishes)),
+                    ("last_displacement", to_value(&class.last_displacement)),
+                    ("mean_displacement", to_value(&class.mean_displacement)),
+                    ("alarms", to_value(&class.alarms)),
+                    ("drifted", to_value(&class.drifted)),
                 ])
             })
             .collect(),
@@ -1202,47 +1203,47 @@ fn scenario_stream_learn() {
     check_golden(
         "stream_learn",
         &object(vec![
-            ("scenario", "stream_learn".to_value()),
-            ("dataset_seed", 47u64.to_value()),
-            ("pipeline_seed", 5u64.to_value()),
-            ("initial_classes", initial.to_value()),
+            ("scenario", to_value("stream_learn")),
+            ("dataset_seed", to_value(&47u64)),
+            ("pipeline_seed", to_value(&5u64)),
+            ("initial_classes", to_value(&initial)),
             (
                 "streamed_labels",
-                Value::Array(streamed.iter().map(|l| l.to_value()).collect()),
+                Value::Array(streamed.iter().map(|l| to_value(&l)).collect()),
             ),
-            ("publish_every", 4u64.to_value()),
+            ("publish_every", to_value(&4u64)),
             (
                 "stream",
                 object(vec![
-                    ("examples", 27u64.to_value()),
+                    ("examples", to_value(&27u64)),
                     ("boundary_versions", Value::Array(boundary_versions)),
-                    ("flush_version", flushed.to_value()),
-                    ("version_at_crash", version_at_crash.to_value()),
+                    ("flush_version", to_value(&flushed)),
+                    ("version_at_crash", to_value(&version_at_crash)),
                     ("stats_before_crash", stats_before_crash),
                 ]),
             ),
             (
                 "recovery",
                 object(vec![
-                    ("snapshot_version", report.snapshot_version.to_value()),
-                    ("replayed_records", report.replayed_records.to_value()),
-                    ("torn_tail", report.torn_tail.to_value()),
+                    ("snapshot_version", to_value(&report.snapshot_version)),
+                    ("replayed_records", to_value(&report.replayed_records)),
+                    ("torn_tail", to_value(&report.torn_tail)),
                     ("stats_after_recovery", stats_after_recovery),
                 ]),
             ),
             (
                 "resumed",
                 object(vec![
-                    ("final_version", final_version.to_value()),
-                    ("twin_bit_identical", true.to_value()),
+                    ("final_version", to_value(&final_version)),
+                    ("twin_bit_identical", to_value(&true)),
                     ("stats", final_stats),
                 ]),
             ),
             (
                 "drift",
                 object(vec![
-                    ("publishes", drift.publishes.to_value()),
-                    ("alarms", drift.alarms.to_value()),
+                    ("publishes", to_value(&drift.publishes)),
+                    ("alarms", to_value(&drift.alarms)),
                     ("classes", drift_classes),
                 ]),
             ),
