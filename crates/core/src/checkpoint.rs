@@ -58,7 +58,7 @@ use crate::config::ModelConfig;
 use crate::image_encoder::ImageEncoder;
 use crate::model::{attribute_encoder_seed, ZscModel};
 use dataset::AttributeSchema;
-use engine::{RoutedClassMemory, ShardedClassMemory};
+use engine::{ClassIndex, RoutedClassMemory, ShardedClassMemory};
 use serde::{json, DeError, Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::io::Write;
@@ -639,28 +639,6 @@ fn check_prototype_dim(
 // Serve bases
 // ---------------------------------------------------------------------------
 
-/// The one class index a [`ServeBase`] records: the sharded memory of an
-/// unrouted server, or the routed index of a routed one (whose clusters
-/// are its sharded memory, [`RoutedClassMemory::as_sharded`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum BaseIndex {
-    /// The sharded class memory.
-    Sharded(ShardedClassMemory),
-    /// The routed coarse-to-fine index, exactly: cluster assignment,
-    /// centroids and drift counter.
-    Routed(RoutedClassMemory),
-}
-
-impl BaseIndex {
-    /// The index's classes as a sharded memory.
-    pub fn memory(&self) -> &ShardedClassMemory {
-        match self {
-            BaseIndex::Sharded(memory) => memory,
-            BaseIndex::Routed(routed) => routed.as_sharded(),
-        }
-    }
-}
-
 /// A serve-time compaction base: the class state at a known snapshot
 /// version, the publication cadence the log after it is written under,
 /// and the name of the binary [`ModelFile`] that holds the model.
@@ -688,7 +666,7 @@ pub struct ServeBase<S = StreamCheckpoint> {
     /// directory ([`ModelFile::name`]).
     pub model_file: String,
     /// The class index at capture time.
-    pub index: BaseIndex,
+    pub index: ClassIndex,
     /// The serve-time rejection threshold, stored as `f32` bits; `None`
     /// when no threshold is set.
     pub threshold: Option<f32>,
@@ -707,8 +685,10 @@ impl<S: Serialize> Serialize for ServeBase<S> {
             .field("publish_every", &self.publish_every)
             .field("model_file", &self.model_file);
         match &self.index {
-            BaseIndex::Sharded(memory) => object.field("index", "sharded").field("classes", memory),
-            BaseIndex::Routed(routed) => object.field("index", "routed").field("classes", routed),
+            ClassIndex::Sharded(memory) => {
+                object.field("index", "sharded").field("classes", memory)
+            }
+            ClassIndex::Routed(routed) => object.field("index", "routed").field("classes", routed),
         };
         object
             .field("threshold_bits", &self.threshold.map(f32::to_bits))
@@ -748,7 +728,7 @@ impl ServeBase {
         // The classes' type depends on `index`: read at once when `index`
         // came first (as the writer puts it), else kept to read after it.
         enum Classes<'a> {
-            Read(BaseIndex),
+            Read(ClassIndex),
             Later(json::Reader<'a>),
         }
         let (mut snapshot_version, mut publish_every, mut model_file) = (None, None, None);
@@ -829,18 +809,18 @@ impl ServeBase {
     }
 }
 
-/// Whether `kind` names a [`BaseIndex`] variant.
+/// Whether `kind` names a [`ClassIndex`] variant.
 fn is_index_kind(kind: &str) -> bool {
     matches!(kind, "sharded" | "routed")
 }
 
 /// Reads the classes of a base whose index is of `kind`, one
 /// [`is_index_kind`] accepts.
-fn read_index(kind: &str, r: &mut json::Reader<'_>) -> Result<BaseIndex, json::Error> {
+fn read_index(kind: &str, r: &mut json::Reader<'_>) -> Result<ClassIndex, json::Error> {
     Ok(if kind == "sharded" {
-        BaseIndex::Sharded(ShardedClassMemory::read_json(r)?)
+        ClassIndex::Sharded(ShardedClassMemory::read_json(r)?)
     } else {
-        BaseIndex::Routed(RoutedClassMemory::read_json(r)?)
+        ClassIndex::Routed(RoutedClassMemory::read_json(r)?)
     })
 }
 
@@ -2011,8 +1991,8 @@ mod tests {
             stream,
         };
         for index in [
-            BaseIndex::Sharded(memory.clone()),
-            BaseIndex::Routed(routed.clone()),
+            ClassIndex::Sharded(memory.clone()),
+            ClassIndex::Routed(routed.clone()),
         ] {
             let saved = base(index, None);
             let text = serde_json::to_string(&saved).expect("base renders");
@@ -2038,13 +2018,13 @@ mod tests {
             pending: BTreeSet::new(),
             since_publish: 0,
         };
-        let text = serde_json::to_string(&base(BaseIndex::Sharded(memory.clone()), Some(stream)))
+        let text = serde_json::to_string(&base(ClassIndex::Sharded(memory.clone()), Some(stream)))
             .expect("base renders");
         assert!(matches!(
             ServeBase::from_json_str(&text),
             Err(CheckpointError::Malformed(reason)) if reason.contains("ghost")
         ));
-        let sharded = serde_json::to_string(&base(BaseIndex::Sharded(memory.clone()), None))
+        let sharded = serde_json::to_string(&base(ClassIndex::Sharded(memory.clone()), None))
             .expect("base renders");
         for (key, bad) in [
             ("model_file", Value::String("../model.bin".to_string())),
@@ -2080,7 +2060,7 @@ mod tests {
             snapshot_version: 7,
             publish_every: 3,
             model_file: format!("model-{:016x}.bin", 7),
-            index: BaseIndex::Sharded(memory),
+            index: ClassIndex::Sharded(memory),
             threshold: None,
             stream: Some(StreamCheckpoint {
                 accumulators,
@@ -2220,8 +2200,8 @@ mod tests {
         };
         let mut bases = Vec::new();
         for index in [
-            BaseIndex::Sharded(memory.clone()),
-            BaseIndex::Routed(routed),
+            ClassIndex::Sharded(memory.clone()),
+            ClassIndex::Routed(routed),
         ] {
             for threshold in [None, Some(-0.0), Some(0.25)] {
                 for stream in [None, Some(stream.clone())] {
@@ -2237,8 +2217,8 @@ mod tests {
         for saved in &bases {
             let text = serde_json::to_string(saved).expect("writes");
             let (kind, classes) = match &saved.index {
-                BaseIndex::Sharded(memory) => ("sharded", write(&|out| memory.write_json(out))),
-                BaseIndex::Routed(routed) => ("routed", write(&|out| routed.write_json(out))),
+                ClassIndex::Sharded(memory) => ("sharded", write(&|out| memory.write_json(out))),
+                ClassIndex::Routed(routed) => ("routed", write(&|out| routed.write_json(out))),
             };
             assert_eq!(
                 text,
@@ -2259,7 +2239,7 @@ mod tests {
             assert_eq!(serde_json::to_string(&borrowed).expect("writes"), text);
         }
         assert_eq!(
-            serde_json::to_string(&base(BaseIndex::Sharded(memory), Some(-0.0), None))
+            serde_json::to_string(&base(ClassIndex::Sharded(memory), Some(-0.0), None))
                 .expect("writes"),
             r#"{"snapshot_version":"18446744073709551615","publish_every":3,"model_file":"model-0000000000000001.bin","index":"sharded","classes":{"dim":64,"shards":[{"dim":64,"words_per_row":1,"labels":["a\"\\"],"words":[5]},{"dim":64,"words_per_row":1,"labels":[],"words":[]}]},"threshold_bits":2147483648,"stream":null}"#
         );

@@ -97,8 +97,8 @@ pub use attribute_encoder::{
     AttributeEncoder, AttributeEncoderKind, HdcAttributeEncoder, MlpAttributeEncoder,
 };
 pub use checkpoint::{
-    BaseIndex, Checkpoint, CheckpointDelta, CheckpointError, ModelFile, SchemaFingerprint,
-    ServeBase, StreamCheckpoint, CHECKPOINT_FORMAT_VERSION,
+    Checkpoint, CheckpointDelta, CheckpointError, ModelFile, SchemaFingerprint, ServeBase,
+    StreamCheckpoint, CHECKPOINT_FORMAT_VERSION,
 };
 pub use config::{ModelConfig, TrainConfig};
 pub use eval::{

@@ -720,6 +720,64 @@ impl Deserialize for RoutedClassMemory {
     }
 }
 
+/// The one stored form of a class set: a sharded memory, or a routed index
+/// whose clusters are its sharded memory ([`RoutedClassMemory::as_sharded`]).
+/// A serving snapshot scores queries through one, and a compaction base
+/// records it as it is.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ClassIndex {
+    /// The sharded class memory.
+    Sharded(ShardedClassMemory),
+    /// The routed coarse-to-fine index, exactly: cluster assignment,
+    /// centroids and drift counter.
+    Routed(RoutedClassMemory),
+}
+
+impl ClassIndex {
+    /// The index over `memory`: the memory as is, or with `routed` the
+    /// canonical routed build over it — its classes in its own label order,
+    /// clustered once ([`RoutedClassMemory::from_sharded`], on the memory's
+    /// pool width). A pure function of the memory's contents, shard layout
+    /// and `routed`.
+    pub fn new(memory: ShardedClassMemory, routed: Option<RoutedConfig>) -> Self {
+        match routed {
+            None => ClassIndex::Sharded(memory),
+            Some(config) => ClassIndex::Routed(RoutedClassMemory::from_sharded(&memory, config)),
+        }
+    }
+
+    /// The index's classes as a sharded memory.
+    pub fn memory(&self) -> &ShardedClassMemory {
+        match self {
+            ClassIndex::Sharded(memory) => memory,
+            ClassIndex::Routed(routed) => routed.as_sharded(),
+        }
+    }
+
+    /// Inserts or replaces a class from a packed word row: on the
+    /// least-loaded shard, or in the nearest centroid's cluster. Returns the
+    /// shard or cluster and whether a stored class was replaced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len()` is not the memory's packed row width.
+    pub fn add_class_packed(&mut self, label: impl Into<Arc<str>>, words: &[u64]) -> (usize, bool) {
+        match self {
+            ClassIndex::Sharded(memory) => memory.add_class_packed(label, words),
+            ClassIndex::Routed(routed) => routed.add_class_packed(label, words),
+        }
+    }
+
+    /// Removes the class stored under `label`. Returns `false` if the label
+    /// is not stored.
+    pub fn remove_class(&mut self, label: &str) -> bool {
+        match self {
+            ClassIndex::Sharded(memory) => memory.remove_class(label),
+            ClassIndex::Routed(routed) => routed.remove_class(label),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

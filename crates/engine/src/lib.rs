@@ -80,7 +80,7 @@ pub mod packed;
 pub mod sharded;
 
 pub use batch::PackedQueryBatch;
-pub use index::{RoutedClassMemory, RoutedConfig};
+pub use index::{ClassIndex, RoutedClassMemory, RoutedConfig};
 pub use minipool::Pool;
 pub use packed::{
     mask_tail_word, pack_float_signs, pack_signs, pack_signs_into, similarity_from_hamming,

@@ -1014,6 +1014,22 @@ mod tests {
                 verdict: None,
             }
         );
+        let stats = WireStats {
+            queries: 5,
+            classes: 3,
+            draining: true,
+            records_since_compaction: 9,
+            ..WireStats::default()
+        };
+        let counters = serde_json::to_string(&stats).expect("stats render");
+        let response = format!(
+            r#"{},{unknown},"type":"stats"}}"#,
+            counters.strip_suffix('}').expect("an object")
+        );
+        assert_eq!(
+            Response::decode(response.as_bytes()).expect("stats response decodes"),
+            Response::Stats(stats)
+        );
     }
 
     /// Pins the byte-level binary query example in

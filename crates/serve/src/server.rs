@@ -64,9 +64,9 @@
 
 use crate::wal::{self, SyncPolicy, WalError, WalOp, WriteAheadLog};
 use dataset::AttributeSchema;
-use engine::{PackedQueryBatch, RoutedClassMemory, RoutedConfig, ShardedClassMemory};
+use engine::{ClassIndex, PackedQueryBatch, RoutedClassMemory, RoutedConfig, ShardedClassMemory};
 use hdc::{BipolarHypervector, ClassAccumulator};
-use hdc_zsc::{BaseIndex, FrozenModel, ModelFile, ServeBase, StreamCheckpoint};
+use hdc_zsc::{FrozenModel, ModelFile, ServeBase, StreamCheckpoint};
 use metrics::{DriftReport, StreamDriftConfig, StreamDriftDetector};
 use std::collections::{BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
@@ -381,27 +381,27 @@ impl DurableState {
         })
     }
 
-    /// Appends the record logging `mutation`. A swap first writes its
-    /// model file, so the record never names a file that is not on disk; a
-    /// failed model write logs nothing and leaves the log live.
+    /// Appends the record logging `mutation`: the record itself, or for a
+    /// swap one naming the model file it writes first, so the record never
+    /// names a file that is not on disk; a failed model write logs nothing
+    /// and leaves the log live.
     fn log(&mut self, mutation: &Mutation) -> Result<(), ServeError> {
-        let written = match mutation {
-            Mutation::Swap { model, .. } => {
+        match mutation {
+            Mutation::Logged(op) => {
+                self.wal.append(op)?;
+            }
+            Mutation::Swap { model, memory } => {
                 // A stopped log takes no record, so it gets no model file.
                 self.wal.ensure_live()?;
                 let file = ModelFile::encode(model, &self.schema);
                 wal::save_model(&self.dir, &file)?;
-                Some(file)
+                self.wal.append(&WalOp::Swap {
+                    model_file: file.name().to_string(),
+                    memory: memory.clone(),
+                })?;
+                self.model_file = file.name().to_string();
+                self.model_bytes = file.bytes().len() as u64;
             }
-            _ => None,
-        };
-        let model_file = written
-            .as_ref()
-            .map_or(self.model_file.as_str(), ModelFile::name);
-        self.wal.append(&mutation.record(model_file))?;
-        if let Some(file) = written {
-            self.model_file = file.name().to_string();
-            self.model_bytes = file.bytes().len() as u64;
         }
         Ok(())
     }
@@ -437,10 +437,7 @@ fn base<'a>(
         snapshot_version: snapshot.version,
         publish_every: stream.publish_every,
         model_file: model_file.to_string(),
-        index: match &snapshot.index {
-            ClassIndex::Sharded(memory) => BaseIndex::Sharded(memory.clone()),
-            ClassIndex::Routed(routed) => BaseIndex::Routed(routed.clone()),
-        },
+        index: snapshot.index.clone(),
         threshold: snapshot.threshold,
         stream: stream.checkpoint(),
     }
@@ -590,10 +587,7 @@ impl ModelSnapshot {
     /// clusters, one shard per cluster ([`RoutedClassMemory::as_sharded`]).
     /// Either way it is the one stored form of every class.
     pub fn memory(&self) -> &ShardedClassMemory {
-        match &self.index {
-            ClassIndex::Sharded(memory) => memory,
-            ClassIndex::Routed(routed) => routed.as_sharded(),
-        }
+        self.index.memory()
     }
 
     /// The routed coarse-to-fine index queries are scored through, for
@@ -658,43 +652,6 @@ impl ModelSnapshot {
 /// labels, and the snapshot's open-set verdict (`None` when no threshold
 /// was set).
 pub type ServedResult = (u64, Vec<ScoredLabel>, Option<Verdict>);
-
-/// The class index of a [`ModelSnapshot`], the one stored form of each
-/// class. A routed index evolves incrementally with class mutations and is
-/// rebuilt from scratch — deterministically — on model swaps.
-#[derive(Debug, Clone)]
-enum ClassIndex {
-    Sharded(ShardedClassMemory),
-    Routed(RoutedClassMemory),
-}
-
-impl ClassIndex {
-    /// Serves `memory` as is, or in routed mode the canonical routed build
-    /// over it: its classes in its own label order, clustered once
-    /// ([`RoutedClassMemory::from_sharded`], on the memory's pool width).
-    /// A pure function of the memory's contents, shard layout and `routed`.
-    fn new(memory: ShardedClassMemory, routed: Option<RoutedConfig>) -> Self {
-        match routed {
-            None => ClassIndex::Sharded(memory),
-            Some(config) => ClassIndex::Routed(RoutedClassMemory::from_sharded(&memory, config)),
-        }
-    }
-
-    /// Inserts or replaces a class: least-loaded shard, or nearest centroid.
-    fn add_class_packed(&mut self, label: String, words: &[u64]) {
-        match self {
-            ClassIndex::Sharded(memory) => memory.add_class_packed(label, words),
-            ClassIndex::Routed(routed) => routed.add_class_packed(label, words),
-        };
-    }
-
-    fn remove_class(&mut self, label: &str) {
-        match self {
-            ClassIndex::Sharded(memory) => memory.remove_class(label),
-            ClassIndex::Routed(routed) => routed.remove_class(label),
-        };
-    }
-}
 
 /// One queued query: the feature row plus the channel its result goes back
 /// on.
@@ -976,7 +933,7 @@ impl QueryServer {
             // requested, or an unrouted base) replay runs on the base's
             // sharded memory and a fresh deterministic build follows it.
             index: match (config.routed, index) {
-                (Some(rc), BaseIndex::Routed(saved)) if saved.config() == rc => {
+                (Some(rc), ClassIndex::Routed(saved)) if saved.config() == rc => {
                     ClassIndex::Routed(saved.with_threads(config.threads))
                 }
                 (_, index) => {
@@ -1007,11 +964,9 @@ impl QueryServer {
                 model_file.clone_from(name);
             }
             let mutation = Mutation::from_record(entry.op, dir, schema)?;
-            check(&current, &mutation).map_err(|rejected| {
-                ServeError::Wal(WalError::Corrupt {
-                    offset: entry.end_offset,
-                    reason: format!("record {} {rejected}", entry.seq),
-                })
+            check(&current, &mutation).map_err(|rejected| WalError::Corrupt {
+                offset: entry.end_offset,
+                reason: format!("record {} refused: {rejected}", entry.seq),
             })?;
             if let Some(next) = apply(&current, &mut stream, mutation) {
                 current = next;
@@ -1169,12 +1124,12 @@ impl QueryServer {
             });
         }
         let words = model.packed_class_signature(attributes);
-        let mutation = if is_update {
-            Mutation::Update { label, words }
+        let op = if is_update {
+            WalOp::Update { label, words }
         } else {
-            Mutation::Register { label, words }
+            WalOp::Register { label, words }
         };
-        self.commit_publishing(control, mutation)
+        self.commit_publishing(control, Mutation::Logged(op))
     }
 
     /// Unregisters a class, atomically publishing a snapshot without it;
@@ -1201,9 +1156,9 @@ impl QueryServer {
         }
         self.commit_publishing(
             &mut control,
-            Mutation::Remove {
+            Mutation::Logged(WalOp::Remove {
                 label: label.to_string(),
-            },
+            }),
         )
     }
 
@@ -1289,7 +1244,10 @@ impl QueryServer {
     /// error, as for [`QueryServer::register_class`].
     pub fn set_threshold(&self, threshold: f32) -> Result<Arc<ModelSnapshot>, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
-        self.commit_publishing(&mut control, Mutation::SetThreshold(Some(threshold)))
+        let op = WalOp::SetThreshold {
+            bits: Some(threshold.to_bits()),
+        };
+        self.commit_publishing(&mut control, Mutation::Logged(op))
     }
 
     /// Clears the open-set rejection threshold, atomically publishing a
@@ -1303,7 +1261,8 @@ impl QueryServer {
     /// not an error, as for [`QueryServer::register_class`].
     pub fn clear_threshold(&self) -> Result<Arc<ModelSnapshot>, ServeError> {
         let mut control = self.control.lock().expect("control mutex poisoned");
-        self.commit_publishing(&mut control, Mutation::SetThreshold(None))
+        let op = WalOp::SetThreshold { bits: None };
+        self.commit_publishing(&mut control, Mutation::Logged(op))
     }
 
     /// Folds one **streamed labeled example** into `label`'s exact
@@ -1353,11 +1312,11 @@ impl QueryServer {
             .snapshot()
             .model
             .embed_images(&Matrix::from_rows(&[features.to_vec()]));
-        let mutation = Mutation::Observe {
+        let op = WalOp::Observe {
             label: label.to_string(),
             words: engine::pack_float_signs(embedding.row(0)),
         };
-        self.commit(&mut control, mutation)
+        self.commit(&mut control, Mutation::Logged(op))
     }
 
     /// Publishes every pending streamed-class update right now, without
@@ -1380,7 +1339,7 @@ impl QueryServer {
         if control.stream.state.pending.is_empty() {
             return Ok(self.snapshot());
         }
-        self.commit_publishing(&mut control, Mutation::Flush)
+        self.commit_publishing(&mut control, Mutation::Logged(WalOp::Flush))
     }
 
     /// Streaming continual-learning counters: lifetime observes, the
@@ -1464,7 +1423,7 @@ impl QueryServer {
         mutation: Mutation,
     ) -> Result<Option<Arc<ModelSnapshot>>, ServeError> {
         let current = self.snapshot();
-        check(&current, &mutation).map_err(Rejected::into_serve_error)?;
+        check(&current, &mutation)?;
         if let Some(durable) = control.durable.as_mut() {
             durable.log(&mutation)?;
         }
@@ -1642,145 +1601,69 @@ impl Drop for QueryServer {
 }
 
 /// One mutation of the serving state, as the shared transition consumes
-/// it: the [`WalOp`] record kinds, except that a swap carries the decoded
+/// it: the [`WalOp`] that logs it, except that a swap carries the decoded
 /// model rather than its file name — the live path already holds the
 /// model, and replay decodes its file once ([`Mutation::from_record`]).
 #[derive(Debug)]
 enum Mutation {
-    Register {
-        label: String,
-        words: Vec<u64>,
-    },
-    Update {
-        label: String,
-        words: Vec<u64>,
-    },
-    Remove {
-        label: String,
-    },
+    /// Every mutation but a swap, as its record.
+    Logged(WalOp),
     Swap {
         model: FrozenModel,
         memory: ShardedClassMemory,
     },
-    SetThreshold(Option<f32>),
-    Observe {
-        label: String,
-        words: Vec<u64>,
-    },
-    Flush,
 }
 
 impl Mutation {
-    /// The WAL record logging this mutation; a swap's names
-    /// `model_file`, the file its model was written to.
-    fn record(&self, model_file: &str) -> WalOp {
-        match self {
-            Mutation::Register { label, words } => WalOp::Register {
-                label: label.clone(),
-                words: words.clone(),
-            },
-            Mutation::Update { label, words } => WalOp::Update {
-                label: label.clone(),
-                words: words.clone(),
-            },
-            Mutation::Remove { label } => WalOp::Remove {
-                label: label.clone(),
-            },
-            Mutation::Swap { memory, .. } => WalOp::Swap {
-                model_file: model_file.to_string(),
-                memory: memory.clone(),
-            },
-            Mutation::SetThreshold(threshold) => WalOp::SetThreshold {
-                bits: threshold.map(f32::to_bits),
-            },
-            Mutation::Observe { label, words } => WalOp::Observe {
-                label: label.clone(),
-                words: words.clone(),
-            },
-            Mutation::Flush => WalOp::Flush,
-        }
-    }
-
     /// The mutation a replayed record logs; loads a swap's model file from
     /// `dir` and checks it against `schema`.
     fn from_record(op: WalOp, dir: &Path, schema: &AttributeSchema) -> Result<Self, ServeError> {
         Ok(match op {
-            WalOp::Register { label, words } => Mutation::Register { label, words },
-            WalOp::Update { label, words } => Mutation::Update { label, words },
-            WalOp::Remove { label } => Mutation::Remove { label },
             WalOp::Swap { model_file, memory } => Mutation::Swap {
                 model: ModelFile::load(dir, &model_file, schema)?.freeze(),
                 memory,
             },
-            WalOp::SetThreshold { bits } => Mutation::SetThreshold(bits.map(f32::from_bits)),
-            WalOp::Observe { label, words } => Mutation::Observe { label, words },
-            WalOp::Flush => Mutation::Flush,
+            op => Mutation::Logged(op),
         })
     }
 }
 
-/// Why [`check`] refused a mutation. The live path maps it to a typed
-/// [`ServeError`] before logging anything; replay reports it as
-/// [`WalError::Corrupt`] at the offending record.
-#[derive(Debug)]
-enum Rejected {
-    /// Packed words of the wrong width for the serving memory.
-    WordWidth {
-        found: usize,
-        expected: usize,
-    },
-    NonFiniteThreshold(f32),
-    UnregisteredClass(String),
-}
-
-impl std::fmt::Display for Rejected {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Rejected::WordWidth { found, expected } => write!(
-                f,
-                "carries {found} packed words, the memory packs {expected}"
-            ),
-            Rejected::NonFiniteThreshold(threshold) => {
-                write!(f, "carries a non-finite rejection threshold ({threshold})")
-            }
-            Rejected::UnregisteredClass(label) => {
-                write!(f, "observes unregistered class `{label}`")
-            }
-        }
-    }
-}
-
-impl Rejected {
-    fn into_serve_error(self) -> ServeError {
-        match self {
-            Rejected::UnregisteredClass(label) => ServeError::UnknownClass(label),
-            Rejected::NonFiniteThreshold(threshold) => ServeError::InvalidConfig(format!(
-                "rejection threshold must be finite, got {threshold}"
-            )),
-            Rejected::WordWidth { .. } => ServeError::InvalidConfig(format!("mutation {self}")),
-        }
-    }
-}
-
-/// The checks [`apply`] relies on, shared by the live path and replay.
-fn check(current: &ModelSnapshot, mutation: &Mutation) -> Result<(), Rejected> {
+/// The checks [`apply`] relies on, shared by the live path and replay: the
+/// live path returns the error before logging anything, and replay reports
+/// it as [`WalError::Corrupt`] at the offending record.
+fn check(current: &ModelSnapshot, mutation: &Mutation) -> Result<(), ServeError> {
+    let served = current.memory();
     match mutation {
-        Mutation::Register { words, .. }
-        | Mutation::Update { words, .. }
-        | Mutation::Observe { words, .. }
-            if words.len() != current.memory().words_per_row() =>
+        Mutation::Logged(
+            WalOp::Register { words, .. }
+            | WalOp::Update { words, .. }
+            | WalOp::Observe { words, .. },
+        ) if words.len() != served.words_per_row() => Err(ServeError::InvalidConfig(format!(
+            "mutation carries {} packed words, the memory packs {}",
+            words.len(),
+            served.words_per_row()
+        ))),
+        Mutation::Logged(WalOp::Observe { label, .. }) if !served.contains(label) => {
+            Err(ServeError::UnknownClass(label.clone()))
+        }
+        Mutation::Logged(WalOp::SetThreshold { bits: Some(bits) })
+            if !f32::from_bits(*bits).is_finite() =>
         {
-            Err(Rejected::WordWidth {
-                found: words.len(),
-                expected: current.memory().words_per_row(),
-            })
+            Err(ServeError::InvalidConfig(format!(
+                "rejection threshold must be finite, got {}",
+                f32::from_bits(*bits)
+            )))
         }
-        Mutation::Observe { label, .. } if !current.memory().contains(label) => {
-            Err(Rejected::UnregisteredClass(label.clone()))
+        Mutation::Swap { model, memory } if memory.dim() != model.embedding_dim() => {
+            Err(ServeError::InvalidConfig(format!(
+                "swapped class memory has dimension {}, the model embeds at {}",
+                memory.dim(),
+                model.embedding_dim()
+            )))
         }
-        Mutation::SetThreshold(Some(threshold)) if !threshold.is_finite() => {
-            Err(Rejected::NonFiniteThreshold(*threshold))
-        }
+        Mutation::Logged(WalOp::Swap { .. }) => Err(ServeError::InvalidConfig(
+            "a swap needs its decoded model".to_string(),
+        )),
         _ => Ok(()),
     }
 }
@@ -1801,7 +1684,7 @@ fn apply(
     mutation: Mutation,
 ) -> Option<ModelSnapshot> {
     let mut next = match mutation {
-        Mutation::Register { label, words } | Mutation::Update { label, words } => {
+        Mutation::Logged(WalOp::Register { label, words } | WalOp::Update { label, words }) => {
             // A re-pointed class's stream counters described the prototype
             // being replaced; drop them so the next observe re-seeds from
             // the new row. A fresh register has no counters — a no-op.
@@ -1811,7 +1694,7 @@ fn apply(
             next.index.add_class_packed(label, &words);
             next
         }
-        Mutation::Remove { label } => {
+        Mutation::Logged(WalOp::Remove { label }) => {
             // Every stream trace of the class goes with it.
             stream.state.accumulators.remove(&label);
             stream.state.pending.remove(&label);
@@ -1835,11 +1718,11 @@ fn apply(
                 threshold: current.threshold,
             }
         }
-        Mutation::SetThreshold(threshold) => ModelSnapshot {
-            threshold,
+        Mutation::Logged(WalOp::SetThreshold { bits }) => ModelSnapshot {
+            threshold: bits.map(f32::from_bits),
             ..current.clone()
         },
-        Mutation::Observe { label, words } => {
+        Mutation::Logged(WalOp::Observe { label, words }) => {
             let class_words = current
                 .memory()
                 .class_words(&label)
@@ -1859,8 +1742,11 @@ fn apply(
             }
             publish_pending(current, stream)
         }
-        Mutation::Flush if stream.state.pending.is_empty() => return None,
-        Mutation::Flush => publish_pending(current, stream),
+        Mutation::Logged(WalOp::Flush) if stream.state.pending.is_empty() => return None,
+        Mutation::Logged(WalOp::Flush) => publish_pending(current, stream),
+        Mutation::Logged(WalOp::Swap { .. }) => {
+            unreachable!("check refuses a swap without its decoded model")
+        }
     };
     next.version += 1;
     Some(next)
@@ -2112,4 +1998,33 @@ fn collect_batch(shared: &Shared, max_batch: usize, max_wait_us: u64) -> Option<
         requests,
         queries,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hdc_zsc::{ModelConfig, ZscModel};
+
+    /// A swap reaches [`apply`] only as [`Mutation::Swap`], carrying its
+    /// decoded model. One built as a plain logged op is refused by
+    /// [`check`], before anything is logged or applied.
+    #[test]
+    fn check_refuses_a_swap_without_its_decoded_model() {
+        let schema = AttributeSchema::cub200();
+        let model = ZscModel::new(&ModelConfig::tiny().with_seed(11), &schema, 24);
+        let labels: Vec<String> = (0..3).map(|c| format!("class{c}")).collect();
+        let attributes = Matrix::from_rows(&[vec![0.5; 312], vec![0.25; 312], vec![0.75; 312]]);
+        let server = QueryServer::start(model, labels, &attributes, ServerConfig::default())
+            .expect("starts");
+        let current = server.snapshot();
+        let swap = Mutation::Logged(WalOp::Swap {
+            model_file: "model-0000000000000000.bin".to_string(),
+            memory: current.memory().clone(),
+        });
+        assert!(matches!(
+            check(&current, &swap),
+            Err(ServeError::InvalidConfig(message)) if message == "a swap needs its decoded model"
+        ));
+        server.stop();
+    }
 }

@@ -1263,7 +1263,7 @@ mod tests {
             snapshot_version: 4,
             publish_every: 3,
             model_file: format!("model-{:016x}.bin", 1),
-            index: hdc_zsc::BaseIndex::Sharded(memory),
+            index: engine::ClassIndex::Sharded(memory),
             threshold: None,
             stream: None,
         };

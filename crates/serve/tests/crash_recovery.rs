@@ -881,12 +881,14 @@ fn a_paper_shaped_swap_is_logged_and_recovers() {
 
 /// Replay runs the same checks as the live verbs: a logged record the live
 /// path would have rejected — prototype words of the wrong width, a
-/// non-finite threshold, an observe of an unregistered class — fails
-/// recovery as a corrupt log instead of being applied.
+/// non-finite threshold, an observe of an unregistered class, a swap whose
+/// class memory is not as wide as its model's embeddings — fails recovery
+/// as a corrupt log at that record's own end offset instead of being
+/// applied.
 #[test]
 fn replay_rejects_records_the_live_path_would_reject() {
     let a = alpha();
-    for forged in 0..3 {
+    for forged in 0..4 {
         let dir = temp_dir(&format!("forged-{forged}"));
         let server = QueryServer::start_durable(
             model(19),
@@ -897,7 +899,8 @@ fn replay_rejects_records_the_live_path_would_reject() {
             DurabilityConfig::new(dir.clone()),
         )
         .expect("durable server starts");
-        let words = server.snapshot().memory().words_per_row();
+        let memory = server.snapshot().memory().clone();
+        let words = memory.words_per_row();
         drop(server);
         let op = match forged {
             0 => wal::WalOp::Register {
@@ -907,25 +910,42 @@ fn replay_rejects_records_the_live_path_would_reject() {
             1 => wal::WalOp::SetThreshold {
                 bits: Some(f32::NAN.to_bits()),
             },
-            _ => wal::WalOp::Observe {
+            2 => wal::WalOp::Observe {
                 label: "ghost".to_string(),
                 words: vec![0; words],
             },
+            // The model file the server wrote at start, with a class
+            // memory one word wider than its embeddings.
+            _ => wal::WalOp::Swap {
+                model_file: ModelFile::encode(&model(19), &schema()).name().to_string(),
+                memory: ShardedClassMemory::from_sign_matrix(
+                    ["wide"],
+                    &Matrix::ones(1, memory.dim() + 64),
+                    1,
+                ),
+            },
         };
-        let (mut log, _) =
-            wal::WriteAheadLog::open(wal::wal_path(&dir), SyncPolicy::Always).expect("opens");
+        let path = wal::wal_path(&dir);
+        let (mut log, _) = wal::WriteAheadLog::open(&path, SyncPolicy::Always).expect("opens");
         log.append(&op).expect("appends");
         drop(log);
+        let end = wal::replay(&path)
+            .expect("the forged record is well-framed")
+            .entries
+            .last()
+            .expect("the forged record is logged")
+            .end_offset;
         let recovered =
             QueryServer::recover(&schema(), config(), DurabilityConfig::new(dir.clone()));
-        assert!(
-            matches!(
-                recovered,
-                Err(ServeError::Wal(wal::WalError::Corrupt { .. }))
+        match recovered {
+            Err(ServeError::Wal(wal::WalError::Corrupt { offset, .. })) => {
+                assert_eq!(offset, end, "{op:?}: corrupt at another record")
+            }
+            other => panic!(
+                "{op:?}: expected a corrupt-log error, got {:?}",
+                other.err()
             ),
-            "{op:?}: expected a corrupt-log error, got {:?}",
-            recovered.err()
-        );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }
